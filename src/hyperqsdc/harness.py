@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import configparser
 import csv
+import functools
 import io
 import json
+import operator
 import time
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -60,56 +62,25 @@ from .protocol import (
     transmit_return,
 )
 
-EXAMPLE_CONFIG = """\
-[run]
-sessions = 100
-seed = 0
-
-[source]
-r = 1.0
-phi = 0.0
-
-[protocol]
-n_pairs = 112
-sample_fraction_first = 0.05
-sample_fraction_second = 0.05
-error_threshold = 0.05
-
-[channel]
-loss_prob = 0.0
-pauli_p_pol = 0.0
-pauli_p_spa = 0.0
-
-[adversary]
-kind = none
-dofs = pol,spa
-basis_policy = uniform
-passes = both
-
-[defense]
-filter_enabled = false
-filter_tolerance = 0.05
-pns_enabled = false
-pns_kind = ideal
-"""
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a run needs except the master seed."""
+    """Everything a run needs; ``parse_run_config`` fills in the file defaults."""
 
-    sessions: int = 100
-    seed: int = 0
-    source: SourceParams = field(default_factory=lambda: SourceParams(1.0, 0.0))
-    protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
-    channel: ChannelParams = field(default_factory=ChannelParams)
-    eve: EveStrategy = field(default_factory=EveStrategy)
-    eve_passes: str = "both"  # both | forward | return
-    defense: DefenseConfig = field(default_factory=DefenseConfig)
+    sessions: int
+    seed: int
+    source: SourceParams
+    protocol: ProtocolConfig
+    channel: ChannelParams
+    eve: EveStrategy
+    eve_passes: str  # both | forward | return
+    defense: DefenseConfig
 
     def __post_init__(self) -> None:
         if not isinstance(self.sessions, int) or self.sessions < 1:
             raise ConfigError(f"sessions must be a positive integer, got {self.sessions}")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         if self.eve_passes not in ("both", "forward", "return"):
             raise ConfigError(f"passes must be both, forward or return, got {self.eve_passes}")
 
@@ -202,33 +173,6 @@ class RunStats:
 # config file handling
 # ---------------------------------------------------------------------------
 
-_SCHEMA = {
-    "run": {"sessions", "seed"},
-    "source": {"r", "phi"},
-    "protocol": {"n_pairs", "sample_fraction_first", "sample_fraction_second", "error_threshold"},
-    "channel": {"loss_prob", "pauli_p_pol", "pauli_p_spa"},
-    "adversary": {"kind", "dofs", "basis_policy", "passes"},
-    "defense": {"filter_enabled", "filter_tolerance", "pns_enabled", "pns_kind"},
-}
-
-_EVE_KINDS = {k.value: k for k in EveKind}
-_POLICIES = {p.value: p for p in BasisPolicy}
-_PNS_KINDS = {k.value: k for k in PnsKind}
-_DOF_NAMES = {"pol": Dof.POL, "spa": Dof.SPA}
-
-
-def _get(parser, section, key, conv, default):
-    if not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key)
-    try:
-        return conv(raw)
-    except ConfigError:
-        raise
-    except (ValueError, AttributeError):
-        raise ConfigError(f"config field [{section}] {key}: cannot parse {raw!r}") from None
-
-
 def _to_bool(raw: str) -> bool:
     low = raw.strip().lower()
     if low in ("true", "yes", "on", "1"):
@@ -238,7 +182,22 @@ def _to_bool(raw: str) -> bool:
     raise ValueError(raw)
 
 
-def _choice(table: dict, what: str):
+def _to_int(raw) -> int:
+    """An integer, also when spelled integrally ('112.0'); never truncates."""
+    if isinstance(raw, (int, str)):
+        try:
+            return int(raw)
+        except ValueError:
+            pass
+    value = float(raw)
+    if not value.is_integer():
+        raise ValueError(raw)
+    return int(value)
+
+
+def _choice(kinds, what: str):
+    table = {k.value: k for k in kinds}
+
     def conv(raw: str):
         key = raw.strip().lower()
         if key not in table:
@@ -246,6 +205,9 @@ def _choice(table: dict, what: str):
         return table[key]
 
     return conv
+
+
+_DOF_NAMES = {"pol": Dof.POL, "spa": Dof.SPA}
 
 
 def _parse_dofs(raw: str) -> frozenset:
@@ -256,6 +218,80 @@ def _parse_dofs(raw: str) -> frozenset:
         raise ConfigError(f"unknown DOF name {e.args[0]!r}; use pol, spa") from None
 
 
+def _as_is(value):
+    return value
+
+
+def _enum_value(value):
+    return value.value
+
+
+class _Field(NamedTuple):
+    section: str
+    key: str
+    parse: Callable
+    default: str  # INI spelling, parsed like file text
+    path: str  # attribute path into RunConfig
+    echo: Callable = _as_is  # value -> JSON in the stats file's config echo
+
+
+# The one schema: INI sections and keys, defaults, where each value lands in
+# RunConfig and how the stats file echoes it.  Row order is the order of
+# EXAMPLE_CONFIG and of the config echo.
+_FIELDS = (
+    _Field("run", "sessions", _to_int, "100", "sessions"),
+    _Field("run", "seed", _to_int, "0", "seed"),
+    _Field("source", "r", float, "1.0", "source.r"),
+    _Field("source", "phi", float, "0.0", "source.phi"),
+    _Field("protocol", "n_pairs", _to_int, "112", "protocol.n_pairs"),
+    _Field("protocol", "sample_fraction_first", float, "0.05", "protocol.sample_fraction_first"),
+    _Field("protocol", "sample_fraction_second", float, "0.05", "protocol.sample_fraction_second"),
+    _Field("protocol", "error_threshold", float, "0.05", "protocol.error_threshold"),
+    _Field("channel", "loss_prob", float, "0.0", "channel.loss_prob"),
+    _Field("channel", "pauli_p_pol", float, "0.0", "channel.pauli_p_pol"),
+    _Field("channel", "pauli_p_spa", float, "0.0", "channel.pauli_p_spa"),
+    _Field("adversary", "kind", _choice(EveKind, "adversary kind"), "none", "eve.kind", _enum_value),
+    _Field("adversary", "dofs", _parse_dofs, "pol,spa", "eve.dof_mask",
+           lambda mask: sorted(d.value for d in mask)),
+    _Field("adversary", "basis_policy", _choice(BasisPolicy, "basis_policy"), "uniform",
+           "eve.basis_policy", _enum_value),
+    _Field("adversary", "passes", lambda raw: raw.strip().lower(), "both", "eve_passes"),
+    _Field("defense", "filter_enabled", _to_bool, "false", "defense.filter_enabled"),
+    _Field("defense", "filter_tolerance", float, "0.05", "defense.filter_tolerance"),
+    _Field("defense", "pns_enabled", _to_bool, "false", "defense.pns_enabled"),
+    _Field("defense", "pns_kind", _choice(PnsKind, "pns_kind"), "ideal", "defense.pns_kind",
+           _enum_value),
+)
+
+# RunConfig attributes that hold a component config, built from their fields.
+_COMPONENTS = {
+    "source": SourceParams,
+    "protocol": ProtocolConfig,
+    "channel": ChannelParams,
+    "eve": EveStrategy,
+    "defense": DefenseConfig,
+}
+
+
+def _example_config() -> str:
+    blocks: dict = {}
+    for f in _FIELDS:
+        blocks.setdefault(f.section, [f"[{f.section}]"]).append(f"{f.key} = {f.default}")
+    return "\n\n".join("\n".join(lines) for lines in blocks.values()) + "\n"
+
+
+EXAMPLE_CONFIG = _example_config()
+
+
+def _parse(f: _Field, raw, where: str):
+    try:
+        return f.parse(raw)
+    except ConfigError:
+        raise
+    except (ValueError, AttributeError):
+        raise ConfigError(f"{where}: cannot parse {raw!r}") from None
+
+
 def parse_run_config(text: str) -> RunConfig:
     """Build a RunConfig from INI text, rejecting unknown sections and keys."""
     parser = configparser.ConfigParser()
@@ -264,54 +300,30 @@ def parse_run_config(text: str) -> RunConfig:
     except configparser.Error as e:
         raise ConfigError(f"config is not valid INI text: {e}") from None
     for section in parser.sections():
-        if section not in _SCHEMA:
+        keys = {f.key for f in _FIELDS if f.section == section}
+        if not keys:
             raise ConfigError(f"unknown config section [{section}]")
         for key in parser.options(section):
-            if key not in _SCHEMA[section]:
+            if key not in keys:
                 raise ConfigError(f"unknown config field [{section}] {key}")
-    kind = _get(parser, "adversary", "kind", _choice(_EVE_KINDS, "adversary kind"), EveKind.NONE)
-    dofs = _get(parser, "adversary", "dofs", _parse_dofs, frozenset({Dof.POL, Dof.SPA}))
-    policy = _get(
-        parser, "adversary", "basis_policy", _choice(_POLICIES, "basis_policy"), BasisPolicy.UNIFORM_ZX
-    )
-    passes = _get(parser, "adversary", "passes", lambda s: s.strip().lower(), "both")
+    values: dict = {}
+    for f in _FIELDS:
+        raw = parser.get(f.section, f.key, fallback=f.default)
+        value = _parse(f, raw, f"config field [{f.section}] {f.key}")
+        head, _, attr = f.path.partition(".")
+        if attr:
+            values.setdefault(head, {})[attr] = value
+        else:
+            values[head] = value
     try:
-        return _build_run_config(parser, kind, dofs, policy, passes)
+        for name, component in _COMPONENTS.items():
+            values[name] = component(**values[name])
+        return RunConfig(**values)
     except ConfigError:
         raise
     except ValueError as e:
         # component validators (range checks etc.) speak in field names already
         raise ConfigError(f"invalid config value: {e}") from None
-
-
-def _build_run_config(parser, kind, dofs, policy, passes) -> RunConfig:
-    return RunConfig(
-        sessions=_get(parser, "run", "sessions", int, 100),
-        seed=_get(parser, "run", "seed", int, 0),
-        source=SourceParams(
-            r=_get(parser, "source", "r", float, 1.0),
-            phi=_get(parser, "source", "phi", float, 0.0),
-        ),
-        protocol=ProtocolConfig(
-            n_pairs=_get(parser, "protocol", "n_pairs", int, 112),
-            sample_fraction_first=_get(parser, "protocol", "sample_fraction_first", float, 0.05),
-            sample_fraction_second=_get(parser, "protocol", "sample_fraction_second", float, 0.05),
-            error_threshold=_get(parser, "protocol", "error_threshold", float, 0.05),
-        ),
-        channel=ChannelParams(
-            loss_prob=_get(parser, "channel", "loss_prob", float, 0.0),
-            pauli_p_pol=_get(parser, "channel", "pauli_p_pol", float, 0.0),
-            pauli_p_spa=_get(parser, "channel", "pauli_p_spa", float, 0.0),
-        ),
-        eve=EveStrategy(kind=kind, dof_mask=dofs, basis_policy=policy),
-        eve_passes=passes,
-        defense=DefenseConfig(
-            filter_enabled=_get(parser, "defense", "filter_enabled", _to_bool, False),
-            filter_tolerance=_get(parser, "defense", "filter_tolerance", float, 0.05),
-            pns_enabled=_get(parser, "defense", "pns_enabled", _to_bool, False),
-            pns_kind=_get(parser, "defense", "pns_kind", _choice(_PNS_KINDS, "pns_kind"), PnsKind.IDEAL),
-        ),
-    )
 
 
 def load_run_config(path: str) -> RunConfig:
@@ -321,35 +333,16 @@ def load_run_config(path: str) -> RunConfig:
 
 
 def config_document(rc: RunConfig, seed: int) -> dict:
-    """Normalized config echo embedded in stats files (fixed key order)."""
-    return {
-        "seed": seed,
-        "sessions": rc.sessions,
-        "source": {"r": rc.source.r, "phi": rc.source.phi},
-        "protocol": {
-            "n_pairs": rc.protocol.n_pairs,
-            "sample_fraction_first": rc.protocol.sample_fraction_first,
-            "sample_fraction_second": rc.protocol.sample_fraction_second,
-            "error_threshold": rc.protocol.error_threshold,
-        },
-        "channel": {
-            "loss_prob": rc.channel.loss_prob,
-            "pauli_p_pol": rc.channel.pauli_p_pol,
-            "pauli_p_spa": rc.channel.pauli_p_spa,
-        },
-        "adversary": {
-            "kind": rc.eve.kind.value,
-            "dofs": sorted(d.value for d in rc.eve.dof_mask),
-            "basis_policy": rc.eve.basis_policy.value,
-            "passes": rc.eve_passes,
-        },
-        "defense": {
-            "filter_enabled": rc.defense.filter_enabled,
-            "filter_tolerance": rc.defense.filter_tolerance,
-            "pns_enabled": rc.defense.pns_enabled,
-            "pns_kind": rc.defense.pns_kind.value,
-        },
-    }
+    """Normalized config echo embedded in stats files (fixed key order).
+
+    ``[run]`` fields sit at the top level, led by the run's effective seed.
+    """
+    doc = {"seed": seed}
+    for f in _FIELDS:
+        if f.path != "seed":
+            target = doc if f.section == "run" else doc.setdefault(f.section, {})
+            target[f.key] = f.echo(functools.reduce(getattr, f.path.split("."), rc))
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -444,11 +437,6 @@ def stats_text(rc: RunConfig, seed: int, stats: RunStats) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def write_stats(path: str, rc: RunConfig, seed: int, stats: RunStats) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(stats_text(rc, seed, stats))
-
-
 def write_transcripts(path: str, transcripts: list) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for event in transcripts:
@@ -473,63 +461,65 @@ SWEEP_AXES = (
 )
 
 
-def _override(rc: RunConfig, axis: str, value):
-    if axis == "loss_prob":
-        return replace(rc, channel=replace(rc.channel, loss_prob=float(value)))
-    if axis == "pauli_p_pol":
-        return replace(rc, channel=replace(rc.channel, pauli_p_pol=float(value)))
-    if axis == "pauli_p_spa":
-        return replace(rc, channel=replace(rc.channel, pauli_p_spa=float(value)))
-    if axis == "pauli_p":
-        v = float(value)
-        return replace(rc, channel=replace(rc.channel, pauli_p_pol=v, pauli_p_spa=v))
-    if axis == "n_pairs":
-        return replace(rc, protocol=replace(rc.protocol, n_pairs=int(value)))
-    if axis == "sample_fraction_first":
-        return replace(rc, protocol=replace(rc.protocol, sample_fraction_first=float(value)))
-    if axis == "sample_fraction_second":
-        return replace(rc, protocol=replace(rc.protocol, sample_fraction_second=float(value)))
-    if axis == "error_threshold":
-        return replace(rc, protocol=replace(rc.protocol, error_threshold=float(value)))
-    if axis == "sessions":
-        return replace(rc, sessions=int(value))
-    if axis == "strategy":
-        kind = _choice(_EVE_KINDS, "strategy")(str(value))
-        return replace(rc, eve=replace(rc.eve, kind=kind))
-    raise ConfigError(f"unknown sweep axis {axis!r}; choose from {', '.join(SWEEP_AXES)}")
+# pauli_p sets both Pauli fields; strategy is [adversary] kind.  Every other
+# axis is the INI key of the field it sets.
+_SWEEP_ALIASES = {"pauli_p": ("pauli_p_pol", "pauli_p_spa"), "strategy": ("kind",)}
 
 
-SWEEP_COLUMNS = (
-    "axis",
-    "value",
-    "sessions",
-    "accepted",
-    "aborted",
-    "depleted",
-    "first_error_pol",
-    "first_error_spa",
-    "first_detection",
-    "second_error_pol",
-    "second_error_spa",
-    "second_detection",
-    "message_bit_error_rate",
-    "bits_per_photon_transit",
-    "eve_bell_guess_accuracy",
-    "trojan_signals",
-    "trojan_filtered",
-    "pns_alarms",
+def _sweep_fields(axis: str) -> list:
+    if axis not in SWEEP_AXES:
+        raise ConfigError(f"unknown sweep axis {axis!r}; choose from {', '.join(SWEEP_AXES)}")
+    keys = _SWEEP_ALIASES.get(axis, (axis,))
+    return [f for f in _FIELDS if f.key in keys]
+
+
+def _with(rc: RunConfig, path: str, value) -> RunConfig:
+    head, _, attr = path.partition(".")
+    if attr:
+        value = replace(getattr(rc, head), **{attr: value})
+    return replace(rc, **{head: value})
+
+
+# CSV column -> path into RunStats.to_document()
+_SWEEP_CELLS = (
+    ("sessions", "sessions"),
+    ("accepted", "accepted"),
+    ("aborted", "aborted"),
+    ("depleted", "depleted"),
+    ("first_error_pol", "first_check.error_rate_pol"),
+    ("first_error_spa", "first_check.error_rate_spa"),
+    ("first_detection", "first_check.detection_rate"),
+    ("second_error_pol", "second_check.error_rate_pol"),
+    ("second_error_spa", "second_check.error_rate_spa"),
+    ("second_detection", "second_check.detection_rate"),
+    ("message_bit_error_rate", "message_bit_error_rate"),
+    ("bits_per_photon_transit", "bits_per_photon_transit"),
+    ("eve_bell_guess_accuracy", "eve_bell_guess_accuracy"),
+    ("trojan_signals", "trojan.signals"),
+    ("trojan_filtered", "trojan.filtered"),
+    ("pns_alarms", "trojan.pns_alarms"),
 )
+
+SWEEP_COLUMNS = ("axis", "value", *(column for column, _ in _SWEEP_CELLS))
 
 
 def attack_sweep(rc: RunConfig, axis: str, values: list) -> list[tuple]:
-    """One run per axis value (same master seed each); returns (value, stats) rows."""
+    """One run per axis value (same master seed each); returns (value, stats) rows.
+
+    Values may be raw strings: the axis field's parser converts them, and each
+    row carries its value as the stats file's config echo spells it.
+    """
+    fields = _sweep_fields(axis)
     if not values:
         raise ConfigError("sweep needs at least one axis value")
+    points = [_parse(fields[0], raw, f"sweep axis {axis}") for raw in values]
     rows = []
-    for value in values:
-        point = _override(rc, axis, value)
+    for value in points:
+        point = rc
+        for f in fields:
+            point = _with(point, f.path, value)
         stats, _ = run(point)
-        rows.append((value, stats))
+        rows.append((fields[0].echo(value), stats))
     return rows
 
 
@@ -545,31 +535,10 @@ def sweep_csv(axis: str, rows: list[tuple]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
-    for value, s in rows:
-        first = s.first_check.rates()
-        second = s.second_check.rates()
-        writer.writerow(
-            [
-                axis,
-                _cell(value),
-                s.sessions,
-                s.accepted,
-                s.aborted,
-                s.depleted,
-                _cell(first["error_rate_pol"]),
-                _cell(first["error_rate_spa"]),
-                _cell(first["detection_rate"]),
-                _cell(second["error_rate_pol"]),
-                _cell(second["error_rate_spa"]),
-                _cell(second["detection_rate"]),
-                _cell(s.message_bit_error_rate),
-                _cell(s.bits_per_photon_transit),
-                _cell(s.eve_bell_guess_accuracy),
-                s.trojan_signals,
-                s.trojan_filtered,
-                s.pns_alarms,
-            ]
-        )
+    for value, stats in rows:
+        doc = stats.to_document()
+        cells = (functools.reduce(operator.getitem, path.split("."), doc) for _, path in _SWEEP_CELLS)
+        writer.writerow([axis, _cell(value), *map(_cell, cells)])
     return buf.getvalue()
 
 

@@ -34,20 +34,6 @@ DIM = 16
 ATOL = 1e-12
 
 
-class Pol(IntEnum):
-    """Polarization label of a single photon."""
-
-    H = 0
-    V = 1
-
-
-class SpatialMode(IntEnum):
-    """Spatial-mode label of a single photon (a1/a2 for A, b1/b2 for B)."""
-
-    M1 = 0
-    M2 = 1
-
-
 class Photon(Enum):
     """Which photon of the pair an operation addresses."""
 
@@ -262,9 +248,9 @@ class HyperState:
         return f"HyperState(nonzero at {list(map(int, nz))})"
 
 
-def ket_index(pol_a: Pol, pol_b: Pol, spa_a: SpatialMode, spa_b: SpatialMode) -> int:
+def ket_index(pol_a: int, pol_b: int, spa_a: int, spa_b: int) -> int:
     """Amplitude index of a product ket in the normative order."""
-    return 8 * int(pol_a) + 4 * int(pol_b) + 2 * int(spa_a) + int(spa_b)
+    return 8 * pol_a + 4 * pol_b + 2 * spa_a + spa_b
 
 
 # ---------------------------------------------------------------------------

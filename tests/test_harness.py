@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -19,7 +20,9 @@ import hyperqsdc
 from hyperqsdc.adversary import BasisPolicy, EveKind, PnsKind
 from hyperqsdc.harness import (
     EXAMPLE_CONFIG,
+    SWEEP_AXES,
     SWEEP_COLUMNS,
+    RunStats,
     attack_sweep,
     parse_run_config,
     run,
@@ -47,6 +50,29 @@ def config_with(**overrides) -> str:
     return "\n".join(lines) + "\n"
 
 
+# every INI key set away from its default
+FULL_CONFIG = dict(
+    sessions="7",
+    r="0.5",
+    phi="0.25",
+    n_pairs="40",
+    sample_fraction_first="0.2",
+    sample_fraction_second="0.15",
+    error_threshold="0.5",
+    loss_prob="0.1",
+    pauli_p_pol="0.02",
+    pauli_p_spa="0.03",
+    kind="intercept_resend",
+    dofs="pol",
+    basis_policy="fixed_z",
+    passes="forward",
+    filter_enabled="true",
+    filter_tolerance="0.08",
+    pns_enabled="yes",
+    pns_kind="beamsplitter5050",
+)
+
+
 class TestConfigParsing:
     def test_empty_text_gives_defaults(self):
         rc = parse_run_config("")
@@ -60,27 +86,7 @@ class TestConfigParsing:
         assert parse_run_config(EXAMPLE_CONFIG) == parse_run_config("")
 
     def test_full_round_trip(self):
-        text = config_with(
-            sessions="7",
-            r="0.5",
-            phi="0.25",
-            n_pairs="40",
-            sample_fraction_first="0.2",
-            sample_fraction_second="0.15",
-            error_threshold="0.5",
-            loss_prob="0.1",
-            pauli_p_pol="0.02",
-            pauli_p_spa="0.03",
-            kind="intercept_resend",
-            dofs="pol",
-            basis_policy="fixed_z",
-            passes="forward",
-            filter_enabled="true",
-            filter_tolerance="0.08",
-            pns_enabled="yes",
-            pns_kind="beamsplitter5050",
-        )
-        rc = parse_run_config(text)
+        rc = parse_run_config(config_with(**FULL_CONFIG))
         assert rc.sessions == 7
         assert rc.source.r == 0.5 and rc.source.phi == 0.25
         assert rc.protocol.n_pairs == 40
@@ -95,6 +101,43 @@ class TestConfigParsing:
         assert rc.defense.filter_enabled and rc.defense.filter_tolerance == 0.08
         assert rc.defense.pns_enabled and rc.defense.pns_kind is PnsKind.BEAMSPLITTER_5050
 
+    def test_config_echo_is_pinned(self):
+        rc = parse_run_config(config_with(**FULL_CONFIG))
+        echo = json.loads(stats_text(rc, 5, RunStats()))["config"]
+        expected = {
+            "seed": 5,
+            "sessions": 7,
+            "source": {"r": 0.5, "phi": 0.25},
+            "protocol": {
+                "n_pairs": 40,
+                "sample_fraction_first": 0.2,
+                "sample_fraction_second": 0.15,
+                "error_threshold": 0.5,
+            },
+            "channel": {"loss_prob": 0.1, "pauli_p_pol": 0.02, "pauli_p_spa": 0.03},
+            "adversary": {
+                "kind": "intercept_resend",
+                "dofs": ["pol"],
+                "basis_policy": "fixed_z",
+                "passes": "forward",
+            },
+            "defense": {
+                "filter_enabled": True,
+                "filter_tolerance": 0.08,
+                "pns_enabled": True,
+                "pns_kind": "beamsplitter5050",
+            },
+        }
+        assert echo == expected
+        assert json.dumps(echo) == json.dumps(expected)  # key order too
+
+    def test_integer_fields_accept_integral_spellings(self):
+        assert parse_run_config("[protocol]\nn_pairs = 112.0\n") == parse_run_config("")
+        rc = parse_run_config(config_with(sessions="2"))
+        table = list(csv.DictReader(io.StringIO(
+            sweep_csv("n_pairs", attack_sweep(rc, "n_pairs", ["48", "112.0"])))))
+        assert [row["value"] for row in table] == ["48", "112"]
+
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match=r"\[laser\]"):
             parse_run_config("[laser]\npower = 9000\n")
@@ -107,8 +150,10 @@ class TestConfigParsing:
         "section, key, value, needle",
         [
             ("run", "sessions", "many", "sessions"),
+            ("run", "seed", "-1", "seed"),
             ("source", "r", "one", "r"),
             ("channel", "loss_prob", "1.5", "loss"),
+            ("protocol", "n_pairs", "112.7", "n_pairs"),
             ("adversary", "kind", "ninja", "adversary kind"),
             ("adversary", "dofs", "pol,energy", "energy"),
             ("adversary", "basis_policy", "diagonal", "basis_policy"),
@@ -436,6 +481,11 @@ class TestCli:
             (("attack-sweep", "--config", "run.ini", "--axis", "loss_prob",
               "--values", "fast", "--out", "x.csv"), "fast"),
             (("source-scan", "--r", "", "--phi", "0", "--out", "x.csv"), "scan"),
+            (("attack-sweep", "--config", "run.ini", "--axis", "n_pairs",
+              "--values", "112.7", "--out", "x.csv"), "n_pairs"),
+            (("attack-sweep", "--config", "run.ini", "--axis", "n_pairs",
+              "--values", "1e400", "--out", "x.csv"), "n_pairs"),
+            (("simulate", "--config", "run.ini", "--seed", "-1", "--out", "x.json"), "seed"),
         ],
     )
     def test_failures_exit_nonzero_with_diagnostic(self, tmp_path, config_path, argv, needle):
@@ -449,3 +499,17 @@ class TestCli:
         proc = run_cli("simulate", "--config", str(bad), "--out", "x.json", cwd=tmp_path)
         assert proc.returncode == 2
         assert "[protocol] n_pairs" in proc.stderr
+
+
+def readme_text() -> str:
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+class TestReadme:
+    def test_config_block_parses_to_defaults(self):
+        block = re.search(r"```ini\n(.*?)```", readme_text(), re.S).group(1)
+        assert parse_run_config(block) == parse_run_config("")
+
+    def test_sweep_axes_listed(self):
+        paragraph = re.search(r"Sweep axes:(.*?)\n\n", readme_text(), re.S).group(1)
+        assert tuple(re.findall(r"`(\w+)`", paragraph)) == SWEEP_AXES
