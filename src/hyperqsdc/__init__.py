@@ -45,7 +45,6 @@ from .hyperstate import (
     SourceParams,
     apply_encoding,
     apply_hadamard,
-    apply_pauli_a,
     bell_from_op,
     chbsa,
     correlation_error_probs,

@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .hyperstate import Basis, Dof, EncodingOp, HyperState, Photon, measure_photon_dof
+from .hyperstate import AXIS, Basis, Dof, EncodingOp, HyperState, Photon, measure
 
 
 class EveKind(Enum):
@@ -121,36 +121,68 @@ class EveRecord:
     spa_basis: Basis | None = None
     spa_outcome: int | None = None
 
+    # Blocks keep Eve's notes as record codes: an int8 array (..., 2, 2)
+    # indexed [dof (pol, spa), (basis, outcome)], basis 0 = Z and 1 = X,
+    # and -1 in both slots of a DOF she did not measure.
 
-def _pick_basis(policy: BasisPolicy, rng: np.random.Generator) -> Basis:
+    @staticmethod
+    def from_codes(codes: np.ndarray) -> "EveRecord":
+        (pb, po), (sb, so) = codes.tolist()
+        return EveRecord(
+            None if pb < 0 else _BASES[pb], None if po < 0 else po,
+            None if sb < 0 else _BASES[sb], None if so < 0 else so,
+        )
+
+    def codes(self) -> np.ndarray:
+        return np.array(
+            [[-1 if b is None else _BASES.index(b), -1 if o is None else o]
+             for b, o in ((self.pol_basis, self.pol_outcome), (self.spa_basis, self.spa_outcome))],
+            dtype=np.int8,
+        )
+
+
+_BASES = (Basis.Z, Basis.X)
+_DOFS = (Dof.POL, Dof.SPA)
+
+
+def _pick_x(policy: BasisPolicy, rng: np.random.Generator, shape: tuple) -> np.ndarray:
     if policy is BasisPolicy.FIXED_Z:
-        return Basis.Z
+        return np.zeros(shape, dtype=bool)
     if policy is BasisPolicy.FIXED_X:
-        return Basis.X
-    return Basis.X if rng.random() < 0.5 else Basis.Z
+        return np.ones(shape, dtype=bool)
+    return rng.random(shape) < 0.5
+
+
+def intercept_block(
+    states: np.ndarray, strategy: EveStrategy, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Measure the masked DOFs of photon A in every row and resend the outcome.
+
+    Returns the collapsed (N, 16) block and Eve's (N, 2, 2) record codes.
+    Both masked DOFs are read by one joint draw per row.  The projective
+    collapse already leaves photon A in exactly the state Eve forwards, so
+    the returned pair states double as the resent signals.
+    """
+    if strategy.kind is not EveKind.INTERCEPT_RESEND:
+        raise ValueError(f"strategy kind is {strategy.kind}, not intercept-resend")
+    n = len(states)
+    # record slots of the measured DOFs; the fixed order keeps the generator stream reproducible
+    slots = [k for k, dof in enumerate(_DOFS) if dof in strategy.dof_mask]
+    x = _pick_x(strategy.basis_policy, rng, (n, len(slots)))
+    axes = tuple(AXIS[(Photon.A, _DOFS[k])] for k in slots)
+    outcomes, states = measure(states, axes, rng.random(n), x)
+    codes = np.full((n, 2, 2), -1, dtype=np.int8)
+    codes[:, slots, 0] = x
+    codes[:, slots, 1] = (outcomes[:, None] >> np.arange(len(slots))[::-1]) & 1
+    return states, codes
 
 
 def intercept_resend(
     state: HyperState, strategy: EveStrategy, rng: np.random.Generator
 ) -> tuple[HyperState, EveRecord]:
-    """Measure the masked DOFs of the in-flight photon A and resend the outcome.
-
-    The projective collapse already leaves photon A in exactly the state Eve
-    forwards, so the returned pair state doubles as the resent signal.
-    """
-    if strategy.kind is not EveKind.INTERCEPT_RESEND:
-        raise ValueError(f"strategy kind is {strategy.kind}, not intercept-resend")
-    fields: dict = {}
-    # fixed DOF order keeps the generator stream reproducible
-    for dof, b_key, o_key in ((Dof.POL, "pol_basis", "pol_outcome"),
-                              (Dof.SPA, "spa_basis", "spa_outcome")):
-        if dof not in strategy.dof_mask:
-            continue
-        basis = _pick_basis(strategy.basis_policy, rng)
-        bit, state = measure_photon_dof(state, Photon.A, dof, basis, rng)
-        fields[b_key] = basis
-        fields[o_key] = bit
-    return state, EveRecord(**fields)
+    """Single-pair ``intercept_block``: the resent pair state and Eve's record."""
+    states, codes = intercept_block(state.amps[None], strategy, rng)
+    return HyperState(states[0], _trusted=True), EveRecord.from_codes(codes[0])
 
 
 def craft_trojan(
@@ -162,8 +194,9 @@ def craft_trojan(
     if kind is EveKind.TROJAN_MULTIPHOTON:
         return SignalMeta(photon_count=2, wavelength_offset=0.0, delayed=False)
     if kind is EveKind.TROJAN_INVISIBLE:
-        # drawn strictly outside the filter window Eve assumes the receiver has
-        magnitude = filter_tolerance * (1.0 + rng.random())
+        # drawn from (tol, 2*tol]: strictly outside the filter window Eve
+        # assumes the receiver has, also when random() returns 0.0
+        magnitude = filter_tolerance * (2.0 - rng.random())
         sign = 1.0 if rng.random() < 0.5 else -1.0
         return SignalMeta(photon_count=2, wavelength_offset=sign * magnitude, delayed=False)
     if kind is EveKind.TROJAN_DELAY:
@@ -190,31 +223,32 @@ def apply_defenses(
     return DefenseVerdict.CLEAN
 
 
+def guess_encoding_ops(
+    forward: np.ndarray, back: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Eve's best guess of the op applied to each row between her two interceptions.
+
+    ``forward`` and ``back`` are (N, 2, 2) record codes of the two passes.
+    Matching bases across the passes expose one bit of the per-DOF op: the
+    outcome XOR equals the flip bit when she measured Z twice and the phase
+    bit when she measured X twice.  Unknown bits are guessed uniformly.
+    Returns the guessed op codes (see ``EncodingOp.code``).
+    """
+    coins = rng.random((len(forward), 2, 2)) < 0.5  # [row, dof, (flip, phase)]
+    basis = forward[..., 0]
+    matched = (basis >= 0) & (basis == back[..., 0])
+    xor = forward[..., 1] ^ back[..., 1]
+    flip = np.where(matched & (basis == 0), xor, coins[..., 0])
+    phase = np.where(matched & (basis == 1), xor, coins[..., 1])
+    dof_op = 2 * flip.astype(np.intp) + phase  # per-DOF op index - 1
+    return 4 * dof_op[:, 0] + dof_op[:, 1]
+
+
 def guess_encoding_op(
     forward: EveRecord | None,
     back: EveRecord | None,
     rng: np.random.Generator,
 ) -> EncodingOp:
-    """Eve's best guess of the op applied between her two interceptions.
-
-    Matching bases across the passes expose one bit of the per-DOF op: the
-    outcome XOR equals the flip bit when she measured Z twice and the phase
-    bit when she measured X twice.  Unknown bits are guessed uniformly.
-    """
-    indices = []
-    for b_attr, o_attr in (("pol_basis", "pol_outcome"), ("spa_basis", "spa_outcome")):
-        flip = phase = None
-        if forward is not None and back is not None:
-            b1, b2 = getattr(forward, b_attr), getattr(back, b_attr)
-            if b1 is not None and b1 == b2:
-                xor = getattr(forward, o_attr) ^ getattr(back, o_attr)
-                if b1 is Basis.Z:
-                    flip = xor
-                else:
-                    phase = xor
-        if flip is None:
-            flip = int(rng.random() < 0.5)
-        if phase is None:
-            phase = int(rng.random() < 0.5)
-        indices.append({(0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): 4}[(flip, phase)])
-    return EncodingOp(indices[0], indices[1])
+    """Single-pair ``guess_encoding_ops``; None means Eve did not see that pass."""
+    codes = [(rec or EveRecord()).codes() for rec in (forward, back)]
+    return EncodingOp.from_code(int(guess_encoding_ops(codes[0][None], codes[1][None], rng)[0]))

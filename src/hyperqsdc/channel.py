@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import adversary as adv
-from .hyperstate import Dof, HyperState, apply_pauli_a
+from .hyperstate import AXIS, PAULIS, Dof, HyperState, Photon, apply_local
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,38 @@ class TransmitResult:
 
 _LOST = TransmitResult(delivered=False)
 
-_PAULIS = ("X", "Y", "Z")
+
+def transit(
+    states: np.ndarray,
+    params: ChannelParams,
+    eve: adv.EveStrategy,
+    rng: np.random.Generator,
+    filter_tolerance: float = adv.DEFAULT_FILTER_TOLERANCE,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, list | None]:
+    """Send photon A of every row of an (N, 16) block through the channel once.
+
+    Returns (delivered mask, states of the delivered rows, Eve's record
+    codes for them or None, the Trojan-carrying metadata of each of them or
+    None).  ``filter_tolerance`` is what Eve believes the receiver's filter
+    window to be; it only matters for the invisible-wavelength Trojan.  A
+    transit with nothing to do draws no random numbers.
+    """
+    delivered = np.ones(len(states), dtype=bool)
+    if params.loss_prob > 0.0:
+        delivered = rng.random(len(states)) >= params.loss_prob
+        states = states[delivered]
+    codes = metas = None
+    if eve.kind is adv.EveKind.INTERCEPT_RESEND:
+        states, codes = adv.intercept_block(states, eve, rng)
+    elif eve.kind in adv.TROJAN_KINDS:
+        metas = [adv.craft_trojan(eve.kind, rng, filter_tolerance) for _ in range(len(states))]
+    for dof, p in ((Dof.POL, params.pauli_p_pol), (Dof.SPA, params.pauli_p_spa)):
+        if p > 0.0:
+            hit = np.flatnonzero(rng.random(len(states)) < p)
+            which = np.zeros(len(states), dtype=np.intp)
+            which[hit] = 1 + rng.integers(3, size=len(hit))
+            states = apply_local(states, AXIS[(Photon.A, dof)], PAULIS[which])
+    return delivered, states, codes, metas
 
 
 def transmit(
@@ -58,21 +89,14 @@ def transmit(
     rng: np.random.Generator,
     filter_tolerance: float = adv.DEFAULT_FILTER_TOLERANCE,
 ) -> TransmitResult:
-    """Send photon A through the channel once.
-
-    ``filter_tolerance`` is what Eve believes the receiver's filter window
-    to be; it only matters for the invisible-wavelength Trojan.
-    """
-    if params.loss_prob > 0.0 and rng.random() < params.loss_prob:
+    """Send photon A of one pair through the channel: a one-row ``transit``."""
+    delivered, states, codes, metas = transit(state.amps[None], params, eve, rng, filter_tolerance)
+    if not delivered[0]:
         return _LOST
-    record = None
-    trojan = False
-    if eve.kind is adv.EveKind.INTERCEPT_RESEND:
-        state, record = adv.intercept_resend(state, eve, rng)
-    elif eve.kind in adv.TROJAN_KINDS:
-        meta = adv.craft_trojan(eve.kind, rng, filter_tolerance)
-        trojan = True
-    for dof, p in ((Dof.POL, params.pauli_p_pol), (Dof.SPA, params.pauli_p_spa)):
-        if p > 0.0 and rng.random() < p:
-            state = apply_pauli_a(state, dof, _PAULIS[rng.integers(3)])
-    return TransmitResult(True, state, meta, record, trojan)
+    return TransmitResult(
+        True,
+        HyperState(states[0], _trusted=True),
+        meta if metas is None else metas[0],
+        None if codes is None else adv.EveRecord.from_codes(codes[0]),
+        metas is not None,
+    )

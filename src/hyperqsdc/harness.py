@@ -33,7 +33,7 @@ from .adversary import (
     EveKind,
     EveStrategy,
     PnsKind,
-    guess_encoding_op,
+    guess_encoding_ops,
 )
 from .channel import ChannelParams
 from .hyperstate import (
@@ -299,6 +299,9 @@ def parse_run_config(text: str) -> RunConfig:
         parser.read_string(text)
     except configparser.Error as e:
         raise ConfigError(f"config is not valid INI text: {e}") from None
+    for key in parser.defaults():
+        # configparser would copy these into every section, out of sight of the checks below
+        raise ConfigError(f"config field [DEFAULT] {key} is not allowed; put it in its own section")
     for section in parser.sections():
         keys = {f.key for f in _FIELDS if f.section == section}
         if not keys:
@@ -351,7 +354,7 @@ def config_document(rc: RunConfig, seed: int) -> dict:
 
 
 def _random_bits(n: int, rng: np.random.Generator) -> str:
-    return "".join("1" if b else "0" for b in rng.integers(0, 2, size=n))
+    return (rng.integers(0, 2, size=n) + ord("0")).astype(np.uint8).tobytes().decode("ascii")
 
 
 def run_one_session(rc: RunConfig, master_seed: int, index: int) -> tuple[SessionState, Optional[str]]:
@@ -382,8 +385,9 @@ def _absorb_session(stats: RunStats, rc: RunConfig, session: SessionState, sent:
         stats.first_check.absorb(session.first_report)
     if session.second_report is not None:
         stats.second_check.absorb(session.second_report)
-    stats.lost_forward += sum(f is PairFate.LOST_FORWARD for f in session.fate)
-    stats.lost_return += sum(f is PairFate.LOST_RETURN for f in session.fate)
+    fates = session.fate
+    stats.lost_forward += fates.count(PairFate.LOST_FORWARD)
+    stats.lost_return += fates.count(PairFate.LOST_RETURN)
     stats.trojan_signals += len(session.trojan_positions)
     stats.trojan_filtered += len(session.filtered_positions)
     stats.pns_alarms += len(session.alarmed_positions)
@@ -391,20 +395,19 @@ def _absorb_session(stats: RunStats, rc: RunConfig, session: SessionState, sent:
         decoded = session.decoded_message
         stats.message_bits_delivered += len(decoded)
         stats.message_pairs_encoded += len(session.message_positions)
+        # chunk k of the message went to message_positions[k]
         index = {pos: k for k, pos in enumerate(session.message_positions)}
-        for k, pos in enumerate(session.surviving_message_positions):
-            want = sent[4 * index[pos] : 4 * index[pos] + 4]
-            got = decoded[4 * k : 4 * k + 4]
-            stats.message_bits_wrong += sum(a != b for a, b in zip(want, got))
-    if rc.eve.kind is EveKind.INTERCEPT_RESEND and session.applied_ops:
-        for pos, op in sorted(session.applied_ops.items()):
-            guess = guess_encoding_op(
-                session.eve_records_forward.get(pos),
-                session.eve_records_return.get(pos),
-                guess_rng,
-            )
-            stats.eve_guesses += 1
-            stats.eve_guesses_correct += guess == op
+        kept = [index[pos] for pos in session.surviving_message_positions]
+        want = np.frombuffer(sent.encode("ascii"), dtype=np.uint8).reshape(-1, 4)[kept]
+        got = np.frombuffer(decoded.encode("ascii"), dtype=np.uint8).reshape(-1, 4)
+        stats.message_bits_wrong += int(np.count_nonzero(want != got))
+    encoded = np.flatnonzero(session.op_codes >= 0)
+    if rc.eve.kind is EveKind.INTERCEPT_RESEND and encoded.size:
+        guesses = guess_encoding_ops(
+            session.eve_forward[encoded], session.eve_return[encoded], guess_rng
+        )
+        stats.eve_guesses += len(encoded)
+        stats.eve_guesses_correct += int(np.count_nonzero(guesses == session.op_codes[encoded]))
 
 
 def run(rc: RunConfig, master_seed: Optional[int] = None,

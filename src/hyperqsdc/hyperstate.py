@@ -12,11 +12,19 @@ with H = 0, V = 1 for polarization and first mode = 0, second mode = 1 for
 the spatial label.  This order is load-bearing: serialized states, the
 hyper-Bell basis matrix and the encoding unitaries all use it.
 
+A block of pairs is one ``(N, 16)`` complex array, row k holding pair k; it
+can be viewed as ``(N, 2, 2, 2, 2)`` with tensor axes (pol_a, pol_b, spa_a,
+spa_b).  Three whole-block kernels do all the state work: ``apply_local``
+(a 2x2 operator on one axis of every row), ``measure`` (one Born draw per
+row over the joint outcomes of some axes) and ``outcome_probs`` (the exact
+probabilities behind that draw).  The single-pair functions below are N=1
+calls of the same kernels.
+
 States are rays, not vectors: two states that differ by a global phase are
 physically identical, and ``HyperState.equiv`` tests exactly that.  All
 operations here are pure functions.  Anything stochastic takes an explicit
-``numpy.random.Generator``, so callers own reproducibility and threads may
-share everything except their generator.
+``numpy.random.Generator`` or explicit uniforms, so callers own
+reproducibility and threads may share everything except their generator.
 """
 
 from __future__ import annotations
@@ -95,6 +103,15 @@ class EncodingOp:
         if self.i not in (1, 2, 3, 4) or self.j not in (1, 2, 3, 4):
             raise ValueError(f"encoding indices must be in 1..4, got ({self.i}, {self.j})")
 
+    @property
+    def code(self) -> int:
+        """Op code 4*(i-1) + (j-1) in 0..15, the form blocks store per row."""
+        return 4 * (self.i - 1) + (self.j - 1)
+
+    @staticmethod
+    def from_code(code: int) -> "EncodingOp":
+        return EncodingOp(code // 4 + 1, code % 4 + 1)
+
 
 @dataclass(frozen=True)
 class MeasBasis:
@@ -131,44 +148,23 @@ _PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
-# Single-DOF encoding unitaries by index: identity, phase flip, bit flip, both.
-_DOF_OPS = {1: _I2, 2: _PAULI_Z, 3: _PAULI_X, 4: _PAULI_X @ _PAULI_Z}
+# Identity then Pauli X, Y, Z: index 0 is "no error" for channel noise.
+PAULIS = np.stack([_I2, _PAULI_X, _PAULI_Y, _PAULI_Z])
+
+# Single-DOF encoding unitaries by index - 1: identity, phase flip, bit flip, both.
+_DOF_OPS = np.stack([_I2, _PAULI_Z, _PAULI_X, _PAULI_X @ _PAULI_Z])
+
+# Basis change before a single-axis measurement, indexed by "measure in X".
+_TO_BASIS = np.stack([_I2, _HADAMARD])
 
 # Tensor axes in the normative order (pol_a, pol_b, spa_a, spa_b).
-_AXIS = {
+AXIS = {
     (Photon.A, Dof.POL): 0,
     (Photon.B, Dof.POL): 1,
     (Photon.A, Dof.SPA): 2,
     (Photon.B, Dof.SPA): 3,
 }
-
-
-def _lift(m: np.ndarray, axis: int) -> np.ndarray:
-    """Embed a 2x2 matrix acting on one tensor axis into the full 16-dim space."""
-    factors = [_I2, _I2, _I2, _I2]
-    factors[axis] = m
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.kron(out, f)
-    return out
-
-
-_HADAMARD_ON = [_lift(_HADAMARD, ax) for ax in range(4)]
-_PAULI_ON_A = {
-    (Dof.POL, "X"): _lift(_PAULI_X, 0),
-    (Dof.POL, "Y"): _lift(_PAULI_Y, 0),
-    (Dof.POL, "Z"): _lift(_PAULI_Z, 0),
-    (Dof.SPA, "X"): _lift(_PAULI_X, 2),
-    (Dof.SPA, "Y"): _lift(_PAULI_Y, 2),
-    (Dof.SPA, "Z"): _lift(_PAULI_Z, 2),
-}
-
-# U_ij acts on photon A only: pol part on axis 0, spatial part on axis 2.
-_ENCODING_MATRIX = {
-    (i, j): _lift(_DOF_OPS[i], 0) @ _lift(_DOF_OPS[j], 2)
-    for i in (1, 2, 3, 4)
-    for j in (1, 2, 3, 4)
-}
+ALL_AXES = (0, 1, 2, 3)
 
 # Four Bell states of one DOF as 4-vectors indexed by 2*bit_a + bit_b.
 _SQ2 = 1.0 / math.sqrt(2)
@@ -185,12 +181,127 @@ BELL_BASIS = np.array(
     [np.kron(_BELL_VEC[Bell(p)], _BELL_VEC[Bell(s)]) for p in range(4) for s in range(4)]
 )
 
-# Masks selecting the entries where a given tensor axis equals a given bit.
-_BIT_MASK = np.zeros((4, 2, DIM), dtype=bool)
-for _k in range(DIM):
-    _bits = (_k >> 3 & 1, _k >> 2 & 1, _k >> 1 & 1, _k & 1)
-    for _ax in range(4):
-        _BIT_MASK[_ax, _bits[_ax], _k] = True
+# For each ascending set of measured axes: the joint outcome, big-endian over
+# those axes, that each amplitude index belongs to.
+_OUTCOME_OF_INDEX = {
+    axes: np.array([sum(((k >> (3 - a)) & 1) << (len(axes) - 1 - m) for m, a in enumerate(axes))
+                    for k in range(DIM)])
+    for axes in (tuple(a for a in ALL_AXES if mask >> (3 - a) & 1) for mask in range(1, DIM))
+}
+
+# Every hyper-Bell state has four nonzero amplitudes, so the amplitude of
+# label k in a state is the four-term sum over _BELL_SUPPORT[k] of the
+# state's amplitudes times _BELL_WEIGHTS[k].
+_BELL_SUPPORT = np.array([np.flatnonzero(row) for row in BELL_BASIS])
+_BELL_WEIGHTS = np.take_along_axis(BELL_BASIS.conj(), _BELL_SUPPORT, axis=1)
+
+
+# ---------------------------------------------------------------------------
+# block kernels
+# ---------------------------------------------------------------------------
+
+
+def apply_local(states: np.ndarray, axis: int, ops: np.ndarray) -> np.ndarray:
+    """Apply a 2x2 operator to tensor ``axis`` of every row of an (N, 16) block.
+
+    ``ops`` is one (2, 2) matrix shared by all rows or an (N, 2, 2) stack
+    with one matrix per row.  Returns a new block.
+    """
+    n = len(states)
+    v = states.reshape(n, 1 << axis, 1, 2, 8 >> axis)
+    o = ops.reshape(-1, 1, 2, 2, 1)
+    # new[.., r, ..] = o[r, 0] * old[.., 0, ..] + o[r, 1] * old[.., 1, ..]
+    return (o[:, :, :, :1] * v[:, :, :, :1] + o[:, :, :, 1:] * v[:, :, :, 1:]).reshape(n, DIM)
+
+
+def _rotations(axes: tuple, x) -> list:
+    # (axis, per-row Z-or-X basis change) for each measured axis with some X rows;
+    # each basis change is its own inverse
+    if x is None:
+        return []
+    x_rows = x.astype(np.intp)
+    some = x.any(axis=0).tolist()
+    return [(axis, _TO_BASIS[x_rows[:, m]]) for m, axis in enumerate(axes) if some[m]]
+
+
+def _rotate(states: np.ndarray, rotations: list) -> np.ndarray:
+    for axis, ops in rotations:
+        states = apply_local(states, axis, ops)
+    return states
+
+
+def _born(states: np.ndarray, axes: tuple) -> np.ndarray:
+    # Unsnapped probabilities of the joint outcomes of the ascending ``axes``.
+    n = len(states)
+    probs = (states * states.conj()).real.reshape(n, 2, 2, 2, 2)
+    for axis in reversed(ALL_AXES):
+        if axis not in axes:
+            # summing a length-2 axis as two slices is much faster than .sum()
+            before = (slice(None),) * (1 + axis)
+            probs = probs[before + (0,)] + probs[before + (1,)]
+    return probs.reshape(n, 1 << len(axes))
+
+
+def _snap(probs: np.ndarray) -> np.ndarray:
+    return np.where(probs <= ATOL, 0.0, np.where(probs >= 1.0 - ATOL, 1.0, probs))
+
+
+def outcome_probs(states: np.ndarray, axes: tuple, x=None) -> np.ndarray:
+    """Exact per-row probabilities of the joint outcomes of tensor ``axes``.
+
+    ``axes`` is ascending; outcome index o is big-endian over them (bit 1 =
+    V / second mode, or minus in X).  ``x`` is an optional (N, len(axes))
+    bool mask: True measures that axis of that row in the X basis.
+    Probabilities within ``ATOL`` of 0 or 1 are returned as exactly 0 or 1.
+    Returns an (N, 2**len(axes)) array.
+    """
+    return _snap(_born(_rotate(states, _rotations(axes, x)), axes))
+
+
+def measure(states: np.ndarray, axes: tuple, u: np.ndarray, x=None, collapse: bool = True):
+    """Measure tensor ``axes`` of every row by one inverse-CDF draw over their joint outcomes.
+
+    Outcomes and ``x`` are as in ``outcome_probs``; ``u`` holds one uniform
+    in [0, 1) per row.  Sampling the joint outcome is the same as measuring
+    the axes one after another.  An outcome of probability 0 is never drawn,
+    whatever ``u`` and however far rounding leaves a row's total from 1.
+    Returns (outcomes, collapsed block), the block in the computational
+    representation, or (outcomes, None) when ``collapse`` is false.
+    """
+    rotations = _rotations(axes, x)
+    work = _rotate(states, rotations)
+    raw = _born(work, axes)
+    cdf = _snap(raw).cumsum(axis=1)
+    total = cdf[:, -1:]
+    if not (total > 0.0).all():
+        raise ValueError("cannot measure a row whose outcome probabilities are all zero")
+    # dividing by the total puts exactly 1.0 on the last nonzero outcome and
+    # leaves a zero-probability outcome's CDF equal to its predecessor's, so
+    # the first outcome whose CDF exceeds u always exists and has p > 0
+    outcomes = (cdf / total > u[:, None]).argmax(axis=1)
+    if not collapse:
+        return outcomes, None
+    keep = _OUTCOME_OF_INDEX[axes] == outcomes[:, None]
+    # the drawn outcome's snapped probability is positive, so its raw one is too
+    norm = np.sqrt(raw[np.arange(len(work)), outcomes])
+    post = np.where(keep, work, 0.0) / norm[:, None]
+    return outcomes, _rotate(post, rotations)
+
+
+def encode(states: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Apply the dense-coding unitary with op code ``codes[k]`` to photon A of row k."""
+    states = apply_local(states, AXIS[(Photon.A, Dof.POL)], _DOF_OPS[codes >> 2])
+    return apply_local(states, AXIS[(Photon.A, Dof.SPA)], _DOF_OPS[codes & 3])
+
+
+def bell_labels(states: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Complete hyper-Bell analysis of every row: flat labels 4*p + s, one 16-outcome draw each.
+
+    The draw runs on the rows rewritten in the hyper-Bell basis, where
+    outcome k is label k.
+    """
+    bell_amps = (states[:, _BELL_SUPPORT] * _BELL_WEIGHTS).sum(axis=2)
+    return measure(bell_amps, ALL_AXES, u, collapse=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +365,7 @@ def ket_index(pol_a: int, pol_b: int, spa_a: int, spa_b: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# operations
+# single-pair operations: N=1 calls of the block kernels
 # ---------------------------------------------------------------------------
 
 
@@ -265,31 +376,12 @@ def make_hyper_bell(idx: BellIndex) -> HyperState:
 
 def apply_encoding(state: HyperState, op: EncodingOp) -> HyperState:
     """Apply the local dense-coding unitary U_ij to photon A."""
-    return HyperState(_ENCODING_MATRIX[(op.i, op.j)] @ state.amps, _trusted=True)
+    return HyperState(encode(state.amps[None], np.array([op.code]))[0], _trusted=True)
 
 
 def apply_hadamard(state: HyperState, who: Photon, dof: Dof) -> HyperState:
     """Basis-change transform between Z and X for one photon and one DOF."""
-    return HyperState(_HADAMARD_ON[_AXIS[(who, dof)]] @ state.amps, _trusted=True)
-
-
-def apply_pauli_a(state: HyperState, dof: Dof, which: str) -> HyperState:
-    """Apply Pauli X, Y or Z to the named DOF of photon A (channel noise)."""
-    return HyperState(_PAULI_ON_A[(dof, which)] @ state.amps, _trusted=True)
-
-
-def _draw(probs, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw; never lands on a zero-probability bucket."""
-    r = rng.random()
-    acc = 0.0
-    last_positive = 0
-    for k, p in enumerate(probs):
-        if p > 0.0:
-            last_positive = k
-            acc += p
-            if r < acc:
-                return k
-    return last_positive
+    return HyperState(apply_local(state.amps[None], AXIS[(who, dof)], _HADAMARD)[0], _trusted=True)
 
 
 def chbsa(state: HyperState, rng: np.random.Generator) -> BellIndex:
@@ -298,9 +390,7 @@ def chbsa(state: HyperState, rng: np.random.Generator) -> BellIndex:
     On an exact hyper-Bell state the outcome is deterministic; on anything
     else it samples the squared overlaps.
     """
-    amps = BELL_BASIS.conj() @ state.amps
-    probs = np.abs(amps) ** 2
-    return BellIndex.from_flat(_draw(probs, rng))
+    return BellIndex.from_flat(int(bell_labels(state.amps[None], rng.random(1))[0]))
 
 
 def measure_photon_dof(
@@ -316,19 +406,9 @@ def measure_photon_dof(
     0 = plus, 1 = minus.  The collapsed state is reported back in the
     computational representation (the X transform is undone after projecting).
     """
-    axis = _AXIS[(who, dof)]
-    work = state.amps
-    if basis is Basis.X:
-        work = _HADAMARD_ON[axis] @ work
-    p1 = float(np.sum(np.abs(work[_BIT_MASK[axis, 1]]) ** 2))
-    bit = 1 if rng.random() < p1 else 0
-    post = work.copy()
-    post[_BIT_MASK[axis, 1 - bit]] = 0.0
-    norm = np.linalg.norm(post)
-    post /= norm
-    if basis is Basis.X:
-        post = _HADAMARD_ON[axis] @ post
-    return bit, HyperState(post, _trusted=True)
+    x = np.array([[basis is Basis.X]])
+    bits, post = measure(state.amps[None], (AXIS[(who, dof)],), rng.random(1), x)
+    return int(bits[0]), HyperState(post[0], _trusted=True)
 
 
 def measure_photon(
@@ -337,10 +417,19 @@ def measure_photon(
     basis: MeasBasis,
     rng: np.random.Generator,
 ) -> tuple[tuple[int, int], HyperState]:
-    """Measure both DOFs of one photon (polarization first, then spatial)."""
-    pol_bit, state = measure_photon_dof(state, who, Dof.POL, basis.pol, rng)
-    spa_bit, state = measure_photon_dof(state, who, Dof.SPA, basis.spa, rng)
-    return (pol_bit, spa_bit), state
+    """Measure both DOFs of one photon with one joint draw; returns ((pol, spa), state)."""
+    x = np.array([[basis.pol is Basis.X, basis.spa is Basis.X]])
+    outcomes, post = measure(state.amps[None], (AXIS[(who, Dof.POL)], AXIS[(who, Dof.SPA)]),
+                             rng.random(1), x)
+    return (int(outcomes[0] >> 1), int(outcomes[0] & 1)), HyperState(post[0], _trusted=True)
+
+
+def source_amplitudes(params: SourceParams) -> np.ndarray:
+    """The 16 amplitudes of ``source_state``, for filling a block."""
+    pol = np.array([1, 0, 0, 1], dtype=complex)
+    spa = np.array([1, 0, 0, params.r * cmath.exp(1j * params.phi)], dtype=complex)
+    vec = np.outer(pol, spa).ravel()  # pol (x) spa in the normative order
+    return vec / np.linalg.norm(vec)
 
 
 def source_state(params: SourceParams) -> HyperState:
@@ -349,10 +438,7 @@ def source_state(params: SourceParams) -> HyperState:
     The polarization part is always the balanced (|HH> + |VV>) form; the
     spatial part carries amplitude r*exp(i*phi) on the second mode pair.
     """
-    pol = np.array([1, 0, 0, 1], dtype=complex)
-    spa = np.array([1, 0, 0, params.r * cmath.exp(1j * params.phi)], dtype=complex)
-    vec = np.kron(pol, spa)
-    return HyperState(vec / np.linalg.norm(vec), _trusted=True)
+    return HyperState(source_amplitudes(params), _trusted=True)
 
 
 def source_fidelity(params: SourceParams) -> float:
@@ -367,49 +453,22 @@ def correlation_error_probs(state: HyperState, basis: MeasBasis) -> tuple[float,
     Both photons are measured in the same per-DOF bases, which is how the
     protocol's correlation check operates.
     """
-    work = state.amps
-    if basis.pol is Basis.X:
-        work = _HADAMARD_ON[1] @ (_HADAMARD_ON[0] @ work)
-    if basis.spa is Basis.X:
-        work = _HADAMARD_ON[3] @ (_HADAMARD_ON[2] @ work)
-    probs = np.abs(work.reshape(2, 2, 2, 2)) ** 2
+    x = np.array([[basis.pol is Basis.X] * 2 + [basis.spa is Basis.X] * 2])
+    probs = outcome_probs(state.amps[None], ALL_AXES, x)[0].reshape(2, 2, 2, 2)
     p_pol = float(probs[0, 1].sum() + probs[1, 0].sum())
     p_spa = float(probs[:, :, 0, 1].sum() + probs[:, :, 1, 0].sum())
     return p_pol, p_spa
 
 
-def _build_dense_coding_tables() -> tuple[dict, dict]:
-    # Brute force at import time: push the ideal pair through each U_ij and
-    # locate the unique hyper-Bell state it lands on.
-    ideal = make_hyper_bell(BellIndex(Bell.PHI_PLUS, Bell.PHI_PLUS))
-    bell_of: dict[EncodingOp, BellIndex] = {}
-    op_of: dict[BellIndex, EncodingOp] = {}
-    for i in (1, 2, 3, 4):
-        for j in (1, 2, 3, 4):
-            op = EncodingOp(i, j)
-            encoded = apply_encoding(ideal, op)
-            hits = [
-                k for k in range(DIM)
-                if abs(abs(np.vdot(BELL_BASIS[k], encoded.amps)) - 1.0) <= ATOL
-            ]
-            if len(hits) != 1:
-                raise AssertionError(f"U_{i}{j} does not map the ideal state to a unique Bell state")
-            idx = BellIndex.from_flat(hits[0])
-            bell_of[op] = idx
-            op_of[idx] = op
-    if len(op_of) != DIM:
-        raise AssertionError("dense-coding map is not a bijection")
-    return bell_of, op_of
-
-
-_BELL_OF_OP, _OP_OF_BELL = _build_dense_coding_tables()
-
-
 def bell_from_op(op: EncodingOp) -> BellIndex:
-    """Hyper-Bell state reached by applying U_ij to the ideal pair."""
-    return _BELL_OF_OP[op]
+    """Hyper-Bell state reached by applying U_ij to the ideal pair.
+
+    Per DOF, identity, phase flip, bit flip and both take phi+ to phi+, phi-,
+    psi+ and psi- up to a global phase, so the label's flat index is the op code.
+    """
+    return BellIndex.from_flat(op.code)
 
 
 def op_from_bell(idx: BellIndex) -> EncodingOp:
     """Inverse of ``bell_from_op``; this is Bob's decoding table."""
-    return _OP_OF_BELL[idx]
+    return EncodingOp.from_code(idx.flat())

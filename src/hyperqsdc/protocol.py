@@ -28,29 +28,15 @@ from typing import Optional
 import numpy as np
 
 from . import channel as chn
-from .adversary import (
-    DefenseConfig,
-    DefenseVerdict,
-    EveKind,
-    EveRecord,
-    EveStrategy,
-    SignalMeta,
-    apply_defenses,
-)
+from .adversary import DefenseConfig, DefenseVerdict, EveKind, EveStrategy, apply_defenses
 from .hyperstate import (
-    Basis,
-    BellIndex,
+    ALL_AXES,
     EncodingOp,
-    HyperState,
-    MeasBasis,
-    Photon,
     SourceParams,
-    apply_encoding,
-    bell_from_op,
-    chbsa,
-    measure_photon,
-    op_from_bell,
-    source_state,
+    bell_labels,
+    encode,
+    measure,
+    source_amplitudes,
 )
 
 
@@ -73,6 +59,10 @@ class PairFate(Enum):
     LOST_FORWARD = "lost_forward"
     CONSUMED_CHECK = "consumed_check"
     LOST_RETURN = "lost_return"
+
+
+# A block stores each row's fate as its index in this tuple; ACTIVE is 0.
+_FATES = tuple(PairFate)
 
 
 class Verdict(Enum):
@@ -106,6 +96,15 @@ def normative_bits_mapping() -> dict[EncodingOp, str]:
 def _sample_count(fraction: float, base: int) -> int:
     # round half up, never below one sample
     return max(1, math.floor(fraction * base + 0.5))
+
+
+# Rows per kernel call.  Whole-block temporaries of a 10^5-pair block would
+# cost several times the block itself; a chunk's temporaries take about 1 MB.
+CHUNK_ROWS = 1024
+
+
+def _chunks(n: int) -> list[slice]:
+    return [slice(start, start + CHUNK_ROWS) for start in range(0, n, CHUNK_ROWS)]
 
 
 @dataclass(frozen=True)
@@ -161,6 +160,10 @@ class CheckReport:
         verdict = Verdict.FAIL if max(rate_pol, rate_spa) > threshold else Verdict.PASS
         return CheckReport(n_checked, n_pol, n_spa, n_mism, rate_pol, rate_spa, verdict)
 
+    def fields(self) -> dict:
+        """The report as transcript fields, in declaration order."""
+        return {**vars(self), "verdict": self.verdict.value}
+
 
 @dataclass
 class SessionState:
@@ -168,21 +171,24 @@ class SessionState:
 
     Row k of ``states`` is the joint 16-amplitude state of pair k; the row
     index doubles as the position of photon A in Bob's outgoing sequence
-    and of photon B in the sequence he keeps.
+    and of photon B in the sequence he keeps; a pair that left play keeps
+    its last state.  ``fate_codes`` holds each row's index into
+    ``tuple(PairFate)``.  ``op_codes`` holds the op code
+    (``EncodingOp.code``) Alice applied to each row, -1 where she applied
+    none; ``eve_forward`` and ``eve_return`` hold Eve's record codes
+    (``EveRecord.from_codes``) of each pass, -1 where she did not measure.
     """
 
     n_pairs: int
     phase: Phase
     states: np.ndarray
-    metas: list
-    fate: list
+    fate_codes: np.ndarray
+    op_codes: np.ndarray
+    eve_forward: np.ndarray
+    eve_return: np.ndarray
     first_sample_positions: list = field(default_factory=list)
     second_sample_positions: list = field(default_factory=list)
-    second_sample_ops: dict = field(default_factory=dict)
     message_positions: list = field(default_factory=list)
-    applied_ops: dict = field(default_factory=dict)
-    eve_records_forward: dict = field(default_factory=dict)
-    eve_records_return: dict = field(default_factory=dict)
     trojan_positions: list = field(default_factory=list)
     filtered_positions: list = field(default_factory=list)
     alarmed_positions: list = field(default_factory=list)
@@ -192,11 +198,14 @@ class SessionState:
     decoded_message: Optional[str] = None
     surviving_message_positions: list = field(default_factory=list)
 
-    def positions(self, fate: PairFate) -> list[int]:
-        return [k for k, f in enumerate(self.fate) if f is fate]
+    @property
+    def fate(self) -> list[PairFate]:
+        """Where each position of the block ended up."""
+        return [_FATES[k] for k in self.fate_codes.tolist()]
 
-    def state_of(self, pos: int) -> HyperState:
-        return HyperState(self.states[pos], _trusted=True)
+    def active(self) -> np.ndarray:
+        """Positions still in play, ascending."""
+        return (self.fate_codes == _FATES.index(PairFate.ACTIVE)).nonzero()[0]
 
 
 def _require_phase(session: SessionState, expected: Phase) -> None:
@@ -210,24 +219,37 @@ def _log(session: SessionState, **fields) -> None:
     session.transcript.append(dict(fields))
 
 
-def _draw_basis(rng: np.random.Generator) -> Basis:
-    return Basis.X if rng.random() < 0.5 else Basis.Z
+def _chars(alphabet: bytes, codes) -> str:
+    """The string whose k-th character is ``alphabet[codes[k]]``."""
+    table = bytes.maketrans(bytes(range(len(alphabet))), alphabet)
+    return np.asarray(codes, dtype=np.uint8).tobytes().translate(table).decode("ascii")
 
 
-def _bit_str(bits) -> str:
-    return "".join(str(int(b)) for b in bits)
+_OP_NAMES = tuple(f"{op.i}{op.j}" for op in map(EncodingOp.from_code, range(16)))
+
+
+def _op_names(codes: np.ndarray) -> list[str]:
+    return [_OP_NAMES[c] for c in codes.tolist()]
+
+
+def _sample_mask(rng: np.random.Generator, rows: np.ndarray, k: int, n_pairs: int) -> np.ndarray:
+    """Mask over the block of k distinct positions drawn uniformly from ``rows``."""
+    chosen = np.zeros(n_pairs, dtype=bool)
+    chosen[rng.choice(rows, size=k, replace=False)] = True
+    return chosen
 
 
 def prepare_block(cfg: ProtocolConfig, source: SourceParams) -> SessionState:
     """Bob's source emits n_pairs identical pair states; bookkeeping starts clean."""
-    emitted = source_state(source)
-    states = np.tile(emitted.amps, (cfg.n_pairs, 1))
+    n = cfg.n_pairs
     session = SessionState(
-        n_pairs=cfg.n_pairs,
+        n_pairs=n,
         phase=Phase.PREPARED,
-        states=states,
-        metas=[SignalMeta.legitimate()] * cfg.n_pairs,
-        fate=[PairFate.ACTIVE] * cfg.n_pairs,
+        states=source_amplitudes(source)[None].repeat(n, axis=0),
+        fate_codes=np.zeros(n, dtype=np.int8),
+        op_codes=np.full(n, -1),
+        eve_forward=np.full((n, 2, 2), -1, dtype=np.int8),
+        eve_return=np.full((n, 2, 2), -1, dtype=np.int8),
     )
     _log(
         session,
@@ -240,55 +262,60 @@ def prepare_block(cfg: ProtocolConfig, source: SourceParams) -> SessionState:
     return session
 
 
+# direction -> (phase in flight, phase on arrival, fate of a photon lost on the way)
+_TRANSITS = {
+    "forward": (Phase.SA_IN_FLIGHT_1, Phase.FIRST_CHECK, PairFate.LOST_FORWARD),
+    "return": (Phase.SA_IN_FLIGHT_2, Phase.DECODING, PairFate.LOST_RETURN),
+}
+
+
 def _transit(
     session: SessionState,
     params: chn.ChannelParams,
     rng: np.random.Generator,
-    eve: EveStrategy,
+    eve: Optional[EveStrategy],
     defense: Optional[DefenseConfig],
     direction: str,
-    in_flight: Phase,
-    arrival: Phase,
-    lost_fate: PairFate,
 ) -> None:
+    in_flight, arrival, lost_fate = _TRANSITS[direction]
     session.phase = in_flight
-    records = session.eve_records_forward if direction == "forward" else session.eve_records_return
-    filter_tol = defense.filter_tolerance if defense is not None else None
+    eve = eve if eve is not None else EveStrategy()
+    records = session.eve_forward if direction == "forward" else session.eve_return
+    filter_tol = {} if defense is None else {"filter_tolerance": defense.filter_tolerance}
+    screen = defense is not None and (defense.filter_enabled or defense.pns_enabled)
+    # a quiet channel without an adversary delivers every photon unchanged
+    quiet = eve.kind is EveKind.NONE and not (
+        params.loss_prob or params.pauli_p_pol or params.pauli_p_spa
+    )
+    active = np.empty(0, dtype=np.intp) if quiet else session.active()
     lost: list[int] = []
     intercepted: list[int] = []
     trojan: list[int] = []
     filtered: list[int] = []
     alarmed: list[int] = []
-    for pos in session.positions(PairFate.ACTIVE):
-        res = chn.transmit(
-            session.state_of(pos),
-            session.metas[pos],
-            params,
-            eve,
-            rng,
-            **({} if filter_tol is None else {"filter_tolerance": filter_tol}),
+    for chunk in _chunks(len(active)):
+        rows = active[chunk]
+        delivered, states, codes, metas = chn.transit(
+            session.states[rows], params, eve, rng, **filter_tol
         )
-        if not res.delivered:
-            session.fate[pos] = lost_fate
-            lost.append(pos)
-            continue
-        session.states[pos] = res.state.amps
-        session.metas[pos] = res.meta
-        if res.eve_record is not None:
-            records[pos] = res.eve_record
-            intercepted.append(pos)
-        if res.trojan_inserted:
-            trojan.append(pos)
-        if defense is not None and (defense.filter_enabled or defense.pns_enabled):
-            verdict = apply_defenses(res.meta, defense, rng)
-            if verdict is not DefenseVerdict.CLEAN:
-                # probe caught and stripped; the legitimate photon continues
-                session.metas[pos] = SignalMeta.legitimate()
-                (filtered if verdict is DefenseVerdict.FILTERED_OUT else alarmed).append(pos)
+        lost.extend(rows[~delivered].tolist())
+        rows = rows[delivered]
+        session.states[rows] = states
+        if codes is not None:
+            records[rows] = codes
+            intercepted.extend(rows.tolist())
+        if metas is not None:
+            trojan.extend(rows.tolist())
+            for pos, meta in zip(rows.tolist(), metas):
+                verdict = apply_defenses(meta, defense, rng) if screen else DefenseVerdict.CLEAN
+                if verdict is not DefenseVerdict.CLEAN:
+                    # probe caught and stripped; the legitimate photon continues
+                    (filtered if verdict is DefenseVerdict.FILTERED_OUT else alarmed).append(pos)
+    session.fate_codes[lost] = _FATES.index(lost_fate)
     session.trojan_positions.extend(trojan)
     session.filtered_positions.extend(filtered)
     session.alarmed_positions.extend(alarmed)
-    recs = [records[p] for p in intercepted]
+    recs = records[intercepted] + 1
     _log(
         session,
         event="transit",
@@ -297,10 +324,10 @@ def _transit(
         direction=direction,
         lost_positions=lost,
         intercepted_positions=intercepted,
-        eve_pol_bases="".join("-" if r.pol_basis is None else r.pol_basis.value for r in recs),
-        eve_pol_outcomes="".join("-" if r.pol_outcome is None else str(r.pol_outcome) for r in recs),
-        eve_spa_bases="".join("-" if r.spa_basis is None else r.spa_basis.value for r in recs),
-        eve_spa_outcomes="".join("-" if r.spa_outcome is None else str(r.spa_outcome) for r in recs),
+        eve_pol_bases=_chars(b"-ZX", recs[:, 0, 0]),
+        eve_pol_outcomes=_chars(b"-01", recs[:, 0, 1]),
+        eve_spa_bases=_chars(b"-ZX", recs[:, 1, 0]),
+        eve_spa_outcomes=_chars(b"-01", recs[:, 1, 1]),
         trojan_positions=trojan,
         filtered_positions=filtered,
         alarmed_positions=alarmed,
@@ -317,17 +344,7 @@ def transmit_forward(
 ) -> SessionState:
     """Send every active photon A from Bob to Alice; defenses act on arrival."""
     _require_phase(session, Phase.PREPARED)
-    _transit(
-        session,
-        params,
-        rng,
-        eve if eve is not None else EveStrategy(),
-        defense if defense is not None else DefenseConfig(),
-        direction="forward",
-        in_flight=Phase.SA_IN_FLIGHT_1,
-        arrival=Phase.FIRST_CHECK,
-        lost_fate=PairFate.LOST_FORWARD,
-    )
+    _transit(session, params, rng, eve, defense, "forward")
     return session
 
 
@@ -339,18 +356,12 @@ def transmit_return(
 ) -> SessionState:
     """Send the encoded photons back from Alice to Bob (no receiver defenses)."""
     _require_phase(session, Phase.SA_IN_FLIGHT_2)
-    _transit(
-        session,
-        params,
-        rng,
-        eve if eve is not None else EveStrategy(),
-        None,
-        direction="return",
-        in_flight=Phase.SA_IN_FLIGHT_2,
-        arrival=Phase.DECODING,
-        lost_fate=PairFate.LOST_RETURN,
-    )
+    _transit(session, params, rng, eve, None, "return")
     return session
+
+
+# bit shifts that split an outcome over all four axes into its axis bits
+_BIG_ENDIAN_4 = np.array([3, 2, 1, 0])
 
 
 def first_check(session: SessionState, rng: np.random.Generator, cfg: ProtocolConfig) -> CheckReport:
@@ -361,40 +372,34 @@ def first_check(session: SessionState, rng: np.random.Generator, cfg: ProtocolCo
     in the same bases.  Checked pairs are consumed either way.
     """
     _require_phase(session, Phase.FIRST_CHECK)
-    delivered = session.positions(PairFate.ACTIVE)
+    delivered = session.active()
     if len(delivered) < 3:
         raise BlockDepleted(
             f"only {len(delivered)} pairs delivered; need 3 to check, sample and encode"
         )
     n_check = min(_sample_count(cfg.sample_fraction_first, len(delivered)), len(delivered) - 2)
-    positions = sorted(int(p) for p in rng.choice(delivered, size=n_check, replace=False))
-    pol_bases: list[Basis] = []
-    spa_bases: list[Basis] = []
-    alice_pol: list[int] = []
-    alice_spa: list[int] = []
-    bob_pol: list[int] = []
-    bob_spa: list[int] = []
-    n_pol = n_spa = n_mism = 0
-    for pos in positions:
-        basis = MeasBasis(_draw_basis(rng), _draw_basis(rng))
-        state = session.state_of(pos)
-        (a_pol, a_spa), state = measure_photon(state, Photon.A, basis, rng)
-        (b_pol, b_spa), state = measure_photon(state, Photon.B, basis, rng)
-        session.states[pos] = state.amps
-        session.fate[pos] = PairFate.CONSUMED_CHECK
-        pol_bases.append(basis.pol)
-        spa_bases.append(basis.spa)
-        alice_pol.append(a_pol)
-        alice_spa.append(a_spa)
-        bob_pol.append(b_pol)
-        bob_spa.append(b_spa)
-        pol_err = a_pol != b_pol
-        spa_err = a_spa != b_spa
-        n_pol += pol_err
-        n_spa += spa_err
-        n_mism += pol_err or spa_err
-    report = CheckReport.build(n_check, n_pol, n_spa, n_mism, cfg.error_threshold)
-    session.first_sample_positions = positions
+    positions = np.flatnonzero(_sample_mask(rng, delivered, n_check, session.n_pairs))
+    x = rng.random((n_check, 2)) < 0.5  # X basis per sample, (pol, spa)
+    u = rng.random(n_check)
+    # one 16-outcome draw per sample reads (alice_pol, bob_pol, alice_spa, bob_spa)
+    outcomes = np.empty(n_check, dtype=np.intp)
+    for chunk in _chunks(n_check):
+        outcomes[chunk] = measure(
+            session.states[positions[chunk]], ALL_AXES, u[chunk], x[chunk][:, [0, 0, 1, 1]],
+            collapse=False,
+        )[0]
+    session.fate_codes[positions] = _FATES.index(PairFate.CONSUMED_CHECK)
+    alice_pol, bob_pol, alice_spa, bob_spa = ((outcomes[:, None] >> _BIG_ENDIAN_4) & 1).T
+    pol_err = alice_pol != bob_pol
+    spa_err = alice_spa != bob_spa
+    report = CheckReport.build(
+        n_check,
+        int(pol_err.sum()),
+        int(spa_err.sum()),
+        int((pol_err | spa_err).sum()),
+        cfg.error_threshold,
+    )
+    session.first_sample_positions = positions.tolist()
     session.first_report = report
     next_phase = Phase.ENCODING if report.verdict is Verdict.PASS else Phase.ABORTED
     _log(
@@ -402,20 +407,14 @@ def first_check(session: SessionState, rng: np.random.Generator, cfg: ProtocolCo
         event="first_check",
         phase=Phase.FIRST_CHECK.value,
         to_phase=next_phase.value,
-        positions=positions,
-        pol_bases="".join(b.value for b in pol_bases),
-        spa_bases="".join(b.value for b in spa_bases),
-        alice_pol=_bit_str(alice_pol),
-        alice_spa=_bit_str(alice_spa),
-        bob_pol=_bit_str(bob_pol),
-        bob_spa=_bit_str(bob_spa),
-        n_checked=report.n_checked,
-        n_pol_errors=report.n_pol_errors,
-        n_spa_errors=report.n_spa_errors,
-        n_mismatched_samples=report.n_mismatched_samples,
-        error_rate_pol=report.error_rate_pol,
-        error_rate_spa=report.error_rate_spa,
-        verdict=report.verdict.value,
+        positions=session.first_sample_positions,
+        pol_bases=_chars(b"ZX", x[:, 0]),
+        spa_bases=_chars(b"ZX", x[:, 1]),
+        alice_pol=_chars(b"01", alice_pol),
+        alice_spa=_chars(b"01", alice_spa),
+        bob_pol=_chars(b"01", bob_pol),
+        bob_spa=_chars(b"01", bob_spa),
+        **report.fields(),
     )
     session.phase = next_phase
     if next_phase is Phase.ABORTED:
@@ -426,10 +425,10 @@ def first_check(session: SessionState, rng: np.random.Generator, cfg: ProtocolCo
 def message_capacity(session: SessionState, cfg: ProtocolConfig) -> int:
     """Bits the block can carry once the second-check sample is set aside."""
     _require_phase(session, Phase.ENCODING)
-    eligible = session.positions(PairFate.ACTIVE)
-    base = len(eligible) + len(session.first_sample_positions)
-    n_second = min(_sample_count(cfg.sample_fraction_second, base), len(eligible) - 1)
-    return 4 * (len(eligible) - n_second)
+    n_eligible = len(session.active())
+    base = n_eligible + len(session.first_sample_positions)
+    n_second = min(_sample_count(cfg.sample_fraction_second, base), n_eligible - 1)
+    return 4 * (n_eligible - n_second)
 
 
 def encode_message(
@@ -444,7 +443,7 @@ def encode_message(
     _require_phase(session, Phase.ENCODING)
     if set(message) - {"0", "1"}:
         raise ValueError("message must be a string of 0s and 1s")
-    eligible = session.positions(PairFate.ACTIVE)
+    eligible = session.active()
     if len(eligible) < 2:
         raise BlockDepleted(f"only {len(eligible)} pairs left; need 2 to sample and encode")
     base = len(eligible) + len(session.first_sample_positions)
@@ -454,30 +453,28 @@ def encode_message(
         raise MessageSizeError(
             f"message length must be exactly {expected} bits for this block, got {len(message)}"
         )
-    second = sorted(int(p) for p in rng.choice(eligible, size=n_second, replace=False))
-    second_set = set(second)
-    msg_positions = [p for p in eligible if p not in second_set]
-    inverse = {bits: op for op, bits in cfg.bits_mapping.items()}
-    for k, pos in enumerate(msg_positions):
-        op = inverse[message[4 * k : 4 * k + 4]]
-        session.states[pos] = apply_encoding(session.state_of(pos), op).amps
-        session.applied_ops[pos] = op
-    for pos in second:
-        op = EncodingOp(int(rng.integers(1, 5)), int(rng.integers(1, 5)))
-        session.states[pos] = apply_encoding(session.state_of(pos), op).amps
-        session.second_sample_ops[pos] = op
-        session.applied_ops[pos] = op
-    session.second_sample_positions = second
-    session.message_positions = msg_positions
+    is_second = _sample_mask(rng, eligible, n_second, session.n_pairs)
+    second = np.flatnonzero(is_second)
+    msg_positions = eligible[~is_second[eligible]]
+    op_of_chunk = {bits: op.code for op, bits in cfg.bits_mapping.items()}
+    session.op_codes[msg_positions] = [
+        op_of_chunk[message[k : k + 4]] for k in range(0, len(message), 4)
+    ]
+    session.op_codes[second] = rng.integers(16, size=n_second)
+    for chunk in _chunks(len(eligible)):
+        rows = eligible[chunk]
+        session.states[rows] = encode(session.states[rows], session.op_codes[rows])
+    session.second_sample_positions = second.tolist()
+    session.message_positions = msg_positions.tolist()
     _log(
         session,
         event="encode",
         phase=Phase.ENCODING.value,
         to_phase=Phase.SA_IN_FLIGHT_2.value,
-        message_positions=msg_positions,
-        message_ops=[f"{session.applied_ops[p].i}{session.applied_ops[p].j}" for p in msg_positions],
-        sample_positions=second,
-        sample_ops=[f"{session.second_sample_ops[p].i}{session.second_sample_ops[p].j}" for p in second],
+        message_positions=session.message_positions,
+        message_ops=_op_names(session.op_codes[msg_positions]),
+        sample_positions=session.second_sample_positions,
+        sample_ops=_op_names(session.op_codes[second]),
     )
     session.phase = Phase.SA_IN_FLIGHT_2
     return session
@@ -494,31 +491,37 @@ def decode_and_second_check(
     releases the message; a failing one is withheld entirely.
     """
     _require_phase(session, Phase.DECODING)
-    surviving = session.positions(PairFate.ACTIVE)
-    measured: dict[int, BellIndex] = {}
-    for pos in surviving:
-        measured[pos] = chbsa(session.state_of(pos), rng)
+    surviving = session.active()
+    u = rng.random(len(surviving))
+    labels = np.full(session.n_pairs, -1, dtype=np.intp)
+    for chunk in _chunks(len(surviving)):
+        labels[surviving[chunk]] = bell_labels(session.states[surviving[chunk]], u[chunk])
     session.phase = Phase.SECOND_CHECK
-    sample_positions = [p for p in session.second_sample_positions if p in measured]
-    if not sample_positions:
+    second = np.array(session.second_sample_positions, dtype=np.intp)
+    sample = second[labels[second] >= 0]
+    if sample.size == 0:
         raise BlockDepleted("no second-check samples survived the return transit")
-    n_pol = n_spa = n_mism = 0
-    for pos in sample_positions:
-        expected = bell_from_op(session.second_sample_ops[pos])
-        got = measured[pos]
-        pol_err = got.p != expected.p
-        spa_err = got.s != expected.s
-        n_pol += pol_err
-        n_spa += spa_err
-        n_mism += pol_err or spa_err
-    report = CheckReport.build(len(sample_positions), n_pol, n_spa, n_mism, cfg.error_threshold)
+    got = labels[sample]
+    expected = session.op_codes[sample]  # an op code is the flat label it encodes
+    pol_err = (got >> 2) != (expected >> 2)
+    spa_err = (got & 3) != (expected & 3)
+    report = CheckReport.build(
+        len(sample),
+        int(pol_err.sum()),
+        int(spa_err.sum()),
+        int((pol_err | spa_err).sum()),
+        cfg.error_threshold,
+    )
     session.second_report = report
     message: Optional[str] = None
     if report.verdict is Verdict.PASS:
-        kept = [p for p in session.message_positions if p in measured]
-        message = "".join(cfg.bits_mapping[op_from_bell(measured[p])] for p in kept)
+        kept = np.array(session.message_positions, dtype=np.intp)
+        kept = kept[labels[kept] >= 0]
+        # each Bell label read back is the code of the op that made it
+        chunk_of_op = {op.code: bits for op, bits in cfg.bits_mapping.items()}
+        message = "".join([chunk_of_op[c] for c in labels[kept].tolist()])
         session.decoded_message = message
-        session.surviving_message_positions = kept
+        session.surviving_message_positions = kept.tolist()
         next_phase = Phase.ACCEPTED
     else:
         next_phase = Phase.ABORTED
@@ -527,21 +530,12 @@ def decode_and_second_check(
         event="second_check",
         phase=Phase.SECOND_CHECK.value,
         to_phase=next_phase.value,
-        positions=surviving,
-        bell_pol=_bit_str(int(measured[p].p) for p in surviving),
-        bell_spa=_bit_str(int(measured[p].s) for p in surviving),
-        sample_positions=sample_positions,
-        expected_ops=[
-            f"{session.second_sample_ops[p].i}{session.second_sample_ops[p].j}"
-            for p in sample_positions
-        ],
-        n_checked=report.n_checked,
-        n_pol_errors=report.n_pol_errors,
-        n_spa_errors=report.n_spa_errors,
-        n_mismatched_samples=report.n_mismatched_samples,
-        error_rate_pol=report.error_rate_pol,
-        error_rate_spa=report.error_rate_spa,
-        verdict=report.verdict.value,
+        positions=surviving.tolist(),
+        bell_pol=_chars(b"0123", labels[surviving] >> 2),
+        bell_spa=_chars(b"0123", labels[surviving] & 3),
+        sample_positions=sample.tolist(),
+        expected_ops=_op_names(session.op_codes[sample]),
+        **report.fields(),
     )
     session.phase = next_phase
     _log(session, event="result", phase=next_phase.value, message=message)

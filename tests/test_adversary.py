@@ -188,6 +188,17 @@ class TestTrojans:
             signs.add(meta.wavelength_offset > 0)
         assert signs == {True, False}
 
+    def test_invisible_clears_filter_edge_when_random_returns_zero(self):
+        class ZeroRandom:
+            def random(self):
+                return 0.0
+
+        tol = 0.02
+        meta = craft_trojan(EveKind.TROJAN_INVISIBLE, ZeroRandom(), filter_tolerance=tol)
+        assert abs(meta.wavelength_offset) > tol
+        cfg = DefenseConfig(filter_enabled=True, filter_tolerance=tol)
+        assert apply_defenses(meta, cfg, np.random.default_rng(0)) is DefenseVerdict.FILTERED_OUT
+
     def test_delay_meta(self):
         meta = craft_trojan(EveKind.TROJAN_DELAY, np.random.default_rng(30))
         assert meta.delayed and meta.photon_count == 2

@@ -1,0 +1,33 @@
+"""Smoke test: every demo script runs to completion.
+
+The demos drive the single-pair API and whole runs end to end, and each
+asserts its own headline results, so exit code 0 is the check.
+"""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from test_harness import package_env
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert len(DEMOS) >= 5
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(demo, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(demo)],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=package_env(),
+    )
+    assert proc.returncode == 0, proc.stderr

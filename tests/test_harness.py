@@ -160,6 +160,9 @@ class TestConfigParsing:
             ("adversary", "passes", "sideways", "passes"),
             ("defense", "pns_kind", "sponge", "pns_kind"),
             ("defense", "filter_enabled", "maybe", "filter_enabled"),
+            # [DEFAULT] keys would reach every section unchecked
+            ("DEFAULT", "warp", "9", r"\[DEFAULT\] warp"),
+            ("DEFAULT", "n_pairs", "40\n[protocol]", r"\[DEFAULT\] n_pairs"),
         ],
     )
     def test_bad_values_name_the_field(self, section, key, value, needle):
@@ -395,24 +398,28 @@ class TestSourceScan:
             source_fidelity_scan([], [0.0])
 
 
-def run_cli(*argv, cwd):
-    """Run `python -m hyperqsdc.cli` from `cwd` on the package this suite imported.
+def package_env() -> dict:
+    """Environment for a subprocess that must import the package this suite imported.
 
     A relative PYTHONPATH (the Tier-1 `PYTHONPATH=src`) means nothing from
-    `cwd`, so the subprocess gets the imported package's parent directory
-    first, then the inherited entries made absolute against this process's
-    working directory.
+    another working directory, so the subprocess gets the imported package's
+    parent directory first, then the inherited entries made absolute
+    against this process's working directory.
     """
     inherited = [str(Path(entry).resolve())
                  for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep) if entry]
     package_root = str(Path(hyperqsdc.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([package_root, *inherited])}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([package_root, *inherited])}
+
+
+def run_cli(*argv, cwd):
+    """Run `python -m hyperqsdc.cli` from `cwd` on the package this suite imported."""
     return subprocess.run(
         [sys.executable, "-m", "hyperqsdc.cli", *argv],
         capture_output=True,
         text=True,
         cwd=cwd,
-        env=env,
+        env=package_env(),
     )
 
 
