@@ -153,28 +153,45 @@ def _pick_x(policy: BasisPolicy, rng: np.random.Generator, shape: tuple) -> np.n
     return rng.random(shape) < 0.5
 
 
-def intercept_block(
-    states: np.ndarray, strategy: EveStrategy, rng: np.random.Generator
+def _slots(strategy: EveStrategy) -> list[int]:
+    # record slots of the measured DOFs; the fixed order keeps the generator stream reproducible
+    if strategy.kind is not EveKind.INTERCEPT_RESEND:
+        raise ValueError(f"strategy kind is {strategy.kind}, not intercept-resend")
+    return [k for k, dof in enumerate(_DOFS) if dof in strategy.dof_mask]
+
+
+def draw_intercept(
+    n: int, strategy: EveStrategy, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Measure the masked DOFs of photon A in every row and resend the outcome.
+    """Eve's random choices for n intercepted photons: (X-basis mask per measured DOF, uniforms)."""
+    x = _pick_x(strategy.basis_policy, rng, (n, len(_slots(strategy))))
+    return x, rng.random(n)
+
+
+def resend(
+    states: np.ndarray, strategy: EveStrategy, x: np.ndarray, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Apply ``draw_intercept``'s choices: measure every row and resend the outcome.
 
     Returns the collapsed (N, 16) block and Eve's (N, 2, 2) record codes.
     Both masked DOFs are read by one joint draw per row.  The projective
     collapse already leaves photon A in exactly the state Eve forwards, so
     the returned pair states double as the resent signals.
     """
-    if strategy.kind is not EveKind.INTERCEPT_RESEND:
-        raise ValueError(f"strategy kind is {strategy.kind}, not intercept-resend")
-    n = len(states)
-    # record slots of the measured DOFs; the fixed order keeps the generator stream reproducible
-    slots = [k for k, dof in enumerate(_DOFS) if dof in strategy.dof_mask]
-    x = _pick_x(strategy.basis_policy, rng, (n, len(slots)))
+    slots = _slots(strategy)
     axes = tuple(AXIS[(Photon.A, _DOFS[k])] for k in slots)
-    outcomes, states = measure(states, axes, rng.random(n), x)
-    codes = np.full((n, 2, 2), -1, dtype=np.int8)
+    outcomes, states = measure(states, axes, u, x)
+    codes = np.full((len(states), 2, 2), -1, dtype=np.int8)
     codes[:, slots, 0] = x
     codes[:, slots, 1] = (outcomes[:, None] >> np.arange(len(slots))[::-1]) & 1
     return states, codes
+
+
+def intercept_block(
+    states: np.ndarray, strategy: EveStrategy, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Measure the masked DOFs of photon A in every row and resend the outcome (see ``resend``)."""
+    return resend(states, strategy, *draw_intercept(len(states), strategy, rng))
 
 
 def intercept_resend(

@@ -10,6 +10,7 @@ pair's life; the parties discard the position by classical announcement.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,37 +49,70 @@ class TransmitResult:
 _LOST = TransmitResult(delivered=False)
 
 
-def transit(
-    states: np.ndarray,
+class TransitDraws(NamedTuple):
+    """Every random choice of one transit of n photons, drawn before any state work.
+
+    ``delivered`` is the (n,) loss mask.  The other fields cover the
+    delivered photons only: Eve's ``adversary.draw_intercept`` choices (None
+    unless she intercepts and resends), the Trojan-carrying metadata of each
+    photon (None unless she attaches a probe), and per DOF (pol, spa) the
+    Pauli index applied to each photon, 0 for none (None on a noiseless DOF).
+    """
+
+    delivered: np.ndarray
+    eve: tuple | None
+    metas: list | None
+    paulis: tuple
+
+
+def draw_transit(
+    n: int,
     params: ChannelParams,
     eve: adv.EveStrategy,
     rng: np.random.Generator,
     filter_tolerance: float = adv.DEFAULT_FILTER_TOLERANCE,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, list | None]:
-    """Send photon A of every row of an (N, 16) block through the channel once.
+) -> TransitDraws:
+    """Draw the loss, interception and noise of n photons in the channel's fixed order.
 
-    Returns (delivered mask, states of the delivered rows, Eve's record
-    codes for them or None, the Trojan-carrying metadata of each of them or
-    None).  ``filter_tolerance`` is what Eve believes the receiver's filter
-    window to be; it only matters for the invisible-wavelength Trojan.  A
-    transit with nothing to do draws no random numbers.
+    ``filter_tolerance`` is what Eve believes the receiver's filter window to
+    be; it only matters for the invisible-wavelength Trojan.  A transit with
+    nothing to do draws no random numbers.
     """
-    delivered = np.ones(len(states), dtype=bool)
+    delivered = np.ones(n, dtype=bool)
     if params.loss_prob > 0.0:
-        delivered = rng.random(len(states)) >= params.loss_prob
-        states = states[delivered]
-    codes = metas = None
+        delivered = rng.random(n) >= params.loss_prob
+        n = int(np.count_nonzero(delivered))
+    eve_draws = metas = None
     if eve.kind is adv.EveKind.INTERCEPT_RESEND:
-        states, codes = adv.intercept_block(states, eve, rng)
+        eve_draws = adv.draw_intercept(n, eve, rng)
     elif eve.kind in adv.TROJAN_KINDS:
-        metas = [adv.craft_trojan(eve.kind, rng, filter_tolerance) for _ in range(len(states))]
-    for dof, p in ((Dof.POL, params.pauli_p_pol), (Dof.SPA, params.pauli_p_spa)):
+        metas = [adv.craft_trojan(eve.kind, rng, filter_tolerance) for _ in range(n)]
+    paulis = []
+    for p in (params.pauli_p_pol, params.pauli_p_spa):
+        which = None
         if p > 0.0:
-            hit = np.flatnonzero(rng.random(len(states)) < p)
-            which = np.zeros(len(states), dtype=np.intp)
+            hit = np.flatnonzero(rng.random(n) < p)
+            which = np.zeros(n, dtype=np.intp)
             which[hit] = 1 + rng.integers(3, size=len(hit))
+        paulis.append(which)
+    return TransitDraws(delivered, eve_draws, metas, tuple(paulis))
+
+
+def apply_transit(
+    states: np.ndarray, eve: adv.EveStrategy, eve_draws: tuple | None, paulis: tuple
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Carry the delivered rows of a block through Eve and the noise as drawn.
+
+    ``eve_draws`` and ``paulis`` are ``TransitDraws`` fields, one entry per
+    row of ``states``.  Returns (new states, Eve's record codes or None).
+    """
+    codes = None
+    if eve_draws is not None:
+        states, codes = adv.resend(states, eve, *eve_draws)
+    for dof, which in zip((Dof.POL, Dof.SPA), paulis):
+        if which is not None:
             states = apply_local(states, AXIS[(Photon.A, dof)], PAULIS[which])
-    return delivered, states, codes, metas
+    return states, codes
 
 
 def transmit(
@@ -89,14 +123,15 @@ def transmit(
     rng: np.random.Generator,
     filter_tolerance: float = adv.DEFAULT_FILTER_TOLERANCE,
 ) -> TransmitResult:
-    """Send photon A of one pair through the channel: a one-row ``transit``."""
-    delivered, states, codes, metas = transit(state.amps[None], params, eve, rng, filter_tolerance)
-    if not delivered[0]:
+    """Send photon A of one pair through the channel: ``draw_transit`` then ``apply_transit``."""
+    draws = draw_transit(1, params, eve, rng, filter_tolerance)
+    if not draws.delivered[0]:
         return _LOST
+    states, codes = apply_transit(state.amps[None], eve, draws.eve, draws.paulis)
     return TransmitResult(
         True,
         HyperState(states[0], _trusted=True),
-        meta if metas is None else metas[0],
+        meta if draws.metas is None else draws.metas[0],
         None if codes is None else adv.EveRecord.from_codes(codes[0]),
-        metas is not None,
+        draws.metas is not None,
     )

@@ -300,8 +300,9 @@ def bell_labels(states: np.ndarray, u: np.ndarray) -> np.ndarray:
     The draw runs on the rows rewritten in the hyper-Bell basis, where
     outcome k is label k.
     """
-    bell_amps = (states[:, _BELL_SUPPORT] * _BELL_WEIGHTS).sum(axis=2)
-    return measure(bell_amps, ALL_AXES, u, collapse=False)[0]
+    terms = states[:, _BELL_SUPPORT]
+    terms *= _BELL_WEIGHTS  # in place: one (N, 16, 4) temporary instead of two
+    return measure(terms.sum(axis=2), ALL_AXES, u, collapse=False)[0]
 
 
 # ---------------------------------------------------------------------------

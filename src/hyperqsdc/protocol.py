@@ -15,14 +15,20 @@ Phases move strictly forward; only the two checks may abort.  A session
 is single-owner mutable state: ops mutate the ``SessionState`` they are
 given and return it (or a report), and all randomness flows through the
 explicit generator arguments.  Every op appends one event to the
-session's transcript with a stable field order.
+session's transcript, when it keeps one, with a stable field order.
+
+Each phase is written once, for a ``SessionGroup`` of sessions that share
+one block of rows and move in lockstep; the single-session functions
+(``transmit_forward``, ``first_check``, ...) run it on a group of one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -31,6 +37,7 @@ from . import channel as chn
 from .adversary import DefenseConfig, DefenseVerdict, EveKind, EveStrategy, apply_defenses
 from .hyperstate import (
     ALL_AXES,
+    DIM,
     EncodingOp,
     SourceParams,
     bell_labels,
@@ -140,6 +147,20 @@ class ProtocolConfig:
                 f"sample fractions leave no message pairs: {n1} + {n2} samples of {self.n_pairs}"
             )
 
+    @cached_property
+    def op_of_chunk(self) -> np.ndarray:
+        """Encoder table: the op code ``bits_mapping`` gives each 4-bit chunk value."""
+        table = np.empty(16, dtype=np.intp)
+        for op, chunk in self.bits_mapping.items():
+            table[int(chunk, 2)] = op.code
+        return table
+
+    @cached_property
+    def chunk_of_op(self) -> tuple:
+        """Decoder table: the 4-bit chunk ``bits_mapping`` gives each op code."""
+        chunks = {op.code: chunk for op, chunk in self.bits_mapping.items()}
+        return tuple(chunks[code] for code in range(16))
+
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -192,7 +213,7 @@ class SessionState:
     trojan_positions: list = field(default_factory=list)
     filtered_positions: list = field(default_factory=list)
     alarmed_positions: list = field(default_factory=list)
-    transcript: list = field(default_factory=list)
+    transcript: Optional[list] = field(default_factory=list)
     first_report: Optional[CheckReport] = None
     second_report: Optional[CheckReport] = None
     decoded_message: Optional[str] = None
@@ -216,7 +237,8 @@ def _require_phase(session: SessionState, expected: Phase) -> None:
 
 
 def _log(session: SessionState, **fields) -> None:
-    session.transcript.append(dict(fields))
+    if session.transcript is not None:
+        session.transcript.append(fields)
 
 
 def _chars(alphabet: bytes, codes) -> str:
@@ -232,6 +254,22 @@ def _op_names(codes: np.ndarray) -> list[str]:
     return [_OP_NAMES[c] for c in codes.tolist()]
 
 
+def _spans(sizes: list) -> list[tuple[int, int]]:
+    """(start, stop) of back-to-back runs of the given sizes."""
+    stops = list(accumulate(sizes))
+    return list(zip([0, *stops[:-1]], stops))
+
+
+def _reports(pol_err: np.ndarray, spa_err: np.ndarray, sizes: list, threshold: float) -> list:
+    """Per member, the report on its consecutive run of ``sizes`` check rows; None if empty."""
+    flags = np.array([pol_err, spa_err, pol_err | spa_err])
+    return [
+        CheckReport.build(stop - start, *flags[:, start:stop].sum(axis=1).tolist(), threshold)
+        if stop > start else None
+        for start, stop in _spans(sizes)
+    ]
+
+
 def _sample_mask(rng: np.random.Generator, rows: np.ndarray, k: int, n_pairs: int) -> np.ndarray:
     """Mask over the block of k distinct positions drawn uniformly from ``rows``."""
     chosen = np.zeros(n_pairs, dtype=bool)
@@ -239,100 +277,210 @@ def _sample_mask(rng: np.random.Generator, rows: np.ndarray, k: int, n_pairs: in
     return chosen
 
 
+@dataclass
+class SessionGroup:
+    """Sessions that go through every phase together; create it with ``prepare_group``.
+
+    The sessions share one block: session j owns the ``n_pairs`` rows of
+    ``states``, ``op_codes``, ``eve_forward`` and ``eve_return`` that start at
+    ``offsets[j]``, and the arrays of its ``SessionState`` are views of them;
+    offsets ascend.  ``rngs[j]`` is the only generator session j draws from.
+    Every phase first draws session by session, in the order and sizes of
+    the session run alone, and then does its state work in one kernel pass
+    over the stacked rows, at most ``CHUNK_ROWS`` rows per kernel call.  So
+    a session's draws, outcomes and transcript never depend on which
+    sessions share its group.
+    """
+
+    sessions: list
+    rngs: list
+    offsets: list
+    states: np.ndarray
+    op_codes: np.ndarray
+    eve_forward: np.ndarray
+    eve_return: np.ndarray
+
+    @staticmethod
+    def alone(session: SessionState, rng: Optional[np.random.Generator]) -> "SessionGroup":
+        """The group of one session, whose own arrays are the block."""
+        return SessionGroup([session], [rng], [0], session.states, session.op_codes,
+                            session.eve_forward, session.eve_return)
+
+    def members(self, keep: list[int]) -> "SessionGroup":
+        """The group of the members at positions ``keep``, sharing this block."""
+        return replace(
+            self,
+            sessions=[self.sessions[j] for j in keep],
+            rngs=[self.rngs[j] for j in keep],
+            offsets=[self.offsets[j] for j in keep],
+        )
+
+    def __iter__(self):
+        """(session, generator, first block row) per member."""
+        return zip(self.sessions, self.rngs, self.offsets)
+
+
+def prepare_group(
+    cfg: ProtocolConfig,
+    source: SourceParams,
+    rngs: list,
+    record: bool = True,
+    amps: Optional[np.ndarray] = None,
+) -> SessionGroup:
+    """One session per generator; Bob's source fills every row of the shared block.
+
+    ``record`` keeps a transcript per session.  ``amps`` is
+    ``source_amplitudes(source)`` for a caller that already has it.
+    """
+    n, rows = cfg.n_pairs, cfg.n_pairs * len(rngs)
+    states = np.empty((rows, DIM), dtype=complex)
+    states[:] = source_amplitudes(source) if amps is None else amps
+    fate_codes = np.zeros(rows, dtype=np.int8)
+    op_codes = np.full(rows, -1)
+    eve_forward = np.full((rows, 2, 2), -1, dtype=np.int8)
+    eve_return = np.full((rows, 2, 2), -1, dtype=np.int8)
+    offsets = list(range(0, rows, n))
+    sessions = []
+    for offset in offsets:
+        own = slice(offset, offset + n)
+        session = SessionState(
+            n_pairs=n,
+            phase=Phase.PREPARED,
+            states=states[own],
+            fate_codes=fate_codes[own],
+            op_codes=op_codes[own],
+            eve_forward=eve_forward[own],
+            eve_return=eve_return[own],
+            transcript=[] if record else None,
+        )
+        _log(
+            session,
+            event="prepare",
+            phase=Phase.PREPARED.value,
+            n_pairs=n,
+            source_r=float(source.r),
+            source_phi=float(source.phi),
+        )
+        sessions.append(session)
+    return SessionGroup(sessions, list(rngs), offsets, states, op_codes, eve_forward, eve_return)
+
+
 def prepare_block(cfg: ProtocolConfig, source: SourceParams) -> SessionState:
     """Bob's source emits n_pairs identical pair states; bookkeeping starts clean."""
-    n = cfg.n_pairs
-    session = SessionState(
-        n_pairs=n,
-        phase=Phase.PREPARED,
-        states=source_amplitudes(source)[None].repeat(n, axis=0),
-        fate_codes=np.zeros(n, dtype=np.int8),
-        op_codes=np.full(n, -1),
-        eve_forward=np.full((n, 2, 2), -1, dtype=np.int8),
-        eve_return=np.full((n, 2, 2), -1, dtype=np.int8),
-    )
-    _log(
-        session,
-        event="prepare",
-        phase=Phase.PREPARED.value,
-        n_pairs=cfg.n_pairs,
-        source_r=float(source.r),
-        source_phi=float(source.phi),
-    )
-    return session
+    return prepare_group(cfg, source, [None]).sessions[0]  # preparing draws nothing
 
 
-# direction -> (phase in flight, phase on arrival, fate of a photon lost on the way)
+# direction -> (phase before, phase in flight, phase on arrival, fate of a photon lost on the way)
 _TRANSITS = {
-    "forward": (Phase.SA_IN_FLIGHT_1, Phase.FIRST_CHECK, PairFate.LOST_FORWARD),
-    "return": (Phase.SA_IN_FLIGHT_2, Phase.DECODING, PairFate.LOST_RETURN),
+    "forward": (Phase.PREPARED, Phase.SA_IN_FLIGHT_1, Phase.FIRST_CHECK, PairFate.LOST_FORWARD),
+    "return": (Phase.SA_IN_FLIGHT_2, Phase.SA_IN_FLIGHT_2, Phase.DECODING, PairFate.LOST_RETURN),
 }
 
 
 def _transit(
-    session: SessionState,
+    group: SessionGroup,
     params: chn.ChannelParams,
-    rng: np.random.Generator,
     eve: Optional[EveStrategy],
     defense: Optional[DefenseConfig],
     direction: str,
 ) -> None:
-    in_flight, arrival, lost_fate = _TRANSITS[direction]
-    session.phase = in_flight
+    before, in_flight, arrival, lost_fate = _TRANSITS[direction]
+    for session in group.sessions:
+        _require_phase(session, before)
     eve = eve if eve is not None else EveStrategy()
-    records = session.eve_forward if direction == "forward" else session.eve_return
     filter_tol = {} if defense is None else {"filter_tolerance": defense.filter_tolerance}
     screen = defense is not None and (defense.filter_enabled or defense.pns_enabled)
     # a quiet channel without an adversary delivers every photon unchanged
     quiet = eve.kind is EveKind.NONE and not (
         params.loss_prob or params.pauli_p_pol or params.pauli_p_spa
     )
-    active = np.empty(0, dtype=np.intp) if quiet else session.active()
-    lost: list[int] = []
-    intercepted: list[int] = []
-    trojan: list[int] = []
-    filtered: list[int] = []
-    alarmed: list[int] = []
-    for chunk in _chunks(len(active)):
-        rows = active[chunk]
-        delivered, states, codes, metas = chn.transit(
-            session.states[rows], params, eve, rng, **filter_tol
-        )
-        lost.extend(rows[~delivered].tolist())
-        rows = rows[delivered]
-        session.states[rows] = states
-        if codes is not None:
-            records[rows] = codes
-            intercepted.extend(rows.tolist())
-        if metas is not None:
-            trojan.extend(rows.tolist())
-            for pos, meta in zip(rows.tolist(), metas):
-                verdict = apply_defenses(meta, defense, rng) if screen else DefenseVerdict.CLEAN
-                if verdict is not DefenseVerdict.CLEAN:
-                    # probe caught and stripped; the legitimate photon continues
-                    (filtered if verdict is DefenseVerdict.FILTERED_OUT else alarmed).append(pos)
-    session.fate_codes[lost] = _FATES.index(lost_fate)
-    session.trojan_positions.extend(trojan)
-    session.filtered_positions.extend(filtered)
-    session.alarmed_positions.extend(alarmed)
-    recs = records[intercepted] + 1
-    _log(
-        session,
-        event="transit",
-        phase=in_flight.value,
-        to_phase=arrival.value,
-        direction=direction,
-        lost_positions=lost,
-        intercepted_positions=intercepted,
-        eve_pol_bases=_chars(b"-ZX", recs[:, 0, 0]),
-        eve_pol_outcomes=_chars(b"-01", recs[:, 0, 1]),
-        eve_spa_bases=_chars(b"-ZX", recs[:, 1, 0]),
-        eve_spa_outcomes=_chars(b"-01", recs[:, 1, 1]),
-        trojan_positions=trojan,
-        filtered_positions=filtered,
-        alarmed_positions=alarmed,
-    )
-    session.phase = arrival
+    rows: list = []  # block rows of the photons delivered, per chunk
+    draws: list = []  # their chn.TransitDraws, per chunk
+    notes: list = []  # per session: positions lost, delivered, probed, filtered, alarmed
+    for session, rng, offset in group:
+        session.phase = in_flight
+        active = np.empty(0, dtype=np.intp) if quiet else session.active()
+        lost: list[int] = []
+        delivered: list = []  # arrays, one per chunk
+        trojan: list[int] = []
+        filtered: list[int] = []
+        alarmed: list[int] = []
+        for chunk in _chunks(len(active)):
+            sent = active[chunk]
+            drawn = chn.draw_transit(len(sent), params, eve, rng, **filter_tol)
+            lost.extend(sent[~drawn.delivered].tolist())
+            got = sent[drawn.delivered]
+            delivered.append(got)
+            rows.append(got + offset)
+            draws.append(drawn)
+            if drawn.metas is not None:
+                trojan.extend(got.tolist())
+                for pos, meta in zip(got.tolist(), drawn.metas):
+                    verdict = apply_defenses(meta, defense, rng) if screen else DefenseVerdict.CLEAN
+                    # a caught probe is stripped; the legitimate photon continues
+                    if verdict is DefenseVerdict.FILTERED_OUT:
+                        filtered.append(pos)
+                    elif verdict is DefenseVerdict.PNS_ALARM:
+                        alarmed.append(pos)
+        session.fate_codes[lost] = _FATES.index(lost_fate)
+        session.trojan_positions.extend(trojan)
+        session.filtered_positions.extend(filtered)
+        session.alarmed_positions.extend(alarmed)
+        notes.append((lost, delivered, trojan, filtered, alarmed))
+    records = group.eve_forward if direction == "forward" else group.eve_return
+    if rows:
+        rows = np.concatenate(rows)
+        eve_draws = None if draws[0].eve is None else [
+            np.concatenate(part) for part in zip(*(d.eve for d in draws))
+        ]
+        paulis = [
+            None if which[0] is None else np.concatenate(which)
+            for which in zip(*(d.paulis for d in draws))
+        ]
+        for piece in _chunks(len(rows)):
+            states, codes = chn.apply_transit(
+                group.states[rows[piece]],
+                eve,
+                None if eve_draws is None else [part[piece] for part in eve_draws],
+                [None if which is None else which[piece] for which in paulis],
+            )
+            group.states[rows[piece]] = states
+            if codes is not None:
+                records[rows[piece]] = codes
+    for session, (lost, delivered, trojan, filtered, alarmed) in zip(group.sessions, notes):
+        if session.transcript is not None:
+            intercepted = []
+            if eve.kind is EveKind.INTERCEPT_RESEND and delivered:
+                intercepted = np.concatenate(delivered).tolist()
+            own = session.eve_forward if direction == "forward" else session.eve_return
+            recs = own[intercepted] + 1
+            _log(
+                session,
+                event="transit",
+                phase=in_flight.value,
+                to_phase=arrival.value,
+                direction=direction,
+                lost_positions=lost,
+                intercepted_positions=intercepted,
+                eve_pol_bases=_chars(b"-ZX", recs[:, 0, 0]),
+                eve_pol_outcomes=_chars(b"-01", recs[:, 0, 1]),
+                eve_spa_bases=_chars(b"-ZX", recs[:, 1, 0]),
+                eve_spa_outcomes=_chars(b"-01", recs[:, 1, 1]),
+                trojan_positions=trojan,
+                filtered_positions=filtered,
+                alarmed_positions=alarmed,
+            )
+        session.phase = arrival
+
+
+def transmit_forward_group(
+    group: SessionGroup,
+    params: chn.ChannelParams,
+    eve: Optional[EveStrategy] = None,
+    defense: Optional[DefenseConfig] = None,
+) -> None:
+    """Send every active photon A of every session from Bob to Alice; defenses act on arrival."""
+    _transit(group, params, eve, defense, "forward")
 
 
 def transmit_forward(
@@ -342,10 +490,18 @@ def transmit_forward(
     eve: Optional[EveStrategy] = None,
     defense: Optional[DefenseConfig] = None,
 ) -> SessionState:
-    """Send every active photon A from Bob to Alice; defenses act on arrival."""
-    _require_phase(session, Phase.PREPARED)
-    _transit(session, params, rng, eve, defense, "forward")
+    """``transmit_forward_group`` of one session."""
+    _transit(SessionGroup.alone(session, rng), params, eve, defense, "forward")
     return session
+
+
+def transmit_return_group(
+    group: SessionGroup,
+    params: chn.ChannelParams,
+    eve: Optional[EveStrategy] = None,
+) -> None:
+    """Send the encoded photons back from Alice to Bob (no receiver defenses)."""
+    _transit(group, params, eve, None, "return")
 
 
 def transmit_return(
@@ -354,189 +510,259 @@ def transmit_return(
     rng: np.random.Generator,
     eve: Optional[EveStrategy] = None,
 ) -> SessionState:
-    """Send the encoded photons back from Alice to Bob (no receiver defenses)."""
-    _require_phase(session, Phase.SA_IN_FLIGHT_2)
-    _transit(session, params, rng, eve, None, "return")
+    """``transmit_return_group`` of one session."""
+    _transit(SessionGroup.alone(session, rng), params, eve, None, "return")
     return session
 
 
+def _one(results: list):
+    # the single-session API raises what the group code reports
+    if isinstance(results[0], BlockDepleted):
+        raise results[0]
+    return results[0]
+
+
 # bit shifts that split an outcome over all four axes into its axis bits
-_BIG_ENDIAN_4 = np.array([3, 2, 1, 0])
+_BIG_ENDIAN_4 = np.array([3, 2, 1, 0], dtype=np.uint8)
 
 
-def first_check(session: SessionState, rng: np.random.Generator, cfg: ProtocolConfig) -> CheckReport:
-    """Correlation check on a random sample of delivered pairs.
+def first_check_group(group: SessionGroup, cfg: ProtocolConfig) -> list:
+    """Correlation check on a random sample of each session's delivered pairs.
 
     Alice draws the sample and a uniform Z/X basis per DOF for each pair,
     measures her photon, announces everything, and Bob measures his photon
-    in the same bases.  Checked pairs are consumed either way.
+    in the same bases.  Checked pairs are consumed either way.  Returns per
+    session its ``CheckReport``, or the ``BlockDepleted`` error of a session
+    with fewer than 3 delivered pairs, which is left untouched.
     """
-    _require_phase(session, Phase.FIRST_CHECK)
-    delivered = session.active()
-    if len(delivered) < 3:
-        raise BlockDepleted(
-            f"only {len(delivered)} pairs delivered; need 3 to check, sample and encode"
-        )
-    n_check = min(_sample_count(cfg.sample_fraction_first, len(delivered)), len(delivered) - 2)
-    positions = np.flatnonzero(_sample_mask(rng, delivered, n_check, session.n_pairs))
-    x = rng.random((n_check, 2)) < 0.5  # X basis per sample, (pol, spa)
-    u = rng.random(n_check)
+    for session in group.sessions:
+        _require_phase(session, Phase.FIRST_CHECK)
+    results: list = []
+    rows, xs, us, sizes = [], [], [], []
+    for session, rng, offset in group:
+        delivered = session.active()
+        if len(delivered) < 3:
+            results.append(BlockDepleted(
+                f"only {len(delivered)} pairs delivered; need 3 to check, sample and encode"
+            ))
+            sizes.append(0)
+            continue
+        n_check = min(_sample_count(cfg.sample_fraction_first, len(delivered)), len(delivered) - 2)
+        positions = np.flatnonzero(_sample_mask(rng, delivered, n_check, session.n_pairs))
+        xs.append(rng.random((n_check, 2)) < 0.5)  # X basis per sample, (pol, spa)
+        us.append(rng.random(n_check))
+        rows.append(positions + offset)
+        session.fate_codes[positions] = _FATES.index(PairFate.CONSUMED_CHECK)
+        session.first_sample_positions = positions.tolist()
+        results.append(None)
+        sizes.append(n_check)
+    if not rows:
+        return results
+    rows, x, u = np.concatenate(rows), np.concatenate(xs), np.concatenate(us)
     # one 16-outcome draw per sample reads (alice_pol, bob_pol, alice_spa, bob_spa)
-    outcomes = np.empty(n_check, dtype=np.intp)
-    for chunk in _chunks(n_check):
-        outcomes[chunk] = measure(
-            session.states[positions[chunk]], ALL_AXES, u[chunk], x[chunk][:, [0, 0, 1, 1]],
+    outcomes = np.empty(len(rows), dtype=np.uint8)
+    for piece in _chunks(len(rows)):
+        outcomes[piece] = measure(
+            group.states[rows[piece]], ALL_AXES, u[piece], x[piece][:, [0, 0, 1, 1]],
             collapse=False,
         )[0]
-    session.fate_codes[positions] = _FATES.index(PairFate.CONSUMED_CHECK)
-    alice_pol, bob_pol, alice_spa, bob_spa = ((outcomes[:, None] >> _BIG_ENDIAN_4) & 1).T
-    pol_err = alice_pol != bob_pol
-    spa_err = alice_spa != bob_spa
-    report = CheckReport.build(
-        n_check,
-        int(pol_err.sum()),
-        int(spa_err.sum()),
-        int((pol_err | spa_err).sum()),
-        cfg.error_threshold,
-    )
-    session.first_sample_positions = positions.tolist()
-    session.first_report = report
-    next_phase = Phase.ENCODING if report.verdict is Verdict.PASS else Phase.ABORTED
-    _log(
-        session,
-        event="first_check",
-        phase=Phase.FIRST_CHECK.value,
-        to_phase=next_phase.value,
-        positions=session.first_sample_positions,
-        pol_bases=_chars(b"ZX", x[:, 0]),
-        spa_bases=_chars(b"ZX", x[:, 1]),
-        alice_pol=_chars(b"01", alice_pol),
-        alice_spa=_chars(b"01", alice_spa),
-        bob_pol=_chars(b"01", bob_pol),
-        bob_spa=_chars(b"01", bob_spa),
-        **report.fields(),
-    )
-    session.phase = next_phase
-    if next_phase is Phase.ABORTED:
-        _log(session, event="result", phase=Phase.ABORTED.value, message=None)
-    return report
+    bits = (outcomes[:, None] >> _BIG_ENDIAN_4) & 1
+    reports = _reports(bits[:, 0] != bits[:, 1], bits[:, 2] != bits[:, 3], sizes,
+                       cfg.error_threshold)
+    for j, (session, (a, b), report) in enumerate(zip(group.sessions, _spans(sizes), reports)):
+        if results[j] is not None:
+            continue
+        mine = slice(a, b)
+        session.first_report = report
+        next_phase = Phase.ENCODING if report.verdict is Verdict.PASS else Phase.ABORTED
+        if session.transcript is not None:
+            _log(
+                session,
+                event="first_check",
+                phase=Phase.FIRST_CHECK.value,
+                to_phase=next_phase.value,
+                positions=session.first_sample_positions,
+                pol_bases=_chars(b"ZX", x[mine, 0]),
+                spa_bases=_chars(b"ZX", x[mine, 1]),
+                alice_pol=_chars(b"01", bits[mine, 0]),
+                alice_spa=_chars(b"01", bits[mine, 2]),
+                bob_pol=_chars(b"01", bits[mine, 1]),
+                bob_spa=_chars(b"01", bits[mine, 3]),
+                **report.fields(),
+            )
+        session.phase = next_phase
+        if next_phase is Phase.ABORTED:
+            _log(session, event="result", phase=Phase.ABORTED.value, message=None)
+        results[j] = report
+    return results
+
+
+def first_check(session: SessionState, rng: np.random.Generator, cfg: ProtocolConfig) -> CheckReport:
+    """``first_check_group`` of one session; raises ``BlockDepleted``."""
+    return _one(first_check_group(SessionGroup.alone(session, rng), cfg))
+
+
+def _second_sample_size(session: SessionState, cfg: ProtocolConfig, n_eligible: int) -> int:
+    base = n_eligible + len(session.first_sample_positions)
+    return min(_sample_count(cfg.sample_fraction_second, base), n_eligible - 1)
 
 
 def message_capacity(session: SessionState, cfg: ProtocolConfig) -> int:
     """Bits the block can carry once the second-check sample is set aside."""
     _require_phase(session, Phase.ENCODING)
     n_eligible = len(session.active())
-    base = n_eligible + len(session.first_sample_positions)
-    n_second = min(_sample_count(cfg.sample_fraction_second, base), n_eligible - 1)
-    return 4 * (n_eligible - n_second)
+    return 4 * (n_eligible - _second_sample_size(session, cfg, n_eligible))
+
+
+# weights that turn a row of four message bits into its chunk's value
+_CHUNK_WEIGHTS = np.array([8, 4, 2, 1])
+
+
+def encode_group(group: SessionGroup, messages: list, cfg: ProtocolConfig) -> None:
+    """Alice writes each session's message and hides its second-check sample.
+
+    Message pairs get the op named by the next 4-bit chunk of the message;
+    sample pairs get an op drawn uniformly from all 16, recorded for the
+    comparison after readout.  Every message is checked before any session
+    draws.
+    """
+    for session in group.sessions:
+        _require_phase(session, Phase.ENCODING)
+    bits = np.frombuffer("".join(messages).encode(), dtype=np.uint8) - ord("0")
+    if (bits > 1).any():
+        raise ValueError("message must be a string of 0s and 1s")
+    plans = []
+    for session, message in zip(group.sessions, messages):
+        eligible = session.active()
+        if len(eligible) < 2:
+            raise BlockDepleted(f"only {len(eligible)} pairs left; need 2 to sample and encode")
+        n_second = _second_sample_size(session, cfg, len(eligible))
+        expected = 4 * (len(eligible) - n_second)
+        if len(message) != expected:
+            raise MessageSizeError(
+                f"message length must be exactly {expected} bits for this block, got {len(message)}"
+            )
+        plans.append((eligible, n_second))
+    if not plans:
+        return
+    is_second = np.zeros(len(group.states), dtype=bool)
+    rows, sample_ops = [], []
+    for (_, rng, offset), (eligible, n_second) in zip(group, plans):
+        is_second[rng.choice(eligible, size=n_second, replace=False) + offset] = True
+        sample_ops.append(rng.integers(16, size=n_second))
+        rows.append(eligible + offset)
+    rows = np.concatenate(rows)
+    second = np.flatnonzero(is_second)
+    message_rows = rows[~is_second[rows]]
+    # chunk k of the messages, joined in group order, goes to message row k
+    chunk_values = (bits.reshape(-1, 4) * _CHUNK_WEIGHTS).sum(axis=1)
+    group.op_codes[message_rows] = cfg.op_of_chunk[chunk_values]
+    group.op_codes[second] = np.concatenate(sample_ops)
+    for piece in _chunks(len(rows)):
+        block = rows[piece]
+        group.states[block] = encode(group.states[block], group.op_codes[block])
+    for (session, _, offset), (a, b), (c, d) in zip(
+        group,
+        _spans([len(eligible) - n_second for eligible, n_second in plans]),
+        _spans([n_second for _, n_second in plans]),
+    ):
+        session.message_positions = (message_rows[a:b] - offset).tolist()
+        session.second_sample_positions = (second[c:d] - offset).tolist()
+        if session.transcript is not None:
+            _log(
+                session,
+                event="encode",
+                phase=Phase.ENCODING.value,
+                to_phase=Phase.SA_IN_FLIGHT_2.value,
+                message_positions=session.message_positions,
+                message_ops=_op_names(group.op_codes[message_rows[a:b]]),
+                sample_positions=session.second_sample_positions,
+                sample_ops=_op_names(group.op_codes[second[c:d]]),
+            )
+        session.phase = Phase.SA_IN_FLIGHT_2
 
 
 def encode_message(
     session: SessionState, message: str, rng: np.random.Generator, cfg: ProtocolConfig
 ) -> SessionState:
-    """Alice writes the message and hides the second-check sample.
-
-    Message pairs get the op named by the next 4-bit chunk of the message;
-    sample pairs get an op drawn uniformly from all 16, recorded for the
-    comparison after readout.
-    """
-    _require_phase(session, Phase.ENCODING)
-    if set(message) - {"0", "1"}:
-        raise ValueError("message must be a string of 0s and 1s")
-    eligible = session.active()
-    if len(eligible) < 2:
-        raise BlockDepleted(f"only {len(eligible)} pairs left; need 2 to sample and encode")
-    base = len(eligible) + len(session.first_sample_positions)
-    n_second = min(_sample_count(cfg.sample_fraction_second, base), len(eligible) - 1)
-    expected = 4 * (len(eligible) - n_second)
-    if len(message) != expected:
-        raise MessageSizeError(
-            f"message length must be exactly {expected} bits for this block, got {len(message)}"
-        )
-    is_second = _sample_mask(rng, eligible, n_second, session.n_pairs)
-    second = np.flatnonzero(is_second)
-    msg_positions = eligible[~is_second[eligible]]
-    op_of_chunk = {bits: op.code for op, bits in cfg.bits_mapping.items()}
-    session.op_codes[msg_positions] = [
-        op_of_chunk[message[k : k + 4]] for k in range(0, len(message), 4)
-    ]
-    session.op_codes[second] = rng.integers(16, size=n_second)
-    for chunk in _chunks(len(eligible)):
-        rows = eligible[chunk]
-        session.states[rows] = encode(session.states[rows], session.op_codes[rows])
-    session.second_sample_positions = second.tolist()
-    session.message_positions = msg_positions.tolist()
-    _log(
-        session,
-        event="encode",
-        phase=Phase.ENCODING.value,
-        to_phase=Phase.SA_IN_FLIGHT_2.value,
-        message_positions=session.message_positions,
-        message_ops=_op_names(session.op_codes[msg_positions]),
-        sample_positions=session.second_sample_positions,
-        sample_ops=_op_names(session.op_codes[second]),
-    )
-    session.phase = Phase.SA_IN_FLIGHT_2
+    """``encode_group`` of one session."""
+    encode_group(SessionGroup.alone(session, rng), [message], cfg)
     return session
 
 
-def decode_and_second_check(
-    session: SessionState, rng: np.random.Generator, cfg: ProtocolConfig
-) -> tuple[Optional[str], CheckReport]:
+def decode_group(group: SessionGroup, cfg: ProtocolConfig) -> list:
     """Bob reads every returned pair, verifies the hidden sample, then decodes.
 
     Readout is a complete hyper-Bell analysis per pair.  Alice announces
     the sample positions and ops; a Bell label differing from the recorded
     op's image counts one error per disagreeing DOF.  Only a passing block
-    releases the message; a failing one is withheld entirely.
+    releases the message; a failing one is withheld entirely.  Returns per
+    session (message or None, ``CheckReport``), or the ``BlockDepleted``
+    error of a session whose whole second-check sample was lost.
     """
-    _require_phase(session, Phase.DECODING)
-    surviving = session.active()
-    u = rng.random(len(surviving))
-    labels = np.full(session.n_pairs, -1, dtype=np.intp)
-    for chunk in _chunks(len(surviving)):
-        labels[surviving[chunk]] = bell_labels(session.states[surviving[chunk]], u[chunk])
-    session.phase = Phase.SECOND_CHECK
-    second = np.array(session.second_sample_positions, dtype=np.intp)
-    sample = second[labels[second] >= 0]
-    if sample.size == 0:
-        raise BlockDepleted("no second-check samples survived the return transit")
+    for session in group.sessions:
+        _require_phase(session, Phase.DECODING)
+    if not group.sessions:
+        return []
+    surviving = [session.active() for session in group.sessions]
+    u = np.concatenate([rng.random(len(own)) for own, rng in zip(surviving, group.rngs)])
+    rows = np.concatenate([own + offset for own, offset in zip(surviving, group.offsets)])
+    labels = np.full(len(group.states), -1, dtype=np.intp)
+    for piece in _chunks(len(rows)):
+        labels[rows[piece]] = bell_labels(group.states[rows[piece]], u[piece])
+
+    # the block rows of each member's hidden sample and message pairs that came back
+    samples, kept = [], []
+    for session, _, offset in group:
+        for positions, back in ((session.second_sample_positions, samples),
+                                (session.message_positions, kept)):
+            block = np.array(positions, dtype=np.intp) + offset
+            back.append(block[labels[block] >= 0])
+    sample = np.concatenate(samples)
     got = labels[sample]
-    expected = session.op_codes[sample]  # an op code is the flat label it encodes
-    pol_err = (got >> 2) != (expected >> 2)
-    spa_err = (got & 3) != (expected & 3)
-    report = CheckReport.build(
-        len(sample),
-        int(pol_err.sum()),
-        int(spa_err.sum()),
-        int((pol_err | spa_err).sum()),
-        cfg.error_threshold,
-    )
-    session.second_report = report
-    message: Optional[str] = None
-    if report.verdict is Verdict.PASS:
-        kept = np.array(session.message_positions, dtype=np.intp)
-        kept = kept[labels[kept] >= 0]
-        # each Bell label read back is the code of the op that made it
-        chunk_of_op = {op.code: bits for op, bits in cfg.bits_mapping.items()}
-        message = "".join([chunk_of_op[c] for c in labels[kept].tolist()])
-        session.decoded_message = message
-        session.surviving_message_positions = kept.tolist()
-        next_phase = Phase.ACCEPTED
-    else:
-        next_phase = Phase.ABORTED
-    _log(
-        session,
-        event="second_check",
-        phase=Phase.SECOND_CHECK.value,
-        to_phase=next_phase.value,
-        positions=surviving.tolist(),
-        bell_pol=_chars(b"0123", labels[surviving] >> 2),
-        bell_spa=_chars(b"0123", labels[surviving] & 3),
-        sample_positions=sample.tolist(),
-        expected_ops=_op_names(session.op_codes[sample]),
-        **report.fields(),
-    )
-    session.phase = next_phase
-    _log(session, event="result", phase=next_phase.value, message=message)
-    return message, report
+    expected = group.op_codes[sample]  # an op code is the flat label it encodes
+    reports = _reports((got >> 2) != (expected >> 2), (got & 3) != (expected & 3),
+                       [len(mine) for mine in samples], cfg.error_threshold)
+    results: list = []
+    for (session, _, offset), own, report, mine, back in zip(
+        group, surviving, reports, samples, kept
+    ):
+        session.phase = Phase.SECOND_CHECK
+        if report is None:
+            results.append(BlockDepleted("no second-check samples survived the return transit"))
+            continue
+        session.second_report = report
+        message: Optional[str] = None
+        if report.verdict is Verdict.PASS:
+            # each Bell label read back is the code of the op that made it
+            message = "".join([cfg.chunk_of_op[c] for c in labels[back].tolist()])
+            session.decoded_message = message
+            session.surviving_message_positions = (back - offset).tolist()
+            next_phase = Phase.ACCEPTED
+        else:
+            next_phase = Phase.ABORTED
+        if session.transcript is not None:
+            read = labels[own + offset]
+            _log(
+                session,
+                event="second_check",
+                phase=Phase.SECOND_CHECK.value,
+                to_phase=next_phase.value,
+                positions=own.tolist(),
+                bell_pol=_chars(b"0123", read >> 2),
+                bell_spa=_chars(b"0123", read & 3),
+                sample_positions=(mine - offset).tolist(),
+                expected_ops=_op_names(group.op_codes[mine]),
+                **report.fields(),
+            )
+        session.phase = next_phase
+        _log(session, event="result", phase=next_phase.value, message=message)
+        results.append((message, report))
+    return results
+
+
+def decode_and_second_check(
+    session: SessionState, rng: np.random.Generator, cfg: ProtocolConfig
+) -> tuple[Optional[str], CheckReport]:
+    """``decode_group`` of one session; raises ``BlockDepleted``."""
+    return _one(decode_group(SessionGroup.alone(session, rng), cfg))

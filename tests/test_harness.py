@@ -332,7 +332,8 @@ class TestAdversaryRuns:
 
 class TestSweep:
     def test_pauli_axis_rates_track_parameter(self):
-        rc = parse_run_config(config_with(sessions="60", error_threshold="1.0"))
+        # 480 sessions give 2,880 checked pairs per point: abs_tol 0.03 is a 4-sigma band
+        rc = parse_run_config(config_with(sessions="480", error_threshold="1.0"))
         rows = attack_sweep(rc, "pauli_p", [0.0, 0.3])
         text = sweep_csv("pauli_p", rows)
         table = list(csv.DictReader(io.StringIO(text)))
