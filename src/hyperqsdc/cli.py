@@ -3,7 +3,8 @@
 Three subcommands:
 
 ``simulate``      run a batch of sessions from a config file, write a
-                  JSON stats document (and optional JSONL transcripts).
+                  JSON stats document (and optional JSONL transcripts
+                  and a JSON document of the seconds per phase).
 ``attack-sweep``  rerun the configured scenario across one parameter
                   axis, write a CSV of pooled statistics per point.
 ``source-scan``   exact source fidelity and check error rates over an
@@ -23,6 +24,7 @@ from .harness import (
     SWEEP_AXES,
     attack_sweep,
     load_run_config,
+    metrics_text,
     run,
     scan_csv,
     source_fidelity_scan,
@@ -57,6 +59,8 @@ def _cmd_simulate(args) -> int:
     _write(args.out, stats_text(rc, rc.seed, stats))
     if args.transcripts:
         write_transcripts(args.out + ".transcripts.jsonl", transcripts)
+    if args.metrics:
+        _write(args.metrics, metrics_text(stats))
     print(
         f"{stats.sessions} sessions ({stats.accepted} accepted, {stats.aborted} aborted) "
         f"in {stats.wall_time:.2f}s -> {args.out}",
@@ -95,6 +99,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--transcripts",
         action="store_true",
         help="also write per-session event logs next to the stats file",
+    )
+    sim.add_argument(
+        "--metrics",
+        metavar="PATH",
+        help="also write the wall time and seconds per protocol phase as JSON to PATH",
     )
     sim.set_defaults(func=_cmd_simulate)
 

@@ -11,8 +11,8 @@ nothing either: every session still draws only from its own generator.
 The config file is INI text with sections mirroring the component
 configs; see ``EXAMPLE_CONFIG``.  Stats serialize as a JSON document with
 a fixed key order and no timing information, so identical (config, seed)
-runs produce identical bytes.  Wall time lives only on the in-memory
-stats object.
+runs produce identical bytes.  Wall time and the seconds per protocol
+phase live only on the in-memory stats object (``metrics_text``).
 """
 
 from __future__ import annotations
@@ -111,9 +111,14 @@ class CheckStats:
         }
 
 
+# Protocol phases that ``run`` times, in order; "pooling" adds each session to the stats.
+PHASES = ("prepare", "forward_transit", "first_check", "encode", "return_transit",
+          "decode_and_second_check", "pooling")
+
+
 @dataclass
 class RunStats:
-    """Pooled outcome of one run; ``wall_time`` never reaches the stats file."""
+    """Pooled outcome of one run; ``wall_time`` and ``phase_seconds`` never reach the stats file."""
 
     sessions: int = 0
     accepted: int = 0
@@ -133,6 +138,7 @@ class RunStats:
     eve_guesses_correct: int = 0
     adversary_present: bool = False
     wall_time: float = 0.0
+    phase_seconds: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
 
     @property
     def message_bit_error_rate(self) -> Optional[float]:
@@ -360,18 +366,34 @@ def _random_bits(n: int, rng: np.random.Generator) -> str:
     return (rng.integers(0, 2, size=n) + ord("0")).astype(np.uint8).tobytes().decode("ascii")
 
 
+class _Laps:
+    """Adds the seconds since the previous lap to ``seconds[phase]`` at each lap."""
+
+    def __init__(self, seconds: dict):
+        self.seconds = seconds
+        self.last = time.perf_counter()
+
+    def __call__(self, phase: str) -> None:
+        now = time.perf_counter()
+        self.seconds[phase] += now - self.last
+        self.last = now
+
+
 def _run_group(rc: RunConfig, master_seed: int, indices, record: bool = True,
-               amps: Optional[np.ndarray] = None) -> list:
+               amps: Optional[np.ndarray] = None, lap: Callable = lambda phase: None) -> list:
     """Run sessions ``indices`` of a run in lockstep (see ``protocol.SessionGroup``).
 
     Returns per session (final state, sent message or None), or the
-    ``BlockDepleted`` error that ended it.
+    ``BlockDepleted`` error that ended it.  ``lap(phase)`` is called as
+    each phase ends.
     """
     rngs = [np.random.default_rng([master_seed, k]) for k in indices]
     group = prepare_group(rc.protocol, rc.source, rngs, record, amps)
+    lap("prepare")
     eve_fwd = rc.eve if rc.eve_passes in ("both", "forward") else None
     eve_ret = rc.eve if rc.eve_passes in ("both", "return") else None
     transmit_forward_group(group, rc.channel, eve=eve_fwd, defense=rc.defense)
+    lap("forward_transit")
     outcomes: list = []
     passed = []
     reports = first_check_group(group, rc.protocol)
@@ -382,13 +404,17 @@ def _run_group(rc: RunConfig, master_seed: int, indices, record: bool = True,
         outcomes.append((session, None))
         if report.verdict is Verdict.PASS:
             passed.append(j)
+    lap("first_check")
     group = group.members(passed)
     messages = [_random_bits(message_capacity(session, rc.protocol), rng)
                 for session, rng, _ in group]
     encode_group(group, messages, rc.protocol)
+    lap("encode")
     transmit_return_group(group, rc.channel, eve=eve_ret)
+    lap("return_transit")
     for j, message, result in zip(passed, messages, decode_group(group, rc.protocol)):
         outcomes[j] = result if isinstance(result, BlockDepleted) else (outcomes[j][0], message)
+    lap("decode_and_second_check")
     return outcomes
 
 
@@ -463,18 +489,23 @@ def run(rc: RunConfig, master_seed: Optional[int] = None,
     """Run all sessions; returns (stats, transcripts or None).
 
     Consecutive sessions go through the phases in lockstep groups of at most
-    ``GROUP_ROWS`` rows; a session larger than that is a group of one.
+    ``GROUP_ROWS`` rows; a session larger than that is a group of one.  The
+    stats carry the run's wall time and the part of it spent in each of
+    ``PHASES``, summed over the groups.
     """
     seed = rc.seed if master_seed is None else master_seed
     stats = RunStats(adversary_present=rc.eve.kind is not EveKind.NONE)
     transcripts = [] if collect_transcripts else None
     started = time.perf_counter()
+    lap = _Laps(stats.phase_seconds)
     amps = source_amplitudes(rc.source)
     per_group = max(1, GROUP_ROWS // rc.protocol.n_pairs)
     for first in range(0, rc.sessions, per_group):
         indices = range(first, min(first + per_group, rc.sessions))
-        for k, outcome in zip(indices, _run_group(rc, seed, indices, collect_transcripts, amps)):
+        outcomes = _run_group(rc, seed, indices, collect_transcripts, amps, lap)
+        for k, outcome in zip(indices, outcomes):
             _pool(stats, transcripts, rc, seed, k, outcome)
+        lap("pooling")
     stats.wall_time = time.perf_counter() - started
     return stats, transcripts
 
@@ -482,6 +513,12 @@ def run(rc: RunConfig, master_seed: Optional[int] = None,
 def stats_text(rc: RunConfig, seed: int, stats: RunStats) -> str:
     """The byte-stable stats document (config echo + pooled results)."""
     doc = {"config": config_document(rc, seed), "results": stats.to_document()}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def metrics_text(stats: RunStats) -> str:
+    """Wall time and seconds per phase of a run as JSON; never part of the stats file."""
+    doc = {"wall_time": stats.wall_time, "phase_seconds": stats.phase_seconds}
     return json.dumps(doc, indent=2) + "\n"
 
 

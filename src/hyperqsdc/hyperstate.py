@@ -17,8 +17,12 @@ can be viewed as ``(N, 2, 2, 2, 2)`` with tensor axes (pol_a, pol_b, spa_a,
 spa_b).  Three whole-block kernels do all the state work: ``apply_local``
 (a 2x2 operator on one axis of every row), ``measure`` (one Born draw per
 row over the joint outcomes of some axes) and ``outcome_probs`` (the exact
-probabilities behind that draw).  The single-pair functions below are N=1
-calls of the same kernels.
+probabilities behind that draw).  The Z-to-X basis change in front of a
+draw is a Hadamard butterfly on the rows measured in X only, s*v0 + s*v1
+and s*v0 - s*v1 with s = 1/sqrt(2): the very products and sums that
+``apply_local`` forms for the Hadamard, so the amplitudes are bitwise those
+of the generic 2x2 product, and a row measured in Z is left untouched.
+The single-pair functions below are N=1 calls of the same kernels.
 
 States are rays, not vectors: two states that differ by a global phase are
 physically identical, and ``HyperState.equiv`` tests exactly that.  All
@@ -154,9 +158,6 @@ PAULIS = np.stack([_I2, _PAULI_X, _PAULI_Y, _PAULI_Z])
 # Single-DOF encoding unitaries by index - 1: identity, phase flip, bit flip, both.
 _DOF_OPS = np.stack([_I2, _PAULI_Z, _PAULI_X, _PAULI_X @ _PAULI_Z])
 
-# Basis change before a single-axis measurement, indexed by "measure in X".
-_TO_BASIS = np.stack([_I2, _HADAMARD])
-
 # Tensor axes in the normative order (pol_a, pol_b, spa_a, spa_b).
 AXIS = {
     (Photon.A, Dof.POL): 0,
@@ -214,19 +215,54 @@ def apply_local(states: np.ndarray, axis: int, ops: np.ndarray) -> np.ndarray:
     return (o[:, :, :, :1] * v[:, :, :, :1] + o[:, :, :, 1:] * v[:, :, :, 1:]).reshape(n, DIM)
 
 
-def _rotations(axes: tuple, x) -> list:
-    # (axis, per-row Z-or-X basis change) for each measured axis with some X rows;
-    # each basis change is its own inverse
+def _x_rows(axes: tuple, x) -> list:
+    # (tensor axes, rows measured in X on them) per gather, in ascending axis
+    # order.  The two axes of one DOF share a gather when their X columns
+    # agree, as in a correlation check, which reads both photons of a DOF in
+    # one basis.
     if x is None:
         return []
-    x_rows = x.astype(np.intp)
-    some = x.any(axis=0).tolist()
-    return [(axis, _TO_BASIS[x_rows[:, m]]) for m, axis in enumerate(axes) if some[m]]
+    runs = []
+    m = 0
+    while m < len(axes):
+        width = 1
+        if (m + 1 < len(axes) and axes[m] // 2 == axes[m + 1] // 2
+                and x[:, m].tobytes() == x[:, m + 1].tobytes()):
+            width = 2
+        rows = x[:, m].nonzero()[0]
+        if len(rows):
+            runs.append((axes[m : m + width], rows))
+        m += width
+    return runs
 
 
-def _rotate(states: np.ndarray, rotations: list) -> np.ndarray:
-    for axis, ops in rotations:
-        states = apply_local(states, axis, ops)
+def _hadamard(states: np.ndarray, axes: tuple) -> None:
+    # Hadamard on tensor ``axes`` of every row, one after another, in place:
+    # new0 = s*v0 + s*v1 and new1 = s*v0 - s*v1, the very products and sums
+    # that apply_local forms for this operator
+    n = len(states)
+    for axis in axes:
+        v = states.reshape(n, 1 << axis, 2, 8 >> axis)
+        v *= _SQ2
+        v0, v1 = v[:, :, 0], v[:, :, 1]
+        diff = v0 - v1
+        v0 += v1
+        v1[...] = diff
+
+
+def _rotate(states: np.ndarray, runs: list, fresh: bool = False) -> np.ndarray:
+    # Z-to-X basis change of the X rows of each run, which is its own inverse;
+    # a Z row is left as it is.  A new block unless ``fresh`` allows writing
+    # into ``states``.
+    for axes, rows in runs:
+        if not fresh:
+            states, fresh = states.copy(), True
+        if len(rows) == len(states):
+            _hadamard(states, axes)
+        else:
+            sub = states[rows]
+            _hadamard(sub, axes)
+            states[rows] = sub
     return states
 
 
@@ -255,7 +291,7 @@ def outcome_probs(states: np.ndarray, axes: tuple, x=None) -> np.ndarray:
     Probabilities within ``ATOL`` of 0 or 1 are returned as exactly 0 or 1.
     Returns an (N, 2**len(axes)) array.
     """
-    return _snap(_born(_rotate(states, _rotations(axes, x)), axes))
+    return _snap(_born(_rotate(states, _x_rows(axes, x)), axes))
 
 
 def measure(states: np.ndarray, axes: tuple, u: np.ndarray, x=None, collapse: bool = True):
@@ -268,8 +304,8 @@ def measure(states: np.ndarray, axes: tuple, u: np.ndarray, x=None, collapse: bo
     Returns (outcomes, collapsed block), the block in the computational
     representation, or (outcomes, None) when ``collapse`` is false.
     """
-    rotations = _rotations(axes, x)
-    work = _rotate(states, rotations)
+    runs = _x_rows(axes, x)
+    work = _rotate(states, runs)
     raw = _born(work, axes)
     cdf = _snap(raw).cumsum(axis=1)
     total = cdf[:, -1:]
@@ -285,7 +321,7 @@ def measure(states: np.ndarray, axes: tuple, u: np.ndarray, x=None, collapse: bo
     # the drawn outcome's snapped probability is positive, so its raw one is too
     norm = np.sqrt(raw[np.arange(len(work)), outcomes])
     post = np.where(keep, work, 0.0) / norm[:, None]
-    return outcomes, _rotate(post, rotations)
+    return outcomes, _rotate(post, runs, fresh=True)
 
 
 def encode(states: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -427,8 +463,11 @@ def measure_photon(
 
 def source_amplitudes(params: SourceParams) -> np.ndarray:
     """The 16 amplitudes of ``source_state``, for filling a block."""
+    # scaled so that the larger spatial amplitude is 1: the norm cannot
+    # overflow for a huge r, and r <= 1 keeps the unscaled amplitudes
+    big = max(1.0, params.r)
     pol = np.array([1, 0, 0, 1], dtype=complex)
-    spa = np.array([1, 0, 0, params.r * cmath.exp(1j * params.phi)], dtype=complex)
+    spa = np.array([1 / big, 0, 0, params.r / big * cmath.exp(1j * params.phi)], dtype=complex)
     vec = np.outer(pol, spa).ravel()  # pol (x) spa in the normative order
     return vec / np.linalg.norm(vec)
 

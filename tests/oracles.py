@@ -263,8 +263,14 @@ def apply_op_16(amp: np.ndarray, i: int, j: int) -> np.ndarray:
 
 
 def source_fidelity_formula(r: float, phi: float) -> float:
-    """Closed-form overlap probability of the imbalanced source with the ideal pair."""
-    return (1.0 + r * r + 2.0 * r * np.cos(phi)) / (2.0 * (1.0 + r * r))
+    """Closed-form overlap probability of the imbalanced source with the ideal pair.
+
+    |1 + r e^{i phi}|^2 / (2 (1 + r^2)), with 1 and r divided by max(1, r)
+    so that a huge r cannot overflow.
+    """
+    big = max(1.0, r)
+    a, b = 1.0 / big, r / big
+    return (a * a + b * b + 2.0 * a * b * np.cos(phi)) / (2.0 * (a * a + b * b))
 
 
 def source_state_16(r: float, phi: float) -> np.ndarray:

@@ -26,9 +26,12 @@ from hyperqsdc.adversary import (
     apply_defenses,
     craft_trojan,
     guess_encoding_op,
+    intercept_block,
     intercept_resend,
 )
 from hyperqsdc.hyperstate import (
+    ALL_AXES,
+    BELL_BASIS,
     Basis,
     Bell,
     BellIndex,
@@ -40,6 +43,7 @@ from hyperqsdc.hyperstate import (
     bell_from_op,
     chbsa,
     make_hyper_bell,
+    measure,
     measure_photon,
 )
 
@@ -74,19 +78,21 @@ def check_sample(strategy, rng):
 
 class TestInterceptResend:
     def test_both_dof_error_rates_and_detection(self):
+        # one block of intercepted ideal pairs, then one correlation-check draw
+        # per pair: both photons of a DOF in one random basis
         strategy = EveStrategy(kind=EveKind.INTERCEPT_RESEND)
         rng = np.random.default_rng(21)
         n = 40_000
-        pol = spa = hit = 0
-        for _ in range(n):
-            e_pol, e_spa, _ = check_sample(strategy, rng)
-            pol += e_pol
-            spa += e_spa
-            hit += e_pol or e_spa
+        states, _ = intercept_block(np.tile(BELL_BASIS[IDEAL.flat()], (n, 1)), strategy, rng)
+        x = rng.random((n, 2)) < 0.5  # X basis per pair, (pol, spa)
+        outcomes, _ = measure(states, ALL_AXES, rng.random(n), x[:, [0, 0, 1, 1]],
+                              collapse=False)
+        bits = (outcomes[:, None] >> np.array([3, 2, 1, 0])) & 1  # (a_pol, b_pol, a_spa, b_spa)
+        e_pol, e_spa = bits[:, 0] != bits[:, 1], bits[:, 2] != bits[:, 3]
         band = 4.0 / math.sqrt(n)
-        assert abs(pol / n - IR_CHECK_ERROR) < band
-        assert abs(spa / n - IR_CHECK_ERROR) < band
-        assert abs(hit / n - IR_BOTH_DOF_DETECTION) < band
+        assert abs(np.count_nonzero(e_pol) / n - IR_CHECK_ERROR) < band
+        assert abs(np.count_nonzero(e_spa) / n - IR_CHECK_ERROR) < band
+        assert abs(np.count_nonzero(e_pol | e_spa) / n - IR_BOTH_DOF_DETECTION) < band
 
     @pytest.mark.parametrize("attacked,clean", [(Dof.POL, Dof.SPA), (Dof.SPA, Dof.POL)])
     def test_single_dof_attack_leaves_other_dof_silent(self, attacked, clean):

@@ -9,6 +9,8 @@ error short of 1) must be drawn exactly.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,6 +130,73 @@ class TestBlockEqualsRows:
             state_k, rec = intercept_resend(HyperState(states[k]), strategy, rng_k)
             np.testing.assert_allclose(out[k], state_k.amps, rtol=0, atol=1e-12)
             assert rec == EveRecord.from_codes(codes[k])
+
+
+# ---------------------------------------------------------------------------
+# the Z/X basis change is bitwise the generic 2x2 product
+# ---------------------------------------------------------------------------
+
+# I for a row measured in Z, H for a row measured in X
+TO_BASIS = np.stack([np.eye(2, dtype=complex),
+                     np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)])
+
+MASK_KINDS = ("all_z", "all_x", "random", "one_basis_per_dof")
+
+
+def x_mask(kind: str, x: np.ndarray, axes: tuple) -> np.ndarray:
+    """An (N, len(axes)) X mask of the given kind, cut from a random (N, 4) one."""
+    if kind == "all_z":
+        return np.zeros((len(x), len(axes)), dtype=bool)
+    if kind == "all_x":
+        return np.ones((len(x), len(axes)), dtype=bool)
+    if kind == "random":
+        return x[:, : len(axes)]
+    # both photons of a DOF in one basis, as in the correlation check
+    return x[:, [axis // 2 for axis in axes]]
+
+
+def generic_basis_change(states: np.ndarray, axes: tuple, x: np.ndarray) -> np.ndarray:
+    """The basis change as one per-row ``apply_local`` per measured axis, in ascending order."""
+    for m, axis in enumerate(axes):
+        states = apply_local(states, axis, TO_BASIS[x[:, m].astype(np.intp)])
+    return states
+
+
+def assert_basis_change_exact(states, axes, x):
+    expected = generic_basis_change(states, axes, x)
+    runs = hs._x_rows(axes, x)
+    assert np.array_equal(hs._rotate(states, runs), expected)
+    assert np.array_equal(hs._rotate(states.copy(), runs, fresh=True), expected)
+    assert np.array_equal(outcome_probs(states, axes, x), hs._snap(hs._born(expected, axes)))
+
+
+class TestHadamardBasisChange:
+    @given(blocks(), st.sampled_from(AXES_SETS), st.sampled_from(MASK_KINDS))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_generic_product(self, block, axes, kind):
+        states, x, _ = block
+        assert_basis_change_exact(states, axes, x_mask(kind, x, axes))
+
+    def test_equals_generic_product_on_a_large_block(self):
+        rng = np.random.default_rng(6)
+        n = 3000
+        states = rng.normal(size=(n, 16)) + 1j * rng.normal(size=(n, 16))
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+        states[:16] = BELL_BASIS  # rows with exact zeros
+        x = rng.random((n, 4)) < 0.5
+        for axes in AXES_SETS:
+            for kind in MASK_KINDS:
+                assert_basis_change_exact(states, axes, x_mask(kind, x, axes))
+
+    @given(blocks(), st.sampled_from(AXES_SETS), st.sampled_from(MASK_KINDS), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_measure_leaves_its_input_unmodified(self, block, axes, kind, collapse):
+        states, x, u = block
+        x = x_mask(kind, x, axes)
+        before = states.copy()
+        measure(states, axes, u, x, collapse=collapse)
+        outcome_probs(states, axes, x)
+        assert np.array_equal(states, before)
 
 
 class TestScalarApiIsOneRow:

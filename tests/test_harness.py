@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,8 +19,10 @@ import pytest
 
 import hyperqsdc
 from hyperqsdc.adversary import BasisPolicy, EveKind, PnsKind
+from hyperqsdc.cli import main
 from hyperqsdc.harness import (
     EXAMPLE_CONFIG,
+    PHASES,
     SWEEP_AXES,
     SWEEP_COLUMNS,
     RunStats,
@@ -398,6 +401,24 @@ class TestSourceScan:
         with pytest.raises(ConfigError, match="scan"):
             source_fidelity_scan([], [0.0])
 
+    @pytest.mark.parametrize("r", [1e200, 1e-200])
+    def test_extreme_ratio_is_exact_and_runs(self, r, tmp_path):
+        # the source normalization must not overflow (or warn) for any finite r
+        config = tmp_path / "run.ini"
+        config.write_text(config_with(r=repr(r), sessions="4"))
+        out = tmp_path / "stats.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = source_fidelity_scan([r], [0.0, 1.0, np.pi])
+            assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        for _, phi, fid, pol_z, pol_x, spa_z, spa_x in rows:
+            expected = source_fidelity_formula(r, phi)
+            assert abs(fid - expected) <= 1e-12
+            # an X-basis spatial check errs exactly when the pair is not the ideal one
+            assert abs(spa_x - (1.0 - expected)) <= 1e-12
+            assert abs(pol_z) < 1e-12 and abs(pol_x) < 1e-12 and abs(spa_z) < 1e-12
+        assert json.loads(out.read_text())["results"]["sessions"] == 4
+
 
 def package_env() -> dict:
     """Environment for a subprocess that must import the package this suite imported.
@@ -462,6 +483,22 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(out_a.read_text())["config"]["seed"] == 7  # [run] seed in the file
         assert json.loads(out_b.read_text())["config"]["seed"] == 3  # flag wins
+
+    def test_metrics_file_leaves_stats_bytes_alone(self, tmp_path, config_path):
+        plain, timed, metrics = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "m.json"
+        proc = run_cli("simulate", "--config", str(config_path), "--out", str(plain),
+                       cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        proc = run_cli("simulate", "--config", str(config_path), "--out", str(timed),
+                       "--metrics", str(metrics), cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert plain.read_bytes() == timed.read_bytes()
+        doc = json.loads(metrics.read_text())
+        seconds = doc["phase_seconds"]
+        assert tuple(seconds) == PHASES
+        assert all(s >= 0.0 for s in seconds.values())
+        # laps tile a part of the run's wall time; 1e-9 s covers float summation
+        assert 0.0 < sum(seconds.values()) <= doc["wall_time"] + 1e-9
 
     def test_attack_sweep_csv(self, tmp_path, config_path):
         out = tmp_path / "sweep.csv"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hyperqsdc.adversary import EveKind
+from hyperqsdc.adversary import BasisPolicy, EveKind
 from hyperqsdc.harness import (
     GROUP_ROWS,
     RunStats,
@@ -19,6 +19,7 @@ from hyperqsdc.harness import (
     run_one_session,
     stats_text,
 )
+from hyperqsdc.hyperstate import Dof
 from hyperqsdc.protocol import CHUNK_ROWS, BlockDepleted, ConfigError
 
 from test_harness import config_with
@@ -74,6 +75,26 @@ PINNED = {
         "34872650107fb464a107007763675687df11faeb348dfdec65bc0eaca7bca469",
         "a366bf6f9572f939b8a57412dc3501a33a661809e195690ca9a401a2f6043f1f",
     ),
+    # Eve's basis change: X on every row, on no row, and on one axis only;
+    # digests computed with the generic per-row 2x2 basis change
+    "intercept_fixed_x_bases": (
+        dict(sessions="12", n_pairs="40", seed="9", loss_prob="0.05", kind="intercept_resend",
+             basis_policy="fixed_x", passes="both", error_threshold="1.0"),
+        "24874c98dd1943d046c109a663bf271cec0468392149325945533a9749bb1629",
+        "2cbe169820a284a917a941dfee81993b7166adeba9ac7017ef5907b9ff7b5efa",
+    ),
+    "intercept_fixed_z_bases": (
+        dict(sessions="12", n_pairs="40", seed="10", pauli_p_pol="0.03", kind="intercept_resend",
+             basis_policy="fixed_z", passes="both", error_threshold="1.0"),
+        "7ebe09c6ddb3db1d26d0e7584ca53c01876fd0b264e2ca90678ec172fae8f45b",
+        "4db44c8b8d3be403fb8bae06a5a1b05fa6585d912c271a13280c8f25b2b9dc53",
+    ),
+    "intercept_spa_over_chunk_rows": (
+        dict(sessions="2", n_pairs="1500", seed="11", kind="intercept_resend", dofs="spa",
+             passes="both", error_threshold="1.0"),
+        "a9530a793ccc3726a5da7f5eb9445c2d649f3591427b5c6c642e6365245cf134",
+        "ccefb251c7337d8d452d6401ba8fec23e2f430bb07b519a563edbfc0ac13981e",
+    ),
 }
 
 
@@ -101,6 +122,10 @@ def test_output_bytes_are_pinned(name):
 def test_pinned_configs_cover_the_group_edges():
     rcs = {name: parse_run_config(config_with(**PINNED[name][0])) for name in PINNED}
     assert rcs["session_over_chunk_rows"].protocol.n_pairs > CHUNK_ROWS
+    assert rcs["intercept_spa_over_chunk_rows"].protocol.n_pairs > CHUNK_ROWS
+    assert rcs["intercept_spa_over_chunk_rows"].eve.dof_mask == frozenset({Dof.SPA})
+    assert rcs["intercept_fixed_x_bases"].eve.basis_policy is BasisPolicy.FIXED_X
+    assert rcs["intercept_fixed_z_bases"].eve.basis_policy is BasisPolicy.FIXED_Z
     groups = rcs["groups_not_dividing_group_rows"]
     per_group = GROUP_ROWS // groups.protocol.n_pairs
     assert per_group > 1 and GROUP_ROWS % groups.protocol.n_pairs

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import oracles
 from hyperqsdc.adversary import DefenseConfig, EveKind, EveStrategy
 from hyperqsdc.channel import ChannelParams
+from hyperqsdc.harness import GROUP_ROWS, RunConfig, _run_group
 from hyperqsdc.hyperstate import Dof, EncodingOp, SourceParams
 from hyperqsdc.protocol import (
     BlockDepleted,
@@ -283,7 +284,8 @@ class TestMessageValidation:
 class TestSecondCheck:
     def test_return_pass_interception_always_caught_at_zero_threshold(self):
         # per-sample pass probability is 1/4 per DOF pair, so 50 samples
-        # leave a miss probability around 1e-30; every session must abort
+        # leave a miss probability around 1e-30; every session must abort.
+        # The sessions run in the lockstep groups that run() uses.
         cfg = ProtocolConfig(
             n_pairs=52,
             sample_fraction_first=0.01,
@@ -291,14 +293,20 @@ class TestSecondCheck:
             error_threshold=0.0,
         )
         eve = EveStrategy(kind=EveKind.INTERCEPT_RESEND)
+        rc = RunConfig(sessions=10_000, seed=1002, source=IDEAL_SOURCE, protocol=cfg,
+                       channel=CLEAN, eve=eve, eve_passes="return", defense=DefenseConfig())
+        per_group = GROUP_ROWS // cfg.n_pairs
         misses = 0
-        for seed in range(10_000):
-            rng = np.random.default_rng([1002, seed])
-            session, _, decoded, report2 = run_session(cfg, rng, eve_return=eve)
-            assert report2 is not None, "first check must pass: forward pass is clean"
-            assert report2.n_checked == 50
-            if session.phase is Phase.ACCEPTED:
-                misses += 1
+        for first in range(0, rc.sessions, per_group):
+            indices = range(first, min(first + per_group, rc.sessions))
+            for outcome in _run_group(rc, rc.seed, indices, record=False):
+                assert not isinstance(outcome, BlockDepleted)
+                session, _ = outcome
+                report2 = session.second_report
+                assert report2 is not None, "first check must pass: forward pass is clean"
+                assert report2.n_checked == 50
+                if session.phase is Phase.ACCEPTED:
+                    misses += 1
         assert misses == 0
 
     def test_noise_error_rates_attributed_per_dof(self):
