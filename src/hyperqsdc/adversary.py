@@ -240,18 +240,17 @@ def apply_defenses(
     return DefenseVerdict.CLEAN
 
 
-def guess_encoding_ops(
-    forward: np.ndarray, back: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
+def guess_encoding_ops(forward: np.ndarray, back: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Eve's best guess of the op applied to each row between her two interceptions.
 
     ``forward`` and ``back`` are (N, 2, 2) record codes of the two passes.
     Matching bases across the passes expose one bit of the per-DOF op: the
     outcome XOR equals the flip bit when she measured Z twice and the phase
-    bit when she measured X twice.  Unknown bits are guessed uniformly.
-    Returns the guessed op codes (see ``EncodingOp.code``).
+    bit when she measured X twice.  Unknown bits are guessed uniformly, bit
+    [row, dof, (flip, phase)] as ``u`` < 0.5 at that index of the (N, 2, 2)
+    uniforms ``u``.  Returns the guessed op codes (see ``EncodingOp.code``).
     """
-    coins = rng.random((len(forward), 2, 2)) < 0.5  # [row, dof, (flip, phase)]
+    coins = u < 0.5
     basis = forward[..., 0]
     matched = (basis >= 0) & (basis == back[..., 0])
     xor = forward[..., 1] ^ back[..., 1]
@@ -268,4 +267,5 @@ def guess_encoding_op(
 ) -> EncodingOp:
     """Single-pair ``guess_encoding_ops``; None means Eve did not see that pass."""
     codes = [(rec or EveRecord()).codes() for rec in (forward, back)]
-    return EncodingOp.from_code(int(guess_encoding_ops(codes[0][None], codes[1][None], rng)[0]))
+    u = rng.random((1, 2, 2))
+    return EncodingOp.from_code(int(guess_encoding_ops(codes[0][None], codes[1][None], u)[0]))

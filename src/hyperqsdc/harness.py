@@ -7,6 +7,10 @@ reordered without changing any outcome, and a (config, seed) pair pins
 the whole run byte for byte.  ``run`` moves consecutive sessions through
 the phases in lockstep groups (``protocol.SessionGroup``), which changes
 nothing either: every session still draws only from its own generator.
+A group is also the unit of bookkeeping: ``_pool`` adds a finished group
+to the stats from its arrays in one call, and builds per-session objects
+only for transcripts; ``run_one_session`` reads its one session through a
+``protocol.SessionState`` view.
 
 The config file is INI text with sections mirroring the component
 configs; see ``EXAMPLE_CONFIG``.  Stats serialize as a JSON document with
@@ -44,22 +48,22 @@ from .hyperstate import (
     MeasBasis,
     SourceParams,
     correlation_error_probs,
-    source_amplitudes,
     source_fidelity,
     source_state,
 )
 from .protocol import (
-    BlockDepleted,
+    DEPLETED_FORWARD,
+    DEPLETED_RETURN,
     ConfigError,
     PairFate,
     Phase,
     ProtocolConfig,
+    SessionGroup,
     SessionState,
-    Verdict,
     decode_group,
     encode_group,
     first_check_group,
-    message_capacity,
+    message_capacities,
     prepare_group,
     transmit_forward_group,
     transmit_return_group,
@@ -95,11 +99,13 @@ class CheckStats:
     n_spa_errors: int = 0
     n_mismatched: int = 0
 
-    def absorb(self, report) -> None:
-        self.n_checked += report.n_checked
-        self.n_pol_errors += report.n_pol_errors
-        self.n_spa_errors += report.n_spa_errors
-        self.n_mismatched += report.n_mismatched_samples
+    def add(self, counts) -> None:
+        """Add (checked, pol errors, spa errors, mismatched samples)."""
+        n, pol, spa, mismatched = counts
+        self.n_checked += n
+        self.n_pol_errors += pol
+        self.n_spa_errors += spa
+        self.n_mismatched += mismatched
 
     def rates(self) -> dict:
         n = self.n_checked
@@ -111,14 +117,22 @@ class CheckStats:
         }
 
 
-# Protocol phases that ``run`` times, in order; "pooling" adds each session to the stats.
+# Protocol phases that ``run`` times, in order; "pooling" adds each group to the stats.
 PHASES = ("prepare", "forward_transit", "first_check", "encode", "return_transit",
           "decode_and_second_check", "pooling")
+
+# Why an aborted session ended; the counts sum to ``RunStats.aborted``.
+ABORT_REASONS = ("first_check_fail", "second_check_fail", "depleted_forward", "depleted_return")
 
 
 @dataclass
 class RunStats:
-    """Pooled outcome of one run; ``wall_time`` and ``phase_seconds`` never reach the stats file."""
+    """Pooled outcome of one run.
+
+    ``wall_time``, ``phase_seconds`` and ``abort_reasons`` (why each aborted
+    session ended, see ``ABORT_REASONS``) never reach the stats file;
+    ``metrics_text`` writes them.
+    """
 
     sessions: int = 0
     accepted: int = 0
@@ -139,6 +153,7 @@ class RunStats:
     adversary_present: bool = False
     wall_time: float = 0.0
     phase_seconds: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
+    abort_reasons: dict = field(default_factory=lambda: dict.fromkeys(ABORT_REASONS, 0))
 
     @property
     def message_bit_error_rate(self) -> Optional[float]:
@@ -362,10 +377,6 @@ def config_document(rc: RunConfig, seed: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _random_bits(n: int, rng: np.random.Generator) -> str:
-    return (rng.integers(0, 2, size=n) + ord("0")).astype(np.uint8).tobytes().decode("ascii")
-
-
 class _Laps:
     """Adds the seconds since the previous lap to ``seconds[phase]`` at each lap."""
 
@@ -380,100 +391,98 @@ class _Laps:
 
 
 def _run_group(rc: RunConfig, master_seed: int, indices, record: bool = True,
-               amps: Optional[np.ndarray] = None, lap: Callable = lambda phase: None) -> list:
+               lap: Callable = lambda phase: None) -> SessionGroup:
     """Run sessions ``indices`` of a run in lockstep (see ``protocol.SessionGroup``).
 
-    Returns per session (final state, sent message or None), or the
-    ``BlockDepleted`` error that ended it.  ``lap(phase)`` is called as
-    each phase ends.
+    Returns the finished group.  ``lap(phase)`` is called as each phase ends.
     """
     rngs = [np.random.default_rng([master_seed, k]) for k in indices]
-    group = prepare_group(rc.protocol, rc.source, rngs, record, amps)
+    group = prepare_group(rc.protocol, rc.source, rngs, record)
     lap("prepare")
     eve_fwd = rc.eve if rc.eve_passes in ("both", "forward") else None
     eve_ret = rc.eve if rc.eve_passes in ("both", "return") else None
     transmit_forward_group(group, rc.channel, eve=eve_fwd, defense=rc.defense)
     lap("forward_transit")
-    outcomes: list = []
-    passed = []
-    reports = first_check_group(group, rc.protocol)
-    for j, (session, report) in enumerate(zip(group.sessions, reports)):
-        if isinstance(report, BlockDepleted):
-            outcomes.append(report)
-            continue
-        outcomes.append((session, None))
-        if report.verdict is Verdict.PASS:
-            passed.append(j)
+    first_check_group(group, rc.protocol)
     lap("first_check")
-    group = group.members(passed)
-    messages = [_random_bits(message_capacity(session, rc.protocol), rng)
-                for session, rng, _ in group]
+    members, capacities = message_capacities(group, rc.protocol)
+    messages = [rngs[j].integers(0, 2, size=bits) for j, bits in zip(members, capacities)]
     encode_group(group, messages, rc.protocol)
     lap("encode")
     transmit_return_group(group, rc.channel, eve=eve_ret)
     lap("return_transit")
-    for j, message, result in zip(passed, messages, decode_group(group, rc.protocol)):
-        outcomes[j] = result if isinstance(result, BlockDepleted) else (outcomes[j][0], message)
+    decode_group(group, rc.protocol)
     lap("decode_and_second_check")
-    return outcomes
+    return group
 
 
 def run_one_session(rc: RunConfig, master_seed: int, index: int) -> tuple[SessionState, Optional[str]]:
-    """Execute session ``index`` of a run alone; returns (final state, sent message)."""
-    (outcome,) = _run_group(rc, master_seed, [index])
-    if isinstance(outcome, BlockDepleted):
-        raise outcome
-    return outcome
+    """Execute session ``index`` of a run alone; returns (final state, sent message).
+
+    Raises ``BlockDepleted`` for a session that ran out of pairs.
+    """
+    session = SessionState(_run_group(rc, master_seed, [index]))
+    session.raise_if_depleted()
+    return session, session.sent_message
 
 
-# a block stores each row's fate as its index in tuple(PairFate)
+# a block stores each pair's fate as its index in tuple(PairFate)
 _FATE_CODE = {fate: code for code, fate in enumerate(PairFate)}
+
+# bits set in each 4-bit chunk value
+_POPCOUNT = np.array([bin(value).count("1") for value in range(16)])
 
 
 def _pool(stats: RunStats, transcripts: Optional[list], rc: RunConfig, master_seed: int,
-          index: int, outcome) -> None:
-    """Add one session's outcome from ``_run_group`` to the run's stats and transcripts."""
-    stats.sessions += 1
-    if isinstance(outcome, BlockDepleted):
-        stats.aborted += 1
-        stats.depleted += 1
-        return
-    session, sent = outcome
-    if session.phase is Phase.ACCEPTED:
-        stats.accepted += 1
-    else:
-        stats.aborted += 1
-    if session.first_report is not None:
-        stats.first_check.absorb(session.first_report)
-    if session.second_report is not None:
-        stats.second_check.absorb(session.second_report)
-    fates = session.fate_codes
+          indices, group: SessionGroup) -> None:
+    """Add the finished sessions ``indices`` of a run, one ``_run_group`` group, to its stats.
+
+    A depleted session adds to the session, abort and depletion counts only.
+    """
+    kept = group.depleted == 0
+    accepted = group.in_phase(Phase.ACCEPTED)
+    n_accepted = int(np.count_nonzero(accepted))
+    depletions = np.bincount(group.depleted, minlength=3).tolist()
+    n_forward, n_return = depletions[DEPLETED_FORWARD], depletions[DEPLETED_RETURN]
+    first_fail, second_fail = np.count_nonzero(group.failed, axis=0).tolist()
+    stats.sessions += len(kept)
+    stats.accepted += n_accepted
+    stats.aborted += len(kept) - n_accepted
+    stats.depleted += n_forward + n_return
+    for reason, count in zip(ABORT_REASONS, (first_fail, second_fail, n_forward, n_return)):
+        stats.abort_reasons[reason] += count
+    first, second = group.counts[kept].sum(axis=0).tolist()
+    stats.first_check.add(first)
+    stats.second_check.add(second)
+    fates = group.fates[kept]
     stats.lost_forward += int(np.count_nonzero(fates == _FATE_CODE[PairFate.LOST_FORWARD]))
     stats.lost_return += int(np.count_nonzero(fates == _FATE_CODE[PairFate.LOST_RETURN]))
-    stats.trojan_signals += len(session.trojan_positions)
-    stats.trojan_filtered += len(session.filtered_positions)
-    stats.pns_alarms += len(session.alarmed_positions)
-    if session.phase is Phase.ACCEPTED and sent is not None:
-        decoded = session.decoded_message
-        stats.message_bits_delivered += len(decoded)
-        stats.message_pairs_encoded += len(session.message_positions)
-        # chunk k of the message went to message_positions[k]
-        index_of = {pos: k for k, pos in enumerate(session.message_positions)}
-        kept = [index_of[pos] for pos in session.surviving_message_positions]
-        want = np.frombuffer(sent.encode("ascii"), dtype=np.uint8).reshape(-1, 4)[kept]
-        got = np.frombuffer(decoded.encode("ascii"), dtype=np.uint8).reshape(-1, 4)
-        stats.message_bits_wrong += int(np.count_nonzero(want != got))
+    trojan, filtered, alarmed = group.screened[kept].sum(axis=0).tolist()
+    stats.trojan_signals += trojan
+    stats.trojan_filtered += filtered
+    stats.pns_alarms += alarmed
+    if n_accepted:
+        received = group.received[accepted]
+        back = received >= 0
+        stats.message_bits_delivered += 4 * int(np.count_nonzero(back))
+        stats.message_pairs_encoded += int(np.count_nonzero(group.sent[accepted] >= 0))
+        wrong = _POPCOUNT[(received ^ group.sent[accepted])[back]]
+        stats.message_bits_wrong += int(wrong.sum())
     if rc.eve.kind is EveKind.INTERCEPT_RESEND:
-        encoded = np.flatnonzero(session.op_codes >= 0)
-        if encoded.size:
-            guess_rng = np.random.default_rng([master_seed, index, 0xE7E])
-            guesses = guess_encoding_ops(
-                session.eve_forward[encoded], session.eve_return[encoded], guess_rng
-            )
-            stats.eve_guesses += len(encoded)
-            stats.eve_guesses_correct += int(np.count_nonzero(guesses == session.op_codes[encoded]))
+        encoded = (group.ops >= 0) & kept[:, None]
+        # Eve's coin flips for the bits she cannot read, from her own generator per session
+        coins = [np.random.default_rng([master_seed, k, 0xE7E]).random((count, 2, 2))
+                 for k, count in zip(indices, np.count_nonzero(encoded, axis=1).tolist())
+                 if count]
+        if coins:
+            guesses = guess_encoding_ops(group.eve_forward[encoded], group.eve_return[encoded],
+                                         np.concatenate(coins))
+            stats.eve_guesses += len(guesses)
+            stats.eve_guesses_correct += int(np.count_nonzero(guesses == group.ops[encoded]))
     if transcripts is not None:
-        transcripts.extend({"session": index, **event} for event in session.transcript)
+        for k, events, keep in zip(indices, group.transcripts, kept.tolist()):
+            if keep:
+                transcripts.extend({"session": k, **event} for event in events)
 
 
 # Rows per lockstep group of ``run``; a session with more pairs is a group of
@@ -498,13 +507,11 @@ def run(rc: RunConfig, master_seed: Optional[int] = None,
     transcripts = [] if collect_transcripts else None
     started = time.perf_counter()
     lap = _Laps(stats.phase_seconds)
-    amps = source_amplitudes(rc.source)
     per_group = max(1, GROUP_ROWS // rc.protocol.n_pairs)
     for first in range(0, rc.sessions, per_group):
         indices = range(first, min(first + per_group, rc.sessions))
-        outcomes = _run_group(rc, seed, indices, collect_transcripts, amps, lap)
-        for k, outcome in zip(indices, outcomes):
-            _pool(stats, transcripts, rc, seed, k, outcome)
+        group = _run_group(rc, seed, indices, collect_transcripts, lap)
+        _pool(stats, transcripts, rc, seed, indices, group)
         lap("pooling")
     stats.wall_time = time.perf_counter() - started
     return stats, transcripts
@@ -517,8 +524,9 @@ def stats_text(rc: RunConfig, seed: int, stats: RunStats) -> str:
 
 
 def metrics_text(stats: RunStats) -> str:
-    """Wall time and seconds per phase of a run as JSON; never part of the stats file."""
-    doc = {"wall_time": stats.wall_time, "phase_seconds": stats.phase_seconds}
+    """Wall time, seconds per phase and abort reasons of a run as JSON; never in the stats file."""
+    doc = {"wall_time": stats.wall_time, "phase_seconds": stats.phase_seconds,
+           "abort_reasons": stats.abort_reasons}
     return json.dumps(doc, indent=2) + "\n"
 
 

@@ -37,6 +37,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -140,6 +141,19 @@ class SourceParams:
             raise ValueError(f"source amplitude ratio r must be finite and >= 0, got {self.r}")
         if not math.isfinite(self.phi):
             raise ValueError(f"source phase phi must be finite, got {self.phi}")
+
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        """The 16 amplitudes of ``source_state``, for filling a block; read-only."""
+        # scaled so that the larger spatial amplitude is 1: the norm cannot
+        # overflow for a huge r, and r <= 1 keeps the unscaled amplitudes
+        big = max(1.0, self.r)
+        pol = np.array([1, 0, 0, 1], dtype=complex)
+        spa = np.array([1 / big, 0, 0, self.r / big * cmath.exp(1j * self.phi)], dtype=complex)
+        vec = np.outer(pol, spa).ravel()  # pol (x) spa in the normative order
+        vec /= np.linalg.norm(vec)
+        vec.setflags(write=False)
+        return vec
 
 
 # ---------------------------------------------------------------------------
@@ -461,24 +475,13 @@ def measure_photon(
     return (int(outcomes[0] >> 1), int(outcomes[0] & 1)), HyperState(post[0], _trusted=True)
 
 
-def source_amplitudes(params: SourceParams) -> np.ndarray:
-    """The 16 amplitudes of ``source_state``, for filling a block."""
-    # scaled so that the larger spatial amplitude is 1: the norm cannot
-    # overflow for a huge r, and r <= 1 keeps the unscaled amplitudes
-    big = max(1.0, params.r)
-    pol = np.array([1, 0, 0, 1], dtype=complex)
-    spa = np.array([1 / big, 0, 0, params.r / big * cmath.exp(1j * params.phi)], dtype=complex)
-    vec = np.outer(pol, spa).ravel()  # pol (x) spa in the normative order
-    return vec / np.linalg.norm(vec)
-
-
 def source_state(params: SourceParams) -> HyperState:
     """Pair state emitted by a source with spatial imbalance r and phase phi.
 
     The polarization part is always the balanced (|HH> + |VV>) form; the
     spatial part carries amplitude r*exp(i*phi) on the second mode pair.
     """
-    return HyperState(source_amplitudes(params), _trusted=True)
+    return HyperState(params.amplitudes, _trusted=True)
 
 
 def source_fidelity(params: SourceParams) -> float:

@@ -26,6 +26,7 @@ from hyperqsdc.adversary import (
     apply_defenses,
     craft_trojan,
     guess_encoding_op,
+    guess_encoding_ops,
     intercept_block,
     intercept_resend,
 )
@@ -37,14 +38,12 @@ from hyperqsdc.hyperstate import (
     BellIndex,
     Dof,
     EncodingOp,
-    MeasBasis,
-    Photon,
     apply_encoding,
     bell_from_op,
     chbsa,
+    encode,
     make_hyper_bell,
     measure,
-    measure_photon,
 )
 
 IDEAL = BellIndex(Bell.PHI_PLUS, Bell.PHI_PLUS)
@@ -64,31 +63,31 @@ def test_frozen_values_match_oracles():
     assert abs(oracles.eve_two_pass_guess_accuracy() ** 2 - TWO_PASS_GUESS_ACCURACY) <= 1e-12
 
 
-def check_sample(strategy, rng):
-    """One correlation-check sample against an intercepted ideal pair."""
-    state, _ = intercept_resend(make_hyper_bell(IDEAL), strategy, rng)
-    basis = MeasBasis(
-        Basis.X if rng.random() < 0.5 else Basis.Z,
-        Basis.X if rng.random() < 0.5 else Basis.Z,
-    )
-    (a_pol, a_spa), state = measure_photon(state, Photon.A, basis, rng)
-    (b_pol, b_spa), _ = measure_photon(state, Photon.B, basis, rng)
-    return a_pol != b_pol, a_spa != b_spa, basis
+def check_block(states, rng):
+    """One correlation-check draw per row: both photons of a DOF in one random basis.
+
+    Returns per row the pol error, the spa error and the X-basis mask (pol, spa).
+    """
+    n = len(states)
+    x = rng.random((n, 2)) < 0.5
+    outcomes, _ = measure(states, ALL_AXES, rng.random(n), x[:, [0, 0, 1, 1]], collapse=False)
+    bits = (outcomes[:, None] >> np.array([3, 2, 1, 0])) & 1  # (a_pol, b_pol, a_spa, b_spa)
+    return bits[:, 0] != bits[:, 1], bits[:, 2] != bits[:, 3], x
+
+
+def intercepted_ideal_pairs(n, strategy, rng):
+    """n ideal pairs after one intercept-resend pass, and Eve's record codes."""
+    return intercept_block(np.tile(BELL_BASIS[IDEAL.flat()], (n, 1)), strategy, rng)
 
 
 class TestInterceptResend:
     def test_both_dof_error_rates_and_detection(self):
-        # one block of intercepted ideal pairs, then one correlation-check draw
-        # per pair: both photons of a DOF in one random basis
+        # one block of intercepted ideal pairs, then one correlation-check draw per pair
         strategy = EveStrategy(kind=EveKind.INTERCEPT_RESEND)
         rng = np.random.default_rng(21)
         n = 40_000
-        states, _ = intercept_block(np.tile(BELL_BASIS[IDEAL.flat()], (n, 1)), strategy, rng)
-        x = rng.random((n, 2)) < 0.5  # X basis per pair, (pol, spa)
-        outcomes, _ = measure(states, ALL_AXES, rng.random(n), x[:, [0, 0, 1, 1]],
-                              collapse=False)
-        bits = (outcomes[:, None] >> np.array([3, 2, 1, 0])) & 1  # (a_pol, b_pol, a_spa, b_spa)
-        e_pol, e_spa = bits[:, 0] != bits[:, 1], bits[:, 2] != bits[:, 3]
+        states, _ = intercepted_ideal_pairs(n, strategy, rng)
+        e_pol, e_spa, _ = check_block(states, rng)
         band = 4.0 / math.sqrt(n)
         assert abs(np.count_nonzero(e_pol) / n - IR_CHECK_ERROR) < band
         assert abs(np.count_nonzero(e_spa) / n - IR_CHECK_ERROR) < band
@@ -99,11 +98,9 @@ class TestInterceptResend:
         strategy = EveStrategy(EveKind.INTERCEPT_RESEND, frozenset({attacked}))
         rng = np.random.default_rng(22)
         n = 20_000
-        errs = {Dof.POL: 0, Dof.SPA: 0}
-        for _ in range(n):
-            e_pol, e_spa, _ = check_sample(strategy, rng)
-            errs[Dof.POL] += e_pol
-            errs[Dof.SPA] += e_spa
+        states, _ = intercepted_ideal_pairs(n, strategy, rng)
+        e_pol, e_spa, _ = check_block(states, rng)
+        errs = {Dof.POL: np.count_nonzero(e_pol), Dof.SPA: np.count_nonzero(e_spa)}
         assert errs[clean] == 0
         assert abs(errs[attacked] / n - IR_CHECK_ERROR) < 4.0 / math.sqrt(n)
 
@@ -112,14 +109,12 @@ class TestInterceptResend:
             EveKind.INTERCEPT_RESEND, frozenset({Dof.POL}), BasisPolicy.FIXED_Z
         )
         rng = np.random.default_rng(23)
-        x_checked = x_err = 0
-        for _ in range(20_000):
-            e_pol, _, basis = check_sample(strategy, rng)
-            if basis.pol is Basis.Z:
-                assert not e_pol
-            else:
-                x_checked += 1
-                x_err += e_pol
+        states, _ = intercepted_ideal_pairs(20_000, strategy, rng)
+        e_pol, _, x = check_block(states, rng)
+        x_pol = x[:, 0]
+        assert not e_pol[~x_pol].any()  # Z-basis checks never err
+        x_checked = np.count_nonzero(x_pol)
+        x_err = np.count_nonzero(e_pol[x_pol])
         assert abs(x_err / x_checked - 0.5) < 4.0 / math.sqrt(x_checked)
 
     def test_bell_mismatch_on_encoded_pair(self):
@@ -156,17 +151,15 @@ class TestInterceptResend:
 
 class TestGuessing:
     def test_two_pass_guess_accuracy(self):
+        # Eve taps both passes of n pairs, Alice applies a uniform op in between
         strategy = EveStrategy(kind=EveKind.INTERCEPT_RESEND)
         rng = np.random.default_rng(26)
         n = 20_000
-        correct = 0
-        for _ in range(n):
-            state = make_hyper_bell(IDEAL)
-            state, fwd = intercept_resend(state, strategy, rng)
-            op = EncodingOp(int(rng.integers(1, 5)), int(rng.integers(1, 5)))
-            state = apply_encoding(state, op)
-            _, back = intercept_resend(state, strategy, rng)
-            correct += guess_encoding_op(fwd, back, rng) == op
+        states, fwd = intercepted_ideal_pairs(n, strategy, rng)
+        ops = rng.integers(16, size=n)
+        _, back = intercept_block(encode(states, ops), strategy, rng)
+        guesses = guess_encoding_ops(fwd, back, rng.random((n, 2, 2)))
+        correct = np.count_nonzero(guesses == ops)
         assert abs(correct / n - TWO_PASS_GUESS_ACCURACY) < 4.0 / math.sqrt(n)
 
     def test_blind_guess_is_uniform_chance(self):

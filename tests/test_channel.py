@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 import oracles
+from test_adversary import check_block
 from hyperqsdc.adversary import EveKind, EveStrategy, SignalMeta
-from hyperqsdc.channel import ChannelParams, TransmitResult, transmit
+from hyperqsdc.channel import ChannelParams, TransmitResult, apply_transit, draw_transit, transmit
 from hyperqsdc.hyperstate import (
+    BELL_BASIS,
     Basis,
     Bell,
     BellIndex,
@@ -79,15 +81,16 @@ class TestTransmit:
             assert abs(np.linalg.norm(res.state.amps) - 1.0) <= 1e-12
 
     def test_pauli_error_rate_per_dof(self):
+        # one transit of n ideal pairs, then one correlation-check draw per pair
         rng = np.random.default_rng(44)
         params = ChannelParams(pauli_p_pol=0.3, pauli_p_spa=0.3)
         n = 30_000
-        pol = spa = passed = 0
-        for _ in range(n):
-            e_pol, e_spa = checked_sample(params, rng)
-            pol += e_pol
-            spa += e_spa
-            passed += not (e_pol or e_spa)
+        drawn = draw_transit(n, params, NO_EVE, rng)
+        states, _ = apply_transit(np.tile(BELL_BASIS[IDEAL.flat()], (n, 1)), NO_EVE, drawn.eve,
+                                  drawn.paulis)
+        e_pol, e_spa, _ = check_block(states, rng)
+        pol, spa = np.count_nonzero(e_pol), np.count_nonzero(e_spa)
+        passed = np.count_nonzero(~(e_pol | e_spa))
         band = 4.0 / math.sqrt(n)
         assert abs(pol / n - 0.2) < band
         assert abs(spa / n - 0.2) < band

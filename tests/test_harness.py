@@ -21,6 +21,7 @@ import hyperqsdc
 from hyperqsdc.adversary import BasisPolicy, EveKind, PnsKind
 from hyperqsdc.cli import main
 from hyperqsdc.harness import (
+    ABORT_REASONS,
     EXAMPLE_CONFIG,
     PHASES,
     SWEEP_AXES,
@@ -36,7 +37,18 @@ from hyperqsdc.harness import (
     sweep_csv,
 )
 from hyperqsdc.hyperstate import Dof
-from hyperqsdc.protocol import ConfigError, Verdict
+from hyperqsdc.protocol import (
+    BlockDepleted,
+    ConfigError,
+    Verdict,
+    decode_and_second_check,
+    encode_message,
+    first_check,
+    message_capacity,
+    prepare_block,
+    transmit_forward,
+    transmit_return,
+)
 
 from oracles import source_fidelity_formula
 
@@ -242,6 +254,64 @@ class TestIdealRunStats:
         assert stats.lost_forward > 0 and stats.lost_return > 0
         assert stats.bits_per_photon_transit < 2.0
         assert stats.message_bit_error_rate == 0.0
+
+
+def abort_reason_alone(rc, seed: int, k: int):
+    """Why session k of a run ends, driven through the single-session API; None if accepted."""
+    rng = np.random.default_rng([seed, k])
+    cfg = rc.protocol
+    session = prepare_block(cfg, rc.source)
+    eve = rc.eve if rc.eve_passes in ("both", "forward") else None
+    transmit_forward(session, rc.channel, rng, eve=eve, defense=rc.defense)
+    try:
+        report = first_check(session, rng, cfg)
+    except BlockDepleted:
+        return "depleted_forward"
+    if report.verdict is Verdict.FAIL:
+        return "first_check_fail"
+    bits = rng.integers(0, 2, size=message_capacity(session, cfg))  # the message run() draws
+    encode_message(session, "".join(map(str, bits.tolist())), rng, cfg)
+    eve = rc.eve if rc.eve_passes in ("both", "return") else None
+    transmit_return(session, rc.channel, rng, eve=eve)
+    try:
+        _, report = decode_and_second_check(session, rng, cfg)
+    except BlockDepleted:
+        return "depleted_return"
+    return "second_check_fail" if report.verdict is Verdict.FAIL else None
+
+
+class TestAbortReasons:
+    CONFIGS = (
+        # heavy loss on 8-pair blocks: depleted before either check
+        dict(sessions="40", n_pairs="8", seed="4", loss_prob="0.45",
+             sample_fraction_first="0.1", sample_fraction_second="0.1"),
+        # interception on both passes against a loose threshold: caught at either check
+        dict(sessions="40", n_pairs="24", seed="3", kind="intercept_resend",
+             error_threshold="0.3", sample_fraction_first="0.1", sample_fraction_second="0.1"),
+    )
+
+    def test_reasons_sum_to_aborted_and_match_sessions_run_alone(self):
+        seen = dict.fromkeys(ABORT_REASONS, 0)
+        for overrides in self.CONFIGS:
+            rc = parse_run_config(config_with(**overrides))
+            stats, _ = run(rc)
+            reasons = stats.abort_reasons
+            assert tuple(reasons) == ABORT_REASONS
+            assert sum(reasons.values()) == stats.aborted
+            assert reasons["depleted_forward"] + reasons["depleted_return"] == stats.depleted
+            alone = [abort_reason_alone(rc, rc.seed, k) for k in range(rc.sessions)]
+            assert reasons == {reason: alone.count(reason) for reason in ABORT_REASONS}
+            for reason, count in reasons.items():
+                seen[reason] += count
+        assert all(seen.values()), seen  # every reason occurs in these runs
+
+    def test_reasons_stay_out_of_the_stats_file(self):
+        rc = parse_run_config(config_with(**self.CONFIGS[0]))
+        stats, _ = run(rc)
+        text = stats_text(rc, rc.seed, stats)
+        assert not any(reason in text for reason in ABORT_REASONS)
+        stats.abort_reasons = dict.fromkeys(ABORT_REASONS, 0)
+        assert stats_text(rc, rc.seed, stats) == text
 
 
 class TestAdversaryRuns:
@@ -499,6 +569,22 @@ class TestCli:
         assert all(s >= 0.0 for s in seconds.values())
         # laps tile a part of the run's wall time; 1e-9 s covers float summation
         assert 0.0 < sum(seconds.values()) <= doc["wall_time"] + 1e-9
+        assert doc["abort_reasons"] == dict.fromkeys(ABORT_REASONS, 0)  # a clean run
+
+    def test_metrics_file_counts_abort_reasons(self, tmp_path):
+        config = tmp_path / "lossy.ini"
+        config.write_text(config_with(**TestAbortReasons.CONFIGS[0]))
+        plain, timed, metrics = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "m.json"
+        for out, extra in ((plain, ()), (timed, ("--metrics", str(metrics)))):
+            proc = run_cli("simulate", "--config", str(config), "--out", str(out), *extra,
+                           cwd=tmp_path)
+            assert proc.returncode == 0, proc.stderr
+        assert plain.read_bytes() == timed.read_bytes()
+        results = json.loads(plain.read_text())["results"]
+        reasons = json.loads(metrics.read_text())["abort_reasons"]
+        assert tuple(reasons) == ABORT_REASONS
+        assert sum(reasons.values()) == results["aborted"] > 0
+        assert reasons["depleted_forward"] + reasons["depleted_return"] == results["depleted"]
 
     def test_attack_sweep_csv(self, tmp_path, config_path):
         out = tmp_path / "sweep.csv"

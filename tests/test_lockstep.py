@@ -9,11 +9,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hyperqsdc import harness
 from hyperqsdc.adversary import BasisPolicy, EveKind
 from hyperqsdc.harness import (
     GROUP_ROWS,
     RunStats,
     _pool,
+    _run_group,
     parse_run_config,
     run,
     run_one_session,
@@ -149,16 +151,27 @@ def test_depleted_session_raises_alone_and_leaves_no_trace_in_its_group():
             run_one_session(rc, rc.seed, k)
 
 
+@pytest.mark.parametrize("group_rows", [16, 64, 4096])
+@pytest.mark.parametrize("name", ["depleting", "loss_noise_intercept_both_defenses",
+                                  "groups_not_dividing_group_rows",
+                                  "first_check_aborts_at_zero_threshold"])
+def test_group_size_changes_no_byte(monkeypatch, name, group_rows):
+    # between them, members of one group end depleted at either check,
+    # aborted at either check, or accepted
+    rc = parse_run_config(config_with(**PINNED[name][0]))
+    stats, transcripts = run(rc, collect_transcripts=True)
+    monkeypatch.setattr(harness, "GROUP_ROWS", group_rows)
+    regrouped, regrouped_transcripts = run(rc, collect_transcripts=True)
+    assert stats_text(rc, rc.seed, regrouped) == stats_text(rc, rc.seed, stats)
+    assert regrouped_transcripts == transcripts
+
+
 def pooled_alone(rc, seed: int):
     """What ``run`` gives when every session runs as a group of one."""
     stats = RunStats(adversary_present=rc.eve.kind is not EveKind.NONE)
     transcripts: list = []
     for k in range(rc.sessions):
-        try:
-            outcome = run_one_session(rc, seed, k)
-        except BlockDepleted as e:
-            outcome = e
-        _pool(stats, transcripts, rc, seed, k, outcome)
+        _pool(stats, transcripts, rc, seed, [k], _run_group(rc, seed, [k]))
     return stats, transcripts
 
 

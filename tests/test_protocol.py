@@ -23,8 +23,10 @@ from hyperqsdc.protocol import (
     Phase,
     PhaseError,
     ProtocolConfig,
+    SessionGroup,
     SessionState,
     Verdict,
+    _check,
     decode_and_second_check,
     encode_message,
     first_check,
@@ -99,15 +101,25 @@ class TestConfig:
             ProtocolConfig(bits_mapping=mapping)
 
 
+def judged(n_checked: int, n_pol: int, n_spa: int, threshold: float) -> CheckReport:
+    """The first-check report of one session whose samples carry these errors."""
+    group = SessionGroup(n_checked, [None], record=False)
+    errors = np.zeros(n_checked, dtype=np.intp)
+    errors[:n_pol] += 1  # pol errors on the first samples
+    errors[n_checked - n_spa :] += 2  # spa errors on the last ones
+    _check(group, 0, np.arange(n_checked), errors, threshold, Phase.ENCODING)
+    return SessionState(group).first_report
+
+
 class TestCheckReport:
     def test_verdict_is_strictly_greater_than_threshold(self):
-        at = CheckReport.build(20, 1, 0, 1, threshold=0.05)
+        at = judged(20, 1, 0, threshold=0.05)
         assert at.verdict is Verdict.PASS  # rate exactly at threshold passes
-        above = CheckReport.build(20, 2, 0, 2, threshold=0.05)
+        above = judged(20, 2, 0, threshold=0.05)
         assert above.verdict is Verdict.FAIL
 
     def test_verdict_uses_worst_dof(self):
-        report = CheckReport.build(10, 0, 9, 9, threshold=0.5)
+        report = judged(10, 0, 9, threshold=0.5)
         assert report.verdict is Verdict.FAIL
 
 
@@ -299,14 +311,11 @@ class TestSecondCheck:
         misses = 0
         for first in range(0, rc.sessions, per_group):
             indices = range(first, min(first + per_group, rc.sessions))
-            for outcome in _run_group(rc, rc.seed, indices, record=False):
-                assert not isinstance(outcome, BlockDepleted)
-                session, _ = outcome
-                report2 = session.second_report
-                assert report2 is not None, "first check must pass: forward pass is clean"
-                assert report2.n_checked == 50
-                if session.phase is Phase.ACCEPTED:
-                    misses += 1
+            group = _run_group(rc, rc.seed, indices, record=False)
+            assert not group.depleted.any()
+            assert not group.failed[:, 0].any(), "first check must pass: forward pass is clean"
+            assert (group.counts[:, 1, 0] == 50).all()  # every second check read 50 samples
+            misses += np.count_nonzero(group.in_phase(Phase.ACCEPTED))
         assert misses == 0
 
     def test_noise_error_rates_attributed_per_dof(self):
