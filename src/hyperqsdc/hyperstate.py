@@ -14,10 +14,13 @@ hyper-Bell basis matrix and the encoding unitaries all use it.
 
 A block of pairs is one ``(N, 16)`` complex array, row k holding pair k; it
 can be viewed as ``(N, 2, 2, 2, 2)`` with tensor axes (pol_a, pol_b, spa_a,
-spa_b).  Three whole-block kernels do all the state work: ``apply_local``
+spa_b).  Three whole-block kernels do the general state work: ``apply_local``
 (a 2x2 operator on one axis of every row), ``measure`` (one Born draw per
 row over the joint outcomes of some axes) and ``outcome_probs`` (the exact
-probabilities behind that draw).  The Z-to-X basis change in front of a
+probabilities behind that draw).  Dense coding and the hyper-Bell readout
+are fixed sparse maps, applied as column gathers of (N, 16) blocks: each
+coding unitary is a signed permutation of the amplitudes, and each
+hyper-Bell amplitude a four-term sum.  The Z-to-X basis change in front of a
 draw is a Hadamard butterfly on the rows measured in X only, s*v0 + s*v1
 and s*v0 - s*v1 with s = 1/sqrt(2): the very products and sums that
 ``apply_local`` forms for the Hadamard, so the amplitudes are bitwise those
@@ -205,10 +208,21 @@ _OUTCOME_OF_INDEX = {
 }
 
 # Every hyper-Bell state has four nonzero amplitudes, so the amplitude of
-# label k in a state is the four-term sum over _BELL_SUPPORT[k] of the
-# state's amplitudes times _BELL_WEIGHTS[k].
-_BELL_SUPPORT = np.array([np.flatnonzero(row) for row in BELL_BASIS])
-_BELL_WEIGHTS = np.take_along_axis(BELL_BASIS.conj(), _BELL_SUPPORT, axis=1)
+# label k in a state is the sum over m of the state's amplitude
+# _BELL_SUPPORT[m, k] times _BELL_WEIGHTS[m, k].
+_BELL_SUPPORT = np.array([np.flatnonzero(row) for row in BELL_BASIS]).T.copy()
+_BELL_WEIGHTS = np.take_along_axis(BELL_BASIS.conj(), _BELL_SUPPORT.T, axis=1).T.copy()
+
+# Every dense-coding unitary (op code c on photon A) is a signed permutation
+# of the 16 amplitudes: amplitude i of the result is _ENCODE_SIGN[c, i]
+# times amplitude _ENCODE_SOURCE[c, i] of the state.  _ENCODE_UNITARIES[c]
+# is U_pol (x) I (x) U_spa (x) I for the two single-DOF ops of code c.
+_ENCODE_UNITARIES = np.einsum(
+    "cij,kl,cmn,uv->cikmujlnv",
+    _DOF_OPS[np.arange(DIM) >> 2], _I2, _DOF_OPS[np.arange(DIM) & 3], _I2,
+).reshape(DIM, DIM, DIM)
+_ENCODE_SOURCE = np.abs(_ENCODE_UNITARIES).argmax(axis=2)
+_ENCODE_SIGN = np.take_along_axis(_ENCODE_UNITARIES, _ENCODE_SOURCE[..., None], axis=2)[..., 0].real
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +297,9 @@ def _rotate(states: np.ndarray, runs: list, fresh: bool = False) -> np.ndarray:
 def _born(states: np.ndarray, axes: tuple) -> np.ndarray:
     # Unsnapped probabilities of the joint outcomes of the ascending ``axes``.
     n = len(states)
-    probs = (states * states.conj()).real.reshape(n, 2, 2, 2, 2)
+    probs = states.conj()
+    probs *= states  # in place: the real part is that of states * conj(states)
+    probs = probs.real.reshape(n, 2, 2, 2, 2)
     for axis in reversed(ALL_AXES):
         if axis not in axes:
             # summing a length-2 axis as two slices is much faster than .sum()
@@ -339,9 +355,21 @@ def measure(states: np.ndarray, axes: tuple, u: np.ndarray, x=None, collapse: bo
 
 
 def encode(states: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Apply the dense-coding unitary with op code ``codes[k]`` to photon A of row k."""
-    states = apply_local(states, AXIS[(Photon.A, Dof.POL)], _DOF_OPS[codes >> 2])
-    return apply_local(states, AXIS[(Photon.A, Dof.SPA)], _DOF_OPS[codes & 3])
+    """Apply the dense-coding unitary with op code ``codes[k]`` to photon A of row k.
+
+    The unitary is applied as the signed permutation it is, so each result
+    amplitude is plus or minus one amplitude of the row, exactly.
+    """
+    out = np.take_along_axis(states, _ENCODE_SOURCE[codes], axis=1)
+    out *= _ENCODE_SIGN[codes]
+    return out
+
+
+def _bell_term(states: np.ndarray, m: int) -> np.ndarray:
+    # term m of every label's amplitude, as a new (N, 16) block
+    term = states.take(_BELL_SUPPORT[m], axis=1)
+    term *= _BELL_WEIGHTS[m]
+    return term
 
 
 def bell_labels(states: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -350,9 +378,12 @@ def bell_labels(states: np.ndarray, u: np.ndarray) -> np.ndarray:
     The draw runs on the rows rewritten in the hyper-Bell basis, where
     outcome k is label k.
     """
-    terms = states[:, _BELL_SUPPORT]
-    terms *= _BELL_WEIGHTS  # in place: one (N, 16, 4) temporary instead of two
-    return measure(terms.sum(axis=2), ALL_AXES, u, collapse=False)[0]
+    # each label's amplitude is its four support terms summed in order,
+    # one (N, 16) term at a time
+    amps = _bell_term(states, 0)
+    for m in (1, 2, 3):
+        amps += _bell_term(states, m)
+    return measure(amps, ALL_AXES, u, collapse=False)[0]
 
 
 # ---------------------------------------------------------------------------

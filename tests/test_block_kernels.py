@@ -113,6 +113,17 @@ class TestBlockEqualsRows:
         assert [bell_labels(states[k : k + 1], u[k : k + 1])[0] for k in range(len(states))] == \
             labels.tolist()
 
+    @given(blocks())
+    @settings(max_examples=40, deadline=None)
+    def test_encode_is_the_generic_product(self, block):
+        # the signed-permutation encoder gives exactly the amplitudes of the
+        # two 2x2 products on photon A's axes
+        states, x, _ = block
+        codes = (8 * x[:, 0] + 4 * x[:, 1] + 2 * x[:, 2] + x[:, 3]).astype(np.intp)
+        generic = apply_local(apply_local(states, 0, hs._DOF_OPS[codes >> 2]),
+                              2, hs._DOF_OPS[codes & 3])
+        np.testing.assert_array_equal(hs.encode(states, codes), generic)
+
     @given(blocks(), st.sampled_from([frozenset({Dof.POL}), frozenset({Dof.SPA}),
                                       frozenset({Dof.POL, Dof.SPA})]))
     @settings(max_examples=40, deadline=None)
