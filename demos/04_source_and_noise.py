@@ -10,7 +10,7 @@ errors in the X basis, so one third of the hits stay invisible).
 
 import numpy as np
 
-from hyperqsdc import MeasBasis, Basis, SourceParams, correlation_error_probs, source_fidelity, source_state
+from hyperqsdc import SourceParams, correlation_error_probs, source_fidelity
 from hyperqsdc.harness import parse_run_config, run
 
 print("fidelity vs phase, by amplitude ratio")
@@ -19,8 +19,9 @@ for phi in np.linspace(0, np.pi, 5):
     row = [source_fidelity(SourceParams(r, phi)) for r in (1.0, 0.5, 0.0)]
     print(f"{phi / np.pi:5.2f}   " + "   ".join(f"{f:.4f}" for f in row))
 
-skew = source_state(SourceParams(0.5, np.pi))
-_, spa_x = correlation_error_probs(skew, MeasBasis(Basis.X, Basis.X))
+# one block row per pair state; the mask reads both DOFs in the X basis
+skew = SourceParams(0.5, np.pi).amplitudes[None]
+[[_, spa_x]] = correlation_error_probs(skew, np.array([[True, True]]))
 print(f"\nthe skew hides in Z checks and shows in X: spa X-basis error {spa_x:.3f}")
 
 NOISY = """

@@ -7,16 +7,13 @@ from .adversary import (
     DefenseConfig,
     DefenseVerdict,
     EveKind,
-    EveRecord,
     EveStrategy,
     PnsKind,
     SignalMeta,
     apply_defenses,
     craft_trojan,
-    guess_encoding_op,
-    intercept_resend,
 )
-from .channel import ChannelParams, TransmitResult, transmit
+from .channel import ChannelParams
 from .harness import (
     RunConfig,
     RunStats,
@@ -34,23 +31,18 @@ from .harness import (
 from .hyperstate import (
     BELL_BASIS,
     DIM,
-    Basis,
     Bell,
     BellIndex,
     Dof,
     EncodingOp,
     HyperState,
-    MeasBasis,
     Photon,
     SourceParams,
     apply_encoding,
-    apply_hadamard,
     bell_from_op,
     chbsa,
     correlation_error_probs,
     make_hyper_bell,
-    measure_photon,
-    measure_photon_dof,
     op_from_bell,
     source_fidelity,
     source_state,

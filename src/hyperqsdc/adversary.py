@@ -14,12 +14,13 @@ handed in, so records and reproducibility belong to the caller.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .hyperstate import AXIS, Basis, Dof, EncodingOp, HyperState, Photon, measure
+from .hyperstate import AXIS, Dof, Photon, measure
 
 
 class EveKind(Enum):
@@ -108,40 +109,10 @@ class DefenseConfig:
     pns_kind: PnsKind = PnsKind.IDEAL
 
     def __post_init__(self) -> None:
-        if not self.filter_tolerance > 0.0:
-            raise ValueError(f"filter_tolerance must be > 0, got {self.filter_tolerance}")
+        if not (math.isfinite(self.filter_tolerance) and self.filter_tolerance > 0.0):
+            raise ValueError(f"filter_tolerance must be finite and > 0, got {self.filter_tolerance}")
 
 
-@dataclass(frozen=True)
-class EveRecord:
-    """What Eve wrote down about one intercepted photon (None = DOF untouched)."""
-
-    pol_basis: Basis | None = None
-    pol_outcome: int | None = None
-    spa_basis: Basis | None = None
-    spa_outcome: int | None = None
-
-    # Blocks keep Eve's notes as record codes: an int8 array (..., 2, 2)
-    # indexed [dof (pol, spa), (basis, outcome)], basis 0 = Z and 1 = X,
-    # and -1 in both slots of a DOF she did not measure.
-
-    @staticmethod
-    def from_codes(codes: np.ndarray) -> "EveRecord":
-        (pb, po), (sb, so) = codes.tolist()
-        return EveRecord(
-            None if pb < 0 else _BASES[pb], None if po < 0 else po,
-            None if sb < 0 else _BASES[sb], None if so < 0 else so,
-        )
-
-    def codes(self) -> np.ndarray:
-        return np.array(
-            [[-1 if b is None else _BASES.index(b), -1 if o is None else o]
-             for b, o in ((self.pol_basis, self.pol_outcome), (self.spa_basis, self.spa_outcome))],
-            dtype=np.int8,
-        )
-
-
-_BASES = (Basis.Z, Basis.X)
 _DOFS = (Dof.POL, Dof.SPA)
 
 
@@ -173,10 +144,12 @@ def resend(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply ``draw_intercept``'s choices: measure every row and resend the outcome.
 
-    Returns the collapsed (N, 16) block and Eve's (N, 2, 2) record codes.
-    Both masked DOFs are read by one joint draw per row.  The projective
-    collapse already leaves photon A in exactly the state Eve forwards, so
-    the returned pair states double as the resent signals.
+    Returns the collapsed (N, 16) block and Eve's (N, 2, 2) record codes: an
+    int8 array indexed [row, dof (pol, spa), (basis, outcome)], basis 0 = Z
+    and 1 = X, and -1 in both slots of a DOF she did not measure.  Both
+    masked DOFs are read by one joint draw per row.  The projective collapse
+    already leaves photon A in exactly the state Eve forwards, so the
+    returned pair states double as the resent signals.
     """
     slots = _slots(strategy)
     axes = tuple(AXIS[(Photon.A, _DOFS[k])] for k in slots)
@@ -185,21 +158,6 @@ def resend(
     codes[:, slots, 0] = x
     codes[:, slots, 1] = (outcomes[:, None] >> np.arange(len(slots))[::-1]) & 1
     return states, codes
-
-
-def intercept_block(
-    states: np.ndarray, strategy: EveStrategy, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Measure the masked DOFs of photon A in every row and resend the outcome (see ``resend``)."""
-    return resend(states, strategy, *draw_intercept(len(states), strategy, rng))
-
-
-def intercept_resend(
-    state: HyperState, strategy: EveStrategy, rng: np.random.Generator
-) -> tuple[HyperState, EveRecord]:
-    """Single-pair ``intercept_block``: the resent pair state and Eve's record."""
-    states, codes = intercept_block(state.amps[None], strategy, rng)
-    return HyperState(states[0], _trusted=True), EveRecord.from_codes(codes[0])
 
 
 def craft_trojan(
@@ -258,14 +216,3 @@ def guess_encoding_ops(forward: np.ndarray, back: np.ndarray, u: np.ndarray) -> 
     phase = np.where(matched & (basis == 1), xor, coins[..., 1])
     dof_op = 2 * flip.astype(np.intp) + phase  # per-DOF op index - 1
     return 4 * dof_op[:, 0] + dof_op[:, 1]
-
-
-def guess_encoding_op(
-    forward: EveRecord | None,
-    back: EveRecord | None,
-    rng: np.random.Generator,
-) -> EncodingOp:
-    """Single-pair ``guess_encoding_ops``; None means Eve did not see that pass."""
-    codes = [(rec or EveRecord()).codes() for rec in (forward, back)]
-    u = rng.random((1, 2, 2))
-    return EncodingOp.from_code(int(guess_encoding_ops(codes[0][None], codes[1][None], u)[0]))

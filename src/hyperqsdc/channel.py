@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import adversary as adv
-from .hyperstate import AXIS, PAULIS, Dof, HyperState, Photon, apply_local
+from .hyperstate import AXIS, PAULIS, Dof, Photon, apply_local
 
 
 @dataclass(frozen=True)
@@ -33,20 +33,6 @@ class ChannelParams:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
-
-
-@dataclass(frozen=True)
-class TransmitResult:
-    """Outcome of one transit; state/meta are None exactly when not delivered."""
-
-    delivered: bool
-    state: HyperState | None = None
-    meta: adv.SignalMeta | None = None
-    eve_record: adv.EveRecord | None = None
-    trojan_inserted: bool = False
-
-
-_LOST = TransmitResult(delivered=False)
 
 
 class TransitDraws(NamedTuple):
@@ -113,25 +99,3 @@ def apply_transit(
         if which is not None:
             states = apply_local(states, AXIS[(Photon.A, dof)], PAULIS[which])
     return states, codes
-
-
-def transmit(
-    state: HyperState,
-    meta: adv.SignalMeta,
-    params: ChannelParams,
-    eve: adv.EveStrategy,
-    rng: np.random.Generator,
-    filter_tolerance: float = adv.DEFAULT_FILTER_TOLERANCE,
-) -> TransmitResult:
-    """Send photon A of one pair through the channel: ``draw_transit`` then ``apply_transit``."""
-    draws = draw_transit(1, params, eve, rng, filter_tolerance)
-    if not draws.delivered[0]:
-        return _LOST
-    states, codes = apply_transit(state.amps[None], eve, draws.eve, draws.paulis)
-    return TransmitResult(
-        True,
-        HyperState(states[0], _trusted=True),
-        meta if draws.metas is None else draws.metas[0],
-        None if codes is None else adv.EveRecord.from_codes(codes[0]),
-        draws.metas is not None,
-    )

@@ -42,15 +42,7 @@ from .adversary import (
     guess_encoding_ops,
 )
 from .channel import ChannelParams
-from .hyperstate import (
-    Basis,
-    Dof,
-    MeasBasis,
-    SourceParams,
-    correlation_error_probs,
-    source_fidelity,
-    source_state,
-)
+from .hyperstate import Dof, SourceParams, correlation_error_probs, source_fidelity
 from .protocol import (
     DEPLETED_FORWARD,
     DEPLETED_RETURN,
@@ -642,17 +634,12 @@ def source_fidelity_scan(r_values: list, phi_values: list) -> list[tuple]:
     """Exact fidelity and noiseless first-check error rates over an (r, phi) grid."""
     if not r_values or not phi_values:
         raise ConfigError("source scan needs at least one r and one phi value")
-    rows = []
-    for r in r_values:
-        for phi in phi_values:
-            params = SourceParams(float(r), float(phi))
-            state = source_state(params)
-            pol_z, spa_z = correlation_error_probs(state, MeasBasis(Basis.Z, Basis.Z))
-            pol_x, spa_x = correlation_error_probs(state, MeasBasis(Basis.X, Basis.X))
-            rows.append(
-                (float(r), float(phi), source_fidelity(params), pol_z, pol_x, spa_z, spa_x)
-            )
-    return rows
+    grid = [SourceParams(float(r), float(phi)) for r in r_values for phi in phi_values]
+    states = np.array([params.amplitudes for params in grid])
+    z = correlation_error_probs(states, np.zeros((len(grid), 2), dtype=bool)).tolist()
+    x = correlation_error_probs(states, np.ones((len(grid), 2), dtype=bool)).tolist()
+    return [(params.r, params.phi, source_fidelity(params), pol_z, pol_x, spa_z, spa_x)
+            for params, (pol_z, spa_z), (pol_x, spa_x) in zip(grid, z, x)]
 
 
 def scan_csv(rows: list[tuple]) -> str:

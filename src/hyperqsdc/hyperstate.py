@@ -9,7 +9,7 @@ order over the four binary labels
     index = 8*pol_a + 4*pol_b + 2*spa_a + spa_b
 
 with H = 0, V = 1 for polarization and first mode = 0, second mode = 1 for
-the spatial label.  This order is load-bearing: serialized states, the
+the spatial label.  This order is load-bearing: block rows, the
 hyper-Bell basis matrix and the encoding unitaries all use it.
 
 A block of pairs is one ``(N, 16)`` complex array, row k holding pair k; it
@@ -25,7 +25,6 @@ draw is a Hadamard butterfly on the rows measured in X only, s*v0 + s*v1
 and s*v0 - s*v1 with s = 1/sqrt(2): the very products and sums that
 ``apply_local`` forms for the Hadamard, so the amplitudes are bitwise those
 of the generic 2x2 product, and a row measured in Z is left untouched.
-The single-pair functions below are N=1 calls of the same kernels.
 
 States are rays, not vectors: two states that differ by a global phase are
 physically identical, and ``HyperState.equiv`` tests exactly that.  All
@@ -62,13 +61,6 @@ class Dof(Enum):
 
     POL = "pol"
     SPA = "spa"
-
-
-class Basis(Enum):
-    """Single-DOF measurement basis; X is the Hadamard conjugate of Z."""
-
-    Z = "Z"
-    X = "X"
 
 
 class Bell(IntEnum):
@@ -122,14 +114,6 @@ class EncodingOp:
 
 
 @dataclass(frozen=True)
-class MeasBasis:
-    """Per-DOF basis choice for a single-photon measurement."""
-
-    pol: Basis
-    spa: Basis
-
-
-@dataclass(frozen=True)
 class SourceParams:
     """Spatial-mode imbalance r and relative phase phi of the pair source.
 
@@ -167,7 +151,6 @@ _I2 = np.eye(2, dtype=complex)
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 # Identity then Pauli X, Y, Z: index 0 is "no error" for channel noise.
 PAULIS = np.stack([_I2, _PAULI_X, _PAULI_Y, _PAULI_Z])
@@ -403,21 +386,11 @@ class HyperState:
             a = np.array(amps, dtype=complex)
             if a.shape != (DIM,):
                 raise ValueError(f"expected {DIM} amplitudes, got shape {a.shape}")
-            if abs(float(np.sum(np.abs(a) ** 2)) - 1.0) > ATOL:
+            # written so that a NaN or infinite norm fails the check too
+            if not abs(float(np.sum(np.abs(a) ** 2)) - 1.0) <= ATOL:
                 raise ValueError("amplitudes are not normalized")
         a.setflags(write=False)
         self.amps = a
-
-    @classmethod
-    def normalized(cls, amps) -> "HyperState":
-        """Build a state from unnormalized amplitudes (must not be all zero)."""
-        a = np.array(amps, dtype=complex)
-        if a.shape != (DIM,):
-            raise ValueError(f"expected {DIM} amplitudes, got shape {a.shape}")
-        n = np.linalg.norm(a)
-        if n < 1e-300:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(a / n, _trusted=True)
 
     def overlap(self, other: "HyperState") -> complex:
         """Inner product <self|other>."""
@@ -426,24 +399,6 @@ class HyperState:
     def equiv(self, other: "HyperState", atol: float = ATOL) -> bool:
         """Ray equality: true when the states agree up to a global phase."""
         return abs(abs(self.overlap(other)) - 1.0) <= atol
-
-    def to_amplitude_pairs(self) -> list[tuple[float, float]]:
-        """Serialize as 16 (re, im) pairs in the normative index order."""
-        return [(float(a.real), float(a.imag)) for a in self.amps]
-
-    @classmethod
-    def from_amplitude_pairs(cls, pairs) -> "HyperState":
-        """Rebuild a state from ``to_amplitude_pairs`` output."""
-        return cls([complex(re, im) for re, im in pairs])
-
-    def __repr__(self) -> str:
-        nz = np.flatnonzero(np.abs(self.amps) > 1e-9)
-        return f"HyperState(nonzero at {list(map(int, nz))})"
-
-
-def ket_index(pol_a: int, pol_b: int, spa_a: int, spa_b: int) -> int:
-    """Amplitude index of a product ket in the normative order."""
-    return 8 * pol_a + 4 * pol_b + 2 * spa_a + spa_b
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +416,6 @@ def apply_encoding(state: HyperState, op: EncodingOp) -> HyperState:
     return HyperState(encode(state.amps[None], np.array([op.code]))[0], _trusted=True)
 
 
-def apply_hadamard(state: HyperState, who: Photon, dof: Dof) -> HyperState:
-    """Basis-change transform between Z and X for one photon and one DOF."""
-    return HyperState(apply_local(state.amps[None], AXIS[(who, dof)], _HADAMARD)[0], _trusted=True)
-
-
 def chbsa(state: HyperState, rng: np.random.Generator) -> BellIndex:
     """Complete hyper-Bell state analysis: one Born-rule draw over all 16 outcomes.
 
@@ -473,37 +423,6 @@ def chbsa(state: HyperState, rng: np.random.Generator) -> BellIndex:
     else it samples the squared overlaps.
     """
     return BellIndex.from_flat(int(bell_labels(state.amps[None], rng.random(1))[0]))
-
-
-def measure_photon_dof(
-    state: HyperState,
-    who: Photon,
-    dof: Dof,
-    basis: Basis,
-    rng: np.random.Generator,
-) -> tuple[int, HyperState]:
-    """Measure one DOF of one photon; returns (bit, collapsed state).
-
-    Z outcomes are 0 = H / first mode, 1 = V / second mode; X outcomes are
-    0 = plus, 1 = minus.  The collapsed state is reported back in the
-    computational representation (the X transform is undone after projecting).
-    """
-    x = np.array([[basis is Basis.X]])
-    bits, post = measure(state.amps[None], (AXIS[(who, dof)],), rng.random(1), x)
-    return int(bits[0]), HyperState(post[0], _trusted=True)
-
-
-def measure_photon(
-    state: HyperState,
-    who: Photon,
-    basis: MeasBasis,
-    rng: np.random.Generator,
-) -> tuple[tuple[int, int], HyperState]:
-    """Measure both DOFs of one photon with one joint draw; returns ((pol, spa), state)."""
-    x = np.array([[basis.pol is Basis.X, basis.spa is Basis.X]])
-    outcomes, post = measure(state.amps[None], (AXIS[(who, Dof.POL)], AXIS[(who, Dof.SPA)]),
-                             rng.random(1), x)
-    return (int(outcomes[0] >> 1), int(outcomes[0] & 1)), HyperState(post[0], _trusted=True)
 
 
 def source_state(params: SourceParams) -> HyperState:
@@ -521,17 +440,17 @@ def source_fidelity(params: SourceParams) -> float:
     return float(abs(ideal.overlap(source_state(params))) ** 2)
 
 
-def correlation_error_probs(state: HyperState, basis: MeasBasis) -> tuple[float, float]:
-    """Exact per-DOF probability that A and B outcomes disagree in this basis.
+def correlation_error_probs(states: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Exact per-DOF probability that the A and B outcomes of each row disagree.
 
-    Both photons are measured in the same per-DOF bases, which is how the
-    protocol's correlation check operates.
+    ``x`` is an (N, 2) bool mask over (pol, spa): True reads both photons of
+    that DOF in the X basis, which is how the protocol's correlation check
+    operates.  Returns the (N, 2) probabilities (pol, spa).
     """
-    x = np.array([[basis.pol is Basis.X] * 2 + [basis.spa is Basis.X] * 2])
-    probs = outcome_probs(state.amps[None], ALL_AXES, x)[0].reshape(2, 2, 2, 2)
-    p_pol = float(probs[0, 1].sum() + probs[1, 0].sum())
-    p_spa = float(probs[:, :, 0, 1].sum() + probs[:, :, 1, 0].sum())
-    return p_pol, p_spa
+    probs = outcome_probs(states, ALL_AXES, x[:, [0, 0, 1, 1]]).reshape(-1, 2, 2, 2, 2)
+    p_pol = probs[:, 0, 1].sum(axis=(1, 2)) + probs[:, 1, 0].sum(axis=(1, 2))
+    p_spa = probs[:, :, :, 0, 1].sum(axis=(1, 2)) + probs[:, :, :, 1, 0].sum(axis=(1, 2))
+    return np.stack([p_pol, p_spa], axis=1)
 
 
 def bell_from_op(op: EncodingOp) -> BellIndex:

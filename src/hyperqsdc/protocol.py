@@ -208,8 +208,8 @@ class SessionGroup:
     - ``fates``: each pair's index into ``tuple(PairFate)``; the first-check
       sample is what ``CONSUMED_CHECK`` marks.
     - ``ops``: the op code (``EncodingOp.code``) Alice applied, -1 where none.
-    - ``eve_forward``, ``eve_return``: Eve's record codes of each pass
-      (``EveRecord.from_codes``), -1 where she did not measure.
+    - ``eve_forward``, ``eve_return``: Eve's record codes of each pass (see
+      ``adversary.resend``), -1 where she did not measure.
     - ``second``: the hidden second-check sample.
     - ``sent``: the 4-bit chunk value written to each message pair, -1 on
       every other pair; ``received``: the value Bob read back from it, on
@@ -727,12 +727,8 @@ def _encoding_plan(group: SessionGroup, cfg: ProtocolConfig) -> tuple:
         if size < 2:
             raise BlockDepleted(f"only {size} pairs left; need 2 to sample and encode")
         n_eligible.append(size)
-        n_second.append(_second_sample_size(cfg, size, first[j]))
+        n_second.append(min(_sample_count(cfg.sample_fraction_second, size + first[j]), size - 1))
     return members, candidates, starts, n_eligible, n_second
-
-
-def _second_sample_size(cfg: ProtocolConfig, n_eligible: int, n_first: int) -> int:
-    return min(_sample_count(cfg.sample_fraction_second, n_eligible + n_first), n_eligible - 1)
 
 
 def message_capacities(group: SessionGroup, cfg: ProtocolConfig) -> tuple[list, list]:
@@ -744,9 +740,7 @@ def message_capacities(group: SessionGroup, cfg: ProtocolConfig) -> tuple[list, 
 def message_capacity(session: SessionState, cfg: ProtocolConfig) -> int:
     """Bits the block can carry once the second-check sample is set aside."""
     _require_phase(session, Phase.ENCODING)
-    n_eligible = len(session.active())
-    n_first = int(session.group.counts[session.j, 0, 0])
-    return 4 * (n_eligible - _second_sample_size(cfg, n_eligible, n_first))
+    return message_capacities(session.group, cfg)[1][0]
 
 
 # weights that turn a row of four message bits into its chunk's value

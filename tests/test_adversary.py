@@ -19,30 +19,25 @@ from hyperqsdc.adversary import (
     DefenseConfig,
     DefenseVerdict,
     EveKind,
-    EveRecord,
     EveStrategy,
     PnsKind,
     SignalMeta,
     apply_defenses,
     craft_trojan,
-    guess_encoding_op,
+    draw_intercept,
     guess_encoding_ops,
-    intercept_block,
-    intercept_resend,
+    resend,
 )
 from hyperqsdc.hyperstate import (
     ALL_AXES,
     BELL_BASIS,
-    Basis,
     Bell,
     BellIndex,
     Dof,
     EncodingOp,
-    apply_encoding,
     bell_from_op,
-    chbsa,
+    bell_labels,
     encode,
-    make_hyper_bell,
     measure,
 )
 
@@ -75,9 +70,14 @@ def check_block(states, rng):
     return bits[:, 0] != bits[:, 1], bits[:, 2] != bits[:, 3], x
 
 
+def intercept(states, strategy, rng):
+    """One intercept-resend pass over every row: the resent block and Eve's record codes."""
+    return resend(states, strategy, *draw_intercept(len(states), strategy, rng))
+
+
 def intercepted_ideal_pairs(n, strategy, rng):
     """n ideal pairs after one intercept-resend pass, and Eve's record codes."""
-    return intercept_block(np.tile(BELL_BASIS[IDEAL.flat()], (n, 1)), strategy, rng)
+    return intercept(np.tile(BELL_BASIS[IDEAL.flat()], (n, 1)), strategy, rng)
 
 
 class TestInterceptResend:
@@ -122,31 +122,29 @@ class TestInterceptResend:
         strategy = EveStrategy(EveKind.INTERCEPT_RESEND, frozenset({Dof.POL}))
         rng = np.random.default_rng(24)
         n = 20_000
-        mismatch = 0
-        encoded = apply_encoding(make_hyper_bell(IDEAL), EncodingOp(3, 2))
-        expected = bell_from_op(EncodingOp(3, 2))
-        for _ in range(n):
-            state, _ = intercept_resend(encoded, strategy, rng)
-            got = chbsa(state, rng)
-            mismatch += got.p != expected.p
-            assert got.s == expected.s  # spatial DOF untouched
+        op = EncodingOp(3, 2)
+        expected = bell_from_op(op)
+        encoded = encode(np.tile(BELL_BASIS[IDEAL.flat()], (n, 1)), np.full(n, op.code))
+        states, _ = intercept(encoded, strategy, rng)
+        labels = bell_labels(states, rng.random(n))
+        assert (labels % 4 == expected.s).all()  # spatial DOF untouched
+        mismatch = np.count_nonzero(labels // 4 != expected.p)
         assert abs(mismatch / n - IR_BELL_MISMATCH) < 4.0 / math.sqrt(n)
 
     def test_record_covers_only_masked_dofs(self):
         rng = np.random.default_rng(25)
         strategy = EveStrategy(EveKind.INTERCEPT_RESEND, frozenset({Dof.SPA}))
-        _, rec = intercept_resend(make_hyper_bell(IDEAL), strategy, rng)
-        assert rec.pol_basis is None and rec.pol_outcome is None
-        assert rec.spa_basis in (Basis.Z, Basis.X)
-        assert rec.spa_outcome in (0, 1)
+        _, codes = intercepted_ideal_pairs(1, strategy, rng)
+        (pol_basis, pol_outcome), (spa_basis, spa_outcome) = codes[0].tolist()
+        assert pol_basis == pol_outcome == -1
+        assert spa_basis in (0, 1)  # Z or X
+        assert spa_outcome in (0, 1)
 
     def test_rejects_wrong_kind_and_empty_mask(self):
         with pytest.raises(ValueError):
             EveStrategy(EveKind.INTERCEPT_RESEND, frozenset())
         with pytest.raises(ValueError):
-            intercept_resend(
-                make_hyper_bell(IDEAL), EveStrategy(EveKind.NONE), np.random.default_rng(0)
-            )
+            intercepted_ideal_pairs(1, EveStrategy(EveKind.NONE), np.random.default_rng(0))
 
 
 class TestGuessing:
@@ -157,17 +155,18 @@ class TestGuessing:
         n = 20_000
         states, fwd = intercepted_ideal_pairs(n, strategy, rng)
         ops = rng.integers(16, size=n)
-        _, back = intercept_block(encode(states, ops), strategy, rng)
+        _, back = intercept(encode(states, ops), strategy, rng)
         guesses = guess_encoding_ops(fwd, back, rng.random((n, 2, 2)))
         correct = np.count_nonzero(guesses == ops)
         assert abs(correct / n - TWO_PASS_GUESS_ACCURACY) < 4.0 / math.sqrt(n)
 
     def test_blind_guess_is_uniform_chance(self):
+        # Eve saw neither pass: every record code is -1
         rng = np.random.default_rng(27)
         n = 20_000
-        correct = sum(
-            guess_encoding_op(None, None, rng) == EncodingOp(2, 3) for _ in range(n)
-        )
+        unseen = np.full((n, 2, 2), -1, dtype=np.int8)
+        guesses = guess_encoding_ops(unseen, unseen, rng.random((n, 2, 2)))
+        correct = np.count_nonzero(guesses == EncodingOp(2, 3).code)
         assert abs(correct / n - 1.0 / 16.0) < 4.0 / math.sqrt(n)
 
 
@@ -277,5 +276,7 @@ class TestDefenses:
             assert caught[True] >= caught[False]
 
     def test_rejects_nonpositive_tolerance(self):
-        with pytest.raises(ValueError):
-            DefenseConfig(filter_tolerance=0.0)
+        # an infinite tolerance would also reach the stats file as invalid JSON
+        for bad in (0.0, -0.05, math.inf, math.nan):
+            with pytest.raises(ValueError, match="filter_tolerance"):
+                DefenseConfig(filter_tolerance=bad)

@@ -1,9 +1,9 @@
 """Property tests of the whole-block state kernels.
 
 A block result must equal the same kernel called row by row (N=1) with the
-same uniforms, the single-pair API must be exactly such an N=1 call, and
-the exact outcome probabilities must match the independent constructions
-in oracles.py.  Degenerate rows (probabilities 0 or 1, totals a rounding
+same uniforms, the few single-pair functions kept for the acceptance suite
+must be exactly such N=1 calls, and the exact outcome probabilities must
+match the independent constructions in oracles.py.  Degenerate rows (probabilities 0 or 1, totals a rounding
 error short of 1) must be drawn exactly.
 """
 
@@ -18,25 +18,21 @@ from hypothesis import strategies as st
 
 import oracles
 from hyperqsdc import hyperstate as hs
-from hyperqsdc.adversary import EveKind, EveRecord, EveStrategy, intercept_block, intercept_resend
+from hyperqsdc.adversary import EveKind, EveStrategy, draw_intercept, resend
 from hyperqsdc.harness import parse_run_config, run
 from hyperqsdc.hyperstate import (
     ALL_AXES,
     AXIS,
     BELL_BASIS,
-    Basis,
     BellIndex,
     Dof,
     HyperState,
-    MeasBasis,
     Photon,
     apply_local,
     bell_labels,
     chbsa,
     correlation_error_probs,
     measure,
-    measure_photon,
-    measure_photon_dof,
     outcome_probs,
 )
 
@@ -115,6 +111,14 @@ class TestBlockEqualsRows:
 
     @given(blocks())
     @settings(max_examples=40, deadline=None)
+    def test_correlation_error_probs(self, block):
+        states, x, _ = block
+        probs = correlation_error_probs(states, x[:, :2])
+        _assert_same_rows(probs, [correlation_error_probs(states[k : k + 1], x[k : k + 1, :2])
+                                  for k in range(len(states))])
+
+    @given(blocks())
+    @settings(max_examples=40, deadline=None)
     def test_encode_is_the_generic_product(self, block):
         # the signed-permutation encoder gives exactly the amplitudes of the
         # two 2x2 products on photon A's axes
@@ -134,13 +138,13 @@ class TestBlockEqualsRows:
         # the uniform basis policy draws one basis uniform per row and DOF, then
         # one outcome uniform per row; a uniform below 1/2 picks X
         draws = [(0.75 - 0.5 * x[:, : len(dofs)]).ravel(), u]
-        out, codes = intercept_block(states, strategy, FixedUniforms(np.concatenate(draws)))
+        drawn = draw_intercept(n, strategy, FixedUniforms(np.concatenate(draws)))
+        out, codes = resend(states, strategy, *drawn)
         for k in range(n):
-            row_draws = [0.75 - 0.5 * x[k, m] for m in range(len(dofs))] + [u[k]]
-            rng_k = FixedUniforms(row_draws)
-            state_k, rec = intercept_resend(HyperState(states[k]), strategy, rng_k)
-            np.testing.assert_allclose(out[k], state_k.amps, rtol=0, atol=1e-12)
-            assert rec == EveRecord.from_codes(codes[k])
+            out_k, codes_k = resend(states[k : k + 1], strategy, x[k : k + 1, : len(dofs)],
+                                    u[k : k + 1])
+            np.testing.assert_allclose(out[k], out_k[0], rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(codes[k], codes_k[0])
 
 
 # ---------------------------------------------------------------------------
@@ -211,27 +215,6 @@ class TestHadamardBasisChange:
 
 
 class TestScalarApiIsOneRow:
-    @given(blocks(max_rows=1), st.sampled_from(list(Photon)), st.sampled_from(list(Dof)),
-           st.sampled_from(list(Basis)))
-    @settings(max_examples=60, deadline=None)
-    def test_measure_photon_dof(self, block, who, dof, basis):
-        states, _, u = block
-        bit, post = measure_photon_dof(HyperState(states[0]), who, dof, basis, FixedUniforms(u))
-        o, post_block = measure(states, (AXIS[(who, dof)],), u, np.array([[basis is Basis.X]]))
-        assert bit == o[0]
-        np.testing.assert_allclose(post.amps, post_block[0], rtol=0, atol=1e-12)
-
-    @given(blocks(max_rows=1), st.sampled_from(list(Photon)))
-    @settings(max_examples=40, deadline=None)
-    def test_measure_photon(self, block, who):
-        states, x, u = block
-        basis = MeasBasis(*(Basis.X if b else Basis.Z for b in x[0, :2]))
-        (b_pol, b_spa), post = measure_photon(HyperState(states[0]), who, basis, FixedUniforms(u))
-        axes = (AXIS[(who, Dof.POL)], AXIS[(who, Dof.SPA)])
-        o, post_block = measure(states, axes, u, x[:, :2])
-        assert (b_pol, b_spa) == (o[0] >> 1, o[0] & 1)
-        np.testing.assert_allclose(post.amps, post_block[0], rtol=0, atol=1e-12)
-
     @given(blocks(max_rows=1), st.sampled_from(list(Photon)))
     @settings(max_examples=40, deadline=None)
     def test_joint_draw_equals_one_dof_after_the_other(self, block, who):
@@ -306,8 +289,7 @@ class TestProbabilitiesMatchOracles:
                 for b in (0, 1):
                     expected = oracles.joint_outcome_prob(factor, basis, a, b)
                     assert abs(probs[2 * a + b] - expected) <= 1e-12
-        meas = MeasBasis(Basis(basis), Basis(basis))
-        p_pol, p_spa = correlation_error_probs(HyperState(state), meas)
+        [[p_pol, p_spa]] = correlation_error_probs(state[None], np.array([[basis == "X"] * 2]))
         for got, factor in ((p_pol, _dof_factor(p_name, i)), (p_spa, _dof_factor(s_name, j))):
             expected = sum(oracles.joint_outcome_prob(factor, basis, a, 1 - a) for a in (0, 1))
             assert abs(got - expected) <= 1e-12

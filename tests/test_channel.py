@@ -13,18 +13,9 @@ import pytest
 
 import oracles
 from test_adversary import check_block
-from hyperqsdc.adversary import EveKind, EveStrategy, SignalMeta
-from hyperqsdc.channel import ChannelParams, TransmitResult, apply_transit, draw_transit, transmit
-from hyperqsdc.hyperstate import (
-    BELL_BASIS,
-    Basis,
-    Bell,
-    BellIndex,
-    MeasBasis,
-    Photon,
-    make_hyper_bell,
-    measure_photon,
-)
+from hyperqsdc.adversary import EveKind, EveStrategy
+from hyperqsdc.channel import ChannelParams, apply_transit, draw_transit
+from hyperqsdc.hyperstate import BELL_BASIS, Bell, BellIndex
 
 IDEAL = BellIndex(Bell.PHI_PLUS, Bell.PHI_PLUS)
 NO_EVE = EveStrategy(EveKind.NONE)
@@ -35,59 +26,48 @@ def test_frozen_pauli_rates_match_oracle():
     assert abs(oracles.pauli_check_error(0.06) - 0.04) <= 1e-12
 
 
-def checked_sample(params, rng):
-    """Transmit one ideal pair, then run one correlation-check sample on it."""
-    res = transmit(make_hyper_bell(IDEAL), SignalMeta.legitimate(), params, NO_EVE, rng)
-    if not res.delivered:
-        return None
-    basis = MeasBasis(
-        Basis.X if rng.random() < 0.5 else Basis.Z,
-        Basis.X if rng.random() < 0.5 else Basis.Z,
-    )
-    (a_pol, a_spa), state = measure_photon(res.state, Photon.A, basis, rng)
-    (b_pol, b_spa), _ = measure_photon(state, Photon.B, basis, rng)
-    return a_pol != b_pol, a_spa != b_spa
+def ideal_pairs(n):
+    return np.tile(BELL_BASIS[IDEAL.flat()], (n, 1))
+
+
+def transit(n, params, eve, rng):
+    """One transit of n ideal pairs: the draws, then the delivered rows and Eve's record codes."""
+    drawn = draw_transit(n, params, eve, rng)
+    delivered = ideal_pairs(np.count_nonzero(drawn.delivered))
+    return drawn, *apply_transit(delivered, eve, drawn.eve, drawn.paulis)
 
 
 class TestTransmit:
     def test_clean_channel_is_transparent(self):
         rng = np.random.default_rng(41)
-        state = make_hyper_bell(IDEAL)
-        meta = SignalMeta.legitimate()
-        for _ in range(50):
-            res = transmit(state, meta, ChannelParams(), NO_EVE, rng)
-            assert res.delivered
-            np.testing.assert_array_equal(res.state.amps, state.amps)
-            assert res.meta == meta
-            assert res.eve_record is None and not res.trojan_inserted
+        n = 50
+        drawn, states, codes = transit(n, ChannelParams(), NO_EVE, rng)
+        assert drawn.delivered.all()
+        np.testing.assert_array_equal(states, ideal_pairs(n))
+        # no record, no Trojan metadata and no Pauli draws: the signal stays legitimate
+        assert codes is None and drawn.metas is None
+        assert drawn.paulis == (None, None)
 
     def test_loss_frequency(self):
         rng = np.random.default_rng(42)
         params = ChannelParams(loss_prob=0.2)
         n = 20_000
-        lost = 0
-        for _ in range(n):
-            res = transmit(make_hyper_bell(IDEAL), SignalMeta.legitimate(), params, NO_EVE, rng)
-            if not res.delivered:
-                lost += 1
-                assert res.state is None and res.meta is None
+        drawn = draw_transit(n, params, NO_EVE, rng)
+        lost = n - np.count_nonzero(drawn.delivered)
         assert abs(lost / n - 0.2) < 4.0 / math.sqrt(n)
 
     def test_norm_preserved_under_noise(self):
         rng = np.random.default_rng(43)
         params = ChannelParams(pauli_p_pol=0.7, pauli_p_spa=0.7)
-        for _ in range(200):
-            res = transmit(make_hyper_bell(IDEAL), SignalMeta.legitimate(), params, NO_EVE, rng)
-            assert abs(np.linalg.norm(res.state.amps) - 1.0) <= 1e-12
+        _, states, _ = transit(200, params, NO_EVE, rng)
+        np.testing.assert_allclose(np.linalg.norm(states, axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_pauli_error_rate_per_dof(self):
         # one transit of n ideal pairs, then one correlation-check draw per pair
         rng = np.random.default_rng(44)
         params = ChannelParams(pauli_p_pol=0.3, pauli_p_spa=0.3)
         n = 30_000
-        drawn = draw_transit(n, params, NO_EVE, rng)
-        states, _ = apply_transit(np.tile(BELL_BASIS[IDEAL.flat()], (n, 1)), NO_EVE, drawn.eve,
-                                  drawn.paulis)
+        _, states, _ = transit(n, params, NO_EVE, rng)
         e_pol, e_spa, _ = check_block(states, rng)
         pol, spa = np.count_nonzero(e_pol), np.count_nonzero(e_spa)
         passed = np.count_nonzero(~(e_pol | e_spa))
@@ -101,12 +81,10 @@ class TestTransmit:
     def test_dofs_are_independent(self, noisy, quiet):
         rng = np.random.default_rng(45)
         params = ChannelParams(**{f"pauli_p_{noisy}": 0.5})
-        errs = {"pol": 0, "spa": 0}
         n = 10_000
-        for _ in range(n):
-            e_pol, e_spa = checked_sample(params, rng)
-            errs["pol"] += e_pol
-            errs["spa"] += e_spa
+        _, states, _ = transit(n, params, NO_EVE, rng)
+        e_pol, e_spa, _ = check_block(states, rng)
+        errs = {"pol": np.count_nonzero(e_pol), "spa": np.count_nonzero(e_spa)}
         assert errs[quiet] == 0
         assert abs(errs[noisy] / n - 0.5 * 2 / 3) < 4.0 / math.sqrt(n)
 
@@ -115,34 +93,28 @@ class TestTransmit:
         rng = np.random.default_rng(46)
         params = ChannelParams(loss_prob=0.5)
         eve = EveStrategy(kind=EveKind.INTERCEPT_RESEND)
-        for _ in range(200):
-            res = transmit(make_hyper_bell(IDEAL), SignalMeta.legitimate(), params, eve, rng)
-            assert res.delivered == (res.eve_record is not None)
+        drawn, states, codes = transit(200, params, eve, rng)
+        delivered = np.count_nonzero(drawn.delivered)
+        assert 0 < delivered < 200
+        # Eve draws for the delivered photons only, and records each of them
+        assert len(drawn.eve[1]) == len(codes) == delivered
+        assert (codes >= 0).all()
 
     def test_trojan_only_touches_meta(self):
         rng = np.random.default_rng(47)
         eve = EveStrategy(kind=EveKind.TROJAN_MULTIPHOTON)
-        state = make_hyper_bell(IDEAL)
-        res = transmit(state, SignalMeta.legitimate(), ChannelParams(), eve, rng)
-        assert res.trojan_inserted
-        assert res.meta.photon_count == 2
-        np.testing.assert_array_equal(res.state.amps, state.amps)
+        drawn, states, codes = transit(1, ChannelParams(), eve, rng)
+        assert codes is None
+        assert drawn.metas[0].photon_count == 2
+        np.testing.assert_array_equal(states, ideal_pairs(1))
 
     def test_same_seed_same_outcomes(self):
         params = ChannelParams(loss_prob=0.1, pauli_p_pol=0.2, pauli_p_spa=0.2)
         eve = EveStrategy(kind=EveKind.INTERCEPT_RESEND)
 
         def run(seed):
-            rng = np.random.default_rng(seed)
-            out = []
-            for _ in range(100):
-                res = transmit(
-                    make_hyper_bell(IDEAL), SignalMeta.legitimate(), params, eve, rng
-                )
-                out.append(
-                    (res.delivered, None if res.state is None else res.state.amps.tobytes())
-                )
-            return out
+            drawn, states, codes = transit(100, params, eve, np.random.default_rng(seed))
+            return drawn.delivered.tobytes(), states.tobytes(), codes.tobytes()
 
         assert run(48) == run(48)
         assert run(48) != run(49)
@@ -161,6 +133,3 @@ class TestParams:
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ValueError):
             ChannelParams(**kwargs)
-
-    def test_lost_result_is_not_delivered(self):
-        assert TransmitResult(delivered=False).state is None

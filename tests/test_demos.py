@@ -1,7 +1,8 @@
 """Smoke test: every demo script runs to completion.
 
-The demos drive the single-pair API and whole runs end to end, and each
-asserts its own headline results, so exit code 0 is the check.
+The demos drive the state functions, the single-session walkthrough and
+whole runs end to end, and each asserts its own headline results, so exit
+code 0 is the check.
 """
 
 from __future__ import annotations

@@ -23,14 +23,15 @@ from hyperqsdc.cli import main
 from hyperqsdc.harness import (
     ABORT_REASONS,
     EXAMPLE_CONFIG,
+    GROUP_ROWS,
     PHASES,
     SWEEP_AXES,
     SWEEP_COLUMNS,
     RunStats,
+    _run_group,
     attack_sweep,
     parse_run_config,
     run,
-    run_one_session,
     scan_csv,
     source_fidelity_scan,
     stats_text,
@@ -175,6 +176,8 @@ class TestConfigParsing:
             ("adversary", "passes", "sideways", "passes"),
             ("defense", "pns_kind", "sponge", "pns_kind"),
             ("defense", "filter_enabled", "maybe", "filter_enabled"),
+            # parses as an infinite float, which the stats file could not hold as JSON
+            ("defense", "filter_tolerance", "1e400", "filter_tolerance"),
             # [DEFAULT] keys would reach every section unchecked
             ("DEFAULT", "warp", "9", r"\[DEFAULT\] warp"),
             ("DEFAULT", "n_pairs", "40\n[protocol]", r"\[DEFAULT\] n_pairs"),
@@ -355,11 +358,14 @@ class TestAdversaryRuns:
             config_with(sessions=str(sessions), n_pairs="12", sample_fraction_first="0.84",
                         error_threshold="0.0", kind="intercept_resend")
         )
+        # the sessions run in the lockstep groups that run() uses
+        per_group = GROUP_ROWS // rc.protocol.n_pairs
         survived = 0
-        for k in range(sessions):
-            session, _ = run_one_session(rc, 55, k)
-            assert session.first_report.n_checked == 10
-            survived += session.first_report.verdict is Verdict.PASS
+        for first in range(0, sessions, per_group):
+            group = _run_group(rc, 55, range(first, min(first + per_group, sessions)), record=False)
+            assert not group.depleted.any()
+            assert (group.counts[:, 0, 0] == 10).all()
+            survived += np.count_nonzero(~group.failed[:, 0])
         expected = sessions * (9 / 16) ** 10
         assert 0.3 * expected <= survived <= 3.0 * expected
 
