@@ -1,41 +1,49 @@
-"""One full session, narrated from the transcript."""
+"""One full session, narrated from the transcript.
+
+A session run alone is a group of one: its generator, handed over once at
+``prepare_group``, feeds every phase.
+"""
 
 import numpy as np
 
-from hyperqsdc import (
-    ChannelParams,
-    ProtocolConfig,
-    SourceParams,
-    decode_and_second_check,
-    encode_message,
-    first_check,
-    message_capacity,
-    prepare_block,
-    transmit_forward,
-    transmit_return,
+from hyperqsdc import ChannelParams, ProtocolConfig, SourceParams
+from hyperqsdc.protocol import (
+    decode_group,
+    encode_group,
+    first_check_group,
+    message_capacities,
+    prepare_group,
+    transmit_forward_group,
+    transmit_return_group,
 )
 
 rng = np.random.default_rng(42)
 cfg = ProtocolConfig(n_pairs=24, sample_fraction_first=0.2, sample_fraction_second=0.2)
 channel = ChannelParams()  # quiet line, no loss
 
-session = prepare_block(cfg, SourceParams(1.0, 0.0))
-transmit_forward(session, channel, rng)
-report = first_check(session, rng, cfg)
-print(f"first check: {report.n_checked} pairs sampled, "
-      f"pol rate {report.error_rate_pol:.2f}, spa rate {report.error_rate_spa:.2f} "
-      f"-> {report.verdict.value}")
+group = prepare_group(cfg, SourceParams(1.0, 0.0), [rng])
+transmit_forward_group(group, channel)
+first_check_group(group, cfg)
+_, [capacity] = message_capacities(group, cfg)
+bits = rng.integers(0, 2, capacity)
+message = "".join(str(b) for b in bits)
+encode_group(group, [bits], cfg)
+transmit_return_group(group, channel)
+decode_group(group, cfg)
 
-capacity = message_capacity(session, cfg)
-message = "".join(str(b) for b in rng.integers(0, 2, capacity))
-print(f"capacity after sampling: {capacity} bits")
-encode_message(session, message, rng, cfg)
-transmit_return(session, channel, rng)
-decoded, second = decode_and_second_check(session, rng, cfg)
-print(f"second check: {second.n_checked} hidden samples -> {second.verdict.value}")
+transcript = group.transcripts[0]
+events = {event["event"]: event for event in transcript}
+first, second = events["first_check"], events["second_check"]
+print(f"first check: {first['n_checked']} pairs sampled, "
+      f"pol rate {first['error_rate_pol']:.2f}, spa rate {first['error_rate_spa']:.2f} "
+      f"-> {first['verdict']}")
+print(f"capacity after sampling: {4 * len(events['encode']['message_positions'])} bits")
+print(f"second check: {second['n_checked']} hidden samples -> {second['verdict']}")
+decoded = events["result"]["message"]
+assert decoded == message
 print(f"message intact: {decoded == message}")
 
 print("\ntranscript:")
-for event in session.transcript:
+for event in transcript:
     keys = [k for k in event if k not in ("event", "phase", "to_phase")]
     print(f"  {event['phase']:>12} {event['event']:<12} carries {', '.join(keys)}")

@@ -11,8 +11,7 @@ close to blind guessing on the 4-bit ops.
 
 import math
 
-from hyperqsdc.harness import parse_run_config, run, run_one_session
-from hyperqsdc.protocol import Verdict
+from hyperqsdc.harness import parse_run_config, run
 
 SCENARIO = """
 [run]
@@ -30,15 +29,10 @@ for n_pairs, f1 in ((44, 0.05), (64, 0.1), (112, 0.1)):
     rc = parse_run_config(SCENARIO.format(n_pairs=n_pairs, f1=f1))
     n1 = math.floor(f1 * n_pairs + 0.5)
     n2 = math.floor(rc.protocol.sample_fraction_second * n_pairs + 0.5)
-    at_first = at_second = missed = 0
-    for k in range(rc.sessions):
-        session, _ = run_one_session(rc, 3, k)
-        if session.first_report.verdict is Verdict.FAIL:
-            at_first += 1
-        elif session.second_report.verdict is Verdict.FAIL:
-            at_second += 1
-        else:
-            missed += 1
+    stats, _ = run(rc, 3)
+    at_first = stats.abort_reasons["first_check_fail"]
+    at_second = stats.abort_reasons["second_check_fail"]
+    missed = stats.accepted
     predicted = (9 / 16) ** n1 * (9 / 64) ** n2 * rc.sessions
     print(f"{n1:>7} + {n2:<7} {at_first:>14} {at_second:>15} {missed:>8}   {predicted:.2g} of {rc.sessions}")
 

@@ -26,8 +26,9 @@ print(f"\nthe skew hides in Z checks and shows in X: spa X-basis error {spa_x:.3
 
 NOISY = """
 [run]
-sessions = 800
+sessions = 100
 [protocol]
+sample_fraction_first = 0.43
 error_threshold = 1.0
 [channel]
 pauli_p_pol = {p}

@@ -54,18 +54,9 @@ from .protocol import (
     MessageSizeError,
     PairFate,
     Phase,
-    PhaseError,
     ProtocolConfig,
-    SessionState,
     Verdict,
-    decode_and_second_check,
-    encode_message,
-    first_check,
-    message_capacity,
     normative_bits_mapping,
-    prepare_block,
-    transmit_forward,
-    transmit_return,
 )
 
 __version__ = "0.1.0"

@@ -8,9 +8,8 @@ the whole run byte for byte.  ``run`` moves consecutive sessions through
 the phases in lockstep groups (``protocol.SessionGroup``), which changes
 nothing either: every session still draws only from its own generator.
 A group is also the unit of bookkeeping: ``_pool`` adds a finished group
-to the stats from its arrays in one call, and builds per-session objects
-only for transcripts; ``run_one_session`` reads its one session through a
-``protocol.SessionState`` view.
+to the stats from its arrays in one call, and ``run_one_session`` runs one
+session as a group of one.
 
 The config file is INI text with sections mirroring the component
 configs; see ``EXAMPLE_CONFIG``.  Stats serialize as a JSON document with
@@ -51,7 +50,6 @@ from .protocol import (
     Phase,
     ProtocolConfig,
     SessionGroup,
-    SessionState,
     decode_group,
     encode_group,
     first_check_group,
@@ -408,14 +406,14 @@ def _run_group(rc: RunConfig, master_seed: int, indices, record: bool = True,
     return group
 
 
-def run_one_session(rc: RunConfig, master_seed: int, index: int) -> tuple[SessionState, Optional[str]]:
-    """Execute session ``index`` of a run alone; returns (final state, sent message).
+def run_one_session(rc: RunConfig, master_seed: int, index: int) -> SessionGroup:
+    """Execute session ``index`` of a run alone; returns its finished group of one.
 
     Raises ``BlockDepleted`` for a session that ran out of pairs.
     """
-    session = SessionState(_run_group(rc, master_seed, [index]))
-    session.raise_if_depleted()
-    return session, session.sent_message
+    group = _run_group(rc, master_seed, [index])
+    group.raise_if_depleted(0)
+    return group
 
 
 # a block stores each pair's fate as its index in tuple(PairFate)

@@ -288,6 +288,10 @@ def _born(states: np.ndarray, axes: tuple) -> np.ndarray:
             # summing a length-2 axis as two slices is much faster than .sum()
             before = (slice(None),) * (1 + axis)
             probs = probs[before + (0,)] + probs[before + (1,)]
+    # a NaN or infinite amplitude makes its row's weights non-finite, and
+    # snapping would pass an infinite weight off as a certain outcome
+    if not np.isfinite(probs).all():
+        raise ValueError("state rows hold non-finite amplitudes")
     return probs.reshape(n, 1 << len(axes))
 
 

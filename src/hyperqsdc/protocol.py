@@ -19,9 +19,7 @@ session's transcript, when it keeps one, with a stable field order.
 
 Each phase is written once, for a ``SessionGroup`` of sessions that share
 one block of rows, keep their bookkeeping in arrays over the group and
-move in lockstep.  The single-session functions (``transmit_forward``,
-``first_check``, ...) run it on a group of one, read through a
-``SessionState`` view, and return that view (or a report).
+move in lockstep.  A session run alone is a group of one.
 """
 
 from __future__ import annotations
@@ -80,10 +78,6 @@ class Verdict(Enum):
 
 class ConfigError(ValueError):
     """A protocol parameter violates its documented bound."""
-
-
-class PhaseError(RuntimeError):
-    """An operation was called outside its phase."""
 
 
 class MessageSizeError(ValueError):
@@ -229,8 +223,8 @@ class SessionGroup:
     alone, and then does its state work and bookkeeping in one array pass
     over the group, at most ``CHUNK_ROWS`` rows per kernel call.  So a
     session's draws, outcomes and transcript never depend on which sessions
-    share its group.  ``harness.run`` reads these arrays; ``SessionState``
-    views of a member exist only for the single-session API.
+    share its group, and a session run alone is a group of one.
+    ``harness`` reads every result straight from these arrays.
     """
 
     def __init__(self, n_pairs: int, rngs: list, record: bool):
@@ -261,6 +255,16 @@ class SessionGroup:
 
     def _log(self, j: int, **fields) -> None:
         self.transcripts[j].append(fields)
+
+    def raise_if_depleted(self, j: int) -> None:
+        """Raise the ``BlockDepleted`` error that stopped member ``j``, if it was depleted."""
+        if self.depleted[j] == DEPLETED_FORWARD:
+            delivered = np.count_nonzero(self.fates[j] == _ACTIVE)
+            raise BlockDepleted(
+                f"only {delivered} pairs delivered; need 3 to check, sample and encode"
+            )
+        if self.depleted[j] == DEPLETED_RETURN:
+            raise BlockDepleted("no second-check samples survived the return transit")
 
 
 def prepare_group(
@@ -293,116 +297,6 @@ _CHUNK_TEXT = tuple(f"{value:04b}" for value in range(16))
 
 def _bits_text(chunks: np.ndarray) -> str:
     return "".join([_CHUNK_TEXT[c] for c in chunks.tolist()])
-
-
-class SessionState:
-    """One session, read from member ``j`` of a ``SessionGroup``; create it with ``prepare_block``.
-
-    Only the single-session API (``prepare_block`` ... ``decode_and_second_check``
-    and ``harness.run_one_session``) and transcript writing build these.
-    Every field is computed from the group's arrays when read; the array
-    fields are views of them.
-    """
-
-    __slots__ = ("group", "j")
-
-    def __init__(self, group: SessionGroup, j: int = 0):
-        self.group = group
-        self.j = j
-
-    @property
-    def phase(self) -> Phase:
-        return _PHASES[self.group.phases[self.j]]
-
-    @property
-    def transcript(self) -> Optional[list]:
-        return None if self.group.transcripts is None else self.group.transcripts[self.j]
-
-    @property
-    def fate(self) -> list[PairFate]:
-        """Where each position of the block ended up."""
-        return [_FATES[k] for k in self.group.fates[self.j].tolist()]
-
-    def active(self) -> np.ndarray:
-        """Positions still in play, ascending."""
-        return (self.group.fates[self.j] == _ACTIVE).nonzero()[0]
-
-    @property
-    def first_sample_positions(self) -> list:
-        return (self.group.fates[self.j] == _CONSUMED).nonzero()[0].tolist()
-
-    @property
-    def second_sample_positions(self) -> list:
-        return self.group.second[self.j].nonzero()[0].tolist()
-
-    @property
-    def message_positions(self) -> list:
-        """Message pairs, ascending; chunk k of the message went to the k-th."""
-        return (self.group.sent[self.j] >= 0).nonzero()[0].tolist()
-
-    def _report(self, check: int) -> Optional[CheckReport]:
-        counts = self.group.counts[self.j, check].tolist()
-        if not counts[0]:
-            return None
-        return CheckReport.from_counts(counts, self.group.failed[self.j, check])
-
-    @property
-    def first_report(self) -> Optional[CheckReport]:
-        return self._report(0)
-
-    @property
-    def second_report(self) -> Optional[CheckReport]:
-        return self._report(1)
-
-    @property
-    def surviving_message_positions(self) -> list:
-        """Message pairs read back from a passing block; empty otherwise."""
-        if self.phase is not Phase.ACCEPTED:
-            return []
-        return (self.group.received[self.j] >= 0).nonzero()[0].tolist()
-
-    @property
-    def decoded_message(self) -> Optional[str]:
-        """The bits read back from a passing block; None otherwise."""
-        if self.phase is not Phase.ACCEPTED:
-            return None
-        received = self.group.received[self.j]
-        return _bits_text(received[received >= 0])
-
-    @property
-    def sent_message(self) -> Optional[str]:
-        """The bits Alice wrote into the block; None before encoding."""
-        sent = self.group.sent[self.j]
-        return _bits_text(sent[sent >= 0]) if (sent >= 0).any() else None
-
-    def raise_if_depleted(self) -> None:
-        """Raise the ``BlockDepleted`` error that stopped a depleted session."""
-        reason = self.group.depleted[self.j]
-        if reason == DEPLETED_FORWARD:
-            raise BlockDepleted(
-                f"only {len(self.active())} pairs delivered; need 3 to check, sample and encode"
-            )
-        if reason == DEPLETED_RETURN:
-            raise BlockDepleted("no second-check samples survived the return transit")
-
-
-def _require_phase(session: SessionState, expected: Phase) -> None:
-    if session.phase is not expected:
-        raise PhaseError(
-            f"operation requires phase {expected.value}, session is in {session.phase.value}"
-        )
-
-
-def _alone(session: SessionState, expected: Phase, rng=None) -> SessionGroup:
-    # the single-session API runs the group code on the session's group of one
-    _require_phase(session, expected)
-    session.group.rngs = [rng]
-    return session.group
-
-
-def prepare_block(cfg: ProtocolConfig, source: SourceParams) -> SessionState:
-    """Bob's source emits n_pairs identical pair states; bookkeeping starts clean."""
-    return SessionState(prepare_group(cfg, source, [None]))  # preparing draws nothing
 
 
 @cache
@@ -602,18 +496,6 @@ def transmit_forward_group(
     _transit(group, params, eve, defense, "forward")
 
 
-def transmit_forward(
-    session: SessionState,
-    params: chn.ChannelParams,
-    rng: np.random.Generator,
-    eve: Optional[EveStrategy] = None,
-    defense: Optional[DefenseConfig] = None,
-) -> SessionState:
-    """``transmit_forward_group`` of one session."""
-    _transit(_alone(session, Phase.PREPARED, rng), params, eve, defense, "forward")
-    return session
-
-
 def transmit_return_group(
     group: SessionGroup,
     params: chn.ChannelParams,
@@ -621,17 +503,6 @@ def transmit_return_group(
 ) -> None:
     """Send the encoded photons back from Alice to Bob (no receiver defenses)."""
     _transit(group, params, eve, None, "return")
-
-
-def transmit_return(
-    session: SessionState,
-    params: chn.ChannelParams,
-    rng: np.random.Generator,
-    eve: Optional[EveStrategy] = None,
-) -> SessionState:
-    """``transmit_return_group`` of one session."""
-    _transit(_alone(session, Phase.SA_IN_FLIGHT_2, rng), params, eve, None, "return")
-    return session
 
 
 # bit shifts that split a correlation-check outcome over all four axes,
@@ -707,13 +578,6 @@ def first_check_group(group: SessionGroup, cfg: ProtocolConfig) -> None:
             group._log(j, event="result", phase=Phase.ABORTED.value, message=None)
 
 
-def first_check(session: SessionState, rng: np.random.Generator, cfg: ProtocolConfig) -> CheckReport:
-    """``first_check_group`` of one session; raises ``BlockDepleted``."""
-    first_check_group(_alone(session, Phase.FIRST_CHECK, rng), cfg)
-    session.raise_if_depleted()
-    return session.first_report
-
-
 def _encoding_plan(group: SessionGroup, cfg: ProtocolConfig) -> tuple:
     # the members ready to encode, their candidate rows and starts (see
     # _candidates), and per member its eligible-pair count and second-sample size
@@ -735,12 +599,6 @@ def message_capacities(group: SessionGroup, cfg: ProtocolConfig) -> tuple[list, 
     """(members ready to encode, the bits each can carry beside its second-check sample)."""
     members, _, _, n_eligible, n_second = _encoding_plan(group, cfg)
     return members, [4 * (e - k) for e, k in zip(n_eligible, n_second)]
-
-
-def message_capacity(session: SessionState, cfg: ProtocolConfig) -> int:
-    """Bits the block can carry once the second-check sample is set aside."""
-    _require_phase(session, Phase.ENCODING)
-    return message_capacities(session.group, cfg)[1][0]
 
 
 # weights that turn a row of four message bits into its chunk's value
@@ -806,16 +664,6 @@ def encode_group(group: SessionGroup, messages: list, cfg: ProtocolConfig) -> No
         )
 
 
-def encode_message(
-    session: SessionState, message: str, rng: np.random.Generator, cfg: ProtocolConfig
-) -> SessionState:
-    """``encode_group`` of one session; ``message`` is a string of 0s and 1s."""
-    group = _alone(session, Phase.ENCODING, rng)
-    bits = np.frombuffer(message.encode(), dtype=np.uint8) - ord("0")
-    encode_group(group, [bits], cfg)
-    return session
-
-
 def decode_group(group: SessionGroup, cfg: ProtocolConfig) -> None:
     """Bob reads every returned pair, verifies the hidden sample, then decodes.
 
@@ -857,14 +705,14 @@ def decode_group(group: SessionGroup, cfg: ProtocolConfig) -> None:
     for j in members:
         if not checked[j]:
             continue
-        session = SessionState(group, j)
+        phase = _PHASES[group.phases[j]]
         mine = slice(starts[j], starts[j + 1])
         samples = rows[mine][in_sample[mine]]
         group._log(
             j,
             event="second_check",
             phase=Phase.SECOND_CHECK.value,
-            to_phase=session.phase.value,
+            to_phase=phase.value,
             positions=(rows[mine] - j * n).tolist(),
             bell_pol=bell[0][mine],
             bell_spa=bell[1][mine],
@@ -872,13 +720,6 @@ def decode_group(group: SessionGroup, cfg: ProtocolConfig) -> None:
             expected_ops=_op_names(group.ops.reshape(-1)[samples]),
             **CheckReport.from_counts(counts[j], failed[j]).fields(),
         )
-        group._log(j, event="result", phase=session.phase.value, message=session.decoded_message)
-
-
-def decode_and_second_check(
-    session: SessionState, rng: np.random.Generator, cfg: ProtocolConfig
-) -> tuple[Optional[str], CheckReport]:
-    """``decode_group`` of one session; raises ``BlockDepleted``."""
-    decode_group(_alone(session, Phase.DECODING, rng), cfg)
-    session.raise_if_depleted()
-    return session.decoded_message, session.second_report
+        received = group.received[j]
+        message = _bits_text(received[received >= 0]) if phase is Phase.ACCEPTED else None
+        group._log(j, event="result", phase=phase.value, message=message)

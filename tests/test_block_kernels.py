@@ -378,6 +378,20 @@ class TestDegenerateRows:
         with pytest.raises(ValueError, match="all zero"):
             measure(np.zeros((1, 16), dtype=complex), (0,), np.array([0.5]))
 
+    @pytest.mark.parametrize("head", [[np.nan], [np.inf], [np.nan, 1.0], [np.inf, 1.0]],
+                             ids=["nan", "inf", "nan-and-one", "inf-and-one"])
+    @pytest.mark.parametrize("kernel", [
+        lambda states: outcome_probs(states, (0,)),
+        lambda states: correlation_error_probs(states, np.array([[True, False]])),
+        lambda states: measure(states, (0,), np.array([0.5])),
+        lambda states: bell_labels(states, np.array([0.5])),
+    ], ids=["outcome_probs", "correlation_error_probs", "measure", "bell_labels"])
+    def test_non_finite_row_is_rejected(self, kernel, head):
+        states = np.zeros((1, 16), dtype=complex)
+        states[0, : len(head)] = head
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+            kernel(states)
+
 
 def test_run_builds_no_single_pair_states(monkeypatch):
     """Every session runs on the block kernels, without one HyperState per pair."""

@@ -1,8 +1,9 @@
 """Smoke test: every demo script runs to completion.
 
-The demos drive the state functions, the single-session walkthrough and
-whole runs end to end, and each asserts its own headline results, so exit
-code 0 is the check.
+The demos drive the state functions, a session run alone as a group of
+one, and whole runs end to end.  Demos 01, 02 and 05 assert their own
+headline results; for 03 and 04, which only print tables, exit code 0 is
+the whole check.
 """
 
 from __future__ import annotations

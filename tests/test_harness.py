@@ -39,16 +39,16 @@ from hyperqsdc.harness import (
 )
 from hyperqsdc.hyperstate import Dof
 from hyperqsdc.protocol import (
-    BlockDepleted,
+    DEPLETED_FORWARD,
+    DEPLETED_RETURN,
     ConfigError,
-    Verdict,
-    decode_and_second_check,
-    encode_message,
-    first_check,
-    message_capacity,
-    prepare_block,
-    transmit_forward,
-    transmit_return,
+    decode_group,
+    encode_group,
+    first_check_group,
+    message_capacities,
+    prepare_group,
+    transmit_forward_group,
+    transmit_return_group,
 )
 
 from oracles import source_fidelity_formula
@@ -260,27 +260,25 @@ class TestIdealRunStats:
 
 
 def abort_reason_alone(rc, seed: int, k: int):
-    """Why session k of a run ends, driven through the single-session API; None if accepted."""
+    """Why session k of a run ends, driven phase by phase as a group of one; None if accepted."""
     rng = np.random.default_rng([seed, k])
     cfg = rc.protocol
-    session = prepare_block(cfg, rc.source)
+    group = prepare_group(cfg, rc.source, [rng])
     eve = rc.eve if rc.eve_passes in ("both", "forward") else None
-    transmit_forward(session, rc.channel, rng, eve=eve, defense=rc.defense)
-    try:
-        report = first_check(session, rng, cfg)
-    except BlockDepleted:
+    transmit_forward_group(group, rc.channel, eve=eve, defense=rc.defense)
+    first_check_group(group, cfg)
+    if group.depleted[0] == DEPLETED_FORWARD:
         return "depleted_forward"
-    if report.verdict is Verdict.FAIL:
+    if group.failed[0, 0]:
         return "first_check_fail"
-    bits = rng.integers(0, 2, size=message_capacity(session, cfg))  # the message run() draws
-    encode_message(session, "".join(map(str, bits.tolist())), rng, cfg)
+    [bits] = message_capacities(group, cfg)[1]
+    encode_group(group, [rng.integers(0, 2, size=bits)], cfg)  # the message run() draws
     eve = rc.eve if rc.eve_passes in ("both", "return") else None
-    transmit_return(session, rc.channel, rng, eve=eve)
-    try:
-        _, report = decode_and_second_check(session, rng, cfg)
-    except BlockDepleted:
+    transmit_return_group(group, rc.channel, eve=eve)
+    decode_group(group, cfg)
+    if group.depleted[0] == DEPLETED_RETURN:
         return "depleted_return"
-    return "second_check_fail" if report.verdict is Verdict.FAIL else None
+    return "second_check_fail" if group.failed[0, 1] else None
 
 
 class TestAbortReasons:

@@ -1,7 +1,12 @@
-"""Tests for the session state machine, the two checks, and coding."""
+"""Tests for the session state machine, the two checks, and coding.
+
+A session run alone is a ``SessionGroup`` of one, driven through the same
+phase functions ``run`` uses, with one generator for every phase.
+"""
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 
@@ -13,36 +18,83 @@ from hypothesis import strategies as st
 import oracles
 from hyperqsdc.adversary import DefenseConfig, EveKind, EveStrategy
 from hyperqsdc.channel import ChannelParams
-from hyperqsdc.harness import GROUP_ROWS, RunConfig, _run_group
-from hyperqsdc.hyperstate import Dof, EncodingOp, SourceParams
+from hyperqsdc.harness import GROUP_ROWS, RunConfig, _run_group, run_one_session
+from hyperqsdc.hyperstate import EncodingOp, SourceParams
 from hyperqsdc.protocol import (
+    DEPLETED_FORWARD,
     BlockDepleted,
     CheckReport,
     ConfigError,
     MessageSizeError,
+    PairFate,
     Phase,
-    PhaseError,
     ProtocolConfig,
     SessionGroup,
-    SessionState,
     Verdict,
+    _bits_text,
     _check,
-    decode_and_second_check,
-    encode_message,
-    first_check,
-    message_capacity,
+    decode_group,
+    encode_group,
+    first_check_group,
+    message_capacities,
     normative_bits_mapping,
-    prepare_block,
-    transmit_forward,
-    transmit_return,
+    prepare_group,
+    transmit_forward_group,
+    transmit_return_group,
 )
 
 IDEAL_SOURCE = SourceParams(r=1.0, phi=0.0)
 CLEAN = ChannelParams()
+FATE_CODE = {fate: code for code, fate in enumerate(PairFate)}
 
 
 def random_bits(n: int, rng: np.random.Generator) -> str:
     return "".join("1" if rng.random() < 0.5 else "0" for _ in range(n))
+
+
+def capacity(group: SessionGroup, cfg: ProtocolConfig) -> int:
+    """The message bits the lone member of ``group`` can carry."""
+    [bits] = message_capacities(group, cfg)[1]
+    return bits
+
+
+def bits_of(message: str) -> np.ndarray:
+    return np.frombuffer(message.encode(), dtype=np.uint8) - ord("0")
+
+
+def encode(group: SessionGroup, message: str, cfg: ProtocolConfig) -> None:
+    """``encode_group`` of a group of one, the message a string of 0s and 1s."""
+    encode_group(group, [bits_of(message)], cfg)
+
+
+def phase(group: SessionGroup) -> Phase:
+    return tuple(Phase)[group.phases[0]]
+
+
+def report(group: SessionGroup, check: int) -> CheckReport:
+    """Check ``check`` (0 first, 1 second) of the lone member."""
+    return CheckReport.from_counts(group.counts[0, check].tolist(), group.failed[0, check])
+
+
+def positions(mask: np.ndarray) -> list:
+    return mask.nonzero()[0].tolist()
+
+
+def first_samples(group: SessionGroup) -> list:
+    return positions(group.fates[0] == FATE_CODE[PairFate.CONSUMED_CHECK])
+
+
+def message_positions(group: SessionGroup) -> list:
+    """Message pairs, ascending; chunk k of the message went to the k-th."""
+    return positions(group.sent[0] >= 0)
+
+
+def decoded_message(group: SessionGroup):
+    """The bits read back from a passing block; None otherwise."""
+    if phase(group) is not Phase.ACCEPTED:
+        return None
+    received = group.received[0]
+    return _bits_text(received[received >= 0])
 
 
 def run_session(
@@ -55,18 +107,20 @@ def run_session(
     defense=None,
     message=None,
 ):
-    """Drive one full session; returns (session, sent, decoded, report2)."""
-    session = prepare_block(cfg, source)
-    transmit_forward(session, params, rng, eve=eve_forward, defense=defense)
-    report1 = first_check(session, rng, cfg)
-    if report1.verdict is Verdict.FAIL:
-        return session, None, None, None
+    """Drive one full session as a group of one; returns (group, sent, decoded, report2)."""
+    group = prepare_group(cfg, source, [rng])
+    transmit_forward_group(group, params, eve=eve_forward, defense=defense)
+    first_check_group(group, cfg)
+    group.raise_if_depleted(0)
+    if report(group, 0).verdict is Verdict.FAIL:
+        return group, None, None, None
     if message is None:
-        message = random_bits(message_capacity(session, cfg), rng)
-    encode_message(session, message, rng, cfg)
-    transmit_return(session, params, rng, eve=eve_return)
-    decoded, report2 = decode_and_second_check(session, rng, cfg)
-    return session, message, decoded, report2
+        message = random_bits(capacity(group, cfg), rng)
+    encode(group, message, cfg)
+    transmit_return_group(group, params, eve=eve_return)
+    decode_group(group, cfg)
+    group.raise_if_depleted(0)
+    return group, message, decoded_message(group), report(group, 1)
 
 
 class TestConfig:
@@ -108,7 +162,7 @@ def judged(n_checked: int, n_pol: int, n_spa: int, threshold: float) -> CheckRep
     errors[:n_pol] += 1  # pol errors on the first samples
     errors[n_checked - n_spa :] += 2  # spa errors on the last ones
     _check(group, 0, np.arange(n_checked), errors, threshold, Phase.ENCODING)
-    return SessionState(group).first_report
+    return report(group, 0)
 
 
 class TestCheckReport:
@@ -128,43 +182,44 @@ class TestIdealRoundTrip:
         cfg = ProtocolConfig(n_pairs=40)
         for seed in range(20):
             rng = np.random.default_rng([1000, seed])
-            session, sent, decoded, report = run_session(cfg, rng)
-            assert session.phase is Phase.ACCEPTED
+            group, sent, decoded, report2 = run_session(cfg, rng)
+            assert phase(group) is Phase.ACCEPTED
             assert decoded == sent
-            assert report.verdict is Verdict.PASS
+            assert group.transcripts[0][-1]["message"] == sent
+            assert report2.verdict is Verdict.PASS
 
     def test_zero_noise_never_aborts(self):
         cfg = ProtocolConfig(n_pairs=24)
         for seed in range(200):
             rng = np.random.default_rng([1001, seed])
-            session, _, _, report2 = run_session(cfg, rng)
-            assert session.phase is Phase.ACCEPTED
-            assert session.first_report.n_pol_errors == 0
-            assert session.first_report.n_spa_errors == 0
+            group, _, _, report2 = run_session(cfg, rng)
+            assert phase(group) is Phase.ACCEPTED
+            assert report(group, 0).n_pol_errors == 0
+            assert report(group, 0).n_spa_errors == 0
             assert report2.n_pol_errors == 0 and report2.n_spa_errors == 0
 
     def test_capacity_accounting(self):
         cfg = ProtocolConfig(n_pairs=112, sample_fraction_first=0.05, sample_fraction_second=0.05)
         rng = np.random.default_rng(7)
-        session = prepare_block(cfg, IDEAL_SOURCE)
-        transmit_forward(session, CLEAN, rng)
-        first_check(session, rng, cfg)
-        assert len(session.first_sample_positions) == 6
-        assert message_capacity(session, cfg) == 400
+        group = prepare_group(cfg, IDEAL_SOURCE, [rng])
+        transmit_forward_group(group, CLEAN)
+        first_check_group(group, cfg)
+        assert len(first_samples(group)) == 6
+        assert capacity(group, cfg) == 400
         message = random_bits(400, rng)
-        encode_message(session, message, rng, cfg)
-        assert len(session.second_sample_positions) == 6
-        assert len(session.message_positions) == 100
+        encode(group, message, cfg)
+        assert len(positions(group.second[0])) == 6
+        assert len(message_positions(group)) == 100
 
 
 class TestSampling:
     def test_samples_and_message_positions_are_disjoint(self):
         cfg = ProtocolConfig(n_pairs=60, sample_fraction_first=0.2, sample_fraction_second=0.2)
         rng = np.random.default_rng(8)
-        session, _, _, _ = run_session(cfg, rng)
-        first = set(session.first_sample_positions)
-        second = set(session.second_sample_positions)
-        msg = set(session.message_positions)
+        group, _, _, _ = run_session(cfg, rng)
+        first = set(first_samples(group))
+        second = set(positions(group.second[0]))
+        msg = set(message_positions(group))
         assert first & second == set()
         assert first & msg == set()
         assert second & msg == set()
@@ -173,46 +228,69 @@ class TestSampling:
     def test_lost_positions_never_sampled_or_encoded(self):
         cfg = ProtocolConfig(n_pairs=80, sample_fraction_first=0.2, sample_fraction_second=0.2)
         rng = np.random.default_rng(9)
-        session, sent, decoded, _ = run_session(cfg, rng, params=ChannelParams(loss_prob=0.25))
-        lost = {
-            k
-            for k, f in enumerate(session.fate)
-            if f.value in ("lost_forward", "lost_return")
-        }
+        group, sent, decoded, _ = run_session(cfg, rng, params=ChannelParams(loss_prob=0.25))
+        fates = group.fates[0]
+        forward_lost = set(positions(fates == FATE_CODE[PairFate.LOST_FORWARD]))
+        lost = forward_lost | set(positions(fates == FATE_CODE[PairFate.LOST_RETURN]))
         assert lost  # the draw above loses some pairs
-        assert lost & set(session.first_sample_positions) == set()
-        touched = set(session.second_sample_positions) | set(session.message_positions)
+        assert lost & set(first_samples(group)) == set()
+        touched = set(positions(group.second[0])) | set(message_positions(group))
         # return-pass losses may hit encoded pairs, forward losses may not
-        forward_lost = {k for k, f in enumerate(session.fate) if f.value == "lost_forward"}
         assert forward_lost & touched == set()
 
     def test_return_loss_shrinks_decoded_message(self):
         cfg = ProtocolConfig(n_pairs=80, sample_fraction_first=0.1, sample_fraction_second=0.1)
         rng = np.random.default_rng(10)
-        session, sent, decoded, _ = run_session(cfg, rng, params=ChannelParams(loss_prob=0.2))
-        assert session.phase is Phase.ACCEPTED
-        kept = session.surviving_message_positions
-        index = {pos: k for k, pos in enumerate(session.message_positions)}
+        group, sent, decoded, _ = run_session(cfg, rng, params=ChannelParams(loss_prob=0.2))
+        assert phase(group) is Phase.ACCEPTED
+        kept = positions(group.received[0] >= 0)
+        index = {pos: k for k, pos in enumerate(message_positions(group))}
         expected = "".join(sent[4 * index[pos] : 4 * index[pos] + 4] for pos in kept)
         assert decoded == expected
+
+
+# the legal call from each phase; every other call finds no member in its phase
+LEGAL_NEXT = {
+    Phase.PREPARED: "forward",
+    Phase.FIRST_CHECK: "check1",
+    Phase.ENCODING: "encode",
+    Phase.SA_IN_FLIGHT_2: "back",
+    Phase.DECODING: "decode",
+}
+
+GROUP_ARRAYS = ("states", "fates", "ops", "eve_forward", "eve_return", "second", "sent",
+                "received", "phases", "depleted", "counts", "failed", "screened")
+
+
+def call_phase(name: str, group: SessionGroup, rng, cfg: ProtocolConfig) -> None:
+    """One phase function on ``group``, drawing a message from ``rng`` for each ready member."""
+    if name == "forward":
+        transmit_forward_group(group, CLEAN)
+    elif name == "check1":
+        first_check_group(group, cfg)
+    elif name == "encode":
+        messages = [bits_of(random_bits(bits, rng)) for bits in message_capacities(group, cfg)[1]]
+        encode_group(group, messages, cfg)
+    elif name == "back":
+        transmit_return_group(group, CLEAN)
+    else:
+        decode_group(group, cfg)
+
+
+def snapshot(group: SessionGroup, rng) -> tuple:
+    return ([getattr(group, name).tobytes() for name in GROUP_ARRAYS],
+            copy.deepcopy(rng.bit_generator.state), copy.deepcopy(group.transcripts))
 
 
 class TestPhaseMachine:
     def test_full_walk_hits_every_phase_in_order(self):
         cfg = ProtocolConfig(n_pairs=16)
         rng = np.random.default_rng(11)
-        session = prepare_block(cfg, IDEAL_SOURCE)
-        seen = [session.phase]
-        transmit_forward(session, CLEAN, rng)
-        seen.append(session.phase)
-        first_check(session, rng, cfg)
-        seen.append(session.phase)
-        encode_message(session, random_bits(message_capacity(session, cfg), rng), rng, cfg)
-        seen.append(session.phase)
-        transmit_return(session, CLEAN, rng)
-        seen.append(session.phase)
-        decode_and_second_check(session, rng, cfg)
-        seen.append(session.phase)
+        group = prepare_group(cfg, IDEAL_SOURCE, [rng])
+        seen = [phase(group)]
+        for name in ("forward", "check1", "encode", "back", "decode"):
+            call_phase(name, group, rng, cfg)
+            seen.append(phase(group))
         assert seen == [
             Phase.PREPARED,
             Phase.FIRST_CHECK,
@@ -224,73 +302,55 @@ class TestPhaseMachine:
 
     @given(st.lists(st.sampled_from(["forward", "check1", "encode", "back", "decode"]), max_size=8))
     @settings(max_examples=60, deadline=None)
-    def test_out_of_order_ops_raise_phase_error(self, calls):
+    def test_out_of_phase_calls_change_nothing(self, calls):
         cfg = ProtocolConfig(n_pairs=12)
         rng = np.random.default_rng(12)
-        session = prepare_block(cfg, IDEAL_SOURCE)
-        legal_next = {
-            Phase.PREPARED: "forward",
-            Phase.FIRST_CHECK: "check1",
-            Phase.ENCODING: "encode",
-            Phase.SA_IN_FLIGHT_2: "back",
-            Phase.DECODING: "decode",
-        }
-
-        def invoke(name):
-            if name == "forward":
-                transmit_forward(session, CLEAN, rng)
-            elif name == "check1":
-                first_check(session, rng, cfg)
-            elif name == "encode":
-                encode_message(
-                    session, random_bits(message_capacity(session, cfg), rng), rng, cfg
-                )
-            elif name == "back":
-                transmit_return(session, CLEAN, rng)
-            else:
-                decode_and_second_check(session, rng, cfg)
-
+        group = prepare_group(cfg, IDEAL_SOURCE, [rng])
+        order = list(LEGAL_NEXT)
         for name in calls:
-            if legal_next.get(session.phase) == name:
-                invoke(name)  # must not raise
+            before = phase(group)
+            if LEGAL_NEXT.get(before) == name:
+                call_phase(name, group, rng, cfg)
+                after = order.index(before) + 1
+                assert phase(group) is (order[after] if after < len(order) else Phase.ACCEPTED)
             else:
-                before = session.phase
-                with pytest.raises(PhaseError):
-                    invoke(name)
-                assert session.phase is before
+                unchanged = snapshot(group, rng)
+                call_phase(name, group, rng, cfg)
+                assert snapshot(group, rng) == unchanged
 
     def test_aborted_first_check_blocks_everything(self):
         cfg = ProtocolConfig(n_pairs=30, sample_fraction_first=0.4, error_threshold=0.0)
         rng = np.random.default_rng(13)
         eve = EveStrategy(kind=EveKind.INTERCEPT_RESEND)
-        session = prepare_block(cfg, IDEAL_SOURCE)
-        transmit_forward(session, CLEAN, rng, eve=eve)
-        report = first_check(session, rng, cfg)
-        assert report.verdict is Verdict.FAIL
-        assert session.phase is Phase.ABORTED
-        with pytest.raises(PhaseError):
-            encode_message(session, "0000", rng, cfg)
+        group = prepare_group(cfg, IDEAL_SOURCE, [rng])
+        transmit_forward_group(group, CLEAN, eve=eve)
+        first_check_group(group, cfg)
+        assert report(group, 0).verdict is Verdict.FAIL
+        assert phase(group) is Phase.ABORTED
+        assert message_capacities(group, cfg) == ([], [])
+        with pytest.raises(ValueError, match="ready to encode"):
+            encode(group, "0000", cfg)
 
 
 class TestMessageValidation:
     def make_encoding_session(self):
         cfg = ProtocolConfig(n_pairs=20)
         rng = np.random.default_rng(14)
-        session = prepare_block(cfg, IDEAL_SOURCE)
-        transmit_forward(session, CLEAN, rng)
-        first_check(session, rng, cfg)
-        return cfg, rng, session
+        group = prepare_group(cfg, IDEAL_SOURCE, [rng])
+        transmit_forward_group(group, CLEAN)
+        first_check_group(group, cfg)
+        return cfg, group
 
     def test_wrong_length_names_expected_capacity(self):
-        cfg, rng, session = self.make_encoding_session()
-        expected = message_capacity(session, cfg)
+        cfg, group = self.make_encoding_session()
+        expected = capacity(group, cfg)
         with pytest.raises(MessageSizeError, match=str(expected)):
-            encode_message(session, "0" * (expected + 4), rng, cfg)
+            encode(group, "0" * (expected + 4), cfg)
 
     def test_non_bits_rejected(self):
-        cfg, rng, session = self.make_encoding_session()
+        cfg, group = self.make_encoding_session()
         with pytest.raises(ValueError, match="0s and 1s"):
-            encode_message(session, "01x0" * (message_capacity(session, cfg) // 4), rng, cfg)
+            encode(group, "01x0" * (capacity(group, cfg) // 4), cfg)
 
 
 class TestSecondCheck:
@@ -343,25 +403,25 @@ class TestSecondCheck:
         cfg = ProtocolConfig(n_pairs=40, sample_fraction_second=0.3, error_threshold=0.0)
         eve = EveStrategy(kind=EveKind.INTERCEPT_RESEND)
         rng = np.random.default_rng(15)
-        session, sent, decoded, report2 = run_session(cfg, rng, eve_return=eve)
+        group, sent, decoded, report2 = run_session(cfg, rng, eve_return=eve)
         assert report2.verdict is Verdict.FAIL
         assert decoded is None
-        assert session.decoded_message is None
-        assert session.phase is Phase.ABORTED
+        assert group.transcripts[0][-1]["message"] is None
+        assert phase(group) is Phase.ABORTED
 
 
 class TestTranscript:
     def run_and_dump(self, seed, **kwargs):
         cfg = ProtocolConfig(n_pairs=24)
         rng = np.random.default_rng(seed)
-        session, sent, decoded, _ = run_session(cfg, rng, **kwargs)
-        return session, sent, decoded, "\n".join(json.dumps(e) for e in session.transcript)
+        group, sent, decoded, _ = run_session(cfg, rng, **kwargs)
+        return group, sent, decoded, "\n".join(json.dumps(e) for e in group.transcripts[0])
 
     def test_event_order_and_phases(self):
-        session, _, _, _ = self.run_and_dump(16)
-        kinds = [e["event"] for e in session.transcript]
+        group, _, _, _ = self.run_and_dump(16)
+        kinds = [e["event"] for e in group.transcripts[0]]
         assert kinds == ["prepare", "transit", "first_check", "encode", "transit", "second_check", "result"]
-        phases = [e["phase"] for e in session.transcript]
+        phases = [e["phase"] for e in group.transcripts[0]]
         assert phases == [
             "Prepared", "SAInFlight1", "FirstCheck", "Encoding",
             "SAInFlight2", "SecondCheck", "Accepted",
@@ -371,13 +431,13 @@ class TestTranscript:
         s1, sent1, dec1, dump1 = self.run_and_dump(17)
         s2, sent2, dec2, dump2 = self.run_and_dump(17)
         assert dump1 == dump2
-        assert (sent1, dec1, s1.phase) == (sent2, dec2, s2.phase)
+        assert (sent1, dec1, phase(s1)) == (sent2, dec2, phase(s2))
         _, _, _, dump3 = self.run_and_dump(18)
         assert dump1 != dump3
 
     def test_events_carry_stable_fields(self):
-        session, _, _, _ = self.run_and_dump(19, params=ChannelParams(loss_prob=0.1))
-        by_kind = {e["event"]: e for e in session.transcript}
+        group, _, _, _ = self.run_and_dump(19, params=ChannelParams(loss_prob=0.1))
+        by_kind = {e["event"]: e for e in group.transcripts[0]}
         assert list(by_kind["transit"])[:5] == ["event", "phase", "to_phase", "direction", "lost_positions"]
         check = by_kind["first_check"]
         assert list(check)[:6] == ["event", "phase", "to_phase", "positions", "pol_bases", "spa_bases"]
@@ -390,8 +450,16 @@ class TestDepletion:
     def test_too_few_delivered_pairs(self):
         cfg = ProtocolConfig(n_pairs=4)
         rng = np.random.default_rng(20)
-        session = prepare_block(cfg, IDEAL_SOURCE)
+        group = prepare_group(cfg, IDEAL_SOURCE, [rng])
         # a brutal channel loses nearly everything
-        transmit_forward(session, ChannelParams(loss_prob=0.99), rng)
-        with pytest.raises(BlockDepleted):
-            first_check(session, rng, cfg)
+        brutal = ChannelParams(loss_prob=0.99)
+        transmit_forward_group(group, brutal)
+        first_check_group(group, cfg)
+        assert group.depleted[0] == DEPLETED_FORWARD
+        assert phase(group) is Phase.ABORTED
+        with pytest.raises(BlockDepleted, match="pairs delivered"):
+            group.raise_if_depleted(0)
+        rc = RunConfig(sessions=1, seed=20, source=IDEAL_SOURCE, protocol=cfg, channel=brutal,
+                       eve=EveStrategy(), eve_passes="both", defense=DefenseConfig())
+        with pytest.raises(BlockDepleted, match="pairs delivered"):
+            run_one_session(rc, rc.seed, 0)
