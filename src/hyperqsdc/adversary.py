@@ -140,7 +140,8 @@ def draw_intercept(
 
 
 def resend(
-    states: np.ndarray, strategy: EveStrategy, x: np.ndarray, u: np.ndarray
+    states: np.ndarray, strategy: EveStrategy, x: np.ndarray, u: np.ndarray, rows=None,
+    scratch=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply ``draw_intercept``'s choices: measure every row and resend the outcome.
 
@@ -149,11 +150,12 @@ def resend(
     and 1 = X, and -1 in both slots of a DOF she did not measure.  Both
     masked DOFs are read by one joint draw per row.  The projective collapse
     already leaves photon A in exactly the state Eve forwards, so the
-    returned pair states double as the resent signals.
+    returned pair states double as the resent signals.  ``rows`` and
+    ``scratch`` are as in ``hyperstate.measure``.
     """
     slots = _slots(strategy)
     axes = tuple(AXIS[(Photon.A, _DOFS[k])] for k in slots)
-    outcomes, states = measure(states, axes, u, x)
+    outcomes, states = measure(states, axes, u, x, rows=rows, scratch=scratch)
     codes = np.full((len(states), 2, 2), -1, dtype=np.int8)
     codes[:, slots, 0] = x
     codes[:, slots, 1] = (outcomes[:, None] >> np.arange(len(slots))[::-1]) & 1

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import adversary as adv
-from .hyperstate import AXIS, PAULIS, Dof, Photon, apply_local
+from .hyperstate import AXIS, PAULIS, Dof, Photon, apply_local, take_rows
 
 
 @dataclass(frozen=True)
@@ -85,17 +85,24 @@ def draw_transit(
 
 
 def apply_transit(
-    states: np.ndarray, eve: adv.EveStrategy, eve_draws: tuple | None, paulis: tuple
+    states: np.ndarray, eve: adv.EveStrategy, eve_draws: tuple | None, paulis: tuple,
+    rows=None, scratch=None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Carry the delivered rows of a block through Eve and the noise as drawn.
 
     ``eve_draws`` and ``paulis`` are ``TransitDraws`` fields, one entry per
-    row of ``states``.  Returns (new states, Eve's record codes or None).
+    row of ``states``, or per row of ``rows`` when given (see
+    ``hyperstate.measure`` for ``rows`` and ``scratch``).  Only the rows a
+    Pauli error hits are multiplied.  Returns (a new block of the states
+    after the transit, Eve's record codes or None).
     """
     codes = None
     if eve_draws is not None:
-        states, codes = adv.resend(states, eve, *eve_draws)
+        states, codes = adv.resend(states, eve, *eve_draws, rows=rows, scratch=scratch)
+    else:
+        states = take_rows(states, rows, scratch)
     for dof, which in zip((Dof.POL, Dof.SPA), paulis):
-        if which is not None:
-            states = apply_local(states, AXIS[(Photon.A, dof)], PAULIS[which])
+        hit = () if which is None else which.nonzero()[0]
+        if len(hit):
+            states[hit] = apply_local(states[hit], AXIS[(Photon.A, dof)], PAULIS[which[hit]])
     return states, codes

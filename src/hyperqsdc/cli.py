@@ -103,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument(
         "--metrics",
         metavar="PATH",
-        help="also write the wall time and seconds per protocol phase as JSON to PATH",
+        help="also write the wall time, minor page faults, seconds per protocol phase and "
+        "abort reasons as JSON to PATH",
     )
     sim.set_defaults(func=_cmd_simulate)
 

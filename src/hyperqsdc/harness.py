@@ -32,6 +32,11 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 from .adversary import (
     BasisPolicy,
     DefenseConfig,
@@ -41,7 +46,7 @@ from .adversary import (
     guess_encoding_ops,
 )
 from .channel import ChannelParams
-from .hyperstate import Dof, SourceParams, correlation_error_probs, source_fidelity
+from .hyperstate import Dof, Scratch, SourceParams, correlation_error_probs, source_fidelity
 from .protocol import (
     DEPLETED_FORWARD,
     DEPLETED_RETURN,
@@ -55,6 +60,7 @@ from .protocol import (
     first_check_group,
     message_capacities,
     prepare_group,
+    scratch_rows,
     transmit_forward_group,
     transmit_return_group,
 )
@@ -119,9 +125,10 @@ ABORT_REASONS = ("first_check_fail", "second_check_fail", "depleted_forward", "d
 class RunStats:
     """Pooled outcome of one run.
 
-    ``wall_time``, ``phase_seconds`` and ``abort_reasons`` (why each aborted
-    session ended, see ``ABORT_REASONS``) never reach the stats file;
-    ``metrics_text`` writes them.
+    ``wall_time``, ``minor_faults`` (the page faults the run took without
+    I/O, None where the platform cannot count them), ``phase_seconds`` and
+    ``abort_reasons`` (why each aborted session ended, see ``ABORT_REASONS``)
+    never reach the stats file; ``metrics_text`` writes them.
     """
 
     sessions: int = 0
@@ -142,6 +149,7 @@ class RunStats:
     eve_guesses_correct: int = 0
     adversary_present: bool = False
     wall_time: float = 0.0
+    minor_faults: Optional[int] = None
     phase_seconds: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
     abort_reasons: dict = field(default_factory=lambda: dict.fromkeys(ABORT_REASONS, 0))
 
@@ -367,6 +375,10 @@ def config_document(rc: RunConfig, seed: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _minor_faults() -> Optional[int]:
+    return None if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 class _Laps:
     """Adds the seconds since the previous lap to ``seconds[phase]`` at each lap."""
 
@@ -381,13 +393,15 @@ class _Laps:
 
 
 def _run_group(rc: RunConfig, master_seed: int, indices, record: bool = True,
-               lap: Callable = lambda phase: None) -> SessionGroup:
+               lap: Callable = lambda phase: None,
+               scratch: Optional[Scratch] = None) -> SessionGroup:
     """Run sessions ``indices`` of a run in lockstep (see ``protocol.SessionGroup``).
 
-    Returns the finished group.  ``lap(phase)`` is called as each phase ends.
+    Returns the finished group.  ``lap(phase)`` is called as each phase ends;
+    ``scratch`` is the group's work space, a new one by default.
     """
     rngs = [np.random.default_rng([master_seed, k]) for k in indices]
-    group = prepare_group(rc.protocol, rc.source, rngs, record)
+    group = prepare_group(rc.protocol, rc.source, rngs, record, scratch)
     lap("prepare")
     eve_fwd = rc.eve if rc.eve_passes in ("both", "forward") else None
     eve_ret = rc.eve if rc.eve_passes in ("both", "return") else None
@@ -476,11 +490,17 @@ def _pool(stats: RunStats, transcripts: Optional[list], rc: RunConfig, master_se
 
 
 # Rows per lockstep group of ``run``; a session with more pairs is a group of
-# one.  Kernel temporaries grow with the group: on runs of 16-pair sessions,
-# 1024-row groups raised peak RSS by about 3 MB (8%), 256-row groups by about
-# 1 MB.  At 128 rows, 112-pair sessions run alone and a hostile-channel run
-# was 7% slower than one session at a time; in twos it is 13% faster.
-GROUP_ROWS = 256
+# one.  1024 is CHUNK_ROWS, so a group of short sessions takes one kernel
+# call per phase.  Medians of in-process runs on a 2-core x86-64 box (Python
+# 3.11, numpy 2.4) at 256, 512, 1024 and 2048 rows: 100 sessions of 112 pairs
+# about 57, 45, 29 and 28 ms, 500 of 16 pairs 80, 75, 60 and 58 ms; a
+# fresh simulate process peaks 0.3-0.7 MB higher at 1024 rows than the
+# 256-row groups before.  The kernels keep their temporaries in the run's
+# one Scratch.  With fresh (rows, 16) temporaries per call, as before,
+# 1024-row groups took 2,000-4,200 minor page faults per run: glibc handed
+# the top of its heap back to the system whenever a call freed them and
+# faulted it in again on the next call.  Now every size reads 0-3.
+GROUP_ROWS = 1024
 
 
 def run(rc: RunConfig, master_seed: Optional[int] = None,
@@ -489,21 +509,26 @@ def run(rc: RunConfig, master_seed: Optional[int] = None,
 
     Consecutive sessions go through the phases in lockstep groups of at most
     ``GROUP_ROWS`` rows; a session larger than that is a group of one.  The
-    stats carry the run's wall time and the part of it spent in each of
-    ``PHASES``, summed over the groups.
+    stats carry the run's wall time, its minor page faults and the part of
+    the wall time spent in each of ``PHASES``, summed over the groups.
     """
     seed = rc.seed if master_seed is None else master_seed
     stats = RunStats(adversary_present=rc.eve.kind is not EveKind.NONE)
     transcripts = [] if collect_transcripts else None
+    faults = _minor_faults()
     started = time.perf_counter()
     lap = _Laps(stats.phase_seconds)
     per_group = max(1, GROUP_ROWS // rc.protocol.n_pairs)
+    scratch = Scratch(scratch_rows(per_group * rc.protocol.n_pairs))
     for first in range(0, rc.sessions, per_group):
         indices = range(first, min(first + per_group, rc.sessions))
-        group = _run_group(rc, seed, indices, collect_transcripts, lap)
-        _pool(stats, transcripts, rc, seed, indices, group)
+        # the finished group is dropped here, before the next one is built
+        _pool(stats, transcripts, rc, seed, indices,
+              _run_group(rc, seed, indices, collect_transcripts, lap, scratch))
         lap("pooling")
     stats.wall_time = time.perf_counter() - started
+    if faults is not None:
+        stats.minor_faults = _minor_faults() - faults
     return stats, transcripts
 
 
@@ -514,9 +539,12 @@ def stats_text(rc: RunConfig, seed: int, stats: RunStats) -> str:
 
 
 def metrics_text(stats: RunStats) -> str:
-    """Wall time, seconds per phase and abort reasons of a run as JSON; never in the stats file."""
-    doc = {"wall_time": stats.wall_time, "phase_seconds": stats.phase_seconds,
-           "abort_reasons": stats.abort_reasons}
+    """Wall time, minor faults, seconds per phase and abort reasons of a run as JSON.
+
+    None of it is in the stats file.
+    """
+    doc = {"wall_time": stats.wall_time, "minor_faults": stats.minor_faults,
+           "phase_seconds": stats.phase_seconds, "abort_reasons": stats.abort_reasons}
     return json.dumps(doc, indent=2) + "\n"
 
 

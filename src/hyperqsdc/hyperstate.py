@@ -28,7 +28,9 @@ of the generic 2x2 product, and a row measured in Z is left untouched.
 
 States are rays, not vectors: two states that differ by a global phase are
 physically identical, and ``HyperState.equiv`` tests exactly that.  All
-operations here are pure functions.  Anything stochastic takes an explicit
+operations here are pure functions; a kernel handed a ``Scratch`` writes
+its temporaries and its result into that work space, not into new arrays,
+and never into its input.  Anything stochastic takes an explicit
 ``numpy.random.Generator`` or explicit uniforms, so callers own
 reproducibility and threads may share everything except their generator.
 """
@@ -192,25 +194,103 @@ _OUTCOME_OF_INDEX = {
 
 # Every hyper-Bell state has four nonzero amplitudes, so the amplitude of
 # label k in a state is the sum over m of the state's amplitude
-# _BELL_SUPPORT[m, k] times _BELL_WEIGHTS[m, k].
+# _BELL_SUPPORT[m, k] times the real weight w[m, k]; _BELL_WEIGHTS[m] holds
+# w[m, k] twice, for the real and the imaginary part of amplitude k.
 _BELL_SUPPORT = np.array([np.flatnonzero(row) for row in BELL_BASIS]).T.copy()
-_BELL_WEIGHTS = np.take_along_axis(BELL_BASIS.conj(), _BELL_SUPPORT.T, axis=1).T.copy()
+_BELL_WEIGHTS = np.repeat(np.take_along_axis(BELL_BASIS.real, _BELL_SUPPORT.T, axis=1).T, 2,
+                          axis=1)
 
 # Every dense-coding unitary (op code c on photon A) is a signed permutation
-# of the 16 amplitudes: amplitude i of the result is _ENCODE_SIGN[c, i]
-# times amplitude _ENCODE_SOURCE[c, i] of the state.  _ENCODE_UNITARIES[c]
-# is U_pol (x) I (x) U_spa (x) I for the two single-DOF ops of code c.
+# of the 16 amplitudes: amplitude i of the result is a sign s[c, i] times
+# amplitude _ENCODE_SOURCE[c, i] of the state; _ENCODE_SIGN[c] holds s[c, i]
+# twice, for the real and the imaginary part.  _ENCODE_UNITARIES[c] is
+# U_pol (x) I (x) U_spa (x) I for the two single-DOF ops of code c.
 _ENCODE_UNITARIES = np.einsum(
     "cij,kl,cmn,uv->cikmujlnv",
     _DOF_OPS[np.arange(DIM) >> 2], _I2, _DOF_OPS[np.arange(DIM) & 3], _I2,
 ).reshape(DIM, DIM, DIM)
 _ENCODE_SOURCE = np.abs(_ENCODE_UNITARIES).argmax(axis=2)
-_ENCODE_SIGN = np.take_along_axis(_ENCODE_UNITARIES, _ENCODE_SOURCE[..., None], axis=2)[..., 0].real
+_ENCODE_SIGN = np.repeat(
+    np.take_along_axis(_ENCODE_UNITARIES.real, _ENCODE_SOURCE[..., None], axis=2)[..., 0], 2,
+    axis=1)
 
 
 # ---------------------------------------------------------------------------
 # block kernels
 # ---------------------------------------------------------------------------
+
+# The work arrays a Scratch holds, by name, with the element type whose
+# (rows, 16) array sizes each.
+_SCRATCH = {"work": complex, "term": complex, "probs": float}
+
+
+class Scratch:
+    """Work space for the block kernels, allocated once and reused call after call.
+
+    One allocation holds a ``(rows, 16)`` array per name in ``_SCRATCH``,
+    for the kernels' temporaries.  A kernel given a scratch reads at most
+    ``rows`` rows and never writes its input block, but the block it
+    returns may be one of these arrays, which holds it until the next
+    kernel call with the same scratch.
+
+    One block rather than one array per name: when glibc frees a block it
+    had mapped on its own, it raises its trim threshold to twice that
+    block's size, so a run that frees its scratch as one block leaves the
+    heap to the next run.  Three arrays freed at the end of a 112-pair run
+    had the top of the heap handed back and faulted in again, about 180
+    minor faults per run.
+    """
+
+    def __init__(self, rows: int):
+        self.rows = rows
+        self._slots = {}
+        start = 0
+        for name, kind in _SCRATCH.items():
+            width = rows * DIM * np.dtype(kind).itemsize
+            self._slots[name] = (start, width)
+            start += width
+        self._space = np.empty(start, dtype=np.uint8)
+
+    def array(self, name: str, shape: tuple, dtype=complex) -> np.ndarray:
+        """An uninitialized ``shape`` array of ``dtype`` over the work array ``name``."""
+        start, width = self._slots[name]
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        if size > width:
+            raise ValueError(f"{shape} {np.dtype(dtype)} does not fit scratch of {self.rows} rows")
+        return self._space[start : start + size].view(dtype).reshape(shape)
+
+
+def _array(scratch, name: str, shape: tuple, dtype=complex) -> np.ndarray:
+    # a work array: from ``scratch`` when given, else a new one
+    if scratch is None:
+        return np.empty(shape, dtype)
+    return scratch.array(name, shape, dtype)
+
+
+def _checked(index: np.ndarray, n: int, what: str = "row indices") -> np.ndarray:
+    # the gathers below clip or wrap an index out of range instead of raising
+    if len(index) and (index.min() < 0 or index.max() >= n):
+        raise IndexError(f"{what} must lie in [0, {n})")
+    return index
+
+
+def take_rows(states: np.ndarray, rows=None, scratch=None) -> np.ndarray:
+    """A copy of the rows ``rows`` of ``states`` (every row by default).
+
+    With a ``Scratch``, the copy is its "work" array.
+    """
+    n = len(states) if rows is None else len(rows)
+    out = _array(scratch, "work", (n, DIM))
+    if rows is None:
+        np.copyto(out, states)
+    else:
+        states.take(_checked(rows, len(states)), axis=0, out=out, mode="clip")
+    return out
+
+
+def _row_starts(states: np.ndarray, rows) -> np.ndarray:
+    # flat index of the first amplitude of every row read
+    return (np.arange(len(states)) if rows is None else _checked(rows, len(states))) * DIM
 
 
 def apply_local(states: np.ndarray, axis: int, ops: np.ndarray) -> np.ndarray:
@@ -247,7 +327,7 @@ def _x_rows(axes: tuple, x) -> list:
     return runs
 
 
-def _hadamard(states: np.ndarray, axes: tuple) -> None:
+def _hadamard(states: np.ndarray, axes: tuple, scratch=None) -> None:
     # Hadamard on tensor ``axes`` of every row, one after another, in place:
     # new0 = s*v0 + s*v1 and new1 = s*v0 - s*v1, the very products and sums
     # that apply_local forms for this operator
@@ -256,12 +336,12 @@ def _hadamard(states: np.ndarray, axes: tuple) -> None:
         v = states.reshape(n, 1 << axis, 2, 8 >> axis)
         v *= _SQ2
         v0, v1 = v[:, :, 0], v[:, :, 1]
-        diff = v0 - v1
+        diff = np.subtract(v0, v1, out=_array(scratch, "probs", v0.shape))
         v0 += v1
         v1[...] = diff
 
 
-def _rotate(states: np.ndarray, runs: list, fresh: bool = False) -> np.ndarray:
+def _rotate(states: np.ndarray, runs: list, fresh: bool = False, scratch=None) -> np.ndarray:
     # Z-to-X basis change of the X rows of each run, which is its own inverse;
     # a Z row is left as it is.  A new block unless ``fresh`` allows writing
     # into ``states``.
@@ -269,36 +349,57 @@ def _rotate(states: np.ndarray, runs: list, fresh: bool = False) -> np.ndarray:
         if not fresh:
             states, fresh = states.copy(), True
         if len(rows) == len(states):
-            _hadamard(states, axes)
+            _hadamard(states, axes, scratch)
         else:
-            sub = states[rows]
-            _hadamard(sub, axes)
+            sub = np.take(states, rows, axis=0, out=_array(scratch, "term", (len(rows), DIM)),
+                          mode="clip")
+            _hadamard(sub, axes, scratch)
             states[rows] = sub
     return states
 
 
-def _born(states: np.ndarray, axes: tuple) -> np.ndarray:
-    # Unsnapped probabilities of the joint outcomes of the ascending ``axes``.
+def _born(states: np.ndarray, axes: tuple, scratch=None) -> np.ndarray:
+    # Unsnapped probabilities of the joint outcomes of the ascending
+    # ``axes``; with a scratch, in its "probs" array.
     n = len(states)
-    probs = states.conj()
-    probs *= states  # in place: the real part is that of states * conj(states)
-    probs = probs.real.reshape(n, 2, 2, 2, 2)
+    square = _array(scratch, "term", (n, DIM))
+    np.conjugate(states, out=square)
+    square *= states  # the real part is |a|**2 as numpy forms conj(a) * a
+    probs = square.real
+    width = DIM
+    into = "probs"  # the sums alternate between the two work arrays
     for axis in reversed(ALL_AXES):
         if axis not in axes:
-            # summing a length-2 axis as two slices is much faster than .sum()
-            before = (slice(None),) * (1 + axis)
-            probs = probs[before + (0,)] + probs[before + (1,)]
+            # the two halves of a length-2 axis, summed
+            v = probs.reshape(n, 1 << axis, 2, width >> (axis + 1))
+            width //= 2
+            total = _array(scratch, into, (n, 1 << axis, width >> axis), float)
+            np.add(v[:, :, 0], v[:, :, 1], out=total)
+            probs = total.reshape(n, width)
+            into = "term" if into == "probs" else "probs"
+    if into == "probs":  # the last result is still in "term"
+        last, probs = probs, _array(scratch, "probs", probs.shape, float)
+        np.copyto(probs, last)
     # a NaN or infinite amplitude makes its row's weights non-finite, and
     # snapping would pass an infinite weight off as a certain outcome
     if not np.isfinite(probs).all():
         raise ValueError("state rows hold non-finite amplitudes")
-    return probs.reshape(n, 1 << len(axes))
+    return probs
 
 
 def _snap(probs: np.ndarray) -> np.ndarray:
-    return np.where(probs <= ATOL, 0.0, np.where(probs >= 1.0 - ATOL, 1.0, probs))
+    # in place: probabilities within ATOL of 0 or 1 become exactly 0 or 1
+    np.copyto(probs, 0.0, where=probs <= ATOL)
+    np.copyto(probs, 1.0, where=probs >= 1.0 - ATOL)
+    return probs
 
 
+# The kernels that call _born run under np.errstate(invalid="ignore"): a
+# non-finite amplitude must end in _born's ValueError, not in numpy's
+# "invalid value" warning on the way there.
+
+
+@np.errstate(invalid="ignore")
 def outcome_probs(states: np.ndarray, axes: tuple, x=None) -> np.ndarray:
     """Exact per-row probabilities of the joint outcomes of tensor ``axes``.
 
@@ -311,7 +412,9 @@ def outcome_probs(states: np.ndarray, axes: tuple, x=None) -> np.ndarray:
     return _snap(_born(_rotate(states, _x_rows(axes, x)), axes))
 
 
-def measure(states: np.ndarray, axes: tuple, u: np.ndarray, x=None, collapse: bool = True):
+@np.errstate(invalid="ignore")
+def measure(states: np.ndarray, axes: tuple, u: np.ndarray, x=None, collapse: bool = True,
+            rows=None, scratch=None):
     """Measure tensor ``axes`` of every row by one inverse-CDF draw over their joint outcomes.
 
     Outcomes and ``x`` are as in ``outcome_probs``; ``u`` holds one uniform
@@ -320,57 +423,93 @@ def measure(states: np.ndarray, axes: tuple, u: np.ndarray, x=None, collapse: bo
     whatever ``u`` and however far rounding leaves a row's total from 1.
     Returns (outcomes, collapsed block), the block in the computational
     representation, or (outcomes, None) when ``collapse`` is false.
+
+    ``rows`` measures only those rows of ``states``, as if the block were
+    ``states[rows]``; ``scratch`` is a ``Scratch`` for the temporaries.
     """
     runs = _x_rows(axes, x)
-    work = _rotate(states, runs)
-    raw = _born(work, axes)
-    cdf = _snap(raw).cumsum(axis=1)
-    total = cdf[:, -1:]
+    work = states
+    if runs or collapse or rows is not None:
+        work = take_rows(states, rows, scratch)
+        _rotate(work, runs, True, scratch)
+    raw = _born(work, axes, scratch)
+    # the CDF with one row per outcome, so that each running sum adds two
+    # contiguous rows
+    cdf = _array(scratch, "term", raw.shape[::-1], float)
+    np.copyto(cdf, raw.T)
+    _snap(cdf)
+    for o in range(1, len(cdf)):
+        np.add(cdf[o - 1], cdf[o], out=cdf[o])
+    total = cdf[-1].copy()
     if not (total > 0.0).all():
         raise ValueError("cannot measure a row whose outcome probabilities are all zero")
     # dividing by the total puts exactly 1.0 on the last nonzero outcome and
     # leaves a zero-probability outcome's CDF equal to its predecessor's, so
-    # the first outcome whose CDF exceeds u always exists and has p > 0
-    outcomes = (cdf / total > u[:, None]).argmax(axis=1)
+    # the first outcome whose CDF exceeds u always exists and has p > 0; as
+    # the CDF never falls, that outcome's index is the number of outcomes
+    # before the last whose CDF does not exceed u
+    cdf /= total
+    outcomes = (cdf[:-1] <= u).sum(axis=0)
     if not collapse:
         return outcomes, None
-    keep = _OUTCOME_OF_INDEX[axes] == outcomes[:, None]
-    # the drawn outcome's snapped probability is positive, so its raw one is too
-    norm = np.sqrt(raw[np.arange(len(work)), outcomes])
-    post = np.where(keep, work, 0.0) / norm[:, None]
-    return outcomes, _rotate(post, runs, fresh=True)
+    # the drawn outcome's snapped probability is positive, so its raw one is
+    # too; complex, as the quotient below would cast it
+    norm = np.sqrt(raw[np.arange(len(work)), outcomes]).astype(complex)
+    np.copyto(work, 0.0, where=_OUTCOME_OF_INDEX[axes] != outcomes[:, None])
+    work /= norm[:, None]
+    _rotate(work, runs, True, scratch)
+    return outcomes, work
 
 
-def encode(states: np.ndarray, codes: np.ndarray) -> np.ndarray:
+def encode(states: np.ndarray, codes: np.ndarray, rows=None, scratch=None) -> np.ndarray:
     """Apply the dense-coding unitary with op code ``codes[k]`` to photon A of row k.
 
     The unitary is applied as the signed permutation it is, so each result
-    amplitude is plus or minus one amplitude of the row, exactly.
+    amplitude is plus or minus one amplitude of the row, exactly (a zero
+    may change its sign, which no probability sees).  ``rows`` and
+    ``scratch`` are as in ``measure``.
     """
-    out = np.take_along_axis(states, _ENCODE_SOURCE[codes], axis=1)
-    out *= _ENCODE_SIGN[codes]
+    starts = _row_starts(states, rows)
+    n = len(starts)
+    # flat index of each result amplitude's source amplitude
+    source = _array(scratch, "probs", (n, DIM), np.intp)
+    _ENCODE_SOURCE.take(_checked(codes, DIM, "op codes"), axis=0, out=source, mode="wrap")
+    source += starts[:, None]
+    out = _array(scratch, "work", (n, DIM))
+    states.reshape(-1).take(source, out=out, mode="clip")
+    sign = _array(scratch, "term", (n, 2 * DIM), float)
+    _ENCODE_SIGN.take(codes, axis=0, out=sign, mode="wrap")
+    parts = out.view(float)
+    np.multiply(parts, sign, out=parts)
     return out
 
 
-def _bell_term(states: np.ndarray, m: int) -> np.ndarray:
-    # term m of every label's amplitude, as a new (N, 16) block
-    term = states.take(_BELL_SUPPORT[m], axis=1)
-    term *= _BELL_WEIGHTS[m]
-    return term
-
-
-def bell_labels(states: np.ndarray, u: np.ndarray) -> np.ndarray:
+@np.errstate(invalid="ignore")
+def bell_labels(states: np.ndarray, u: np.ndarray, rows=None, scratch=None) -> np.ndarray:
     """Complete hyper-Bell analysis of every row: flat labels 4*p + s, one 16-outcome draw each.
 
     The draw runs on the rows rewritten in the hyper-Bell basis, where
-    outcome k is label k.
+    outcome k is label k.  ``rows`` and ``scratch`` are as in ``measure``.
     """
-    # each label's amplitude is its four support terms summed in order,
-    # one (N, 16) term at a time
-    amps = _bell_term(states, 0)
-    for m in (1, 2, 3):
-        amps += _bell_term(states, m)
-    return measure(amps, ALL_AXES, u, collapse=False)[0]
+    # each label's amplitude is its four support terms summed in order, one
+    # (N, 16) term at a time, gathered by flat index; a weight multiplies the
+    # real and imaginary parts alone, which the complex product only adds
+    # zeros to
+    starts = _row_starts(states, rows)
+    n = len(starts)
+    flat = states.reshape(-1)
+    support = _array(scratch, "probs", (n, DIM), np.intp)
+    amps = _array(scratch, "work", (n, DIM))
+    term = _array(scratch, "term", (n, DIM))
+    for m in range(4):
+        np.add(starts[:, None], _BELL_SUPPORT[m], out=support)
+        target = term if m else amps
+        flat.take(support, out=target, mode="clip")
+        parts = target.view(float)
+        np.multiply(parts, _BELL_WEIGHTS[m], out=parts)
+        if m:
+            amps += term
+    return measure(amps, ALL_AXES, u, collapse=False, scratch=scratch)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from .hyperstate import (
     ALL_AXES,
     DIM,
     EncodingOp,
+    Scratch,
     SourceParams,
     bell_labels,
     encode,
@@ -107,6 +108,11 @@ CHUNK_ROWS = 1024
 
 def _chunks(n: int) -> list[slice]:
     return [slice(start, start + CHUNK_ROWS) for start in range(0, n, CHUNK_ROWS)]
+
+
+def scratch_rows(n_rows: int) -> int:
+    """Rows of the ``Scratch`` that the phases of a group of ``n_rows`` block rows use."""
+    return min(n_rows, CHUNK_ROWS)
 
 
 @dataclass(frozen=True)
@@ -225,10 +231,17 @@ class SessionGroup:
     session's draws, outcomes and transcript never depend on which sessions
     share its group, and a session run alone is a group of one.
     ``harness`` reads every result straight from these arrays.
+
+    Each kernel call reads its rows straight from ``states`` and works in
+    ``scratch``, a ``hyperstate.Scratch`` of at least ``scratch_rows``
+    rows, and the phase writes the result back; groups run one after
+    another may share one scratch, so no phase allocates (rows, 16) arrays
+    of its own.
     """
 
-    def __init__(self, n_pairs: int, rngs: list, record: bool):
+    def __init__(self, n_pairs: int, rngs: list, record: bool, scratch: Optional[Scratch] = None):
         m, n = len(rngs), n_pairs
+        self.scratch = Scratch(scratch_rows(m * n)) if scratch is None else scratch
         self.n_pairs = n
         self.bounds = np.arange(0, (m + 1) * n, n)  # each member's first block row, then the end
         self.rngs = list(rngs)
@@ -272,12 +285,14 @@ def prepare_group(
     source: SourceParams,
     rngs: list,
     record: bool = True,
+    scratch: Optional[Scratch] = None,
 ) -> SessionGroup:
     """One session per generator; Bob's source fills every row of the shared block.
 
-    ``record`` keeps a transcript per session.
+    ``record`` keeps a transcript per session.  ``scratch`` is the group's
+    work space (see ``SessionGroup``), a new one by default.
     """
-    group = SessionGroup(cfg.n_pairs, rngs, record)
+    group = SessionGroup(cfg.n_pairs, rngs, record, scratch)
     group.states[:] = source.amplitudes
     for j in range(len(rngs)) if record else ():
         group._log(
@@ -447,15 +462,18 @@ def _transit(
         ]
         flat_records = records.reshape(-1, 2, 2)
         for piece in _chunks(len(rows)):
+            block = rows[piece]
             states, codes = chn.apply_transit(
-                group.states[rows[piece]],
+                group.states,
                 eve,
                 None if eve_draws is None else [part[piece] for part in eve_draws],
                 [None if which is None else which[piece] for which in paulis],
+                block,
+                group.scratch,
             )
-            group.states[rows[piece]] = states
+            group.states[block] = states
             if codes is not None:
-                flat_records[rows[piece]] = codes
+                flat_records[block] = codes
     group.phases[members] = _PHASE[arrival]
     for j in [] if group.transcripts is None else members.tolist():
         chunks, trojan, filtered, alarmed = notes.get(j, (slice(0), [], [], []))
@@ -547,8 +565,8 @@ def first_check_group(group: SessionGroup, cfg: ProtocolConfig) -> None:
     outcomes = np.empty(len(rows), dtype=np.uint8)
     for piece in _chunks(len(rows)):
         outcomes[piece] = measure(
-            group.states[rows[piece]], ALL_AXES, u[piece], x[piece][:, [0, 0, 1, 1]],
-            collapse=False,
+            group.states, ALL_AXES, u[piece], x[piece][:, [0, 0, 1, 1]], collapse=False,
+            rows=rows[piece], scratch=group.scratch,
         )[0]
     _, counts, failed = _check(group, 0, rows, _CHECK_ERRORS[outcomes], cfg.error_threshold,
                                Phase.ENCODING)
@@ -645,7 +663,7 @@ def encode_group(group: SessionGroup, messages: list, cfg: ProtocolConfig) -> No
     group.sent.reshape(-1)[message_rows] = chunks
     for piece in _chunks(len(candidates)):
         block = candidates[piece]
-        group.states[block] = encode(group.states[block], ops[block])
+        group.states[block] = encode(group.states, ops[block], block, group.scratch)
     group.phases[members] = _PHASE[Phase.SA_IN_FLIGHT_2]
     if group.transcripts is None:
         return
@@ -682,7 +700,7 @@ def decode_group(group: SessionGroup, cfg: ProtocolConfig) -> None:
     u = np.concatenate([group.rngs[j].random(starts[j + 1] - starts[j]) for j in members])
     labels = np.empty(len(rows), dtype=np.intp)
     for piece in _chunks(len(rows)):
-        labels[piece] = bell_labels(group.states[rows[piece]], u[piece])
+        labels[piece] = bell_labels(group.states, u[piece], rows[piece], group.scratch)
 
     in_sample = group.second.reshape(-1)[rows]
     sample_rows = rows[in_sample]

@@ -10,6 +10,7 @@ error short of 1) must be drawn exactly.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -214,6 +215,64 @@ class TestHadamardBasisChange:
         assert np.array_equal(states, before)
 
 
+class TestScratch:
+    @given(blocks(), st.sampled_from(AXES_SETS), st.sampled_from(MASK_KINDS), st.booleans(),
+           st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_kernels_give_the_same_with_a_scratch_and_rows(self, block, axes, kind, collapse,
+                                                            some_rows):
+        # one scratch for every call, as in a run, reading some rows of a
+        # larger block or all of it; the block is never written
+        states, x, u = block
+        rows = u.argsort()[: (len(u) + 1) // 2] if some_rows else None
+        picked = states if rows is None else states[rows]
+        x = x_mask(kind, x, axes)[rows if some_rows else slice(None)]
+        u = u[rows if some_rows else slice(None)]
+        codes = (x[:, 0] * 8 + u.argsort() % 8).astype(np.intp)
+        before = states.tobytes()
+        scratch = hs.Scratch(len(picked) + 3)
+        outcomes, post = measure(picked, axes, u, x, collapse=collapse)
+        got, got_post = measure(states, axes, u, x, collapse=collapse, rows=rows, scratch=scratch)
+        assert np.array_equal(got, outcomes)
+        assert np.array_equal(got_post, post) if collapse else got_post is None
+        assert np.array_equal(hs.encode(states, codes, rows, scratch), hs.encode(picked, codes))
+        assert np.array_equal(bell_labels(states, u, rows, scratch), bell_labels(picked, u))
+        assert states.tobytes() == before
+
+    @given(blocks(), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_born_weights_are_numpys_complex_product(self, block, with_scratch):
+        # bitwise the real part of conj(a) * a, which numpy may form with
+        # fused multiply-adds, unlike re * re + im * im
+        states, _, _ = block
+        scratch = hs.Scratch(len(states)) if with_scratch else None
+        assert np.array_equal(hs._born(states, ALL_AXES, scratch), (states.conj() * states).real)
+
+    @pytest.mark.parametrize("kernel", [
+        lambda states, rows: measure(states, (0,), np.full(len(rows), 0.5), rows=rows),
+        lambda states, rows: hs.encode(states, np.zeros(len(rows), dtype=np.intp), rows),
+        lambda states, rows: bell_labels(states, np.full(len(rows), 0.5), rows),
+    ], ids=["measure", "encode", "bell_labels"])
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_rows_out_of_range_are_rejected(self, kernel, bad):
+        states = np.tile(BELL_BASIS[0], (3, 1))
+        with pytest.raises(IndexError, match="row indices"):
+            kernel(states, np.array([0, bad]))
+
+    @pytest.mark.parametrize("code", [-1, 16])
+    def test_op_codes_out_of_range_are_rejected(self, code):
+        with pytest.raises(IndexError, match="op codes"):
+            hs.encode(np.tile(BELL_BASIS[0], (2, 1)), np.array([0, code]))
+
+    def test_rejects_a_block_larger_than_itself(self):
+        scratch = hs.Scratch(4)
+        assert scratch.array("work", (4, 16)).shape == (4, 16)
+        with pytest.raises(ValueError, match="does not fit"):
+            scratch.array("work", (5, 16))
+        with pytest.raises(ValueError, match="does not fit"):
+            scratch.array("probs", (4, 16), complex)
+
+
 class TestScalarApiIsOneRow:
     @given(blocks(max_rows=1), st.sampled_from(list(Photon)))
     @settings(max_examples=40, deadline=None)
@@ -387,10 +446,13 @@ class TestDegenerateRows:
         lambda states: bell_labels(states, np.array([0.5])),
     ], ids=["outcome_probs", "correlation_error_probs", "measure", "bell_labels"])
     def test_non_finite_row_is_rejected(self, kernel, head):
+        # with the ValueError, not after a numpy RuntimeWarning on the way
         states = np.zeros((1, 16), dtype=complex)
         states[0, : len(head)] = head
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
-            kernel(states)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                kernel(states)
 
 
 def test_run_builds_no_single_pair_states(monkeypatch):

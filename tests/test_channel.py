@@ -10,12 +10,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from test_adversary import check_block
-from hyperqsdc.adversary import EveKind, EveStrategy
+from hyperqsdc.adversary import EveKind, EveStrategy, resend
 from hyperqsdc.channel import ChannelParams, apply_transit, draw_transit
-from hyperqsdc.hyperstate import BELL_BASIS, Bell, BellIndex
+from hyperqsdc.hyperstate import (
+    AXIS,
+    BELL_BASIS,
+    PAULIS,
+    Bell,
+    BellIndex,
+    Dof,
+    Photon,
+    Scratch,
+    apply_local,
+)
 
 IDEAL = BellIndex(Bell.PHI_PLUS, Bell.PHI_PLUS)
 NO_EVE = EveStrategy(EveKind.NONE)
@@ -118,6 +130,31 @@ class TestTransmit:
 
         assert run(48) == run(48)
         assert run(48) != run(49)
+
+
+class TestNoiseOnHitRows:
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.03, 0.5, 1.0]),
+           st.sampled_from([0.0, 0.03, 0.5]), st.sampled_from(list(EveKind)[:2]), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_product_on_every_row(self, n, seed, p_pol, p_spa, kind, with_scratch):
+        # a row no Pauli error hits is left as it is; the identity product on
+        # it would differ only in the sign of a zero
+        rng = np.random.default_rng(seed)
+        states = rng.normal(size=(n, 16)) + 1j * rng.normal(size=(n, 16))
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+        states[: n // 2] = BELL_BASIS[rng.integers(16, size=n // 2)]  # rows with exact zeros
+        before = states.tobytes()
+        eve = EveStrategy(kind)
+        drawn = draw_transit(n, ChannelParams(pauli_p_pol=p_pol, pauli_p_spa=p_spa), eve, rng)
+        scratch = Scratch(n) if with_scratch else None
+        got, codes = apply_transit(states, eve, drawn.eve, drawn.paulis, scratch=scratch)
+        expected = states if drawn.eve is None else resend(states, eve, *drawn.eve)[0]
+        for dof, which in zip((Dof.POL, Dof.SPA), drawn.paulis):
+            if which is not None:
+                expected = apply_local(expected, AXIS[(Photon.A, dof)], PAULIS[which])
+        assert np.array_equal(got, expected)
+        assert (codes is None) == (drawn.eve is None)
+        assert states.tobytes() == before
 
 
 class TestParams:

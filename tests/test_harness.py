@@ -574,6 +574,9 @@ class TestCli:
         # laps tile a part of the run's wall time; 1e-9 s covers float summation
         assert 0.0 < sum(seconds.values()) <= doc["wall_time"] + 1e-9
         assert doc["abort_reasons"] == dict.fromkeys(ABORT_REASONS, 0)  # a clean run
+        # counted with the resource module, which Linux has
+        assert isinstance(doc["minor_faults"], int) and doc["minor_faults"] >= 0
+        assert b"minor_faults" not in timed.read_bytes()
 
     def test_metrics_file_counts_abort_reasons(self, tmp_path):
         config = tmp_path / "lossy.ini"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import weakref
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,7 +23,7 @@ from hyperqsdc.harness import (
     stats_text,
 )
 from hyperqsdc.hyperstate import Dof
-from hyperqsdc.protocol import CHUNK_ROWS, BlockDepleted, ConfigError
+from hyperqsdc.protocol import CHUNK_ROWS, BlockDepleted, ConfigError, SessionGroup
 
 from test_harness import config_with
 
@@ -109,16 +110,24 @@ def jsonl(transcripts: list) -> str:
     return "".join(json.dumps(event) + "\n" for event in transcripts)
 
 
+# Groups of at most this many rows split the pinned configs "clean" and
+# "groups_not_dividing_group_rows" into several groups, the last one short;
+# at GROUP_ROWS each of them is a single group.
+SMALL_GROUP_ROWS = 256
+
+
 @pytest.mark.parametrize("name", PINNED)
-def test_output_bytes_are_pinned(name):
+def test_output_bytes_are_pinned(monkeypatch, name):
     overrides, stats_digest, transcript_digest = PINNED[name]
     rc = parse_run_config(config_with(**overrides))
-    stats, transcripts = run(rc, collect_transcripts=True)
-    assert sha256(stats_text(rc, rc.seed, stats)) == stats_digest
-    assert sha256(jsonl(transcripts)) == transcript_digest
-    bare, none = run(rc)
-    assert none is None
-    assert sha256(stats_text(rc, rc.seed, bare)) == stats_digest
+    for group_rows in (GROUP_ROWS, SMALL_GROUP_ROWS):
+        monkeypatch.setattr(harness, "GROUP_ROWS", group_rows)
+        stats, transcripts = run(rc, collect_transcripts=True)
+        assert sha256(stats_text(rc, rc.seed, stats)) == stats_digest
+        assert sha256(jsonl(transcripts)) == transcript_digest
+        bare, none = run(rc)
+        assert none is None
+        assert sha256(stats_text(rc, rc.seed, bare)) == stats_digest
 
 
 def test_pinned_configs_cover_the_group_edges():
@@ -129,9 +138,13 @@ def test_pinned_configs_cover_the_group_edges():
     assert rcs["intercept_fixed_x_bases"].eve.basis_policy is BasisPolicy.FIXED_X
     assert rcs["intercept_fixed_z_bases"].eve.basis_policy is BasisPolicy.FIXED_Z
     groups = rcs["groups_not_dividing_group_rows"]
-    per_group = GROUP_ROWS // groups.protocol.n_pairs
-    assert per_group > 1 and GROUP_ROWS % groups.protocol.n_pairs
-    assert groups.sessions % per_group
+    for group_rows in (GROUP_ROWS, SMALL_GROUP_ROWS):
+        assert group_rows // groups.protocol.n_pairs > 1 and group_rows % groups.protocol.n_pairs
+    # at SMALL_GROUP_ROWS, several groups and a short last one
+    per_group = SMALL_GROUP_ROWS // groups.protocol.n_pairs
+    assert groups.sessions > per_group and groups.sessions % per_group
+    clean = rcs["clean"]
+    assert clean.sessions * clean.protocol.n_pairs > SMALL_GROUP_ROWS
     stats, _ = run(groups)
     assert 0 < stats.accepted < stats.sessions
     stats, _ = run(rcs["depleting"])
@@ -151,7 +164,7 @@ def test_depleted_session_raises_alone_and_leaves_no_trace_in_its_group():
             run_one_session(rc, rc.seed, k)
 
 
-@pytest.mark.parametrize("group_rows", [16, 64, 4096])
+@pytest.mark.parametrize("group_rows", [16, 64, 256, 4096])
 @pytest.mark.parametrize("name", ["depleting", "loss_noise_intercept_both_defenses",
                                   "groups_not_dividing_group_rows",
                                   "first_check_aborts_at_zero_threshold"])
@@ -164,6 +177,25 @@ def test_group_size_changes_no_byte(monkeypatch, name, group_rows):
     regrouped, regrouped_transcripts = run(rc, collect_transcripts=True)
     assert stats_text(rc, rc.seed, regrouped) == stats_text(rc, rc.seed, stats)
     assert regrouped_transcripts == transcripts
+
+
+def test_run_holds_one_group_at_a_time(monkeypatch):
+    # a finished group is released before the next one is built
+    live = weakref.WeakSet()
+    built = []
+    init = SessionGroup.__init__
+
+    def tracked(self, *args, **kwargs):
+        assert not live, "the previous group is still alive"
+        init(self, *args, **kwargs)
+        live.add(self)
+        built.append(1)
+
+    monkeypatch.setattr(SessionGroup, "__init__", tracked)
+    rc = parse_run_config(config_with(**PINNED["loss_noise_intercept_both_defenses"][0]))
+    monkeypatch.setattr(harness, "GROUP_ROWS", 2 * rc.protocol.n_pairs)
+    run(rc, collect_transcripts=True)
+    assert len(built) == rc.sessions // 2
 
 
 def pooled_alone(rc, seed: int):
