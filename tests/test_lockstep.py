@@ -98,6 +98,21 @@ PINNED = {
         "a9530a793ccc3726a5da7f5eb9445c2d649f3591427b5c6c642e6365245cf134",
         "ccefb251c7337d8d452d6401ba8fec23e2f430bb07b519a563edbfc0ac13981e",
     ),
+    # screening verdicts in the transcripts: every forward probe filtered,
+    # every forward probe alarmed; digests computed with the transcripts
+    # that the phase functions logged as they ran
+    "trojan_invisible_filtered": (
+        dict(sessions="10", n_pairs="32", seed="13", kind="trojan_invisible",
+             filter_enabled="true", pns_enabled="true", pns_kind="beamsplitter5050"),
+        "ef4695a6a6a0f03ade53197f257ef70df180de0fb72eca511b2e3ebd6035e434",
+        "c783aace3d9775df1b3f282a9342f8b38652093cd59073695b681a4fec7a7232",
+    ),
+    "trojan_delay_both_defenses": (
+        dict(sessions="10", n_pairs="32", seed="14", kind="trojan_delay",
+             filter_enabled="true", pns_enabled="true"),
+        "c25dbbbccddb5a690a5acc4d7a469aba244a7b1a41a22d219f61548264ab134c",
+        "5cae4509364328aa013aeca36778bc39e0e51116bf7d996ec695a4a0149a0200",
+    ),
 }
 
 
