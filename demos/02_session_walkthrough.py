@@ -1,7 +1,8 @@
 """One full session, narrated from the transcript.
 
 A session run alone is a group of one: its generator, handed over once at
-``prepare_group``, feeds every phase.
+``prepare_group``, feeds every phase.  The phases only fill the group's
+arrays; ``render_transcripts`` reads the session's events off them.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from hyperqsdc.protocol import (
     first_check_group,
     message_capacities,
     prepare_group,
+    render_transcripts,
     transmit_forward_group,
     transmit_return_group,
 )
@@ -31,7 +33,7 @@ encode_group(group, [bits], cfg)
 transmit_return_group(group, channel)
 decode_group(group, cfg)
 
-transcript = group.transcripts[0]
+[transcript] = render_transcripts(group)
 events = {event["event"]: event for event in transcript}
 first, second = events["first_check"], events["second_check"]
 print(f"first check: {first['n_checked']} pairs sampled, "

@@ -26,7 +26,6 @@ from .harness import (
     source_fidelity_scan,
     stats_text,
     sweep_csv,
-    write_transcripts,
 )
 from .hyperstate import (
     BELL_BASIS,

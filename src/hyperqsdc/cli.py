@@ -17,6 +17,7 @@ nonzero; success is silent apart from a timing note on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from dataclasses import replace
 
@@ -30,7 +31,6 @@ from .harness import (
     source_fidelity_scan,
     stats_text,
     sweep_csv,
-    write_transcripts,
 )
 from .protocol import ConfigError
 
@@ -55,10 +55,10 @@ def _cmd_simulate(args) -> int:
     rc = load_run_config(args.config)
     if args.seed is not None:
         rc = replace(rc, seed=args.seed)  # checked like the file's [run] seed
-    stats, transcripts = run(rc, collect_transcripts=args.transcripts)
+    path = args.out + ".transcripts.jsonl"
+    with open(path, "w", encoding="utf-8") if args.transcripts else contextlib.nullcontext() as fh:
+        stats, _ = run(rc, transcripts=fh)
     _write(args.out, stats_text(rc, rc.seed, stats))
-    if args.transcripts:
-        write_transcripts(args.out + ".transcripts.jsonl", transcripts)
     if args.metrics:
         _write(args.metrics, metrics_text(stats))
     print(

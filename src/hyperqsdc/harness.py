@@ -8,8 +8,9 @@ the whole run byte for byte.  ``run`` moves consecutive sessions through
 the phases in lockstep groups (``protocol.SessionGroup``), which changes
 nothing either: every session still draws only from its own generator.
 A group is also the unit of bookkeeping: ``_pool`` adds a finished group
-to the stats from its arrays in one call, and ``run_one_session`` runs one
-session as a group of one.
+to the stats from its arrays in one call, writing the transcripts of its
+sessions as it goes, and ``run_one_session`` runs one session as a group of
+one.
 
 The config file is INI text with sections mirroring the component
 configs; see ``EXAMPLE_CONFIG``.  Stats serialize as a JSON document with
@@ -28,7 +29,7 @@ import json
 import operator
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, TextIO
 
 import numpy as np
 
@@ -40,6 +41,7 @@ except ImportError:  # not on every platform
 from .adversary import (
     BasisPolicy,
     DefenseConfig,
+    DefenseVerdict,
     EveKind,
     EveStrategy,
     PnsKind,
@@ -50,6 +52,8 @@ from .hyperstate import Dof, Scratch, SourceParams, correlation_error_probs, sou
 from .protocol import (
     DEPLETED_FORWARD,
     DEPLETED_RETURN,
+    FATES,
+    SCREENS,
     ConfigError,
     PairFate,
     Phase,
@@ -60,6 +64,7 @@ from .protocol import (
     first_check_group,
     message_capacities,
     prepare_group,
+    render_transcripts,
     scratch_rows,
     transmit_forward_group,
     transmit_return_group,
@@ -392,8 +397,7 @@ class _Laps:
         self.last = now
 
 
-def _run_group(rc: RunConfig, master_seed: int, indices, record: bool = True,
-               lap: Callable = lambda phase: None,
+def _run_group(rc: RunConfig, master_seed: int, indices, lap: Callable = lambda phase: None,
                scratch: Optional[Scratch] = None) -> SessionGroup:
     """Run sessions ``indices`` of a run in lockstep (see ``protocol.SessionGroup``).
 
@@ -401,7 +405,7 @@ def _run_group(rc: RunConfig, master_seed: int, indices, record: bool = True,
     ``scratch`` is the group's work space, a new one by default.
     """
     rngs = [np.random.default_rng([master_seed, k]) for k in indices]
-    group = prepare_group(rc.protocol, rc.source, rngs, record, scratch)
+    group = prepare_group(rc.protocol, rc.source, rngs, scratch)
     lap("prepare")
     eve_fwd = rc.eve if rc.eve_passes in ("both", "forward") else None
     eve_ret = rc.eve if rc.eve_passes in ("both", "return") else None
@@ -430,18 +434,17 @@ def run_one_session(rc: RunConfig, master_seed: int, index: int) -> SessionGroup
     return group
 
 
-# a block stores each pair's fate as its index in tuple(PairFate)
-_FATE_CODE = {fate: code for code, fate in enumerate(PairFate)}
-
 # bits set in each 4-bit chunk value
 _POPCOUNT = np.array([bin(value).count("1") for value in range(16)])
 
 
-def _pool(stats: RunStats, transcripts: Optional[list], rc: RunConfig, master_seed: int,
+def _pool(stats: RunStats, transcripts: Optional[TextIO], rc: RunConfig, master_seed: int,
           indices, group: SessionGroup) -> None:
     """Add the finished sessions ``indices`` of a run, one ``_run_group`` group, to its stats.
 
     A depleted session adds to the session, abort and depletion counts only.
+    Every other session's events go to ``transcripts``, when given, one JSON
+    line each, led by the session index.
     """
     kept = group.depleted == 0
     accepted = group.in_phase(Phase.ACCEPTED)
@@ -458,13 +461,13 @@ def _pool(stats: RunStats, transcripts: Optional[list], rc: RunConfig, master_se
     first, second = group.counts[kept].sum(axis=0).tolist()
     stats.first_check.add(first)
     stats.second_check.add(second)
-    fates = group.fates[kept]
-    stats.lost_forward += int(np.count_nonzero(fates == _FATE_CODE[PairFate.LOST_FORWARD]))
-    stats.lost_return += int(np.count_nonzero(fates == _FATE_CODE[PairFate.LOST_RETURN]))
-    trojan, filtered, alarmed = group.screened[kept].sum(axis=0).tolist()
-    stats.trojan_signals += trojan
-    stats.trojan_filtered += filtered
-    stats.pns_alarms += alarmed
+    fates = np.bincount(group.fates[kept].ravel(), minlength=len(FATES)).tolist()
+    stats.lost_forward += fates[FATES.index(PairFate.LOST_FORWARD)]
+    stats.lost_return += fates[FATES.index(PairFate.LOST_RETURN)]
+    screens = np.bincount(group.screens[:, kept].ravel(), minlength=len(SCREENS)).tolist()
+    stats.trojan_signals += sum(screens[1:])
+    stats.trojan_filtered += screens[SCREENS.index(DefenseVerdict.FILTERED_OUT)]
+    stats.pns_alarms += screens[SCREENS.index(DefenseVerdict.PNS_ALARM)]
     if n_accepted:
         received = group.received[accepted]
         back = received >= 0
@@ -484,9 +487,10 @@ def _pool(stats: RunStats, transcripts: Optional[list], rc: RunConfig, master_se
             stats.eve_guesses += len(guesses)
             stats.eve_guesses_correct += int(np.count_nonzero(guesses == group.ops[encoded]))
     if transcripts is not None:
-        for k, events, keep in zip(indices, group.transcripts, kept.tolist()):
+        for k, events, keep in zip(indices, render_transcripts(group), kept.tolist()):
             if keep:
-                transcripts.extend({"session": k, **event} for event in events)
+                transcripts.write("".join(json.dumps({"session": k, **event}) + "\n"
+                                          for event in events))
 
 
 # Rows per lockstep group of ``run``; a session with more pairs is a group of
@@ -504,17 +508,19 @@ GROUP_ROWS = 1024
 
 
 def run(rc: RunConfig, master_seed: Optional[int] = None,
-        collect_transcripts: bool = False) -> tuple[RunStats, Optional[list]]:
-    """Run all sessions; returns (stats, transcripts or None).
+        transcripts: Optional[TextIO] = None) -> tuple[RunStats, Optional[TextIO]]:
+    """Run all sessions; returns (stats, ``transcripts``).
 
     Consecutive sessions go through the phases in lockstep groups of at most
     ``GROUP_ROWS`` rows; a session larger than that is a group of one.  The
     stats carry the run's wall time, its minor page faults and the part of
-    the wall time spent in each of ``PHASES``, summed over the groups.
+    the wall time spent in each of ``PHASES``, summed over the groups.  When
+    ``transcripts``, an open text file, is given, each group's sessions are
+    written to it as JSON lines as the group is pooled, so a run that fails
+    partway leaves the lines of the groups before.
     """
     seed = rc.seed if master_seed is None else master_seed
     stats = RunStats(adversary_present=rc.eve.kind is not EveKind.NONE)
-    transcripts = [] if collect_transcripts else None
     faults = _minor_faults()
     started = time.perf_counter()
     lap = _Laps(stats.phase_seconds)
@@ -524,7 +530,7 @@ def run(rc: RunConfig, master_seed: Optional[int] = None,
         indices = range(first, min(first + per_group, rc.sessions))
         # the finished group is dropped here, before the next one is built
         _pool(stats, transcripts, rc, seed, indices,
-              _run_group(rc, seed, indices, collect_transcripts, lap, scratch))
+              _run_group(rc, seed, indices, lap, scratch))
         lap("pooling")
     stats.wall_time = time.perf_counter() - started
     if faults is not None:
@@ -546,12 +552,6 @@ def metrics_text(stats: RunStats) -> str:
     doc = {"wall_time": stats.wall_time, "minor_faults": stats.minor_faults,
            "phase_seconds": stats.phase_seconds, "abort_reasons": stats.abort_reasons}
     return json.dumps(doc, indent=2) + "\n"
-
-
-def write_transcripts(path: str, transcripts: list) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for event in transcripts:
-            fh.write(json.dumps(event) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,14 @@ check), and only then decodes the message, 4 bits per pair.
 Phases move strictly forward; only the two checks may abort, and a
 session that runs out of pairs at a check ends there, aborted and marked
 depleted.  Sessions are single-owner mutable state, and all randomness
-flows through explicit generators.  Every op appends one event to the
-session's transcript, when it keeps one, with a stable field order.
+flows through explicit generators.
 
 Each phase is written once, for a ``SessionGroup`` of sessions that share
 one block of rows, keep their bookkeeping in arrays over the group and
-move in lockstep.  A session run alone is a group of one.
+move in lockstep.  A session run alone is a group of one.  The phases only
+fill those arrays; ``render_transcripts`` reads a session's transcript off
+them afterwards: one event per op it went through, each with a stable
+field order.
 """
 
 from __future__ import annotations
@@ -69,7 +71,11 @@ class PairFate(Enum):
 
 
 # A block stores each row's fate as its index in this tuple; ACTIVE is 0.
-_FATES = tuple(PairFate)
+FATES = tuple(PairFate)
+
+# A block stores each photon's Trojan screening verdict of a pass as its
+# index in this tuple; 0 (None) marks a photon that carried no probe.
+SCREENS = (None, *DefenseVerdict)
 
 
 class Verdict(Enum):
@@ -192,8 +198,8 @@ class CheckReport:
 # index in tuple(PairFate) per pair, and why a depleted member stopped.
 _PHASES = tuple(Phase)
 _PHASE = {phase: code for code, phase in enumerate(_PHASES)}
-_ACTIVE = _FATES.index(PairFate.ACTIVE)
-_CONSUMED = _FATES.index(PairFate.CONSUMED_CHECK)
+_ACTIVE = FATES.index(PairFate.ACTIVE)
+_CONSUMED = FATES.index(PairFate.CONSUMED_CHECK)
 DEPLETED_FORWARD = 1  # fewer than 3 pairs delivered for the first check
 DEPLETED_RETURN = 2  # the whole second-check sample lost on the way back
 
@@ -210,19 +216,24 @@ class SessionGroup:
     - ``ops``: the op code (``EncodingOp.code``) Alice applied, -1 where none.
     - ``eve_forward``, ``eve_return``: Eve's record codes of each pass (see
       ``adversary.resend``), -1 where she did not measure.
+    - ``screens[p]``: each photon's Trojan screening verdict on pass p (0
+      forward, 1 return) as its index into ``SCREENS``, 0 for no probe.
+    - ``first_reads``: per first-check sample, its outcome code over
+      (alice_pol, bob_pol, alice_spa, bob_spa), big-endian, plus 16 for an
+      X-basis read of pol and 32 of spa; -1 elsewhere.
     - ``second``: the hidden second-check sample.
     - ``sent``: the 4-bit chunk value written to each message pair, -1 on
       every other pair; ``received``: the value Bob read back from it, on
       the pairs of accepted sessions only.
+    - ``bell``: the Bell label 4 * pol + spa read from each returned pair.
 
     Per member: ``phases`` (index into ``tuple(Phase)``), ``depleted`` (0, or
     ``DEPLETED_FORWARD`` or ``DEPLETED_RETURN`` for a session that ran out of
     pairs at a check and ended there, aborted), ``counts[j, c]`` =
     (checked, pol errors, spa errors, mismatched samples) and ``failed[j, c]``
-    of check c (0 first, 1 second; a check that never ran checked 0),
-    ``screened[j]`` = (Trojan signals, filtered, PNS alarms), and
-    ``transcripts[j]``, the event list, when recording.  ``rngs[j]`` is the
-    only generator member j draws from.
+    of check c (0 first, 1 second; a check that never ran checked 0).
+    ``rngs[j]`` is the only generator member j draws from, and ``source``
+    is the pair source that filled the block.
 
     Each phase acts on the members that are in the phase it starts from.  It
     first draws member by member, in the order and sizes of the session run
@@ -230,7 +241,8 @@ class SessionGroup:
     over the group, at most ``CHUNK_ROWS`` rows per kernel call.  So a
     session's draws, outcomes and transcript never depend on which sessions
     share its group, and a session run alone is a group of one.
-    ``harness`` reads every result straight from these arrays.
+    ``harness`` reads every result straight from these arrays, and
+    ``render_transcripts`` every transcript.
 
     Each kernel call reads its rows straight from ``states`` and works in
     ``scratch``, a ``hyperstate.Scratch`` of at least ``scratch_rows``
@@ -239,23 +251,25 @@ class SessionGroup:
     of its own.
     """
 
-    def __init__(self, n_pairs: int, rngs: list, record: bool, scratch: Optional[Scratch] = None):
+    def __init__(self, n_pairs: int, rngs: list, source: Optional[SourceParams] = None,
+                 scratch: Optional[Scratch] = None):
         m, n = len(rngs), n_pairs
         self.scratch = Scratch(scratch_rows(m * n)) if scratch is None else scratch
         self.n_pairs = n
+        self.source = source
         self.bounds = np.arange(0, (m + 1) * n, n)  # each member's first block row, then the end
         self.rngs = list(rngs)
         self.states = np.empty((m * n, DIM), dtype=complex)
         self.fates = np.zeros((m, n), dtype=np.int8)
         self.ops = np.full((m, n), -1, dtype=np.intp)
         self.eve_forward, self.eve_return = np.full((2, m, n, 2, 2), -1, dtype=np.int8)
+        self.screens = np.zeros((2, m, n), dtype=np.int8)
+        self.first_reads = np.full((m, n), -1, dtype=np.int8)
         self.second = np.zeros((m, n), dtype=bool)
-        self.sent, self.received = np.full((2, m, n), -1, dtype=np.int8)
+        self.sent, self.received, self.bell = np.full((3, m, n), -1, dtype=np.int8)
         self.phases, self.depleted = np.zeros((2, m), dtype=np.int8)  # all PREPARED, none depleted
         self.counts = np.zeros((m, 2, 4), dtype=np.intp)
         self.failed = np.zeros((m, 2), dtype=bool)
-        self.screened = np.zeros((m, 3), dtype=np.intp)
-        self.transcripts: Optional[list] = [[] for _ in range(m)] if record else None
 
     def in_phase(self, phase: Phase) -> np.ndarray:
         """Mask of the members in ``phase``."""
@@ -265,9 +279,6 @@ class SessionGroup:
         # a depleted session ends aborted; ``depleted`` says why
         self.phases[members] = _PHASE[Phase.ABORTED]
         self.depleted[members] = reason
-
-    def _log(self, j: int, **fields) -> None:
-        self.transcripts[j].append(fields)
 
     def raise_if_depleted(self, j: int) -> None:
         """Raise the ``BlockDepleted`` error that stopped member ``j``, if it was depleted."""
@@ -284,61 +295,16 @@ def prepare_group(
     cfg: ProtocolConfig,
     source: SourceParams,
     rngs: list,
-    record: bool = True,
     scratch: Optional[Scratch] = None,
 ) -> SessionGroup:
     """One session per generator; Bob's source fills every row of the shared block.
 
-    ``record`` keeps a transcript per session.  ``scratch`` is the group's
-    work space (see ``SessionGroup``), a new one by default.
+    ``scratch`` is the group's work space (see ``SessionGroup``), a new one
+    by default.
     """
-    group = SessionGroup(cfg.n_pairs, rngs, record, scratch)
+    group = SessionGroup(cfg.n_pairs, rngs, source, scratch)
     group.states[:] = source.amplitudes
-    for j in range(len(rngs)) if record else ():
-        group._log(
-            j,
-            event="prepare",
-            phase=Phase.PREPARED.value,
-            n_pairs=cfg.n_pairs,
-            source_r=float(source.r),
-            source_phi=float(source.phi),
-        )
     return group
-
-
-# a chunk value's four bits as message text
-_CHUNK_TEXT = tuple(f"{value:04b}" for value in range(16))
-
-
-def _bits_text(chunks: np.ndarray) -> str:
-    return "".join([_CHUNK_TEXT[c] for c in chunks.tolist()])
-
-
-@cache
-def _table(alphabet: bytes) -> bytes:
-    return bytes.maketrans(bytes(range(len(alphabet))), alphabet)
-
-
-def _texts(alphabet: bytes, codes: np.ndarray) -> list[str]:
-    """Per row r of the 2-D ``codes``, the string of the characters ``alphabet[codes[r, k]]``."""
-    width = codes.shape[1]
-    if not width:
-        return [""] * len(codes)
-    text = codes.astype(np.uint8).tobytes().translate(_table(alphabet)).decode("ascii")
-    return [text[start : start + width] for start in range(0, len(text), width)]
-
-
-_OP_NAMES = tuple(f"{op.i}{op.j}" for op in map(EncodingOp.from_code, range(16)))
-
-
-def _op_names(codes: np.ndarray) -> list[str]:
-    return [_OP_NAMES[c] for c in codes.tolist()]
-
-
-def _spans(sizes: list) -> list[tuple[int, int]]:
-    """(start, stop) of back-to-back runs of the given sizes."""
-    stops = list(accumulate(sizes))
-    return list(zip([0, *stops[:-1]], stops))
 
 
 def _candidates(group: SessionGroup, acting: Optional[np.ndarray] = None) -> tuple:
@@ -371,8 +337,8 @@ def _check(group: SessionGroup, check: int, rows: np.ndarray, errors: np.ndarray
 
     ``errors`` is per row pol error + 2 * spa error.  Every member with
     samples moves on to ``passed``, or to ABORTED when a DOF's error rate
-    exceeds ``threshold``.  Returns per member whether it had samples, its
-    counts (see ``SessionGroup``) and whether it failed, as lists.
+    exceeds ``threshold``.  Returns per member whether it had samples and
+    whether it failed, as lists.
     """
     m = len(group.phases)
     kinds = np.bincount(rows // group.n_pairs * 4 + errors, minlength=4 * m)
@@ -385,17 +351,17 @@ def _check(group: SessionGroup, check: int, rows: np.ndarray, errors: np.ndarray
     group.failed[:, check] |= failed
     group.phases[sampled] = _PHASE[passed]
     group.phases[failed] = _PHASE[Phase.ABORTED]
-    return sampled.tolist(), counts.tolist(), failed.tolist()
+    return sampled.tolist(), failed.tolist()
 
 
-_NO_ROWS = np.empty(0, dtype=np.intp)
-_NO_RECORDS = np.empty((0, 2, 2), dtype=np.int8)
 _NO_EVE = EveStrategy()
+_CLEAN = SCREENS.index(DefenseVerdict.CLEAN)
 
-# direction -> (phase before, phase in flight, phase on arrival, fate of a photon lost on the way)
+# direction -> (pass index, phase before, phase in flight, phase on arrival,
+# fate of a photon lost on the way)
 _TRANSITS = {
-    "forward": (Phase.PREPARED, Phase.SA_IN_FLIGHT_1, Phase.FIRST_CHECK, PairFate.LOST_FORWARD),
-    "return": (Phase.SA_IN_FLIGHT_2, Phase.SA_IN_FLIGHT_2, Phase.DECODING, PairFate.LOST_RETURN),
+    "forward": (0, Phase.PREPARED, Phase.SA_IN_FLIGHT_1, Phase.FIRST_CHECK, PairFate.LOST_FORWARD),
+    "return": (1, Phase.SA_IN_FLIGHT_2, Phase.SA_IN_FLIGHT_2, Phase.DECODING, PairFate.LOST_RETURN),
 }
 
 
@@ -406,7 +372,7 @@ def _transit(
     defense: Optional[DefenseConfig],
     direction: str,
 ) -> None:
-    before, in_flight, arrival, lost_fate = _TRANSITS[direction]
+    pass_index, before, _, arrival, lost_fate = _TRANSITS[direction]
     members = group.in_phase(before).nonzero()[0]
     eve = eve if eve is not None else _NO_EVE
     filter_tol = {} if defense is None else {"filter_tolerance": defense.filter_tolerance}
@@ -416,18 +382,14 @@ def _transit(
         params.loss_prob or params.pauli_p_pol or params.pauli_p_spa
     )
     n = group.n_pairs
-    records = group.eve_forward if direction == "forward" else group.eve_return
+    records = (group.eve_forward, group.eve_return)[pass_index]
+    screens = group.screens[pass_index].reshape(-1)
     delivered: list = []  # block rows of the photons delivered, per chunk
     lost: list = []  # block rows of the photons lost, per chunk
     draws: list = []  # their chn.TransitDraws, per chunk
-    notes: dict = {}  # member -> its chunks in ``delivered``, positions probed, filtered, alarmed
     for j in [] if quiet else members.tolist():
-        rng, offset = group.rngs[j], j * n
-        active = (group.fates[j] == _ACTIVE).nonzero()[0] + offset
-        first_chunk = len(delivered)
-        trojan: list[int] = []
-        filtered: list[int] = []
-        alarmed: list[int] = []
+        rng = group.rngs[j]
+        active = (group.fates[j] == _ACTIVE).nonzero()[0] + j * n
         for chunk in _chunks(len(active)):
             sent = active[chunk]
             drawn = chn.draw_transit(len(sent), params, eve, rng, **filter_tol)
@@ -437,20 +399,11 @@ def _transit(
             delivered.append(sent)
             draws.append(drawn)
             if drawn.metas is not None:
-                got = (sent - offset).tolist()
-                trojan.extend(got)
-                for pos, meta in zip(got, drawn.metas):
-                    verdict = apply_defenses(meta, defense, rng) if screen else DefenseVerdict.CLEAN
-                    # a caught probe is stripped; the legitimate photon continues
-                    if verdict is DefenseVerdict.FILTERED_OUT:
-                        filtered.append(pos)
-                    elif verdict is DefenseVerdict.PNS_ALARM:
-                        alarmed.append(pos)
-        if trojan:
-            group.screened[j] += (len(trojan), len(filtered), len(alarmed))
-        notes[j] = (slice(first_chunk, len(delivered)), trojan, filtered, alarmed)
+                # a caught probe is stripped; the legitimate photon continues
+                screens[sent] = [SCREENS.index(apply_defenses(meta, defense, rng)) if screen
+                                 else _CLEAN for meta in drawn.metas]
     if lost:
-        group.fates.reshape(-1)[np.concatenate(lost)] = _FATES.index(lost_fate)
+        group.fates.reshape(-1)[np.concatenate(lost)] = FATES.index(lost_fate)
     if delivered:
         rows = np.concatenate(delivered)
         eve_draws = None if draws[0].eve is None else [
@@ -475,33 +428,6 @@ def _transit(
             if codes is not None:
                 flat_records[block] = codes
     group.phases[members] = _PHASE[arrival]
-    for j in [] if group.transcripts is None else members.tolist():
-        chunks, trojan, filtered, alarmed = notes.get(j, (slice(0), [], [], []))
-        intercepted, recs = _NO_ROWS, _NO_RECORDS
-        if eve.kind is EveKind.INTERCEPT_RESEND and delivered[chunks]:
-            intercepted = np.concatenate(delivered[chunks]) - j * n
-            recs = records[j][intercepted] + 1
-        lost = []
-        if params.loss_prob:
-            lost = (group.fates[j] == _FATES.index(lost_fate)).nonzero()[0].tolist()
-        bases = _texts(b"-ZX", recs[:, :, 0].T)  # (pol, spa)
-        outcomes = _texts(b"-01", recs[:, :, 1].T)
-        group._log(
-            j,
-            event="transit",
-            phase=in_flight.value,
-            to_phase=arrival.value,
-            direction=direction,
-            lost_positions=lost,
-            intercepted_positions=intercepted.tolist(),
-            eve_pol_bases=bases[0],
-            eve_pol_outcomes=outcomes[0],
-            eve_spa_bases=bases[1],
-            eve_spa_outcomes=outcomes[1],
-            trojan_positions=trojan,
-            filtered_positions=filtered,
-            alarmed_positions=alarmed,
-        )
 
 
 def transmit_forward_group(
@@ -523,13 +449,6 @@ def transmit_return_group(
     _transit(group, params, eve, None, "return")
 
 
-# bit shifts that split a correlation-check outcome over all four axes,
-# (alice_pol, bob_pol, alice_spa, bob_spa) big-endian, into the rows
-# alice_pol, alice_spa, bob_pol, bob_spa
-_CHECK_BITS = np.array([[3], [1], [2], [0]], dtype=np.uint8)
-# bit shifts that split flat Bell labels 4 * p + s into the rows p, s
-_BELL_SHIFTS = np.array([[2], [0]])
-
 
 def first_check_group(group: SessionGroup, cfg: ProtocolConfig) -> None:
     """Correlation check on a random sample of each session's delivered pairs.
@@ -542,7 +461,7 @@ def first_check_group(group: SessionGroup, cfg: ProtocolConfig) -> None:
     """
     acting = group.in_phase(Phase.FIRST_CHECK)
     candidates, starts = _candidates(group)  # a member draws from its own rows only
-    members, picks, xs, us = [], [], [], []
+    picks, xs, us = [], [], []
     for j in acting.nonzero()[0].tolist():
         size = starts[j + 1] - starts[j]
         if size < 3:
@@ -555,8 +474,7 @@ def first_check_group(group: SessionGroup, cfg: ProtocolConfig) -> None:
         draws = rng.random(3 * k)
         xs.append(draws[: 2 * k])
         us.append(draws[2 * k :])
-        members.append(j)
-    if not members:
+    if not picks:
         return
     rows = np.sort(candidates[np.concatenate(picks)])
     x = np.concatenate(xs).reshape(-1, 2) < 0.5
@@ -568,32 +486,9 @@ def first_check_group(group: SessionGroup, cfg: ProtocolConfig) -> None:
             group.states, ALL_AXES, u[piece], x[piece][:, [0, 0, 1, 1]], collapse=False,
             rows=rows[piece], scratch=group.scratch,
         )[0]
-    _, counts, failed = _check(group, 0, rows, _CHECK_ERRORS[outcomes], cfg.error_threshold,
-                               Phase.ENCODING)
+    _check(group, 0, rows, _CHECK_ERRORS[outcomes], cfg.error_threshold, Phase.ENCODING)
     group.fates.reshape(-1)[rows] = _CONSUMED
-    if group.transcripts is None:
-        return
-    n = group.n_pairs
-    # the bases (pol, spa) and outcome bits (alice_pol, alice_spa, bob_pol, bob_spa) of all samples
-    bases = _texts(b"ZX", x.T)
-    bits = _texts(b"01", (outcomes >> _CHECK_BITS) & 1)
-    for j, (a, b) in zip(members, _spans([len(p) for p in picks])):
-        group._log(
-            j,
-            event="first_check",
-            phase=Phase.FIRST_CHECK.value,
-            to_phase=(Phase.ABORTED if failed[j] else Phase.ENCODING).value,
-            positions=(rows[a:b] - j * n).tolist(),
-            pol_bases=bases[0][a:b],
-            spa_bases=bases[1][a:b],
-            alice_pol=bits[0][a:b],
-            alice_spa=bits[1][a:b],
-            bob_pol=bits[2][a:b],
-            bob_spa=bits[3][a:b],
-            **CheckReport.from_counts(counts[j], failed[j]).fields(),
-        )
-        if failed[j]:
-            group._log(j, event="result", phase=Phase.ABORTED.value, message=None)
+    group.first_reads.reshape(-1)[rows] = outcomes + 16 * x[:, 0] + 32 * x[:, 1]
 
 
 def _encoding_plan(group: SessionGroup, cfg: ProtocolConfig) -> tuple:
@@ -665,21 +560,6 @@ def encode_group(group: SessionGroup, messages: list, cfg: ProtocolConfig) -> No
         block = candidates[piece]
         group.states[block] = encode(group.states, ops[block], block, group.scratch)
     group.phases[members] = _PHASE[Phase.SA_IN_FLIGHT_2]
-    if group.transcripts is None:
-        return
-    n = group.n_pairs
-    for j, (a, b), (c, d) in zip(members, _spans([e - k for e, k in zip(n_eligible, n_second)]),
-                                 _spans(n_second)):
-        group._log(
-            j,
-            event="encode",
-            phase=Phase.ENCODING.value,
-            to_phase=Phase.SA_IN_FLIGHT_2.value,
-            message_positions=(message_rows[a:b] - j * n).tolist(),
-            message_ops=_op_names(ops[message_rows[a:b]]),
-            sample_positions=(second[c:d] - j * n).tolist(),
-            sample_ops=_op_names(ops[second[c:d]]),
-        )
 
 
 def decode_group(group: SessionGroup, cfg: ProtocolConfig) -> None:
@@ -701,13 +581,13 @@ def decode_group(group: SessionGroup, cfg: ProtocolConfig) -> None:
     labels = np.empty(len(rows), dtype=np.intp)
     for piece in _chunks(len(rows)):
         labels[piece] = bell_labels(group.states, u[piece], rows[piece], group.scratch)
-
+    group.bell.reshape(-1)[rows] = labels
     in_sample = group.second.reshape(-1)[rows]
     sample_rows = rows[in_sample]
     got = labels[in_sample]
     expected = group.ops.reshape(-1)[sample_rows]  # an op code is the flat label it encodes
-    checked, counts, failed = _check(group, 1, sample_rows, _LABEL_ERRORS[got ^ expected],
-                                     cfg.error_threshold, Phase.ACCEPTED)
+    checked, failed = _check(group, 1, sample_rows, _LABEL_ERRORS[got ^ expected],
+                             cfg.error_threshold, Phase.ACCEPTED)
     lost_sample = [j for j in members if not checked[j]]
     if lost_sample:
         group._deplete(lost_sample, DEPLETED_RETURN)
@@ -717,27 +597,143 @@ def decode_group(group: SessionGroup, cfg: ProtocolConfig) -> None:
         # the code of the op that made it
         kept = group.in_phase(Phase.ACCEPTED)[rows // n] & (group.sent.reshape(-1)[rows] >= 0)
         group.received.reshape(-1)[rows[kept]] = cfg.chunk_of_op[labels[kept]]
-    if group.transcripts is None:
-        return
-    bell = _texts(b"0123", (labels >> _BELL_SHIFTS) & 3)  # (pol, spa) of every pair read
-    for j in members:
-        if not checked[j]:
-            continue
-        phase = _PHASES[group.phases[j]]
-        mine = slice(starts[j], starts[j + 1])
-        samples = rows[mine][in_sample[mine]]
-        group._log(
-            j,
-            event="second_check",
-            phase=Phase.SECOND_CHECK.value,
-            to_phase=phase.value,
-            positions=(rows[mine] - j * n).tolist(),
-            bell_pol=bell[0][mine],
-            bell_spa=bell[1][mine],
-            sample_positions=(samples - j * n).tolist(),
-            expected_ops=_op_names(group.ops.reshape(-1)[samples]),
-            **CheckReport.from_counts(counts[j], failed[j]).fields(),
-        )
-        received = group.received[j]
-        message = _bits_text(received[received >= 0]) if phase is Phase.ACCEPTED else None
-        group._log(j, event="result", phase=phase.value, message=message)
+
+
+# ---------------------------------------------------------------------------
+# transcripts
+# ---------------------------------------------------------------------------
+
+# a chunk value's four bits as message text
+_CHUNK_TEXT = tuple(f"{value:04b}" for value in range(16))
+
+
+def _bits_text(chunks: np.ndarray) -> str:
+    return "".join([_CHUNK_TEXT[c] for c in chunks.tolist()])
+
+
+@cache
+def _table(alphabet: bytes) -> bytes:
+    return bytes.maketrans(bytes(range(len(alphabet))), alphabet)
+
+
+def _texts(alphabet: bytes, codes: np.ndarray) -> list[str]:
+    """Per row r of the 2-D ``codes``, the string of the characters ``alphabet[codes[r, k]]``."""
+    width = codes.shape[1]
+    if not width:
+        return [""] * len(codes)
+    text = codes.astype(np.uint8).tobytes().translate(_table(alphabet)).decode("ascii")
+    return [text[start : start + width] for start in range(0, len(text), width)]
+
+
+_OP_NAMES = tuple(f"{op.i}{op.j}" for op in map(EncodingOp.from_code, range(16)))
+
+
+def _op_names(codes: np.ndarray) -> list[str]:
+    return [_OP_NAMES[c] for c in codes.tolist()]
+
+
+def _split(items, mask: np.ndarray) -> list:
+    """``items``, one per set entry of the 2-D ``mask`` in row-major order, cut per row (member)."""
+    stops = list(accumulate(np.count_nonzero(mask, axis=1).tolist()))
+    return [items[start:stop] for start, stop in zip([0, *stops[:-1]], stops)]
+
+
+def _positions(mask: np.ndarray) -> list:
+    """Per row of the 2-D ``mask``, the positions it sets, ascending."""
+    return _split(mask.nonzero()[1].tolist(), mask)
+
+
+def _cut(alphabet: bytes, codes: np.ndarray, mask: np.ndarray) -> list:
+    """``_texts`` of ``codes``, whose columns are ``mask``'s set entries, each cut per member."""
+    return [_split(text, mask) for text in _texts(alphabet, codes)]
+
+
+# bit shifts that split a first-check reading (see ``SessionGroup``) into
+# the rows pol basis, spa basis, alice_pol, alice_spa, bob_pol, bob_spa
+_READ_SHIFTS = np.array([[4], [5], [3], [1], [2], [0]])
+# bit shifts that split flat Bell labels 4 * p + s into the rows p, s
+_BELL_SHIFTS = np.array([[2], [0]])
+_FILTERED = SCREENS.index(DefenseVerdict.FILTERED_OUT)
+_ALARMED = SCREENS.index(DefenseVerdict.PNS_ALARM)
+
+# the fields each event takes from the group's arrays, in event order
+_TRANSIT_KEYS = ("lost_positions", "intercepted_positions", "eve_pol_bases", "eve_pol_outcomes",
+                 "eve_spa_bases", "eve_spa_outcomes", "trojan_positions", "filtered_positions",
+                 "alarmed_positions")
+_FIRST_KEYS = ("positions", "pol_bases", "spa_bases", "alice_pol", "alice_spa", "bob_pol",
+               "bob_spa")
+_ENCODE_KEYS = ("message_positions", "message_ops", "sample_positions", "sample_ops")
+_SECOND_KEYS = ("positions", "bell_pol", "bell_spa", "sample_positions", "expected_ops")
+
+
+def _fields(keys: tuple, *columns) -> list[dict]:
+    """Per member, the dict of ``keys`` to its entries of the per-member ``columns``."""
+    return [dict(zip(keys, values)) for values in zip(*columns)]
+
+
+def _transit_events(group: SessionGroup, direction: str) -> list[dict]:
+    """Per member, the event of its transit in ``direction``, whether or not it made one."""
+    pass_index, _, in_flight, arrival, lost_fate = _TRANSITS[direction]
+    records = (group.eve_forward, group.eve_return)[pass_index]
+    screens = group.screens[pass_index]
+    taken = (records >= 0).any(axis=(2, 3))  # Eve reads some DOF of every photon she takes
+    bases = _cut(b"-ZX", records[taken][:, :, 0].T + 1, taken)  # (pol, spa)
+    outcomes = _cut(b"-01", records[taken][:, :, 1].T + 1, taken)
+    fields = _fields(_TRANSIT_KEYS, _positions(group.fates == FATES.index(lost_fate)),
+                     _positions(taken), bases[0], outcomes[0], bases[1], outcomes[1],
+                     _positions(screens > 0), _positions(screens == _FILTERED),
+                     _positions(screens == _ALARMED))
+    head = dict(event="transit", phase=in_flight.value, to_phase=arrival.value, direction=direction)
+    return [{**head, **member} for member in fields]
+
+
+def render_transcripts(group: SessionGroup) -> list[list[dict]]:
+    """Each member's transcript, read off the group's arrays: its events, in order.
+
+    The events, as far as the member got: prepare, the forward transit, the
+    first check (then a result, when it failed), encode, the return transit,
+    the second check and the result.  A member depleted at a check has no
+    event from that check on.
+    """
+    sampled = group.first_reads >= 0
+    bits = (group.first_reads[sampled] >> _READ_SHIFTS) & 1
+    first = _fields(_FIRST_KEYS, _positions(sampled), *_cut(b"ZX", bits[:2], sampled),
+                    *_cut(b"01", bits[2:], sampled))
+    message = group.sent >= 0
+    encoded = _fields(_ENCODE_KEYS, _positions(message),
+                      _split(_op_names(group.ops[message]), message), _positions(group.second),
+                      _split(_op_names(group.ops[group.second]), group.second))
+    read = group.bell >= 0
+    samples = read & group.second
+    second = _fields(_SECOND_KEYS, _positions(read),
+                     *_cut(b"0123", (group.bell[read] >> _BELL_SHIFTS) & 3, read),
+                     _positions(samples), _split(_op_names(group.ops[samples]), samples))
+    forward, back = _transit_events(group, "forward"), _transit_events(group, "return")
+    counts, failed = group.counts.tolist(), group.failed.tolist()
+    transcripts = []
+    for j, phase in enumerate(_PHASES[code] for code in group.phases.tolist()):
+        events = [dict(event="prepare", phase=Phase.PREPARED.value, n_pairs=group.n_pairs,
+                       source_r=float(group.source.r), source_phi=float(group.source.phi))]
+        if phase is not Phase.PREPARED:
+            events.append(forward[j])
+        if counts[j][0][0]:
+            to_phase = Phase.ABORTED if failed[j][0] else Phase.ENCODING
+            report = CheckReport.from_counts(counts[j][0], failed[j][0]).fields()
+            events.append(dict(event="first_check", phase=Phase.FIRST_CHECK.value,
+                               to_phase=to_phase.value, **first[j], **report))
+        if failed[j][0]:
+            events.append(dict(event="result", phase=Phase.ABORTED.value, message=None))
+        if encoded[j]["sample_positions"]:
+            events.append(dict(event="encode", phase=Phase.ENCODING.value,
+                               to_phase=Phase.SA_IN_FLIGHT_2.value, **encoded[j]))
+            if phase is not Phase.SA_IN_FLIGHT_2:
+                events.append(back[j])
+        if counts[j][1][0]:
+            report = CheckReport.from_counts(counts[j][1], failed[j][1]).fields()
+            events.append(dict(event="second_check", phase=Phase.SECOND_CHECK.value,
+                               to_phase=phase.value, **second[j], **report))
+            received = group.received[j]
+            text = _bits_text(received[received >= 0]) if phase is Phase.ACCEPTED else None
+            events.append(dict(event="result", phase=phase.value, message=text))
+        transcripts.append(events)
+    return transcripts

@@ -205,10 +205,11 @@ class TestDeterminism:
 
     def test_transcripts_reproduce_too(self):
         rc = parse_run_config(config_with(sessions="5", n_pairs="32", loss_prob="0.1"))
-        _, ta = run(rc, 9, collect_transcripts=True)
-        _, tb = run(rc, 9, collect_transcripts=True)
-        assert ta == tb
-        assert {e["session"] for e in ta} == set(range(5))
+        ta, tb = io.StringIO(), io.StringIO()
+        run(rc, 9, ta)
+        run(rc, 9, tb)
+        assert ta.getvalue() == tb.getvalue()
+        assert {json.loads(line)["session"] for line in ta.getvalue().splitlines()} == set(range(5))
 
     def test_different_seed_differs(self):
         rc = parse_run_config(config_with(sessions="5", kind="intercept_resend"))
@@ -360,7 +361,7 @@ class TestAdversaryRuns:
         per_group = GROUP_ROWS // rc.protocol.n_pairs
         survived = 0
         for first in range(0, sessions, per_group):
-            group = _run_group(rc, 55, range(first, min(first + per_group, sessions)), record=False)
+            group = _run_group(rc, 55, range(first, min(first + per_group, sessions)))
             assert not group.depleted.any()
             assert (group.counts[:, 0, 0] == 10).all()
             survived += np.count_nonzero(~group.failed[:, 0])

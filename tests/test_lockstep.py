@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import os
+import tracemalloc
 import weakref
 
 import pytest
@@ -23,7 +26,15 @@ from hyperqsdc.harness import (
     stats_text,
 )
 from hyperqsdc.hyperstate import Dof
-from hyperqsdc.protocol import CHUNK_ROWS, BlockDepleted, ConfigError, SessionGroup
+from hyperqsdc.protocol import (
+    CHUNK_ROWS,
+    DEPLETED_FORWARD,
+    DEPLETED_RETURN,
+    BlockDepleted,
+    ConfigError,
+    SessionGroup,
+    render_transcripts,
+)
 
 from test_harness import config_with
 
@@ -120,9 +131,18 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def jsonl(transcripts: list) -> str:
-    # the bytes write_transcripts puts in the file
-    return "".join(json.dumps(event) + "\n" for event in transcripts)
+def run_jsonl(rc, seed=None) -> tuple:
+    """``run`` with its transcripts streamed to text: (stats, the JSONL text)."""
+    out = io.StringIO()
+    stats, _ = run(rc, seed, out)
+    return stats, out.getvalue()
+
+
+def session_lines(text: str, k: int) -> list:
+    """The events of session ``k`` in a run's JSONL, without the session key."""
+    events = [json.loads(line) for line in text.splitlines()]
+    return [{key: value for key, value in event.items() if key != "session"}
+            for event in events if event["session"] == k]
 
 
 # Groups of at most this many rows split the pinned configs "clean" and
@@ -137,9 +157,9 @@ def test_output_bytes_are_pinned(monkeypatch, name):
     rc = parse_run_config(config_with(**overrides))
     for group_rows in (GROUP_ROWS, SMALL_GROUP_ROWS):
         monkeypatch.setattr(harness, "GROUP_ROWS", group_rows)
-        stats, transcripts = run(rc, collect_transcripts=True)
+        stats, text = run_jsonl(rc)
         assert sha256(stats_text(rc, rc.seed, stats)) == stats_digest
-        assert sha256(jsonl(transcripts)) == transcript_digest
+        assert sha256(text) == transcript_digest
         bare, none = run(rc)
         assert none is None
         assert sha256(stats_text(rc, rc.seed, bare)) == stats_digest
@@ -166,17 +186,73 @@ def test_pinned_configs_cover_the_group_edges():
     assert 0 < stats.depleted < stats.sessions
     stats, _ = run(rcs["first_check_aborts_at_zero_threshold"])
     assert 0 < stats.accepted < stats.sessions
+    stats, _ = run(rcs["trojan_invisible_filtered"])
+    assert stats.trojan_filtered == 320  # every forward probe of 10 sessions of 32 pairs
+    stats, _ = run(rcs["trojan_delay_both_defenses"])
+    assert stats.pns_alarms == 320
 
 
 def test_depleted_session_raises_alone_and_leaves_no_trace_in_its_group():
     rc = parse_run_config(config_with(**PINNED["depleting"][0]))
-    stats, transcripts = run(rc, collect_transcripts=True)
-    present = {event["session"] for event in transcripts}
+    stats, text = run_jsonl(rc)
+    present = {json.loads(line)["session"] for line in text.splitlines()}
     depleted = [k for k in range(rc.sessions) if k not in present]
     assert len(depleted) == stats.depleted
     for k in depleted:
         with pytest.raises(BlockDepleted):
             run_one_session(rc, rc.seed, k)
+
+
+# the hostile_channel benchmark scenario: loss, Pauli noise, two-pass
+# intercept-resend and both defenses on 112-pair blocks
+HOSTILE = dict(n_pairs="112", seed="3", loss_prob="0.1", pauli_p_pol="0.03",
+               pauli_p_spa="0.03", kind="intercept_resend", error_threshold="1.0",
+               filter_enabled="true", pns_enabled="true")
+
+
+@pytest.mark.parametrize("overrides", [dict(HOSTILE, sessions="12"),
+                                       PINNED["trojan_invisible_filtered"][0]])
+def test_session_renders_alone_as_in_the_run(overrides):
+    # session 5 sits in the middle of the run's first group (of 9 and of 10 members)
+    rc = parse_run_config(config_with(**overrides))
+    _, text = run_jsonl(rc)
+    [alone] = render_transcripts(run_one_session(rc, rc.seed, 5))
+    assert alone == session_lines(text, 5)
+    assert [e["event"] for e in alone] == ["prepare", "transit", "first_check", "encode",
+                                           "transit", "second_check", "result"]
+
+
+def test_depleted_member_renders_up_to_the_check_it_missed():
+    # a member depleted at the first check renders prepare and the forward
+    # transit, one depleted at the second check stops after the return transit;
+    # the run writes neither
+    rc = parse_run_config(config_with(**PINNED["depleting"][0]))
+    group = _run_group(rc, rc.seed, range(rc.sessions))
+    _, text = run_jsonl(rc)
+    rendered = {DEPLETED_FORWARD: ["prepare", "transit"],
+                DEPLETED_RETURN: ["prepare", "transit", "first_check", "encode", "transit"]}
+    reasons = group.depleted.tolist()
+    assert {DEPLETED_FORWARD, DEPLETED_RETURN} <= set(reasons)
+    for k, (events, reason) in enumerate(zip(render_transcripts(group), reasons)):
+        if reason:
+            assert [e["event"] for e in events] == rendered[reason]
+            assert session_lines(text, k) == []
+        else:
+            assert events == session_lines(text, k)
+
+
+def test_streamed_run_memory_does_not_grow_with_sessions():
+    peaks = []
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        for sessions in (300, 3000):
+            rc = parse_run_config(config_with(sessions=str(sessions), **HOSTILE))
+            tracemalloc.start()
+            try:
+                run(rc, transcripts=sink)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 1_000_000, peaks  # bytes
 
 
 @pytest.mark.parametrize("group_rows", [16, 64, 256, 4096])
@@ -187,11 +263,11 @@ def test_group_size_changes_no_byte(monkeypatch, name, group_rows):
     # between them, members of one group end depleted at either check,
     # aborted at either check, or accepted
     rc = parse_run_config(config_with(**PINNED[name][0]))
-    stats, transcripts = run(rc, collect_transcripts=True)
+    stats, text = run_jsonl(rc)
     monkeypatch.setattr(harness, "GROUP_ROWS", group_rows)
-    regrouped, regrouped_transcripts = run(rc, collect_transcripts=True)
+    regrouped, regrouped_text = run_jsonl(rc)
     assert stats_text(rc, rc.seed, regrouped) == stats_text(rc, rc.seed, stats)
-    assert regrouped_transcripts == transcripts
+    assert regrouped_text == text
 
 
 def test_run_holds_one_group_at_a_time(monkeypatch):
@@ -209,17 +285,17 @@ def test_run_holds_one_group_at_a_time(monkeypatch):
     monkeypatch.setattr(SessionGroup, "__init__", tracked)
     rc = parse_run_config(config_with(**PINNED["loss_noise_intercept_both_defenses"][0]))
     monkeypatch.setattr(harness, "GROUP_ROWS", 2 * rc.protocol.n_pairs)
-    run(rc, collect_transcripts=True)
+    run(rc, transcripts=io.StringIO())
     assert len(built) == rc.sessions // 2
 
 
 def pooled_alone(rc, seed: int):
     """What ``run`` gives when every session runs as a group of one."""
     stats = RunStats(adversary_present=rc.eve.kind is not EveKind.NONE)
-    transcripts: list = []
+    out = io.StringIO()
     for k in range(rc.sessions):
-        _pool(stats, transcripts, rc, seed, [k], _run_group(rc, seed, [k]))
-    return stats, transcripts
+        _pool(stats, out, rc, seed, [k], _run_group(rc, seed, [k]))
+    return stats, out.getvalue()
 
 
 small_configs = st.fixed_dictionaries({
@@ -249,7 +325,7 @@ def test_run_matches_sessions_run_alone(overrides, seed):
         rc = parse_run_config(config_with(**overrides))
     except ConfigError:
         assume(False)  # sample fractions that leave no message pairs
-    stats, transcripts = run(rc, seed, collect_transcripts=True)
-    alone, alone_transcripts = pooled_alone(rc, seed)
+    stats, text = run_jsonl(rc, seed)
+    alone, alone_text = pooled_alone(rc, seed)
     assert stats_text(rc, seed, stats) == stats_text(rc, seed, alone)
-    assert transcripts == alone_transcripts
+    assert text == alone_text

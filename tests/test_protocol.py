@@ -39,6 +39,7 @@ from hyperqsdc.protocol import (
     message_capacities,
     normative_bits_mapping,
     prepare_group,
+    render_transcripts,
     transmit_forward_group,
     transmit_return_group,
 )
@@ -157,7 +158,7 @@ class TestConfig:
 
 def judged(n_checked: int, n_pol: int, n_spa: int, threshold: float) -> CheckReport:
     """The first-check report of one session whose samples carry these errors."""
-    group = SessionGroup(n_checked, [None], record=False)
+    group = SessionGroup(n_checked, [None])
     errors = np.zeros(n_checked, dtype=np.intp)
     errors[:n_pol] += 1  # pol errors on the first samples
     errors[n_checked - n_spa :] += 2  # spa errors on the last ones
@@ -185,7 +186,7 @@ class TestIdealRoundTrip:
             group, sent, decoded, report2 = run_session(cfg, rng)
             assert phase(group) is Phase.ACCEPTED
             assert decoded == sent
-            assert group.transcripts[0][-1]["message"] == sent
+            assert render_transcripts(group)[0][-1]["message"] == sent
             assert report2.verdict is Verdict.PASS
 
     def test_zero_noise_never_aborts(self):
@@ -258,8 +259,8 @@ LEGAL_NEXT = {
     Phase.DECODING: "decode",
 }
 
-GROUP_ARRAYS = ("states", "fates", "ops", "eve_forward", "eve_return", "second", "sent",
-                "received", "phases", "depleted", "counts", "failed", "screened")
+GROUP_ARRAYS = ("states", "fates", "ops", "eve_forward", "eve_return", "screens", "first_reads",
+                "second", "sent", "received", "bell", "phases", "depleted", "counts", "failed")
 
 
 def call_phase(name: str, group: SessionGroup, rng, cfg: ProtocolConfig) -> None:
@@ -279,7 +280,7 @@ def call_phase(name: str, group: SessionGroup, rng, cfg: ProtocolConfig) -> None
 
 def snapshot(group: SessionGroup, rng) -> tuple:
     return ([getattr(group, name).tobytes() for name in GROUP_ARRAYS],
-            copy.deepcopy(rng.bit_generator.state), copy.deepcopy(group.transcripts))
+            copy.deepcopy(rng.bit_generator.state))
 
 
 class TestPhaseMachine:
@@ -288,9 +289,13 @@ class TestPhaseMachine:
         rng = np.random.default_rng(11)
         group = prepare_group(cfg, IDEAL_SOURCE, [rng])
         seen = [phase(group)]
+        rendered = [len(render_transcripts(group)[0])]
         for name in ("forward", "check1", "encode", "back", "decode"):
             call_phase(name, group, rng, cfg)
             seen.append(phase(group))
+            rendered.append(len(render_transcripts(group)[0]))
+        # a transcript read mid-session holds the events of the phases done so far
+        assert rendered == [1, 2, 3, 4, 5, 7]
         assert seen == [
             Phase.PREPARED,
             Phase.FIRST_CHECK,
@@ -371,7 +376,7 @@ class TestSecondCheck:
         misses = 0
         for first in range(0, rc.sessions, per_group):
             indices = range(first, min(first + per_group, rc.sessions))
-            group = _run_group(rc, rc.seed, indices, record=False)
+            group = _run_group(rc, rc.seed, indices)
             assert not group.depleted.any()
             assert not group.failed[:, 0].any(), "first check must pass: forward pass is clean"
             assert (group.counts[:, 1, 0] == 50).all()  # every second check read 50 samples
@@ -406,7 +411,7 @@ class TestSecondCheck:
         group, sent, decoded, report2 = run_session(cfg, rng, eve_return=eve)
         assert report2.verdict is Verdict.FAIL
         assert decoded is None
-        assert group.transcripts[0][-1]["message"] is None
+        assert render_transcripts(group)[0][-1]["message"] is None
         assert phase(group) is Phase.ABORTED
 
 
@@ -415,13 +420,14 @@ class TestTranscript:
         cfg = ProtocolConfig(n_pairs=24)
         rng = np.random.default_rng(seed)
         group, sent, decoded, _ = run_session(cfg, rng, **kwargs)
-        return group, sent, decoded, "\n".join(json.dumps(e) for e in group.transcripts[0])
+        return group, sent, decoded, "\n".join(json.dumps(e) for e in render_transcripts(group)[0])
 
     def test_event_order_and_phases(self):
         group, _, _, _ = self.run_and_dump(16)
-        kinds = [e["event"] for e in group.transcripts[0]]
+        [transcript] = render_transcripts(group)
+        kinds = [e["event"] for e in transcript]
         assert kinds == ["prepare", "transit", "first_check", "encode", "transit", "second_check", "result"]
-        phases = [e["phase"] for e in group.transcripts[0]]
+        phases = [e["phase"] for e in transcript]
         assert phases == [
             "Prepared", "SAInFlight1", "FirstCheck", "Encoding",
             "SAInFlight2", "SecondCheck", "Accepted",
@@ -437,7 +443,7 @@ class TestTranscript:
 
     def test_events_carry_stable_fields(self):
         group, _, _, _ = self.run_and_dump(19, params=ChannelParams(loss_prob=0.1))
-        by_kind = {e["event"]: e for e in group.transcripts[0]}
+        by_kind = {e["event"]: e for e in render_transcripts(group)[0]}
         assert list(by_kind["transit"])[:5] == ["event", "phase", "to_phase", "direction", "lost_positions"]
         check = by_kind["first_check"]
         assert list(check)[:6] == ["event", "phase", "to_phase", "positions", "pol_bases", "spa_bases"]
