@@ -656,20 +656,6 @@ _BELL_SHIFTS = np.array([[2], [0]])
 _FILTERED = SCREENS.index(DefenseVerdict.FILTERED_OUT)
 _ALARMED = SCREENS.index(DefenseVerdict.PNS_ALARM)
 
-# the fields each event takes from the group's arrays, in event order
-_TRANSIT_KEYS = ("lost_positions", "intercepted_positions", "eve_pol_bases", "eve_pol_outcomes",
-                 "eve_spa_bases", "eve_spa_outcomes", "trojan_positions", "filtered_positions",
-                 "alarmed_positions")
-_FIRST_KEYS = ("positions", "pol_bases", "spa_bases", "alice_pol", "alice_spa", "bob_pol",
-               "bob_spa")
-_ENCODE_KEYS = ("message_positions", "message_ops", "sample_positions", "sample_ops")
-_SECOND_KEYS = ("positions", "bell_pol", "bell_spa", "sample_positions", "expected_ops")
-
-
-def _fields(keys: tuple, *columns) -> list[dict]:
-    """Per member, the dict of ``keys`` to its entries of the per-member ``columns``."""
-    return [dict(zip(keys, values)) for values in zip(*columns)]
-
 
 def _transit_events(group: SessionGroup, direction: str) -> list[dict]:
     """Per member, the event of its transit in ``direction``, whether or not it made one."""
@@ -679,12 +665,18 @@ def _transit_events(group: SessionGroup, direction: str) -> list[dict]:
     taken = (records >= 0).any(axis=(2, 3))  # Eve reads some DOF of every photon she takes
     bases = _cut(b"-ZX", records[taken][:, :, 0].T + 1, taken)  # (pol, spa)
     outcomes = _cut(b"-01", records[taken][:, :, 1].T + 1, taken)
-    fields = _fields(_TRANSIT_KEYS, _positions(group.fates == FATES.index(lost_fate)),
-                     _positions(taken), bases[0], outcomes[0], bases[1], outcomes[1],
-                     _positions(screens > 0), _positions(screens == _FILTERED),
-                     _positions(screens == _ALARMED))
-    head = dict(event="transit", phase=in_flight.value, to_phase=arrival.value, direction=direction)
-    return [{**head, **member} for member in fields]
+    lost, intercepted = _positions(group.fates == FATES.index(lost_fate)), _positions(taken)
+    trojan, filtered, alarmed = map(_positions, (screens > 0, screens == _FILTERED,
+                                                 screens == _ALARMED))
+    return [
+        dict(event="transit", phase=in_flight.value, to_phase=arrival.value, direction=direction,
+             lost_positions=lost[j], intercepted_positions=intercepted[j],
+             eve_pol_bases=bases[0][j], eve_pol_outcomes=outcomes[0][j],
+             eve_spa_bases=bases[1][j], eve_spa_outcomes=outcomes[1][j],
+             trojan_positions=trojan[j], filtered_positions=filtered[j],
+             alarmed_positions=alarmed[j])
+        for j in range(len(group.phases))
+    ]
 
 
 def render_transcripts(group: SessionGroup) -> list[list[dict]]:
@@ -696,18 +688,19 @@ def render_transcripts(group: SessionGroup) -> list[list[dict]]:
     event from that check on.
     """
     sampled = group.first_reads >= 0
-    bits = (group.first_reads[sampled] >> _READ_SHIFTS) & 1
-    first = _fields(_FIRST_KEYS, _positions(sampled), *_cut(b"ZX", bits[:2], sampled),
-                    *_cut(b"01", bits[2:], sampled))
-    message = group.sent >= 0
-    encoded = _fields(_ENCODE_KEYS, _positions(message),
-                      _split(_op_names(group.ops[message]), message), _positions(group.second),
-                      _split(_op_names(group.ops[group.second]), group.second))
+    reads = (group.first_reads[sampled] >> _READ_SHIFTS) & 1
+    first_positions = _positions(sampled)
+    bases = _cut(b"ZX", reads[:2], sampled)  # (pol, spa)
+    bits = _cut(b"01", reads[2:], sampled)  # (alice_pol, alice_spa, bob_pol, bob_spa)
+    message, second = group.sent >= 0, group.second
+    message_ops = _split(_op_names(group.ops[message]), message)
+    sample_ops = _split(_op_names(group.ops[second]), second)
+    message_positions, sample_positions = _positions(message), _positions(second)
     read = group.bell >= 0
-    samples = read & group.second
-    second = _fields(_SECOND_KEYS, _positions(read),
-                     *_cut(b"0123", (group.bell[read] >> _BELL_SHIFTS) & 3, read),
-                     _positions(samples), _split(_op_names(group.ops[samples]), samples))
+    samples = read & second
+    bell = _cut(b"0123", (group.bell[read] >> _BELL_SHIFTS) & 3, read)  # (pol, spa)
+    read_positions, checked_positions = _positions(read), _positions(samples)
+    expected_ops = _split(_op_names(group.ops[samples]), samples)
     forward, back = _transit_events(group, "forward"), _transit_events(group, "return")
     counts, failed = group.counts.tolist(), group.failed.tolist()
     transcripts = []
@@ -719,19 +712,29 @@ def render_transcripts(group: SessionGroup) -> list[list[dict]]:
         if counts[j][0][0]:
             to_phase = Phase.ABORTED if failed[j][0] else Phase.ENCODING
             report = CheckReport.from_counts(counts[j][0], failed[j][0]).fields()
-            events.append(dict(event="first_check", phase=Phase.FIRST_CHECK.value,
-                               to_phase=to_phase.value, **first[j], **report))
+            events.append(dict(
+                event="first_check", phase=Phase.FIRST_CHECK.value, to_phase=to_phase.value,
+                positions=first_positions[j], pol_bases=bases[0][j], spa_bases=bases[1][j],
+                alice_pol=bits[0][j], alice_spa=bits[1][j], bob_pol=bits[2][j],
+                bob_spa=bits[3][j], **report,
+            ))
         if failed[j][0]:
             events.append(dict(event="result", phase=Phase.ABORTED.value, message=None))
-        if encoded[j]["sample_positions"]:
-            events.append(dict(event="encode", phase=Phase.ENCODING.value,
-                               to_phase=Phase.SA_IN_FLIGHT_2.value, **encoded[j]))
+        if sample_positions[j]:
+            events.append(dict(
+                event="encode", phase=Phase.ENCODING.value, to_phase=Phase.SA_IN_FLIGHT_2.value,
+                message_positions=message_positions[j], message_ops=message_ops[j],
+                sample_positions=sample_positions[j], sample_ops=sample_ops[j],
+            ))
             if phase is not Phase.SA_IN_FLIGHT_2:
                 events.append(back[j])
         if counts[j][1][0]:
             report = CheckReport.from_counts(counts[j][1], failed[j][1]).fields()
-            events.append(dict(event="second_check", phase=Phase.SECOND_CHECK.value,
-                               to_phase=phase.value, **second[j], **report))
+            events.append(dict(
+                event="second_check", phase=Phase.SECOND_CHECK.value, to_phase=phase.value,
+                positions=read_positions[j], bell_pol=bell[0][j], bell_spa=bell[1][j],
+                sample_positions=checked_positions[j], expected_ops=expected_ops[j], **report,
+            ))
             received = group.received[j]
             text = _bits_text(received[received >= 0]) if phase is Phase.ACCEPTED else None
             events.append(dict(event="result", phase=phase.value, message=text))
