@@ -632,20 +632,15 @@ def _op_names(codes: np.ndarray) -> list[str]:
     return [_OP_NAMES[c] for c in codes.tolist()]
 
 
-def _split(items, mask: np.ndarray) -> list:
-    """``items``, one per set entry of the 2-D ``mask`` in row-major order, cut per row (member)."""
-    stops = list(accumulate(np.count_nonzero(mask, axis=1).tolist()))
-    return [items[start:stop] for start, stop in zip([0, *stops[:-1]], stops)]
+def _by_member(mask: np.ndarray, *columns) -> list[list]:
+    """Per row (member) of the 2-D ``mask``: the positions it sets, ascending, then its run of
+    each of ``columns``, which hold one item per set entry of ``mask`` in row-major order.
 
-
-def _positions(mask: np.ndarray) -> list:
-    """Per row of the 2-D ``mask``, the positions it sets, ascending."""
-    return _split(mask.nonzero()[1].tolist(), mask)
-
-
-def _cut(alphabet: bytes, codes: np.ndarray, mask: np.ndarray) -> list:
-    """``_texts`` of ``codes``, whose columns are ``mask``'s set entries, each cut per member."""
-    return [_split(text, mask) for text in _texts(alphabet, codes)]
+    Returns one list over the members per column, the positions first.
+    """
+    stops = list(accumulate(mask.sum(axis=1).tolist()))
+    spans = [slice(start, stop) for start, stop in zip([0, *stops[:-1]], stops)]
+    return [[column[span] for span in spans] for column in (mask.nonzero()[1].tolist(), *columns)]
 
 
 # bit shifts that split a first-check reading (see ``SessionGroup``) into
@@ -663,16 +658,19 @@ def _transit_events(group: SessionGroup, direction: str) -> list[dict]:
     records = (group.eve_forward, group.eve_return)[pass_index]
     screens = group.screens[pass_index]
     taken = (records >= 0).any(axis=(2, 3))  # Eve reads some DOF of every photon she takes
-    bases = _cut(b"-ZX", records[taken][:, :, 0].T + 1, taken)  # (pol, spa)
-    outcomes = _cut(b"-01", records[taken][:, :, 1].T + 1, taken)
-    lost, intercepted = _positions(group.fates == FATES.index(lost_fate)), _positions(taken)
-    trojan, filtered, alarmed = map(_positions, (screens > 0, screens == _FILTERED,
-                                                 screens == _ALARMED))
+    codes = records[taken] + 1
+    intercepted, pol_bases, spa_bases, pol_outcomes, spa_outcomes = _by_member(
+        taken, *_texts(b"-ZX", codes[:, :, 0].T), *_texts(b"-01", codes[:, :, 1].T)
+    )
+    [lost], [trojan], [filtered], [alarmed] = map(_by_member, (
+        group.fates == FATES.index(lost_fate), screens > 0, screens == _FILTERED,
+        screens == _ALARMED,
+    ))
     return [
         dict(event="transit", phase=in_flight.value, to_phase=arrival.value, direction=direction,
              lost_positions=lost[j], intercepted_positions=intercepted[j],
-             eve_pol_bases=bases[0][j], eve_pol_outcomes=outcomes[0][j],
-             eve_spa_bases=bases[1][j], eve_spa_outcomes=outcomes[1][j],
+             eve_pol_bases=pol_bases[j], eve_pol_outcomes=pol_outcomes[j],
+             eve_spa_bases=spa_bases[j], eve_spa_outcomes=spa_outcomes[j],
              trojan_positions=trojan[j], filtered_positions=filtered[j],
              alarmed_positions=alarmed[j])
         for j in range(len(group.phases))
@@ -689,18 +687,18 @@ def render_transcripts(group: SessionGroup) -> list[list[dict]]:
     """
     sampled = group.first_reads >= 0
     reads = (group.first_reads[sampled] >> _READ_SHIFTS) & 1
-    first_positions = _positions(sampled)
-    bases = _cut(b"ZX", reads[:2], sampled)  # (pol, spa)
-    bits = _cut(b"01", reads[2:], sampled)  # (alice_pol, alice_spa, bob_pol, bob_spa)
+    checked, pol_bases, spa_bases, alice_pol, alice_spa, bob_pol, bob_spa = _by_member(
+        sampled, *_texts(b"ZX", reads[:2]), *_texts(b"01", reads[2:])
+    )
     message, second = group.sent >= 0, group.second
-    message_ops = _split(_op_names(group.ops[message]), message)
-    sample_ops = _split(_op_names(group.ops[second]), second)
-    message_positions, sample_positions = _positions(message), _positions(second)
+    message_positions, message_ops = _by_member(message, _op_names(group.ops[message]))
+    sample_positions, sample_ops = _by_member(second, _op_names(group.ops[second]))
     read = group.bell >= 0
     samples = read & second
-    bell = _cut(b"0123", (group.bell[read] >> _BELL_SHIFTS) & 3, read)  # (pol, spa)
-    read_positions, checked_positions = _positions(read), _positions(samples)
-    expected_ops = _split(_op_names(group.ops[samples]), samples)
+    read_positions, bell_pol, bell_spa = _by_member(
+        read, *_texts(b"0123", (group.bell[read] >> _BELL_SHIFTS) & 3)
+    )
+    read_samples, expected_ops = _by_member(samples, _op_names(group.ops[samples]))
     forward, back = _transit_events(group, "forward"), _transit_events(group, "return")
     counts, failed = group.counts.tolist(), group.failed.tolist()
     transcripts = []
@@ -709,14 +707,14 @@ def render_transcripts(group: SessionGroup) -> list[list[dict]]:
                        source_r=float(group.source.r), source_phi=float(group.source.phi))]
         if phase is not Phase.PREPARED:
             events.append(forward[j])
-        if counts[j][0][0]:
+        if checked[j]:
             to_phase = Phase.ABORTED if failed[j][0] else Phase.ENCODING
             report = CheckReport.from_counts(counts[j][0], failed[j][0]).fields()
             events.append(dict(
                 event="first_check", phase=Phase.FIRST_CHECK.value, to_phase=to_phase.value,
-                positions=first_positions[j], pol_bases=bases[0][j], spa_bases=bases[1][j],
-                alice_pol=bits[0][j], alice_spa=bits[1][j], bob_pol=bits[2][j],
-                bob_spa=bits[3][j], **report,
+                positions=checked[j], pol_bases=pol_bases[j], spa_bases=spa_bases[j],
+                alice_pol=alice_pol[j], alice_spa=alice_spa[j], bob_pol=bob_pol[j],
+                bob_spa=bob_spa[j], **report,
             ))
         if failed[j][0]:
             events.append(dict(event="result", phase=Phase.ABORTED.value, message=None))
@@ -728,12 +726,12 @@ def render_transcripts(group: SessionGroup) -> list[list[dict]]:
             ))
             if phase is not Phase.SA_IN_FLIGHT_2:
                 events.append(back[j])
-        if counts[j][1][0]:
+        if read_samples[j]:
             report = CheckReport.from_counts(counts[j][1], failed[j][1]).fields()
             events.append(dict(
                 event="second_check", phase=Phase.SECOND_CHECK.value, to_phase=phase.value,
-                positions=read_positions[j], bell_pol=bell[0][j], bell_spa=bell[1][j],
-                sample_positions=checked_positions[j], expected_ops=expected_ops[j], **report,
+                positions=read_positions[j], bell_pol=bell_pol[j], bell_spa=bell_spa[j],
+                sample_positions=read_samples[j], expected_ops=expected_ops[j], **report,
             ))
             received = group.received[j]
             text = _bits_text(received[received >= 0]) if phase is Phase.ACCEPTED else None
