@@ -225,7 +225,7 @@ class SessionGroup:
     - ``sent``: the 4-bit chunk value written to each message pair, -1 on
       every other pair; ``received``: the value Bob read back from it, on
       the pairs of accepted sessions only.
-    - ``bell``: the Bell label 4 * pol + spa read from each returned pair.
+    - ``bell``: the Bell label 4 * pol + spa read from each returned pair, -1 elsewhere.
 
     Per member: ``phases`` (index into ``tuple(Phase)``), ``depleted`` (0, or
     ``DEPLETED_FORWARD`` or ``DEPLETED_RETURN`` for a session that ran out of
