@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import adversary as adv
-from .hyperstate import AXIS, PAULIS, Dof, Photon, apply_local, take_rows
+from .hyperstate import AXIS, PAULIS, Dof, Photon, apply_local, distinct, map_table
 
 
 @dataclass(frozen=True)
@@ -85,24 +85,42 @@ def draw_transit(
 
 
 def apply_transit(
-    states: np.ndarray, eve: adv.EveStrategy, eve_draws: tuple | None, paulis: tuple,
-    rows=None, scratch=None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Carry the delivered rows of a block through Eve and the noise as drawn.
+    table: np.ndarray, eve: adv.EveStrategy, eve_draws: tuple | None, paulis: tuple,
+    index=None, scratch=None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Carry the delivered pairs through Eve and the noise as drawn.
 
-    ``eve_draws`` and ``paulis`` are ``TransitDraws`` fields, one entry per
-    row of ``states``, or per row of ``rows`` when given (see
-    ``hyperstate.measure`` for ``rows`` and ``scratch``).  Only the rows a
-    Pauli error hits are multiplied.  Returns (a new block of the states
-    after the transit, Eve's record codes or None).
+    The pairs are the rows ``table[index]`` of a state table, every row of
+    ``table`` once by default; ``eve_draws`` and ``paulis`` are
+    ``TransitDraws`` fields, one entry per pair (see
+    ``hyperstate.measure_table``, also for ``scratch``).  Only the pairs a
+    Pauli error hits are multiplied.  Returns (the pairs' states after the
+    transit as a table of their own, each pair's index into it, Eve's record
+    codes or None).
     """
+    index = np.arange(len(table)) if index is None else index
     codes = None
-    if eve_draws is not None:
-        states, codes = adv.resend(states, eve, *eve_draws, rows=rows, scratch=scratch)
+    if eve_draws is None:
+        used, index = distinct(index, len(table))
+        table = table[used]
     else:
-        states = take_rows(states, rows, scratch)
-    for dof, which in zip((Dof.POL, Dof.SPA), paulis):
-        hit = () if which is None else which.nonzero()[0]
+        table, index, codes = adv.resend(table, eve, *eve_draws, index, scratch)
+    # each pair's Paulis as one code, 4 * pol + spa
+    noise = sum(4 ** (1 - k) * which for k, which in enumerate(paulis) if which is not None)
+    hit = np.flatnonzero(noise)
+    if len(hit):
+        rows, inverse = map_table(table, index[hit], noise[hit], 16, _noisy, scratch)
+        index[hit] = len(table) + inverse
+        table = np.concatenate([table, rows])
+    return table, index, codes
+
+
+def _noisy(table: np.ndarray, rows: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    # rows ``rows`` of ``table`` after the Paulis of ``codes`` (4 * pol + spa),
+    # the pol one first; a row is multiplied only on a DOF its Pauli hits
+    states = table[rows]
+    for dof, which in ((Dof.POL, codes >> 2), (Dof.SPA, codes & 3)):
+        hit = which.nonzero()[0]
         if len(hit):
             states[hit] = apply_local(states[hit], AXIS[(Photon.A, dof)], PAULIS[which[hit]])
-    return states, codes
+    return states

@@ -494,16 +494,9 @@ def _pool(stats: RunStats, transcripts: Optional[TextIO], rc: RunConfig, master_
 
 
 # Rows per lockstep group of ``run``; a session with more pairs is a group of
-# one.  1024 is CHUNK_ROWS, so a group of short sessions takes one kernel
-# call per phase.  Medians of in-process runs on a 2-core x86-64 box (Python
-# 3.11, numpy 2.4) at 256, 512, 1024 and 2048 rows: 100 sessions of 112 pairs
-# about 57, 45, 29 and 28 ms, 500 of 16 pairs 80, 75, 60 and 58 ms; a
-# fresh simulate process peaks 0.3-0.7 MB higher at 1024 rows than the
-# 256-row groups before.  The kernels keep their temporaries in the run's
-# one Scratch.  With fresh (rows, 16) temporaries per call, as before,
-# 1024-row groups took 2,000-4,200 minor page faults per run: glibc handed
-# the top of its heap back to the system whenever a call freed them and
-# faulted it in again on the next call.  Now every size reads 0-3.
+# one.  A group's kernels run once per distinct state, so what a larger
+# group adds is per-pair bookkeeping, and its fixed costs are paid fewer
+# times.
 GROUP_ROWS = 1024
 
 

@@ -14,17 +14,24 @@ hyper-Bell basis matrix and the encoding unitaries all use it.
 
 A block of pairs is one ``(N, 16)`` complex array, row k holding pair k; it
 can be viewed as ``(N, 2, 2, 2, 2)`` with tensor axes (pol_a, pol_b, spa_a,
-spa_b).  Three whole-block kernels do the general state work: ``apply_local``
-(a 2x2 operator on one axis of every row), ``measure`` (one Born draw per
-row over the joint outcomes of some axes) and ``outcome_probs`` (the exact
-probabilities behind that draw).  Dense coding and the hyper-Bell readout
-are fixed sparse maps, applied as column gathers of (N, 16) blocks: each
-coding unitary is a signed permutation of the amplitudes, and each
-hyper-Bell amplitude a four-term sum.  The Z-to-X basis change in front of a
+spa_b).  Row-wise kernels do the state work: ``apply_local`` (a 2x2
+operator on one axis of every row), ``outcome_probs`` (exact outcome
+probabilities) and ``measure``, which takes three steps: the normalized
+CDF over the joint outcomes of some axes, ``draw`` (one inverse-CDF draw
+per row), and the collapse onto the outcomes drawn.  Dense coding and the
+hyper-Bell readout are fixed sparse maps, applied as column gathers of
+(N, 16) blocks: each coding unitary is a signed permutation of the
+amplitudes, and each hyper-Bell amplitude a four-term sum.  The Z-to-X basis change in front of a
 draw is a Hadamard butterfly on the rows measured in X only, s*v0 + s*v1
 and s*v0 - s*v1 with s = 1/sqrt(2): the very products and sums that
 ``apply_local`` forms for the Hadamard, so the amplitudes are bitwise those
 of the generic 2x2 product, and a row measured in Z is left untouched.
+
+Pairs that share a state share a row: a state table is a (T, 16) array of
+distinct states plus one row index per pair.  ``measure_table``,
+``bell_labels_table`` and ``map_table`` run a kernel once per distinct
+(row, discrete choice) of the pairs, then draw per pair.  Every kernel is
+row-wise, so a pair's outcome and state are bitwise those of its own row.
 
 States are rays, not vectors: two states that differ by a global phase are
 physically identical, and ``HyperState.equiv`` tests exactly that.  All
@@ -412,29 +419,21 @@ def outcome_probs(states: np.ndarray, axes: tuple, x=None) -> np.ndarray:
     return _snap(_born(_rotate(states, _x_rows(axes, x)), axes))
 
 
-@np.errstate(invalid="ignore")
-def measure(states: np.ndarray, axes: tuple, u: np.ndarray, x=None, collapse: bool = True,
-            rows=None, scratch=None):
-    """Measure tensor ``axes`` of every row by one inverse-CDF draw over their joint outcomes.
-
-    Outcomes and ``x`` are as in ``outcome_probs``; ``u`` holds one uniform
-    in [0, 1) per row.  Sampling the joint outcome is the same as measuring
-    the axes one after another.  An outcome of probability 0 is never drawn,
-    whatever ``u`` and however far rounding leaves a row's total from 1.
-    Returns (outcomes, collapsed block), the block in the computational
-    representation, or (outcomes, None) when ``collapse`` is false.
-
-    ``rows`` measures only those rows of ``states``, as if the block were
-    ``states[rows]``; ``scratch`` is a ``Scratch`` for the temporaries.
-    """
+def _read(states: np.ndarray, axes: tuple, x, rows, scratch, copy: bool = False) -> tuple:
+    # The Born side of a measurement of tensor ``axes``: the X runs, the rows
+    # in their measurement bases (a copy in "work" when rows, an X row or
+    # ``copy`` asks for one), their unsnapped joint-outcome probabilities
+    # ("probs") and the normalized CDF ("term") that ``draw`` reads: entry
+    # [o, k] sums row k's snapped probabilities of the outcomes up to o over
+    # their total, so the last outcome of positive probability reaches
+    # exactly 1.0 however far rounding leaves the total from 1.
     runs = _x_rows(axes, x)
     work = states
-    if runs or collapse or rows is not None:
+    if runs or copy or rows is not None:
         work = take_rows(states, rows, scratch)
         _rotate(work, runs, True, scratch)
     raw = _born(work, axes, scratch)
-    # the CDF with one row per outcome, so that each running sum adds two
-    # contiguous rows
+    # one row per outcome, so that each running sum adds two contiguous rows
     cdf = _array(scratch, "term", raw.shape[::-1], float)
     np.copyto(cdf, raw.T)
     _snap(cdf)
@@ -443,22 +442,61 @@ def measure(states: np.ndarray, axes: tuple, u: np.ndarray, x=None, collapse: bo
     total = cdf[-1].copy()
     if not (total > 0.0).all():
         raise ValueError("cannot measure a row whose outcome probabilities are all zero")
-    # dividing by the total puts exactly 1.0 on the last nonzero outcome and
-    # leaves a zero-probability outcome's CDF equal to its predecessor's, so
-    # the first outcome whose CDF exceeds u always exists and has p > 0; as
-    # the CDF never falls, that outcome's index is the number of outcomes
-    # before the last whose CDF does not exceed u
+    # a zero-probability outcome's CDF stays equal to its predecessor's
     cdf /= total
-    outcomes = (cdf[:-1] <= u).sum(axis=0)
-    if not collapse:
-        return outcomes, None
-    # the drawn outcome's snapped probability is positive, so its raw one is
-    # too; complex, as the quotient below would cast it
-    norm = np.sqrt(raw[np.arange(len(work)), outcomes]).astype(complex)
+    return runs, work, raw, cdf
+
+
+def draw(cdf: np.ndarray, u) -> np.ndarray:
+    """The outcome of each row drawn by inverse CDF with the uniform ``u``.
+
+    ``cdf`` holds one normalized CDF per column (the form ``measure`` draws
+    from) and ``u`` one uniform in [0, 1) per row.  The first outcome whose
+    CDF exceeds u always exists and has a positive probability, so an
+    outcome of probability 0 is never drawn.
+    """
+    u = np.asarray(u, dtype=float)
+    if u.shape != cdf.shape[1:]:
+        raise ValueError(f"need one uniform per row: {cdf.shape[1]} rows, {u.shape} uniforms")
+    if not ((u >= 0.0) & (u < 1.0)).all():  # NaN fails both
+        raise ValueError("uniforms must lie in [0, 1)")
+    # as the CDF never falls, that outcome's index is the number of outcomes
+    # before the last whose CDF does not exceed u
+    return (cdf[:-1] <= u).sum(axis=0)
+
+
+def _project(work: np.ndarray, probs: np.ndarray, axes: tuple, outcomes: np.ndarray, runs: list,
+             scratch) -> np.ndarray:
+    # The collapse, in place: ``work``, the rows in their measurement bases,
+    # projected onto each row's drawn outcome, divided by the square root of
+    # its unsnapped probability ``probs`` (positive, as the outcome was
+    # drawn) and turned back into the computational basis.
+    norm = np.sqrt(probs).astype(complex)  # complex, as the quotient below would cast it
     np.copyto(work, 0.0, where=_OUTCOME_OF_INDEX[axes] != outcomes[:, None])
     work /= norm[:, None]
-    _rotate(work, runs, True, scratch)
-    return outcomes, work
+    return _rotate(work, runs, True, scratch)
+
+
+@np.errstate(invalid="ignore")
+def measure(states: np.ndarray, axes: tuple, u: np.ndarray, x=None, collapse: bool = True,
+            rows=None, scratch=None):
+    """Measure tensor ``axes`` of every row by one inverse-CDF draw over their joint outcomes.
+
+    Outcomes and ``x`` are as in ``outcome_probs``; ``u`` holds one uniform
+    in [0, 1) per row (see ``draw``).  Sampling the joint outcome is the
+    same as measuring the axes one after another.  Returns (outcomes,
+    collapsed block), the block in the computational representation, or
+    (outcomes, None) when ``collapse`` is false.
+
+    ``rows`` measures only those rows of ``states``, as if the block were
+    ``states[rows]``; ``scratch`` is a ``Scratch`` for the temporaries.
+    """
+    runs, work, raw, cdf = _read(states, axes, x, rows, scratch, collapse)
+    outcomes = draw(cdf, u)
+    if not collapse:
+        return outcomes, None
+    return outcomes, _project(work, raw[np.arange(len(work)), outcomes], axes, outcomes, runs,
+                              scratch)
 
 
 def encode(states: np.ndarray, codes: np.ndarray, rows=None, scratch=None) -> np.ndarray:
@@ -485,16 +523,13 @@ def encode(states: np.ndarray, codes: np.ndarray, rows=None, scratch=None) -> np
 
 
 @np.errstate(invalid="ignore")
-def bell_labels(states: np.ndarray, u: np.ndarray, rows=None, scratch=None) -> np.ndarray:
-    """Complete hyper-Bell analysis of every row: flat labels 4*p + s, one 16-outcome draw each.
-
-    The draw runs on the rows rewritten in the hyper-Bell basis, where
-    outcome k is label k.  ``rows`` and ``scratch`` are as in ``measure``.
-    """
-    # each label's amplitude is its four support terms summed in order, one
-    # (N, 16) term at a time, gathered by flat index; a weight multiplies the
-    # real and imaginary parts alone, which the complex product only adds
-    # zeros to
+def _bell_cdf(states: np.ndarray, rows=None, scratch=None) -> np.ndarray:
+    # The normalized CDF that ``bell_labels`` draws from: over the 16
+    # outcomes of every row rewritten in the hyper-Bell basis, where outcome
+    # k is label k.  Each label's amplitude is its four support terms summed
+    # in order, one (N, 16) term at a time, gathered by flat index; a weight
+    # multiplies the real and imaginary parts alone, which the complex
+    # product only adds zeros to.
     starts = _row_starts(states, rows)
     n = len(starts)
     flat = states.reshape(-1)
@@ -509,7 +544,115 @@ def bell_labels(states: np.ndarray, u: np.ndarray, rows=None, scratch=None) -> n
         np.multiply(parts, _BELL_WEIGHTS[m], out=parts)
         if m:
             amps += term
-    return measure(amps, ALL_AXES, u, collapse=False, scratch=scratch)[0]
+    return _read(amps, ALL_AXES, None, None, scratch)[3]
+
+
+def bell_labels(states: np.ndarray, u: np.ndarray, rows=None, scratch=None) -> np.ndarray:
+    """Complete hyper-Bell analysis of every row: flat labels 4*p + s, one 16-outcome draw each.
+
+    ``rows`` and ``scratch`` are as in ``measure``.
+    """
+    return draw(_bell_cdf(states, rows, scratch), u)
+
+
+# ---------------------------------------------------------------------------
+# state tables
+# ---------------------------------------------------------------------------
+
+
+def distinct(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of the integer ``keys``, all in [0, size), ascending, and each key's
+    index among them (``np.unique`` with ``return_inverse``, without the sort)."""
+    if len(keys) and keys.min() < 0:  # numpy would wrap it; a key past size raises below
+        raise IndexError(f"keys must lie in [0, {size})")
+    seen = np.zeros(size, dtype=bool)
+    seen[keys] = True
+    values = seen.nonzero()[0]
+    slot = np.empty(size, dtype=np.intp)
+    slot[values] = np.arange(len(values))
+    return values, slot[keys]
+
+
+def _combos(table: np.ndarray, index: np.ndarray, choice, n_choices: int) -> tuple:
+    # the distinct (row index[k], choice[k] in [0, n_choices)) of the pairs
+    # k, ascending: their rows, their choices, and each pair's combo
+    combos, inverse = distinct(index * n_choices + choice, len(table) * n_choices)
+    return *np.divmod(combos, n_choices), inverse
+
+
+def _per_combo(kernel, table: np.ndarray, rows: np.ndarray, choices, out: np.ndarray,
+               scratch=None) -> np.ndarray:
+    # out[c] = kernel(table, rows, choices)'s result for combo c, from at
+    # most ``scratch.rows`` combos a call (all at once without a scratch)
+    step = max(len(rows), 1) if scratch is None else scratch.rows
+    for at in range(0, len(rows), step):
+        out[at : at + step] = kernel(table, rows[at : at + step], choices[at : at + step])
+    return out
+
+
+def map_table(table: np.ndarray, index: np.ndarray, choice, n_choices: int, kernel,
+              scratch=None) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs ``table[index]`` after a row-wise state map, once per distinct (row, choice).
+
+    ``choice`` holds one integer in [0, n_choices) per pair, and ``kernel(table,
+    rows, choices)`` returns the mapped rows ``rows`` of ``table``, from at
+    most ``scratch.rows`` rows a call.  Returns (the mapped states, a table
+    of their own, and each pair's index into it).
+    """
+    rows, choices, inverse = _combos(table, index, choice, n_choices)
+    out = np.empty((len(rows), DIM), dtype=complex)
+    return _per_combo(kernel, table, rows, choices, out, scratch), inverse
+
+
+@np.errstate(invalid="ignore")
+def measure_table(table: np.ndarray, index: np.ndarray, axes: tuple, u: np.ndarray,
+                  x: np.ndarray, collapse: bool = True, scratch=None):
+    """``measure`` of the pairs whose states are ``table[index]``.
+
+    ``u`` and the X mask ``x`` hold one entry per pair.  The CDF is formed
+    once per distinct (row, X pattern), and the collapse once per distinct
+    (row, X pattern, outcome).  Returns (outcomes, (the collapsed states, a
+    table of their own, and each pair's index into it)), or (outcomes, None)
+    when ``collapse`` is false.
+    """
+    weights = 1 << np.arange(len(axes))[::-1]
+    n_out = 1 << len(axes)
+    pattern = x @ weights
+    rows, patterns, combo = _combos(table, index, pattern, n_out)
+    xs = patterns[:, None] & weights > 0  # each combo's X mask
+    # each combo's CDF, and for the collapse its unsnapped outcome
+    # probabilities and its row in its measurement bases; the rows of a
+    # single chunk stay in the scratch
+    cdf, raw = np.empty((n_out, len(rows))), np.empty((len(rows), n_out))
+    step = max(len(rows), 1) if scratch is None else scratch.rows
+    turned = np.empty((len(rows) if collapse and len(rows) > step else 0, DIM), dtype=complex)
+    for at in range(0, len(rows), step):
+        piece = slice(at, at + step)
+        _, work, raw[piece], cdf[:, piece] = _read(table, axes, xs[piece], rows[piece], scratch)
+        if len(turned):
+            turned[piece] = work
+        elif collapse:
+            turned = work
+    outcomes = draw(cdf.take(combo, axis=1), u)
+    if not collapse:
+        return outcomes, None
+    # one collapsed row per distinct (combo, outcome), projected in place
+    kept, inverse = distinct(combo * n_out + outcomes, len(rows) * n_out)
+    of, read = np.divmod(kept, n_out)
+    states = turned[of]
+    for at in range(0, len(kept), step):
+        c, o = of[at : at + step], read[at : at + step]
+        _project(states[at : at + step], raw[c, o], axes, o, _x_rows(axes, xs[c]), scratch)
+    return outcomes, (states, inverse)
+
+
+def bell_labels_table(table: np.ndarray, index: np.ndarray, u: np.ndarray,
+                      scratch=None) -> np.ndarray:
+    """``bell_labels`` of the pairs whose states are ``table[index]``, one CDF per distinct row."""
+    rows, _, row = _combos(table, index, 0, 1)
+    cdf = np.empty((DIM, len(rows)))  # one column per row, written as its transpose
+    _per_combo(lambda t, r, _: _bell_cdf(t, r, scratch).T, table, rows, rows, cdf.T, scratch)
+    return draw(cdf.take(row, axis=1), u)
 
 
 # ---------------------------------------------------------------------------

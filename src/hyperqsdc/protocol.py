@@ -17,11 +17,14 @@ depleted.  Sessions are single-owner mutable state, and all randomness
 flows through explicit generators.
 
 Each phase is written once, for a ``SessionGroup`` of sessions that share
-one block of rows, keep their bookkeeping in arrays over the group and
-move in lockstep.  A session run alone is a group of one.  The phases only
-fill those arrays; ``render_transcripts`` reads a session's transcript off
-them afterwards: one event per op it went through, each with a stable
-field order.
+one state table, keep their bookkeeping in arrays over the group and move
+in lockstep.  Every pair starts in the source state and goes through only
+a few discrete choices (bases, outcomes, ops, Paulis), so the table holds
+few distinct states, and each phase runs its kernel once per distinct
+(state, choice) of the pairs it acts on.  A session run alone is a group of
+one.  The phases only fill those arrays; ``render_transcripts`` reads a
+session's transcript off them afterwards: one event per op it went
+through, each with a stable field order.
 """
 
 from __future__ import annotations
@@ -43,9 +46,11 @@ from .hyperstate import (
     EncodingOp,
     Scratch,
     SourceParams,
-    bell_labels,
+    bell_labels_table,
+    distinct,
     encode,
-    measure,
+    map_table,
+    measure_table,
 )
 
 
@@ -107,8 +112,9 @@ def _sample_count(fraction: float, base: int) -> int:
     return max(1, math.floor(fraction * base + 0.5))
 
 
-# Rows per kernel call.  Whole-block temporaries of a 10^5-pair block would
-# cost several times the block itself; a chunk's temporaries take about 1 MB.
+# Rows per kernel call, and the chunk in which a longer session draws its
+# transits.  Temporaries for 10^5 distinct rows at once would cost several
+# times the rows themselves; a chunk's temporaries take about 1 MB.
 CHUNK_ROWS = 1024
 
 
@@ -208,8 +214,11 @@ class SessionGroup:
     """Sessions that go through every phase together; create it with ``prepare_group``.
 
     Every member has ``n_pairs`` pairs, so each per-pair quantity is one
-    ``(members, n_pairs)`` array: entry (j, k) is pair k of member j, whose
-    16 amplitudes are row ``j * n_pairs + k`` of ``states``.
+    ``(members, n_pairs)`` array: entry (j, k) is pair k of member j, at
+    block row ``j * n_pairs + k``.  The pair states are a state table (see
+    ``hyperstate``): ``table`` holds each distinct state once, and
+    ``index[r]`` is the table row of block row r's state.  ``states`` reads
+    the whole (members * n_pairs, 16) block off them.
 
     - ``fates``: each pair's index into ``tuple(PairFate)``; the first-check
       sample is what ``CONSUMED_CHECK`` marks.
@@ -237,18 +246,20 @@ class SessionGroup:
 
     Each phase acts on the members that are in the phase it starts from.  It
     first draws member by member, in the order and sizes of the session run
-    alone, and then does its state work and bookkeeping in one array pass
-    over the group, at most ``CHUNK_ROWS`` rows per kernel call.  So a
+    alone.  Then it maps each acting pair's (table row, discrete choice) to
+    a combo, runs the kernel once per distinct combo, at most ``CHUNK_ROWS``
+    combos a call, and does only the per-pair work per pair: the draw
+    against the pair's uniform, the bookkeeping and the pair's new table
+    row.  A state change builds the next table from the new states and the
+    rows some pair still refers to.  As the kernels are row-wise, a
     session's draws, outcomes and transcript never depend on which sessions
     share its group, and a session run alone is a group of one.
     ``harness`` reads every result straight from these arrays, and
     ``render_transcripts`` every transcript.
 
-    Each kernel call reads its rows straight from ``states`` and works in
+    Each kernel call reads its rows straight from ``table`` and works in
     ``scratch``, a ``hyperstate.Scratch`` of at least ``scratch_rows``
-    rows, and the phase writes the result back; groups run one after
-    another may share one scratch, so no phase allocates (rows, 16) arrays
-    of its own.
+    rows; groups run one after another may share one scratch.
     """
 
     def __init__(self, n_pairs: int, rngs: list, source: Optional[SourceParams] = None,
@@ -259,7 +270,8 @@ class SessionGroup:
         self.source = source
         self.bounds = np.arange(0, (m + 1) * n, n)  # each member's first block row, then the end
         self.rngs = list(rngs)
-        self.states = np.empty((m * n, DIM), dtype=complex)
+        self.table = np.empty((1, DIM), dtype=complex)
+        self.index = np.zeros(m * n, dtype=np.intp)
         self.fates = np.zeros((m, n), dtype=np.int8)
         self.ops = np.full((m, n), -1, dtype=np.intp)
         self.eve_forward, self.eve_return = np.full((2, m, n, 2, 2), -1, dtype=np.int8)
@@ -270,6 +282,23 @@ class SessionGroup:
         self.phases, self.depleted = np.zeros((2, m), dtype=np.int8)  # all PREPARED, none depleted
         self.counts = np.zeros((m, 2, 4), dtype=np.intp)
         self.failed = np.zeros((m, 2), dtype=bool)
+
+    @property
+    def states(self) -> np.ndarray:
+        """Every pair's 16 amplitudes as a new (members * n_pairs, 16) block, read off the table."""
+        return self.table[self.index]
+
+    def _update(self, pairs: np.ndarray, rows: np.ndarray, index: np.ndarray) -> None:
+        # the block rows ``pairs`` move to ``rows[index]``; the table keeps
+        # the rows some pair still refers to, in one new array
+        old = len(self.table)
+        self.index[pairs] = old + index
+        used, self.index = distinct(self.index, old + len(rows))
+        kept = int(used.searchsorted(old))
+        table = np.empty((len(used), DIM), dtype=complex)
+        self.table.take(used[:kept], axis=0, out=table[:kept], mode="clip")
+        rows.take(used[kept:] - old, axis=0, out=table[kept:], mode="clip")
+        self.table = table
 
     def in_phase(self, phase: Phase) -> np.ndarray:
         """Mask of the members in ``phase``."""
@@ -303,7 +332,7 @@ def prepare_group(
     by default.
     """
     group = SessionGroup(cfg.n_pairs, rngs, source, scratch)
-    group.states[:] = source.amplitudes
+    group.table[0] = source.amplitudes
     return group
 
 
@@ -413,20 +442,12 @@ def _transit(
             None if which[0] is None else np.concatenate(which)
             for which in zip(*(d.paulis for d in draws))
         ]
-        flat_records = records.reshape(-1, 2, 2)
-        for piece in _chunks(len(rows)):
-            block = rows[piece]
-            states, codes = chn.apply_transit(
-                group.states,
-                eve,
-                None if eve_draws is None else [part[piece] for part in eve_draws],
-                [None if which is None else which[piece] for which in paulis],
-                block,
-                group.scratch,
-            )
-            group.states[block] = states
-            if codes is not None:
-                flat_records[block] = codes
+        states, index, codes = chn.apply_transit(
+            group.table, eve, eve_draws, paulis, group.index[rows], group.scratch
+        )
+        group._update(rows, states, index)
+        if codes is not None:
+            records.reshape(-1, 2, 2)[rows] = codes
     group.phases[members] = _PHASE[arrival]
 
 
@@ -480,12 +501,8 @@ def first_check_group(group: SessionGroup, cfg: ProtocolConfig) -> None:
     x = np.concatenate(xs).reshape(-1, 2) < 0.5
     u = np.concatenate(us)
     # one 16-outcome draw per sample reads (alice_pol, bob_pol, alice_spa, bob_spa)
-    outcomes = np.empty(len(rows), dtype=np.uint8)
-    for piece in _chunks(len(rows)):
-        outcomes[piece] = measure(
-            group.states, ALL_AXES, u[piece], x[piece][:, [0, 0, 1, 1]], collapse=False,
-            rows=rows[piece], scratch=group.scratch,
-        )[0]
+    outcomes, _ = measure_table(group.table, group.index[rows], ALL_AXES, u, x[:, [0, 0, 1, 1]],
+                                collapse=False, scratch=group.scratch)
     _check(group, 0, rows, _CHECK_ERRORS[outcomes], cfg.error_threshold, Phase.ENCODING)
     group.fates.reshape(-1)[rows] = _CONSUMED
     group.first_reads.reshape(-1)[rows] = outcomes + 16 * x[:, 0] + 32 * x[:, 1]
@@ -556,9 +573,10 @@ def encode_group(group: SessionGroup, messages: list, cfg: ProtocolConfig) -> No
     ops[message_rows] = cfg.op_of_chunk[chunks]
     ops[second] = np.concatenate(sample_ops)
     group.sent.reshape(-1)[message_rows] = chunks
-    for piece in _chunks(len(candidates)):
-        block = candidates[piece]
-        group.states[block] = encode(group.states, ops[block], block, group.scratch)
+    group._update(candidates, *map_table(
+        group.table, group.index[candidates], ops[candidates], DIM,
+        lambda t, rows, codes: encode(t, codes, rows, group.scratch), group.scratch,
+    ))
     group.phases[members] = _PHASE[Phase.SA_IN_FLIGHT_2]
 
 
@@ -578,9 +596,7 @@ def decode_group(group: SessionGroup, cfg: ProtocolConfig) -> None:
     group.phases[members] = _PHASE[Phase.SECOND_CHECK]
     rows, starts = _candidates(group, acting)
     u = np.concatenate([group.rngs[j].random(starts[j + 1] - starts[j]) for j in members])
-    labels = np.empty(len(rows), dtype=np.intp)
-    for piece in _chunks(len(rows)):
-        labels[piece] = bell_labels(group.states, u[piece], rows[piece], group.scratch)
+    labels = bell_labels_table(group.table, group.index[rows], u, group.scratch)
     group.bell.reshape(-1)[rows] = labels
     in_sample = group.second.reshape(-1)[rows]
     sample_rows = rows[in_sample]

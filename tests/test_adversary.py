@@ -72,7 +72,8 @@ def check_block(states, rng):
 
 def intercept(states, strategy, rng):
     """One intercept-resend pass over every row: the resent block and Eve's record codes."""
-    return resend(states, strategy, *draw_intercept(len(states), strategy, rng))
+    table, index, codes = resend(states, strategy, *draw_intercept(len(states), strategy, rng))
+    return table[index], codes
 
 
 def intercepted_ideal_pairs(n, strategy, rng):

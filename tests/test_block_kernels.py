@@ -140,11 +140,11 @@ class TestBlockEqualsRows:
         # one outcome uniform per row; a uniform below 1/2 picks X
         draws = [(0.75 - 0.5 * x[:, : len(dofs)]).ravel(), u]
         drawn = draw_intercept(n, strategy, FixedUniforms(np.concatenate(draws)))
-        out, codes = resend(states, strategy, *drawn)
+        table, index, codes = resend(states, strategy, *drawn)
         for k in range(n):
-            out_k, codes_k = resend(states[k : k + 1], strategy, x[k : k + 1, : len(dofs)],
-                                    u[k : k + 1])
-            np.testing.assert_allclose(out[k], out_k[0], rtol=0, atol=1e-12)
+            table_k, index_k, codes_k = resend(states[k : k + 1], strategy,
+                                               x[k : k + 1, : len(dofs)], u[k : k + 1])
+            np.testing.assert_allclose(table[index[k]], table_k[index_k[0]], rtol=0, atol=1e-12)
             np.testing.assert_array_equal(codes[k], codes_k[0])
 
 
@@ -271,6 +271,75 @@ class TestScratch:
             scratch.array("work", (5, 16))
         with pytest.raises(ValueError, match="does not fit"):
             scratch.array("probs", (4, 16), complex)
+
+
+@st.composite
+def tables(draw, max_rows=12, max_pairs=60):
+    """(table, each pair's row, x mask over all four axes per pair, uniforms per pair).
+
+    Few distinct rows, half of them hyper-Bell states with exact zeros, and
+    up to ``max_pairs`` pairs that share them.
+    """
+    table, _, _ = draw(blocks(max_rows))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    table[: len(table) // 2] = BELL_BASIS[rng.integers(16, size=len(table) // 2)]
+    n = draw(st.integers(min_value=0, max_value=max_pairs))
+    return table, rng.integers(len(table), size=n), rng.random((n, 4)) < 0.5, rng.random(n)
+
+
+class TestStateTables:
+    """Each table function equals its kernel on the pairs' own rows, ``table[index]``, bitwise."""
+
+    @given(tables(), st.sampled_from(AXES_SETS), st.sampled_from(MASK_KINDS), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_measure_table(self, pairs, axes, kind, with_scratch):
+        table, index, x, u = pairs
+        x = x_mask(kind, x, axes)
+        scratch = hs.Scratch(5) if with_scratch else None  # several kernel calls
+        outcomes, post = measure(table[index], axes, u, x)
+        got, (states, new_index) = hs.measure_table(table, index, axes, u, x, scratch=scratch)
+        assert np.array_equal(got, outcomes)
+        assert np.array_equal(states[new_index], post)
+        # one collapsed row per distinct (row, X pattern, outcome) of the pairs
+        patterns = x @ (1 << np.arange(len(axes)))
+        assert len(states) == len(set(zip(index.tolist(), patterns.tolist(), got.tolist())))
+        read, none = hs.measure_table(table, index, axes, u, x, collapse=False, scratch=scratch)
+        assert np.array_equal(read, outcomes) and none is None
+
+    @given(tables(), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_bell_labels_and_encode(self, pairs, with_scratch):
+        table, index, x, u = pairs
+        scratch = hs.Scratch(5) if with_scratch else None
+        codes = (8 * x[:, 0] + 4 * x[:, 1] + 2 * x[:, 2] + x[:, 3]).astype(np.intp)
+        assert np.array_equal(hs.bell_labels_table(table, index, u, scratch),
+                              bell_labels(table[index], u))
+        states, new_index = hs.map_table(
+            table, index, codes, 16, lambda t, rows, ops: hs.encode(t, ops, rows, scratch), scratch
+        )
+        assert np.array_equal(states[new_index], hs.encode(table[index], codes))
+        # one mapped row per distinct (row, op) of the pairs
+        assert len(states) == len(set(zip(index.tolist(), codes.tolist())))
+
+    @given(st.lists(st.integers(min_value=0, max_value=40)), st.integers(min_value=0, max_value=9))
+    def test_distinct_is_numpys_unique(self, keys, spare):
+        keys = np.array(keys, dtype=np.intp)
+        values, inverse = hs.distinct(keys, max(keys, default=-1) + 1 + spare)
+        expected_values, expected_inverse = np.unique(keys, return_inverse=True)
+        assert values.tolist() == expected_values.tolist()
+        assert inverse.tolist() == expected_inverse.ravel().tolist()
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_table_rows_out_of_range_are_rejected(self, bad):
+        # a negative row must not wrap around to the end of the table
+        table, index = BELL_BASIS[:2], np.array([0, bad])
+        with pytest.raises(IndexError):
+            hs.measure_table(table, index, (0,), np.full(2, 0.5), np.zeros((2, 1), dtype=bool))
+        with pytest.raises(IndexError):
+            hs.bell_labels_table(table, index, np.full(2, 0.5))
+        with pytest.raises(IndexError):
+            hs.map_table(table, index, np.zeros(2, dtype=np.intp), 16,
+                         lambda t, rows, ops: hs.encode(t, ops, rows))
 
 
 class TestScalarApiIsOneRow:
@@ -453,6 +522,30 @@ class TestDegenerateRows:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="non-finite"):
                 kernel(states)
+
+
+class TestUniforms:
+    # |0000>: outcome 1 of axis 0 has probability 0, so a uniform of 1.0 or
+    # more would pick it; every Bell label but 0 has probability 0 on row 0
+    @pytest.mark.parametrize("u", [1.0, 1.5, np.inf, -0.25, -np.inf, np.nan])
+    @pytest.mark.parametrize("kernel", [
+        lambda u: measure(np.array([_ket(0)]), (0,), [u]),
+        lambda u: measure(np.array([_ket(0)]), (0,), [u], collapse=False),
+        lambda u: bell_labels(BELL_BASIS[:1], [u]),
+    ], ids=["measure", "measure_without_collapse", "bell_labels"])
+    def test_rejects_uniform_outside_unit_interval(self, kernel, u):
+        with pytest.raises(ValueError, match=r"uniforms must lie in \[0, 1\)"):
+            kernel(u)
+
+    @pytest.mark.parametrize("n_uniforms", [0, 1, 2, 4])
+    @pytest.mark.parametrize("kernel", [
+        lambda u: measure(np.tile(_ket(0), (3, 1)), (0,), u),
+        lambda u: bell_labels(np.tile(BELL_BASIS[0], (3, 1)), u),
+    ], ids=["measure", "bell_labels"])
+    def test_needs_one_uniform_per_row(self, kernel, n_uniforms):
+        # one uniform is not spread over the three rows
+        with pytest.raises(ValueError, match="one uniform per row"):
+            kernel(np.full(n_uniforms, 0.5))
 
 
 def test_run_builds_no_single_pair_states(monkeypatch):

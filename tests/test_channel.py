@@ -46,7 +46,8 @@ def transit(n, params, eve, rng):
     """One transit of n ideal pairs: the draws, then the delivered rows and Eve's record codes."""
     drawn = draw_transit(n, params, eve, rng)
     delivered = ideal_pairs(np.count_nonzero(drawn.delivered))
-    return drawn, *apply_transit(delivered, eve, drawn.eve, drawn.paulis)
+    table, index, codes = apply_transit(delivered, eve, drawn.eve, drawn.paulis)
+    return drawn, table[index], codes
 
 
 class TestTransmit:
@@ -147,8 +148,12 @@ class TestNoiseOnHitRows:
         eve = EveStrategy(kind)
         drawn = draw_transit(n, ChannelParams(pauli_p_pol=p_pol, pauli_p_spa=p_spa), eve, rng)
         scratch = Scratch(n) if with_scratch else None
-        got, codes = apply_transit(states, eve, drawn.eve, drawn.paulis, scratch=scratch)
-        expected = states if drawn.eve is None else resend(states, eve, *drawn.eve)[0]
+        table, index, codes = apply_transit(states, eve, drawn.eve, drawn.paulis, scratch=scratch)
+        got = table[index]
+        expected = states
+        if drawn.eve is not None:
+            resent, resent_index, _ = resend(states, eve, *drawn.eve)
+            expected = resent[resent_index]
         for dof, which in zip((Dof.POL, Dof.SPA), drawn.paulis):
             if which is not None:
                 expected = apply_local(expected, AXIS[(Photon.A, dof)], PAULIS[which])

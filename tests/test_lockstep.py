@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hyperqsdc import harness
+from hyperqsdc import adversary, channel, harness, hyperstate, protocol
 from hyperqsdc.adversary import BasisPolicy, EveKind
 from hyperqsdc.harness import (
     GROUP_ROWS,
@@ -32,6 +33,7 @@ from hyperqsdc.protocol import (
     DEPLETED_RETURN,
     BlockDepleted,
     ConfigError,
+    Phase,
     SessionGroup,
     render_transcripts,
 )
@@ -124,6 +126,23 @@ PINNED = {
         "c25dbbbccddb5a690a5acc4d7a469aba244a7b1a41a22d219f61548264ab134c",
         "5cae4509364328aa013aeca36778bc39e0e51116bf7d996ec695a4a0149a0200",
     ),
+    # a non-ideal source, whose amplitudes are no exact dyadic values, through
+    # loss, Pauli noise on both DOFs and intercept-resend on both passes;
+    # digests computed with the engine that kept one (16,) row per pair
+    "nonideal_source_noise_intercept_both": (
+        dict(sessions="12", n_pairs="40", seed="15", r="0.7", phi="0.4", loss_prob="0.08",
+             pauli_p_pol="0.04", pauli_p_spa="0.05", kind="intercept_resend", passes="both",
+             error_threshold="1.0"),
+        "2b3137d8ca4b0068e6baf814e3b2553e0dc01ec1e4750013f726a415ba0942f8",
+        "5c3b0c5d834701b6cf05c387c6087fa61e392f0b4c9ecd11f8464b3db3c93d5e",
+    ),
+    "nonideal_session_over_chunk_rows": (
+        dict(sessions="1", n_pairs="1500", seed="16", r="1.3", phi="-1.1", loss_prob="0.05",
+             pauli_p_pol="0.03", pauli_p_spa="0.02", kind="intercept_resend", passes="both",
+             error_threshold="1.0"),
+        "bb333393bf56faa72be8c538b753ed0f9f557143990b7aff1a8f4a67d1319868",
+        "0fe89fb6d8a69885cdc5bb5c43c011ef67d0d30bd0447af65fb9ca4b19d39bc1",
+    ),
 }
 
 
@@ -170,6 +189,9 @@ def test_pinned_configs_cover_the_group_edges():
     assert rcs["session_over_chunk_rows"].protocol.n_pairs > CHUNK_ROWS
     assert rcs["intercept_spa_over_chunk_rows"].protocol.n_pairs > CHUNK_ROWS
     assert rcs["intercept_spa_over_chunk_rows"].eve.dof_mask == frozenset({Dof.SPA})
+    assert rcs["nonideal_session_over_chunk_rows"].protocol.n_pairs > CHUNK_ROWS
+    for name in ("nonideal_source_noise_intercept_both", "nonideal_session_over_chunk_rows"):
+        assert rcs[name].source.r != 1.0 and rcs[name].source.phi != 0.0
     assert rcs["intercept_fixed_x_bases"].eve.basis_policy is BasisPolicy.FIXED_X
     assert rcs["intercept_fixed_z_bases"].eve.basis_policy is BasisPolicy.FIXED_Z
     groups = rcs["groups_not_dividing_group_rows"]
@@ -329,3 +351,56 @@ def test_run_matches_sessions_run_alone(overrides, seed):
     alone, alone_text = pooled_alone(rc, seed)
     assert stats_text(rc, seed, stats) == stats_text(rc, seed, alone)
     assert text == alone_text
+
+
+# The row-wise kernels, under every name the package calls them by, and the
+# ones among them that do the work of a measurement: its Born side, its
+# collapse, and the two fused in one call.
+KERNELS = ("_read", "_project", "_bell_cdf", "encode", "apply_local", "measure", "bell_labels")
+MEASUREMENT = ("_read", "_project", "measure")
+
+
+def kernel_rows(monkeypatch) -> list:
+    """Count the rows handed to each kernel call: a list of (kernel name, rows) that fills as
+    the package runs."""
+    calls = []
+    for module in (hyperstate, channel, adversary, protocol):
+        for name in KERNELS:
+            kernel = getattr(module, name, None)
+            if kernel is None:
+                continue
+
+            def counted(*args, _kernel=kernel, _name=name, **kwargs):
+                # the rows read: ``rows`` when given, else every row of the block
+                bound = inspect.signature(_kernel).bind(*args, **kwargs).arguments
+                rows = bound.get("rows")
+                calls.append((_name, len(next(iter(bound.values())) if rows is None else rows)))
+                return _kernel(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_clean_group_hands_each_kernel_its_distinct_states_only(monkeypatch):
+    # an ideal_sessions group: every pair starts in one state and takes one of
+    # 16 ops, so no kernel call needs more than 16 rows
+    rc = parse_run_config(config_with(sessions="9", n_pairs="112", sample_fraction_first="0.05",
+                                      sample_fraction_second="0.05"))
+    calls = kernel_rows(monkeypatch)
+    group = _run_group(rc, rc.seed, range(rc.sessions))
+    assert group.in_phase(Phase.ACCEPTED).all()
+    assert max(rows for _, rows in calls) <= 16, calls
+    assert {name for name, _ in calls} >= {"_read", "encode", "_bell_cdf"}
+
+
+def test_big_check_measures_under_a_hundred_rows(monkeypatch):
+    # a big_block_check session: 20,000 pairs through intercept-resend and a
+    # check of nearly all of them, from at most 16 distinct states
+    rc = parse_run_config(config_with(
+        sessions="1", n_pairs="20000", sample_fraction_first="0.9996",
+        sample_fraction_second="0.0001", kind="intercept_resend", passes="forward",
+    ))
+    calls = kernel_rows(monkeypatch)
+    group = _run_group(rc, rc.seed, [0])
+    assert group.counts[0, 0, 0] > 19_000  # pairs checked
+    assert 0 < sum(rows for name, rows in calls if name in MEASUREMENT) < 100, calls
