@@ -143,6 +143,16 @@ PINNED = {
         "bb333393bf56faa72be8c538b753ed0f9f557143990b7aff1a8f4a67d1319868",
         "0fe89fb6d8a69885cdc5bb5c43c011ef67d0d30bd0447af65fb9ca4b19d39bc1",
     ),
+    # one session whose Bell readout reads 1,743 distinct rows: more than
+    # CHUNK_ROWS in one kernel call; digests computed with the engine that
+    # split each kernel call into chunks of CHUNK_ROWS rows
+    "nonideal_kernel_call_over_chunk_rows": (
+        dict(sessions="1", n_pairs="3000", seed="17", r="0.7", phi="0.4", loss_prob="0.05",
+             pauli_p_pol="0.05", pauli_p_spa="0.05", kind="intercept_resend", passes="both",
+             error_threshold="1.0"),
+        "9906b0393f4769a621c5e34ee94f7bcc02d9aa843343e52bd2bb6cc2600592fd",
+        "5bdbcf4dda5c2116496670f6792b0735f0e117d2d0b370fe09cfabefd182dcd0",
+    ),
 }
 
 
@@ -404,3 +414,4 @@ def test_big_check_measures_under_a_hundred_rows(monkeypatch):
     group = _run_group(rc, rc.seed, [0])
     assert group.counts[0, 0, 0] > 19_000  # pairs checked
     assert 0 < sum(rows for name, rows in calls if name in MEASUREMENT) < 100, calls
+
