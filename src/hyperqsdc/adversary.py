@@ -140,16 +140,15 @@ def draw_intercept(
 
 
 def resend(
-    table: np.ndarray, strategy: EveStrategy, x: np.ndarray, u: np.ndarray, index=None,
-    scratch=None,
+    table: np.ndarray, strategy: EveStrategy, x: np.ndarray, u: np.ndarray, index=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Apply ``draw_intercept``'s choices: measure every pair and resend the outcome.
 
     The pairs are the rows ``table[index]`` of a state table, every row of
-    ``table`` once by default (see ``hyperstate.measure_table``, also for
-    ``scratch``).  Returns the collapsed states as a table of their own,
-    each pair's index into it, and Eve's (N, 2, 2) record codes: an int8
-    array indexed [pair, dof (pol, spa), (basis, outcome)], basis 0 = Z and
+    ``table`` once by default (see ``hyperstate.measure_table``).  Returns
+    the collapsed states as a table of their own, each pair's index into
+    it, and Eve's (N, 2, 2) record codes: an int8 array indexed [pair, dof
+    (pol, spa), (basis, outcome)], basis 0 = Z and
     1 = X, and -1 in both slots of a DOF she did not measure.  Both masked
     DOFs are read by one joint draw per pair.  The projective collapse
     already leaves photon A in exactly the state Eve forwards, so the
@@ -158,7 +157,7 @@ def resend(
     slots = _slots(strategy)
     axes = tuple(AXIS[(Photon.A, _DOFS[k])] for k in slots)
     index = np.arange(len(table)) if index is None else index
-    outcomes, (table, index) = measure_table(table, index, axes, u, x, scratch=scratch)
+    outcomes, (table, index) = measure_table(table, index, axes, u, x)
     codes = np.full((len(index), 2, 2), -1, dtype=np.int8)
     codes[:, slots, 0] = x
     codes[:, slots, 1] = (outcomes[:, None] >> np.arange(len(slots))[::-1]) & 1

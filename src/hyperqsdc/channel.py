@@ -86,14 +86,14 @@ def draw_transit(
 
 def apply_transit(
     table: np.ndarray, eve: adv.EveStrategy, eve_draws: tuple | None, paulis: tuple,
-    index=None, scratch=None,
+    index=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Carry the delivered pairs through Eve and the noise as drawn.
 
     The pairs are the rows ``table[index]`` of a state table, every row of
     ``table`` once by default; ``eve_draws`` and ``paulis`` are
     ``TransitDraws`` fields, one entry per pair (see
-    ``hyperstate.measure_table``, also for ``scratch``).  Only the pairs a
+    ``hyperstate.measure_table``).  Only the pairs a
     Pauli error hits are multiplied.  Returns (the pairs' states after the
     transit as a table of their own, each pair's index into it, Eve's record
     codes or None).
@@ -104,21 +104,20 @@ def apply_transit(
         used, index = distinct(index, len(table))
         table = table[used]
     else:
-        table, index, codes = adv.resend(table, eve, *eve_draws, index, scratch)
+        table, index, codes = adv.resend(table, eve, *eve_draws, index)
     # each pair's Paulis as one code, 4 * pol + spa
     noise = sum(4 ** (1 - k) * which for k, which in enumerate(paulis) if which is not None)
     hit = np.flatnonzero(noise)
     if len(hit):
-        rows, inverse = map_table(table, index[hit], noise[hit], 16, _noisy, scratch)
+        rows, inverse = map_table(table, index[hit], noise[hit], 16, _noisy)
         index[hit] = len(table) + inverse
         table = np.concatenate([table, rows])
     return table, index, codes
 
 
-def _noisy(table: np.ndarray, rows: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    # rows ``rows`` of ``table`` after the Paulis of ``codes`` (4 * pol + spa),
+def _noisy(states: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    # ``states``, in place, after the Paulis of ``codes`` (4 * pol + spa),
     # the pol one first; a row is multiplied only on a DOF its Pauli hits
-    states = table[rows]
     for dof, which in ((Dof.POL, codes >> 2), (Dof.SPA, codes & 3)):
         hit = which.nonzero()[0]
         if len(hit):

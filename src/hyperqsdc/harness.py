@@ -48,7 +48,7 @@ from .adversary import (
     guess_encoding_ops,
 )
 from .channel import ChannelParams
-from .hyperstate import Dof, Scratch, SourceParams, correlation_error_probs, source_fidelity
+from .hyperstate import Dof, SourceParams, correlation_error_probs, source_fidelity
 from .protocol import (
     DEPLETED_FORWARD,
     DEPLETED_RETURN,
@@ -65,7 +65,6 @@ from .protocol import (
     message_capacities,
     prepare_group,
     render_transcripts,
-    scratch_rows,
     transmit_forward_group,
     transmit_return_group,
 )
@@ -397,15 +396,14 @@ class _Laps:
         self.last = now
 
 
-def _run_group(rc: RunConfig, master_seed: int, indices, lap: Callable = lambda phase: None,
-               scratch: Optional[Scratch] = None) -> SessionGroup:
+def _run_group(rc: RunConfig, master_seed: int, indices,
+               lap: Callable = lambda phase: None) -> SessionGroup:
     """Run sessions ``indices`` of a run in lockstep (see ``protocol.SessionGroup``).
 
-    Returns the finished group.  ``lap(phase)`` is called as each phase ends;
-    ``scratch`` is the group's work space, a new one by default.
+    Returns the finished group.  ``lap(phase)`` is called as each phase ends.
     """
     rngs = [np.random.default_rng([master_seed, k]) for k in indices]
-    group = prepare_group(rc.protocol, rc.source, rngs, scratch)
+    group = prepare_group(rc.protocol, rc.source, rngs)
     lap("prepare")
     eve_fwd = rc.eve if rc.eve_passes in ("both", "forward") else None
     eve_ret = rc.eve if rc.eve_passes in ("both", "return") else None
@@ -494,9 +492,9 @@ def _pool(stats: RunStats, transcripts: Optional[TextIO], rc: RunConfig, master_
 
 
 # Rows per lockstep group of ``run``; a session with more pairs is a group of
-# one.  A group's kernels run once per distinct state, so what a larger
-# group adds is per-pair bookkeeping, and its fixed costs are paid fewer
-# times.
+# one.  Each phase of a group makes one kernel call on the distinct states
+# of its pairs, so what a larger group adds is per-pair bookkeeping, and its
+# fixed costs are paid fewer times.
 GROUP_ROWS = 1024
 
 
@@ -518,12 +516,10 @@ def run(rc: RunConfig, master_seed: Optional[int] = None,
     started = time.perf_counter()
     lap = _Laps(stats.phase_seconds)
     per_group = max(1, GROUP_ROWS // rc.protocol.n_pairs)
-    scratch = Scratch(scratch_rows(per_group * rc.protocol.n_pairs))
     for first in range(0, rc.sessions, per_group):
         indices = range(first, min(first + per_group, rc.sessions))
         # the finished group is dropped here, before the next one is built
-        _pool(stats, transcripts, rc, seed, indices,
-              _run_group(rc, seed, indices, lap, scratch))
+        _pool(stats, transcripts, rc, seed, indices, _run_group(rc, seed, indices, lap))
         lap("pooling")
     stats.wall_time = time.perf_counter() - started
     if faults is not None:

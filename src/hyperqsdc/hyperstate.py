@@ -29,15 +29,15 @@ of the generic 2x2 product, and a row measured in Z is left untouched.
 
 Pairs that share a state share a row: a state table is a (T, 16) array of
 distinct states plus one row index per pair.  ``measure_table``,
-``bell_labels_table`` and ``map_table`` run a kernel once per distinct
-(row, discrete choice) of the pairs, then draw per pair.  Every kernel is
-row-wise, so a pair's outcome and state are bitwise those of its own row.
+``bell_labels_table`` and ``map_table`` gather the distinct (row, discrete
+choice) combos of the pairs, make one kernel call on them, then draw per
+pair.  Every kernel is row-wise, so a pair's outcome and state are bitwise
+those of its own row.
 
 States are rays, not vectors: two states that differ by a global phase are
 physically identical, and ``HyperState.equiv`` tests exactly that.  All
-operations here are pure functions; a kernel handed a ``Scratch`` writes
-its temporaries and its result into that work space, not into new arrays,
-and never into its input.  Anything stochastic takes an explicit
+operations here are pure functions: a kernel returns new arrays and never
+writes its input.  Anything stochastic takes an explicit
 ``numpy.random.Generator`` or explicit uniforms, so callers own
 reproducibility and threads may share everything except their generator.
 """
@@ -226,79 +226,6 @@ _ENCODE_SIGN = np.repeat(
 # block kernels
 # ---------------------------------------------------------------------------
 
-# The work arrays a Scratch holds, by name, with the element type whose
-# (rows, 16) array sizes each.
-_SCRATCH = {"work": complex, "term": complex, "probs": float}
-
-
-class Scratch:
-    """Work space for the block kernels, allocated once and reused call after call.
-
-    One allocation holds a ``(rows, 16)`` array per name in ``_SCRATCH``,
-    for the kernels' temporaries.  A kernel given a scratch reads at most
-    ``rows`` rows and never writes its input block, but the block it
-    returns may be one of these arrays, which holds it until the next
-    kernel call with the same scratch.
-
-    One block rather than one array per name: when glibc frees a block it
-    had mapped on its own, it raises its trim threshold to twice that
-    block's size, so a run that frees its scratch as one block leaves the
-    heap to the next run.  Three arrays freed at the end of a 112-pair run
-    had the top of the heap handed back and faulted in again, about 180
-    minor faults per run.
-    """
-
-    def __init__(self, rows: int):
-        self.rows = rows
-        self._slots = {}
-        start = 0
-        for name, kind in _SCRATCH.items():
-            width = rows * DIM * np.dtype(kind).itemsize
-            self._slots[name] = (start, width)
-            start += width
-        self._space = np.empty(start, dtype=np.uint8)
-
-    def array(self, name: str, shape: tuple, dtype=complex) -> np.ndarray:
-        """An uninitialized ``shape`` array of ``dtype`` over the work array ``name``."""
-        start, width = self._slots[name]
-        size = math.prod(shape) * np.dtype(dtype).itemsize
-        if size > width:
-            raise ValueError(f"{shape} {np.dtype(dtype)} does not fit scratch of {self.rows} rows")
-        return self._space[start : start + size].view(dtype).reshape(shape)
-
-
-def _array(scratch, name: str, shape: tuple, dtype=complex) -> np.ndarray:
-    # a work array: from ``scratch`` when given, else a new one
-    if scratch is None:
-        return np.empty(shape, dtype)
-    return scratch.array(name, shape, dtype)
-
-
-def _checked(index: np.ndarray, n: int, what: str = "row indices") -> np.ndarray:
-    # the gathers below clip or wrap an index out of range instead of raising
-    if len(index) and (index.min() < 0 or index.max() >= n):
-        raise IndexError(f"{what} must lie in [0, {n})")
-    return index
-
-
-def take_rows(states: np.ndarray, rows=None, scratch=None) -> np.ndarray:
-    """A copy of the rows ``rows`` of ``states`` (every row by default).
-
-    With a ``Scratch``, the copy is its "work" array.
-    """
-    n = len(states) if rows is None else len(rows)
-    out = _array(scratch, "work", (n, DIM))
-    if rows is None:
-        np.copyto(out, states)
-    else:
-        states.take(_checked(rows, len(states)), axis=0, out=out, mode="clip")
-    return out
-
-
-def _row_starts(states: np.ndarray, rows) -> np.ndarray:
-    # flat index of the first amplitude of every row read
-    return (np.arange(len(states)) if rows is None else _checked(rows, len(states))) * DIM
-
 
 def apply_local(states: np.ndarray, axis: int, ops: np.ndarray) -> np.ndarray:
     """Apply a 2x2 operator to tensor ``axis`` of every row of an (N, 16) block.
@@ -334,21 +261,22 @@ def _x_rows(axes: tuple, x) -> list:
     return runs
 
 
-def _hadamard(states: np.ndarray, axes: tuple, scratch=None) -> None:
+def _hadamard(states: np.ndarray, axes: tuple) -> None:
     # Hadamard on tensor ``axes`` of every row, one after another, in place:
     # new0 = s*v0 + s*v1 and new1 = s*v0 - s*v1, the very products and sums
-    # that apply_local forms for this operator
+    # that apply_local forms for this operator.  The sum and the difference
+    # are new arrays, so no operand overlaps the half it is written to.
     n = len(states)
     for axis in axes:
         v = states.reshape(n, 1 << axis, 2, 8 >> axis)
         v *= _SQ2
         v0, v1 = v[:, :, 0], v[:, :, 1]
-        diff = np.subtract(v0, v1, out=_array(scratch, "probs", v0.shape))
-        v0 += v1
+        total, diff = v0 + v1, v0 - v1
+        v0[...] = total
         v1[...] = diff
 
 
-def _rotate(states: np.ndarray, runs: list, fresh: bool = False, scratch=None) -> np.ndarray:
+def _rotate(states: np.ndarray, runs: list, fresh: bool = False) -> np.ndarray:
     # Z-to-X basis change of the X rows of each run, which is its own inverse;
     # a Z row is left as it is.  A new block unless ``fresh`` allows writing
     # into ``states``.
@@ -356,37 +284,25 @@ def _rotate(states: np.ndarray, runs: list, fresh: bool = False, scratch=None) -
         if not fresh:
             states, fresh = states.copy(), True
         if len(rows) == len(states):
-            _hadamard(states, axes, scratch)
+            _hadamard(states, axes)
         else:
-            sub = np.take(states, rows, axis=0, out=_array(scratch, "term", (len(rows), DIM)),
-                          mode="clip")
-            _hadamard(sub, axes, scratch)
+            sub = states[rows]
+            _hadamard(sub, axes)
             states[rows] = sub
     return states
 
 
-def _born(states: np.ndarray, axes: tuple, scratch=None) -> np.ndarray:
+def _born(states: np.ndarray, axes: tuple) -> np.ndarray:
     # Unsnapped probabilities of the joint outcomes of the ascending
-    # ``axes``; with a scratch, in its "probs" array.
-    n = len(states)
-    square = _array(scratch, "term", (n, DIM))
-    np.conjugate(states, out=square)
-    square *= states  # the real part is |a|**2 as numpy forms conj(a) * a
-    probs = square.real
-    width = DIM
-    into = "probs"  # the sums alternate between the two work arrays
+    # ``axes``: |a|**2 as numpy forms conj(a) * a, summed over each other
+    # axis in turn, the last first.
+    square = np.conjugate(states)
+    square *= states
+    probs = square.real.reshape(-1, 2, 2, 2, 2)
     for axis in reversed(ALL_AXES):
         if axis not in axes:
-            # the two halves of a length-2 axis, summed
-            v = probs.reshape(n, 1 << axis, 2, width >> (axis + 1))
-            width //= 2
-            total = _array(scratch, into, (n, 1 << axis, width >> axis), float)
-            np.add(v[:, :, 0], v[:, :, 1], out=total)
-            probs = total.reshape(n, width)
-            into = "term" if into == "probs" else "probs"
-    if into == "probs":  # the last result is still in "term"
-        last, probs = probs, _array(scratch, "probs", probs.shape, float)
-        np.copyto(probs, last)
+            probs = probs.sum(axis=1 + axis)
+    probs = probs.reshape(len(states), 1 << len(axes))
     # a NaN or infinite amplitude makes its row's weights non-finite, and
     # snapping would pass an infinite weight off as a certain outcome
     if not np.isfinite(probs).all():
@@ -419,24 +335,20 @@ def outcome_probs(states: np.ndarray, axes: tuple, x=None) -> np.ndarray:
     return _snap(_born(_rotate(states, _x_rows(axes, x)), axes))
 
 
-def _read(states: np.ndarray, axes: tuple, x, rows, scratch, copy: bool = False) -> tuple:
+def _read(states: np.ndarray, axes: tuple, x, fresh: bool = False) -> tuple:
     # The Born side of a measurement of tensor ``axes``: the X runs, the rows
-    # in their measurement bases (a copy in "work" when rows, an X row or
-    # ``copy`` asks for one), their unsnapped joint-outcome probabilities
-    # ("probs") and the normalized CDF ("term") that ``draw`` reads: entry
-    # [o, k] sums row k's snapped probabilities of the outcomes up to o over
-    # their total, so the last outcome of positive probability reaches
-    # exactly 1.0 however far rounding leaves the total from 1.
+    # in their measurement bases (``states`` itself when no row is measured
+    # in X, else a new block unless ``fresh`` allows turning ``states`` in
+    # place), their unsnapped joint-outcome probabilities and the normalized
+    # CDF that ``draw`` reads: entry [o, k] sums row k's snapped
+    # probabilities of the outcomes up to o over their total, so the last
+    # outcome of positive probability reaches exactly 1.0 however far
+    # rounding leaves the total from 1.
     runs = _x_rows(axes, x)
-    work = states
-    if runs or copy or rows is not None:
-        work = take_rows(states, rows, scratch)
-        _rotate(work, runs, True, scratch)
-    raw = _born(work, axes, scratch)
+    work = _rotate(states, runs, fresh)
+    raw = _born(work, axes)
     # one row per outcome, so that each running sum adds two contiguous rows
-    cdf = _array(scratch, "term", raw.shape[::-1], float)
-    np.copyto(cdf, raw.T)
-    _snap(cdf)
+    cdf = _snap(raw.T.copy())
     for o in range(1, len(cdf)):
         np.add(cdf[o - 1], cdf[o], out=cdf[o])
     total = cdf[-1].copy()
@@ -465,8 +377,8 @@ def draw(cdf: np.ndarray, u) -> np.ndarray:
     return (cdf[:-1] <= u).sum(axis=0)
 
 
-def _project(work: np.ndarray, probs: np.ndarray, axes: tuple, outcomes: np.ndarray, runs: list,
-             scratch) -> np.ndarray:
+def _project(work: np.ndarray, probs: np.ndarray, axes: tuple, outcomes: np.ndarray,
+             runs: list) -> np.ndarray:
     # The collapse, in place: ``work``, the rows in their measurement bases,
     # projected onto each row's drawn outcome, divided by the square root of
     # its unsnapped probability ``probs`` (positive, as the outcome was
@@ -474,12 +386,11 @@ def _project(work: np.ndarray, probs: np.ndarray, axes: tuple, outcomes: np.ndar
     norm = np.sqrt(probs).astype(complex)  # complex, as the quotient below would cast it
     np.copyto(work, 0.0, where=_OUTCOME_OF_INDEX[axes] != outcomes[:, None])
     work /= norm[:, None]
-    return _rotate(work, runs, True, scratch)
+    return _rotate(work, runs, True)
 
 
 @np.errstate(invalid="ignore")
-def measure(states: np.ndarray, axes: tuple, u: np.ndarray, x=None, collapse: bool = True,
-            rows=None, scratch=None):
+def measure(states: np.ndarray, axes: tuple, u: np.ndarray, x=None, collapse: bool = True):
     """Measure tensor ``axes`` of every row by one inverse-CDF draw over their joint outcomes.
 
     Outcomes and ``x`` are as in ``outcome_probs``; ``u`` holds one uniform
@@ -487,72 +398,55 @@ def measure(states: np.ndarray, axes: tuple, u: np.ndarray, x=None, collapse: bo
     same as measuring the axes one after another.  Returns (outcomes,
     collapsed block), the block in the computational representation, or
     (outcomes, None) when ``collapse`` is false.
-
-    ``rows`` measures only those rows of ``states``, as if the block were
-    ``states[rows]``; ``scratch`` is a ``Scratch`` for the temporaries.
     """
-    runs, work, raw, cdf = _read(states, axes, x, rows, scratch, collapse)
+    runs, work, raw, cdf = _read(states, axes, x)
     outcomes = draw(cdf, u)
     if not collapse:
         return outcomes, None
-    return outcomes, _project(work, raw[np.arange(len(work)), outcomes], axes, outcomes, runs,
-                              scratch)
+    if work is states:  # the collapse writes its rows, which must not be the input's
+        work = states.copy()
+    return outcomes, _project(work, raw[np.arange(len(work)), outcomes], axes, outcomes, runs)
 
 
-def encode(states: np.ndarray, codes: np.ndarray, rows=None, scratch=None) -> np.ndarray:
+def encode(states: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Apply the dense-coding unitary with op code ``codes[k]`` to photon A of row k.
 
     The unitary is applied as the signed permutation it is, so each result
     amplitude is plus or minus one amplitude of the row, exactly (a zero
-    may change its sign, which no probability sees).  ``rows`` and
-    ``scratch`` are as in ``measure``.
+    may change its sign, which no probability sees).
     """
-    starts = _row_starts(states, rows)
-    n = len(starts)
-    # flat index of each result amplitude's source amplitude
-    source = _array(scratch, "probs", (n, DIM), np.intp)
-    _ENCODE_SOURCE.take(_checked(codes, DIM, "op codes"), axis=0, out=source, mode="wrap")
-    source += starts[:, None]
-    out = _array(scratch, "work", (n, DIM))
-    states.reshape(-1).take(source, out=out, mode="clip")
-    sign = _array(scratch, "term", (n, 2 * DIM), float)
-    _ENCODE_SIGN.take(codes, axis=0, out=sign, mode="wrap")
+    if len(codes) != len(states):
+        raise ValueError(f"need one op code per row: {len(states)} rows, {len(codes)} codes")
+    # a negative code would wrap around to the end of the tables
+    if len(codes) and (codes.min() < 0 or codes.max() >= DIM):
+        raise IndexError(f"op codes must lie in [0, {DIM})")
+    out = np.take_along_axis(states, _ENCODE_SOURCE[codes], axis=1)
     parts = out.view(float)
-    np.multiply(parts, sign, out=parts)
+    parts *= _ENCODE_SIGN[codes]
     return out
 
 
 @np.errstate(invalid="ignore")
-def _bell_cdf(states: np.ndarray, rows=None, scratch=None) -> np.ndarray:
+def _bell_cdf(states: np.ndarray) -> np.ndarray:
     # The normalized CDF that ``bell_labels`` draws from: over the 16
     # outcomes of every row rewritten in the hyper-Bell basis, where outcome
     # k is label k.  Each label's amplitude is its four support terms summed
-    # in order, one (N, 16) term at a time, gathered by flat index; a weight
-    # multiplies the real and imaginary parts alone, which the complex
-    # product only adds zeros to.
-    starts = _row_starts(states, rows)
-    n = len(starts)
-    flat = states.reshape(-1)
-    support = _array(scratch, "probs", (n, DIM), np.intp)
-    amps = _array(scratch, "work", (n, DIM))
-    term = _array(scratch, "term", (n, DIM))
+    # in order; a weight multiplies the real and imaginary parts alone,
+    # which the complex product only adds zeros to.
     for m in range(4):
-        np.add(starts[:, None], _BELL_SUPPORT[m], out=support)
-        target = term if m else amps
-        flat.take(support, out=target, mode="clip")
-        parts = target.view(float)
-        np.multiply(parts, _BELL_WEIGHTS[m], out=parts)
+        term = states.take(_BELL_SUPPORT[m], axis=1)
+        parts = term.view(float)
+        parts *= _BELL_WEIGHTS[m]
         if m:
             amps += term
-    return _read(amps, ALL_AXES, None, None, scratch)[3]
+        else:
+            amps = term
+    return _read(amps, ALL_AXES, None)[3]
 
 
-def bell_labels(states: np.ndarray, u: np.ndarray, rows=None, scratch=None) -> np.ndarray:
-    """Complete hyper-Bell analysis of every row: flat labels 4*p + s, one 16-outcome draw each.
-
-    ``rows`` and ``scratch`` are as in ``measure``.
-    """
-    return draw(_bell_cdf(states, rows, scratch), u)
+def bell_labels(states: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Complete hyper-Bell analysis of every row: flat labels 4*p + s, one 16-outcome draw each."""
+    return draw(_bell_cdf(states), u)
 
 
 # ---------------------------------------------------------------------------
@@ -580,33 +474,22 @@ def _combos(table: np.ndarray, index: np.ndarray, choice, n_choices: int) -> tup
     return *np.divmod(combos, n_choices), inverse
 
 
-def _per_combo(kernel, table: np.ndarray, rows: np.ndarray, choices, out: np.ndarray,
-               scratch=None) -> np.ndarray:
-    # out[c] = kernel(table, rows, choices)'s result for combo c, from at
-    # most ``scratch.rows`` combos a call (all at once without a scratch)
-    step = max(len(rows), 1) if scratch is None else scratch.rows
-    for at in range(0, len(rows), step):
-        out[at : at + step] = kernel(table, rows[at : at + step], choices[at : at + step])
-    return out
-
-
-def map_table(table: np.ndarray, index: np.ndarray, choice, n_choices: int, kernel,
-              scratch=None) -> tuple[np.ndarray, np.ndarray]:
+def map_table(table: np.ndarray, index: np.ndarray, choice, n_choices: int,
+              kernel) -> tuple[np.ndarray, np.ndarray]:
     """The pairs ``table[index]`` after a row-wise state map, once per distinct (row, choice).
 
-    ``choice`` holds one integer in [0, n_choices) per pair, and ``kernel(table,
-    rows, choices)`` returns the mapped rows ``rows`` of ``table``, from at
-    most ``scratch.rows`` rows a call.  Returns (the mapped states, a table
-    of their own, and each pair's index into it).
+    ``choice`` holds one integer in [0, n_choices) per pair, and
+    ``kernel(states, choices)`` returns the mapped ``states``, a new array
+    of the distinct rows that it may write into.  Returns (the mapped
+    states, a table of their own, and each pair's index into it).
     """
     rows, choices, inverse = _combos(table, index, choice, n_choices)
-    out = np.empty((len(rows), DIM), dtype=complex)
-    return _per_combo(kernel, table, rows, choices, out, scratch), inverse
+    return kernel(table[rows], choices), inverse
 
 
 @np.errstate(invalid="ignore")
 def measure_table(table: np.ndarray, index: np.ndarray, axes: tuple, u: np.ndarray,
-                  x: np.ndarray, collapse: bool = True, scratch=None):
+                  x: np.ndarray, collapse: bool = True):
     """``measure`` of the pairs whose states are ``table[index]``.
 
     ``u`` and the X mask ``x`` hold one entry per pair.  The CDF is formed
@@ -617,42 +500,25 @@ def measure_table(table: np.ndarray, index: np.ndarray, axes: tuple, u: np.ndarr
     """
     weights = 1 << np.arange(len(axes))[::-1]
     n_out = 1 << len(axes)
-    pattern = x @ weights
-    rows, patterns, combo = _combos(table, index, pattern, n_out)
+    rows, patterns, combo = _combos(table, index, x @ weights, n_out)
     xs = patterns[:, None] & weights > 0  # each combo's X mask
-    # each combo's CDF, and for the collapse its unsnapped outcome
-    # probabilities and its row in its measurement bases; the rows of a
-    # single chunk stay in the scratch
-    cdf, raw = np.empty((n_out, len(rows))), np.empty((len(rows), n_out))
-    step = max(len(rows), 1) if scratch is None else scratch.rows
-    turned = np.empty((len(rows) if collapse and len(rows) > step else 0, DIM), dtype=complex)
-    for at in range(0, len(rows), step):
-        piece = slice(at, at + step)
-        _, work, raw[piece], cdf[:, piece] = _read(table, axes, xs[piece], rows[piece], scratch)
-        if len(turned):
-            turned[piece] = work
-        elif collapse:
-            turned = work
+    # each combo's row in its measurement bases, its unsnapped outcome
+    # probabilities and its CDF
+    _, turned, raw, cdf = _read(table[rows], axes, xs, fresh=True)
     outcomes = draw(cdf.take(combo, axis=1), u)
     if not collapse:
         return outcomes, None
     # one collapsed row per distinct (combo, outcome), projected in place
     kept, inverse = distinct(combo * n_out + outcomes, len(rows) * n_out)
     of, read = np.divmod(kept, n_out)
-    states = turned[of]
-    for at in range(0, len(kept), step):
-        c, o = of[at : at + step], read[at : at + step]
-        _project(states[at : at + step], raw[c, o], axes, o, _x_rows(axes, xs[c]), scratch)
+    states = _project(turned[of], raw[of, read], axes, read, _x_rows(axes, xs[of]))
     return outcomes, (states, inverse)
 
 
-def bell_labels_table(table: np.ndarray, index: np.ndarray, u: np.ndarray,
-                      scratch=None) -> np.ndarray:
+def bell_labels_table(table: np.ndarray, index: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``bell_labels`` of the pairs whose states are ``table[index]``, one CDF per distinct row."""
     rows, _, row = _combos(table, index, 0, 1)
-    cdf = np.empty((DIM, len(rows)))  # one column per row, written as its transpose
-    _per_combo(lambda t, r, _: _bell_cdf(t, r, scratch).T, table, rows, rows, cdf.T, scratch)
-    return draw(cdf.take(row, axis=1), u)
+    return draw(_bell_cdf(table[rows]).take(row, axis=1), u)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ from .hyperstate import (
     ALL_AXES,
     DIM,
     EncodingOp,
-    Scratch,
     SourceParams,
     bell_labels_table,
     distinct,
@@ -112,19 +111,14 @@ def _sample_count(fraction: float, base: int) -> int:
     return max(1, math.floor(fraction * base + 0.5))
 
 
-# Rows per kernel call, and the chunk in which a longer session draws its
-# transits.  Temporaries for 10^5 distinct rows at once would cost several
-# times the rows themselves; a chunk's temporaries take about 1 MB.
+# The chunk of photons in which a session draws its transits: a session of
+# more pairs draws one chunk after another, in the order that fixes its
+# random numbers and so its output bytes.
 CHUNK_ROWS = 1024
 
 
 def _chunks(n: int) -> list[slice]:
     return [slice(start, start + CHUNK_ROWS) for start in range(0, n, CHUNK_ROWS)]
-
-
-def scratch_rows(n_rows: int) -> int:
-    """Rows of the ``Scratch`` that the phases of a group of ``n_rows`` block rows use."""
-    return min(n_rows, CHUNK_ROWS)
 
 
 @dataclass(frozen=True)
@@ -247,8 +241,8 @@ class SessionGroup:
     Each phase acts on the members that are in the phase it starts from.  It
     first draws member by member, in the order and sizes of the session run
     alone.  Then it maps each acting pair's (table row, discrete choice) to
-    a combo, runs the kernel once per distinct combo, at most ``CHUNK_ROWS``
-    combos a call, and does only the per-pair work per pair: the draw
+    a combo, runs the kernel in one call on the distinct combos read from
+    ``table``, and does only the per-pair work per pair: the draw
     against the pair's uniform, the bookkeeping and the pair's new table
     row.  A state change builds the next table from the new states and the
     rows some pair still refers to.  As the kernels are row-wise, a
@@ -256,16 +250,10 @@ class SessionGroup:
     share its group, and a session run alone is a group of one.
     ``harness`` reads every result straight from these arrays, and
     ``render_transcripts`` every transcript.
-
-    Each kernel call reads its rows straight from ``table`` and works in
-    ``scratch``, a ``hyperstate.Scratch`` of at least ``scratch_rows``
-    rows; groups run one after another may share one scratch.
     """
 
-    def __init__(self, n_pairs: int, rngs: list, source: Optional[SourceParams] = None,
-                 scratch: Optional[Scratch] = None):
+    def __init__(self, n_pairs: int, rngs: list, source: Optional[SourceParams] = None):
         m, n = len(rngs), n_pairs
-        self.scratch = Scratch(scratch_rows(m * n)) if scratch is None else scratch
         self.n_pairs = n
         self.source = source
         self.bounds = np.arange(0, (m + 1) * n, n)  # each member's first block row, then the end
@@ -320,18 +308,9 @@ class SessionGroup:
             raise BlockDepleted("no second-check samples survived the return transit")
 
 
-def prepare_group(
-    cfg: ProtocolConfig,
-    source: SourceParams,
-    rngs: list,
-    scratch: Optional[Scratch] = None,
-) -> SessionGroup:
-    """One session per generator; Bob's source fills every row of the shared block.
-
-    ``scratch`` is the group's work space (see ``SessionGroup``), a new one
-    by default.
-    """
-    group = SessionGroup(cfg.n_pairs, rngs, source, scratch)
+def prepare_group(cfg: ProtocolConfig, source: SourceParams, rngs: list) -> SessionGroup:
+    """One session per generator; Bob's source fills every row of the shared block."""
+    group = SessionGroup(cfg.n_pairs, rngs, source)
     group.table[0] = source.amplitudes
     return group
 
@@ -442,9 +421,8 @@ def _transit(
             None if which[0] is None else np.concatenate(which)
             for which in zip(*(d.paulis for d in draws))
         ]
-        states, index, codes = chn.apply_transit(
-            group.table, eve, eve_draws, paulis, group.index[rows], group.scratch
-        )
+        states, index, codes = chn.apply_transit(group.table, eve, eve_draws, paulis,
+                                                 group.index[rows])
         group._update(rows, states, index)
         if codes is not None:
             records.reshape(-1, 2, 2)[rows] = codes
@@ -502,7 +480,7 @@ def first_check_group(group: SessionGroup, cfg: ProtocolConfig) -> None:
     u = np.concatenate(us)
     # one 16-outcome draw per sample reads (alice_pol, bob_pol, alice_spa, bob_spa)
     outcomes, _ = measure_table(group.table, group.index[rows], ALL_AXES, u, x[:, [0, 0, 1, 1]],
-                                collapse=False, scratch=group.scratch)
+                                collapse=False)
     _check(group, 0, rows, _CHECK_ERRORS[outcomes], cfg.error_threshold, Phase.ENCODING)
     group.fates.reshape(-1)[rows] = _CONSUMED
     group.first_reads.reshape(-1)[rows] = outcomes + 16 * x[:, 0] + 32 * x[:, 1]
@@ -574,8 +552,7 @@ def encode_group(group: SessionGroup, messages: list, cfg: ProtocolConfig) -> No
     ops[second] = np.concatenate(sample_ops)
     group.sent.reshape(-1)[message_rows] = chunks
     group._update(candidates, *map_table(
-        group.table, group.index[candidates], ops[candidates], DIM,
-        lambda t, rows, codes: encode(t, codes, rows, group.scratch), group.scratch,
+        group.table, group.index[candidates], ops[candidates], DIM, encode
     ))
     group.phases[members] = _PHASE[Phase.SA_IN_FLIGHT_2]
 
@@ -596,7 +573,7 @@ def decode_group(group: SessionGroup, cfg: ProtocolConfig) -> None:
     group.phases[members] = _PHASE[Phase.SECOND_CHECK]
     rows, starts = _candidates(group, acting)
     u = np.concatenate([group.rngs[j].random(starts[j + 1] - starts[j]) for j in members])
-    labels = bell_labels_table(group.table, group.index[rows], u, group.scratch)
+    labels = bell_labels_table(group.table, group.index[rows], u)
     group.bell.reshape(-1)[rows] = labels
     in_sample = group.second.reshape(-1)[rows]
     sample_rows = rows[in_sample]

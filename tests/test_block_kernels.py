@@ -129,6 +129,14 @@ class TestBlockEqualsRows:
                               2, hs._DOF_OPS[codes & 3])
         np.testing.assert_array_equal(hs.encode(states, codes), generic)
 
+    @given(blocks())
+    @settings(max_examples=40, deadline=None)
+    def test_born_weights_are_numpys_complex_product(self, block):
+        # bitwise the real part of conj(a) * a, which numpy may form with
+        # fused multiply-adds, unlike re * re + im * im
+        states, _, _ = block
+        assert np.array_equal(hs._born(states, ALL_AXES), (states.conj() * states).real)
+
     @given(blocks(), st.sampled_from([frozenset({Dof.POL}), frozenset({Dof.SPA}),
                                       frozenset({Dof.POL, Dof.SPA})]))
     @settings(max_examples=40, deadline=None)
@@ -207,70 +215,16 @@ class TestHadamardBasisChange:
     @given(blocks(), st.sampled_from(AXES_SETS), st.sampled_from(MASK_KINDS), st.booleans())
     @settings(max_examples=80, deadline=None)
     def test_measure_leaves_its_input_unmodified(self, block, axes, kind, collapse):
+        # encode and bell_labels too: no kernel writes the block it reads
         states, x, u = block
         x = x_mask(kind, x, axes)
-        before = states.copy()
-        measure(states, axes, u, x, collapse=collapse)
-        outcome_probs(states, axes, x)
-        assert np.array_equal(states, before)
-
-
-class TestScratch:
-    @given(blocks(), st.sampled_from(AXES_SETS), st.sampled_from(MASK_KINDS), st.booleans(),
-           st.booleans())
-    @settings(max_examples=80, deadline=None)
-    def test_kernels_give_the_same_with_a_scratch_and_rows(self, block, axes, kind, collapse,
-                                                            some_rows):
-        # one scratch for every call, as in a run, reading some rows of a
-        # larger block or all of it; the block is never written
-        states, x, u = block
-        rows = u.argsort()[: (len(u) + 1) // 2] if some_rows else None
-        picked = states if rows is None else states[rows]
-        x = x_mask(kind, x, axes)[rows if some_rows else slice(None)]
-        u = u[rows if some_rows else slice(None)]
         codes = (x[:, 0] * 8 + u.argsort() % 8).astype(np.intp)
         before = states.tobytes()
-        scratch = hs.Scratch(len(picked) + 3)
-        outcomes, post = measure(picked, axes, u, x, collapse=collapse)
-        got, got_post = measure(states, axes, u, x, collapse=collapse, rows=rows, scratch=scratch)
-        assert np.array_equal(got, outcomes)
-        assert np.array_equal(got_post, post) if collapse else got_post is None
-        assert np.array_equal(hs.encode(states, codes, rows, scratch), hs.encode(picked, codes))
-        assert np.array_equal(bell_labels(states, u, rows, scratch), bell_labels(picked, u))
+        measure(states, axes, u, x, collapse=collapse)
+        outcome_probs(states, axes, x)
+        hs.encode(states, codes)
+        bell_labels(states, u)
         assert states.tobytes() == before
-
-    @given(blocks(), st.booleans())
-    @settings(max_examples=40, deadline=None)
-    def test_born_weights_are_numpys_complex_product(self, block, with_scratch):
-        # bitwise the real part of conj(a) * a, which numpy may form with
-        # fused multiply-adds, unlike re * re + im * im
-        states, _, _ = block
-        scratch = hs.Scratch(len(states)) if with_scratch else None
-        assert np.array_equal(hs._born(states, ALL_AXES, scratch), (states.conj() * states).real)
-
-    @pytest.mark.parametrize("kernel", [
-        lambda states, rows: measure(states, (0,), np.full(len(rows), 0.5), rows=rows),
-        lambda states, rows: hs.encode(states, np.zeros(len(rows), dtype=np.intp), rows),
-        lambda states, rows: bell_labels(states, np.full(len(rows), 0.5), rows),
-    ], ids=["measure", "encode", "bell_labels"])
-    @pytest.mark.parametrize("bad", [-1, 3])
-    def test_rows_out_of_range_are_rejected(self, kernel, bad):
-        states = np.tile(BELL_BASIS[0], (3, 1))
-        with pytest.raises(IndexError, match="row indices"):
-            kernel(states, np.array([0, bad]))
-
-    @pytest.mark.parametrize("code", [-1, 16])
-    def test_op_codes_out_of_range_are_rejected(self, code):
-        with pytest.raises(IndexError, match="op codes"):
-            hs.encode(np.tile(BELL_BASIS[0], (2, 1)), np.array([0, code]))
-
-    def test_rejects_a_block_larger_than_itself(self):
-        scratch = hs.Scratch(4)
-        assert scratch.array("work", (4, 16)).shape == (4, 16)
-        with pytest.raises(ValueError, match="does not fit"):
-            scratch.array("work", (5, 16))
-        with pytest.raises(ValueError, match="does not fit"):
-            scratch.array("probs", (4, 16), complex)
 
 
 @st.composite
@@ -290,33 +244,28 @@ def tables(draw, max_rows=12, max_pairs=60):
 class TestStateTables:
     """Each table function equals its kernel on the pairs' own rows, ``table[index]``, bitwise."""
 
-    @given(tables(), st.sampled_from(AXES_SETS), st.sampled_from(MASK_KINDS), st.booleans())
+    @given(tables(), st.sampled_from(AXES_SETS), st.sampled_from(MASK_KINDS))
     @settings(max_examples=80, deadline=None)
-    def test_measure_table(self, pairs, axes, kind, with_scratch):
+    def test_measure_table(self, pairs, axes, kind):
         table, index, x, u = pairs
         x = x_mask(kind, x, axes)
-        scratch = hs.Scratch(5) if with_scratch else None  # several kernel calls
         outcomes, post = measure(table[index], axes, u, x)
-        got, (states, new_index) = hs.measure_table(table, index, axes, u, x, scratch=scratch)
+        got, (states, new_index) = hs.measure_table(table, index, axes, u, x)
         assert np.array_equal(got, outcomes)
         assert np.array_equal(states[new_index], post)
         # one collapsed row per distinct (row, X pattern, outcome) of the pairs
         patterns = x @ (1 << np.arange(len(axes)))
         assert len(states) == len(set(zip(index.tolist(), patterns.tolist(), got.tolist())))
-        read, none = hs.measure_table(table, index, axes, u, x, collapse=False, scratch=scratch)
+        read, none = hs.measure_table(table, index, axes, u, x, collapse=False)
         assert np.array_equal(read, outcomes) and none is None
 
-    @given(tables(), st.booleans())
+    @given(tables())
     @settings(max_examples=40, deadline=None)
-    def test_bell_labels_and_encode(self, pairs, with_scratch):
+    def test_bell_labels_and_encode(self, pairs):
         table, index, x, u = pairs
-        scratch = hs.Scratch(5) if with_scratch else None
         codes = (8 * x[:, 0] + 4 * x[:, 1] + 2 * x[:, 2] + x[:, 3]).astype(np.intp)
-        assert np.array_equal(hs.bell_labels_table(table, index, u, scratch),
-                              bell_labels(table[index], u))
-        states, new_index = hs.map_table(
-            table, index, codes, 16, lambda t, rows, ops: hs.encode(t, ops, rows, scratch), scratch
-        )
+        assert np.array_equal(hs.bell_labels_table(table, index, u), bell_labels(table[index], u))
+        states, new_index = hs.map_table(table, index, codes, 16, hs.encode)
         assert np.array_equal(states[new_index], hs.encode(table[index], codes))
         # one mapped row per distinct (row, op) of the pairs
         assert len(states) == len(set(zip(index.tolist(), codes.tolist())))
@@ -338,8 +287,7 @@ class TestStateTables:
         with pytest.raises(IndexError):
             hs.bell_labels_table(table, index, np.full(2, 0.5))
         with pytest.raises(IndexError):
-            hs.map_table(table, index, np.zeros(2, dtype=np.intp), 16,
-                         lambda t, rows, ops: hs.encode(t, ops, rows))
+            hs.map_table(table, index, np.zeros(2, dtype=np.intp), 16, hs.encode)
 
 
 class TestScalarApiIsOneRow:
@@ -546,6 +494,19 @@ class TestUniforms:
         # one uniform is not spread over the three rows
         with pytest.raises(ValueError, match="one uniform per row"):
             kernel(np.full(n_uniforms, 0.5))
+
+
+class TestOpCodes:
+    @pytest.mark.parametrize("code", [-1, 16])
+    def test_op_codes_out_of_range_are_rejected(self, code):
+        with pytest.raises(IndexError, match="op codes"):
+            hs.encode(np.tile(BELL_BASIS[0], (2, 1)), np.array([0, code]))
+
+    @pytest.mark.parametrize("n_codes", [0, 1, 2, 4])
+    def test_needs_one_op_code_per_row(self, n_codes):
+        # one code is not spread over the three rows
+        with pytest.raises(ValueError, match="one op code per row"):
+            hs.encode(np.tile(BELL_BASIS[0], (3, 1)), np.zeros(n_codes, dtype=np.intp))
 
 
 def test_run_builds_no_single_pair_states(monkeypatch):

@@ -25,7 +25,6 @@ from hyperqsdc.hyperstate import (
     BellIndex,
     Dof,
     Photon,
-    Scratch,
     apply_local,
 )
 
@@ -135,9 +134,9 @@ class TestTransmit:
 
 class TestNoiseOnHitRows:
     @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.03, 0.5, 1.0]),
-           st.sampled_from([0.0, 0.03, 0.5]), st.sampled_from(list(EveKind)[:2]), st.booleans())
+           st.sampled_from([0.0, 0.03, 0.5]), st.sampled_from(list(EveKind)[:2]))
     @settings(max_examples=80, deadline=None)
-    def test_equals_the_product_on_every_row(self, n, seed, p_pol, p_spa, kind, with_scratch):
+    def test_equals_the_product_on_every_row(self, n, seed, p_pol, p_spa, kind):
         # a row no Pauli error hits is left as it is; the identity product on
         # it would differ only in the sign of a zero
         rng = np.random.default_rng(seed)
@@ -147,8 +146,7 @@ class TestNoiseOnHitRows:
         before = states.tobytes()
         eve = EveStrategy(kind)
         drawn = draw_transit(n, ChannelParams(pauli_p_pol=p_pol, pauli_p_spa=p_spa), eve, rng)
-        scratch = Scratch(n) if with_scratch else None
-        table, index, codes = apply_transit(states, eve, drawn.eve, drawn.paulis, scratch=scratch)
+        table, index, codes = apply_transit(states, eve, drawn.eve, drawn.paulis)
         got = table[index]
         expected = states
         if drawn.eve is not None:

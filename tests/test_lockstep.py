@@ -381,10 +381,9 @@ def kernel_rows(monkeypatch) -> list:
                 continue
 
             def counted(*args, _kernel=kernel, _name=name, **kwargs):
-                # the rows read: ``rows`` when given, else every row of the block
+                # the rows read: every row of the block, the first argument
                 bound = inspect.signature(_kernel).bind(*args, **kwargs).arguments
-                rows = bound.get("rows")
-                calls.append((_name, len(next(iter(bound.values())) if rows is None else rows)))
+                calls.append((_name, len(next(iter(bound.values())))))
                 return _kernel(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
@@ -415,3 +414,11 @@ def test_big_check_measures_under_a_hundred_rows(monkeypatch):
     assert group.counts[0, 0, 0] > 19_000  # pairs checked
     assert 0 < sum(rows for name, rows in calls if name in MEASUREMENT) < 100, calls
 
+
+def test_a_pinned_session_hands_one_kernel_call_over_chunk_rows(monkeypatch):
+    # the pinned digests cover a kernel call on more distinct rows than the
+    # chunk in which a session draws its transits
+    rc = parse_run_config(config_with(**PINNED["nonideal_kernel_call_over_chunk_rows"][0]))
+    calls = kernel_rows(monkeypatch)
+    _run_group(rc, rc.seed, [0])
+    assert max(rows for _, rows in calls) > CHUNK_ROWS, calls
