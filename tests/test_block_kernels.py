@@ -290,6 +290,51 @@ class TestStateTables:
             hs.map_table(table, index, np.zeros(2, dtype=np.intp), 16, hs.encode)
 
 
+def _large_block(seed: int, n: int) -> tuple:
+    """(states, x mask over all four axes, uniforms, op codes) for n rows, 16 of them hyper-Bell."""
+    rng = np.random.default_rng(seed)
+    states = rng.normal(size=(n, 16)) + 1j * rng.normal(size=(n, 16))
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    states[:16] = BELL_BASIS  # rows with exact zeros
+    return states, rng.random((n, 4)) < 0.5, rng.random(n), rng.integers(16, size=n)
+
+
+class TestCallSize:
+    """A row's result does not depend on how many rows share its kernel call, bitwise.
+
+    Kernels take every row they are given in one call, so a call may hold
+    thousands of rows.
+    """
+
+    # parts of 1, 16, 1007, 1024 and 952 rows: one of them as large as CHUNK_ROWS
+    CUTS = (1, 17, 1024, 2048, 3000)
+
+    @pytest.mark.parametrize("kernel", [
+        lambda states, x, u, codes: measure(states, ALL_AXES, u, x),
+        lambda states, x, u, codes: (hs.encode(states, codes),),
+        lambda states, x, u, codes: (bell_labels(states, u),),
+    ], ids=["measure", "encode", "bell_labels"])
+    def test_one_call_equals_calls_on_parts(self, kernel):
+        block = _large_block(8, self.CUTS[-1])
+        whole = kernel(*block)
+        parts = [kernel(*(a[start:stop] for a in block))
+                 for start, stop in zip((0,) + self.CUTS, self.CUTS)]
+        for m, got in enumerate(whole):
+            assert np.array_equal(got, np.concatenate([part[m] for part in parts]))
+
+    def test_table_functions_on_more_distinct_rows_than_a_chunk(self):
+        table, _, _, _ = _large_block(9, 3000)
+        rng = np.random.default_rng(9)
+        index = rng.integers(len(table), size=6000)
+        x, u, codes = rng.random((6000, 4)) < 0.5, rng.random(6000), rng.integers(16, size=6000)
+        outcomes, post = measure(table[index], ALL_AXES, u, x)
+        got, (states, new_index) = hs.measure_table(table, index, ALL_AXES, u, x)
+        assert np.array_equal(got, outcomes) and np.array_equal(states[new_index], post)
+        assert np.array_equal(hs.bell_labels_table(table, index, u), bell_labels(table[index], u))
+        states, new_index = hs.map_table(table, index, codes, 16, hs.encode)
+        assert np.array_equal(states[new_index], hs.encode(table[index], codes))
+
+
 class TestScalarApiIsOneRow:
     @given(blocks(max_rows=1), st.sampled_from(list(Photon)))
     @settings(max_examples=40, deadline=None)
