@@ -153,6 +153,16 @@ PINNED = {
         "9906b0393f4769a621c5e34ee94f7bcc02d9aa843343e52bd2bb6cc2600592fd",
         "5bdbcf4dda5c2116496670f6792b0735f0e117d2d0b370fe09cfabefd182dcd0",
     ),
+    # Eve's basis change on axis 0 alone, X or Z per pair, on a non-ideal
+    # source under Pauli noise on both DOFs; digests computed with the
+    # engine that turned X rows by a hand-written Hadamard butterfly
+    "intercept_pol_nonideal_noise": (
+        dict(sessions="12", n_pairs="40", seed="18", r="1.3", phi="0.9", pauli_p_pol="0.04",
+             pauli_p_spa="0.03", kind="intercept_resend", dofs="pol", passes="both",
+             error_threshold="1.0"),
+        "9382d2863f3749c5d217fad68d4ca4f3a8f744ae162ded113f550164938f6b09",
+        "b40208993722c23712cfb50cc668f337806d6255a8b6ceb945b1ca2c23976ee0",
+    ),
 }
 
 
