@@ -17,13 +17,12 @@ from hyperqsdc import (
     bell_from_op,
     chbsa,
     make_hyper_bell,
-    normative_bits_mapping,
     op_from_bell,
 )
 
 rng = np.random.default_rng(1)
 ideal = make_hyper_bell(BellIndex(Bell.PHI_PLUS, Bell.PHI_PLUS))
-bits_of = normative_bits_mapping()
+bits_of = {EncodingOp.from_code(code): f"{code:04b}" for code in range(16)}
 
 print("op   bits   pol Bell   spa Bell")
 for i in range(1, 5):

@@ -55,7 +55,6 @@ from .protocol import (
     Phase,
     ProtocolConfig,
     Verdict,
-    normative_bits_mapping,
 )
 
 __version__ = "0.1.0"

@@ -2,7 +2,7 @@
 
 Two attack families are modeled.  Intercept-resend touches the quantum
 state: Eve measures chosen DOFs of the traveling photon and forwards a
-fresh photon prepared in her outcome state.  Trojan-horse attacks leave
+new photon prepared in her outcome state.  Trojan-horse attacks leave
 the state alone and instead perturb the classical metadata of the optical
 signal (extra probe photons, an off-band wavelength, a delayed copy);
 they are countered by a wavelength filter and a photon-number splitter

@@ -18,14 +18,13 @@ spa_b).  Row-wise kernels do the state work: ``apply_local`` (a 2x2
 operator on one axis of every row), ``outcome_probs`` (exact outcome
 probabilities) and ``measure``, which takes three steps: the normalized
 CDF over the joint outcomes of some axes, ``draw`` (one inverse-CDF draw
-per row), and the collapse onto the outcomes drawn.  Dense coding and the
-hyper-Bell readout are fixed sparse maps, applied as column gathers of
-(N, 16) blocks: each coding unitary is a signed permutation of the
-amplitudes, and each hyper-Bell amplitude a four-term sum.  The Z-to-X basis change in front of a
-draw is a Hadamard butterfly on the rows measured in X only, s*v0 + s*v1
-and s*v0 - s*v1 with s = 1/sqrt(2): the very products and sums that
-``apply_local`` forms for the Hadamard, so the amplitudes are bitwise those
-of the generic 2x2 product, and a row measured in Z is left untouched.
+per row), and the collapse onto the outcomes drawn.  Every local operator
+is an ``apply_local`` call: dense coding applies the single-DOF ops of its
+code to photon A's polarization axis, then to its spatial axis, and the
+Z-to-X basis change in front of a draw applies the Hadamard to the rows
+measured in X on each axis, leaving a row measured in Z untouched.  The
+hyper-Bell readout is a fixed sparse map, applied as column gathers of the
+(N, 16) block: each hyper-Bell amplitude is a four-term sum.
 
 Pairs that share a state share a row: a state table is a (T, 16) array of
 distinct states plus one row index per pair.  ``measure_table``,
@@ -176,8 +175,12 @@ AXIS = {
 }
 ALL_AXES = (0, 1, 2, 3)
 
-# Four Bell states of one DOF as 4-vectors indexed by 2*bit_a + bit_b.
 _SQ2 = 1.0 / math.sqrt(2)
+
+# The Z-to-X basis change of one axis, which is its own inverse.
+_HADAMARD = np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)
+
+# Four Bell states of one DOF as 4-vectors indexed by 2*bit_a + bit_b.
 _BELL_VEC = {
     Bell.PHI_PLUS: np.array([_SQ2, 0, 0, _SQ2], dtype=complex),
     Bell.PHI_MINUS: np.array([_SQ2, 0, 0, -_SQ2], dtype=complex),
@@ -207,21 +210,6 @@ _BELL_SUPPORT = np.array([np.flatnonzero(row) for row in BELL_BASIS]).T.copy()
 _BELL_WEIGHTS = np.repeat(np.take_along_axis(BELL_BASIS.real, _BELL_SUPPORT.T, axis=1).T, 2,
                           axis=1)
 
-# Every dense-coding unitary (op code c on photon A) is a signed permutation
-# of the 16 amplitudes: amplitude i of the result is a sign s[c, i] times
-# amplitude _ENCODE_SOURCE[c, i] of the state; _ENCODE_SIGN[c] holds s[c, i]
-# twice, for the real and the imaginary part.  _ENCODE_UNITARIES[c] is
-# U_pol (x) I (x) U_spa (x) I for the two single-DOF ops of code c.
-_ENCODE_UNITARIES = np.einsum(
-    "cij,kl,cmn,uv->cikmujlnv",
-    _DOF_OPS[np.arange(DIM) >> 2], _I2, _DOF_OPS[np.arange(DIM) & 3], _I2,
-).reshape(DIM, DIM, DIM)
-_ENCODE_SOURCE = np.abs(_ENCODE_UNITARIES).argmax(axis=2)
-_ENCODE_SIGN = np.repeat(
-    np.take_along_axis(_ENCODE_UNITARIES.real, _ENCODE_SOURCE[..., None], axis=2)[..., 0], 2,
-    axis=1)
-
-
 # ---------------------------------------------------------------------------
 # block kernels
 # ---------------------------------------------------------------------------
@@ -240,55 +228,17 @@ def apply_local(states: np.ndarray, axis: int, ops: np.ndarray) -> np.ndarray:
     return (o[:, :, :, :1] * v[:, :, :, :1] + o[:, :, :, 1:] * v[:, :, :, 1:]).reshape(n, DIM)
 
 
-def _x_rows(axes: tuple, x) -> list:
-    # (tensor axes, rows measured in X on them) per gather, in ascending axis
-    # order.  The two axes of one DOF share a gather when their X columns
-    # agree, as in a correlation check, which reads both photons of a DOF in
-    # one basis.
-    if x is None:
-        return []
-    runs = []
-    m = 0
-    while m < len(axes):
-        width = 1
-        if (m + 1 < len(axes) and axes[m] // 2 == axes[m + 1] // 2
-                and x[:, m].tobytes() == x[:, m + 1].tobytes()):
-            width = 2
+def _rotate(states: np.ndarray, axes: tuple, x) -> np.ndarray:
+    # Z-to-X basis change of the rows measured in X on each of ``axes``, in
+    # ascending order, which also undoes itself; a row measured in Z is left
+    # as it is.  ``states`` itself when no row is measured in X, else a new
+    # block.
+    if x is None or not x.any():
+        return states
+    states = states.copy()
+    for m, axis in enumerate(axes):
         rows = x[:, m].nonzero()[0]
-        if len(rows):
-            runs.append((axes[m : m + width], rows))
-        m += width
-    return runs
-
-
-def _hadamard(states: np.ndarray, axes: tuple) -> None:
-    # Hadamard on tensor ``axes`` of every row, one after another, in place:
-    # new0 = s*v0 + s*v1 and new1 = s*v0 - s*v1, the very products and sums
-    # that apply_local forms for this operator.  The sum and the difference
-    # are new arrays, so no operand overlaps the half it is written to.
-    n = len(states)
-    for axis in axes:
-        v = states.reshape(n, 1 << axis, 2, 8 >> axis)
-        v *= _SQ2
-        v0, v1 = v[:, :, 0], v[:, :, 1]
-        total, diff = v0 + v1, v0 - v1
-        v0[...] = total
-        v1[...] = diff
-
-
-def _rotate(states: np.ndarray, runs: list, fresh: bool = False) -> np.ndarray:
-    # Z-to-X basis change of the X rows of each run, which is its own inverse;
-    # a Z row is left as it is.  A new block unless ``fresh`` allows writing
-    # into ``states``.
-    for axes, rows in runs:
-        if not fresh:
-            states, fresh = states.copy(), True
-        if len(rows) == len(states):
-            _hadamard(states, axes)
-        else:
-            sub = states[rows]
-            _hadamard(sub, axes)
-            states[rows] = sub
+        states[rows] = apply_local(states[rows], axis, _HADAMARD)
     return states
 
 
@@ -332,20 +282,18 @@ def outcome_probs(states: np.ndarray, axes: tuple, x=None) -> np.ndarray:
     Probabilities within ``ATOL`` of 0 or 1 are returned as exactly 0 or 1.
     Returns an (N, 2**len(axes)) array.
     """
-    return _snap(_born(_rotate(states, _x_rows(axes, x)), axes))
+    return _snap(_born(_rotate(states, axes, x), axes))
 
 
-def _read(states: np.ndarray, axes: tuple, x, fresh: bool = False) -> tuple:
-    # The Born side of a measurement of tensor ``axes``: the X runs, the rows
-    # in their measurement bases (``states`` itself when no row is measured
-    # in X, else a new block unless ``fresh`` allows turning ``states`` in
-    # place), their unsnapped joint-outcome probabilities and the normalized
-    # CDF that ``draw`` reads: entry [o, k] sums row k's snapped
+def _read(states: np.ndarray, axes: tuple, x) -> tuple:
+    # The Born side of a measurement of tensor ``axes``: the rows in their
+    # measurement bases (``states`` itself when no row is measured in X,
+    # else a new block), their unsnapped joint-outcome probabilities and the
+    # normalized CDF that ``draw`` reads: entry [o, k] sums row k's snapped
     # probabilities of the outcomes up to o over their total, so the last
     # outcome of positive probability reaches exactly 1.0 however far
     # rounding leaves the total from 1.
-    runs = _x_rows(axes, x)
-    work = _rotate(states, runs, fresh)
+    work = _rotate(states, axes, x)
     raw = _born(work, axes)
     # one row per outcome, so that each running sum adds two contiguous rows
     cdf = _snap(raw.T.copy())
@@ -356,7 +304,7 @@ def _read(states: np.ndarray, axes: tuple, x, fresh: bool = False) -> tuple:
         raise ValueError("cannot measure a row whose outcome probabilities are all zero")
     # a zero-probability outcome's CDF stays equal to its predecessor's
     cdf /= total
-    return runs, work, raw, cdf
+    return work, raw, cdf
 
 
 def draw(cdf: np.ndarray, u) -> np.ndarray:
@@ -378,15 +326,15 @@ def draw(cdf: np.ndarray, u) -> np.ndarray:
 
 
 def _project(work: np.ndarray, probs: np.ndarray, axes: tuple, outcomes: np.ndarray,
-             runs: list) -> np.ndarray:
-    # The collapse, in place: ``work``, the rows in their measurement bases,
-    # projected onto each row's drawn outcome, divided by the square root of
-    # its unsnapped probability ``probs`` (positive, as the outcome was
-    # drawn) and turned back into the computational basis.
+             x) -> np.ndarray:
+    # The collapse: ``work``, the rows in their measurement bases (the X
+    # mask ``x``), projected in place onto each row's drawn outcome, divided
+    # by the square root of its unsnapped probability ``probs`` (positive,
+    # as the outcome was drawn) and turned back into the computational basis.
     norm = np.sqrt(probs).astype(complex)  # complex, as the quotient below would cast it
     np.copyto(work, 0.0, where=_OUTCOME_OF_INDEX[axes] != outcomes[:, None])
     work /= norm[:, None]
-    return _rotate(work, runs, True)
+    return _rotate(work, axes, x)
 
 
 @np.errstate(invalid="ignore")
@@ -399,31 +347,30 @@ def measure(states: np.ndarray, axes: tuple, u: np.ndarray, x=None, collapse: bo
     collapsed block), the block in the computational representation, or
     (outcomes, None) when ``collapse`` is false.
     """
-    runs, work, raw, cdf = _read(states, axes, x)
+    work, raw, cdf = _read(states, axes, x)
     outcomes = draw(cdf, u)
     if not collapse:
         return outcomes, None
     if work is states:  # the collapse writes its rows, which must not be the input's
         work = states.copy()
-    return outcomes, _project(work, raw[np.arange(len(work)), outcomes], axes, outcomes, runs)
+    return outcomes, _project(work, raw[np.arange(len(work)), outcomes], axes, outcomes, x)
 
 
+@np.errstate(invalid="ignore")
 def encode(states: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Apply the dense-coding unitary with op code ``codes[k]`` to photon A of row k.
 
-    The unitary is applied as the signed permutation it is, so each result
-    amplitude is plus or minus one amplitude of the row, exactly (a zero
-    may change its sign, which no probability sees).
+    The unitary is the single-DOF op ``codes[k] >> 2`` on polarization
+    times the op ``codes[k] & 3`` on the spatial mode (see ``EncodingOp``),
+    applied by ``apply_local`` one axis after the other.  A non-finite row
+    passes without a warning, to fail where it is measured.
     """
     if len(codes) != len(states):
         raise ValueError(f"need one op code per row: {len(states)} rows, {len(codes)} codes")
-    # a negative code would wrap around to the end of the tables
+    # a negative code would wrap around to the end of the table
     if len(codes) and (codes.min() < 0 or codes.max() >= DIM):
         raise IndexError(f"op codes must lie in [0, {DIM})")
-    out = np.take_along_axis(states, _ENCODE_SOURCE[codes], axis=1)
-    parts = out.view(float)
-    parts *= _ENCODE_SIGN[codes]
-    return out
+    return apply_local(apply_local(states, 0, _DOF_OPS[codes >> 2]), 2, _DOF_OPS[codes & 3])
 
 
 @np.errstate(invalid="ignore")
@@ -441,7 +388,7 @@ def _bell_cdf(states: np.ndarray) -> np.ndarray:
             amps += term
         else:
             amps = term
-    return _read(amps, ALL_AXES, None)[3]
+    return _read(amps, ALL_AXES, None)[2]
 
 
 def bell_labels(states: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -504,14 +451,14 @@ def measure_table(table: np.ndarray, index: np.ndarray, axes: tuple, u: np.ndarr
     xs = patterns[:, None] & weights > 0  # each combo's X mask
     # each combo's row in its measurement bases, its unsnapped outcome
     # probabilities and its CDF
-    _, turned, raw, cdf = _read(table[rows], axes, xs, fresh=True)
+    turned, raw, cdf = _read(table[rows], axes, xs)
     outcomes = draw(cdf.take(combo, axis=1), u)
     if not collapse:
         return outcomes, None
-    # one collapsed row per distinct (combo, outcome), projected in place
+    # one collapsed row per distinct (combo, outcome)
     kept, inverse = distinct(combo * n_out + outcomes, len(rows) * n_out)
     of, read = np.divmod(kept, n_out)
-    states = _project(turned[of], raw[of, read], axes, read, _x_rows(axes, xs[of]))
+    states = _project(turned[of], raw[of, read], axes, read, xs[of])
     return outcomes, (states, inverse)
 
 

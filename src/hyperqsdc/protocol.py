@@ -30,9 +30,9 @@ through, each with a stable field order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from functools import cache, cached_property
+from functools import cache
 from itertools import accumulate
 from typing import Optional
 
@@ -99,13 +99,6 @@ class BlockDepleted(RuntimeError):
     """Channel loss left too few pairs to run the protocol on."""
 
 
-def normative_bits_mapping() -> dict[EncodingOp, str]:
-    """Default op <-> bits table: (i-1) as the high two bits, (j-1) as the low."""
-    return {
-        EncodingOp(i, j): f"{i - 1:02b}{j - 1:02b}" for i in (1, 2, 3, 4) for j in (1, 2, 3, 4)
-    }
-
-
 def _sample_count(fraction: float, base: int) -> int:
     # round half up, never below one sample
     return max(1, math.floor(fraction * base + 0.5))
@@ -129,7 +122,6 @@ class ProtocolConfig:
     sample_fraction_first: float = 0.1
     sample_fraction_second: float = 0.1
     error_threshold: float = 0.05
-    bits_mapping: dict = field(default_factory=normative_bits_mapping)
 
     def __post_init__(self) -> None:
         if not isinstance(self.n_pairs, (int, np.integer)) or self.n_pairs < 4:
@@ -142,32 +134,12 @@ class ProtocolConfig:
             raise ConfigError(
                 f"error_threshold must be in [0, 1], got {self.error_threshold}"
             )
-        if len(self.bits_mapping) != 16 or len(set(self.bits_mapping.values())) != 16:
-            raise ConfigError("bits_mapping must map the 16 ops to 16 distinct chunks")
-        for op, bits in self.bits_mapping.items():
-            if len(bits) != 4 or set(bits) - {"0", "1"}:
-                raise ConfigError(f"bits_mapping chunk for {op} is not a 4-bit string: {bits!r}")
         n1 = _sample_count(self.sample_fraction_first, self.n_pairs)
         n2 = _sample_count(self.sample_fraction_second, self.n_pairs)
         if n1 + n2 > self.n_pairs - 1:
             raise ConfigError(
                 f"sample fractions leave no message pairs: {n1} + {n2} samples of {self.n_pairs}"
             )
-
-    @cached_property
-    def op_of_chunk(self) -> np.ndarray:
-        """Encoder table: the op code ``bits_mapping`` gives each 4-bit chunk value."""
-        table = np.empty(16, dtype=np.intp)
-        for op, chunk in self.bits_mapping.items():
-            table[int(chunk, 2)] = op.code
-        return table
-
-    @cached_property
-    def chunk_of_op(self) -> np.ndarray:
-        """Decoder table: the 4-bit chunk value ``bits_mapping`` gives each op code."""
-        table = np.empty(16, dtype=np.int8)
-        table[self.op_of_chunk] = np.arange(16)
-        return table
 
 
 @dataclass(frozen=True)
@@ -545,10 +517,11 @@ def encode_group(group: SessionGroup, messages: list, cfg: ProtocolConfig) -> No
     is_second = group.second.reshape(-1)
     is_second[second] = True
     message_rows = candidates[~is_second[candidates]]
-    # chunk k of the messages, joined in member order, goes to message row k
+    # chunk k of the messages, joined in member order, goes to message row k,
+    # and a chunk's value is the code of the op that carries it
     chunks = bits.reshape(-1, 4) @ _CHUNK_WEIGHTS
     ops = group.ops.reshape(-1)
-    ops[message_rows] = cfg.op_of_chunk[chunks]
+    ops[message_rows] = chunks
     ops[second] = np.concatenate(sample_ops)
     group.sent.reshape(-1)[message_rows] = chunks
     group._update(candidates, *map_table(
@@ -587,9 +560,9 @@ def decode_group(group: SessionGroup, cfg: ProtocolConfig) -> None:
     n = group.n_pairs
     if any(checked[j] and not failed[j] for j in members):
         # a passing block releases its message: each Bell label read back is
-        # the code of the op that made it
+        # the code of the op that made it, which is the chunk's value
         kept = group.in_phase(Phase.ACCEPTED)[rows // n] & (group.sent.reshape(-1)[rows] >= 0)
-        group.received.reshape(-1)[rows[kept]] = cfg.chunk_of_op[labels[kept]]
+        group.received.reshape(-1)[rows[kept]] = labels[kept]
 
 
 # ---------------------------------------------------------------------------

@@ -120,14 +120,15 @@ class TestBlockEqualsRows:
 
     @given(blocks())
     @settings(max_examples=40, deadline=None)
-    def test_encode_is_the_generic_product(self, block):
-        # the signed-permutation encoder gives exactly the amplitudes of the
-        # two 2x2 products on photon A's axes
+    def test_encode_is_the_ket_by_ket_oracle(self, block):
+        # each coding op only moves an amplitude and flips its sign, so the
+        # two 2x2 products give exactly the oracle's amplitudes
         states, x, _ = block
         codes = (8 * x[:, 0] + 4 * x[:, 1] + 2 * x[:, 2] + x[:, 3]).astype(np.intp)
-        generic = apply_local(apply_local(states, 0, hs._DOF_OPS[codes >> 2]),
-                              2, hs._DOF_OPS[codes & 3])
-        np.testing.assert_array_equal(hs.encode(states, codes), generic)
+        out = hs.encode(states, codes)
+        for k, code in enumerate(codes.tolist()):
+            op = hs.EncodingOp.from_code(code)
+            np.testing.assert_array_equal(out[k], oracles.apply_op_16(states[k], op.i, op.j))
 
     @given(blocks())
     @settings(max_examples=40, deadline=None)
@@ -188,9 +189,7 @@ def generic_basis_change(states: np.ndarray, axes: tuple, x: np.ndarray) -> np.n
 
 def assert_basis_change_exact(states, axes, x):
     expected = generic_basis_change(states, axes, x)
-    runs = hs._x_rows(axes, x)
-    assert np.array_equal(hs._rotate(states, runs), expected)
-    assert np.array_equal(hs._rotate(states.copy(), runs, fresh=True), expected)
+    assert np.array_equal(hs._rotate(states, axes, x), expected)
     assert np.array_equal(outcome_probs(states, axes, x), hs._snap(hs._born(expected, axes)))
 
 
@@ -506,7 +505,9 @@ class TestDegenerateRows:
         lambda states: correlation_error_probs(states, np.array([[True, False]])),
         lambda states: measure(states, (0,), np.array([0.5])),
         lambda states: bell_labels(states, np.array([0.5])),
-    ], ids=["outcome_probs", "correlation_error_probs", "measure", "bell_labels"])
+        lambda states: bell_labels(hs.encode(states, np.array([15])), np.array([0.5])),
+    ], ids=["outcome_probs", "correlation_error_probs", "measure", "bell_labels",
+            "encode_then_bell_labels"])
     def test_non_finite_row_is_rejected(self, kernel, head):
         # with the ValueError, not after a numpy RuntimeWarning on the way
         states = np.zeros((1, 16), dtype=complex)

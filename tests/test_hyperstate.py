@@ -230,8 +230,8 @@ class TestHadamard:
     def test_involution(self, who, dof):
         # the Z-to-X basis change in front of a draw also undoes itself after the collapse
         st16 = random_state(13).amps[None]
-        runs = [((AXIS[(who, dof)],), np.array([0]))]
-        back = hs._rotate(hs._rotate(st16, runs), runs)
+        axes, x = (AXIS[(who, dof)],), np.ones((1, 1), dtype=bool)
+        back = hs._rotate(hs._rotate(st16, axes, x), axes, x)
         np.testing.assert_allclose(back, st16, atol=ATOL)
 
 

@@ -37,7 +37,6 @@ from hyperqsdc.protocol import (
     encode_group,
     first_check_group,
     message_capacities,
-    normative_bits_mapping,
     prepare_group,
     render_transcripts,
     transmit_forward_group,
@@ -125,15 +124,18 @@ def run_session(
 
 
 class TestConfig:
-    def test_normative_mapping_example(self):
+    def test_chunk_0111_is_carried_by_u24(self):
         # chunk 0111: high bits 01 -> i = 2, low bits 11 -> j = 4
-        assert normative_bits_mapping()[EncodingOp(2, 4)] == "0111"
-
-    def test_mapping_is_bijective(self):
-        mapping = normative_bits_mapping()
-        assert len(mapping) == 16
-        assert len(set(mapping.values())) == 16
-        assert all(len(v) == 4 for v in mapping.values())
+        cfg = ProtocolConfig(n_pairs=40)
+        rng = np.random.default_rng(1002)
+        group = prepare_group(cfg, IDEAL_SOURCE, [rng])
+        transmit_forward_group(group, CLEAN)
+        first_check_group(group, cfg)
+        encode(group, "0111" * (capacity(group, cfg) // 4), cfg)
+        rows = message_positions(group)
+        assert rows and (group.ops[0, rows] == EncodingOp(2, 4).code).all()
+        [encoded] = [event for event in render_transcripts(group)[0] if event["event"] == "encode"]
+        assert encoded["message_ops"] == ["24"] * len(rows)
 
     @pytest.mark.parametrize(
         "kwargs,needle",
@@ -148,12 +150,6 @@ class TestConfig:
     def test_rejects_bad_values_naming_the_bound(self, kwargs, needle):
         with pytest.raises(ConfigError, match=needle):
             ProtocolConfig(**kwargs)
-
-    def test_rejects_corrupt_mapping(self):
-        mapping = normative_bits_mapping()
-        mapping[EncodingOp(1, 1)] = mapping[EncodingOp(1, 2)]
-        with pytest.raises(ConfigError):
-            ProtocolConfig(bits_mapping=mapping)
 
 
 def judged(n_checked: int, n_pol: int, n_spa: int, threshold: float) -> CheckReport:
