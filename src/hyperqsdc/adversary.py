@@ -2,11 +2,11 @@
 
 Two attack families are modeled.  Intercept-resend touches the quantum
 state: Eve measures chosen DOFs of the traveling photon and forwards a
-new photon prepared in her outcome state.  Trojan-horse attacks leave
-the state alone and instead perturb the classical metadata of the optical
-signal (extra probe photons, an off-band wavelength, a delayed copy);
-they are countered by a wavelength filter and a photon-number splitter
-at the receiving party, not by the correlation checks.
+new photon prepared in her outcome state.  A Trojan-horse attack leaves
+the state alone: Eve adds a probe photon to each signal (``draw_probes``),
+and a wavelength filter and a photon-number splitter at the receiver, not
+the correlation checks, screen the signals (``screen``).  Both act on
+arrays of signals; ``craft_trojan`` and ``apply_defenses`` take one.
 
 Strategies are stateless: every random decision comes from the generator
 handed in, so records and reproducibility belong to the caller.
@@ -57,6 +57,13 @@ class DefenseVerdict(Enum):
     CLEAN = "clean"
     FILTERED_OUT = "filtered_out"
     PNS_ALARM = "pns_alarm"
+
+
+# A screening verdict is stored as its index in this tuple; 0 (None) marks
+# a signal that carried no probe.
+SCREENS = (None, *DefenseVerdict)
+_CLEAN, _FILTERED, _ALARMED = (SCREENS.index(verdict) for verdict in DefenseVerdict)
+PROBED_PHOTONS = 2  # a probed signal: the legitimate photon and Eve's probe
 
 
 # Tolerance shared by the default filter and by Eve when she tunes her
@@ -164,42 +171,61 @@ def resend(
     return table, index, codes
 
 
+def draw_probes(
+    kind: EveKind, n: int, rng: np.random.Generator, filter_tolerance: float
+) -> np.ndarray:
+    """Wavelength offsets of the probes Eve attaches to n legitimate photons.
+
+    An invisible probe sits in (tol, 2*tol]: strictly outside the filter
+    window Eve assumes the receiver has, also when a uniform is 0.0.  Per
+    signal, it draws the magnitude uniform, then the sign uniform; the
+    other probes sit on-band and draw nothing.
+    """
+    if kind not in TROJAN_KINDS:
+        raise ValueError(f"not a Trojan kind: {kind}")
+    if kind is not EveKind.TROJAN_INVISIBLE:
+        return np.zeros(n)
+    u = rng.random((n, 2))
+    return np.where(u[:, 1] < 0.5, 1.0, -1.0) * (filter_tolerance * (2.0 - u[:, 0]))
+
+
+def screen(
+    offsets: np.ndarray, photons: np.ndarray, config: DefenseConfig, rng: np.random.Generator
+) -> np.ndarray:
+    """Each signal's verdict, filter first, then photon number, as its index into ``SCREENS``.
+
+    The ideal splitter flags every multi-photon signal the filter lets
+    through.  The 50/50 model draws one uniform per such signal, in row
+    order, and flags it unless its n photons all exit one port, which
+    happens with probability 2**(1-n).
+    """
+    codes = np.full(len(offsets), _CLEAN, dtype=np.int8)
+    if config.filter_enabled:
+        codes[np.abs(offsets) > config.filter_tolerance] = _FILTERED
+    if config.pns_enabled:
+        multi = ((codes == _CLEAN) & (photons >= 2)).nonzero()[0]
+        if config.pns_kind is PnsKind.BEAMSPLITTER_5050:
+            multi = multi[rng.random(len(multi)) < 1.0 - 2.0 ** (1 - photons[multi])]
+        codes[multi] = _ALARMED
+    return codes
+
+
 def craft_trojan(
     kind: EveKind,
     rng: np.random.Generator,
     filter_tolerance: float = DEFAULT_FILTER_TOLERANCE,
 ) -> SignalMeta:
-    """Signal metadata after Eve attaches her probe to a legitimate photon."""
-    if kind is EveKind.TROJAN_MULTIPHOTON:
-        return SignalMeta(photon_count=2, wavelength_offset=0.0, delayed=False)
-    if kind is EveKind.TROJAN_INVISIBLE:
-        # drawn from (tol, 2*tol]: strictly outside the filter window Eve
-        # assumes the receiver has, also when random() returns 0.0
-        magnitude = filter_tolerance * (2.0 - rng.random())
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        return SignalMeta(photon_count=2, wavelength_offset=sign * magnitude, delayed=False)
-    if kind is EveKind.TROJAN_DELAY:
-        return SignalMeta(photon_count=2, wavelength_offset=0.0, delayed=True)
-    raise ValueError(f"not a Trojan kind: {kind}")
+    """Signal metadata after Eve attaches her probe to one legitimate photon."""
+    [offset] = draw_probes(kind, 1, rng, filter_tolerance)
+    return SignalMeta(PROBED_PHOTONS, float(offset), kind is EveKind.TROJAN_DELAY)
 
 
 def apply_defenses(
     meta: SignalMeta, config: DefenseConfig, rng: np.random.Generator
 ) -> DefenseVerdict:
-    """Filter first, then photon-number check; CLEAN means nothing tripped.
-
-    The ideal splitter flags every multi-photon signal.  The 50/50 model
-    flags one only when its n photons do not all exit the same port, which
-    happens with probability 1 - 2**(1-n).
-    """
-    if config.filter_enabled and abs(meta.wavelength_offset) > config.filter_tolerance:
-        return DefenseVerdict.FILTERED_OUT
-    if config.pns_enabled and meta.photon_count >= 2:
-        if config.pns_kind is PnsKind.IDEAL:
-            return DefenseVerdict.PNS_ALARM
-        if rng.random() < 1.0 - 2.0 ** (1 - meta.photon_count):
-            return DefenseVerdict.PNS_ALARM
-    return DefenseVerdict.CLEAN
+    """``screen`` of one signal; CLEAN means nothing tripped."""
+    offsets = np.array([meta.wavelength_offset])
+    return SCREENS[screen(offsets, np.array([meta.photon_count]), config, rng)[0]]
 
 
 def guess_encoding_ops(forward: np.ndarray, back: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Lossy, noisy quantum channel for the traveling photon.
 
 Only photon A ever travels, so loss and noise act on its side of the pair
-alone.  Each transit applies, in this fixed order: a loss draw, the
-adversary's interception hook, then independent per-DOF Pauli noise
-(probability p split evenly over X, Y and Z).  A lost photon ends the
+alone.  A transit draws arrays over its photons in this fixed order: loss,
+the adversary's choices, per-DOF Pauli noise (probability p split evenly
+over X, Y and Z), then the receiver's screening of Trojan probes.  The
+state work follows: Eve's resend, then the Paulis.  A lost photon ends the
 pair's life; the parties discard the position by classical announcement.
 """
 
@@ -15,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import adversary as adv
-from .hyperstate import AXIS, PAULIS, Dof, Photon, apply_local, distinct, map_table
+from .hyperstate import AXIS, PAULIS, Dof, Photon, apply_local, map_table
 
 
 @dataclass(frozen=True)
@@ -40,76 +41,68 @@ class TransitDraws(NamedTuple):
 
     ``delivered`` is the (n,) loss mask.  The other fields cover the
     delivered photons only: Eve's ``adversary.draw_intercept`` choices (None
-    unless she intercepts and resends), the Trojan-carrying metadata of each
-    photon (None unless she attaches a probe), and per DOF (pol, spa) the
-    Pauli index applied to each photon, 0 for none (None on a noiseless DOF).
+    unless she intercepts and resends), each photon's screening verdict as
+    its index into ``adversary.SCREENS`` (0 where no probe rode along), and
+    its Paulis as one code 4 * pol + spa, each DOF's Pauli index 0 for none.
     """
 
     delivered: np.ndarray
     eve: tuple | None
-    metas: list | None
-    paulis: tuple
+    screens: np.ndarray
+    noise: np.ndarray
 
 
 def draw_transit(
     n: int,
     params: ChannelParams,
     eve: adv.EveStrategy,
+    defense: adv.DefenseConfig,
     rng: np.random.Generator,
-    filter_tolerance: float = adv.DEFAULT_FILTER_TOLERANCE,
 ) -> TransitDraws:
-    """Draw the loss, interception and noise of n photons in the channel's fixed order.
+    """Draw every random choice of a transit of n photons, in the channel's fixed order.
 
-    ``filter_tolerance`` is what Eve believes the receiver's filter window to
-    be; it only matters for the invisible-wavelength Trojan.  A transit with
-    nothing to do draws no random numbers.
+    Eve tunes an invisible probe to ``defense.filter_tolerance``, and
+    ``defense`` screens the probes.  A transit with nothing to do draws no
+    random numbers.
     """
     delivered = np.ones(n, dtype=bool)
     if params.loss_prob > 0.0:
         delivered = rng.random(n) >= params.loss_prob
         n = int(np.count_nonzero(delivered))
-    eve_draws = metas = None
+    eve_draws = offsets = None
     if eve.kind is adv.EveKind.INTERCEPT_RESEND:
         eve_draws = adv.draw_intercept(n, eve, rng)
     elif eve.kind in adv.TROJAN_KINDS:
-        metas = [adv.craft_trojan(eve.kind, rng, filter_tolerance) for _ in range(n)]
-    paulis = []
-    for p in (params.pauli_p_pol, params.pauli_p_spa):
-        which = None
+        offsets = adv.draw_probes(eve.kind, n, rng, defense.filter_tolerance)
+    noise = np.zeros(n, dtype=np.intp)
+    for weight, p in ((4, params.pauli_p_pol), (1, params.pauli_p_spa)):
         if p > 0.0:
             hit = np.flatnonzero(rng.random(n) < p)
-            which = np.zeros(n, dtype=np.intp)
-            which[hit] = 1 + rng.integers(3, size=len(hit))
-        paulis.append(which)
-    return TransitDraws(delivered, eve_draws, metas, tuple(paulis))
+            noise[hit] += weight * (1 + rng.integers(3, size=len(hit)))
+    screens = np.zeros(n, dtype=np.int8)
+    if offsets is not None:
+        screens = adv.screen(offsets, np.full(n, adv.PROBED_PHOTONS), defense, rng)
+    return TransitDraws(delivered, eve_draws, screens, noise)
 
 
 def apply_transit(
-    table: np.ndarray, eve: adv.EveStrategy, eve_draws: tuple | None, paulis: tuple,
-    index=None,
+    table: np.ndarray, index: np.ndarray, eve: adv.EveStrategy, drawn: TransitDraws
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Carry the delivered pairs through Eve and the noise as drawn.
+    """Carry the delivered pairs through Eve's resend, then the noise, as ``drawn``.
 
-    The pairs are the rows ``table[index]`` of a state table, every row of
-    ``table`` once by default; ``eve_draws`` and ``paulis`` are
-    ``TransitDraws`` fields, one entry per pair (see
-    ``hyperstate.measure_table``).  Only the pairs a
-    Pauli error hits are multiplied.  Returns (the pairs' states after the
-    transit as a table of their own, each pair's index into it, Eve's record
-    codes or None).
+    The pairs are the rows ``table[index]`` of a state table (see
+    ``hyperstate.measure_table``), one per delivered photon of ``drawn``;
+    neither array is changed.  Only the pairs a Pauli error hits are
+    multiplied.  Returns (a state table that holds the pairs' states after
+    the transit, each pair's index into it, Eve's record codes or None).
     """
-    index = np.arange(len(table)) if index is None else index
     codes = None
-    if eve_draws is None:
-        used, index = distinct(index, len(table))
-        table = table[used]
-    else:
-        table, index, codes = adv.resend(table, eve, *eve_draws, index)
-    # each pair's Paulis as one code, 4 * pol + spa
-    noise = sum(4 ** (1 - k) * which for k, which in enumerate(paulis) if which is not None)
-    hit = np.flatnonzero(noise)
+    if drawn.eve is not None:
+        table, index, codes = adv.resend(table, eve, *drawn.eve, index)
+    hit = np.flatnonzero(drawn.noise)
     if len(hit):
-        rows, inverse = map_table(table, index[hit], noise[hit], 16, _noisy)
+        rows, inverse = map_table(table, index[hit], drawn.noise[hit], 16, _noisy)
+        index = index.copy()
         index[hit] = len(table) + inverse
         table = np.concatenate([table, rows])
     return table, index, codes

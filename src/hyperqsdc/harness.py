@@ -39,6 +39,7 @@ except ImportError:  # not on every platform
     resource = None
 
 from .adversary import (
+    SCREENS,
     BasisPolicy,
     DefenseConfig,
     DefenseVerdict,
@@ -53,7 +54,6 @@ from .protocol import (
     DEPLETED_FORWARD,
     DEPLETED_RETURN,
     FATES,
-    SCREENS,
     ConfigError,
     PairFate,
     Phase,

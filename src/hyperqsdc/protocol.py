@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from . import channel as chn
-from .adversary import DefenseConfig, DefenseVerdict, EveKind, EveStrategy, apply_defenses
+from .adversary import SCREENS, DefenseConfig, DefenseVerdict, EveKind, EveStrategy
 from .hyperstate import (
     ALL_AXES,
     DIM,
@@ -77,10 +77,6 @@ class PairFate(Enum):
 # A block stores each row's fate as its index in this tuple; ACTIVE is 0.
 FATES = tuple(PairFate)
 
-# A block stores each photon's Trojan screening verdict of a pass as its
-# index in this tuple; 0 (None) marks a photon that carried no probe.
-SCREENS = (None, *DefenseVerdict)
-
 
 class Verdict(Enum):
     PASS = "Pass"
@@ -108,10 +104,6 @@ def _sample_count(fraction: float, base: int) -> int:
 # more pairs draws one chunk after another, in the order that fixes its
 # random numbers and so its output bytes.
 CHUNK_ROWS = 1024
-
-
-def _chunks(n: int) -> list[slice]:
-    return [slice(start, start + CHUNK_ROWS) for start in range(0, n, CHUNK_ROWS)]
 
 
 @dataclass(frozen=True)
@@ -192,7 +184,7 @@ class SessionGroup:
     - ``eve_forward``, ``eve_return``: Eve's record codes of each pass (see
       ``adversary.resend``), -1 where she did not measure.
     - ``screens[p]``: each photon's Trojan screening verdict on pass p (0
-      forward, 1 return) as its index into ``SCREENS``, 0 for no probe.
+      forward, 1 return) as its index into ``adversary.SCREENS``, 0 for no probe.
     - ``first_reads``: per first-check sample, its outcome code over
       (alice_pol, bob_pol, alice_spa, bob_spa), big-endian, plus 16 for an
       X-basis read of pol and 32 of spa; -1 elsewhere.
@@ -335,7 +327,7 @@ def _check(group: SessionGroup, check: int, rows: np.ndarray, errors: np.ndarray
 
 
 _NO_EVE = EveStrategy()
-_CLEAN = SCREENS.index(DefenseVerdict.CLEAN)
+_NO_DEFENSE = DefenseConfig()
 
 # direction -> (pass index, phase before, phase in flight, phase on arrival,
 # fate of a photon lost on the way)
@@ -348,56 +340,42 @@ _TRANSITS = {
 def _transit(
     group: SessionGroup,
     params: chn.ChannelParams,
-    eve: Optional[EveStrategy],
-    defense: Optional[DefenseConfig],
+    eve: EveStrategy,
+    defense: DefenseConfig,
     direction: str,
 ) -> None:
     pass_index, before, _, arrival, lost_fate = _TRANSITS[direction]
     members = group.in_phase(before).nonzero()[0]
-    eve = eve if eve is not None else _NO_EVE
-    filter_tol = {} if defense is None else {"filter_tolerance": defense.filter_tolerance}
-    screen = defense is not None and (defense.filter_enabled or defense.pns_enabled)
     # a quiet channel without an adversary delivers every photon unchanged
     quiet = eve.kind is EveKind.NONE and not (
         params.loss_prob or params.pauli_p_pol or params.pauli_p_spa
     )
     n = group.n_pairs
-    records = (group.eve_forward, group.eve_return)[pass_index]
-    screens = group.screens[pass_index].reshape(-1)
-    delivered: list = []  # block rows of the photons delivered, per chunk
-    lost: list = []  # block rows of the photons lost, per chunk
+    sent: list = []  # block rows of the photons sent, per chunk
     draws: list = []  # their chn.TransitDraws, per chunk
     for j in [] if quiet else members.tolist():
         rng = group.rngs[j]
         active = (group.fates[j] == _ACTIVE).nonzero()[0] + j * n
-        for chunk in _chunks(len(active)):
-            sent = active[chunk]
-            drawn = chn.draw_transit(len(sent), params, eve, rng, **filter_tol)
-            if params.loss_prob:
-                lost.append(sent[~drawn.delivered])
-                sent = sent[drawn.delivered]
-            delivered.append(sent)
-            draws.append(drawn)
-            if drawn.metas is not None:
-                # a caught probe is stripped; the legitimate photon continues
-                screens[sent] = [SCREENS.index(apply_defenses(meta, defense, rng)) if screen
-                                 else _CLEAN for meta in drawn.metas]
-    if lost:
-        group.fates.reshape(-1)[np.concatenate(lost)] = FATES.index(lost_fate)
-    if delivered:
-        rows = np.concatenate(delivered)
-        eve_draws = None if draws[0].eve is None else [
-            np.concatenate(part) for part in zip(*(d.eve for d in draws))
-        ]
-        paulis = [
-            None if which[0] is None else np.concatenate(which)
-            for which in zip(*(d.paulis for d in draws))
-        ]
-        states, index, codes = chn.apply_transit(group.table, eve, eve_draws, paulis,
-                                                 group.index[rows])
+        for start in range(0, len(active), CHUNK_ROWS):
+            sent.append(active[start : start + CHUNK_ROWS])
+            draws.append(chn.draw_transit(len(sent[-1]), params, eve, defense, rng))
+    if draws:
+        delivered, eve_draws, screens, noise = zip(*draws)
+        drawn = chn.TransitDraws(
+            np.concatenate(delivered),
+            None if eve_draws[0] is None else tuple(map(np.concatenate, zip(*eve_draws))),
+            np.concatenate(screens),
+            np.concatenate(noise),
+        )
+        sent = np.concatenate(sent)
+        group.fates.reshape(-1)[sent[~drawn.delivered]] = FATES.index(lost_fate)
+        rows = sent[drawn.delivered]
+        # a caught probe is stripped; the legitimate photon continues
+        group.screens[pass_index].reshape(-1)[rows] = drawn.screens
+        states, index, codes = chn.apply_transit(group.table, group.index[rows], eve, drawn)
         group._update(rows, states, index)
         if codes is not None:
-            records.reshape(-1, 2, 2)[rows] = codes
+            (group.eve_forward, group.eve_return)[pass_index].reshape(-1, 2, 2)[rows] = codes
     group.phases[members] = _PHASE[arrival]
 
 
@@ -408,7 +386,7 @@ def transmit_forward_group(
     defense: Optional[DefenseConfig] = None,
 ) -> None:
     """Send every active photon A of every session from Bob to Alice; defenses act on arrival."""
-    _transit(group, params, eve, defense, "forward")
+    _transit(group, params, eve or _NO_EVE, defense or _NO_DEFENSE, "forward")
 
 
 def transmit_return_group(
@@ -417,8 +395,7 @@ def transmit_return_group(
     eve: Optional[EveStrategy] = None,
 ) -> None:
     """Send the encoded photons back from Alice to Bob (no receiver defenses)."""
-    _transit(group, params, eve, None, "return")
-
+    _transit(group, params, eve or _NO_EVE, _NO_DEFENSE, "return")
 
 
 def first_check_group(group: SessionGroup, cfg: ProtocolConfig) -> None:

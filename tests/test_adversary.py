@@ -15,6 +15,8 @@ import pytest
 import oracles
 from hyperqsdc.adversary import (
     DEFAULT_FILTER_TOLERANCE,
+    SCREENS,
+    TROJAN_KINDS,
     BasisPolicy,
     DefenseConfig,
     DefenseVerdict,
@@ -25,8 +27,10 @@ from hyperqsdc.adversary import (
     apply_defenses,
     craft_trojan,
     draw_intercept,
+    draw_probes,
     guess_encoding_ops,
     resend,
+    screen,
 )
 from hyperqsdc.hyperstate import (
     ALL_AXES,
@@ -189,14 +193,22 @@ class TestTrojans:
 
     def test_invisible_clears_filter_edge_when_random_returns_zero(self):
         class ZeroRandom:
-            def random(self):
-                return 0.0
+            def random(self, size=None):
+                return 0.0 if size is None else np.zeros(size)
 
         tol = 0.02
         meta = craft_trojan(EveKind.TROJAN_INVISIBLE, ZeroRandom(), filter_tolerance=tol)
         assert abs(meta.wavelength_offset) > tol
         cfg = DefenseConfig(filter_enabled=True, filter_tolerance=tol)
         assert apply_defenses(meta, cfg, np.random.default_rng(0)) is DefenseVerdict.FILTERED_OUT
+
+    def test_invisible_draws_magnitude_then_sign_per_signal(self):
+        tol = 0.02
+        offsets = draw_probes(EveKind.TROJAN_INVISIBLE, 100, np.random.default_rng(41), tol)
+        u = np.random.default_rng(41).random(200)
+        magnitude, sign = u[0::2], u[1::2]
+        expected = np.where(sign < 0.5, 1.0, -1.0) * (tol * (2.0 - magnitude))
+        assert offsets.tobytes() == expected.tobytes()
 
     def test_delay_meta(self):
         meta = craft_trojan(EveKind.TROJAN_DELAY, np.random.default_rng(30))
@@ -209,6 +221,53 @@ class TestTrojans:
     def test_meta_requires_at_least_one_photon(self):
         with pytest.raises(ValueError):
             SignalMeta(photon_count=0)
+
+
+class TestBatchEqualsScalarCalls:
+    # the engine draws and screens a transit's probes as arrays; its bytes
+    # depend on these equalling one scalar call per signal, generator state
+    # included
+
+    @pytest.mark.parametrize("kind", sorted(TROJAN_KINDS, key=lambda kind: kind.value))
+    @pytest.mark.parametrize("tol", [0.001, 0.03, DEFAULT_FILTER_TOLERANCE, 0.4])
+    def test_draw_probes(self, kind, tol):
+        for n in range(51):
+            batch, scalar = np.random.default_rng([38, n]), np.random.default_rng([38, n])
+            offsets = draw_probes(kind, n, batch, tol)
+            metas = [craft_trojan(kind, scalar, tol) for _ in range(n)]
+            assert offsets.shape == (n,)
+            assert offsets.tobytes() == np.array([m.wavelength_offset for m in metas]).tobytes()
+            assert batch.bit_generator.state == scalar.bit_generator.state
+
+    @pytest.mark.parametrize("kind", [EveKind.NONE, EveKind.INTERCEPT_RESEND])
+    def test_draw_probes_rejects_non_trojan_kind(self, kind):
+        with pytest.raises(ValueError):
+            draw_probes(kind, 3, np.random.default_rng(0), DEFAULT_FILTER_TOLERANCE)
+
+    @pytest.mark.parametrize("filter_enabled", [False, True])
+    @pytest.mark.parametrize("pns_kind", [None, PnsKind.IDEAL, PnsKind.BEAMSPLITTER_5050])
+    def test_screen(self, filter_enabled, pns_kind):
+        tol = 0.03
+        cfg = DefenseConfig(filter_enabled=filter_enabled, filter_tolerance=tol,
+                            pns_enabled=pns_kind is not None, pns_kind=pns_kind or PnsKind.IDEAL)
+        signals = np.random.default_rng(39)
+        for n in range(51):
+            # offsets inside, on the edge of and outside the window; 1 to 3 photons
+            offsets = signals.choice([0.0, tol, -tol, 0.01, -0.05, 0.06], size=n)
+            photons = signals.integers(1, 4, size=n)
+            batch, scalar = np.random.default_rng([40, n]), np.random.default_rng([40, n])
+            codes = screen(offsets, photons, cfg, batch)
+            verdicts = [apply_defenses(SignalMeta(int(count), float(offset)), cfg, scalar)
+                        for offset, count in zip(offsets, photons)]
+            assert codes.shape == (n,)
+            assert [SCREENS[code] for code in codes] == verdicts
+            assert batch.bit_generator.state == scalar.bit_generator.state
+            # the 50/50 splitter draws one uniform per unfiltered multi-photon signal
+            passed = ~(filter_enabled & (np.abs(offsets) > tol))
+            drawn = np.count_nonzero(passed & (photons >= 2))
+            reference = np.random.default_rng([40, n])
+            reference.random(drawn if pns_kind is PnsKind.BEAMSPLITTER_5050 else 0)
+            assert batch.bit_generator.state == reference.bit_generator.state
 
 
 class TestDefenses:

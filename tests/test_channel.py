@@ -15,7 +15,14 @@ from hypothesis import strategies as st
 
 import oracles
 from test_adversary import check_block
-from hyperqsdc.adversary import EveKind, EveStrategy, resend
+from hyperqsdc.adversary import (
+    SCREENS,
+    DefenseConfig,
+    DefenseVerdict,
+    EveKind,
+    EveStrategy,
+    resend,
+)
 from hyperqsdc.channel import ChannelParams, apply_transit, draw_transit
 from hyperqsdc.hyperstate import (
     AXIS,
@@ -30,6 +37,7 @@ from hyperqsdc.hyperstate import (
 
 IDEAL = BellIndex(Bell.PHI_PLUS, Bell.PHI_PLUS)
 NO_EVE = EveStrategy(EveKind.NONE)
+NO_DEFENSE = DefenseConfig()
 
 
 def test_frozen_pauli_rates_match_oracle():
@@ -41,30 +49,33 @@ def ideal_pairs(n):
     return np.tile(BELL_BASIS[IDEAL.flat()], (n, 1))
 
 
-def transit(n, params, eve, rng):
+def transit(n, params, eve, rng, defense=NO_DEFENSE):
     """One transit of n ideal pairs: the draws, then the delivered rows and Eve's record codes."""
-    drawn = draw_transit(n, params, eve, rng)
-    delivered = ideal_pairs(np.count_nonzero(drawn.delivered))
-    table, index, codes = apply_transit(delivered, eve, drawn.eve, drawn.paulis)
+    drawn = draw_transit(n, params, eve, defense, rng)
+    delivered = np.count_nonzero(drawn.delivered)
+    table, index, codes = apply_transit(ideal_pairs(delivered), np.arange(delivered), eve, drawn)
     return drawn, table[index], codes
 
 
 class TestTransmit:
     def test_clean_channel_is_transparent(self):
         rng = np.random.default_rng(41)
+        before = rng.bit_generator.state
         n = 50
         drawn, states, codes = transit(n, ChannelParams(), NO_EVE, rng)
         assert drawn.delivered.all()
         np.testing.assert_array_equal(states, ideal_pairs(n))
-        # no record, no Trojan metadata and no Pauli draws: the signal stays legitimate
-        assert codes is None and drawn.metas is None
-        assert drawn.paulis == (None, None)
+        # no record, no probe and no Pauli: the signal stays legitimate
+        assert codes is None and not drawn.screens.any()
+        assert not drawn.noise.any()
+        # and nothing was drawn
+        assert rng.bit_generator.state == before
 
     def test_loss_frequency(self):
         rng = np.random.default_rng(42)
         params = ChannelParams(loss_prob=0.2)
         n = 20_000
-        drawn = draw_transit(n, params, NO_EVE, rng)
+        drawn = draw_transit(n, params, NO_EVE, NO_DEFENSE, rng)
         lost = n - np.count_nonzero(drawn.delivered)
         assert abs(lost / n - 0.2) < 4.0 / math.sqrt(n)
 
@@ -117,8 +128,23 @@ class TestTransmit:
         eve = EveStrategy(kind=EveKind.TROJAN_MULTIPHOTON)
         drawn, states, codes = transit(1, ChannelParams(), eve, rng)
         assert codes is None
-        assert drawn.metas[0].photon_count == 2
+        assert drawn.screens.tolist() == [SCREENS.index(DefenseVerdict.CLEAN)]
         np.testing.assert_array_equal(states, ideal_pairs(1))
+        # the probe adds a second photon, which the ideal photon-number check sees
+        pns = DefenseConfig(pns_enabled=True)
+        drawn, states, codes = transit(1, ChannelParams(), eve, rng, pns)
+        assert drawn.screens.tolist() == [SCREENS.index(DefenseVerdict.PNS_ALARM)]
+        np.testing.assert_array_equal(states, ideal_pairs(1))
+
+    def test_invisible_probe_tuned_to_the_receivers_window(self):
+        # Eve places the probe just outside the filter window the receiver
+        # has, not the default one, so a wider filter still catches each one
+        rng = np.random.default_rng(49)
+        eve = EveStrategy(kind=EveKind.TROJAN_INVISIBLE)
+        wide = DefenseConfig(filter_enabled=True, filter_tolerance=0.08)
+        drawn, states, _ = transit(200, ChannelParams(), eve, rng, wide)
+        assert (drawn.screens == SCREENS.index(DefenseVerdict.FILTERED_OUT)).all()
+        np.testing.assert_array_equal(states, ideal_pairs(200))
 
     def test_same_seed_same_outcomes(self):
         params = ChannelParams(loss_prob=0.1, pauli_p_pol=0.2, pauli_p_spa=0.2)
@@ -145,19 +171,24 @@ class TestNoiseOnHitRows:
         states[: n // 2] = BELL_BASIS[rng.integers(16, size=n // 2)]  # rows with exact zeros
         before = states.tobytes()
         eve = EveStrategy(kind)
-        drawn = draw_transit(n, ChannelParams(pauli_p_pol=p_pol, pauli_p_spa=p_spa), eve, rng)
-        table, index, codes = apply_transit(states, eve, drawn.eve, drawn.paulis)
-        got = table[index]
+        params = ChannelParams(pauli_p_pol=p_pol, pauli_p_spa=p_spa)
+        drawn = draw_transit(n, params, eve, NO_DEFENSE, rng)
+        index = np.arange(n)
+        table, got_index, codes = apply_transit(states, index, eve, drawn)
+        got = table[got_index]
         expected = states
         if drawn.eve is not None:
             resent, resent_index, _ = resend(states, eve, *drawn.eve)
             expected = resent[resent_index]
-        for dof, which in zip((Dof.POL, Dof.SPA), drawn.paulis):
-            if which is not None:
+        for dof, p, which in zip((Dof.POL, Dof.SPA), (p_pol, p_spa), divmod(drawn.noise, 4)):
+            if p > 0.0:
                 expected = apply_local(expected, AXIS[(Photon.A, dof)], PAULIS[which])
+            else:
+                assert not which.any()
         assert np.array_equal(got, expected)
         assert (codes is None) == (drawn.eve is None)
         assert states.tobytes() == before
+        assert np.array_equal(index, np.arange(n))
 
 
 class TestParams:

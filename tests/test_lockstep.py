@@ -163,6 +163,24 @@ PINNED = {
         "9382d2863f3749c5d217fad68d4ca4f3a8f744ae162ded113f550164938f6b09",
         "b40208993722c23712cfb50cc668f337806d6255a8b6ceb945b1ca2c23976ee0",
     ),
+    # Trojan probes drawn across several CHUNK_ROWS chunks between the loss
+    # and Pauli draws, screened by the 50/50 splitter; then probes under a
+    # filter window narrower than the default; digests computed with the
+    # engine that crafted and screened one probe at a time
+    "trojan_invisible_noise_over_chunk_rows": (
+        dict(sessions="2", n_pairs="1500", seed="19", loss_prob="0.05", pauli_p_pol="0.03",
+             pauli_p_spa="0.02", kind="trojan_invisible", passes="both",
+             pns_enabled="true", pns_kind="beamsplitter5050"),
+        "9c4cd1ca3a6aa169d8fdb474c8a46ec6652de93444118856da146f43cd1c86fb",
+        "b1874e7cf8ed4ed07dd2b03277a159e0fe7e5f6d5f151a49cc6bc42c2475bb50",
+    ),
+    "trojan_multiphoton_tuned_filter": (
+        dict(sessions="3", n_pairs="1100", seed="20", loss_prob="0.04", pauli_p_spa="0.03",
+             kind="trojan_multiphoton", passes="both", filter_enabled="true",
+             filter_tolerance="0.03", pns_enabled="true", pns_kind="beamsplitter5050"),
+        "6eaf3e21a18a614e472853fe9d72de908c363c147e67f7c9d3a1f4e91b125f41",
+        "b43f00687f473f1576f327e1fc207e483ca6070dbdc8ca109d75062a06854e2f",
+    ),
 }
 
 
@@ -210,6 +228,9 @@ def test_pinned_configs_cover_the_group_edges():
     assert rcs["intercept_spa_over_chunk_rows"].protocol.n_pairs > CHUNK_ROWS
     assert rcs["intercept_spa_over_chunk_rows"].eve.dof_mask == frozenset({Dof.SPA})
     assert rcs["nonideal_session_over_chunk_rows"].protocol.n_pairs > CHUNK_ROWS
+    assert rcs["trojan_invisible_noise_over_chunk_rows"].protocol.n_pairs > CHUNK_ROWS
+    assert rcs["trojan_multiphoton_tuned_filter"].protocol.n_pairs > CHUNK_ROWS
+    assert rcs["trojan_multiphoton_tuned_filter"].defense.filter_tolerance != 0.05
     for name in ("nonideal_source_noise_intercept_both", "nonideal_session_over_chunk_rows"):
         assert rcs[name].source.r != 1.0 and rcs[name].source.phi != 0.0
     assert rcs["intercept_fixed_x_bases"].eve.basis_policy is BasisPolicy.FIXED_X
