@@ -2,7 +2,8 @@
 
 A session run alone is a group of one: its generator, handed over once at
 ``prepare_group``, feeds every phase.  The phases only fill the group's
-arrays; ``render_transcripts`` reads the session's events off them.
+arrays; ``render_transcripts`` parses the JSONL text that
+``transcript_lines`` writes from them into the session's events.
 """
 
 import numpy as np

@@ -64,7 +64,7 @@ from .protocol import (
     first_check_group,
     message_capacities,
     prepare_group,
-    render_transcripts,
+    transcript_lines,
     transmit_forward_group,
     transmit_return_group,
 )
@@ -485,10 +485,7 @@ def _pool(stats: RunStats, transcripts: Optional[TextIO], rc: RunConfig, master_
             stats.eve_guesses += len(guesses)
             stats.eve_guesses_correct += int(np.count_nonzero(guesses == group.ops[encoded]))
     if transcripts is not None:
-        for k, events, keep in zip(indices, render_transcripts(group), kept.tolist()):
-            if keep:
-                transcripts.write("".join(json.dumps({"session": k, **event}) + "\n"
-                                          for event in events))
+        transcripts.write(transcript_lines(group, kept.nonzero()[0].tolist(), indices))
 
 
 # Rows per lockstep group of ``run``; a session with more pairs is a group of

@@ -22,13 +22,14 @@ in lockstep.  Every pair starts in the source state and goes through only
 a few discrete choices (bases, outcomes, ops, Paulis), so the table holds
 few distinct states, and each phase runs its kernel once per distinct
 (state, choice) of the pairs it acts on.  A session run alone is a group of
-one.  The phases only fill those arrays; ``render_transcripts`` reads a
-session's transcript off them afterwards: one event per op it went
-through, each with a stable field order.
+one.  The phases only fill those arrays; ``transcript_lines`` writes the
+transcripts straight from them as JSON text, one line per op a session
+went through, with its keys in a fixed order.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -39,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from . import channel as chn
-from .adversary import SCREENS, DefenseConfig, DefenseVerdict, EveKind, EveStrategy
+from .adversary import _ALARMED, _FILTERED, DefenseConfig, EveKind, EveStrategy
 from .hyperstate import (
     ALL_AXES,
     DIM,
@@ -153,10 +154,6 @@ class CheckReport:
         verdict = Verdict.FAIL if failed else Verdict.PASS
         return CheckReport(n, pol, spa, mism, pol / n, spa / n, verdict)
 
-    def fields(self) -> dict:
-        """The report as transcript fields, in declaration order."""
-        return {**vars(self), "verdict": self.verdict.value}
-
 
 # Codes a group stores: a phase's index in tuple(Phase) per member, a fate's
 # index in tuple(PairFate) per pair, and why a depleted member stopped.
@@ -213,7 +210,7 @@ class SessionGroup:
     session's draws, outcomes and transcript never depend on which sessions
     share its group, and a session run alone is a group of one.
     ``harness`` reads every result straight from these arrays, and
-    ``render_transcripts`` every transcript.
+    ``transcript_lines`` writes every transcript from them.
     """
 
     def __init__(self, n_pairs: int, rngs: list, source: Optional[SourceParams] = None):
@@ -547,137 +544,143 @@ def decode_group(group: SessionGroup, cfg: ProtocolConfig) -> None:
 # ---------------------------------------------------------------------------
 
 # a chunk value's four bits as message text
-_CHUNK_TEXT = tuple(f"{value:04b}" for value in range(16))
-
-
-def _bits_text(chunks: np.ndarray) -> str:
-    return "".join([_CHUNK_TEXT[c] for c in chunks.tolist()])
-
-
-@cache
-def _table(alphabet: bytes) -> bytes:
-    return bytes.maketrans(bytes(range(len(alphabet))), alphabet)
-
-
-def _texts(alphabet: bytes, codes: np.ndarray) -> list[str]:
-    """Per row r of the 2-D ``codes``, the string of the characters ``alphabet[codes[r, k]]``."""
-    width = codes.shape[1]
-    if not width:
-        return [""] * len(codes)
-    text = codes.astype(np.uint8).tobytes().translate(_table(alphabet)).decode("ascii")
-    return [text[start : start + width] for start in range(0, len(text), width)]
-
-
-_OP_NAMES = tuple(f"{op.i}{op.j}" for op in map(EncodingOp.from_code, range(16)))
-
-
-def _op_names(codes: np.ndarray) -> list[str]:
-    return [_OP_NAMES[c] for c in codes.tolist()]
-
-
-def _by_member(mask: np.ndarray, *columns) -> list[list]:
-    """Per row (member) of the 2-D ``mask``: the positions it sets, ascending, then its run of
-    each of ``columns``, which hold one item per set entry of ``mask`` in row-major order.
-
-    Returns one list over the members per column, the positions first.
-    """
-    stops = list(accumulate(mask.sum(axis=1).tolist()))
-    spans = [slice(start, stop) for start, stop in zip([0, *stops[:-1]], stops)]
-    return [[column[span] for span in spans] for column in (mask.nonzero()[1].tolist(), *columns)]
-
-
+_CHUNK_TEXT = np.array([f"{value:04b}" for value in range(16)], dtype=object)
+# each op code's name as a JSON string
+_OP_TEXTS = np.array([f'"{op.i}{op.j}"' for op in map(EncodingOp.from_code, range(16))], object)
 # bit shifts that split a first-check reading (see ``SessionGroup``) into
 # the rows pol basis, spa basis, alice_pol, alice_spa, bob_pol, bob_spa
 _READ_SHIFTS = np.array([[4], [5], [3], [1], [2], [0]])
 # bit shifts that split flat Bell labels 4 * p + s into the rows p, s
 _BELL_SHIFTS = np.array([[2], [0]])
-_FILTERED = SCREENS.index(DefenseVerdict.FILTERED_OUT)
-_ALARMED = SCREENS.index(DefenseVerdict.PNS_ALARM)
 
 
-def _transit_events(group: SessionGroup, direction: str) -> list[dict]:
-    """Per member, the event of its transit in ``direction``, whether or not it made one."""
+def _bits_text(chunks: np.ndarray) -> str:
+    return "".join(_CHUNK_TEXT.take(chunks).tolist())
+
+
+def _texts(alphabet: bytes, codes: np.ndarray) -> list[str]:
+    """Per row r of the 2-D ``codes``, the string of the characters ``alphabet[codes[r, k]]``."""
+    table = bytes.maketrans(bytes(range(len(alphabet))), alphabet)
+    return [row.astype(np.uint8).tobytes().translate(table).decode("ascii") for row in codes]
+
+
+@cache
+def _numbers(n: int) -> np.ndarray:
+    # the texts of 0 .. n - 1, to take positions from
+    return np.array([str(i) for i in range(n)], dtype=object)
+
+
+def _runs(mask: np.ndarray, members, *columns) -> list[list[str]]:
+    """Per member (row of the 2-D ``mask``) of ``members``, the JSON text of: the positions it
+    sets, ascending, then its run of each of ``columns``, which hold one item per set entry of
+    ``mask`` in row-major order (a str runs as a JSON string, a list of JSON texts as a list)."""
+    stops = list(accumulate(np.count_nonzero(mask, axis=1).tolist()))
+    spans = [(stops[j - 1] if j else 0, stops[j]) for j in members]
+    positions = _numbers(mask.shape[1]).take(mask.nonzero()[1]).tolist()
+    return [[f'"{column[a:b]}"' for a, b in spans] if isinstance(column, str)
+            else ["[" + ", ".join(column[a:b]) + "]" for a, b in spans]
+            for column in (positions, *columns)]
+
+
+def _report(counts: list, failed: bool) -> str:
+    """A ``CheckReport``'s fields as JSON text, in declaration order, closing its event."""
+    n, pol, spa, mism = counts
+    verdict = Verdict.FAIL if failed else Verdict.PASS
+    return (f'"n_checked": {n}, "n_pol_errors": {pol}, "n_spa_errors": {spa}, '
+            f'"n_mismatched_samples": {mism}, "error_rate_pol": {pol / n!r}, '
+            f'"error_rate_spa": {spa / n!r}, "verdict": "{verdict.value}"}}\n')
+
+
+def _transit_texts(group: SessionGroup, members, direction: str) -> list[str]:
+    """Per member, its transit event in ``direction`` as text after ``"event": ``."""
     pass_index, _, in_flight, arrival, lost_fate = _TRANSITS[direction]
     records = (group.eve_forward, group.eve_return)[pass_index]
     screens = group.screens[pass_index]
     taken = (records >= 0).any(axis=(2, 3))  # Eve reads some DOF of every photon she takes
     codes = records[taken] + 1
-    intercepted, pol_bases, spa_bases, pol_outcomes, spa_outcomes = _by_member(
-        taken, *_texts(b"-ZX", codes[:, :, 0].T), *_texts(b"-01", codes[:, :, 1].T)
+    intercepted, pol_bases, spa_bases, pol_outcomes, spa_outcomes = _runs(
+        taken, members, *_texts(b"-ZX", codes[:, :, 0].T), *_texts(b"-01", codes[:, :, 1].T)
     )
-    [lost], [trojan], [filtered], [alarmed] = map(_by_member, (
-        group.fates == FATES.index(lost_fate), screens > 0, screens == _FILTERED,
-        screens == _ALARMED,
-    ))
-    return [
-        dict(event="transit", phase=in_flight.value, to_phase=arrival.value, direction=direction,
-             lost_positions=lost[j], intercepted_positions=intercepted[j],
-             eve_pol_bases=pol_bases[j], eve_pol_outcomes=pol_outcomes[j],
-             eve_spa_bases=spa_bases[j], eve_spa_outcomes=spa_outcomes[j],
-             trojan_positions=trojan[j], filtered_positions=filtered[j],
-             alarmed_positions=alarmed[j])
-        for j in range(len(group.phases))
-    ]
+    gone = group.fates == FATES.index(lost_fate)
+    [lost], [trojan], [filtered], [alarmed] = (_runs(mask, members) for mask in (
+        gone, screens > 0, screens == _FILTERED, screens == _ALARMED))
+    head = (f'"transit", "phase": "{in_flight.value}", "to_phase": "{arrival.value}", '
+            f'"direction": "{direction}", "lost_positions": ')
+    return [f'{head}{lost[i]}, "intercepted_positions": {intercepted[i]}, '
+            f'"eve_pol_bases": {pol_bases[i]}, "eve_pol_outcomes": {pol_outcomes[i]}, '
+            f'"eve_spa_bases": {spa_bases[i]}, "eve_spa_outcomes": {spa_outcomes[i]}, '
+            f'"trojan_positions": {trojan[i]}, "filtered_positions": {filtered[i]}, '
+            f'"alarmed_positions": {alarmed[i]}}}\n' for i in range(len(lost))]
 
 
-def render_transcripts(group: SessionGroup) -> list[list[dict]]:
-    """Each member's transcript, read off the group's arrays: its events, in order.
+def transcript_lines(group: SessionGroup, members, sessions) -> str:
+    """The JSONL transcripts of ``members``, read off the group's arrays: one line per event.
 
-    The events, as far as the member got: prepare, the forward transit, the
-    first check (then a result, when it failed), encode, the return transit,
-    the second check and the result.  A member depleted at a check has no
-    event from that check on.
+    A member's events, as far as it got: prepare, the forward transit, the first check (then
+    a result, when it failed), encode, the return transit, the second check and the result;
+    none from a check it was depleted at.  Member j's lines are ``json.dumps({"session":
+    sessions[j], **event})`` of its events: one template per event kind fixes their keys and
+    spells out the ``Phase`` values that do not vary.
     """
     sampled = group.first_reads >= 0
     reads = (group.first_reads[sampled] >> _READ_SHIFTS) & 1
-    checked, pol_bases, spa_bases, alice_pol, alice_spa, bob_pol, bob_spa = _by_member(
-        sampled, *_texts(b"ZX", reads[:2]), *_texts(b"01", reads[2:])
+    checked, pol_bases, spa_bases, alice_pol, alice_spa, bob_pol, bob_spa = _runs(
+        sampled, members, *_texts(b"ZX", reads[:2]), *_texts(b"01", reads[2:])
     )
     message, second = group.sent >= 0, group.second
-    message_positions, message_ops = _by_member(message, _op_names(group.ops[message]))
-    sample_positions, sample_ops = _by_member(second, _op_names(group.ops[second]))
+    ops = _OP_TEXTS[group.ops]  # -1 (no op) takes the last name, which no mask below reads
+    message_positions, message_ops = _runs(message, members, ops[message].tolist())
+    sample_positions, sample_ops = _runs(second, members, ops[second].tolist())
     read = group.bell >= 0
     samples = read & second
-    read_positions, bell_pol, bell_spa = _by_member(
-        read, *_texts(b"0123", (group.bell[read] >> _BELL_SHIFTS) & 3)
+    read_positions, bell_pol, bell_spa = _runs(
+        read, members, *_texts(b"0123", (group.bell[read] >> _BELL_SHIFTS) & 3)
     )
-    read_samples, expected_ops = _by_member(samples, _op_names(group.ops[samples]))
-    forward, back = _transit_events(group, "forward"), _transit_events(group, "return")
-    counts, failed = group.counts.tolist(), group.failed.tolist()
-    transcripts = []
-    for j, phase in enumerate(_PHASES[code] for code in group.phases.tolist()):
-        events = [dict(event="prepare", phase=Phase.PREPARED.value, n_pairs=group.n_pairs,
-                       source_r=float(group.source.r), source_phi=float(group.source.phi))]
+    read_samples, expected_ops = _runs(samples, members, ops[samples].tolist())
+    forward, back = (_transit_texts(group, members, way) for way in ("forward", "return"))
+    counts, failed, phases = group.counts.tolist(), group.failed.tolist(), group.phases.tolist()
+    prepare = (f'"prepare", "phase": "Prepared", "n_pairs": {group.n_pairs}, "source_r": '
+               f'{float(group.source.r)!r}, "source_phi": {float(group.source.phi)!r}}}\n')
+    lines = []
+    for i, j in enumerate(members):
+        phase = _PHASES[phases[j]]
+        lead = f'{{"session": {sessions[j]}, "event": '
+        lines += (lead, prepare)
         if phase is not Phase.PREPARED:
-            events.append(forward[j])
-        if checked[j]:
-            to_phase = Phase.ABORTED if failed[j][0] else Phase.ENCODING
-            report = CheckReport.from_counts(counts[j][0], failed[j][0]).fields()
-            events.append(dict(
-                event="first_check", phase=Phase.FIRST_CHECK.value, to_phase=to_phase.value,
-                positions=checked[j], pol_bases=pol_bases[j], spa_bases=spa_bases[j],
-                alice_pol=alice_pol[j], alice_spa=alice_spa[j], bob_pol=bob_pol[j],
-                bob_spa=bob_spa[j], **report,
-            ))
+            lines += (lead, forward[i])
+        if checked[i] != "[]":
+            lines.append(
+                f'{lead}"first_check", "phase": "FirstCheck", '
+                f'"to_phase": "{"Aborted" if failed[j][0] else "Encoding"}", '
+                f'"positions": {checked[i]}, "pol_bases": {pol_bases[i]}, '
+                f'"spa_bases": {spa_bases[i]}, "alice_pol": {alice_pol[i]}, '
+                f'"alice_spa": {alice_spa[i]}, "bob_pol": {bob_pol[i]}, "bob_spa": {bob_spa[i]}, '
+                f'{_report(counts[j][0], failed[j][0])}')
         if failed[j][0]:
-            events.append(dict(event="result", phase=Phase.ABORTED.value, message=None))
-        if sample_positions[j]:
-            events.append(dict(
-                event="encode", phase=Phase.ENCODING.value, to_phase=Phase.SA_IN_FLIGHT_2.value,
-                message_positions=message_positions[j], message_ops=message_ops[j],
-                sample_positions=sample_positions[j], sample_ops=sample_ops[j],
-            ))
+            lines += (lead, '"result", "phase": "Aborted", "message": null}\n')
+        if sample_positions[i] != "[]":
+            lines.append(
+                f'{lead}"encode", "phase": "Encoding", "to_phase": "SAInFlight2", '
+                f'"message_positions": {message_positions[i]}, "message_ops": {message_ops[i]}, '
+                f'"sample_positions": {sample_positions[i]}, "sample_ops": {sample_ops[i]}}}\n')
             if phase is not Phase.SA_IN_FLIGHT_2:
-                events.append(back[j])
-        if read_samples[j]:
-            report = CheckReport.from_counts(counts[j][1], failed[j][1]).fields()
-            events.append(dict(
-                event="second_check", phase=Phase.SECOND_CHECK.value, to_phase=phase.value,
-                positions=read_positions[j], bell_pol=bell_pol[j], bell_spa=bell_spa[j],
-                sample_positions=read_samples[j], expected_ops=expected_ops[j], **report,
-            ))
+                lines += (lead, back[i])
+        if read_samples[i] != "[]":
             received = group.received[j]
-            text = _bits_text(received[received >= 0]) if phase is Phase.ACCEPTED else None
-            events.append(dict(event="result", phase=phase.value, message=text))
-        transcripts.append(events)
+            text = f'"{_bits_text(received[received >= 0])}"' if phase is Phase.ACCEPTED else "null"
+            lines.append(
+                f'{lead}"second_check", "phase": "SecondCheck", "to_phase": "{phase.value}", '
+                f'"positions": {read_positions[i]}, "bell_pol": {bell_pol[i]}, '
+                f'"bell_spa": {bell_spa[i]}, "sample_positions": {read_samples[i]}, '
+                f'"expected_ops": {expected_ops[i]}, {_report(counts[j][1], failed[j][1])}'
+                f'{lead}"result", "phase": "{phase.value}", "message": {text}}}\n')
+    return "".join(lines)
+
+
+def render_transcripts(group: SessionGroup) -> list[list[dict]]:
+    """Each member's events, in order: ``transcript_lines`` of every member, parsed."""
+    members = range(len(group.phases))
+    transcripts: list = [[] for _ in members]
+    for event in map(json.loads, transcript_lines(group, members, members).splitlines()):
+        transcripts[event.pop("session")].append(event)
     return transcripts

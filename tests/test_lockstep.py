@@ -7,6 +7,8 @@ import inspect
 import io
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -38,7 +40,7 @@ from hyperqsdc.protocol import (
     render_transcripts,
 )
 
-from test_harness import config_with
+from test_harness import config_with, package_env
 
 # sha256 of the stats file and of the transcript JSONL that ``simulate
 # --transcripts`` writes, computed with the per-session engine that ran one
@@ -316,6 +318,33 @@ def test_streamed_run_memory_does_not_grow_with_sessions():
             finally:
                 tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) < 1_000_000, peaks  # bytes
+
+
+# A fresh interpreter that runs the config on stdin with its transcripts
+# streamed to os.devnull, then prints its own peak resident set (VmHWM, kB).
+PEAK_RSS_CHILD = """
+import os, sys
+from hyperqsdc.harness import parse_run_config, run
+rc = parse_run_config(sys.stdin.read())
+with open(os.devnull, "w", encoding="utf-8") as sink:
+    run(rc, transcripts=sink)
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_streamed_run_peak_rss_does_not_grow_with_sessions():
+    # untraced, so it sees what a user's process holds: the 3,000-session run
+    # writes about 15 MB of transcripts, and holding them costs some 36 MB
+    peaks = []
+    for sessions in (300, 3000):  # one child at a time
+        config = config_with(sessions=str(sessions), **HOSTILE)
+        child = subprocess.run([sys.executable, "-c", PEAK_RSS_CHILD], input=config,
+                               capture_output=True, text=True, env=package_env(), timeout=300,
+                               check=True)
+        peaks.append(int(child.stdout))
+    assert peaks[1] - peaks[0] < 4096, peaks  # kB
 
 
 @pytest.mark.parametrize("group_rows", [16, 64, 256, 4096])
