@@ -48,7 +48,6 @@ from .hyperstate import (
 )
 from .protocol import (
     BlockDepleted,
-    CheckReport,
     ConfigError,
     MessageSizeError,
     PairFate,

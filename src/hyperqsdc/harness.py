@@ -130,9 +130,10 @@ class RunStats:
     """Pooled outcome of one run.
 
     ``wall_time``, ``minor_faults`` (the page faults the run took without
-    I/O, None where the platform cannot count them), ``phase_seconds`` and
-    ``abort_reasons`` (why each aborted session ended, see ``ABORT_REASONS``)
-    never reach the stats file; ``metrics_text`` writes them.
+    I/O, None where the platform cannot count them), ``groups`` (the
+    lockstep groups the run used), ``phase_seconds`` and ``abort_reasons``
+    (why each aborted session ended, see ``ABORT_REASONS``) never reach the
+    stats file; ``metrics_text`` writes them.
     """
 
     sessions: int = 0
@@ -154,6 +155,7 @@ class RunStats:
     adversary_present: bool = False
     wall_time: float = 0.0
     minor_faults: Optional[int] = None
+    groups: int = 0
     phase_seconds: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
     abort_reasons: dict = field(default_factory=lambda: dict.fromkeys(ABORT_REASONS, 0))
 
@@ -490,9 +492,13 @@ def _pool(stats: RunStats, transcripts: Optional[TextIO], rc: RunConfig, master_
 
 # Rows per lockstep group of ``run``; a session with more pairs is a group of
 # one.  Each phase of a group makes one kernel call on the distinct states
-# of its pairs, so what a larger group adds is per-pair bookkeeping, and its
-# fixed costs are paid fewer times.
-GROUP_ROWS = 1024
+# of its pairs, so a clean group pays a fixed cost of about 0.8-1 ms (some
+# 400-1000 small numpy calls) and a larger group adds per-pair arrays and
+# larger kernel calls.  At 4096 rows against 1024, ``ideal_sessions`` runs 3
+# groups instead of 12, in 14.6 ms instead of 21.5, for 0.6-1.2 MB more peak
+# RSS on the benchmark's many-session workloads.  8192 rows add 0.3-0.6 MB
+# more to a fresh process's peak: a ``tiny_blocks`` group holds 500 generators.
+GROUP_ROWS = 4096
 
 
 def run(rc: RunConfig, master_seed: Optional[int] = None,
@@ -501,11 +507,11 @@ def run(rc: RunConfig, master_seed: Optional[int] = None,
 
     Consecutive sessions go through the phases in lockstep groups of at most
     ``GROUP_ROWS`` rows; a session larger than that is a group of one.  The
-    stats carry the run's wall time, its minor page faults and the part of
-    the wall time spent in each of ``PHASES``, summed over the groups.  When
-    ``transcripts``, an open text file, is given, each group's sessions are
-    written to it as JSON lines as the group is pooled, so a run that fails
-    partway leaves the lines of the groups before.
+    stats carry the run's wall time, its minor page faults, its number of
+    groups and the part of the wall time spent in each of ``PHASES``, summed
+    over the groups.  When ``transcripts``, an open text file, is given, each
+    group's sessions are written to it as JSON lines as the group is pooled,
+    so a run that fails partway leaves the lines of the groups before.
     """
     seed = rc.seed if master_seed is None else master_seed
     stats = RunStats(adversary_present=rc.eve.kind is not EveKind.NONE)
@@ -518,6 +524,7 @@ def run(rc: RunConfig, master_seed: Optional[int] = None,
         # the finished group is dropped here, before the next one is built
         _pool(stats, transcripts, rc, seed, indices, _run_group(rc, seed, indices, lap))
         lap("pooling")
+        stats.groups += 1
     stats.wall_time = time.perf_counter() - started
     if faults is not None:
         stats.minor_faults = _minor_faults() - faults
@@ -531,11 +538,11 @@ def stats_text(rc: RunConfig, seed: int, stats: RunStats) -> str:
 
 
 def metrics_text(stats: RunStats) -> str:
-    """Wall time, minor faults, seconds per phase and abort reasons of a run as JSON.
+    """A run's wall time, minor faults, lockstep groups, phase seconds and abort reasons as JSON.
 
     None of it is in the stats file.
     """
-    doc = {"wall_time": stats.wall_time, "minor_faults": stats.minor_faults,
+    doc = {"wall_time": stats.wall_time, "minor_faults": stats.minor_faults, "groups": stats.groups,
            "phase_seconds": stats.phase_seconds, "abort_reasons": stats.abort_reasons}
     return json.dumps(doc, indent=2) + "\n"
 

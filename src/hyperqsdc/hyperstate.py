@@ -307,22 +307,28 @@ def _read(states: np.ndarray, axes: tuple, x) -> tuple:
     return work, raw, cdf
 
 
-def draw(cdf: np.ndarray, u) -> np.ndarray:
-    """The outcome of each row drawn by inverse CDF with the uniform ``u``.
+def draw(cdf: np.ndarray, u, of=None) -> np.ndarray:
+    """The outcome of each pair drawn by inverse CDF with the uniform ``u``.
 
     ``cdf`` holds one normalized CDF per column (the form ``measure`` draws
-    from) and ``u`` one uniform in [0, 1) per row.  The first outcome whose
+    from); pair k reads column ``of[k]``, or column k when ``of`` is None.
+    ``u`` holds one uniform in [0, 1) per pair.  The first outcome whose
     CDF exceeds u always exists and has a positive probability, so an
     outcome of probability 0 is never drawn.
     """
     u = np.asarray(u, dtype=float)
-    if u.shape != cdf.shape[1:]:
-        raise ValueError(f"need one uniform per row: {cdf.shape[1]} rows, {u.shape} uniforms")
+    n = cdf.shape[1] if of is None else len(of)
+    if u.shape != (n,):
+        raise ValueError(f"need one uniform per row: {n} rows, {u.shape} uniforms")
     if not ((u >= 0.0) & (u < 1.0)).all():  # NaN fails both
         raise ValueError("uniforms must lie in [0, 1)")
     # as the CDF never falls, that outcome's index is the number of outcomes
-    # before the last whose CDF does not exceed u
-    return (cdf[:-1] <= u).sum(axis=0)
+    # before the last whose CDF does not exceed u; the pairs' columns are
+    # read one outcome at a time, so no (outcomes, pairs) array is built
+    outcomes = np.zeros(n, dtype=np.intp)
+    for column in cdf[:-1]:
+        outcomes += (column if of is None else column.take(of)) <= u
+    return outcomes
 
 
 def _project(work: np.ndarray, probs: np.ndarray, axes: tuple, outcomes: np.ndarray,
@@ -445,14 +451,15 @@ def measure_table(table: np.ndarray, index: np.ndarray, axes: tuple, u: np.ndarr
     table of their own, and each pair's index into it)), or (outcomes, None)
     when ``collapse`` is false.
     """
-    weights = 1 << np.arange(len(axes))[::-1]
+    # bytes, so that ``x @ weights`` casts the mask to bytes, not to 8-byte integers
+    weights = (1 << np.arange(len(axes), dtype=np.uint8))[::-1]
     n_out = 1 << len(axes)
     rows, patterns, combo = _combos(table, index, x @ weights, n_out)
     xs = patterns[:, None] & weights > 0  # each combo's X mask
     # each combo's row in its measurement bases, its unsnapped outcome
     # probabilities and its CDF
     turned, raw, cdf = _read(table[rows], axes, xs)
-    outcomes = draw(cdf.take(combo, axis=1), u)
+    outcomes = draw(cdf, u, combo)
     if not collapse:
         return outcomes, None
     # one collapsed row per distinct (combo, outcome)
@@ -465,7 +472,7 @@ def measure_table(table: np.ndarray, index: np.ndarray, axes: tuple, u: np.ndarr
 def bell_labels_table(table: np.ndarray, index: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``bell_labels`` of the pairs whose states are ``table[index]``, one CDF per distinct row."""
     rows, _, row = _combos(table, index, 0, 1)
-    return draw(_bell_cdf(table[rows]).take(row, axis=1), u)
+    return draw(_bell_cdf(table[rows]), u, row)
 
 
 # ---------------------------------------------------------------------------

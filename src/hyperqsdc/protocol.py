@@ -30,10 +30,9 @@ went through, with its keys in a fixed order.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import lru_cache
 from itertools import accumulate
 from typing import Optional
 
@@ -96,9 +95,9 @@ class BlockDepleted(RuntimeError):
     """Channel loss left too few pairs to run the protocol on."""
 
 
-def _sample_count(fraction: float, base: int) -> int:
-    # round half up, never below one sample
-    return max(1, math.floor(fraction * base + 0.5))
+def _sample_count(fraction: float, base):
+    # round half up, never below one sample; per entry when ``base`` is an array
+    return np.maximum(1, np.floor(fraction * base + 0.5)).astype(np.intp)
 
 
 # The chunk of photons in which a session draws its transits: a session of
@@ -133,26 +132,6 @@ class ProtocolConfig:
             raise ConfigError(
                 f"sample fractions leave no message pairs: {n1} + {n2} samples of {self.n_pairs}"
             )
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    """Outcome of one eavesdropping check."""
-
-    n_checked: int
-    n_pol_errors: int
-    n_spa_errors: int
-    n_mismatched_samples: int
-    error_rate_pol: float
-    error_rate_spa: float
-    verdict: Verdict
-
-    @staticmethod
-    def from_counts(counts: list, failed: bool) -> "CheckReport":
-        """The report on (checked, pol errors, spa errors, mismatched samples) with its verdict."""
-        n, pol, spa, mism = counts
-        verdict = Verdict.FAIL if failed else Verdict.PASS
-        return CheckReport(n, pol, spa, mism, pol / n, spa / n, verdict)
 
 
 # Codes a group stores: a phase's index in tuple(Phase) per member, a fate's
@@ -406,13 +385,14 @@ def first_check_group(group: SessionGroup, cfg: ProtocolConfig) -> None:
     """
     acting = group.in_phase(Phase.FIRST_CHECK)
     candidates, starts = _candidates(group)  # a member draws from its own rows only
+    members = acting.nonzero()[0]
+    sizes = np.diff(starts)[members]
+    ready = sizes >= 3
+    group._deplete(members[~ready], DEPLETED_FORWARD)
+    sizes = sizes[ready]
+    ks = np.minimum(_sample_count(cfg.sample_fraction_first, sizes), sizes - 2)
     picks, xs, us = [], [], []
-    for j in acting.nonzero()[0].tolist():
-        size = starts[j + 1] - starts[j]
-        if size < 3:
-            group._deplete(j, DEPLETED_FORWARD)
-            continue
-        k = min(_sample_count(cfg.sample_fraction_first, size), size - 2)
+    for j, size, k in zip(members[ready].tolist(), sizes.tolist(), ks.tolist()):
         rng = group.rngs[j]
         picks.append(rng.choice(size, size=k, replace=False) + starts[j])
         # the (k, 2) X-basis draws, (pol, spa) per sample, then one Born uniform per sample
@@ -434,25 +414,25 @@ def first_check_group(group: SessionGroup, cfg: ProtocolConfig) -> None:
 
 def _encoding_plan(group: SessionGroup, cfg: ProtocolConfig) -> tuple:
     # the members ready to encode, their candidate rows and starts (see
-    # _candidates), and per member its eligible-pair count and second-sample size
+    # _candidates), and per member arrays of its eligible-pair count and
+    # second-sample size
     acting = group.in_phase(Phase.ENCODING)
     candidates, starts = _candidates(group, acting)
-    members = acting.nonzero()[0].tolist()
-    first = group.counts[:, 0, 0].tolist()
-    n_eligible, n_second = [], []
-    for j in members:
-        size = starts[j + 1] - starts[j]
-        if size < 2:
-            raise BlockDepleted(f"only {size} pairs left; need 2 to sample and encode")
-        n_eligible.append(size)
-        n_second.append(min(_sample_count(cfg.sample_fraction_second, size + first[j]), size - 1))
-    return members, candidates, starts, n_eligible, n_second
+    members = acting.nonzero()[0]
+    sizes = np.diff(starts)[members]
+    short = sizes[sizes < 2]
+    if len(short):
+        raise BlockDepleted(f"only {short[0]} pairs left; need 2 to sample and encode")
+    # counted on the pairs left plus the first sample, but never all of them
+    base = sizes + group.counts[members, 0, 0]
+    n_second = np.minimum(_sample_count(cfg.sample_fraction_second, base), sizes - 1)
+    return members.tolist(), candidates, starts, sizes, n_second
 
 
 def message_capacities(group: SessionGroup, cfg: ProtocolConfig) -> tuple[list, list]:
     """(members ready to encode, the bits each can carry beside its second-check sample)."""
-    members, _, _, n_eligible, n_second = _encoding_plan(group, cfg)
-    return members, [4 * (e - k) for e, k in zip(n_eligible, n_second)]
+    members, _, _, sizes, n_second = _encoding_plan(group, cfg)
+    return members, (4 * (sizes - n_second)).tolist()
 
 
 # weights that turn a row of four message bits into its chunk's value
@@ -468,7 +448,7 @@ def encode_group(group: SessionGroup, messages: list, cfg: ProtocolConfig) -> No
     op drawn uniformly from all 16, recorded for the comparison after
     readout.  Every message is checked before any session draws.
     """
-    members, candidates, starts, n_eligible, n_second = _encoding_plan(group, cfg)
+    members, candidates, starts, sizes, n_second = _encoding_plan(group, cfg)
     if len(messages) != len(members):
         raise ValueError(f"{len(messages)} messages for {len(members)} sessions ready to encode")
     if not members:
@@ -476,14 +456,15 @@ def encode_group(group: SessionGroup, messages: list, cfg: ProtocolConfig) -> No
     bits = np.concatenate(messages)
     if (bits >> 1).any():
         raise ValueError("message must be a string of 0s and 1s")
-    for message, size, k in zip(messages, n_eligible, n_second):
-        if len(message) != 4 * (size - k):
-            raise MessageSizeError(
-                f"message length must be exactly {4 * (size - k)} bits for this block, "
-                f"got {len(message)}"
-            )
+    lengths, capacities = np.array(list(map(len, messages))), 4 * (sizes - n_second)
+    wrong = (lengths != capacities).nonzero()[0]
+    if len(wrong):
+        raise MessageSizeError(
+            f"message length must be exactly {capacities[wrong[0]]} bits for this block, "
+            f"got {lengths[wrong[0]]}"
+        )
     picks, sample_ops = [], []
-    for j, size, k in zip(members, n_eligible, n_second):
+    for j, size, k in zip(members, sizes.tolist(), n_second.tolist()):
         rng = group.rngs[j]
         picks.append(rng.choice(size, size=k, replace=False) + starts[j])
         sample_ops.append(rng.integers(16, size=k))
@@ -564,9 +545,10 @@ def _texts(alphabet: bytes, codes: np.ndarray) -> list[str]:
     return [row.astype(np.uint8).tobytes().translate(table).decode("ascii") for row in codes]
 
 
-@cache
+@lru_cache(maxsize=1)
 def _numbers(n: int) -> np.ndarray:
-    # the texts of 0 .. n - 1, to take positions from
+    # the texts of 0 .. n - 1, to take positions from; only the latest n is
+    # kept, as a 100,004-pair session's texts take 5.9 MiB
     return np.array([str(i) for i in range(n)], dtype=object)
 
 
@@ -583,7 +565,7 @@ def _runs(mask: np.ndarray, members, *columns) -> list[list[str]]:
 
 
 def _report(counts: list, failed: bool) -> str:
-    """A ``CheckReport``'s fields as JSON text, in declaration order, closing its event."""
+    """A check's counts, error rates and verdict as JSON text, closing its event."""
     n, pol, spa, mism = counts
     verdict = Verdict.FAIL if failed else Verdict.PASS
     return (f'"n_checked": {n}, "n_pol_errors": {pol}, "n_spa_errors": {spa}, '

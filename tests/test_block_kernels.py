@@ -10,6 +10,7 @@ error short of 1) must be drawn exactly.
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -289,6 +290,70 @@ class TestStateTables:
             hs.map_table(table, index, np.zeros(2, dtype=np.intp), 16, hs.encode)
 
 
+@st.composite
+def indexed_cdfs(draw, max_columns=6, max_pairs=40):
+    """(outcome probabilities, their normalized CDF per column, each pair's column, uniforms).
+
+    About half the outcomes have probability 0, pairs repeat columns, and the
+    uniforms include 0, the largest float below 1 and exact CDF values.
+    """
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n_out = draw(st.sampled_from([2, 4, 8, 16]))
+    n_columns = draw(st.integers(min_value=1, max_value=max_columns))
+    probs = rng.random((n_out, n_columns)) * (rng.random((n_out, n_columns)) < 0.5)
+    probs[rng.integers(n_out, size=n_columns), np.arange(n_columns)] += 0.5  # none all zero
+    cdf = probs.cumsum(axis=0)
+    cdf /= cdf[-1]  # as ``measure`` normalizes: the last positive outcome reaches exactly 1.0
+    n = draw(st.integers(min_value=0, max_value=max_pairs))
+    of = rng.integers(n_columns, size=n)
+    u, kind = rng.random(n), rng.integers(4, size=n)
+    u[kind == 1] = 0.0
+    u[kind == 2] = LAST_UNIFORM
+    ties = (kind == 3).nonzero()[0]
+    u[ties] = np.minimum(cdf[rng.integers(n_out, size=len(ties)), of[ties]], LAST_UNIFORM)
+    return probs, cdf, of, u
+
+
+class TestIndexedDraw:
+    """``draw`` through a column index equals the draw from the gathered (outcomes, pairs) CDF."""
+
+    @given(indexed_cdfs())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_gathered_cdf(self, drawn):
+        probs, cdf, of, u = drawn
+        got = hs.draw(cdf, u, of)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, (cdf.take(of, axis=1)[:-1] <= u).sum(axis=0))
+        assert np.array_equal(got, hs.draw(cdf.take(of, axis=1), u))
+        assert (probs[got, of] > 0).all()  # an outcome of probability 0 is never drawn
+
+    @pytest.mark.parametrize("u", [[1.0], [-0.25], [np.nan], [0.5, 0.5]])
+    def test_rejects_bad_uniforms(self, u):
+        cdf = np.array([[0.5, 1.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="uniform"):
+            hs.draw(cdf, u, np.array([1]))
+
+    @pytest.mark.parametrize("call", [
+        lambda table, index, u, x: hs.bell_labels_table(table, index, u),
+        lambda table, index, u, x: hs.measure_table(table, index, ALL_AXES, u, x, collapse=False),
+        lambda table, index, u, x: hs.measure_table(table, index, ALL_AXES, u, x),
+    ], ids=["bell_labels_table", "measure_table_without_collapse", "measure_table"])
+    def test_table_draws_build_no_cdf_per_pair(self, call):
+        # an (outcomes, pairs) CDF of 16 outcomes alone would take 128 B per pair
+        n = 20_000
+        table, index = BELL_BASIS[:1], np.zeros(n, dtype=np.intp)
+        rng = np.random.default_rng(12)
+        u, x = rng.random(n), rng.random((n, 4)) < 0.5
+        call(table, index, u, x)  # a first call may allocate for good
+        tracemalloc.start()
+        try:
+            call(table, index, u, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * n, f"{peak / n:.1f} B per pair"
+
+
 def _large_block(seed: int, n: int) -> tuple:
     """(states, x mask over all four axes, uniforms, op codes) for n rows, 16 of them hyper-Bell."""
     rng = np.random.default_rng(seed)
@@ -526,7 +591,11 @@ class TestUniforms:
         lambda u: measure(np.array([_ket(0)]), (0,), [u]),
         lambda u: measure(np.array([_ket(0)]), (0,), [u], collapse=False),
         lambda u: bell_labels(BELL_BASIS[:1], [u]),
-    ], ids=["measure", "measure_without_collapse", "bell_labels"])
+        lambda u: hs.measure_table(np.array([_ket(0)]), np.zeros(1, dtype=np.intp), (0,), [u],
+                                   np.zeros((1, 1), dtype=bool)),
+        lambda u: hs.bell_labels_table(BELL_BASIS[:1], np.zeros(1, dtype=np.intp), [u]),
+    ], ids=["measure", "measure_without_collapse", "bell_labels", "measure_table",
+            "bell_labels_table"])
     def test_rejects_uniform_outside_unit_interval(self, kernel, u):
         with pytest.raises(ValueError, match=r"uniforms must lie in \[0, 1\)"):
             kernel(u)
@@ -535,7 +604,10 @@ class TestUniforms:
     @pytest.mark.parametrize("kernel", [
         lambda u: measure(np.tile(_ket(0), (3, 1)), (0,), u),
         lambda u: bell_labels(np.tile(BELL_BASIS[0], (3, 1)), u),
-    ], ids=["measure", "bell_labels"])
+        lambda u: hs.measure_table(np.array([_ket(0)]), np.zeros(3, dtype=np.intp), (0,), u,
+                                   np.zeros((3, 1), dtype=bool)),
+        lambda u: hs.bell_labels_table(BELL_BASIS[:1], np.zeros(3, dtype=np.intp), u),
+    ], ids=["measure", "bell_labels", "measure_table", "bell_labels_table"])
     def test_needs_one_uniform_per_row(self, kernel, n_uniforms):
         # one uniform is not spread over the three rows
         with pytest.raises(ValueError, match="one uniform per row"):

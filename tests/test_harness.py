@@ -577,7 +577,8 @@ class TestCli:
         assert doc["abort_reasons"] == dict.fromkeys(ABORT_REASONS, 0)  # a clean run
         # counted with the resource module, which Linux has
         assert isinstance(doc["minor_faults"], int) and doc["minor_faults"] >= 0
-        assert b"minor_faults" not in timed.read_bytes()
+        assert doc["groups"] == 1  # 12 sessions of 48 pairs share one lockstep group
+        assert b"minor_faults" not in timed.read_bytes() and b"groups" not in timed.read_bytes()
 
     def test_metrics_file_counts_abort_reasons(self, tmp_path):
         config = tmp_path / "lossy.ini"

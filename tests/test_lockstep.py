@@ -204,9 +204,9 @@ def session_lines(text: str, k: int) -> list:
             for event in events if event["session"] == k]
 
 
-# Groups of at most this many rows split the pinned configs "clean" and
-# "groups_not_dividing_group_rows" into several groups, the last one short;
-# at GROUP_ROWS each of them is a single group.
+# Groups of at most this many rows split the pinned configs "clean" (480
+# rows) and "groups_not_dividing_group_rows" (800 rows) into several groups,
+# the last one short; at GROUP_ROWS (4096) each of them is a single group.
 SMALL_GROUP_ROWS = 256
 
 
@@ -360,6 +360,19 @@ def test_group_size_changes_no_byte(monkeypatch, name, group_rows):
     regrouped, regrouped_text = run_jsonl(rc)
     assert stats_text(rc, rc.seed, regrouped) == stats_text(rc, rc.seed, stats)
     assert regrouped_text == text
+
+
+@pytest.mark.parametrize("group_rows, sessions, n_pairs, groups", [
+    (GROUP_ROWS, 100, 112, 3),  # 36 sessions a group: the shape of ``ideal_sessions``
+    (1024, 100, 112, 12),  # 9 sessions a group
+    (GROUP_ROWS, 3, 5000, 3),  # a session over GROUP_ROWS is a group of one
+])
+def test_run_counts_its_groups(monkeypatch, group_rows, sessions, n_pairs, groups):
+    monkeypatch.setattr(harness, "GROUP_ROWS", group_rows)
+    rc = parse_run_config(config_with(sessions=str(sessions), n_pairs=str(n_pairs)))
+    stats, _ = run(rc)
+    assert stats.groups == groups
+    assert json.loads(harness.metrics_text(stats))["groups"] == groups
 
 
 def test_run_holds_one_group_at_a_time(monkeypatch):

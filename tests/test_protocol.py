@@ -23,7 +23,6 @@ from hyperqsdc.hyperstate import EncodingOp, SourceParams
 from hyperqsdc.protocol import (
     DEPLETED_FORWARD,
     BlockDepleted,
-    CheckReport,
     ConfigError,
     MessageSizeError,
     PairFate,
@@ -42,6 +41,8 @@ from hyperqsdc.protocol import (
     transmit_forward_group,
     transmit_return_group,
 )
+
+from transcript_reference import CheckReport
 
 IDEAL_SOURCE = SourceParams(r=1.0, phi=0.0)
 CLEAN = ChannelParams()

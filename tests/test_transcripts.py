@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperqsdc import harness
+from hyperqsdc import harness, protocol
 from hyperqsdc.harness import _run_group, parse_run_config
 from hyperqsdc.protocol import (
     DEPLETED_FORWARD,
@@ -129,3 +129,11 @@ def test_edge_configs_render_as_the_reference(name):
 @given(configs())
 def test_text_equals_json_dumps_of_the_reference(adversary, overrides):
     rendered_group({**overrides, **adversary})
+
+
+def test_position_texts_of_one_block_size_are_kept():
+    # a process that renders sessions of two sizes keeps the texts of the last one only
+    for n_pairs in ("24", "40"):
+        rc = parse_run_config(config_with(sessions="2", n_pairs=n_pairs))
+        transcript_lines(_run_group(rc, rc.seed, range(2)), range(2), range(2))
+        assert protocol._numbers.cache_info().currsize == 1

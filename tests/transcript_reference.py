@@ -7,6 +7,7 @@ what ``protocol.transcript_lines`` must write, byte for byte.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -20,12 +21,33 @@ from hyperqsdc.protocol import (
     _READ_SHIFTS,
     _TRANSITS,
     FATES,
-    CheckReport,
     Phase,
     SessionGroup,
+    Verdict,
     _bits_text,
     _texts,
 )
+
+
+@dataclass(frozen=True)
+class CheckReport:
+    """Outcome of one eavesdropping check, as a transcript's check event reports it."""
+
+    n_checked: int
+    n_pol_errors: int
+    n_spa_errors: int
+    n_mismatched_samples: int
+    error_rate_pol: float
+    error_rate_spa: float
+    verdict: Verdict
+
+    @staticmethod
+    def from_counts(counts: list, failed: bool) -> "CheckReport":
+        """The report on (checked, pol errors, spa errors, mismatched samples) with its verdict."""
+        n, pol, spa, mism = counts
+        verdict = Verdict.FAIL if failed else Verdict.PASS
+        return CheckReport(n, pol, spa, mism, pol / n, spa / n, verdict)
+
 
 _OP_NAMES = tuple(f"{op.i}{op.j}" for op in map(EncodingOp.from_code, range(16)))
 
