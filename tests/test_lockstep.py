@@ -183,6 +183,22 @@ PINNED = {
         "6eaf3e21a18a614e472853fe9d72de908c363c147e67f7c9d3a1f4e91b125f41",
         "b43f00687f473f1576f327e1fc207e483ca6070dbdc8ca109d75062a06854e2f",
     ),
+    # master seeds of three and four 32-bit words: with the session index
+    # (and Eve's coin tag) they fill and overflow SeedSequence's 4-word
+    # pool; digests computed with one default_rng per session
+    "intercept_both_seed_over_64_bits": (
+        dict(sessions="12", n_pairs="40", seed=str(2**64 + 21), loss_prob="0.05",
+             pauli_p_pol="0.02", kind="intercept_resend", passes="both", error_threshold="1.0"),
+        "68d7a9dfee8f0c896fb752c0e2d770fb672d0ad891264766991847cfcabd9b23",
+        "48f6c30eaec97d9f3924dc6cf0bb69a3960a1413feb40dee4fdee4a7ad20d00a",
+    ),
+    "noise_intercept_seed_over_96_bits": (
+        dict(sessions="30", n_pairs="24", seed=str(2**96 + 22), loss_prob="0.03",
+             pauli_p_pol="0.03", pauli_p_spa="0.02", kind="intercept_resend", passes="return",
+             error_threshold="0.3"),
+        "ae150860fa069d636bd1cdd2022412d1f890776d74302f47c7080c4aaf709084",
+        "68b479141a083331f96421704258cf922478e3b50b2cf5383a3bc394917d21d8",
+    ),
 }
 
 
@@ -237,6 +253,10 @@ def test_pinned_configs_cover_the_group_edges():
         assert rcs[name].source.r != 1.0 and rcs[name].source.phi != 0.0
     assert rcs["intercept_fixed_x_bases"].eve.basis_policy is BasisPolicy.FIXED_X
     assert rcs["intercept_fixed_z_bases"].eve.basis_policy is BasisPolicy.FIXED_Z
+    over_64 = rcs["intercept_both_seed_over_64_bits"]
+    assert over_64.seed >= 2**64 and over_64.eve.kind is EveKind.INTERCEPT_RESEND
+    assert over_64.eve_passes == "both"
+    assert rcs["noise_intercept_seed_over_96_bits"].seed >= 2**96
     groups = rcs["groups_not_dividing_group_rows"]
     for group_rows in (GROUP_ROWS, SMALL_GROUP_ROWS):
         assert group_rows // groups.protocol.n_pairs > 1 and group_rows % groups.protocol.n_pairs
