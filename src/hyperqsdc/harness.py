@@ -1,12 +1,15 @@
 """Run orchestration: config files, seeded session batches, sweeps, reports.
 
 A run executes N independent sessions.  Session k draws every random
-decision from ``numpy.random.default_rng([master_seed, k])``, the
-documented counter-based stream split: sessions can be distributed or
-reordered without changing any outcome, and a (config, seed) pair pins
-the whole run byte for byte.  ``run`` moves consecutive sessions through
-the phases in lockstep groups (``protocol.SessionGroup``), which changes
-nothing either: every session still draws only from its own generator.
+decision from the generator that ``numpy.random.default_rng([master_seed,
+k])`` builds, the documented counter-based stream split: sessions can be
+distributed or reordered without changing any outcome, and a (config,
+seed) pair pins the whole run byte for byte.  ``session_generators`` builds
+those generators for a whole group at once, running ``SeedSequence``'s
+seeding hash on one array entry per session.  ``run`` moves consecutive
+sessions through the phases in lockstep groups (``protocol.SessionGroup``),
+which changes nothing either: every session still draws only from its own
+generator.
 A group is also the unit of bookkeeping: ``_pool`` adds a finished group
 to the stats from its arrays in one call, writing the transcripts of its
 sessions as it goes, and ``run_one_session`` runs one session as a group of
@@ -86,6 +89,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.sessions, int) or self.sessions < 1:
             raise ConfigError(f"sessions must be a positive integer, got {self.sessions}")
+        if self.sessions > 2**32:  # session indices are seeded as one 32-bit word each
+            raise ConfigError(f"sessions must be at most 2**32, got {self.sessions}")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         if self.eve_passes not in ("both", "forward", "return"):
@@ -398,13 +403,112 @@ class _Laps:
         self.last = now
 
 
+# numpy's SeedSequence (O'Neill, "PCG: A Family of Simple Fast Space-Efficient
+# Statistically Good Algorithms for Random Number Generation", 2014): its
+# entropy words are hashed into a pool of 4 uint32 words, from which
+# ``generate_state`` hashes the seed words of a bit generator.
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _uint32_words(value: int) -> list:
+    """A non-negative integer as SeedSequence splits it: 32-bit words, least significant first."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """``init * mult**i`` modulo 2**32 for i in 0..count, as a (count + 1, 1) column."""
+    constants = [init]
+    for _ in range(count):
+        constants.append(constants[-1] * mult & _MASK32)
+    return np.array(constants, dtype=np.uint32)[:, None]
+
+
+def _hashmix(values: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    # SeedSequence's hashmix, row i with hash constant i: xor, multiply by the
+    # next constant, fold the high half down
+    values = (values ^ constants[:-1]) * constants[1:]
+    return values ^ values >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ result >> 16
+
+
+@functools.cache
+def _seed_words() -> type:
+    """The seed sequence that hands a PCG64 the four words ``session_generators`` computed.
+
+    Built on first use: numpy imports ``numpy.random`` only when it is asked
+    for, and so the package's import time does not include it.
+    """
+
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"precomputed seed words are (4, uint64), not ({n_words}, {dtype})")
+            return self.words
+
+    return SeedWords
+
+
+def session_generators(master_seed: int, indices, *tail: int) -> list:
+    """The generator ``np.random.default_rng([master_seed, k, *tail])`` for each k in ``indices``.
+
+    The SeedSequence hash runs once over arrays holding one entry per index,
+    so each generator gets the same PCG64 seed words, and draws the same
+    numbers, as ``default_rng`` would give it.  An index is one 32-bit
+    word: one outside [0, 2**32) raises ValueError.
+    """
+    index = np.asarray(indices)
+    if index.size and (index.dtype.kind not in "iu" or index.min() < 0 or index.max() > _MASK32):
+        raise ValueError(f"session indices must lie in [0, 2**32), got {indices}")
+    # the entropy words, one column per index, padded with zeros to the pool size
+    head = _uint32_words(master_seed)
+    words = head + [0] + [word for value in tail for word in _uint32_words(value)]
+    words += [0] * (_POOL_SIZE - len(words))
+    entropy = np.repeat(np.array(words, dtype=np.uint32)[:, None], index.size, axis=1)
+    entropy[len(head)] = index
+    # the pool takes the first words, then each pool word is mixed into the
+    # others, then each further word into every pool word
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * len(entropy))
+    pool = _hashmix(entropy[:_POOL_SIZE], consts[:_POOL_SIZE + 1])
+    at = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        others = [dst for dst in range(_POOL_SIZE) if dst != src]
+        pool[others] = _mix(pool[others], _hashmix(pool[src], consts[at:at + _POOL_SIZE]))
+        at += _POOL_SIZE - 1
+    for src in range(_POOL_SIZE, len(entropy)):
+        pool = _mix(pool, _hashmix(entropy[src], consts[at:at + _POOL_SIZE + 1]))
+        at += _POOL_SIZE
+    # generate_state(4, uint64): eight uint32 words cycling through the pool,
+    # uint64 word j assembled as word 2j | word 2j+1 << 32
+    state = _hashmix(np.concatenate([pool, pool]), _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE))
+    state = state.astype(np.uint64)
+    seeds = np.ascontiguousarray((state[0::2] | state[1::2] << np.uint64(32)).T)
+    seed_words = _seed_words()
+    return [np.random.Generator(np.random.PCG64(seed_words(row))) for row in seeds]
+
+
 def _run_group(rc: RunConfig, master_seed: int, indices,
                lap: Callable = lambda phase: None) -> SessionGroup:
     """Run sessions ``indices`` of a run in lockstep (see ``protocol.SessionGroup``).
 
     Returns the finished group.  ``lap(phase)`` is called as each phase ends.
     """
-    rngs = [np.random.default_rng([master_seed, k]) for k in indices]
+    rngs = session_generators(master_seed, indices)
     group = prepare_group(rc.protocol, rc.source, rngs)
     lap("prepare")
     eve_fwd = rc.eve if rc.eve_passes in ("both", "forward") else None
@@ -477,11 +581,12 @@ def _pool(stats: RunStats, transcripts: Optional[TextIO], rc: RunConfig, master_
         stats.message_bits_wrong += int(wrong.sum())
     if rc.eve.kind is EveKind.INTERCEPT_RESEND:
         encoded = (group.ops >= 0) & kept[:, None]
-        # Eve's coin flips for the bits she cannot read, from her own generator per session
-        coins = [np.random.default_rng([master_seed, k, 0xE7E]).random((count, 2, 2))
-                 for k, count in zip(indices, np.count_nonzero(encoded, axis=1).tolist())
-                 if count]
-        if coins:
+        counts = np.count_nonzero(encoded, axis=1)
+        coined = counts.nonzero()[0]
+        if len(coined):
+            # Eve's coin flips for the bits she cannot read, from her own generator per session
+            rngs = session_generators(master_seed, np.asarray(indices)[coined], 0xE7E)
+            coins = [rng.random((count, 2, 2)) for rng, count in zip(rngs, counts[coined].tolist())]
             guesses = guess_encoding_ops(group.eve_forward[encoded], group.eve_return[encoded],
                                          np.concatenate(coins))
             stats.eve_guesses += len(guesses)

@@ -311,24 +311,34 @@ def draw(cdf: np.ndarray, u, of=None) -> np.ndarray:
     """The outcome of each pair drawn by inverse CDF with the uniform ``u``.
 
     ``cdf`` holds one normalized CDF per column (the form ``measure`` draws
-    from); pair k reads column ``of[k]``, or column k when ``of`` is None.
-    ``u`` holds one uniform in [0, 1) per pair.  The first outcome whose
-    CDF exceeds u always exists and has a positive probability, so an
-    outcome of probability 0 is never drawn.
+    from) over a power-of-two number of outcomes; pair k reads column
+    ``of[k]``, or column k when ``of`` is None.  ``u`` holds one uniform in
+    [0, 1) per pair.  The first outcome whose CDF exceeds u always exists
+    and has a positive probability, so an outcome of probability 0 is never
+    drawn.
     """
     u = np.asarray(u, dtype=float)
-    n = cdf.shape[1] if of is None else len(of)
+    n_out, n_columns = cdf.shape
+    n = n_columns if of is None else len(of)
     if u.shape != (n,):
         raise ValueError(f"need one uniform per row: {n} rows, {u.shape} uniforms")
     if not ((u >= 0.0) & (u < 1.0)).all():  # NaN fails both
         raise ValueError("uniforms must lie in [0, 1)")
+    if n_out & (n_out - 1):
+        raise ValueError(f"need a power-of-two number of outcomes, got {n_out}")
     # as the CDF never falls, that outcome's index is the number of outcomes
-    # before the last whose CDF does not exceed u; the pairs' columns are
-    # read one outcome at a time, so no (outcomes, pairs) array is built
-    outcomes = np.zeros(n, dtype=np.intp)
-    for column in cdf[:-1]:
-        outcomes += (column if of is None else column.take(of)) <= u
-    return outcomes
+    # before the last whose CDF does not exceed u, found by binary search:
+    # ``pos`` walks each pair's column of ``flat`` from its first entry, and
+    # a step of s reads the entry s - 1 ahead, so no (outcomes, pairs) array
+    # is built and each pair reads log2(outcomes) entries
+    flat = cdf.T.ravel()
+    pos = np.multiply(np.arange(n) if of is None else of, n_out, dtype=np.intp)
+    step = n_out >> 1
+    while step:
+        pos += (flat[step - 1:].take(pos) <= u) * step
+        step >>= 1
+    pos &= n_out - 1  # each column starts at a multiple of n_out
+    return pos
 
 
 def _project(work: np.ndarray, probs: np.ndarray, axes: tuple, outcomes: np.ndarray,

@@ -333,6 +333,11 @@ class TestIndexedDraw:
         with pytest.raises(ValueError, match="uniform"):
             hs.draw(cdf, u, np.array([1]))
 
+    def test_rejects_outcome_counts_not_a_power_of_two(self):
+        cdf = np.array([[0.25], [0.5], [1.0]])
+        with pytest.raises(ValueError, match="power-of-two"):
+            hs.draw(cdf, [0.5])
+
     @pytest.mark.parametrize("call", [
         lambda table, index, u, x: hs.bell_labels_table(table, index, u),
         lambda table, index, u, x: hs.measure_table(table, index, ALL_AXES, u, x, collapse=False),

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hyperqsdc
 from hyperqsdc.adversary import BasisPolicy, EveKind, PnsKind
@@ -32,7 +34,9 @@ from hyperqsdc.harness import (
     attack_sweep,
     parse_run_config,
     run,
+    run_one_session,
     scan_csv,
+    session_generators,
     source_fidelity_scan,
     stats_text,
     sweep_csv,
@@ -194,6 +198,67 @@ class TestConfigParsing:
     def test_nonpositive_sessions_rejected(self):
         with pytest.raises(ConfigError, match="sessions"):
             parse_run_config("[run]\nsessions = 0\n")
+
+    def test_sessions_beyond_32_bit_indices_rejected(self):
+        assert parse_run_config(f"[run]\nsessions = {2**32}\n").sessions == 2**32
+        with pytest.raises(ConfigError, match="sessions"):
+            parse_run_config(f"[run]\nsessions = {2**32 + 1}\n")
+
+
+# master seeds of 1, 1, 2, 3, 4 and 6 32-bit words: with the session index
+# and Eve's coin tag they leave SeedSequence's 4-word pool short, fill it
+# and overflow it
+SEEDS = (0, 2**32 - 1, 2**32, 2**64, 2**96 + 7, 2**160)
+TAILS = ((), (0xE7E,))
+
+
+def assert_seeded_like_default_rng(seed: int, indices: list, tail: tuple) -> None:
+    rngs = session_generators(seed, indices, *tail)
+    assert len(rngs) == len(indices)
+    for k, rng in zip(indices, rngs):
+        reference = np.random.default_rng([seed, k, *tail])
+        words = np.random.SeedSequence([seed, k, *tail]).generate_state(4, np.uint64)
+        assert np.array_equal(rng.bit_generator.seed_seq.generate_state(4, np.uint64), words)
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert np.array_equal(rng.random(3), reference.random(3))
+        assert np.array_equal(rng.integers(16, size=4), reference.integers(16, size=4))
+        assert np.array_equal(rng.choice(40, size=6, replace=False),
+                              reference.choice(40, size=6, replace=False))
+
+
+class TestSessionGenerators:
+    """One hash pass seeds each session's generator as ``default_rng([seed, k, *tail])`` does."""
+
+    @pytest.mark.parametrize("tail", TAILS)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_listed_seeds(self, seed, tail):
+        for indices in ([], [5], [0, 2, 9, 2**32 - 1], range(3, 7)):
+            assert_seeded_like_default_rng(seed, indices, tail)
+
+    @given(seed=st.sampled_from(SEEDS) | st.integers(min_value=0, max_value=2**200),
+           indices=st.lists(st.integers(min_value=0, max_value=2**32 - 1), max_size=5,
+                            unique=True),
+           tail=st.sampled_from(TAILS))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_any_seed_and_indices(self, seed, indices, tail):
+        assert_seeded_like_default_rng(seed, indices, tail)
+
+    def test_seed_words_are_only_four_uint64(self):
+        seed_seq = session_generators(3, [1])[0].bit_generator.seed_seq
+        for n_words, dtype in ((4, np.uint32), (8, np.uint32), (2, np.uint64)):
+            with pytest.raises(ValueError, match="4, uint64"):
+                seed_seq.generate_state(n_words, dtype)
+
+    @pytest.mark.parametrize("indices", [[2**32], [-1], [0, 2**64], np.array([2**33])],
+                             ids=["2**32", "negative", "2**64", "int64_2**33"])
+    def test_index_beyond_32_bits_raises(self, indices):
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            session_generators(0, indices)
+
+    def test_run_one_session_beyond_32_bits_raises(self):
+        rc = parse_run_config(config_with(sessions="1", n_pairs="16"))
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            run_one_session(rc, 0, 2**32)
 
 
 class TestDeterminism:
