@@ -40,8 +40,11 @@ first, second = events["first_check"], events["second_check"]
 print(f"first check: {first['n_checked']} pairs sampled, "
       f"pol rate {first['error_rate_pol']:.2f}, spa rate {first['error_rate_spa']:.2f} "
       f"-> {first['verdict']}")
+print(f"  sampled positions {first['positions']}")
 print(f"capacity after sampling: {4 * len(events['encode']['message_positions'])} bits")
+print(f"message sent: {message}")
 print(f"second check: {second['n_checked']} hidden samples -> {second['verdict']}")
+print(f"  hidden at positions {second['sample_positions']}")
 decoded = events["result"]["message"]
 assert decoded == message
 print(f"message intact: {decoded == message}")

@@ -24,7 +24,7 @@ DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 # sha256 of each demo's stdout
 STDOUT_DIGESTS = {
     "01_hyperdense_coding": "3aed625165813963ba1a0534cbe4e1c4aaae1e5f2de03d4892ee81369aa9e70e",
-    "02_session_walkthrough": "811db50faccf2514b0f079ee3b1be32418c3689e6f5f10ccea16a092b5158a27",
+    "02_session_walkthrough": "42be4cb758c587c0e2219cdfd5b85e46e179db7213650d6780b4ca06fe94142c",
     "03_eavesdropper": "7408493c764475213396a7212d9d4d15e61ba891217cd77e1327ac5f9a21790d",
     "04_source_and_noise": "8228a1f4ced80ecdd1a73c7389a9bb42ed4f11af6873adf1b299359ed8b936c7",
     "05_trojan_defenses": "b9e35fcafa80b9bb2d7c0234f19280e404b89b28dee39fa05ae0ae9ab517c8c3",
