@@ -1,7 +1,7 @@
 """One full session, narrated from the transcript.
 
 A session run alone is a group of one: its generator, handed over once at
-``prepare_group``, feeds every phase.  The phases only fill the group's
+``prepare_group`` in a ``DrawSource``, feeds every phase.  The phases only fill the group's
 arrays; ``render_transcripts`` parses the JSONL text that
 ``transcript_lines`` writes from them into the session's events.
 """
@@ -9,6 +9,7 @@ arrays; ``render_transcripts`` parses the JSONL text that
 import numpy as np
 
 from hyperqsdc import ChannelParams, ProtocolConfig, SourceParams
+from hyperqsdc.harness import DrawSource
 from hyperqsdc.protocol import (
     decode_group,
     encode_group,
@@ -24,7 +25,7 @@ rng = np.random.default_rng(42)
 cfg = ProtocolConfig(n_pairs=24, sample_fraction_first=0.2, sample_fraction_second=0.2)
 channel = ChannelParams()  # quiet line, no loss
 
-group = prepare_group(cfg, SourceParams(1.0, 0.0), [rng])
+group = prepare_group(cfg, SourceParams(1.0, 0.0), DrawSource([rng]))
 transmit_forward_group(group, channel)
 first_check_group(group, cfg)
 _, [capacity] = message_capacities(group, cfg)

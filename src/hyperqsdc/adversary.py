@@ -8,8 +8,9 @@ and a wavelength filter and a photon-number splitter at the receiver, not
 the correlation checks, screen the signals (``screen``).  Both act on
 arrays of signals; ``craft_trojan`` and ``apply_defenses`` take one.
 
-Strategies are stateless: every random decision comes from the generator
-handed in, so records and reproducibility belong to the caller.
+Strategies are stateless: the models take uniforms, or a callable that
+draws them (in a run, from its ``harness.DrawSource``), so records and
+reproducibility belong to the caller.
 """
 
 from __future__ import annotations
@@ -123,14 +124,6 @@ class DefenseConfig:
 _DOFS = (Dof.POL, Dof.SPA)
 
 
-def _pick_x(policy: BasisPolicy, rng: np.random.Generator, shape: tuple) -> np.ndarray:
-    if policy is BasisPolicy.FIXED_Z:
-        return np.zeros(shape, dtype=bool)
-    if policy is BasisPolicy.FIXED_X:
-        return np.ones(shape, dtype=bool)
-    return rng.random(shape) < 0.5
-
-
 def _slots(strategy: EveStrategy) -> list[int]:
     # record slots of the measured DOFs; the fixed order keeps the generator stream reproducible
     if strategy.kind is not EveKind.INTERCEPT_RESEND:
@@ -138,18 +131,10 @@ def _slots(strategy: EveStrategy) -> list[int]:
     return [k for k, dof in enumerate(_DOFS) if dof in strategy.dof_mask]
 
 
-def draw_intercept(
-    n: int, strategy: EveStrategy, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eve's random choices for n intercepted photons: (X-basis mask per measured DOF, uniforms)."""
-    x = _pick_x(strategy.basis_policy, rng, (n, len(_slots(strategy))))
-    return x, rng.random(n)
-
-
 def resend(
     table: np.ndarray, strategy: EveStrategy, x: np.ndarray, u: np.ndarray, index=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Apply ``draw_intercept``'s choices: measure every pair and resend the outcome.
+    """Measure every pair and resend the outcome: Eve's X-basis mask ``x`` and uniforms ``u``.
 
     The pairs are the rows ``table[index]`` of a state table, every row of
     ``table`` once by default (see ``hyperstate.measure_table``).  Returns
@@ -171,33 +156,29 @@ def resend(
     return table, index, codes
 
 
-def draw_probes(
-    kind: EveKind, n: int, rng: np.random.Generator, filter_tolerance: float
-) -> np.ndarray:
+def draw_probes(kind: EveKind, n: int, uniform, filter_tolerance: float) -> np.ndarray:
     """Wavelength offsets of the probes Eve attaches to n legitimate photons.
 
     An invisible probe sits in (tol, 2*tol]: strictly outside the filter
     window Eve assumes the receiver has, also when a uniform is 0.0.  Per
-    signal, it draws the magnitude uniform, then the sign uniform; the
-    other probes sit on-band and draw nothing.
+    signal, it takes a magnitude uniform, then a sign uniform, from one
+    ``uniform((n, 2))`` call; the other probes sit on-band and draw nothing.
     """
     if kind not in TROJAN_KINDS:
         raise ValueError(f"not a Trojan kind: {kind}")
     if kind is not EveKind.TROJAN_INVISIBLE:
         return np.zeros(n)
-    u = rng.random((n, 2))
+    u = uniform((n, 2))
     return np.where(u[:, 1] < 0.5, 1.0, -1.0) * (filter_tolerance * (2.0 - u[:, 0]))
 
 
-def screen(
-    offsets: np.ndarray, photons: np.ndarray, config: DefenseConfig, rng: np.random.Generator
-) -> np.ndarray:
+def screen(offsets: np.ndarray, photons: np.ndarray, config: DefenseConfig, uniform) -> np.ndarray:
     """Each signal's verdict, filter first, then photon number, as its index into ``SCREENS``.
 
     The ideal splitter flags every multi-photon signal the filter lets
-    through.  The 50/50 model draws one uniform per such signal, in row
-    order, and flags it unless its n photons all exit one port, which
-    happens with probability 2**(1-n).
+    through.  The 50/50 model takes one uniform per such signal, in row
+    order, from one ``uniform(count)`` call, and flags it unless its n
+    photons all exit one port, which happens with probability 2**(1-n).
     """
     codes = np.full(len(offsets), _CLEAN, dtype=np.int8)
     if config.filter_enabled:
@@ -205,7 +186,7 @@ def screen(
     if config.pns_enabled:
         multi = ((codes == _CLEAN) & (photons >= 2)).nonzero()[0]
         if config.pns_kind is PnsKind.BEAMSPLITTER_5050:
-            multi = multi[rng.random(len(multi)) < 1.0 - 2.0 ** (1 - photons[multi])]
+            multi = multi[uniform(len(multi)) < 1.0 - 2.0 ** (1 - photons[multi])]
         codes[multi] = _ALARMED
     return codes
 
@@ -216,7 +197,7 @@ def craft_trojan(
     filter_tolerance: float = DEFAULT_FILTER_TOLERANCE,
 ) -> SignalMeta:
     """Signal metadata after Eve attaches her probe to one legitimate photon."""
-    [offset] = draw_probes(kind, 1, rng, filter_tolerance)
+    [offset] = draw_probes(kind, 1, rng.random, filter_tolerance)
     return SignalMeta(PROBED_PHOTONS, float(offset), kind is EveKind.TROJAN_DELAY)
 
 
@@ -225,7 +206,7 @@ def apply_defenses(
 ) -> DefenseVerdict:
     """``screen`` of one signal; CLEAN means nothing tripped."""
     offsets = np.array([meta.wavelength_offset])
-    return SCREENS[screen(offsets, np.array([meta.photon_count]), config, rng)[0]]
+    return SCREENS[screen(offsets, np.array([meta.photon_count]), config, rng.random)[0]]
 
 
 def guess_encoding_ops(forward: np.ndarray, back: np.ndarray, u: np.ndarray) -> np.ndarray:

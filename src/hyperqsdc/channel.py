@@ -1,11 +1,12 @@
 """Lossy, noisy quantum channel for the traveling photon.
 
 Only photon A ever travels, so loss and noise act on its side of the pair
-alone.  A transit draws arrays over its photons in this fixed order: loss,
-the adversary's choices, per-DOF Pauli noise (probability p split evenly
-over X, Y and Z), then the receiver's screening of Trojan probes.  The
-state work follows: Eve's resend, then the Paulis.  A lost photon ends the
-pair's life; the parties discard the position by classical announcement.
+alone.  A transit draws arrays over its photons in this fixed order
+(``harness.DrawSource.transit``): loss, the adversary's choices, per-DOF Pauli
+noise (probability p split evenly over X, Y and Z), then the receiver's
+screening of Trojan probes.  The state work follows: Eve's resend, then the
+Paulis.  A lost photon ends the pair's life; the parties discard the
+position by classical announcement.
 """
 
 from __future__ import annotations
@@ -40,49 +41,16 @@ class TransitDraws(NamedTuple):
     """Every random choice of one transit of n photons, drawn before any state work.
 
     ``delivered`` is the (n,) loss mask.  The other fields cover the
-    delivered photons only: Eve's ``adversary.draw_intercept`` choices (None
-    unless she intercepts and resends), each photon's screening verdict as
-    its index into ``adversary.SCREENS`` (0 where no probe rode along), and
-    its Paulis as one code 4 * pol + spa, each DOF's Pauli index 0 for none.
+    delivered photons only: Eve's ``adversary.resend`` inputs (None unless
+    she intercepts and resends), each photon's screening verdict as its
+    index into ``adversary.SCREENS`` (0 where no probe rode along), and its
+    Paulis as one code 4 * pol + spa, each DOF's Pauli index 0 for none.
     """
 
     delivered: np.ndarray
     eve: tuple | None
     screens: np.ndarray
     noise: np.ndarray
-
-
-def draw_transit(
-    n: int,
-    params: ChannelParams,
-    eve: adv.EveStrategy,
-    defense: adv.DefenseConfig,
-    rng: np.random.Generator,
-) -> TransitDraws:
-    """Draw every random choice of a transit of n photons, in the channel's fixed order.
-
-    Eve tunes an invisible probe to ``defense.filter_tolerance``, and
-    ``defense`` screens the probes.  A transit with nothing to do draws no
-    random numbers.
-    """
-    delivered = np.ones(n, dtype=bool)
-    if params.loss_prob > 0.0:
-        delivered = rng.random(n) >= params.loss_prob
-        n = int(np.count_nonzero(delivered))
-    eve_draws = offsets = None
-    if eve.kind is adv.EveKind.INTERCEPT_RESEND:
-        eve_draws = adv.draw_intercept(n, eve, rng)
-    elif eve.kind in adv.TROJAN_KINDS:
-        offsets = adv.draw_probes(eve.kind, n, rng, defense.filter_tolerance)
-    noise = np.zeros(n, dtype=np.intp)
-    for weight, p in ((4, params.pauli_p_pol), (1, params.pauli_p_spa)):
-        if p > 0.0:
-            hit = np.flatnonzero(rng.random(n) < p)
-            noise[hit] += weight * (1 + rng.integers(3, size=len(hit)))
-    screens = np.zeros(n, dtype=np.int8)
-    if offsets is not None:
-        screens = adv.screen(offsets, np.full(n, adv.PROBED_PHOTONS), defense, rng)
-    return TransitDraws(delivered, eve_draws, screens, noise)
 
 
 def apply_transit(

@@ -1,15 +1,13 @@
 """Run orchestration: config files, seeded session batches, sweeps, reports.
 
-A run executes N independent sessions.  Session k draws every random
-decision from the generator that ``numpy.random.default_rng([master_seed,
-k])`` builds, the documented counter-based stream split: sessions can be
-distributed or reordered without changing any outcome, and a (config,
-seed) pair pins the whole run byte for byte.  ``session_generators`` builds
-those generators for a whole group at once, running ``SeedSequence``'s
-seeding hash on one array entry per session.  ``run`` moves consecutive
-sessions through the phases in lockstep groups (``protocol.SessionGroup``),
-which changes nothing either: every session still draws only from its own
-generator.
+A run executes N independent sessions.  Session k draws its protocol from
+``numpy.random.default_rng([master_seed, k])`` and Eve's coin flips from
+``default_rng([master_seed, k, 0xE7E])``, the documented counter-based
+stream split: sessions can be distributed or reordered without changing
+any outcome, and a (config, seed) pair pins the whole run byte for byte.
+``run`` moves consecutive sessions through the phases in lockstep groups
+(``protocol.SessionGroup``), which changes nothing either: a group's one
+``DrawSource`` draws for each session from its own generators only.
 A group is also the unit of bookkeeping: ``_pool`` adds a finished group
 to the stats from its arrays in one call, writing the transcripts of its
 sessions as it goes, and ``run_one_session`` runs one session as a group of
@@ -41,6 +39,7 @@ try:
 except ImportError:  # not on every platform
     resource = None
 
+from . import adversary as adv
 from .adversary import (
     SCREENS,
     BasisPolicy,
@@ -51,7 +50,7 @@ from .adversary import (
     PnsKind,
     guess_encoding_ops,
 )
-from .channel import ChannelParams
+from .channel import ChannelParams, TransitDraws
 from .hyperstate import Dof, SourceParams, correlation_error_probs, source_fidelity
 from .protocol import (
     DEPLETED_FORWARD,
@@ -502,6 +501,95 @@ def session_generators(master_seed: int, indices, *tail: int) -> list:
     return [np.random.Generator(np.random.PCG64(seed_words(row))) for row in seeds]
 
 
+# The chunk of photons in which a session draws its transits: a session of
+# more pairs draws one chunk after another, in the order that fixes its
+# random numbers and so its output bytes.
+CHUNK_ROWS = 1024
+
+
+class DrawSource:
+    """Every random draw of a lockstep group, one method per draw site.
+
+    Member j draws from ``rngs[j]``, and Eve's coins for it from the
+    generator seeded with ``[master_seed, sessions[j], 0xE7E]``.  A method
+    draws member by member, in the order and sizes of the session run
+    alone, and returns the draws joined in member order.  Member j's pairs
+    in play are positions ``starts[j]:starts[j + 1]`` of the group's rows in
+    play (see ``protocol._candidates``).
+    """
+
+    def __init__(self, rngs: list, master_seed: Optional[int] = None, sessions=()):
+        self.rngs, self.master_seed, self.sessions = rngs, master_seed, np.asarray(sessions)
+
+    def transit(self, members, starts, params: ChannelParams, eve: EveStrategy,
+                defense: DefenseConfig) -> TransitDraws:
+        """A transit's choices, per chunk in ``channel``'s order; probes tuned to ``defense``."""
+        slots = len(eve.dof_mask) if eve.kind is EveKind.INTERCEPT_RESEND else 0
+        parts = []
+        for j in members:
+            rng = self.rngs[j]
+            for start in range(starts[j], starts[j + 1], CHUNK_ROWS):
+                n = min(CHUNK_ROWS, starts[j + 1] - start)
+                delivered = np.ones(n, dtype=bool)
+                if params.loss_prob > 0.0:
+                    delivered = rng.random(n) >= params.loss_prob
+                    n = int(np.count_nonzero(delivered))
+                x = u = offsets = None
+                if slots:  # an X-basis mask per measured DOF, then one uniform per photon
+                    x = np.full((n, slots), eve.basis_policy is BasisPolicy.FIXED_X)
+                    if eve.basis_policy is BasisPolicy.UNIFORM_ZX:
+                        x = rng.random((n, slots)) < 0.5
+                    u = rng.random(n)
+                elif eve.kind in adv.TROJAN_KINDS:
+                    offsets = adv.draw_probes(eve.kind, n, rng.random, defense.filter_tolerance)
+                noise = np.zeros(n, dtype=np.intp)
+                for weight, p in ((4, params.pauli_p_pol), (1, params.pauli_p_spa)):
+                    if p > 0.0:
+                        hit = np.flatnonzero(rng.random(n) < p)
+                        noise[hit] += weight * (1 + rng.integers(3, size=len(hit)))
+                screens = np.zeros(n, dtype=np.int8)
+                if offsets is not None:
+                    photons = np.full(n, adv.PROBED_PHOTONS)
+                    screens = adv.screen(offsets, photons, defense, rng.random)
+                parts.append((delivered, x, u, screens, noise))
+        delivered, x, u, screens, noise = (
+            None if column[0] is None else np.concatenate(column) for column in zip(*parts))
+        return TransitDraws(delivered, None if x is None else (x, u), screens, noise)
+
+    def first_check(self, members, starts, ks) -> tuple:
+        """(first-check positions, (K, 2) pol and spa basis uniforms, one Born uniform each)."""
+        positions, bases, born = [], [], []
+        for j, k in zip(members, ks):
+            rng, size = self.rngs[j], starts[j + 1] - starts[j]
+            positions.append(rng.choice(size, size=k, replace=False) + starts[j])
+            draws = rng.random(3 * k)
+            bases.append(draws[: 2 * k])
+            born.append(draws[2 * k :])
+        return np.concatenate(positions), np.concatenate(bases).reshape(-1, 2), np.concatenate(born)
+
+    def message(self, members, capacities) -> list:
+        """Per member, in order, its message: a uniform integer array of ``capacities[i]`` bits."""
+        return [self.rngs[j].integers(0, 2, size=bits) for j, bits in zip(members, capacities)]
+
+    def hidden_sample(self, members, starts, ks) -> tuple:
+        """(second-check positions, an op code uniform over 16 for each)."""
+        positions, ops = [], []
+        for j, k in zip(members, ks):
+            rng, size = self.rngs[j], starts[j + 1] - starts[j]
+            positions.append(rng.choice(size, size=k, replace=False) + starts[j])
+            ops.append(rng.integers(16, size=k))
+        return np.concatenate(positions), np.concatenate(ops)
+
+    def bell(self, members, starts) -> np.ndarray:
+        """One Bell-readout uniform per pair in play."""
+        return np.concatenate([self.rngs[j].random(starts[j + 1] - starts[j]) for j in members])
+
+    def eve_coins(self, members, counts) -> np.ndarray:
+        """Eve's (sum of ``counts``, 2, 2) coin uniforms, ``counts[i]`` for ``members[i]``."""
+        rngs = session_generators(self.master_seed, self.sessions[members], 0xE7E)
+        return np.concatenate([rng.random((count, 2, 2)) for rng, count in zip(rngs, counts)])
+
+
 def _run_group(rc: RunConfig, master_seed: int, indices,
                lap: Callable = lambda phase: None) -> SessionGroup:
     """Run sessions ``indices`` of a run in lockstep (see ``protocol.SessionGroup``).
@@ -509,7 +597,7 @@ def _run_group(rc: RunConfig, master_seed: int, indices,
     Returns the finished group.  ``lap(phase)`` is called as each phase ends.
     """
     rngs = session_generators(master_seed, indices)
-    group = prepare_group(rc.protocol, rc.source, rngs)
+    group = prepare_group(rc.protocol, rc.source, DrawSource(rngs, master_seed, indices))
     lap("prepare")
     eve_fwd = rc.eve if rc.eve_passes in ("both", "forward") else None
     eve_ret = rc.eve if rc.eve_passes in ("both", "return") else None
@@ -517,9 +605,7 @@ def _run_group(rc: RunConfig, master_seed: int, indices,
     lap("forward_transit")
     first_check_group(group, rc.protocol)
     lap("first_check")
-    members, capacities = message_capacities(group, rc.protocol)
-    messages = [rngs[j].integers(0, 2, size=bits) for j, bits in zip(members, capacities)]
-    encode_group(group, messages, rc.protocol)
+    encode_group(group, group.draws.message(*message_capacities(group, rc.protocol)), rc.protocol)
     lap("encode")
     transmit_return_group(group, rc.channel, eve=eve_ret)
     lap("return_transit")
@@ -542,8 +628,8 @@ def run_one_session(rc: RunConfig, master_seed: int, index: int) -> SessionGroup
 _POPCOUNT = np.array([bin(value).count("1") for value in range(16)])
 
 
-def _pool(stats: RunStats, transcripts: Optional[TextIO], rc: RunConfig, master_seed: int,
-          indices, group: SessionGroup) -> None:
+def _pool(stats: RunStats, transcripts: Optional[TextIO], rc: RunConfig, indices,
+          group: SessionGroup) -> None:
     """Add the finished sessions ``indices`` of a run, one ``_run_group`` group, to its stats.
 
     A depleted session adds to the session, abort and depletion counts only.
@@ -584,11 +670,9 @@ def _pool(stats: RunStats, transcripts: Optional[TextIO], rc: RunConfig, master_
         counts = np.count_nonzero(encoded, axis=1)
         coined = counts.nonzero()[0]
         if len(coined):
-            # Eve's coin flips for the bits she cannot read, from her own generator per session
-            rngs = session_generators(master_seed, np.asarray(indices)[coined], 0xE7E)
-            coins = [rng.random((count, 2, 2)) for rng, count in zip(rngs, counts[coined].tolist())]
+            # Eve's coin flips for the bits she cannot read
             guesses = guess_encoding_ops(group.eve_forward[encoded], group.eve_return[encoded],
-                                         np.concatenate(coins))
+                                         group.draws.eve_coins(coined, counts[coined].tolist()))
             stats.eve_guesses += len(guesses)
             stats.eve_guesses_correct += int(np.count_nonzero(guesses == group.ops[encoded]))
     if transcripts is not None:
@@ -627,7 +711,7 @@ def run(rc: RunConfig, master_seed: Optional[int] = None,
     for first in range(0, rc.sessions, per_group):
         indices = range(first, min(first + per_group, rc.sessions))
         # the finished group is dropped here, before the next one is built
-        _pool(stats, transcripts, rc, seed, indices, _run_group(rc, seed, indices, lap))
+        _pool(stats, transcripts, rc, indices, _run_group(rc, seed, indices, lap))
         lap("pooling")
         stats.groups += 1
     stats.wall_time = time.perf_counter() - started

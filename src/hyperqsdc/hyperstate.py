@@ -36,9 +36,9 @@ those of its own row.
 States are rays, not vectors: two states that differ by a global phase are
 physically identical, and ``HyperState.equiv`` tests exactly that.  All
 operations here are pure functions: a kernel returns new arrays and never
-writes its input.  Anything stochastic takes an explicit
-``numpy.random.Generator`` or explicit uniforms, so callers own
-reproducibility and threads may share everything except their generator.
+writes its input.  Anything stochastic takes explicit uniforms, and only
+the one-pair readout ``chbsa`` takes a ``numpy.random.Generator``, so
+callers own reproducibility.
 """
 
 from __future__ import annotations

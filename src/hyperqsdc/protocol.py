@@ -13,8 +13,8 @@ check), and only then decodes the message, 4 bits per pair.
 
 Phases move strictly forward; only the two checks may abort, and a
 session that runs out of pairs at a check ends there, aborted and marked
-depleted.  Sessions are single-owner mutable state, and all randomness
-flows through explicit generators.
+depleted.  Sessions are single-owner mutable state, and every random draw
+comes from the group's ``harness.DrawSource``.
 
 Each phase is written once, for a ``SessionGroup`` of sessions that share
 one state table, keep their bookkeeping in arrays over the group and move
@@ -100,12 +100,6 @@ def _sample_count(fraction: float, base):
     return np.maximum(1, np.floor(fraction * base + 0.5)).astype(np.intp)
 
 
-# The chunk of photons in which a session draws its transits: a session of
-# more pairs draws one chunk after another, in the order that fixes its
-# random numbers and so its output bytes.
-CHUNK_ROWS = 1024
-
-
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Session parameters; validation happens at construction."""
@@ -175,29 +169,28 @@ class SessionGroup:
     pairs at a check and ended there, aborted), ``counts[j, c]`` =
     (checked, pol errors, spa errors, mismatched samples) and ``failed[j, c]``
     of check c (0 first, 1 second; a check that never ran checked 0).
-    ``rngs[j]`` is the only generator member j draws from, and ``source``
-    is the pair source that filled the block.
+    ``draws`` (a ``harness.DrawSource``) makes every random draw of the
+    members, and ``source`` is the pair source that filled the block.
 
     Each phase acts on the members that are in the phase it starts from.  It
-    first draws member by member, in the order and sizes of the session run
-    alone.  Then it maps each acting pair's (table row, discrete choice) to
-    a combo, runs the kernel in one call on the distinct combos read from
-    ``table``, and does only the per-pair work per pair: the draw
-    against the pair's uniform, the bookkeeping and the pair's new table
-    row.  A state change builds the next table from the new states and the
-    rows some pair still refers to.  As the kernels are row-wise, a
-    session's draws, outcomes and transcript never depend on which sessions
-    share its group, and a session run alone is a group of one.
+    first takes its draws from ``draws``.  Then it maps each acting pair's
+    (table row, discrete choice) to a combo, runs the kernel in one call on
+    the distinct combos read from ``table``, and does only the per-pair work
+    per pair: the draw against the pair's uniform, the bookkeeping and the
+    pair's new table row.  A state change builds the next table from the new
+    states and the rows some pair still refers to.  As the kernels are
+    row-wise, a session's draws, outcomes and transcript never depend on
+    which sessions share its group, and a session run alone is a group of one.
     ``harness`` reads every result straight from these arrays, and
     ``transcript_lines`` writes every transcript from them.
     """
 
-    def __init__(self, n_pairs: int, rngs: list, source: Optional[SourceParams] = None):
-        m, n = len(rngs), n_pairs
+    def __init__(self, n_pairs: int, draws, source: Optional[SourceParams] = None):
+        m, n = len(draws.rngs), n_pairs
         self.n_pairs = n
         self.source = source
         self.bounds = np.arange(0, (m + 1) * n, n)  # each member's first block row, then the end
-        self.rngs = list(rngs)
+        self.draws = draws
         self.table = np.empty((1, DIM), dtype=complex)
         self.index = np.zeros(m * n, dtype=np.intp)
         self.fates = np.zeros((m, n), dtype=np.int8)
@@ -248,9 +241,9 @@ class SessionGroup:
             raise BlockDepleted("no second-check samples survived the return transit")
 
 
-def prepare_group(cfg: ProtocolConfig, source: SourceParams, rngs: list) -> SessionGroup:
-    """One session per generator; Bob's source fills every row of the shared block."""
-    group = SessionGroup(cfg.n_pairs, rngs, source)
+def prepare_group(cfg: ProtocolConfig, source: SourceParams, draws) -> SessionGroup:
+    """One session per generator of ``draws``; Bob's source fills every row of the shared block."""
+    group = SessionGroup(cfg.n_pairs, draws, source)
     group.table[0] = source.amplitudes
     return group
 
@@ -259,8 +252,7 @@ def _candidates(group: SessionGroup, acting: Optional[np.ndarray] = None) -> tup
     """Block rows of the pairs in play, ascending, and where each member's run starts.
 
     Only the rows of the ``acting`` members, when given.  Member j's rows are
-    ``rows[starts[j]:starts[j + 1]]``; an index it draws into its own rows
-    plus ``starts[j]`` indexes ``rows``.
+    ``rows[starts[j]:starts[j + 1]]``.
     """
     active = group.fates == _ACTIVE
     rows = (active if acting is None else active & acting[:, None]).ravel().nonzero()[0]
@@ -321,29 +313,15 @@ def _transit(
     direction: str,
 ) -> None:
     pass_index, before, _, arrival, lost_fate = _TRANSITS[direction]
-    members = group.in_phase(before).nonzero()[0]
+    acting = group.in_phase(before)
+    members = acting.nonzero()[0]
     # a quiet channel without an adversary delivers every photon unchanged
     quiet = eve.kind is EveKind.NONE and not (
         params.loss_prob or params.pauli_p_pol or params.pauli_p_spa
     )
-    n = group.n_pairs
-    sent: list = []  # block rows of the photons sent, per chunk
-    draws: list = []  # their chn.TransitDraws, per chunk
-    for j in [] if quiet else members.tolist():
-        rng = group.rngs[j]
-        active = (group.fates[j] == _ACTIVE).nonzero()[0] + j * n
-        for start in range(0, len(active), CHUNK_ROWS):
-            sent.append(active[start : start + CHUNK_ROWS])
-            draws.append(chn.draw_transit(len(sent[-1]), params, eve, defense, rng))
-    if draws:
-        delivered, eve_draws, screens, noise = zip(*draws)
-        drawn = chn.TransitDraws(
-            np.concatenate(delivered),
-            None if eve_draws[0] is None else tuple(map(np.concatenate, zip(*eve_draws))),
-            np.concatenate(screens),
-            np.concatenate(noise),
-        )
-        sent = np.concatenate(sent)
+    if len(members) and not quiet:
+        sent, starts = _candidates(group, acting)  # block rows of the photons sent
+        drawn = group.draws.transit(members.tolist(), starts, params, eve, defense)
         group.fates.reshape(-1)[sent[~drawn.delivered]] = FATES.index(lost_fate)
         rows = sent[drawn.delivered]
         # a caught probe is stripped; the legitimate photon continues
@@ -391,19 +369,11 @@ def first_check_group(group: SessionGroup, cfg: ProtocolConfig) -> None:
     group._deplete(members[~ready], DEPLETED_FORWARD)
     sizes = sizes[ready]
     ks = np.minimum(_sample_count(cfg.sample_fraction_first, sizes), sizes - 2)
-    picks, xs, us = [], [], []
-    for j, size, k in zip(members[ready].tolist(), sizes.tolist(), ks.tolist()):
-        rng = group.rngs[j]
-        picks.append(rng.choice(size, size=k, replace=False) + starts[j])
-        # the (k, 2) X-basis draws, (pol, spa) per sample, then one Born uniform per sample
-        draws = rng.random(3 * k)
-        xs.append(draws[: 2 * k])
-        us.append(draws[2 * k :])
-    if not picks:
+    if not len(ks):
         return
-    rows = np.sort(candidates[np.concatenate(picks)])
-    x = np.concatenate(xs).reshape(-1, 2) < 0.5
-    u = np.concatenate(us)
+    picks, bases, u = group.draws.first_check(members[ready].tolist(), starts, ks.tolist())
+    rows = np.sort(candidates[picks])
+    x = bases < 0.5
     # one 16-outcome draw per sample reads (alice_pol, bob_pol, alice_spa, bob_spa)
     outcomes, _ = measure_table(group.table, group.index[rows], ALL_AXES, u, x[:, [0, 0, 1, 1]],
                                 collapse=False)
@@ -453,9 +423,11 @@ def encode_group(group: SessionGroup, messages: list, cfg: ProtocolConfig) -> No
         raise ValueError(f"{len(messages)} messages for {len(members)} sessions ready to encode")
     if not members:
         return
-    bits = np.concatenate(messages)
-    if (bits >> 1).any():
-        raise ValueError("message must be a string of 0s and 1s")
+    arrays = list(map(np.asarray, messages))
+    integral = all(a.ndim == 1 and a.dtype.kind in "biu" for a in arrays)
+    bits = np.concatenate(arrays) if integral else None
+    if bits is None or (bits >> 1).any():
+        raise ValueError("each message must be a 1-D integer or bool array of 0s and 1s")
     lengths, capacities = np.array(list(map(len, messages))), 4 * (sizes - n_second)
     wrong = (lengths != capacities).nonzero()[0]
     if len(wrong):
@@ -463,12 +435,8 @@ def encode_group(group: SessionGroup, messages: list, cfg: ProtocolConfig) -> No
             f"message length must be exactly {capacities[wrong[0]]} bits for this block, "
             f"got {lengths[wrong[0]]}"
         )
-    picks, sample_ops = [], []
-    for j, size, k in zip(members, sizes.tolist(), n_second.tolist()):
-        rng = group.rngs[j]
-        picks.append(rng.choice(size, size=k, replace=False) + starts[j])
-        sample_ops.append(rng.integers(16, size=k))
-    second = np.sort(candidates[np.concatenate(picks)])
+    picks, sample_ops = group.draws.hidden_sample(members, starts, n_second.tolist())
+    second = np.sort(candidates[picks])
     is_second = group.second.reshape(-1)
     is_second[second] = True
     message_rows = candidates[~is_second[candidates]]
@@ -477,7 +445,7 @@ def encode_group(group: SessionGroup, messages: list, cfg: ProtocolConfig) -> No
     chunks = bits.reshape(-1, 4) @ _CHUNK_WEIGHTS
     ops = group.ops.reshape(-1)
     ops[message_rows] = chunks
-    ops[second] = np.concatenate(sample_ops)
+    ops[second] = sample_ops
     group.sent.reshape(-1)[message_rows] = chunks
     group._update(candidates, *map_table(
         group.table, group.index[candidates], ops[candidates], DIM, encode
@@ -500,8 +468,7 @@ def decode_group(group: SessionGroup, cfg: ProtocolConfig) -> None:
         return
     group.phases[members] = _PHASE[Phase.SECOND_CHECK]
     rows, starts = _candidates(group, acting)
-    u = np.concatenate([group.rngs[j].random(starts[j + 1] - starts[j]) for j in members])
-    labels = bell_labels_table(group.table, group.index[rows], u)
+    labels = bell_labels_table(group.table, group.index[rows], group.draws.bell(members, starts))
     group.bell.reshape(-1)[rows] = labels
     in_sample = group.second.reshape(-1)[rows]
     sample_rows = rows[in_sample]

@@ -26,7 +26,6 @@ from hyperqsdc.adversary import (
     SignalMeta,
     apply_defenses,
     craft_trojan,
-    draw_intercept,
     draw_probes,
     guess_encoding_ops,
     resend,
@@ -75,8 +74,16 @@ def check_block(states, rng):
 
 
 def intercept(states, strategy, rng):
-    """One intercept-resend pass over every row: the resent block and Eve's record codes."""
-    table, index, codes = resend(states, strategy, *draw_intercept(len(states), strategy, rng))
+    """One intercept-resend pass over every row: the resent block and Eve's record codes.
+
+    Eve's draws are those of one transit chunk: a basis uniform per row and
+    measured DOF under the uniform policy, then one outcome uniform per row.
+    """
+    n, shape = len(states), (len(states), len(strategy.dof_mask))
+    x = np.full(shape, strategy.basis_policy is BasisPolicy.FIXED_X)
+    if strategy.basis_policy is BasisPolicy.UNIFORM_ZX:
+        x = rng.random(shape) < 0.5
+    table, index, codes = resend(states, strategy, x, rng.random(n))
     return table[index], codes
 
 
@@ -204,7 +211,7 @@ class TestTrojans:
 
     def test_invisible_draws_magnitude_then_sign_per_signal(self):
         tol = 0.02
-        offsets = draw_probes(EveKind.TROJAN_INVISIBLE, 100, np.random.default_rng(41), tol)
+        offsets = draw_probes(EveKind.TROJAN_INVISIBLE, 100, np.random.default_rng(41).random, tol)
         u = np.random.default_rng(41).random(200)
         magnitude, sign = u[0::2], u[1::2]
         expected = np.where(sign < 0.5, 1.0, -1.0) * (tol * (2.0 - magnitude))
@@ -233,7 +240,7 @@ class TestBatchEqualsScalarCalls:
     def test_draw_probes(self, kind, tol):
         for n in range(51):
             batch, scalar = np.random.default_rng([38, n]), np.random.default_rng([38, n])
-            offsets = draw_probes(kind, n, batch, tol)
+            offsets = draw_probes(kind, n, batch.random, tol)
             metas = [craft_trojan(kind, scalar, tol) for _ in range(n)]
             assert offsets.shape == (n,)
             assert offsets.tobytes() == np.array([m.wavelength_offset for m in metas]).tobytes()
@@ -242,7 +249,7 @@ class TestBatchEqualsScalarCalls:
     @pytest.mark.parametrize("kind", [EveKind.NONE, EveKind.INTERCEPT_RESEND])
     def test_draw_probes_rejects_non_trojan_kind(self, kind):
         with pytest.raises(ValueError):
-            draw_probes(kind, 3, np.random.default_rng(0), DEFAULT_FILTER_TOLERANCE)
+            draw_probes(kind, 3, np.random.default_rng(0).random, DEFAULT_FILTER_TOLERANCE)
 
     @pytest.mark.parametrize("filter_enabled", [False, True])
     @pytest.mark.parametrize("pns_kind", [None, PnsKind.IDEAL, PnsKind.BEAMSPLITTER_5050])
@@ -256,7 +263,7 @@ class TestBatchEqualsScalarCalls:
             offsets = signals.choice([0.0, tol, -tol, 0.01, -0.05, 0.06], size=n)
             photons = signals.integers(1, 4, size=n)
             batch, scalar = np.random.default_rng([40, n]), np.random.default_rng([40, n])
-            codes = screen(offsets, photons, cfg, batch)
+            codes = screen(offsets, photons, cfg, batch.random)
             verdicts = [apply_defenses(SignalMeta(int(count), float(offset)), cfg, scalar)
                         for offset, count in zip(offsets, photons)]
             assert codes.shape == (n,)

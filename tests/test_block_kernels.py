@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 
 import oracles
 from hyperqsdc import hyperstate as hs
-from hyperqsdc.adversary import EveKind, EveStrategy, draw_intercept, resend
-from hyperqsdc.harness import parse_run_config, run
+from hyperqsdc.adversary import DefenseConfig, EveKind, EveStrategy, resend
+from hyperqsdc.channel import ChannelParams
+from hyperqsdc.harness import DrawSource, parse_run_config, run
 from hyperqsdc.hyperstate import (
     ALL_AXES,
     AXIS,
@@ -149,7 +150,8 @@ class TestBlockEqualsRows:
         # the uniform basis policy draws one basis uniform per row and DOF, then
         # one outcome uniform per row; a uniform below 1/2 picks X
         draws = [(0.75 - 0.5 * x[:, : len(dofs)]).ravel(), u]
-        drawn = draw_intercept(n, strategy, FixedUniforms(np.concatenate(draws)))
+        source = DrawSource([FixedUniforms(np.concatenate(draws))])
+        drawn = source.transit([0], [0, n], ChannelParams(), strategy, DefenseConfig()).eve
         table, index, codes = resend(states, strategy, *drawn)
         for k in range(n):
             table_k, index_k, codes_k = resend(states[k : k + 1], strategy,

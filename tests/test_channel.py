@@ -23,7 +23,8 @@ from hyperqsdc.adversary import (
     EveStrategy,
     resend,
 )
-from hyperqsdc.channel import ChannelParams, apply_transit, draw_transit
+from hyperqsdc.channel import ChannelParams, apply_transit
+from hyperqsdc.harness import DrawSource
 from hyperqsdc.hyperstate import (
     AXIS,
     BELL_BASIS,
@@ -47,6 +48,11 @@ def test_frozen_pauli_rates_match_oracle():
 
 def ideal_pairs(n):
     return np.tile(BELL_BASIS[IDEAL.flat()], (n, 1))
+
+
+def draw_transit(n, params, eve, defense, rng):
+    """The draws of one transit of n photons of one session, whose generator is ``rng``."""
+    return DrawSource([rng]).transit([0], [0, n], params, eve, defense)
 
 
 def transit(n, params, eve, rng, defense=NO_DEFENSE):

@@ -29,6 +29,7 @@ from hyperqsdc.harness import (
     PHASES,
     SWEEP_AXES,
     SWEEP_COLUMNS,
+    DrawSource,
     RunStats,
     _run_group,
     attack_sweep,
@@ -329,7 +330,7 @@ def abort_reason_alone(rc, seed: int, k: int):
     """Why session k of a run ends, driven phase by phase as a group of one; None if accepted."""
     rng = np.random.default_rng([seed, k])
     cfg = rc.protocol
-    group = prepare_group(cfg, rc.source, [rng])
+    group = prepare_group(cfg, rc.source, DrawSource([rng]))
     eve = rc.eve if rc.eve_passes in ("both", "forward") else None
     transmit_forward_group(group, rc.channel, eve=eve, defense=rc.defense)
     first_check_group(group, cfg)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from hyperqsdc import adversary, channel, harness, hyperstate, protocol
 from hyperqsdc.adversary import BasisPolicy, EveKind
 from hyperqsdc.harness import (
+    CHUNK_ROWS,
     GROUP_ROWS,
     RunStats,
     _pool,
@@ -30,7 +31,6 @@ from hyperqsdc.harness import (
 )
 from hyperqsdc.hyperstate import Dof
 from hyperqsdc.protocol import (
-    CHUNK_ROWS,
     DEPLETED_FORWARD,
     DEPLETED_RETURN,
     BlockDepleted,
@@ -419,7 +419,7 @@ def pooled_alone(rc, seed: int):
     stats = RunStats(adversary_present=rc.eve.kind is not EveKind.NONE)
     out = io.StringIO()
     for k in range(rc.sessions):
-        _pool(stats, out, rc, seed, [k], _run_group(rc, seed, [k]))
+        _pool(stats, out, rc, [k], _run_group(rc, seed, [k]))
     return stats, out.getvalue()
 
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import oracles
 from hyperqsdc.adversary import DefenseConfig, EveKind, EveStrategy
 from hyperqsdc.channel import ChannelParams
+from hyperqsdc.harness import DrawSource
 from hyperqsdc.harness import GROUP_ROWS, RunConfig, _run_group, run_one_session
 from hyperqsdc.hyperstate import EncodingOp, SourceParams
 from hyperqsdc.protocol import (
@@ -109,7 +110,7 @@ def run_session(
     message=None,
 ):
     """Drive one full session as a group of one; returns (group, sent, decoded, report2)."""
-    group = prepare_group(cfg, source, [rng])
+    group = prepare_group(cfg, source, DrawSource([rng]))
     transmit_forward_group(group, params, eve=eve_forward, defense=defense)
     first_check_group(group, cfg)
     group.raise_if_depleted(0)
@@ -129,7 +130,7 @@ class TestConfig:
         # chunk 0111: high bits 01 -> i = 2, low bits 11 -> j = 4
         cfg = ProtocolConfig(n_pairs=40)
         rng = np.random.default_rng(1002)
-        group = prepare_group(cfg, IDEAL_SOURCE, [rng])
+        group = prepare_group(cfg, IDEAL_SOURCE, DrawSource([rng]))
         transmit_forward_group(group, CLEAN)
         first_check_group(group, cfg)
         encode(group, "0111" * (capacity(group, cfg) // 4), cfg)
@@ -155,7 +156,7 @@ class TestConfig:
 
 def judged(n_checked: int, n_pol: int, n_spa: int, threshold: float) -> CheckReport:
     """The first-check report of one session whose samples carry these errors."""
-    group = SessionGroup(n_checked, [None])
+    group = SessionGroup(n_checked, DrawSource([None]))
     errors = np.zeros(n_checked, dtype=np.intp)
     errors[:n_pol] += 1  # pol errors on the first samples
     errors[n_checked - n_spa :] += 2  # spa errors on the last ones
@@ -199,7 +200,7 @@ class TestIdealRoundTrip:
     def test_capacity_accounting(self):
         cfg = ProtocolConfig(n_pairs=112, sample_fraction_first=0.05, sample_fraction_second=0.05)
         rng = np.random.default_rng(7)
-        group = prepare_group(cfg, IDEAL_SOURCE, [rng])
+        group = prepare_group(cfg, IDEAL_SOURCE, DrawSource([rng]))
         transmit_forward_group(group, CLEAN)
         first_check_group(group, cfg)
         assert len(first_samples(group)) == 6
@@ -284,7 +285,7 @@ class TestPhaseMachine:
     def test_full_walk_hits_every_phase_in_order(self):
         cfg = ProtocolConfig(n_pairs=16)
         rng = np.random.default_rng(11)
-        group = prepare_group(cfg, IDEAL_SOURCE, [rng])
+        group = prepare_group(cfg, IDEAL_SOURCE, DrawSource([rng]))
         seen = [phase(group)]
         rendered = [len(render_transcripts(group)[0])]
         for name in ("forward", "check1", "encode", "back", "decode"):
@@ -307,7 +308,7 @@ class TestPhaseMachine:
     def test_out_of_phase_calls_change_nothing(self, calls):
         cfg = ProtocolConfig(n_pairs=12)
         rng = np.random.default_rng(12)
-        group = prepare_group(cfg, IDEAL_SOURCE, [rng])
+        group = prepare_group(cfg, IDEAL_SOURCE, DrawSource([rng]))
         order = list(LEGAL_NEXT)
         for name in calls:
             before = phase(group)
@@ -324,7 +325,7 @@ class TestPhaseMachine:
         cfg = ProtocolConfig(n_pairs=30, sample_fraction_first=0.4, error_threshold=0.0)
         rng = np.random.default_rng(13)
         eve = EveStrategy(kind=EveKind.INTERCEPT_RESEND)
-        group = prepare_group(cfg, IDEAL_SOURCE, [rng])
+        group = prepare_group(cfg, IDEAL_SOURCE, DrawSource([rng]))
         transmit_forward_group(group, CLEAN, eve=eve)
         first_check_group(group, cfg)
         assert report(group, 0).verdict is Verdict.FAIL
@@ -338,7 +339,7 @@ class TestMessageValidation:
     def make_encoding_session(self):
         cfg = ProtocolConfig(n_pairs=20)
         rng = np.random.default_rng(14)
-        group = prepare_group(cfg, IDEAL_SOURCE, [rng])
+        group = prepare_group(cfg, IDEAL_SOURCE, DrawSource([rng]))
         transmit_forward_group(group, CLEAN)
         first_check_group(group, cfg)
         return cfg, group
@@ -349,10 +350,15 @@ class TestMessageValidation:
         with pytest.raises(MessageSizeError, match=str(expected)):
             encode(group, "0" * (expected + 4), cfg)
 
-    def test_non_bits_rejected(self):
+    @pytest.mark.parametrize("message", [
+        lambda bits: bits_of("01x0" * (bits // 4)),
+        lambda bits: np.tile([0.0, 1.0], bits // 2),
+        lambda bits: "01" * (bits // 2),
+    ], ids=["non_bit_value", "float_array", "str"])
+    def test_non_bits_rejected(self, message):
         cfg, group = self.make_encoding_session()
         with pytest.raises(ValueError, match="0s and 1s"):
-            encode(group, "01x0" * (capacity(group, cfg) // 4), cfg)
+            encode_group(group, [message(capacity(group, cfg))], cfg)
 
 
 class TestSecondCheck:
@@ -453,7 +459,7 @@ class TestDepletion:
     def test_too_few_delivered_pairs(self):
         cfg = ProtocolConfig(n_pairs=4)
         rng = np.random.default_rng(20)
-        group = prepare_group(cfg, IDEAL_SOURCE, [rng])
+        group = prepare_group(cfg, IDEAL_SOURCE, DrawSource([rng]))
         # a brutal channel loses nearly everything
         brutal = ChannelParams(loss_prob=0.99)
         transmit_forward_group(group, brutal)
