@@ -60,10 +60,10 @@ class DefenseVerdict(Enum):
     PNS_ALARM = "pns_alarm"
 
 
-# A screening verdict is stored as its index in this tuple; 0 (None) marks
-# a signal that carried no probe.
+# A screening verdict is stored as its index in this tuple, its screen code;
+# 0 (None) marks a signal that carried no probe.
 SCREENS = (None, *DefenseVerdict)
-_CLEAN, _FILTERED, _ALARMED = (SCREENS.index(verdict) for verdict in DefenseVerdict)
+SCREEN_CLEAN, SCREEN_FILTERED, SCREEN_ALARMED = map(SCREENS.index, DefenseVerdict)
 PROBED_PHOTONS = 2  # a probed signal: the legitimate photon and Eve's probe
 
 
@@ -180,14 +180,14 @@ def screen(offsets: np.ndarray, photons: np.ndarray, config: DefenseConfig, unif
     order, from one ``uniform(count)`` call, and flags it unless its n
     photons all exit one port, which happens with probability 2**(1-n).
     """
-    codes = np.full(len(offsets), _CLEAN, dtype=np.int8)
+    codes = np.full(len(offsets), SCREEN_CLEAN, dtype=np.int8)
     if config.filter_enabled:
-        codes[np.abs(offsets) > config.filter_tolerance] = _FILTERED
+        codes[np.abs(offsets) > config.filter_tolerance] = SCREEN_FILTERED
     if config.pns_enabled:
-        multi = ((codes == _CLEAN) & (photons >= 2)).nonzero()[0]
+        multi = ((codes == SCREEN_CLEAN) & (photons >= 2)).nonzero()[0]
         if config.pns_kind is PnsKind.BEAMSPLITTER_5050:
             multi = multi[uniform(len(multi)) < 1.0 - 2.0 ** (1 - photons[multi])]
-        codes[multi] = _ALARMED
+        codes[multi] = SCREEN_ALARMED
     return codes
 
 

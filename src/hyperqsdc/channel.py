@@ -4,9 +4,10 @@ Only photon A ever travels, so loss and noise act on its side of the pair
 alone.  A transit draws arrays over its photons in this fixed order
 (``harness.DrawSource.transit``): loss, the adversary's choices, per-DOF Pauli
 noise (probability p split evenly over X, Y and Z), then the receiver's
-screening of Trojan probes.  The state work follows: Eve's resend, then the
-Paulis.  A lost photon ends the pair's life; the parties discard the
-position by classical announcement.
+screening of Trojan probes.  ``protocol._transit`` does the state work that
+follows: Eve's resend, then the Paulis (``hyperstate.pauli``).  A lost
+photon ends the pair's life; the parties discard the position by classical
+announcement.
 """
 
 from __future__ import annotations
@@ -15,9 +16,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-
-from . import adversary as adv
-from .hyperstate import AXIS, PAULIS, Dof, Photon, apply_local, map_table
 
 
 @dataclass(frozen=True)
@@ -51,36 +49,3 @@ class TransitDraws(NamedTuple):
     eve: tuple | None
     screens: np.ndarray
     noise: np.ndarray
-
-
-def apply_transit(
-    table: np.ndarray, index: np.ndarray, eve: adv.EveStrategy, drawn: TransitDraws
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Carry the delivered pairs through Eve's resend, then the noise, as ``drawn``.
-
-    The pairs are the rows ``table[index]`` of a state table (see
-    ``hyperstate.measure_table``), one per delivered photon of ``drawn``;
-    neither array is changed.  Only the pairs a Pauli error hits are
-    multiplied.  Returns (a state table that holds the pairs' states after
-    the transit, each pair's index into it, Eve's record codes or None).
-    """
-    codes = None
-    if drawn.eve is not None:
-        table, index, codes = adv.resend(table, eve, *drawn.eve, index)
-    hit = np.flatnonzero(drawn.noise)
-    if len(hit):
-        rows, inverse = map_table(table, index[hit], drawn.noise[hit], 16, _noisy)
-        index = index.copy()
-        index[hit] = len(table) + inverse
-        table = np.concatenate([table, rows])
-    return table, index, codes
-
-
-def _noisy(states: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    # ``states``, in place, after the Paulis of ``codes`` (4 * pol + spa),
-    # the pol one first; a row is multiplied only on a DOF its Pauli hits
-    for dof, which in ((Dof.POL, codes >> 2), (Dof.SPA, codes & 3)):
-        hit = which.nonzero()[0]
-        if len(hit):
-            states[hit] = apply_local(states[hit], AXIS[(Photon.A, dof)], PAULIS[which[hit]])
-    return states

@@ -41,10 +41,11 @@ except ImportError:  # not on every platform
 
 from . import adversary as adv
 from .adversary import (
+    SCREEN_ALARMED,
+    SCREEN_FILTERED,
     SCREENS,
     BasisPolicy,
     DefenseConfig,
-    DefenseVerdict,
     EveKind,
     EveStrategy,
     PnsKind,
@@ -656,8 +657,8 @@ def _pool(stats: RunStats, transcripts: Optional[TextIO], rc: RunConfig, indices
     stats.lost_return += fates[FATES.index(PairFate.LOST_RETURN)]
     screens = np.bincount(group.screens[:, kept].ravel(), minlength=len(SCREENS)).tolist()
     stats.trojan_signals += sum(screens[1:])
-    stats.trojan_filtered += screens[SCREENS.index(DefenseVerdict.FILTERED_OUT)]
-    stats.pns_alarms += screens[SCREENS.index(DefenseVerdict.PNS_ALARM)]
+    stats.trojan_filtered += screens[SCREEN_FILTERED]
+    stats.pns_alarms += screens[SCREEN_ALARMED]
     if n_accepted:
         received = group.received[accepted]
         back = received >= 0

@@ -19,9 +19,10 @@ operator on one axis of every row), ``outcome_probs`` (exact outcome
 probabilities) and ``measure``, which takes three steps: the normalized
 CDF over the joint outcomes of some axes, ``draw`` (one inverse-CDF draw
 per row), and the collapse onto the outcomes drawn.  Every local operator
-is an ``apply_local`` call: dense coding applies the single-DOF ops of its
-code to photon A's polarization axis, then to its spatial axis, and the
-Z-to-X basis change in front of a draw applies the Hadamard to the rows
+is an ``apply_local`` call: dense coding (``encode``) and channel noise
+(``pauli``) share one kernel, which applies the single-DOF ops of a code
+4 * pol + spa to photon A's polarization axis, then to its spatial axis, and
+the Z-to-X basis change in front of a draw applies the Hadamard to the rows
 measured in X on each axis, leaving a row measured in Z untouched.  The
 hyper-Bell readout is a fixed sparse map, applied as column gathers of the
 (N, 16) block: each hyper-Bell amplitude is a four-term sum.
@@ -373,20 +374,26 @@ def measure(states: np.ndarray, axes: tuple, u: np.ndarray, x=None, collapse: bo
 
 
 @np.errstate(invalid="ignore")
-def encode(states: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Apply the dense-coding unitary with op code ``codes[k]`` to photon A of row k.
-
-    The unitary is the single-DOF op ``codes[k] >> 2`` on polarization
-    times the op ``codes[k] & 3`` on the spatial mode (see ``EncodingOp``),
-    applied by ``apply_local`` one axis after the other.  A non-finite row
-    passes without a warning, to fail where it is measured.
-    """
+def _per_dof(states: np.ndarray, codes: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    # ``ops[codes[k] >> 2]`` on photon A's polarization axis of row k, then
+    # ``ops[codes[k] & 3]`` on its spatial axis; a non-finite row passes
+    # without a warning, to fail where it is measured
     if len(codes) != len(states):
         raise ValueError(f"need one op code per row: {len(states)} rows, {len(codes)} codes")
     # a negative code would wrap around to the end of the table
     if len(codes) and (codes.min() < 0 or codes.max() >= DIM):
         raise IndexError(f"op codes must lie in [0, {DIM})")
-    return apply_local(apply_local(states, 0, _DOF_OPS[codes >> 2]), 2, _DOF_OPS[codes & 3])
+    return apply_local(apply_local(states, 0, ops[codes >> 2]), 2, ops[codes & 3])
+
+
+def encode(states: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Apply the dense-coding unitary of op code ``codes[k]`` (``EncodingOp``) to A of row k."""
+    return _per_dof(states, codes, _DOF_OPS)
+
+
+def pauli(states: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Apply the channel noise of code ``codes[k]`` = 4 * pol + spa (``PAULIS``) to A of row k."""
+    return _per_dof(states, codes, PAULIS)
 
 
 @np.errstate(invalid="ignore")

@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from . import channel as chn
-from .adversary import _ALARMED, _FILTERED, DefenseConfig, EveKind, EveStrategy
+from .adversary import SCREEN_ALARMED, SCREEN_FILTERED, DefenseConfig, EveKind, EveStrategy, resend
 from .hyperstate import (
     ALL_AXES,
     DIM,
@@ -50,6 +50,7 @@ from .hyperstate import (
     encode,
     map_table,
     measure_table,
+    pauli,
 )
 
 
@@ -177,10 +178,11 @@ class SessionGroup:
     (table row, discrete choice) to a combo, runs the kernel in one call on
     the distinct combos read from ``table``, and does only the per-pair work
     per pair: the draw against the pair's uniform, the bookkeeping and the
-    pair's new table row.  A state change builds the next table from the new
-    states and the rows some pair still refers to.  As the kernels are
-    row-wise, a session's draws, outcomes and transcript never depend on
-    which sessions share its group, and a session run alone is a group of one.
+    pair's new table row.  Every state change, a transit's too, is one
+    ``_update``: it builds the next table from the new states and the rows
+    some pair still refers to.  As the kernels are row-wise, a session's
+    draws, outcomes and transcript never depend on which sessions share its
+    group, and a session run alone is a group of one.
     ``harness`` reads every result straight from these arrays, and
     ``transcript_lines`` writes every transcript from them.
     """
@@ -312,6 +314,12 @@ def _transit(
     defense: DefenseConfig,
     direction: str,
 ) -> None:
+    """Carry the photons of the members in the phase before ``direction`` through the channel.
+
+    In the channel's order: loss, Eve's resend of the delivered photons,
+    then the Pauli noise on the photons it hits, each state change one
+    ``SessionGroup._update``; the screening verdicts are recorded as drawn.
+    """
     pass_index, before, _, arrival, lost_fate = _TRANSITS[direction]
     acting = group.in_phase(before)
     members = acting.nonzero()[0]
@@ -326,10 +334,16 @@ def _transit(
         rows = sent[drawn.delivered]
         # a caught probe is stripped; the legitimate photon continues
         group.screens[pass_index].reshape(-1)[rows] = drawn.screens
-        states, index, codes = chn.apply_transit(group.table, group.index[rows], eve, drawn)
-        group._update(rows, states, index)
-        if codes is not None:
+        if drawn.eve is not None:
+            states, index, codes = resend(group.table, eve, *drawn.eve, group.index[rows])
+            group._update(rows, states, index)
             (group.eve_forward, group.eve_return)[pass_index].reshape(-1, 2, 2)[rows] = codes
+        hit = drawn.noise.nonzero()[0]
+        if len(hit):
+            rows = rows[hit]
+            group._update(rows, *map_table(
+                group.table, group.index[rows], drawn.noise[hit], DIM, pauli
+            ))
     group.phases[members] = _PHASE[arrival]
 
 
@@ -552,7 +566,7 @@ def _transit_texts(group: SessionGroup, members, direction: str) -> list[str]:
     )
     gone = group.fates == FATES.index(lost_fate)
     [lost], [trojan], [filtered], [alarmed] = (_runs(mask, members) for mask in (
-        gone, screens > 0, screens == _FILTERED, screens == _ALARMED))
+        gone, screens > 0, screens == SCREEN_FILTERED, screens == SCREEN_ALARMED))
     head = (f'"transit", "phase": "{in_flight.value}", "to_phase": "{arrival.value}", '
             f'"direction": "{direction}", "lost_positions": ')
     return [f'{head}{lost[i]}, "intercepted_positions": {intercepted[i]}, '

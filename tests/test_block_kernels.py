@@ -217,7 +217,7 @@ class TestHadamardBasisChange:
     @given(blocks(), st.sampled_from(AXES_SETS), st.sampled_from(MASK_KINDS), st.booleans())
     @settings(max_examples=80, deadline=None)
     def test_measure_leaves_its_input_unmodified(self, block, axes, kind, collapse):
-        # encode and bell_labels too: no kernel writes the block it reads
+        # encode, pauli and bell_labels too: no kernel writes the block it reads
         states, x, u = block
         x = x_mask(kind, x, axes)
         codes = (x[:, 0] * 8 + u.argsort() % 8).astype(np.intp)
@@ -225,6 +225,7 @@ class TestHadamardBasisChange:
         measure(states, axes, u, x, collapse=collapse)
         outcome_probs(states, axes, x)
         hs.encode(states, codes)
+        hs.pauli(states, codes)
         bell_labels(states, u)
         assert states.tobytes() == before
 
@@ -383,8 +384,9 @@ class TestCallSize:
     @pytest.mark.parametrize("kernel", [
         lambda states, x, u, codes: measure(states, ALL_AXES, u, x),
         lambda states, x, u, codes: (hs.encode(states, codes),),
+        lambda states, x, u, codes: (hs.pauli(states, codes),),
         lambda states, x, u, codes: (bell_labels(states, u),),
-    ], ids=["measure", "encode", "bell_labels"])
+    ], ids=["measure", "encode", "pauli", "bell_labels"])
     def test_one_call_equals_calls_on_parts(self, kernel):
         block = _large_block(8, self.CUTS[-1])
         whole = kernel(*block)
@@ -578,8 +580,9 @@ class TestDegenerateRows:
         lambda states: measure(states, (0,), np.array([0.5])),
         lambda states: bell_labels(states, np.array([0.5])),
         lambda states: bell_labels(hs.encode(states, np.array([15])), np.array([0.5])),
+        lambda states: bell_labels(hs.pauli(states, np.array([15])), np.array([0.5])),
     ], ids=["outcome_probs", "correlation_error_probs", "measure", "bell_labels",
-            "encode_then_bell_labels"])
+            "encode_then_bell_labels", "pauli_then_bell_labels"])
     def test_non_finite_row_is_rejected(self, kernel, head):
         # with the ValueError, not after a numpy RuntimeWarning on the way
         states = np.zeros((1, 16), dtype=complex)
@@ -621,17 +624,18 @@ class TestUniforms:
             kernel(np.full(n_uniforms, 0.5))
 
 
+@pytest.mark.parametrize("kernel", [hs.encode, hs.pauli], ids=["encode", "pauli"])
 class TestOpCodes:
     @pytest.mark.parametrize("code", [-1, 16])
-    def test_op_codes_out_of_range_are_rejected(self, code):
+    def test_op_codes_out_of_range_are_rejected(self, kernel, code):
         with pytest.raises(IndexError, match="op codes"):
-            hs.encode(np.tile(BELL_BASIS[0], (2, 1)), np.array([0, code]))
+            kernel(np.tile(BELL_BASIS[0], (2, 1)), np.array([0, code]))
 
     @pytest.mark.parametrize("n_codes", [0, 1, 2, 4])
-    def test_needs_one_op_code_per_row(self, n_codes):
+    def test_needs_one_op_code_per_row(self, kernel, n_codes):
         # one code is not spread over the three rows
         with pytest.raises(ValueError, match="one op code per row"):
-            hs.encode(np.tile(BELL_BASIS[0], (3, 1)), np.zeros(n_codes, dtype=np.intp))
+            kernel(np.tile(BELL_BASIS[0], (3, 1)), np.zeros(n_codes, dtype=np.intp))
 
 
 def test_run_builds_no_single_pair_states(monkeypatch):

@@ -12,11 +12,10 @@ from itertools import accumulate
 
 import numpy as np
 
+from hyperqsdc.adversary import SCREEN_ALARMED, SCREEN_FILTERED
 from hyperqsdc.hyperstate import EncodingOp
 from hyperqsdc.protocol import (
-    _ALARMED,
     _BELL_SHIFTS,
-    _FILTERED,
     _PHASES,
     _READ_SHIFTS,
     _TRANSITS,
@@ -83,8 +82,8 @@ def _transit_events(group: SessionGroup, direction: str) -> list[dict]:
         taken, *_texts(b"-ZX", codes[:, :, 0].T), *_texts(b"-01", codes[:, :, 1].T)
     )
     [lost], [trojan], [filtered], [alarmed] = map(_by_member, (
-        group.fates == FATES.index(lost_fate), screens > 0, screens == _FILTERED,
-        screens == _ALARMED,
+        group.fates == FATES.index(lost_fate), screens > 0, screens == SCREEN_FILTERED,
+        screens == SCREEN_ALARMED,
     ))
     return [
         dict(event="transit", phase=in_flight.value, to_phase=arrival.value, direction=direction,
