@@ -516,7 +516,10 @@ class DrawSource:
     draws member by member, in the order and sizes of the session run
     alone, and returns the draws joined in member order.  Member j's pairs
     in play are positions ``starts[j]:starts[j + 1]`` of the group's rows in
-    play (see ``protocol._candidates``).
+    play (see ``protocol._candidates``).  A check sample of one, and its
+    hidden op, is one bounded integer draw: the one draw ``choice``'s Floyd
+    algorithm makes for it, so numbers and generator state stay the same
+    (``tests/test_draw_source.py`` pins this on the installed numpy).
     """
 
     def __init__(self, rngs: list, master_seed: Optional[int] = None, sessions=()):
@@ -531,15 +534,15 @@ class DrawSource:
             rng = self.rngs[j]
             for start in range(starts[j], starts[j + 1], CHUNK_ROWS):
                 n = min(CHUNK_ROWS, starts[j + 1] - start)
-                delivered = np.ones(n, dtype=bool)
                 if params.loss_prob > 0.0:
                     delivered = rng.random(n) >= params.loss_prob
                     n = int(np.count_nonzero(delivered))
+                else:
+                    delivered = np.ones(n, dtype=bool)
                 x = u = offsets = None
                 if slots:  # an X-basis mask per measured DOF, then one uniform per photon
-                    x = np.full((n, slots), eve.basis_policy is BasisPolicy.FIXED_X)
-                    if eve.basis_policy is BasisPolicy.UNIFORM_ZX:
-                        x = rng.random((n, slots)) < 0.5
+                    x = (rng.random((n, slots)) < 0.5 if eve.basis_policy is BasisPolicy.UNIFORM_ZX
+                         else np.full((n, slots), eve.basis_policy is BasisPolicy.FIXED_X))
                     u = rng.random(n)
                 elif eve.kind in adv.TROJAN_KINDS:
                     offsets = adv.draw_probes(eve.kind, n, rng.random, defense.filter_tolerance)
@@ -547,7 +550,8 @@ class DrawSource:
                 for weight, p in ((4, params.pauli_p_pol), (1, params.pauli_p_spa)):
                     if p > 0.0:
                         hit = np.flatnonzero(rng.random(n) < p)
-                        noise[hit] += weight * (1 + rng.integers(3, size=len(hit)))
+                        if len(hit):
+                            noise[hit] += weight * (1 + rng.integers(3, size=len(hit)))
                 screens = np.zeros(n, dtype=np.int8)
                 if offsets is not None:
                     photons = np.full(n, adv.PROBED_PHOTONS)
@@ -557,16 +561,30 @@ class DrawSource:
             None if column[0] is None else np.concatenate(column) for column in zip(*parts))
         return TransitDraws(delivered, None if x is None else (x, u), screens, noise)
 
+    @staticmethod
+    def _joined(draws: list, ks: list) -> np.ndarray:
+        """Members' draws of ``ks[i]`` integers each, a scalar when one, as one array."""
+        if all(k == 1 for k in ks):
+            return np.fromiter(draws, np.int64, len(draws))
+        return np.concatenate([[d] if k == 1 else d for d, k in zip(draws, ks)])
+
     def first_check(self, members, starts, ks) -> tuple:
         """(first-check positions, (K, 2) pol and spa basis uniforms, one Born uniform each)."""
-        positions, bases, born = [], [], []
+        picks, uniforms = [], []
         for j, k in zip(members, ks):
             rng, size = self.rngs[j], starts[j + 1] - starts[j]
-            positions.append(rng.choice(size, size=k, replace=False) + starts[j])
-            draws = rng.random(3 * k)
-            bases.append(draws[: 2 * k])
-            born.append(draws[2 * k :])
-        return np.concatenate(positions), np.concatenate(bases).reshape(-1, 2), np.concatenate(born)
+            picks.append(rng.integers(size) if k == 1 else rng.choice(size, size=k, replace=False))
+            uniforms.append(rng.random(3 * k))
+        draws = np.concatenate(uniforms)
+        # a member's 3k uniforms are 2k basis uniforms, then k Born uniforms
+        if len(set(ks)) == 1:
+            draws = draws.reshape(len(ks), -1)
+            bases, born = draws[:, : 2 * ks[0]], draws[:, 2 * ks[0] :]
+        else:
+            basis = np.arange(len(draws)) < np.repeat(3 * np.cumsum(ks) - ks, 3 * np.asarray(ks))
+            bases, born = draws[basis], draws[~basis]
+        positions = self._joined(picks, ks) + np.repeat(np.asarray(starts)[members], ks)
+        return positions, bases.reshape(-1, 2), born.ravel()
 
     def message(self, members, capacities) -> list:
         """Per member, in order, its message: a uniform integer array of ``capacities[i]`` bits."""
@@ -574,12 +592,13 @@ class DrawSource:
 
     def hidden_sample(self, members, starts, ks) -> tuple:
         """(second-check positions, an op code uniform over 16 for each)."""
-        positions, ops = [], []
+        picks, ops = [], []
         for j, k in zip(members, ks):
             rng, size = self.rngs[j], starts[j + 1] - starts[j]
-            positions.append(rng.choice(size, size=k, replace=False) + starts[j])
-            ops.append(rng.integers(16, size=k))
-        return np.concatenate(positions), np.concatenate(ops)
+            picks.append(rng.integers(size) if k == 1 else rng.choice(size, size=k, replace=False))
+            ops.append(rng.integers(16) if k == 1 else rng.integers(16, size=k))
+        positions = self._joined(picks, ks) + np.repeat(np.asarray(starts)[members], ks)
+        return positions, self._joined(ops, ks)
 
     def bell(self, members, starts) -> np.ndarray:
         """One Bell-readout uniform per pair in play."""

@@ -1,16 +1,23 @@
 """Every random draw of a run comes from one object, ``harness.DrawSource``.
 
 The rule that session k draws only from its own generators, in the order
-and sizes of the session run alone, lives in that class alone.  This
-guard parses the package and fails on a generator draw anywhere else.
+and sizes of the session run alone, lives in that class alone.  A guard
+parses the package and fails on a generator draw anywhere else.  The other
+tests pin that its scalar draws for samples of one give the numbers of the
+sized numpy calls.
 """
 
 from __future__ import annotations
 
 import ast
+import copy
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import hyperqsdc
+from hyperqsdc.harness import DrawSource
 
 SOURCES = sorted(Path(hyperqsdc.__file__).parent.glob("*.py"))
 DRAWS = {"random", "integers", "choice"}  # the Generator methods the package draws with
@@ -37,3 +44,64 @@ def test_only_the_draw_source_calls_a_generator():
     assert [call for call in calls if call[:2] not in ALLOWED] == []
     # the guard sees the draws it allows: each site of the source draws
     assert len([call for call in calls if call[:2] == ("harness", "DrawSource")]) >= 10
+
+
+# ``DrawSource`` draws a sample of one as ``rng.integers(size)`` and its op as
+# ``rng.integers(16)``: numpy's ``choice`` runs Floyd's algorithm for a small
+# sample without replacement, which for one element makes that same bounded
+# draw, and a shuffle of one element draws nothing.
+SIZES = (1, 2, 3, 15, 16, 112, 10_001, 20_000, 100_004)
+
+
+def test_a_draw_of_one_is_the_draw_choice_makes():
+    broken = []
+    for seed in range(200):
+        for size in SIZES:
+            rng = np.random.default_rng(seed)
+            if seed % 2:  # leave a buffered uint32 in the generator
+                rng.integers(3)
+            twin = copy.deepcopy(rng)
+            drawn = (rng.choice(size, size=1, replace=False).tolist(), rng.integers(16, size=1).tolist())
+            if drawn != ([twin.integers(size)], [twin.integers(16)]) or (
+                    rng.bit_generator.state != twin.bit_generator.state):
+                broken.append((seed, size))
+    assert broken == [], (
+        f"numpy {np.__version__} no longer draws choice(n, size=1, replace=False) and "
+        f"integers(16, size=1) as one scalar integers(n) and integers(16); a numpy upgrade "
+        f"broke the identity DrawSource's samples of one rest on (seed, size): {broken[:5]}")
+
+
+def reference_draws(rngs, members, starts, ks) -> tuple:
+    """``first_check`` then ``hidden_sample`` drawn member by member with sized calls."""
+    positions, bases, born, hidden, ops = [], [], [], [], []
+    for j, k in zip(members, ks):
+        rng, size = rngs[j], starts[j + 1] - starts[j]
+        positions.append(rng.choice(size, size=k, replace=False) + starts[j])
+        draws = rng.random(3 * k)
+        bases.append(draws[: 2 * k])
+        born.append(draws[2 * k :])
+    for j, k in zip(members, ks):
+        rng, size = rngs[j], starts[j + 1] - starts[j]
+        hidden.append(rng.choice(size, size=k, replace=False) + starts[j])
+        ops.append(rng.integers(16, size=k))
+    return (np.concatenate(positions), np.concatenate(bases).reshape(-1, 2), np.concatenate(born),
+            np.concatenate(hidden), np.concatenate(ops))
+
+
+@pytest.mark.parametrize("members, ks", [
+    ([0, 1, 2, 3], [1, 1, 1, 1]),
+    ([0, 1, 2, 3], [3, 3, 3, 3]),
+    ([0, 1, 2, 3], [1, 3, 1, 3]),
+    ([3, 1, 2], [3, 1, 1]),
+    ([1, 3], [1, 3]),
+])
+def test_samples_of_one_and_three_draw_as_sized_calls(members, ks):
+    starts = [0, 15, 31, 36, 76]  # members of 15, 16, 5 and 40 pairs in play
+    rngs = [np.random.default_rng([7, j]) for j in range(4)]
+    twins = copy.deepcopy(rngs)
+    source = DrawSource(rngs)
+    got = (*source.first_check(members, starts, ks), *source.hidden_sample(members, starts, ks))
+    expected = reference_draws(twins, members, starts, ks)
+    for name, a, b in zip(("positions", "bases", "born", "hidden", "ops"), got, expected):
+        assert a.dtype.kind == b.dtype.kind and np.array_equal(a, b), name
+    assert [r.bit_generator.state for r in rngs] == [t.bit_generator.state for t in twins]
