@@ -2,9 +2,11 @@
 
 A session run alone is a group of one: its generator, handed over once at
 ``prepare_group`` in a ``DrawSource``, feeds every phase.  The phases only fill the group's
-arrays; ``render_transcripts`` parses the JSONL text that
-``transcript_lines`` writes from them into the session's events.
+arrays; ``transcript_lines`` writes the session's events from them as JSONL text, which
+the demo reads back one ``json.loads`` per line.
 """
+
+import json
 
 import numpy as np
 
@@ -16,7 +18,7 @@ from hyperqsdc.protocol import (
     first_check_group,
     message_capacities,
     prepare_group,
-    render_transcripts,
+    transcript_lines,
     transmit_forward_group,
     transmit_return_group,
 )
@@ -35,7 +37,9 @@ encode_group(group, [bits], cfg)
 transmit_return_group(group, channel)
 decode_group(group, cfg)
 
-[transcript] = render_transcripts(group)
+transcript = [json.loads(line) for line in transcript_lines(group, [0], [0]).splitlines()]
+for event in transcript:
+    del event["session"]  # every event is session 0's
 events = {event["event"]: event for event in transcript}
 first, second = events["first_check"], events["second_check"]
 print(f"first check: {first['n_checked']} pairs sampled, "

@@ -132,23 +132,21 @@ def _slots(strategy: EveStrategy) -> list[int]:
 
 
 def resend(
-    table: np.ndarray, strategy: EveStrategy, x: np.ndarray, u: np.ndarray, index=None
+    table: np.ndarray, strategy: EveStrategy, x: np.ndarray, u: np.ndarray, index: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Measure every pair and resend the outcome: Eve's X-basis mask ``x`` and uniforms ``u``.
 
-    The pairs are the rows ``table[index]`` of a state table, every row of
-    ``table`` once by default (see ``hyperstate.measure_table``).  Returns
-    the collapsed states as a table of their own, each pair's index into
-    it, and Eve's (N, 2, 2) record codes: an int8 array indexed [pair, dof
-    (pol, spa), (basis, outcome)], basis 0 = Z and
-    1 = X, and -1 in both slots of a DOF she did not measure.  Both masked
-    DOFs are read by one joint draw per pair.  The projective collapse
-    already leaves photon A in exactly the state Eve forwards, so the
-    returned pair states double as the resent signals.
+    The pairs are the rows ``table[index]`` of a state table (see
+    ``hyperstate.measure_table``).  Returns the collapsed states as a table
+    of their own, each pair's index into it, and Eve's (N, 2, 2) record
+    codes: an int8 array indexed [pair, dof (pol, spa), (basis, outcome)],
+    basis 0 = Z and 1 = X, and -1 in both slots of a DOF she did not
+    measure.  Both masked DOFs are read by one joint draw per pair.  The
+    projective collapse already leaves photon A in exactly the state Eve
+    forwards, so the returned pair states double as the resent signals.
     """
     slots = _slots(strategy)
     axes = tuple(AXIS[(Photon.A, _DOFS[k])] for k in slots)
-    index = np.arange(len(table)) if index is None else index
     outcomes, (table, index) = measure_table(table, index, axes, u, x)
     codes = np.full((len(index), 2, 2), -1, dtype=np.int8)
     codes[:, slots, 0] = x

@@ -691,7 +691,7 @@ def _pool(stats: RunStats, transcripts: Optional[TextIO], rc: RunConfig, indices
         coined = counts.nonzero()[0]
         if len(coined):
             # Eve's coin flips for the bits she cannot read
-            guesses = guess_encoding_ops(group.eve_forward[encoded], group.eve_return[encoded],
+            guesses = guess_encoding_ops(*group.eve[:, encoded],
                                          group.draws.eve_coins(coined, counts[coined].tolist()))
             stats.eve_guesses += len(guesses)
             stats.eve_guesses_correct += int(np.count_nonzero(guesses == group.ops[encoded]))

@@ -15,11 +15,11 @@ hyper-Bell basis matrix and the encoding unitaries all use it.
 A block of pairs is one ``(N, 16)`` complex array, row k holding pair k; it
 can be viewed as ``(N, 2, 2, 2, 2)`` with tensor axes (pol_a, pol_b, spa_a,
 spa_b).  Row-wise kernels do the state work: ``apply_local`` (a 2x2
-operator on one axis of every row), ``outcome_probs`` (exact outcome
-probabilities) and ``measure``, which takes three steps: the normalized
-CDF over the joint outcomes of some axes, ``draw`` (one inverse-CDF draw
-per row), and the collapse onto the outcomes drawn.  Every local operator
-is an ``apply_local`` call: dense coding (``encode``) and channel noise
+operator on one axis of every row) and ``outcome_probs`` (exact outcome
+probabilities).  A measurement takes three steps: the normalized CDF over
+the joint outcomes of some axes, ``draw`` (one inverse-CDF draw per pair),
+and the collapse onto the outcomes drawn.  Every local operator is an
+``apply_local`` call: dense coding (``encode``) and channel noise
 (``pauli``) share one kernel, which applies the single-DOF ops of a code
 4 * pol + spa to photon A's polarization axis, then to its spatial axis, and
 the Z-to-X basis change in front of a draw applies the Hadamard to the rows
@@ -28,11 +28,13 @@ hyper-Bell readout is a fixed sparse map, applied as column gathers of the
 (N, 16) block: each hyper-Bell amplitude is a four-term sum.
 
 Pairs that share a state share a row: a state table is a (T, 16) array of
-distinct states plus one row index per pair.  ``measure_table``,
-``bell_labels_table`` and ``map_table`` gather the distinct (row, discrete
-choice) combos of the pairs, make one kernel call on them, then draw per
-pair.  Every kernel is row-wise, so a pair's outcome and state are bitwise
-those of its own row.
+distinct states plus one row index per pair.  The pairs' state operations
+go through three table functions: ``measure_table`` (per-axis Z/X
+measurement), ``bell_labels_table`` (the complete hyper-Bell analysis) and
+``map_table`` (with ``encode`` or ``pauli``).  Each gathers the distinct
+(row, discrete choice) combos of the pairs, makes one kernel call on them,
+then draws per pair.  Every kernel is row-wise, so a pair's outcome and
+state are bitwise those of its own row.
 
 States are rays, not vectors: two states that differ by a global phase are
 physically identical, and ``HyperState.equiv`` tests exactly that.  All
@@ -308,19 +310,18 @@ def _read(states: np.ndarray, axes: tuple, x) -> tuple:
     return work, raw, cdf
 
 
-def draw(cdf: np.ndarray, u, of=None) -> np.ndarray:
+def draw(cdf: np.ndarray, u, of: np.ndarray) -> np.ndarray:
     """The outcome of each pair drawn by inverse CDF with the uniform ``u``.
 
-    ``cdf`` holds one normalized CDF per column (the form ``measure`` draws
-    from) over a power-of-two number of outcomes; pair k reads column
-    ``of[k]``, or column k when ``of`` is None.  ``u`` holds one uniform in
+    ``cdf`` holds one normalized CDF per column (the form ``measure_table``
+    and ``bell_labels_table`` draw from) over a power-of-two number of
+    outcomes; pair k reads column ``of[k]``.  ``u`` holds one uniform in
     [0, 1) per pair.  The first outcome whose CDF exceeds u always exists
     and has a positive probability, so an outcome of probability 0 is never
     drawn.
     """
     u = np.asarray(u, dtype=float)
-    n_out, n_columns = cdf.shape
-    n = n_columns if of is None else len(of)
+    n_out, n = len(cdf), len(of)
     if u.shape != (n,):
         raise ValueError(f"need one uniform per row: {n} rows, {u.shape} uniforms")
     if not ((u >= 0.0) & (u < 1.0)).all():  # NaN fails both
@@ -333,7 +334,7 @@ def draw(cdf: np.ndarray, u, of=None) -> np.ndarray:
     # a step of s reads the entry s - 1 ahead, so no (outcomes, pairs) array
     # is built and each pair reads log2(outcomes) entries
     flat = cdf.T.ravel()
-    pos = np.multiply(np.arange(n) if of is None else of, n_out, dtype=np.intp)
+    pos = np.multiply(of, n_out, dtype=np.intp)
     step = n_out >> 1
     while step:
         pos += (flat[step - 1:].take(pos) <= u) * step
@@ -352,25 +353,6 @@ def _project(work: np.ndarray, probs: np.ndarray, axes: tuple, outcomes: np.ndar
     np.copyto(work, 0.0, where=_OUTCOME_OF_INDEX[axes] != outcomes[:, None])
     work /= norm[:, None]
     return _rotate(work, axes, x)
-
-
-@np.errstate(invalid="ignore")
-def measure(states: np.ndarray, axes: tuple, u: np.ndarray, x=None, collapse: bool = True):
-    """Measure tensor ``axes`` of every row by one inverse-CDF draw over their joint outcomes.
-
-    Outcomes and ``x`` are as in ``outcome_probs``; ``u`` holds one uniform
-    in [0, 1) per row (see ``draw``).  Sampling the joint outcome is the
-    same as measuring the axes one after another.  Returns (outcomes,
-    collapsed block), the block in the computational representation, or
-    (outcomes, None) when ``collapse`` is false.
-    """
-    work, raw, cdf = _read(states, axes, x)
-    outcomes = draw(cdf, u)
-    if not collapse:
-        return outcomes, None
-    if work is states:  # the collapse writes its rows, which must not be the input's
-        work = states.copy()
-    return outcomes, _project(work, raw[np.arange(len(work)), outcomes], axes, outcomes, x)
 
 
 @np.errstate(invalid="ignore")
@@ -398,7 +380,7 @@ def pauli(states: np.ndarray, codes: np.ndarray) -> np.ndarray:
 
 @np.errstate(invalid="ignore")
 def _bell_cdf(states: np.ndarray) -> np.ndarray:
-    # The normalized CDF that ``bell_labels`` draws from: over the 16
+    # The normalized CDF that ``bell_labels_table`` draws from: over the 16
     # outcomes of every row rewritten in the hyper-Bell basis, where outcome
     # k is label k.  Each label's amplitude is its four support terms summed
     # in order; a weight multiplies the real and imaginary parts alone,
@@ -412,11 +394,6 @@ def _bell_cdf(states: np.ndarray) -> np.ndarray:
         else:
             amps = term
     return _read(amps, ALL_AXES, None)[2]
-
-
-def bell_labels(states: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Complete hyper-Bell analysis of every row: flat labels 4*p + s, one 16-outcome draw each."""
-    return draw(_bell_cdf(states), u)
 
 
 # ---------------------------------------------------------------------------
@@ -460,13 +437,16 @@ def map_table(table: np.ndarray, index: np.ndarray, choice, n_choices: int,
 @np.errstate(invalid="ignore")
 def measure_table(table: np.ndarray, index: np.ndarray, axes: tuple, u: np.ndarray,
                   x: np.ndarray, collapse: bool = True):
-    """``measure`` of the pairs whose states are ``table[index]``.
+    """Measure tensor ``axes`` of the pairs whose states are ``table[index]``.
 
-    ``u`` and the X mask ``x`` hold one entry per pair.  The CDF is formed
-    once per distinct (row, X pattern), and the collapse once per distinct
-    (row, X pattern, outcome).  Returns (outcomes, (the collapsed states, a
-    table of their own, and each pair's index into it)), or (outcomes, None)
-    when ``collapse`` is false.
+    Each pair takes one inverse-CDF draw (``draw``) over the joint outcomes
+    of ``axes``, which is the same as measuring the axes one after another.
+    Outcomes and the X mask ``x`` are as in ``outcome_probs``; ``u`` (see
+    ``draw``) and ``x`` hold one entry per pair.  The CDF is formed once per
+    distinct (row, X pattern), and the collapse once per distinct (row, X
+    pattern, outcome).  Returns (outcomes, (the collapsed states in the
+    computational representation, a table of their own, and each pair's
+    index into it)), or (outcomes, None) when ``collapse`` is false.
     """
     # bytes, so that ``x @ weights`` casts the mask to bytes, not to 8-byte integers
     weights = (1 << np.arange(len(axes), dtype=np.uint8))[::-1]
@@ -487,7 +467,11 @@ def measure_table(table: np.ndarray, index: np.ndarray, axes: tuple, u: np.ndarr
 
 
 def bell_labels_table(table: np.ndarray, index: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``bell_labels`` of the pairs whose states are ``table[index]``, one CDF per distinct row."""
+    """Complete hyper-Bell analysis of the pairs whose states are ``table[index]``.
+
+    Flat labels 4*p + s, one 16-outcome draw per pair with its uniform in
+    ``u`` (see ``draw``), from one CDF per distinct row.
+    """
     rows, _, row = _combos(table, index, 0, 1)
     return draw(_bell_cdf(table[rows]), u, row)
 
@@ -545,7 +529,8 @@ def chbsa(state: HyperState, rng: np.random.Generator) -> BellIndex:
     On an exact hyper-Bell state the outcome is deterministic; on anything
     else it samples the squared overlaps.
     """
-    return BellIndex.from_flat(int(bell_labels(state.amps[None], rng.random(1))[0]))
+    [label] = bell_labels_table(state.amps[None], np.zeros(1, np.intp), rng.random(1))
+    return BellIndex.from_flat(int(label))
 
 
 def source_state(params: SourceParams) -> HyperState:

@@ -29,7 +29,6 @@ went through, with its keys in a fixed order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -146,14 +145,13 @@ class SessionGroup:
     ``(members, n_pairs)`` array: entry (j, k) is pair k of member j, at
     block row ``j * n_pairs + k``.  The pair states are a state table (see
     ``hyperstate``): ``table`` holds each distinct state once, and
-    ``index[r]`` is the table row of block row r's state.  ``states`` reads
-    the whole (members * n_pairs, 16) block off them.
+    ``index[r]`` is the table row of block row r's state.
 
     - ``fates``: each pair's index into ``tuple(PairFate)``; the first-check
       sample is what ``CONSUMED_CHECK`` marks.
     - ``ops``: the op code (``EncodingOp.code``) Alice applied, -1 where none.
-    - ``eve_forward``, ``eve_return``: Eve's record codes of each pass (see
-      ``adversary.resend``), -1 where she did not measure.
+    - ``eve[p]``: Eve's record codes of each photon on pass p (0 forward, 1
+      return; see ``adversary.resend``), -1 where she did not measure.
     - ``screens[p]``: each photon's Trojan screening verdict on pass p (0
       forward, 1 return) as its index into ``adversary.SCREENS``, 0 for no probe.
     - ``first_reads``: per first-check sample, its outcome code over
@@ -197,7 +195,7 @@ class SessionGroup:
         self.index = np.zeros(m * n, dtype=np.intp)
         self.fates = np.zeros((m, n), dtype=np.int8)
         self.ops = np.full((m, n), -1, dtype=np.intp)
-        self.eve_forward, self.eve_return = np.full((2, m, n, 2, 2), -1, dtype=np.int8)
+        self.eve = np.full((2, m, n, 2, 2), -1, dtype=np.int8)
         self.screens = np.zeros((2, m, n), dtype=np.int8)
         self.first_reads = np.full((m, n), -1, dtype=np.int8)
         self.second = np.zeros((m, n), dtype=bool)
@@ -205,11 +203,6 @@ class SessionGroup:
         self.phases, self.depleted = np.zeros((2, m), dtype=np.int8)  # all PREPARED, none depleted
         self.counts = np.zeros((m, 2, 4), dtype=np.intp)
         self.failed = np.zeros((m, 2), dtype=bool)
-
-    @property
-    def states(self) -> np.ndarray:
-        """Every pair's 16 amplitudes as a new (members * n_pairs, 16) block, read off the table."""
-        return self.table[self.index]
 
     def _update(self, pairs: np.ndarray, rows: np.ndarray, index: np.ndarray) -> None:
         # the block rows ``pairs`` move to ``rows[index]``; the table keeps
@@ -337,7 +330,7 @@ def _transit(
         if drawn.eve is not None:
             states, index, codes = resend(group.table, eve, *drawn.eve, group.index[rows])
             group._update(rows, states, index)
-            (group.eve_forward, group.eve_return)[pass_index].reshape(-1, 2, 2)[rows] = codes
+            group.eve[pass_index].reshape(-1, 2, 2)[rows] = codes
         hit = drawn.noise.nonzero()[0]
         if len(hit):
             rows = rows[hit]
@@ -557,7 +550,7 @@ def _report(counts: list, failed: bool) -> str:
 def _transit_texts(group: SessionGroup, members, direction: str) -> list[str]:
     """Per member, its transit event in ``direction`` as text after ``"event": ``."""
     pass_index, _, in_flight, arrival, lost_fate = _TRANSITS[direction]
-    records = (group.eve_forward, group.eve_return)[pass_index]
+    records = group.eve[pass_index]
     screens = group.screens[pass_index]
     taken = (records >= 0).any(axis=(2, 3))  # Eve reads some DOF of every photon she takes
     codes = records[taken] + 1
@@ -639,11 +632,3 @@ def transcript_lines(group: SessionGroup, members, sessions) -> str:
                 f'{lead}"result", "phase": "{phase.value}", "message": {text}}}\n')
     return "".join(lines)
 
-
-def render_transcripts(group: SessionGroup) -> list[list[dict]]:
-    """Each member's events, in order: ``transcript_lines`` of every member, parsed."""
-    members = range(len(group.phases))
-    transcripts: list = [[] for _ in members]
-    for event in map(json.loads, transcript_lines(group, members, members).splitlines()):
-        transcripts[event.pop("session")].append(event)
-    return transcripts

@@ -39,9 +39,9 @@ from hyperqsdc.hyperstate import (
     Dof,
     EncodingOp,
     bell_from_op,
-    bell_labels,
+    bell_labels_table,
     encode,
-    measure,
+    measure_table,
 )
 
 IDEAL = BellIndex(Bell.PHI_PLUS, Bell.PHI_PLUS)
@@ -68,7 +68,8 @@ def check_block(states, rng):
     """
     n = len(states)
     x = rng.random((n, 2)) < 0.5
-    outcomes, _ = measure(states, ALL_AXES, rng.random(n), x[:, [0, 0, 1, 1]], collapse=False)
+    outcomes, _ = measure_table(states, np.arange(n), ALL_AXES, rng.random(n), x[:, [0, 0, 1, 1]],
+                                collapse=False)
     bits = (outcomes[:, None] >> np.array([3, 2, 1, 0])) & 1  # (a_pol, b_pol, a_spa, b_spa)
     return bits[:, 0] != bits[:, 1], bits[:, 2] != bits[:, 3], x
 
@@ -83,7 +84,7 @@ def intercept(states, strategy, rng):
     x = np.full(shape, strategy.basis_policy is BasisPolicy.FIXED_X)
     if strategy.basis_policy is BasisPolicy.UNIFORM_ZX:
         x = rng.random(shape) < 0.5
-    table, index, codes = resend(states, strategy, x, rng.random(n))
+    table, index, codes = resend(states, strategy, x, rng.random(n), np.arange(n))
     return table[index], codes
 
 
@@ -138,7 +139,7 @@ class TestInterceptResend:
         expected = bell_from_op(op)
         encoded = encode(np.tile(BELL_BASIS[IDEAL.flat()], (n, 1)), np.full(n, op.code))
         states, _ = intercept(encoded, strategy, rng)
-        labels = bell_labels(states, rng.random(n))
+        labels = bell_labels_table(states, np.arange(n), rng.random(n))
         assert (labels % 4 == expected.s).all()  # spatial DOF untouched
         mismatch = np.count_nonzero(labels // 4 != expected.p)
         assert abs(mismatch / n - IR_BELL_MISMATCH) < 4.0 / math.sqrt(n)

@@ -32,10 +32,8 @@ from hyperqsdc.hyperstate import (
     HyperState,
     Photon,
     apply_local,
-    bell_labels,
     chbsa,
     correlation_error_probs,
-    measure,
     outcome_probs,
 )
 
@@ -71,16 +69,32 @@ def _assert_same_rows(block, rows):
     np.testing.assert_allclose(block, np.concatenate(rows), rtol=0, atol=1e-12)
 
 
+def measure_rows(states, axes, u, x, collapse=True):
+    """``measure_table`` of every row of ``states`` through the identity index: (outcomes, the
+    collapsed block), or (outcomes, None) when ``collapse`` is false."""
+    outcomes, collapsed = hs.measure_table(states, np.arange(len(states)), axes, u, x, collapse)
+    return outcomes, None if collapsed is None else collapsed[0][collapsed[1]]
+
+
+def bell_rows(states, u):
+    """``bell_labels_table`` of every row of ``states`` through the identity index."""
+    return hs.bell_labels_table(states, np.arange(len(states)), u)
+
+
+def in_z(n: int, n_axes: int = 1) -> np.ndarray:
+    """The X mask of n rows measured in Z on every axis."""
+    return np.zeros((n, n_axes), dtype=bool)
+
+
 class TestBlockEqualsRows:
     @given(blocks(), st.sampled_from(AXES_SETS), st.booleans())
     @settings(max_examples=80, deadline=None)
     def test_measure(self, block, axes, rotated):
         states, x, u = block
-        x = x[:, : len(axes)] if rotated else None
-        outcomes, post = measure(states, axes, u, x)
+        x = x[:, : len(axes)] if rotated else in_z(len(states), len(axes))
+        outcomes, post = measure_rows(states, axes, u, x)
         for k in range(len(states)):
-            xk = None if x is None else x[k : k + 1]
-            o_k, post_k = measure(states[k : k + 1], axes, u[k : k + 1], xk)
+            o_k, post_k = measure_rows(states[k : k + 1], axes, u[k : k + 1], x[k : k + 1])
             assert o_k[0] == outcomes[k]
             np.testing.assert_allclose(post[k], post_k[0], rtol=0, atol=1e-12)
         np.testing.assert_allclose(np.linalg.norm(post, axis=1), 1.0, rtol=0, atol=1e-12)
@@ -108,8 +122,8 @@ class TestBlockEqualsRows:
     @settings(max_examples=60, deadline=None)
     def test_bell_labels(self, block):
         states, _, u = block
-        labels = bell_labels(states, u)
-        assert [bell_labels(states[k : k + 1], u[k : k + 1])[0] for k in range(len(states))] == \
+        labels = bell_rows(states, u)
+        assert [bell_rows(states[k : k + 1], u[k : k + 1])[0] for k in range(len(states))] == \
             labels.tolist()
 
     @given(blocks())
@@ -152,10 +166,10 @@ class TestBlockEqualsRows:
         draws = [(0.75 - 0.5 * x[:, : len(dofs)]).ravel(), u]
         source = DrawSource([FixedUniforms(np.concatenate(draws))])
         drawn = source.transit([0], [0, n], ChannelParams(), strategy, DefenseConfig()).eve
-        table, index, codes = resend(states, strategy, *drawn)
+        table, index, codes = resend(states, strategy, *drawn, np.arange(n))
         for k in range(n):
-            table_k, index_k, codes_k = resend(states[k : k + 1], strategy,
-                                               x[k : k + 1, : len(dofs)], u[k : k + 1])
+            table_k, index_k, codes_k = resend(states[k : k + 1], strategy, x[k : k + 1, : len(dofs)],
+                                               u[k : k + 1], np.arange(1))
             np.testing.assert_allclose(table[index[k]], table_k[index_k[0]], rtol=0, atol=1e-12)
             np.testing.assert_array_equal(codes[k], codes_k[0])
 
@@ -217,16 +231,16 @@ class TestHadamardBasisChange:
     @given(blocks(), st.sampled_from(AXES_SETS), st.sampled_from(MASK_KINDS), st.booleans())
     @settings(max_examples=80, deadline=None)
     def test_measure_leaves_its_input_unmodified(self, block, axes, kind, collapse):
-        # encode, pauli and bell_labels too: no kernel writes the block it reads
+        # encode, pauli and bell_labels_table too: no kernel writes the block it reads
         states, x, u = block
         x = x_mask(kind, x, axes)
         codes = (x[:, 0] * 8 + u.argsort() % 8).astype(np.intp)
         before = states.tobytes()
-        measure(states, axes, u, x, collapse=collapse)
+        measure_rows(states, axes, u, x, collapse=collapse)
         outcome_probs(states, axes, x)
         hs.encode(states, codes)
         hs.pauli(states, codes)
-        bell_labels(states, u)
+        bell_rows(states, u)
         assert states.tobytes() == before
 
 
@@ -245,14 +259,15 @@ def tables(draw, max_rows=12, max_pairs=60):
 
 
 class TestStateTables:
-    """Each table function equals its kernel on the pairs' own rows, ``table[index]``, bitwise."""
+    """Each table function on a deduplicated index equals the same function on the gathered
+    rows ``table[index]`` with the identity index, bitwise."""
 
     @given(tables(), st.sampled_from(AXES_SETS), st.sampled_from(MASK_KINDS))
     @settings(max_examples=80, deadline=None)
     def test_measure_table(self, pairs, axes, kind):
         table, index, x, u = pairs
         x = x_mask(kind, x, axes)
-        outcomes, post = measure(table[index], axes, u, x)
+        outcomes, post = measure_rows(table[index], axes, u, x)
         got, (states, new_index) = hs.measure_table(table, index, axes, u, x)
         assert np.array_equal(got, outcomes)
         assert np.array_equal(states[new_index], post)
@@ -267,7 +282,7 @@ class TestStateTables:
     def test_bell_labels_and_encode(self, pairs):
         table, index, x, u = pairs
         codes = (8 * x[:, 0] + 4 * x[:, 1] + 2 * x[:, 2] + x[:, 3]).astype(np.intp)
-        assert np.array_equal(hs.bell_labels_table(table, index, u), bell_labels(table[index], u))
+        assert np.array_equal(hs.bell_labels_table(table, index, u), bell_rows(table[index], u))
         states, new_index = hs.map_table(table, index, codes, 16, hs.encode)
         assert np.array_equal(states[new_index], hs.encode(table[index], codes))
         # one mapped row per distinct (row, op) of the pairs
@@ -306,7 +321,7 @@ def indexed_cdfs(draw, max_columns=6, max_pairs=40):
     probs = rng.random((n_out, n_columns)) * (rng.random((n_out, n_columns)) < 0.5)
     probs[rng.integers(n_out, size=n_columns), np.arange(n_columns)] += 0.5  # none all zero
     cdf = probs.cumsum(axis=0)
-    cdf /= cdf[-1]  # as ``measure`` normalizes: the last positive outcome reaches exactly 1.0
+    cdf /= cdf[-1]  # as ``_read`` normalizes: the last positive outcome reaches exactly 1.0
     n = draw(st.integers(min_value=0, max_value=max_pairs))
     of = rng.integers(n_columns, size=n)
     u, kind = rng.random(n), rng.integers(4, size=n)
@@ -327,7 +342,7 @@ class TestIndexedDraw:
         got = hs.draw(cdf, u, of)
         assert got.dtype == np.intp
         assert np.array_equal(got, (cdf.take(of, axis=1)[:-1] <= u).sum(axis=0))
-        assert np.array_equal(got, hs.draw(cdf.take(of, axis=1), u))
+        assert np.array_equal(got, hs.draw(cdf.take(of, axis=1), u, np.arange(len(of))))
         assert (probs[got, of] > 0).all()  # an outcome of probability 0 is never drawn
 
     @pytest.mark.parametrize("u", [[1.0], [-0.25], [np.nan], [0.5, 0.5]])
@@ -339,7 +354,7 @@ class TestIndexedDraw:
     def test_rejects_outcome_counts_not_a_power_of_two(self):
         cdf = np.array([[0.25], [0.5], [1.0]])
         with pytest.raises(ValueError, match="power-of-two"):
-            hs.draw(cdf, [0.5])
+            hs.draw(cdf, [0.5], np.array([0]))
 
     @pytest.mark.parametrize("call", [
         lambda table, index, u, x: hs.bell_labels_table(table, index, u),
@@ -382,10 +397,10 @@ class TestCallSize:
     CUTS = (1, 17, 1024, 2048, 3000)
 
     @pytest.mark.parametrize("kernel", [
-        lambda states, x, u, codes: measure(states, ALL_AXES, u, x),
+        lambda states, x, u, codes: measure_rows(states, ALL_AXES, u, x),
         lambda states, x, u, codes: (hs.encode(states, codes),),
         lambda states, x, u, codes: (hs.pauli(states, codes),),
-        lambda states, x, u, codes: (bell_labels(states, u),),
+        lambda states, x, u, codes: (bell_rows(states, u),),
     ], ids=["measure", "encode", "pauli", "bell_labels"])
     def test_one_call_equals_calls_on_parts(self, kernel):
         block = _large_block(8, self.CUTS[-1])
@@ -400,10 +415,10 @@ class TestCallSize:
         rng = np.random.default_rng(9)
         index = rng.integers(len(table), size=6000)
         x, u, codes = rng.random((6000, 4)) < 0.5, rng.random(6000), rng.integers(16, size=6000)
-        outcomes, post = measure(table[index], ALL_AXES, u, x)
+        outcomes, post = measure_rows(table[index], ALL_AXES, u, x)
         got, (states, new_index) = hs.measure_table(table, index, ALL_AXES, u, x)
         assert np.array_equal(got, outcomes) and np.array_equal(states[new_index], post)
-        assert np.array_equal(hs.bell_labels_table(table, index, u), bell_labels(table[index], u))
+        assert np.array_equal(hs.bell_labels_table(table, index, u), bell_rows(table[index], u))
         states, new_index = hs.map_table(table, index, codes, 16, hs.encode)
         assert np.array_equal(states[new_index], hs.encode(table[index], codes))
 
@@ -422,7 +437,7 @@ class TestScalarApiIsOneRow:
                 assert joint[2 * pol] == joint[2 * pol + 1] == 0.0
                 continue
             u_pol = np.array([p_pol / 2 if pol == 0 else 1 - p_pol / 2])  # mid-bucket
-            bit, mid = measure(states, axes[:1], u_pol, x[:, :1])
+            bit, mid = measure_rows(states, axes[:1], u_pol, x[:, :1])
             assert bit[0] == pol
             cond = outcome_probs(mid, axes[1:], x[:, 1:2])[0]
             np.testing.assert_allclose(joint[2 * pol : 2 * pol + 2], p_pol * cond, rtol=0, atol=1e-12)
@@ -432,7 +447,7 @@ class TestScalarApiIsOneRow:
     def test_chbsa(self, block):
         states, _, u = block
         got = chbsa(HyperState(states[0]), FixedUniforms(u))
-        assert got.flat() == bell_labels(states, u)[0]
+        assert got.flat() == bell_rows(states, u)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +522,8 @@ class TestProbabilitiesMatchOracles:
         p_name, s_name, i, j = pair
         state = oracles.apply_op_16(oracles.hyper_bell_16(p_name, s_name), i, j)
         pol = _dof_factor(p_name, i)
-        bits, post = measure(state[None], (AXIS[(Photon.A, Dof.POL)],), np.array([u]),
-                             np.array([[basis == "X"]]))
+        bits, post = measure_rows(state[None], (AXIS[(Photon.A, Dof.POL)],), np.array([u]),
+                                  np.array([[basis == "X"]]))
         p, collapsed_pol = oracles.project_qubit(pol, "a", basis, int(bits[0]))
         assert p > 0.0
         expected = np.kron(collapsed_pol, _dof_factor(s_name, j))
@@ -534,7 +549,7 @@ class TestDegenerateRows:
         # |V,H,a2,b1> = index 10: pol_a is 1 and spa_b is 0 with probability 1
         states = np.array([_ket(10)])
         for axis, expected in ((0, 1), (3, 0)):
-            bits, post = measure(states, (axis,), np.array([u]))
+            bits, post = measure_rows(states, (axis,), np.array([u]), in_z(1))
             assert bits[0] == expected
             np.testing.assert_array_equal(post[0], states[0])
             assert outcome_probs(states, (axis,))[0].tolist() == [1 - expected, expected]
@@ -542,21 +557,21 @@ class TestDegenerateRows:
     def test_total_short_of_one_never_draws_a_zero_bucket(self):
         # outcome 1 of axis 0 has probability exactly 0 and the row's total is 1 - 1e-15
         states = np.array([_ket(3, 1.0 - 1e-15)])
-        bits, post = measure(states, (0,), np.array([LAST_UNIFORM]))
+        bits, post = measure_rows(states, (0,), np.array([LAST_UNIFORM]), in_z(1))
         assert bits[0] == 0
         assert abs(np.linalg.norm(post[0]) - 1.0) <= 1e-12
 
     def test_cdf_edge_lands_on_last_positive_outcome(self):
         # joint outcomes of axes (0, 1): 0.5, 0.5 - 1e-15, 0, 0
         amps = _ket(0, 0.5) + _ket(4, 0.5 - 1e-15)
-        bits, _ = measure(amps[None], (0, 1), np.array([LAST_UNIFORM]))
+        bits, _ = measure_rows(amps[None], (0, 1), np.array([LAST_UNIFORM]), in_z(1, 2))
         assert bits[0] == 1
 
     def test_near_zero_probability_snaps_to_zero(self):
         amps = _ket(0, 1.0 - 1e-13) + _ket(8, 1e-13)
         assert outcome_probs(amps[None], (0,))[0].tolist() == [1.0, 0.0]
         for u in (0.0, 1e-14, 0.5, LAST_UNIFORM):
-            bits, post = measure(amps[None], (0,), np.array([u]))
+            bits, post = measure_rows(amps[None], (0,), np.array([u]), in_z(1))
             assert bits[0] == 0
             assert post[0][8] == 0.0
 
@@ -564,23 +579,23 @@ class TestDegenerateRows:
         # |+> on pol_a: X outcome 0 with probability exactly 1 after snapping
         plus = (_ket(0) + _ket(8)) / np.sqrt(2)
         assert outcome_probs(plus[None], (0,), np.array([[True]]))[0].tolist() == [1.0, 0.0]
-        bits, post = measure(plus[None], (0,), np.array([LAST_UNIFORM]), np.array([[True]]))
+        bits, post = measure_rows(plus[None], (0,), np.array([LAST_UNIFORM]), np.array([[True]]))
         assert bits[0] == 0
         np.testing.assert_allclose(post[0], plus, rtol=0, atol=1e-12)
 
     def test_all_zero_row_is_rejected(self):
         with pytest.raises(ValueError, match="all zero"):
-            measure(np.zeros((1, 16), dtype=complex), (0,), np.array([0.5]))
+            measure_rows(np.zeros((1, 16), dtype=complex), (0,), np.array([0.5]), in_z(1))
 
     @pytest.mark.parametrize("head", [[np.nan], [np.inf], [np.nan, 1.0], [np.inf, 1.0]],
                              ids=["nan", "inf", "nan-and-one", "inf-and-one"])
     @pytest.mark.parametrize("kernel", [
         lambda states: outcome_probs(states, (0,)),
         lambda states: correlation_error_probs(states, np.array([[True, False]])),
-        lambda states: measure(states, (0,), np.array([0.5])),
-        lambda states: bell_labels(states, np.array([0.5])),
-        lambda states: bell_labels(hs.encode(states, np.array([15])), np.array([0.5])),
-        lambda states: bell_labels(hs.pauli(states, np.array([15])), np.array([0.5])),
+        lambda states: measure_rows(states, (0,), np.array([0.5]), in_z(1)),
+        lambda states: bell_rows(states, np.array([0.5])),
+        lambda states: bell_rows(hs.encode(states, np.array([15])), np.array([0.5])),
+        lambda states: bell_rows(hs.pauli(states, np.array([15])), np.array([0.5])),
     ], ids=["outcome_probs", "correlation_error_probs", "measure", "bell_labels",
             "encode_then_bell_labels", "pauli_then_bell_labels"])
     def test_non_finite_row_is_rejected(self, kernel, head):
@@ -598,9 +613,9 @@ class TestUniforms:
     # more would pick it; every Bell label but 0 has probability 0 on row 0
     @pytest.mark.parametrize("u", [1.0, 1.5, np.inf, -0.25, -np.inf, np.nan])
     @pytest.mark.parametrize("kernel", [
-        lambda u: measure(np.array([_ket(0)]), (0,), [u]),
-        lambda u: measure(np.array([_ket(0)]), (0,), [u], collapse=False),
-        lambda u: bell_labels(BELL_BASIS[:1], [u]),
+        lambda u: measure_rows(np.array([_ket(0)]), (0,), [u], in_z(1)),
+        lambda u: measure_rows(np.array([_ket(0)]), (0,), [u], in_z(1), collapse=False),
+        lambda u: bell_rows(BELL_BASIS[:1], [u]),
         lambda u: hs.measure_table(np.array([_ket(0)]), np.zeros(1, dtype=np.intp), (0,), [u],
                                    np.zeros((1, 1), dtype=bool)),
         lambda u: hs.bell_labels_table(BELL_BASIS[:1], np.zeros(1, dtype=np.intp), [u]),
@@ -612,8 +627,8 @@ class TestUniforms:
 
     @pytest.mark.parametrize("n_uniforms", [0, 1, 2, 4])
     @pytest.mark.parametrize("kernel", [
-        lambda u: measure(np.tile(_ket(0), (3, 1)), (0,), u),
-        lambda u: bell_labels(np.tile(BELL_BASIS[0], (3, 1)), u),
+        lambda u: measure_rows(np.tile(_ket(0), (3, 1)), (0,), u, in_z(3)),
+        lambda u: bell_rows(np.tile(BELL_BASIS[0], (3, 1)), u),
         lambda u: hs.measure_table(np.array([_ket(0)]), np.zeros(3, dtype=np.intp), (0,), u,
                                    np.zeros((3, 1), dtype=bool)),
         lambda u: hs.bell_labels_table(BELL_BASIS[:1], np.zeros(3, dtype=np.intp), u),

@@ -75,7 +75,7 @@ def transit(n, params, eve, rng, defense=NO_DEFENSE, states=None):
     delivered = group.fates[0] == 0  # still active
     assert np.array_equal(delivered, drawn.delivered)
     assert np.array_equal(group.screens[0, 0][delivered], drawn.screens)
-    return drawn, group.states[delivered], group.eve_forward[0][delivered]
+    return drawn, group.table[group.index][delivered], group.eve[0, 0][delivered]
 
 
 class TestTransmit:
@@ -195,7 +195,7 @@ class TestNoiseOnHitRows:
         drawn, got, codes = transit(n, params, eve, rng, states=states)
         expected = states
         if drawn.eve is not None:
-            resent, resent_index, expected_codes = resend(states, eve, *drawn.eve)
+            resent, resent_index, expected_codes = resend(states, eve, *drawn.eve, np.arange(n))
             expected = resent[resent_index]
             assert np.array_equal(codes, expected_codes)
         else:

@@ -28,11 +28,11 @@ from hyperqsdc.hyperstate import (
     SourceParams,
     apply_encoding,
     bell_from_op,
-    bell_labels,
+    bell_labels_table,
     chbsa,
     correlation_error_probs,
     make_hyper_bell,
-    measure,
+    measure_table,
     op_from_bell,
     outcome_probs,
     source_fidelity,
@@ -158,7 +158,8 @@ class TestChbsa:
         st16 = HyperState((a.amps + b.amps) / np.linalg.norm(a.amps + b.amps))
         rng = np.random.default_rng(5)
         n = 20_000
-        counts = np.bincount(bell_labels(tiled(st16, n), rng.random(n)), minlength=16)
+        counts = np.bincount(bell_labels_table(tiled(st16, n), np.arange(n), rng.random(n)),
+                             minlength=16)
         band = 4.0 / math.sqrt(n)
         assert abs(counts[BellIndex(Bell.PHI_PLUS, Bell.PHI_PLUS).flat()] / n - 0.5) < band
         assert abs(counts[BellIndex(Bell.PSI_PLUS, Bell.PHI_MINUS).flat()] / n - 0.5) < band
@@ -169,7 +170,8 @@ class TestChbsa:
         exact = np.abs(BELL_BASIS.conj() @ st16.amps) ** 2
         rng = np.random.default_rng(6)
         n = 20_000
-        freq = np.bincount(bell_labels(tiled(st16, n), rng.random(n)), minlength=16)
+        freq = np.bincount(bell_labels_table(tiled(st16, n), np.arange(n), rng.random(n)),
+                           minlength=16)
         np.testing.assert_allclose(freq / n, exact, atol=4.0 / math.sqrt(n))
 
 
@@ -180,8 +182,9 @@ class TestMeasurement:
         rng = np.random.default_rng(8)
         n = 64
         x = np.tile(basis, (n, 1))
-        a_bits, states = measure(tiled(make_hyper_bell(IDEAL), n), A_AXES, rng.random(n), x)
-        b_bits, _ = measure(states, B_AXES, rng.random(n), x)
+        a_bits, (table, index) = measure_table(tiled(make_hyper_bell(IDEAL), n), np.arange(n),
+                                               A_AXES, rng.random(n), x)
+        b_bits, _ = measure_table(table, index, B_AXES, rng.random(n), x)
         np.testing.assert_array_equal(a_bits, b_bits)
 
     def test_spatial_phase_flip_anticorrelates_in_x(self):
@@ -200,16 +203,16 @@ class TestMeasurement:
         for dof in (Dof.POL, Dof.SPA):
             for in_x in (False, True):
                 axes, x = (AXIS[(Photon.A, dof)],), np.full((n, 1), in_x)
-                bits, collapsed = measure(states, axes, rng.random(n), x)
-                again, _ = measure(collapsed, axes, rng.random(n), x)
+                bits, (table, index) = measure_table(states, np.arange(n), axes, rng.random(n), x)
+                again, _ = measure_table(table, index, axes, rng.random(n), x)
                 np.testing.assert_array_equal(again, bits)
 
     def test_outcome_marginals_match_born_rule(self):
         st16 = random_state(42)
         rng = np.random.default_rng(10)
         n = 20_000
-        bits, _ = measure(tiled(st16, n), (AXIS[(Photon.B, Dof.SPA)],), rng.random(n),
-                          np.ones((n, 1), dtype=bool), collapse=False)
+        bits, _ = measure_table(tiled(st16, n), np.arange(n), (AXIS[(Photon.B, Dof.SPA)],),
+                                rng.random(n), np.ones((n, 1), dtype=bool), collapse=False)
         ones = np.count_nonzero(bits)
         # the X basis of spa_b: a Hadamard on the last tensor axis
         work = np.einsum("ij,abcj->abci", HADAMARD, st16.amps.reshape(2, 2, 2, 2))
@@ -219,8 +222,10 @@ class TestMeasurement:
     def test_collapse_keeps_partner_correlation(self):
         rng = np.random.default_rng(12)
         st16 = make_hyper_bell(IDEAL).amps[None]
-        bit, collapsed = measure(st16, (AXIS[(Photon.A, Dof.POL)],), rng.random(1))
-        bit_b, _ = measure(collapsed, (AXIS[(Photon.B, Dof.POL)],), rng.random(1))
+        in_z = np.zeros((1, 1), dtype=bool)
+        bit, (table, index) = measure_table(st16, np.arange(1), (AXIS[(Photon.A, Dof.POL)],),
+                                            rng.random(1), in_z)
+        bit_b, _ = measure_table(table, index, (AXIS[(Photon.B, Dof.POL)],), rng.random(1), in_z)
         assert bit_b[0] == bit[0]
 
 

@@ -1,10 +1,14 @@
-"""No module of the package reads another module's private names.
+"""No module of the package reads a sibling's private names, and every public name is used.
 
 A name with a leading underscore is internal to the module that defines it;
-a value two modules share is exported under a public name.  This guard
+a value two modules share is exported under a public name.  The first guard
 parses the package and fails on a private name taken from a sibling, either
 by ``from .module import _name`` or as ``module._name`` through a module it
 imported.
+
+The second guard fails on a public module-level function or class that no
+module of the package, no demo and not the acceptance suite names: code
+that only the other tests keep alive.
 """
 
 from __future__ import annotations
@@ -15,6 +19,9 @@ from pathlib import Path
 import hyperqsdc
 
 SOURCES = sorted(Path(hyperqsdc.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+# every file whose names keep a public definition alive
+USERS = [*SOURCES, *sorted((ROOT / "demos").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
 
 
 def _private(name: str) -> bool:
@@ -53,3 +60,41 @@ def test_the_guard_sees_both_forms():
               "from hyperqsdc.protocol import _PHASE\n"
               "x = chn._noisy, chn.ChannelParams, SCREENS.__len__\n")
     assert private_uses(source) == [("_ALARMED", 1), ("_PHASE", 3), ("_noisy", 4)]
+
+
+def public_definitions(source: str) -> set:
+    """The public functions and classes that ``source`` defines at module level."""
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not _private(node.name)}
+
+
+def names_used(source: str) -> set:
+    """Every name ``source`` reads, as a ``Name`` or an ``Attribute``, or imports by ``from``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_public_definition_is_used_outside_the_tests():
+    used = set().union(*(names_used(path.read_text(encoding="utf-8")) for path in USERS))
+    unused = {path.stem: public_definitions(path.read_text(encoding="utf-8")) - used
+              for path in SOURCES}
+    assert {module: names for module, names in unused.items() if names} == {}
+
+
+def test_the_usage_guard_sees_every_form():
+    source = ("from .hyperstate import chbsa as readout\n"
+              "import numpy as np\n"
+              "class Kept:\n"
+              "    def method(self): return np.zeros(1), hs.draw\n"
+              "def _helper(): return Kept\n"
+              "def unused(): return unused_too\n")
+    assert public_definitions(source) == {"Kept", "unused"}
+    assert names_used(source) >= {"chbsa", "np", "zeros", "hs", "draw", "Kept", "unused_too"}
+    assert not names_used(source) & {"readout", "method", "_helper", "unused"}

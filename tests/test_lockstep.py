@@ -37,10 +37,10 @@ from hyperqsdc.protocol import (
     ConfigError,
     Phase,
     SessionGroup,
-    render_transcripts,
 )
 
 from test_harness import config_with, package_env
+from transcript_reference import parse_transcripts
 
 # sha256 of the stats file and of the transcript JSONL that ``simulate
 # --transcripts`` writes, computed with the per-session engine that ran one
@@ -301,7 +301,7 @@ def test_session_renders_alone_as_in_the_run(overrides):
     # session 5 sits in the middle of the run's first group (of 9 and of 10 members)
     rc = parse_run_config(config_with(**overrides))
     _, text = run_jsonl(rc)
-    [alone] = render_transcripts(run_one_session(rc, rc.seed, 5))
+    [alone] = parse_transcripts(run_one_session(rc, rc.seed, 5))
     assert alone == session_lines(text, 5)
     assert [e["event"] for e in alone] == ["prepare", "transit", "first_check", "encode",
                                            "transit", "second_check", "result"]
@@ -318,7 +318,7 @@ def test_depleted_member_renders_up_to_the_check_it_missed():
                 DEPLETED_RETURN: ["prepare", "transit", "first_check", "encode", "transit"]}
     reasons = group.depleted.tolist()
     assert {DEPLETED_FORWARD, DEPLETED_RETURN} <= set(reasons)
-    for k, (events, reason) in enumerate(zip(render_transcripts(group), reasons)):
+    for k, (events, reason) in enumerate(zip(parse_transcripts(group), reasons)):
         if reason:
             assert [e["event"] for e in events] == rendered[reason]
             assert session_lines(text, k) == []
@@ -457,10 +457,10 @@ def test_run_matches_sessions_run_alone(overrides, seed):
 
 
 # The row-wise kernels, under every name the package calls them by, and the
-# ones among them that do the work of a measurement: its Born side, its
-# collapse, and the two fused in one call.
-KERNELS = ("_read", "_project", "_bell_cdf", "encode", "apply_local", "measure", "bell_labels")
-MEASUREMENT = ("_read", "_project", "measure")
+# ones among them that do the work of a measurement: its Born side and its
+# collapse.
+KERNELS = ("_read", "_project", "_bell_cdf", "encode", "apply_local")
+MEASUREMENT = ("_read", "_project")
 
 
 def kernel_rows(monkeypatch) -> list:

@@ -38,12 +38,11 @@ from hyperqsdc.protocol import (
     first_check_group,
     message_capacities,
     prepare_group,
-    render_transcripts,
     transmit_forward_group,
     transmit_return_group,
 )
 
-from transcript_reference import CheckReport
+from transcript_reference import CheckReport, parse_transcripts
 
 IDEAL_SOURCE = SourceParams(r=1.0, phi=0.0)
 CLEAN = ChannelParams()
@@ -136,7 +135,7 @@ class TestConfig:
         encode(group, "0111" * (capacity(group, cfg) // 4), cfg)
         rows = message_positions(group)
         assert rows and (group.ops[0, rows] == EncodingOp(2, 4).code).all()
-        [encoded] = [event for event in render_transcripts(group)[0] if event["event"] == "encode"]
+        [encoded] = [event for event in parse_transcripts(group)[0] if event["event"] == "encode"]
         assert encoded["message_ops"] == ["24"] * len(rows)
 
     @pytest.mark.parametrize(
@@ -184,7 +183,7 @@ class TestIdealRoundTrip:
             group, sent, decoded, report2 = run_session(cfg, rng)
             assert phase(group) is Phase.ACCEPTED
             assert decoded == sent
-            assert render_transcripts(group)[0][-1]["message"] == sent
+            assert parse_transcripts(group)[0][-1]["message"] == sent
             assert report2.verdict is Verdict.PASS
 
     def test_zero_noise_never_aborts(self):
@@ -257,8 +256,8 @@ LEGAL_NEXT = {
     Phase.DECODING: "decode",
 }
 
-GROUP_ARRAYS = ("states", "fates", "ops", "eve_forward", "eve_return", "screens", "first_reads",
-                "second", "sent", "received", "bell", "phases", "depleted", "counts", "failed")
+GROUP_ARRAYS = ("table", "index", "fates", "ops", "eve", "screens", "first_reads", "second",
+                "sent", "received", "bell", "phases", "depleted", "counts", "failed")
 
 
 def call_phase(name: str, group: SessionGroup, rng, cfg: ProtocolConfig) -> None:
@@ -287,11 +286,11 @@ class TestPhaseMachine:
         rng = np.random.default_rng(11)
         group = prepare_group(cfg, IDEAL_SOURCE, DrawSource([rng]))
         seen = [phase(group)]
-        rendered = [len(render_transcripts(group)[0])]
+        rendered = [len(parse_transcripts(group)[0])]
         for name in ("forward", "check1", "encode", "back", "decode"):
             call_phase(name, group, rng, cfg)
             seen.append(phase(group))
-            rendered.append(len(render_transcripts(group)[0]))
+            rendered.append(len(parse_transcripts(group)[0]))
         # a transcript read mid-session holds the events of the phases done so far
         assert rendered == [1, 2, 3, 4, 5, 7]
         assert seen == [
@@ -414,7 +413,7 @@ class TestSecondCheck:
         group, sent, decoded, report2 = run_session(cfg, rng, eve_return=eve)
         assert report2.verdict is Verdict.FAIL
         assert decoded is None
-        assert render_transcripts(group)[0][-1]["message"] is None
+        assert parse_transcripts(group)[0][-1]["message"] is None
         assert phase(group) is Phase.ABORTED
 
 
@@ -423,11 +422,11 @@ class TestTranscript:
         cfg = ProtocolConfig(n_pairs=24)
         rng = np.random.default_rng(seed)
         group, sent, decoded, _ = run_session(cfg, rng, **kwargs)
-        return group, sent, decoded, "\n".join(json.dumps(e) for e in render_transcripts(group)[0])
+        return group, sent, decoded, "\n".join(json.dumps(e) for e in parse_transcripts(group)[0])
 
     def test_event_order_and_phases(self):
         group, _, _, _ = self.run_and_dump(16)
-        [transcript] = render_transcripts(group)
+        [transcript] = parse_transcripts(group)
         kinds = [e["event"] for e in transcript]
         assert kinds == ["prepare", "transit", "first_check", "encode", "transit", "second_check", "result"]
         phases = [e["phase"] for e in transcript]
@@ -446,7 +445,7 @@ class TestTranscript:
 
     def test_events_carry_stable_fields(self):
         group, _, _, _ = self.run_and_dump(19, params=ChannelParams(loss_prob=0.1))
-        by_kind = {e["event"]: e for e in render_transcripts(group)[0]}
+        by_kind = {e["event"]: e for e in parse_transcripts(group)[0]}
         assert list(by_kind["transit"])[:5] == ["event", "phase", "to_phase", "direction", "lost_positions"]
         check = by_kind["first_check"]
         assert list(check)[:6] == ["event", "phase", "to_phase", "positions", "pol_bases", "spa_bases"]

