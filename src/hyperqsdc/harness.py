@@ -587,8 +587,13 @@ class DrawSource:
         return positions, bases.reshape(-1, 2), born.ravel()
 
     def message(self, members, capacities) -> list:
-        """Per member, in order, its message: a uniform integer array of ``capacities[i]`` bits."""
-        return [self.rngs[j].integers(0, 2, size=bits) for j, bits in zip(members, capacities)]
+        """Per member, in order, its message: a uniform int8 array of ``capacities[i]`` bits.
+
+        The bits are the ``integers(0, 2, size=bits)`` draw narrowed to int8,
+        so the numbers and the generator state are those of that draw.
+        """
+        return [self.rngs[j].integers(0, 2, size=bits).astype(np.int8)
+                for j, bits in zip(members, capacities)]
 
     def hidden_sample(self, members, starts, ks) -> tuple:
         """(second-check positions, an op code uniform over 16 for each)."""
@@ -701,13 +706,15 @@ def _pool(stats: RunStats, transcripts: Optional[TextIO], rc: RunConfig, indices
 
 # Rows per lockstep group of ``run``; a session with more pairs is a group of
 # one.  Each phase of a group makes one kernel call on the distinct states
-# of its pairs, so a clean group pays a fixed cost of about 0.8-1 ms (some
-# 400-1000 small numpy calls) and a larger group adds per-pair arrays and
-# larger kernel calls.  At 4096 rows against 1024, ``ideal_sessions`` runs 3
-# groups instead of 12, in 14.6 ms instead of 21.5, for 0.6-1.2 MB more peak
-# RSS on the benchmark's many-session workloads.  8192 rows add 0.3-0.6 MB
-# more to a fresh process's peak: a ``tiny_blocks`` group holds 500 generators.
-GROUP_ROWS = 4096
+# of its pairs, so a clean group pays a fixed cost of about 0.6 ms (some 540
+# calls) and each further 112-pair session about 40 us (45 calls).  At 16384
+# rows every benchmark workload but the 20,000-pair session is one group:
+# ``ideal_sessions`` (11,200 rows) takes 10.9 ms in the benchmark's reference
+# seconds instead of 13.2 as three 4096-row groups.  The group's per-pair
+# arrays are int8, which keeps its tracemalloc peak at 948 KiB (1,670 KiB
+# with int64 message bits and op codes) and a fresh process's peak RSS
+# 0.4-0.5 MB above that of 4096-row groups.
+GROUP_ROWS = 16384
 
 
 def run(rc: RunConfig, master_seed: Optional[int] = None,

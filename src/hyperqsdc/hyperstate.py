@@ -276,12 +276,12 @@ def _snap(probs: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(invalid="ignore")
-def outcome_probs(states: np.ndarray, axes: tuple, x=None) -> np.ndarray:
+def outcome_probs(states: np.ndarray, axes: tuple, x: np.ndarray) -> np.ndarray:
     """Exact per-row probabilities of the joint outcomes of tensor ``axes``.
 
     ``axes`` is ascending; outcome index o is big-endian over them (bit 1 =
-    V / second mode, or minus in X).  ``x`` is an optional (N, len(axes))
-    bool mask: True measures that axis of that row in the X basis.
+    V / second mode, or minus in X).  ``x`` is an (N, len(axes)) bool mask:
+    True measures that axis of that row in the X basis.
     Probabilities within ``ATOL`` of 0 or 1 are returned as exactly 0 or 1.
     Returns an (N, 2**len(axes)) array.
     """

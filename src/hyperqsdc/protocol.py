@@ -145,7 +145,8 @@ class SessionGroup:
     ``(members, n_pairs)`` array: entry (j, k) is pair k of member j, at
     block row ``j * n_pairs + k``.  The pair states are a state table (see
     ``hyperstate``): ``table`` holds each distinct state once, and
-    ``index[r]`` is the table row of block row r's state.
+    ``index[r]`` is the table row of block row r's state.  Every other
+    per-pair array is int8 or bool, one byte a pair.
 
     - ``fates``: each pair's index into ``tuple(PairFate)``; the first-check
       sample is what ``CONSUMED_CHECK`` marks.
@@ -194,7 +195,7 @@ class SessionGroup:
         self.table = np.empty((1, DIM), dtype=complex)
         self.index = np.zeros(m * n, dtype=np.intp)
         self.fates = np.zeros((m, n), dtype=np.int8)
-        self.ops = np.full((m, n), -1, dtype=np.intp)
+        self.ops = np.full((m, n), -1, dtype=np.int8)
         self.eve = np.full((2, m, n, 2, 2), -1, dtype=np.int8)
         self.screens = np.zeros((2, m, n), dtype=np.int8)
         self.first_reads = np.full((m, n), -1, dtype=np.int8)
@@ -412,8 +413,9 @@ def message_capacities(group: SessionGroup, cfg: ProtocolConfig) -> tuple[list, 
     return members, (4 * (sizes - n_second)).tolist()
 
 
-# weights that turn a row of four message bits into its chunk's value
-_CHUNK_WEIGHTS = np.array([8, 4, 2, 1])
+# weights that turn a row of four message bits into its chunk's value; int8,
+# so that int8 bits make int8 chunks
+_CHUNK_WEIGHTS = np.array([8, 4, 2, 1], dtype=np.int8)
 
 
 def encode_group(group: SessionGroup, messages: list, cfg: ProtocolConfig) -> None:
@@ -454,6 +456,8 @@ def encode_group(group: SessionGroup, messages: list, cfg: ProtocolConfig) -> No
     ops[message_rows] = chunks
     ops[second] = sample_ops
     group.sent.reshape(-1)[message_rows] = chunks
+    # ``ops`` and ``sent`` hold the messages now; free them before the kernel runs
+    del messages, arrays, bits, chunks, message_rows
     group._update(candidates, *map_table(
         group.table, group.index[candidates], ops[candidates], DIM, encode
     ))

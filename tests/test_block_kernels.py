@@ -508,7 +508,7 @@ class TestProbabilitiesMatchOracles:
     def test_bell_outcomes(self, pair):
         p_name, s_name, i, j = pair
         state = oracles.apply_op_16(oracles.hyper_bell_16(p_name, s_name), i, j)
-        probs = outcome_probs(state[None] @ BELL_BASIS.conj().T, ALL_AXES)[0]
+        probs = outcome_probs(state[None] @ BELL_BASIS.conj().T, ALL_AXES, in_z(1, 4))[0]
         pol = oracles.bell_outcome_probs(_dof_factor(p_name, i))
         spa = oracles.bell_outcome_probs(_dof_factor(s_name, j))
         for k in range(16):
@@ -552,7 +552,7 @@ class TestDegenerateRows:
             bits, post = measure_rows(states, (axis,), np.array([u]), in_z(1))
             assert bits[0] == expected
             np.testing.assert_array_equal(post[0], states[0])
-            assert outcome_probs(states, (axis,))[0].tolist() == [1 - expected, expected]
+            assert outcome_probs(states, (axis,), in_z(1))[0].tolist() == [1 - expected, expected]
 
     def test_total_short_of_one_never_draws_a_zero_bucket(self):
         # outcome 1 of axis 0 has probability exactly 0 and the row's total is 1 - 1e-15
@@ -569,7 +569,7 @@ class TestDegenerateRows:
 
     def test_near_zero_probability_snaps_to_zero(self):
         amps = _ket(0, 1.0 - 1e-13) + _ket(8, 1e-13)
-        assert outcome_probs(amps[None], (0,))[0].tolist() == [1.0, 0.0]
+        assert outcome_probs(amps[None], (0,), in_z(1))[0].tolist() == [1.0, 0.0]
         for u in (0.0, 1e-14, 0.5, LAST_UNIFORM):
             bits, post = measure_rows(amps[None], (0,), np.array([u]), in_z(1))
             assert bits[0] == 0
@@ -590,7 +590,7 @@ class TestDegenerateRows:
     @pytest.mark.parametrize("head", [[np.nan], [np.inf], [np.nan, 1.0], [np.inf, 1.0]],
                              ids=["nan", "inf", "nan-and-one", "inf-and-one"])
     @pytest.mark.parametrize("kernel", [
-        lambda states: outcome_probs(states, (0,)),
+        lambda states: outcome_probs(states, (0,), in_z(len(states))),
         lambda states: correlation_error_probs(states, np.array([[True, False]])),
         lambda states: measure_rows(states, (0,), np.array([0.5]), in_z(1)),
         lambda states: bell_rows(states, np.array([0.5])),

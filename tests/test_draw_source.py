@@ -3,8 +3,8 @@
 The rule that session k draws only from its own generators, in the order
 and sizes of the session run alone, lives in that class alone.  A guard
 parses the package and fails on a generator draw anywhere else.  The other
-tests pin that its scalar draws for samples of one give the numbers of the
-sized numpy calls.
+tests pin that its scalar draws for samples of one, and its int8 message
+bits, give the numbers of the plain numpy calls.
 """
 
 from __future__ import annotations
@@ -69,6 +69,23 @@ def test_a_draw_of_one_is_the_draw_choice_makes():
         f"numpy {np.__version__} no longer draws choice(n, size=1, replace=False) and "
         f"integers(16, size=1) as one scalar integers(n) and integers(16); a numpy upgrade "
         f"broke the identity DrawSource's samples of one rest on (seed, size): {broken[:5]}")
+
+
+def test_message_bits_are_the_unsized_draw_narrowed_to_int8():
+    # ``message`` narrows ``integers(0, 2, size=bits)`` to int8 after the draw,
+    # so the bits and the generator state are that draw's
+    capacities = [0, 1, 4, 56, 400, 4001]
+    for seed in range(20):
+        rngs = [np.random.default_rng([seed, j]) for j in range(len(capacities))]
+        for rng in rngs[seed % 2 :: 2]:  # leave a buffered uint32 in half the generators
+            rng.integers(3)
+        twins = copy.deepcopy(rngs)
+        members = list(range(len(capacities)))[::-1]
+        got = DrawSource(rngs).message(members, capacities[::-1])
+        expected = [twins[j].integers(0, 2, size=bits) for j, bits in zip(members, capacities[::-1])]
+        assert [bits.dtype for bits in got] == [np.dtype(np.int8)] * len(members)
+        assert [bits.tolist() for bits in got] == [bits.tolist() for bits in expected]
+        assert [r.bit_generator.state for r in rngs] == [t.bit_generator.state for t in twins]
 
 
 def reference_draws(rngs, members, starts, ks) -> tuple:

@@ -39,6 +39,8 @@ from hyperqsdc.hyperstate import (
     source_state,
 )
 
+from test_block_kernels import in_z
+
 NAME_TO_BELL = {"phi+": Bell.PHI_PLUS, "phi-": Bell.PHI_MINUS,
                 "psi+": Bell.PSI_PLUS, "psi-": Bell.PSI_MINUS}
 
@@ -98,7 +100,7 @@ class TestBellConstruction:
                         (1, (0, 0, 0, 1)), (15, (1, 1, 1, 1))):
             ket = np.zeros((1, 16), dtype=complex)
             ket[0, k] = 1.0
-            got = [outcome_probs(ket, (AXIS[key],))[0].tolist() for key in order]
+            got = [outcome_probs(ket, (AXIS[key],), in_z(1))[0].tolist() for key in order]
             assert got == [[1 - bit, bit] for bit in bits]
 
 

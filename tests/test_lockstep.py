@@ -6,6 +6,7 @@ import hashlib
 import inspect
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -222,7 +223,7 @@ def session_lines(text: str, k: int) -> list:
 
 # Groups of at most this many rows split the pinned configs "clean" (480
 # rows) and "groups_not_dividing_group_rows" (800 rows) into several groups,
-# the last one short; at GROUP_ROWS (4096) each of them is a single group.
+# the last one short; at GROUP_ROWS each of them is a single group.
 SMALL_GROUP_ROWS = 256
 
 
@@ -340,6 +341,25 @@ def test_streamed_run_memory_does_not_grow_with_sessions():
     assert abs(peaks[1] - peaks[0]) < 1_000_000, peaks  # bytes
 
 
+# tracemalloc peak of one ideal_sessions group, 100 clean sessions of 112 pairs
+# (11,200 rows): 948 KiB with int8 message bits and op codes, 1,670 KiB with
+# int64 ones.  An int64 array of one entry per pair adds 77 KiB over int8.
+IDEAL_GROUP_PEAK = 1000 * 1024  # bytes
+
+
+def test_ideal_sessions_group_peak_memory():
+    rc = parse_run_config(config_with(sessions="100", n_pairs="112"))
+    assert rc.sessions * rc.protocol.n_pairs <= GROUP_ROWS  # run() makes it one group
+    _run_group(rc, rc.seed, range(2))  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        _run_group(rc, rc.seed, range(rc.sessions))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < IDEAL_GROUP_PEAK, f"{peak / 1024:.0f} KiB"
+
+
 # A fresh interpreter that runs the config on stdin with its transcripts
 # streamed to os.devnull, then prints its own peak resident set (VmHWM, kB).
 PEAK_RSS_CHILD = """
@@ -382,15 +402,16 @@ def test_group_size_changes_no_byte(monkeypatch, name, group_rows):
     assert regrouped_text == text
 
 
-@pytest.mark.parametrize("group_rows, sessions, n_pairs, groups", [
-    (GROUP_ROWS, 100, 112, 3),  # 36 sessions a group: the shape of ``ideal_sessions``
-    (1024, 100, 112, 12),  # 9 sessions a group
-    (GROUP_ROWS, 3, 5000, 3),  # a session over GROUP_ROWS is a group of one
+@pytest.mark.parametrize("group_rows, sessions, n_pairs", [
+    (GROUP_ROWS, 100, 112),  # the shape of ``ideal_sessions``
+    (1024, 100, 112),  # 9 sessions a group, the last one short
+    (GROUP_ROWS, 3, GROUP_ROWS + 1),  # a session over GROUP_ROWS is a group of one
 ])
-def test_run_counts_its_groups(monkeypatch, group_rows, sessions, n_pairs, groups):
+def test_run_counts_its_groups(monkeypatch, group_rows, sessions, n_pairs):
     monkeypatch.setattr(harness, "GROUP_ROWS", group_rows)
     rc = parse_run_config(config_with(sessions=str(sessions), n_pairs=str(n_pairs)))
     stats, _ = run(rc)
+    groups = math.ceil(sessions / max(1, group_rows // n_pairs))
     assert stats.groups == groups
     assert json.loads(harness.metrics_text(stats))["groups"] == groups
 
@@ -459,15 +480,17 @@ def test_run_matches_sessions_run_alone(overrides, seed):
 # The row-wise kernels, under every name the package calls them by, and the
 # ones among them that do the work of a measurement: its Born side and its
 # collapse.
-KERNELS = ("_read", "_project", "_bell_cdf", "encode", "apply_local")
+KERNELS = ("_read", "_project", "_bell_cdf", "encode", "pauli", "apply_local")
 MEASUREMENT = ("_read", "_project")
 
 
 def kernel_rows(monkeypatch) -> list:
     """Count the rows handed to each kernel call: a list of (kernel name, rows) that fills as
-    the package runs."""
+    the package runs.  A name of ``KERNELS`` that no module defines fails."""
     calls = []
-    for module in (hyperstate, channel, adversary, protocol):
+    modules = (hyperstate, channel, adversary, protocol)
+    assert [name for name in KERNELS if not any(hasattr(m, name) for m in modules)] == []
+    for module in modules:
         for name in KERNELS:
             kernel = getattr(module, name, None)
             if kernel is None:
@@ -515,3 +538,23 @@ def test_a_pinned_session_hands_one_kernel_call_over_chunk_rows(monkeypatch):
     calls = kernel_rows(monkeypatch)
     _run_group(rc, rc.seed, [0])
     assert max(rows for _, rows in calls) > CHUNK_ROWS, calls
+
+
+def test_noisy_transits_hand_pauli_their_distinct_codes_only(monkeypatch):
+    # an ideal source with Pauli noise on both DOFs: the forward transit maps
+    # the one source state by at most 15 distinct noise codes, and the return
+    # transit maps each distinct encoded state by at most 15 more
+    rc = parse_run_config(config_with(sessions="9", n_pairs="112", pauli_p_pol="0.1",
+                                      pauli_p_spa="0.1", error_threshold="1.0"))
+    calls = kernel_rows(monkeypatch)
+    _run_group(rc, rc.seed, range(rc.sessions))
+    forward, back = [rows for name, rows in calls if name == "pauli"]
+    [encoded] = [rows for name, rows in calls if name == "encode"]
+    assert 0 < forward <= 15
+    assert 0 < back <= 15 * encoded
+
+
+def test_kernel_rows_fails_on_a_name_no_module_defines(monkeypatch):
+    monkeypatch.setitem(globals(), "KERNELS", KERNELS + ("no_such_kernel",))
+    with pytest.raises(AssertionError):
+        kernel_rows(monkeypatch)
