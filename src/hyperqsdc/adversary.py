@@ -141,16 +141,20 @@ def resend(
     of their own, each pair's index into it, and Eve's (N, 2, 2) record
     codes: an int8 array indexed [pair, dof (pol, spa), (basis, outcome)],
     basis 0 = Z and 1 = X, and -1 in both slots of a DOF she did not
-    measure.  Both masked DOFs are read by one joint draw per pair.  The
-    projective collapse already leaves photon A in exactly the state Eve
-    forwards, so the returned pair states double as the resent signals.
+    measure.  A pair's four codes are one contiguous 4-byte run, which the
+    caller may copy as one word, and they are written one (dof, field)
+    column at a time.  Both masked DOFs are read by one joint draw per
+    pair.  The projective collapse already leaves photon A in exactly the
+    state Eve forwards, so the returned pair states double as the resent
+    signals.
     """
     slots = _slots(strategy)
     axes = tuple(AXIS[(Photon.A, _DOFS[k])] for k in slots)
     outcomes, (table, index) = measure_table(table, index, axes, u, x)
     codes = np.full((len(index), 2, 2), -1, dtype=np.int8)
-    codes[:, slots, 0] = x
-    codes[:, slots, 1] = (outcomes[:, None] >> np.arange(len(slots))[::-1]) & 1
+    for i, slot in enumerate(slots):  # outcome bits are big-endian over the slots
+        codes[:, slot, 0] = x[:, i]
+        codes[:, slot, 1] = outcomes >> (len(slots) - 1 - i) & 1
     return table, index, codes
 
 

@@ -43,6 +43,8 @@ class TransitDraws(NamedTuple):
     she intercepts and resends), each photon's screening verdict as its
     index into ``adversary.SCREENS`` (0 where no probe rode along), and its
     Paulis as one code 4 * pol + spa, each DOF's Pauli index 0 for none.
+    Every field but ``eve`` is an array also where nothing was drawn for
+    it: all delivered at no loss, all 0 without probes or without noise.
     """
 
     delivered: np.ndarray

@@ -12,12 +12,17 @@ Three subcommands:
 
 Every failure path prints a one-line diagnostic to stderr and exits
 nonzero; success is silent apart from a timing note on stderr.
+
+The argument parser is built once per process, on the first ``main`` call,
+not at import: building one costs about a millisecond, which a process that
+calls ``main`` many times would pay on every call.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 from dataclasses import replace
 
@@ -84,7 +89,9 @@ def _cmd_source_scan(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser; every call returns the same one."""
     parser = argparse.ArgumentParser(
         prog="hyperqsdc",
         description="Two-photon hyperentangled direct-communication simulator.",
@@ -124,8 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, ValueError, OSError) as e:

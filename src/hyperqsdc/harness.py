@@ -326,8 +326,11 @@ def _parse(f: _Field, raw, where: str):
 
 
 def parse_run_config(text: str) -> RunConfig:
-    """Build a RunConfig from INI text, rejecting unknown sections and keys."""
-    parser = configparser.ConfigParser()
+    """Build a RunConfig from INI text, rejecting unknown sections and keys.
+
+    Values are read literally: a ``%`` is part of the value, not interpolation.
+    """
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as e:
@@ -470,11 +473,15 @@ def session_generators(master_seed: int, indices, *tail: int) -> list:
     The SeedSequence hash runs once over arrays holding one entry per index,
     so each generator gets the same PCG64 seed words, and draws the same
     numbers, as ``default_rng`` would give it.  An index is one 32-bit
-    word: one outside [0, 2**32) raises ValueError.
+    word: one outside [0, 2**32) raises ValueError, and so does a negative
+    ``master_seed`` or ``tail`` value, as it does for ``default_rng``.
     """
     index = np.asarray(indices)
     if index.size and (index.dtype.kind not in "iu" or index.min() < 0 or index.max() > _MASK32):
         raise ValueError(f"session indices must lie in [0, 2**32), got {indices}")
+    if min((master_seed, *tail)) < 0:
+        raise ValueError(f"master seed and tail values must be non-negative, "
+                         f"got {[master_seed, *tail]}")
     # the entropy words, one column per index, padded with zeros to the pool size
     head = _uint32_words(master_seed)
     words = head + [0] + [word for value in tail for word in _uint32_words(value)]
@@ -527,39 +534,51 @@ class DrawSource:
 
     def transit(self, members, starts, params: ChannelParams, eve: EveStrategy,
                 defense: DefenseConfig) -> TransitDraws:
-        """A transit's choices, per chunk in ``channel``'s order; probes tuned to ``defense``."""
+        """A transit's choices, per chunk in ``channel``'s order; probes tuned to ``defense``.
+
+        Each field is allocated once for the whole transit and filled chunk
+        by chunk; a field that nothing draws into keeps its constant (all
+        delivered, no Pauli, no probe).
+        """
         slots = len(eve.dof_mask) if eve.kind is EveKind.INTERCEPT_RESEND else 0
-        parts = []
+        probes = eve.kind in adv.TROJAN_KINDS
+        total = sum(starts[j + 1] - starts[j] for j in members)
+        delivered = np.ones(total, dtype=bool)
+        # the other fields hold the delivered photons first, ``at`` of them so far
+        noise = np.zeros(total, dtype=np.intp)
+        screens = np.zeros(total, dtype=np.int8)
+        # an X-basis mask per measured DOF, then one uniform per photon
+        x = np.full((total, slots), eve.basis_policy is BasisPolicy.FIXED_X)
+        u = np.empty(total if slots else 0)
+        sent = at = 0
         for j in members:
             rng = self.rngs[j]
             for start in range(starts[j], starts[j + 1], CHUNK_ROWS):
                 n = min(CHUNK_ROWS, starts[j + 1] - start)
                 if params.loss_prob > 0.0:
-                    delivered = rng.random(n) >= params.loss_prob
-                    n = int(np.count_nonzero(delivered))
-                else:
-                    delivered = np.ones(n, dtype=bool)
-                x = u = offsets = None
-                if slots:  # an X-basis mask per measured DOF, then one uniform per photon
-                    x = (rng.random((n, slots)) < 0.5 if eve.basis_policy is BasisPolicy.UNIFORM_ZX
-                         else np.full((n, slots), eve.basis_policy is BasisPolicy.FIXED_X))
-                    u = rng.random(n)
-                elif eve.kind in adv.TROJAN_KINDS:
+                    kept = delivered[sent:sent + n]
+                    sent += n
+                    np.greater_equal(rng.random(n), params.loss_prob, out=kept)
+                    n = int(np.count_nonzero(kept))
+                end = at + n
+                if slots:
+                    if eve.basis_policy is BasisPolicy.UNIFORM_ZX:
+                        np.less(rng.random((n, slots)), 0.5, out=x[at:end])
+                    u[at:end] = rng.random(n)
+                elif probes:
                     offsets = adv.draw_probes(eve.kind, n, rng.random, defense.filter_tolerance)
-                noise = np.zeros(n, dtype=np.intp)
+                paulis = noise[at:end]
                 for weight, p in ((4, params.pauli_p_pol), (1, params.pauli_p_spa)):
                     if p > 0.0:
                         hit = np.flatnonzero(rng.random(n) < p)
                         if len(hit):
-                            noise[hit] += weight * (1 + rng.integers(3, size=len(hit)))
-                screens = np.zeros(n, dtype=np.int8)
-                if offsets is not None:
+                            paulis[hit] += weight * (1 + rng.integers(3, size=len(hit)))
+                if probes:
                     photons = np.full(n, adv.PROBED_PHOTONS)
-                    screens = adv.screen(offsets, photons, defense, rng.random)
-                parts.append((delivered, x, u, screens, noise))
-        delivered, x, u, screens, noise = (
-            None if column[0] is None else np.concatenate(column) for column in zip(*parts))
-        return TransitDraws(delivered, None if x is None else (x, u), screens, noise)
+                    screens[at:end] = adv.screen(offsets, photons, defense, rng.random)
+                at = end
+        return TransitDraws(delivered, (x[:at], u[:at]) if slots else None, screens[:at],
+                            noise[:at])
 
     @staticmethod
     def _joined(draws: list, ks: list) -> np.ndarray:

@@ -448,10 +448,15 @@ def measure_table(table: np.ndarray, index: np.ndarray, axes: tuple, u: np.ndarr
     computational representation, a table of their own, and each pair's
     index into it)), or (outcomes, None) when ``collapse`` is false.
     """
-    # bytes, so that ``x @ weights`` casts the mask to bytes, not to 8-byte integers
-    weights = (1 << np.arange(len(axes), dtype=np.uint8))[::-1]
+    # each pair's X pattern, big-endian over ``axes``, shifted together in
+    # bytes: an integer matmul ``x @ weights`` takes several times as long
+    pattern = np.zeros(len(x), dtype=np.uint8)
+    for column in x.T:
+        pattern <<= 1
+        pattern |= column
+    weights = 1 << np.arange(len(axes))[::-1]
     n_out = 1 << len(axes)
-    rows, patterns, combo = _combos(table, index, x @ weights, n_out)
+    rows, patterns, combo = _combos(table, index, pattern, n_out)
     xs = patterns[:, None] & weights > 0  # each combo's X mask
     # each combo's row in its measurement bases, its unsnapped outcome
     # probabilities and its CDF

@@ -38,7 +38,15 @@ from typing import Optional
 import numpy as np
 
 from . import channel as chn
-from .adversary import SCREEN_ALARMED, SCREEN_FILTERED, DefenseConfig, EveKind, EveStrategy, resend
+from .adversary import (
+    SCREEN_ALARMED,
+    SCREEN_FILTERED,
+    TROJAN_KINDS,
+    DefenseConfig,
+    EveKind,
+    EveStrategy,
+    resend,
+)
 from .hyperstate import (
     ALL_AXES,
     DIM,
@@ -152,7 +160,9 @@ class SessionGroup:
       sample is what ``CONSUMED_CHECK`` marks.
     - ``ops``: the op code (``EncodingOp.code``) Alice applied, -1 where none.
     - ``eve[p]``: Eve's record codes of each photon on pass p (0 forward, 1
-      return; see ``adversary.resend``), -1 where she did not measure.
+      return; see ``adversary.resend``), -1 where she did not measure.  A
+      pair's four codes are contiguous, so a transit writes them as one
+      4-byte word.
     - ``screens[p]``: each photon's Trojan screening verdict on pass p (0
       forward, 1 return) as its index into ``adversary.SCREENS``, 0 for no probe.
     - ``first_reads``: per first-check sample, its outcome code over
@@ -313,6 +323,8 @@ def _transit(
     In the channel's order: loss, Eve's resend of the delivered photons,
     then the Pauli noise on the photons it hits, each state change one
     ``SessionGroup._update``; the screening verdicts are recorded as drawn.
+    The loss, screening and noise passes are skipped where they cannot
+    change anything: at loss or noise probability 0, and without probes.
     """
     pass_index, before, _, arrival, lost_fate = _TRANSITS[direction]
     acting = group.in_phase(before)
@@ -322,22 +334,27 @@ def _transit(
         params.loss_prob or params.pauli_p_pol or params.pauli_p_spa
     )
     if len(members) and not quiet:
-        sent, starts = _candidates(group, acting)  # block rows of the photons sent
+        rows, starts = _candidates(group, acting)  # block rows of the photons sent
         drawn = group.draws.transit(members.tolist(), starts, params, eve, defense)
-        group.fates.reshape(-1)[sent[~drawn.delivered]] = FATES.index(lost_fate)
-        rows = sent[drawn.delivered]
-        # a caught probe is stripped; the legitimate photon continues
-        group.screens[pass_index].reshape(-1)[rows] = drawn.screens
+        if params.loss_prob:
+            group.fates.reshape(-1)[rows[~drawn.delivered]] = FATES.index(lost_fate)
+            rows = rows[drawn.delivered]
+        if eve.kind in TROJAN_KINDS:
+            # a caught probe is stripped; the legitimate photon continues
+            group.screens[pass_index].reshape(-1)[rows] = drawn.screens
         if drawn.eve is not None:
             states, index, codes = resend(group.table, eve, *drawn.eve, group.index[rows])
             group._update(rows, states, index)
-            group.eve[pass_index].reshape(-1, 2, 2)[rows] = codes
-        hit = drawn.noise.nonzero()[0]
-        if len(hit):
-            rows = rows[hit]
-            group._update(rows, *map_table(
-                group.table, group.index[rows], drawn.noise[hit], DIM, pauli
-            ))
+            # each pair's four record codes as one 4-byte word
+            words = group.eve[pass_index].reshape(-1, 4).view(np.int32)
+            words[rows] = codes.reshape(-1, 4).view(np.int32)
+        if params.pauli_p_pol or params.pauli_p_spa:
+            hit = drawn.noise.nonzero()[0]
+            if len(hit):
+                rows = rows[hit]
+                group._update(rows, *map_table(
+                    group.table, group.index[rows], drawn.noise[hit], DIM, pauli
+                ))
     group.phases[members] = _PHASE[arrival]
 
 

@@ -277,6 +277,27 @@ class TestStateTables:
         read, none = hs.measure_table(table, index, axes, u, x, collapse=False)
         assert np.array_equal(read, outcomes) and none is None
 
+    @pytest.mark.parametrize("n_axes", [1, 2, 3, 4])
+    def test_pattern_keys_are_the_mask_times_big_endian_weights(self, n_axes, monkeypatch):
+        # the keys are shifted together in bytes; the integer matmul is the reference
+        rng = np.random.default_rng(n_axes)
+        n = 3000
+        index = rng.integers(6, size=n)
+        x = rng.random((n, n_axes)) < 0.5
+        keys = []
+        combos = hs._combos
+
+        def recording(table, index, choice, n_choices):
+            keys.append(choice)
+            return combos(table, index, choice, n_choices)
+
+        monkeypatch.setattr(hs, "_combos", recording)
+        hs.measure_table(BELL_BASIS[:6], index, tuple(range(n_axes)), rng.random(n), x,
+                         collapse=False)
+        [got] = keys
+        assert got.dtype == np.uint8  # one byte a pair
+        assert np.array_equal(got, x @ (1 << np.arange(n_axes))[::-1])
+
     @given(tables())
     @settings(max_examples=40, deadline=None)
     def test_bell_labels_and_encode(self, pairs):

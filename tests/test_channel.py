@@ -18,6 +18,7 @@ import oracles
 from test_adversary import check_block
 from hyperqsdc.adversary import (
     SCREENS,
+    BasisPolicy,
     DefenseConfig,
     DefenseVerdict,
     EveKind,
@@ -35,8 +36,9 @@ from hyperqsdc.hyperstate import (
     Dof,
     Photon,
     apply_local,
+    measure_table,
 )
-from hyperqsdc.protocol import SessionGroup, transmit_forward_group
+from hyperqsdc.protocol import FATES, PairFate, SessionGroup, transmit_forward_group
 
 IDEAL = BellIndex(Bell.PHI_PLUS, Bell.PHI_PLUS)
 NO_EVE = EveStrategy(EveKind.NONE)
@@ -206,6 +208,68 @@ class TestNoiseOnHitRows:
             else:
                 assert not which.any()
         assert np.array_equal(got, expected)
+
+
+def reference_codes(table, index, eve, x, u):
+    """Eve's (N, 2, 2) record codes written as two fancy-index writes over her measured DOFs."""
+    slots = [k for k, dof in enumerate((Dof.POL, Dof.SPA)) if dof in eve.dof_mask]
+    axes = tuple(AXIS[(Photon.A, (Dof.POL, Dof.SPA)[k])] for k in slots)
+    outcomes, _ = measure_table(table, index, axes, u, x, collapse=False)
+    codes = np.full((len(index), 2, 2), -1, dtype=np.int8)
+    codes[:, slots, 0] = x
+    codes[:, slots, 1] = (outcomes[:, None] >> np.arange(len(slots))[::-1]) & 1
+    return codes
+
+
+def random_table(rng, rows):
+    states = rng.normal(size=(rows, 16)) + 1j * rng.normal(size=(rows, 16))
+    return states / np.linalg.norm(states, axis=1, keepdims=True)
+
+
+EVE_DOFS = pytest.mark.parametrize("dofs", [{Dof.POL}, {Dof.SPA}, {Dof.POL, Dof.SPA}],
+                                   ids=["pol", "spa", "both"])
+
+
+class TestEveRecordWords:
+    """Eve's codes are written one column at a time, and a transit copies each pair's four
+    as one 4-byte word; the bytes are those of the (N, 2, 2) fancy-index writes."""
+
+    @pytest.mark.parametrize("n", [0, 1, 1023, 20_000])
+    @pytest.mark.parametrize("policy", list(BasisPolicy))
+    @EVE_DOFS
+    def test_resend_codes(self, dofs, policy, n):
+        eve = EveStrategy(EveKind.INTERCEPT_RESEND, frozenset(dofs), policy)
+        rng = np.random.default_rng([51, n])
+        table = random_table(rng, 6)
+        index = rng.integers(len(table), size=n)
+        x = (rng.random((n, len(dofs))) < 0.5 if policy is BasisPolicy.UNIFORM_ZX
+             else np.full((n, len(dofs)), policy is BasisPolicy.FIXED_X))
+        u = rng.random(n)
+        _, _, codes = resend(table, eve, x, u, index)
+        assert codes.dtype == np.int8 and codes.shape == (n, 2, 2)
+        assert codes.tobytes() == reference_codes(table, index, eve, x, u).tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 1023, 20_000])
+    @pytest.mark.parametrize("loss", [0.0, 0.25])
+    @pytest.mark.parametrize("policy", list(BasisPolicy))
+    @EVE_DOFS
+    def test_transit_writes_the_codes_bytes(self, dofs, policy, loss, n):
+        # n = 0: a group of 4 pairs, none of them in play
+        eve = EveStrategy(EveKind.INTERCEPT_RESEND, frozenset(dofs), policy)
+        params = ChannelParams(loss_prob=loss)
+        rng = np.random.default_rng([52, n])
+        table = random_table(rng, 6)
+        index = rng.integers(len(table), size=n or 4)
+        drawn = draw_transit(n, params, eve, NO_DEFENSE, copy.deepcopy(rng))
+        group = SessionGroup(n or 4, DrawSource([rng]))
+        group.table, group.index = table.copy(), index.copy()
+        if not n:
+            group.fates[:] = FATES.index(PairFate.CONSUMED_CHECK)
+        transmit_forward_group(group, params, eve)
+        rows = drawn.delivered.nonzero()[0]
+        expected = np.full(group.eve.shape, -1, dtype=np.int8)
+        expected[0].reshape(-1, 2, 2)[rows] = reference_codes(table, index[rows], eve, *drawn.eve)
+        assert group.eve.tobytes() == expected.tobytes()
 
 
 class TestParams:

@@ -3,8 +3,9 @@
 The rule that session k draws only from its own generators, in the order
 and sizes of the session run alone, lives in that class alone.  A guard
 parses the package and fails on a generator draw anywhere else.  The other
-tests pin that its scalar draws for samples of one, and its int8 message
-bits, give the numbers of the plain numpy calls.
+tests pin that its scalar draws for samples of one, its int8 message
+bits and its transits, filled column by column, give the numbers of the
+plain numpy calls.
 """
 
 from __future__ import annotations
@@ -17,7 +18,10 @@ import numpy as np
 import pytest
 
 import hyperqsdc
-from hyperqsdc.harness import DrawSource
+from hyperqsdc import adversary as adv
+from hyperqsdc.adversary import BasisPolicy, DefenseConfig, EveKind, EveStrategy, PnsKind
+from hyperqsdc.channel import ChannelParams
+from hyperqsdc.harness import CHUNK_ROWS, DrawSource
 
 SOURCES = sorted(Path(hyperqsdc.__file__).parent.glob("*.py"))
 DRAWS = {"random", "integers", "choice"}  # the Generator methods the package draws with
@@ -122,3 +126,77 @@ def test_samples_of_one_and_three_draw_as_sized_calls(members, ks):
     for name, a, b in zip(("positions", "bases", "born", "hidden", "ops"), got, expected):
         assert a.dtype.kind == b.dtype.kind and np.array_equal(a, b), name
     assert [r.bit_generator.state for r in rngs] == [t.bit_generator.state for t in twins]
+
+
+def reference_transit(rngs, members, starts, params, eve, defense) -> tuple:
+    """A transit's draws as per-chunk arrays joined at the end, zeros and ones included."""
+    slots = len(eve.dof_mask) if eve.kind is EveKind.INTERCEPT_RESEND else 0
+    parts = []
+    for j in members:
+        rng = rngs[j]
+        for start in range(starts[j], starts[j + 1], CHUNK_ROWS):
+            n = min(CHUNK_ROWS, starts[j + 1] - start)
+            if params.loss_prob > 0.0:
+                delivered = rng.random(n) >= params.loss_prob
+                n = int(np.count_nonzero(delivered))
+            else:
+                delivered = np.ones(n, dtype=bool)
+            x = u = offsets = None
+            if slots:
+                x = (rng.random((n, slots)) < 0.5 if eve.basis_policy is BasisPolicy.UNIFORM_ZX
+                     else np.full((n, slots), eve.basis_policy is BasisPolicy.FIXED_X))
+                u = rng.random(n)
+            elif eve.kind in adv.TROJAN_KINDS:
+                offsets = adv.draw_probes(eve.kind, n, rng.random, defense.filter_tolerance)
+            noise = np.zeros(n, dtype=np.intp)
+            for weight, p in ((4, params.pauli_p_pol), (1, params.pauli_p_spa)):
+                if p > 0.0:
+                    hit = np.flatnonzero(rng.random(n) < p)
+                    if len(hit):
+                        noise[hit] += weight * (1 + rng.integers(3, size=len(hit)))
+            screens = np.zeros(n, dtype=np.int8)
+            if offsets is not None:
+                photons = np.full(n, adv.PROBED_PHOTONS)
+                screens = adv.screen(offsets, photons, defense, rng.random)
+            parts.append((delivered, x, u, screens, noise))
+    delivered, x, u, screens, noise = (
+        None if column[0] is None else np.concatenate(column) for column in zip(*parts))
+    return delivered, None if x is None else (x, u), screens, noise
+
+
+TRANSITS = {
+    "quiet_intercept": (ChannelParams(), EveStrategy(EveKind.INTERCEPT_RESEND)),
+    "quiet_fixed_x": (ChannelParams(), EveStrategy(EveKind.INTERCEPT_RESEND,
+                                                   basis_policy=BasisPolicy.FIXED_X)),
+    "quiet_noise_only": (ChannelParams(pauli_p_pol=0.05, pauli_p_spa=0.3), EveStrategy()),
+    "quiet_trojan": (ChannelParams(), EveStrategy(EveKind.TROJAN_INVISIBLE)),
+    "lossy_intercept_spa": (ChannelParams(loss_prob=0.2, pauli_p_spa=0.1),
+                            EveStrategy(EveKind.INTERCEPT_RESEND, frozenset({hyperqsdc.Dof.SPA}))),
+    "lossy_multiphoton": (ChannelParams(loss_prob=0.1, pauli_p_pol=0.1),
+                          EveStrategy(EveKind.TROJAN_MULTIPHOTON)),
+    "lossy_only": (ChannelParams(loss_prob=0.5), EveStrategy()),
+}
+
+
+@pytest.mark.parametrize("case", TRANSITS)
+def test_transit_fills_each_column_as_the_per_chunk_draws_do(case):
+    params, eve = TRANSITS[case]
+    defense = DefenseConfig(filter_enabled=True, pns_enabled=True,
+                            pns_kind=PnsKind.BEAMSPLITTER_5050)
+    sizes = [0, 1, 1023, 1024, 1025, 2500, 5]
+    starts = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+    for members in ([0, 1, 2, 3, 4, 5, 6], [5, 2], [1]):
+        rngs = [np.random.default_rng([9, j]) for j in range(len(sizes))]
+        rngs[3].integers(3)  # leave a buffered uint32 in one generator
+        twins = copy.deepcopy(rngs)
+        got = DrawSource(rngs).transit(members, starts, params, eve, defense)
+        delivered, drawn_eve, screens, noise = reference_transit(
+            twins, members, starts, params, eve, defense)
+        for name, a, b in (("delivered", got.delivered, delivered),
+                           ("screens", got.screens, screens), ("noise", got.noise, noise)):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert (got.eve is None) == (drawn_eve is None)
+        if drawn_eve is not None:
+            for a, b in zip(got.eve, drawn_eve):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert [r.bit_generator.state for r in rngs] == [t.bit_generator.state for t in twins]

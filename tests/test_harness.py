@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import hyperqsdc
 from hyperqsdc.adversary import BasisPolicy, EveKind, PnsKind
-from hyperqsdc.cli import main
+from hyperqsdc.cli import build_parser, main
 from hyperqsdc.harness import (
     ABORT_REASONS,
     EXAMPLE_CONFIG,
@@ -260,6 +260,23 @@ class TestSessionGenerators:
         rc = parse_run_config(config_with(sessions="1", n_pairs="16"))
         with pytest.raises(ValueError, match="2\\*\\*32"):
             run_one_session(rc, 0, 2**32)
+
+    @pytest.mark.parametrize("seed, tail", [(-1, ()), (-(2**40), ()), (3, (-1,)), (3, (0xE7E, -5))],
+                             ids=["seed_-1", "seed_-2**40", "tail_-1", "second_tail_-5"])
+    def test_negative_seed_words_raise(self, seed, tail):
+        # as ``default_rng`` does; split into 32-bit words, a negative value never ends
+        with pytest.raises(ValueError):
+            np.random.default_rng([seed, 0, *tail])
+        for indices in ([], [0], [0, 7]):
+            with pytest.raises(ValueError, match="non-negative"):
+                session_generators(seed, indices, *tail)
+
+    def test_run_with_a_negative_master_seed_raises(self):
+        rc = parse_run_config(config_with(sessions="2", n_pairs="16"))
+        with pytest.raises(ValueError, match="non-negative"):
+            run(rc, master_seed=-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            run_one_session(rc, -5, 0)
 
 
 class TestDeterminism:
@@ -692,12 +709,37 @@ class TestCli:
             (("attack-sweep", "--config", "run.ini", "--axis", "n_pairs",
               "--values", "1e400", "--out", "x.csv"), "n_pairs"),
             (("simulate", "--config", "run.ini", "--seed", "-1", "--out", "x.json"), "seed"),
+            # config values are read literally, never interpolated
+            (("simulate", "--config", "percent.ini", "--out", "x.json"),
+             "config field [protocol] n_pairs: cannot parse '16%'"),
+            (("simulate", "--config", "interpolated.ini", "--out", "x.json"),
+             "config field [protocol] n_pairs: cannot parse '%(x)s'"),
         ],
     )
     def test_failures_exit_nonzero_with_diagnostic(self, tmp_path, config_path, argv, needle):
+        (tmp_path / "percent.ini").write_text("[protocol]\nn_pairs = 16%\n")
+        (tmp_path / "interpolated.ini").write_text("[protocol]\nn_pairs = %(x)s\n")
         proc = run_cli(*argv, cwd=config_path.parent)
-        assert proc.returncode != 0
-        assert needle in proc.stderr
+        # exit 2 with one diagnostic line, not a traceback's exit 1
+        assert proc.returncode == 2, proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error:") and needle in line
+
+    def test_repeated_in_process_calls_share_one_parser_and_no_state(self, tmp_path, config_path):
+        assert build_parser() is build_parser()
+        first, second, metrics = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "m.json"
+        assert main(["simulate", "--config", str(config_path), "--seed", "4", "--out", str(first),
+                     "--transcripts", "--metrics", str(metrics)]) == 0
+        written = set(tmp_path.iterdir())
+        assert main(["simulate", "--config", str(config_path), "--seed", "4",
+                     "--out", str(second)]) == 0
+        # the plain call writes its stats file and nothing else
+        assert set(tmp_path.iterdir()) - written == {second}
+        alone = tmp_path / "alone.json"
+        proc = run_cli("simulate", "--config", str(config_path), "--seed", "4", "--out", str(alone),
+                       cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert second.read_bytes() == alone.read_bytes() == first.read_bytes()
 
     def test_bad_config_field_reported(self, tmp_path):
         bad = tmp_path / "bad.ini"
