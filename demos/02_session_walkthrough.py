@@ -30,8 +30,7 @@ channel = ChannelParams()  # quiet line, no loss
 group = prepare_group(cfg, SourceParams(1.0, 0.0), DrawSource([rng]))
 transmit_forward_group(group, channel)
 first_check_group(group, cfg)
-_, [capacity] = message_capacities(group, cfg)
-bits = rng.integers(0, 2, capacity)
+[bits] = group.draws.message(*message_capacities(group, cfg))
 message = "".join(str(b) for b in bits)
 encode_group(group, [bits], cfg)
 transmit_return_group(group, channel)

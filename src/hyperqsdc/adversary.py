@@ -178,9 +178,10 @@ def screen(offsets: np.ndarray, photons: np.ndarray, config: DefenseConfig, unif
     """Each signal's verdict, filter first, then photon number, as its index into ``SCREENS``.
 
     The ideal splitter flags every multi-photon signal the filter lets
-    through.  The 50/50 model takes one uniform per such signal, in row
-    order, from one ``uniform(count)`` call, and flags it unless its n
-    photons all exit one port, which happens with probability 2**(1-n).
+    through.  The 50/50 model takes one uniform per such signal from one
+    ``uniform(rows)`` call, which gets their ascending indices, and flags it
+    unless its n photons all exit one port, which happens with probability
+    2**(1-n).
     """
     codes = np.full(len(offsets), SCREEN_CLEAN, dtype=np.int8)
     if config.filter_enabled:
@@ -188,7 +189,7 @@ def screen(offsets: np.ndarray, photons: np.ndarray, config: DefenseConfig, unif
     if config.pns_enabled:
         multi = ((codes == SCREEN_CLEAN) & (photons >= 2)).nonzero()[0]
         if config.pns_kind is PnsKind.BEAMSPLITTER_5050:
-            multi = multi[uniform(len(multi)) < 1.0 - 2.0 ** (1 - photons[multi])]
+            multi = multi[uniform(multi) < 1.0 - 2.0 ** (1 - photons[multi])]
         codes[multi] = SCREEN_ALARMED
     return codes
 
@@ -208,7 +209,8 @@ def apply_defenses(
 ) -> DefenseVerdict:
     """``screen`` of one signal; CLEAN means nothing tripped."""
     offsets = np.array([meta.wavelength_offset])
-    return SCREENS[screen(offsets, np.array([meta.photon_count]), config, rng.random)[0]]
+    photons = np.array([meta.photon_count])
+    return SCREENS[screen(offsets, photons, config, lambda rows: rng.random(len(rows)))[0]]
 
 
 def guess_encoding_ops(forward: np.ndarray, back: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -7,7 +7,10 @@ stream split: sessions can be distributed or reordered without changing
 any outcome, and a (config, seed) pair pins the whole run byte for byte.
 ``run`` moves consecutive sessions through the phases in lockstep groups
 (``protocol.SessionGroup``), which changes nothing either: a group's one
-``DrawSource`` draws for each session from its own generators only.
+``DrawSource`` draws for each session from its own generators only.  It
+takes raw 64-bit words from each session's PCG64, one call per session and
+draw site where it can, and shapes the group's words at once into the
+numbers numpy's ``Generator`` calls would give that session.
 A group is also the unit of bookkeeping: ``_pool`` adds a finished group
 to the stats from its arrays in one call, writing the transcripts of its
 sessions as it goes, and ``run_one_session`` runs one session as a group of
@@ -27,6 +30,7 @@ import csv
 import functools
 import io
 import json
+import math
 import operator
 import time
 from dataclasses import dataclass, field, replace
@@ -129,6 +133,9 @@ PHASES = ("prepare", "forward_transit", "first_check", "encode", "return_transit
 # Why an aborted session ended; the counts sum to ``RunStats.aborted``.
 ABORT_REASONS = ("first_check_fail", "second_check_fail", "depleted_forward", "depleted_return")
 
+# The draw sites of ``DrawSource``: the keys of its word counts and of ``RunStats.draws``.
+DRAW_SITES = ("transit", "first_check", "message", "hidden_sample", "bell", "eve_coins")
+
 
 @dataclass
 class RunStats:
@@ -136,9 +143,10 @@ class RunStats:
 
     ``wall_time``, ``minor_faults`` (the page faults the run took without
     I/O, None where the platform cannot count them), ``groups`` (the
-    lockstep groups the run used), ``phase_seconds`` and ``abort_reasons``
-    (why each aborted session ended, see ``ABORT_REASONS``) never reach the
-    stats file; ``metrics_text`` writes them.
+    lockstep groups the run used), ``phase_seconds``, ``abort_reasons``
+    (why each aborted session ended, see ``ABORT_REASONS``) and ``draws``
+    (the 64-bit words each of ``DRAW_SITES`` took) never reach the stats
+    file; ``metrics_text`` writes them.
     """
 
     sessions: int = 0
@@ -163,6 +171,7 @@ class RunStats:
     groups: int = 0
     phase_seconds: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
     abort_reasons: dict = field(default_factory=lambda: dict.fromkeys(ABORT_REASONS, 0))
+    draws: dict = field(default_factory=lambda: dict.fromkeys(DRAW_SITES, 0))
 
     @property
     def message_bit_error_rate(self) -> Optional[float]:
@@ -514,124 +523,498 @@ def session_generators(master_seed: int, indices, *tail: int) -> list:
 # random numbers and so its output bytes.
 CHUNK_ROWS = 1024
 
+# PCG64's 128-bit LCG multiplier (O'Neill 2014), with which numpy's PCG64 steps its state.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _pcg_steps(before: int, after: int, inc: int) -> int:
+    """How many PCG64 steps, with increment ``inc``, take LCG state ``before`` to ``after``.
+
+    Bit by bit from the lowest, as O'Neill's PCG library measures a distance:
+    with an odd increment the low b + 1 bits of the state have period
+    2**(b + 1), so bit b of the distance is whether a jump of 2**b steps is
+    needed to make bit b of the two states agree.
+    """
+    steps, bit, mult, plus = 0, 1, _PCG_MULT, inc
+    while before != after:
+        if (before ^ after) & bit:
+            before = (before * mult + plus) & _MASK128
+            steps |= bit
+        plus = (mult + 1) * plus & _MASK128
+        mult = mult * mult & _MASK128
+        bit <<= 1
+    return steps
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """Uniforms in [0, 1) as ``Generator.random`` makes them from 64-bit words.
+
+    A uniform is the word's top 53 bits times 2**-53.
+
+    The uniforms take the place of ``words``, so a draw allocates no second
+    array of its size.
+    """
+    np.right_shift(words, 11, out=words)  # below 2**53 now: exact as int64 and as float64
+    uniforms = words.view(np.float64)
+    uniforms[...] = words.view(np.int64)  # a cast in place, where a ufunc's out= would copy
+    uniforms *= 2.0**-53
+    return uniforms
+
+
+def _lemire(values: np.ndarray, sizes) -> tuple:
+    """Lemire's integers in [0, size) from 32-bit ``values``: (integers, rejected mask or None).
+
+    A value is rejected when the low half of ``value * size`` falls below
+    2**32 mod size; numpy then draws another value for the same integer.
+    One power-of-two size for every value rejects none.
+    """
+    if np.ndim(sizes) == 0 and sizes & (sizes - 1) == 0:
+        return values >> (33 - sizes.bit_length()), None
+    scaled = values.astype(np.uint64) * sizes
+    return scaled >> 32, (scaled & _MASK32) < (1 << 32) % sizes
+
+
+def _split(words: np.ndarray, counts: np.ndarray) -> list:
+    """Members' joined words cut into blocks, ``counts[i, b]`` words of block b for member i.
+
+    Each block comes back joined in member order.
+    """
+    filled = counts.any(axis=0)
+    if np.count_nonzero(filled) <= 1:  # all words are one block's
+        return [words if full else words[:0] for full in filled]
+    block = np.repeat(np.tile(np.arange(counts.shape[1], dtype=np.int8), len(counts)),
+                      counts.ravel())
+    return [words[block == b] for b in range(counts.shape[1])]
+
+
+def _per_member(rows: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """How many of the ascending ``rows`` fall in member i's range ``bounds[i]:bounds[i + 1]``."""
+    return np.diff(np.searchsorted(rows, bounds))
+
+
+# The largest check sample ``DrawSource`` draws by ``_floyd_samples``, one
+# step at a time for the whole group; numpy's own ``choice`` draws a larger
+# one, whose steps run faster in its loop in C.  That covers every sample
+# numpy draws by a tail shuffle instead of Floyd's algorithm (n > 10000 and
+# k > n // 50, so k > 200).
+_STEPPED_SAMPLE = 64
+
+
+def _floyd_samples(n: np.ndarray, k: np.ndarray, floyd: np.ndarray,
+                   swaps: np.ndarray) -> np.ndarray:
+    """The samples ``choice(n[i], k[i], replace=False)`` makes from its bounded draws, joined.
+
+    ``floyd`` holds each member's k Floyd draws, draw t in [0, n - k + t],
+    and ``swaps`` its k - 1 shuffle draws, draw s in [0, k - 1 - s], both
+    joined in member order.  Floyd's algorithm takes draw t unless an
+    earlier step took that value, and n - k + t then; the shuffle swaps
+    entry k - 1 - s with the entry draw s names.  Each member's sample sits
+    right-aligned in a row as wide as the largest, so that a step works on
+    one column for every member at once; -1 pads the rows on the left.
+    """
+    width = int(k.max())
+    pad = np.arange(width) < (width - k)[:, None]
+    taken = np.full(pad.shape, -1, dtype=np.int64)
+    taken[~pad] = floyd
+    fallback = np.where(pad, -1, (n - width)[:, None] + np.arange(width))  # n - k + t
+    for c in range(1, width):
+        seen = (taken[:, :c] == taken[:, c, None]).any(axis=1)
+        taken[seen, c] = fallback[seen, c]
+    # shuffle step s swaps column width - 1 - s; a member whose sample is done
+    # swaps that column with itself
+    columns = np.arange(width - 1, 0, -1)
+    partner = np.repeat(columns[None, :], len(k), axis=0)
+    partner[np.arange(width - 1) < (k - 1)[:, None]] = np.repeat(width - k, k - 1) + swaps
+    rows = np.arange(len(k))
+    for s, column in enumerate(columns.tolist()):
+        other = partner[:, s]
+        held = taken[rows, other]
+        taken[rows, other] = taken[:, column]
+        taken[:, column] = held
+    return taken[~pad]
+
 
 class DrawSource:
     """Every random draw of a lockstep group, one method per draw site.
 
     Member j draws from ``rngs[j]``, and Eve's coins for it from the
     generator seeded with ``[master_seed, sessions[j], 0xE7E]``.  A method
-    draws member by member, in the order and sizes of the session run
-    alone, and returns the draws joined in member order.  Member j's pairs
+    returns the draws of the members it is given joined in member order,
+    and gives each member the numbers, and leaves its generator in the
+    state, of the numpy calls of the session run alone.  Member j's pairs
     in play are positions ``starts[j]:starts[j + 1]`` of the group's rows in
-    play (see ``protocol._candidates``).  A check sample of one, and its
-    hidden op, is one bounded integer draw: the one draw ``choice``'s Floyd
-    algorithm makes for it, so numbers and generator state stay the same
-    (``tests/test_draw_source.py`` pins this on the installed numpy).
+    play (see ``protocol._candidates``).
+
+    A site takes each member's 64-bit words in one ``random_raw`` call, or
+    in a few where a count depends on what was drawn (loss, noise hits,
+    screening), and shapes the joined words for the whole group at once as
+    numpy's ``Generator`` does with PCG64:
+
+    - a uniform is ``(word >> 11) * 2**-53``;
+    - a bounded integer takes 32-bit words: a word's low half, then its high
+      half.  The source keeps each member's left-over high half itself, as
+      PCG64's ``has_uint32`` and ``uinteger`` would, until ``hand_back``
+      writes it into the generator;
+    - an integer in [0, size) follows Lemire's method; a rejected 32-bit
+      word makes the member draw another, in a loop over the members that
+      rejected only;
+    - a check sample of k of n pairs is ``choice(n, k, replace=False)``:
+      Floyd's k draws in [0, n - k] ... [0, n - 1], then a shuffle of k - 1
+      draws in [0, k - 1] ... [0, 1].  A sample of one is that one draw.
+      For k above ``_STEPPED_SAMPLE``, which takes in every sample that
+      numpy's ``choice`` draws by shuffling the tail of a full range, the
+      member hands its half-word back and calls ``choice`` itself.
+
+    ``words[site][j]`` counts the 64-bit words member j took at each of
+    ``DRAW_SITES``.  ``tests/test_draw_source.py`` compares every site with
+    numpy's own calls on twin generators, numbers and state.
     """
 
     def __init__(self, rngs: list, master_seed: Optional[int] = None, sessions=()):
         self.rngs, self.master_seed, self.sessions = rngs, master_seed, np.asarray(sessions)
+        # per member: whether a half-word is buffered (-1: not read from the
+        # generator yet), and the last one buffered, PCG64's ``uinteger``
+        self.buffered = np.full(len(rngs), -1, dtype=np.int8)
+        self.uinteger = np.zeros(len(rngs), dtype=np.int64)
+        self.words = {site: np.zeros(len(rngs), dtype=np.int64) for site in DRAW_SITES}
+
+    @classmethod
+    def seeded(cls, master_seed: int, sessions) -> "DrawSource":
+        """The source of sessions ``sessions`` of a run, on fresh generators that buffer nothing."""
+        source = cls(session_generators(master_seed, sessions), master_seed, sessions)
+        source.buffered[:] = 0
+        return source
+
+    def _state(self, j: int) -> dict:
+        # member j's generator state, with the source's half-word buffer written into it
+        bits = self.rngs[j].bit_generator
+        state = bits.state
+        if self.buffered[j] >= 0:
+            state["has_uint32"], state["uinteger"] = int(self.buffered[j]), int(self.uinteger[j])
+            bits.state = state
+        return state
+
+    def _read_buffers(self, members: np.ndarray) -> None:
+        # the buffers of the members the source has not read yet, from their generators
+        for j in members[self.buffered[members] < 0]:
+            state = self.rngs[j].bit_generator.state
+            self.buffered[j], self.uinteger[j] = state["has_uint32"], state["uinteger"]
+
+    def hand_back(self) -> None:
+        """Write the half-word buffer the source keeps for each member into its generator.
+
+        The generators hold their buffers from then on, and the source reads
+        one back when it next needs it: a caller that draws from a member's
+        generator itself calls this first.
+        """
+        for j in (self.buffered >= 0).nonzero()[0]:
+            self._state(j)
+        self.buffered[:] = -1
+
+    def _raw(self, site: str, members: np.ndarray, counts: np.ndarray, rngs=None) -> np.ndarray:
+        """``counts[i]`` 64-bit words from the generator of ``members[i]`` (or ``rngs[i]``), joined.
+
+        The members are distinct: each makes one call.
+        """
+        self.words[site][members] += counts
+        rngs = [self.rngs[j] for j in members] if rngs is None else rngs
+        parts = [rng.bit_generator.random_raw(count)
+                 for rng, count in zip(rngs, counts.tolist()) if count]
+        if len(parts) == 1:
+            return parts[0]
+        return np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
+
+    def _uniform(self, site: str, members: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        return _uniforms(self._raw(site, members, counts))
+
+    def _blocks(self, site: str, members: np.ndarray, blocks: dict, coins=()) -> dict:
+        """Each member's words, block after block: ``blocks[name][i]`` of them for ``members[i]``.
+
+        A member draws each block in a call of its own, straight into that
+        block's array, so no word is held twice.  A block named in ``coins``
+        keeps only whether each uniform is below 1/2, which is whether its
+        word is below 2**63.  A member may come more than once, once for
+        each chunk of its photons.
+        """
+        counts = np.column_stack(list(blocks.values())) if blocks else np.empty((len(members), 0))
+        np.add.at(self.words[site], members, counts.sum(axis=1, dtype=np.int64))
+        drawn = [np.empty(total, dtype=bool if name in coins else np.uint64)
+                 for name, total in zip(blocks, counts.sum(axis=0).tolist())]
+        ends = np.cumsum(counts, axis=0).tolist()
+        for j, row, row_ends in zip(members.tolist(), counts.tolist(), ends):
+            bits = self.rngs[j].bit_generator
+            for name, words, count, end in zip(blocks, drawn, row, row_ends):
+                part = bits.random_raw(count)
+                words[end - count:end] = part < 1 << 63 if name in coins else part
+        return dict(zip(blocks, drawn))
+
+    def _bounded(self, site: str, members: np.ndarray, counts: np.ndarray, sizes,
+                 uniforms: Optional[np.ndarray] = None) -> tuple:
+        """``counts[i]`` bounded integers for ``members[i]``, then ``uniforms[i]`` uniforms.
+
+        Integer t of the joined draws lies in [0, sizes[t]), or in [0, sizes)
+        when ``sizes`` is one integer of at least 2; a size of 1 gives 0 and
+        draws nothing.  One raw call per member takes the words this needs
+        when no value is rejected.  Returns (integers, uniforms or None),
+        each joined in member order.
+        """
+        one_size = np.ndim(sizes) == 0
+        drawn = None if one_size else sizes > 1
+        need = counts if one_size else np.bincount(
+            np.repeat(np.arange(len(members)), counts)[drawn], minlength=len(members))
+        self._read_buffers(members[need > 0])
+        known, uinteger = self.buffered[members], self.uinteger[members]
+        buffered = known == 1
+        held = buffered & (need > 0)  # the buffered half-word is the member's first value
+        paid = (need - held + 1) // 2  # words of the bounded draws
+        spare = 2 * paid + held > need  # the high half of the last one is left over
+        n_uniform = np.zeros_like(paid) if uniforms is None else uniforms
+        words, *u_words = _split(self._raw(site, members, paid + n_uniform),
+                                 np.column_stack([paid] if uniforms is None else [paid, n_uniform]))
+        halves = words.astype("<u8", copy=False).view("<u4")  # low half, then high half
+        ends, firsts = 2 * np.cumsum(paid), np.cumsum(need) - need
+        values = halves
+        if held.any() or spare.any():  # buffered halves go first; spare halves stay out
+            taken = np.ones(len(halves), dtype=bool)
+            taken[ends[spare] - 1] = False
+            values = np.empty(need.sum(), dtype=np.uint32)
+            from_words = np.ones(len(values), dtype=bool)
+            from_words[firsts[held]] = False
+            values[from_words] = halves[taken]
+            values[firsts[held]] = uinteger[held]
+        self.buffered[members] = np.where(need > 0, spare, known)
+        # PCG64 keeps the high half of its last word as ``uinteger``, also once used
+        self.uinteger[members[paid > 0]] = halves[ends[paid > 0] - 1]
+        if one_size:
+            out, rejected = _lemire(values, sizes)
+        else:
+            out = np.zeros(len(sizes), dtype=np.uint64)
+            out[drawn], rejected = _lemire(values, sizes[drawn])
+        if rejected is not None and rejected.any():
+            word_ends, u_ends, draw_ends = np.cumsum(paid), np.cumsum(n_uniform), np.cumsum(counts)
+            for i in np.unique(firsts.searchsorted(rejected.nonzero()[0], side="right") - 1):
+                mine = slice(draw_ends[i] - counts[i], draw_ends[i])
+                theirs = slice(u_ends[i] - n_uniform[i], u_ends[i])
+                ints, u, self.buffered[members[i]], self.uinteger[members[i]] = self._redraw(
+                    site, members[i],
+                    [*words[word_ends[i] - paid[i]:word_ends[i]].tolist(),
+                     *(u_words[0][theirs].tolist() if u_words else ())],
+                    np.broadcast_to(sizes, len(out))[mine].tolist(), n_uniform[i],
+                    buffered[i], int(uinteger[i]))
+                out[mine] = ints
+                if u_words:
+                    u_words[0][theirs] = u
+        return out, _uniforms(u_words[0]) if u_words else None
+
+    def _redraw(self, site: str, j: int, words: list, sizes: list, n_uniform: int,
+                buffered: bool, uinteger: int) -> tuple:
+        """Member j's draws at a site one at a time, after a rejection among them.
+
+        It takes ``words``, the ones ``_bounded`` drew for it, and then one
+        more from the generator whenever it runs out.  Returns (integers,
+        uniform words, buffered, uinteger) as ``_bounded`` makes them.
+        """
+        bits, at = self.rngs[j].bit_generator, 0
+
+        def word() -> int:
+            nonlocal at
+            if at == len(words):
+                words.append(bits.random_raw())
+                self.words[site][j] += 1
+            at += 1
+            return words[at - 1]
+
+        out = []
+        for size in sizes:
+            value = 0
+            if size > 1:
+                threshold = (1 << 32) % size
+                while True:
+                    if buffered:
+                        half, buffered = uinteger, False
+                    else:
+                        whole = word()
+                        half, uinteger, buffered = whole & _MASK32, whole >> 32, True
+                    value = half * size
+                    if value & _MASK32 >= threshold:
+                        break
+                value >>= 32
+            out.append(value)
+        return out, [word() for _ in range(n_uniform)], buffered, uinteger
+
+    def _choice(self, site: str, j: int, size: int, k: int) -> np.ndarray:
+        # numpy's own choice, with the source's half-word buffer handed over
+        # and taken back, and the words it took counted from the state it left
+        before = self._state(j)["state"]["state"]
+        sample = self.rngs[j].choice(size, size=k, replace=False)
+        after = self.rngs[j].bit_generator.state
+        self.buffered[j], self.uinteger[j] = after["has_uint32"], after["uinteger"]
+        self.words[site][j] += _pcg_steps(before, after["state"]["state"], after["state"]["inc"])
+        return sample
+
+    def _sample(self, site: str, members, starts, ks, ops: int, uniforms: int) -> tuple:
+        """Each member's check sample, then per sample pair ``ops`` integers in [0, 16) and
+        ``uniforms`` uniforms.
+
+        Returns (positions of the samples in the group's rows in play, the
+        integers, the uniforms), each joined in member order.
+        """
+        members, ks, starts = np.asarray(members), np.asarray(ks), np.asarray(starts)
+        n = (starts[1:] - starts[:-1])[members]
+        own = ks > _STEPPED_SAMPLE  # numpy's own choice draws these
+        chosen = [self._choice(site, members[i], n[i], ks[i]) for i in own.nonzero()[0]]
+        floyd = np.where(own, 0, ks)
+        counts = floyd + np.maximum(floyd - 1, 0) + ops * ks
+        owner = np.repeat(np.arange(len(members)), counts)
+        t = np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+        k, f = ks[owner], floyd[owner]
+        sizes = np.where(t < f, n[owner] - k + 1 + t, np.where(t < 2 * f - 1, 2 * k - t, 16))
+        ints, u = self._bounded(site, members, counts, sizes.astype(np.uint64),
+                                uniforms * ks if uniforms else None)
+        ints = ints.astype(np.int64)
+        if chosen and own.all():
+            picks = chosen[0] if len(chosen) == 1 else np.concatenate(chosen)
+        else:
+            picks = np.empty(ks.sum(), dtype=np.int64)
+            by_numpy = np.repeat(own, ks)
+            picks[~by_numpy] = _floyd_samples(n[~own], ks[~own], ints[t < f],
+                                              ints[(t >= f) & (t < 2 * f - 1)])
+            if chosen:
+                picks[by_numpy] = np.concatenate(chosen)
+        picks += np.repeat(starts[members], ks)
+        return picks, ints[t >= 2 * f - 1], u
 
     def transit(self, members, starts, params: ChannelParams, eve: EveStrategy,
                 defense: DefenseConfig) -> TransitDraws:
         """A transit's choices, per chunk in ``channel``'s order; probes tuned to ``defense``.
 
-        Each field is allocated once for the whole transit and filled chunk
-        by chunk; a field that nothing draws into keeps its constant (all
-        delivered, no Pauli, no probe).
+        A member draws its photons ``CHUNK_ROWS`` at a time, chunk after
+        chunk.  Where a chunk draws all its numbers in one call (Eve's choices
+        alone), one round draws every chunk; otherwise round r draws chunk r
+        of every member that has one, and the rounds' draws are put in member
+        order at the end.  A field that nothing draws into keeps its constant
+        (all delivered, no Pauli, no probe).
         """
+        members, starts = np.asarray(members, dtype=np.intp), np.asarray(starts)
+        sizes = (starts[1:] - starts[:-1])[members]
         slots = len(eve.dof_mask) if eve.kind is EveKind.INTERCEPT_RESEND else 0
-        probes = eve.kind in adv.TROJAN_KINDS
-        total = sum(starts[j + 1] - starts[j] for j in members)
-        delivered = np.ones(total, dtype=bool)
-        # the other fields hold the delivered photons first, ``at`` of them so far
-        noise = np.zeros(total, dtype=np.intp)
-        screens = np.zeros(total, dtype=np.int8)
-        # an X-basis mask per measured DOF, then one uniform per photon
-        x = np.full((total, slots), eve.basis_policy is BasisPolicy.FIXED_X)
-        u = np.empty(total if slots else 0)
-        sent = at = 0
-        for j in members:
-            rng = self.rngs[j]
-            for start in range(starts[j], starts[j + 1], CHUNK_ROWS):
-                n = min(CHUNK_ROWS, starts[j + 1] - start)
-                if params.loss_prob > 0.0:
-                    kept = delivered[sent:sent + n]
-                    sent += n
-                    np.greater_equal(rng.random(n), params.loss_prob, out=kept)
-                    n = int(np.count_nonzero(kept))
-                end = at + n
-                if slots:
-                    if eve.basis_policy is BasisPolicy.UNIFORM_ZX:
-                        np.less(rng.random((n, slots)), 0.5, out=x[at:end])
-                    u[at:end] = rng.random(n)
-                elif probes:
-                    offsets = adv.draw_probes(eve.kind, n, rng.random, defense.filter_tolerance)
-                paulis = noise[at:end]
-                for weight, p in ((4, params.pauli_p_pol), (1, params.pauli_p_spa)):
-                    if p > 0.0:
-                        hit = np.flatnonzero(rng.random(n) < p)
-                        if len(hit):
-                            paulis[hit] += weight * (1 + rng.integers(3, size=len(hit)))
-                if probes:
-                    photons = np.full(n, adv.PROBED_PHOTONS)
-                    screens[at:end] = adv.screen(offsets, photons, defense, rng.random)
-                at = end
-        return TransitDraws(delivered, (x[:at], u[:at]) if slots else None, screens[:at],
-                            noise[:at])
+        # each chunk's member (its position in ``members``), index there and photons
+        chunks = -(-sizes // CHUNK_ROWS)
+        owner = np.repeat(np.arange(len(members)), chunks)
+        index = np.arange(len(owner)) - np.repeat(np.cumsum(chunks) - chunks, chunks)
+        n = np.minimum(sizes[owner] - CHUNK_ROWS * index, CHUNK_ROWS)
+        one_call = not (params.loss_prob or params.pauli_p_pol or params.pauli_p_spa
+                        or eve.kind in adv.TROJAN_KINDS)
+        rounds = [] if one_call else [index == r for r in range(int(chunks.max(initial=0)))]
+        rounds = rounds or [slice(None)]
+        parts = [self._transit_chunk(members[owner[r]], n[r], params, eve, defense, slots)
+                 for r in rounds]
+        delivered, kept, x, u, screens, noise = parts[0]
+        if len(parts) > 1:  # member order: a stable sort keeps each member's chunks in order
+            delivered, kept, x, u, screens, noise = map(np.concatenate, zip(*parts))
+            owner = np.concatenate([owner[r] for r in rounds])
+            sent = np.repeat(owner, np.concatenate([n[r] for r in rounds]))
+            sent = np.argsort(sent, kind="stable")
+            kept = np.argsort(np.repeat(owner, kept), kind="stable")
+            delivered, x, screens, noise = delivered[sent], x[kept], screens[kept], noise[kept]
+            u = u[kept] if slots else u
+        return TransitDraws(delivered, (x, u) if slots else None, screens, noise)
 
-    @staticmethod
-    def _joined(draws: list, ks: list) -> np.ndarray:
-        """Members' draws of ``ks[i]`` integers each, a scalar when one, as one array."""
-        if all(k == 1 for k in ks):
-            return np.fromiter(draws, np.int64, len(draws))
-        return np.concatenate([[d] if k == 1 else d for d, k in zip(draws, ks)])
+    def _transit_chunk(self, units: np.ndarray, n: np.ndarray, params: ChannelParams,
+                       eve: EveStrategy, defense: DefenseConfig, slots: int) -> tuple:
+        """One chunk of ``n[i]`` photons of each ``units[i]``.
+
+        Returns (delivered, photons delivered per unit, Eve's X mask, her
+        uniforms, screens, Pauli noise), the last four over the delivered photons.
+        """
+        site = "transit"
+        if params.loss_prob > 0.0:
+            delivered = self._uniform(site, units, n) >= params.loss_prob
+            n = _per_member(delivered.nonzero()[0], np.concatenate([[0], np.cumsum(n)]))
+        else:
+            delivered = np.ones(n.sum(), dtype=bool)
+        bounds = np.concatenate([[0], np.cumsum(n)])
+        probes = eve.kind in adv.TROJAN_KINDS
+        zx = slots and eve.basis_policy is BasisPolicy.UNIFORM_ZX
+        blocks = {"x": n * slots} if zx else {}
+        if slots:
+            blocks["u"] = n
+        if params.pauli_p_pol > 0.0 and not probes:  # probes draw between these and the noise
+            blocks["pol"] = n
+        drawn = self._blocks(site, units, blocks, coins=("x",))  # X where below 1/2
+        x = (drawn.pop("x").reshape(-1, slots) if zx
+             else np.full((bounds[-1], slots), eve.basis_policy is BasisPolicy.FIXED_X))
+        if probes:
+            offsets = adv.draw_probes(
+                eve.kind, bounds[-1],
+                lambda shape: self._uniform(site, units, n * math.prod(shape[1:])).reshape(shape),
+                defense.filter_tolerance)
+        noise = np.zeros(bounds[-1], dtype=np.intp)
+        spa = params.pauli_p_spa > 0.0
+        u_spa = None
+        if params.pauli_p_pol > 0.0:
+            u_pol = _uniforms(drawn["pol"]) if "pol" in drawn else self._uniform(site, units, n)
+            hit = (u_pol < params.pauli_p_pol).nonzero()[0]
+            # the Pauli kind of each pol hit, then the spa uniforms, in one call
+            kinds, u_spa = self._bounded(site, units, _per_member(hit, bounds), 3,
+                                         n if spa else None)
+            noise[hit] += 4 * (1 + kinds.astype(np.intp))
+        if spa:
+            if u_spa is None:
+                u_spa = self._uniform(site, units, n)
+            hit = (u_spa < params.pauli_p_spa).nonzero()[0]
+            kinds, _ = self._bounded(site, units, _per_member(hit, bounds), 3)
+            noise[hit] += 1 + kinds.astype(np.intp)
+        screens = np.zeros(bounds[-1], dtype=np.int8)
+        if probes:
+            screens = adv.screen(
+                offsets, np.full(bounds[-1], adv.PROBED_PHOTONS), defense,
+                lambda rows: self._uniform(site, units, _per_member(rows, bounds)))
+        u = _uniforms(drawn.get("u", np.empty(0, dtype=np.uint64)))
+        return delivered, n, x, u, screens, noise
 
     def first_check(self, members, starts, ks) -> tuple:
         """(first-check positions, (K, 2) pol and spa basis uniforms, one Born uniform each)."""
-        picks, uniforms = [], []
-        for j, k in zip(members, ks):
-            rng, size = self.rngs[j], starts[j + 1] - starts[j]
-            picks.append(rng.integers(size) if k == 1 else rng.choice(size, size=k, replace=False))
-            uniforms.append(rng.random(3 * k))
-        draws = np.concatenate(uniforms)
+        positions, _, draws = self._sample("first_check", members, starts, ks, 0, 3)
         # a member's 3k uniforms are 2k basis uniforms, then k Born uniforms
-        if len(set(ks)) == 1:
+        ks = np.asarray(ks)
+        if (ks == ks[0]).all():
             draws = draws.reshape(len(ks), -1)
             bases, born = draws[:, : 2 * ks[0]], draws[:, 2 * ks[0] :]
         else:
-            basis = np.arange(len(draws)) < np.repeat(3 * np.cumsum(ks) - ks, 3 * np.asarray(ks))
+            basis = np.arange(len(draws)) < np.repeat(3 * np.cumsum(ks) - ks, 3 * ks)
             bases, born = draws[basis], draws[~basis]
-        positions = self._joined(picks, ks) + np.repeat(np.asarray(starts)[members], ks)
         return positions, bases.reshape(-1, 2), born.ravel()
 
     def message(self, members, capacities) -> list:
-        """Per member, in order, its message: a uniform int8 array of ``capacities[i]`` bits.
+        """Per member, in order, its message: ``capacities[i]`` uniform bits as int8.
 
-        The bits are the ``integers(0, 2, size=bits)`` draw narrowed to int8,
-        so the numbers and the generator state are those of that draw.
+        The numbers and the generator state are those of
+        ``integers(0, 2, size=capacities[i])``.
         """
-        return [self.rngs[j].integers(0, 2, size=bits).astype(np.int8)
-                for j, bits in zip(members, capacities)]
+        if not len(members):
+            return []
+        bits, _ = self._bounded("message", np.asarray(members), np.asarray(capacities), 2)
+        bits, ends = bits.astype(np.int8), np.cumsum(capacities).tolist()
+        return [bits[end - size:end] for end, size in zip(ends, capacities)]
 
     def hidden_sample(self, members, starts, ks) -> tuple:
         """(second-check positions, an op code uniform over 16 for each)."""
-        picks, ops = [], []
-        for j, k in zip(members, ks):
-            rng, size = self.rngs[j], starts[j + 1] - starts[j]
-            picks.append(rng.integers(size) if k == 1 else rng.choice(size, size=k, replace=False))
-            ops.append(rng.integers(16) if k == 1 else rng.integers(16, size=k))
-        positions = self._joined(picks, ks) + np.repeat(np.asarray(starts)[members], ks)
-        return positions, self._joined(ops, ks)
+        positions, ops, _ = self._sample("hidden_sample", members, starts, ks, 1, 0)
+        return positions, ops
 
     def bell(self, members, starts) -> np.ndarray:
         """One Bell-readout uniform per pair in play."""
-        return np.concatenate([self.rngs[j].random(starts[j + 1] - starts[j]) for j in members])
+        members, starts = np.asarray(members), np.asarray(starts)
+        return self._uniform("bell", members, (starts[1:] - starts[:-1])[members])
 
     def eve_coins(self, members, counts) -> np.ndarray:
         """Eve's (sum of ``counts``, 2, 2) coin uniforms, ``counts[i]`` for ``members[i]``."""
+        members = np.asarray(members)
         rngs = session_generators(self.master_seed, self.sessions[members], 0xE7E)
-        return np.concatenate([rng.random((count, 2, 2)) for rng, count in zip(rngs, counts)])
+        words = self._raw("eve_coins", members, 4 * np.asarray(counts), rngs)
+        return _uniforms(words).reshape(-1, 2, 2)
 
 
 def _run_group(rc: RunConfig, master_seed: int, indices,
@@ -640,8 +1023,7 @@ def _run_group(rc: RunConfig, master_seed: int, indices,
 
     Returns the finished group.  ``lap(phase)`` is called as each phase ends.
     """
-    rngs = session_generators(master_seed, indices)
-    group = prepare_group(rc.protocol, rc.source, DrawSource(rngs, master_seed, indices))
+    group = prepare_group(rc.protocol, rc.source, DrawSource.seeded(master_seed, indices))
     lap("prepare")
     eve_fwd = rc.eve if rc.eve_passes in ("both", "forward") else None
     eve_ret = rc.eve if rc.eve_passes in ("both", "return") else None
@@ -719,20 +1101,22 @@ def _pool(stats: RunStats, transcripts: Optional[TextIO], rc: RunConfig, indices
                                          group.draws.eve_coins(coined, counts[coined].tolist()))
             stats.eve_guesses += len(guesses)
             stats.eve_guesses_correct += int(np.count_nonzero(guesses == group.ops[encoded]))
+    for site, words in group.draws.words.items():
+        stats.draws[site] += int(words.sum())
     if transcripts is not None:
         transcripts.write(transcript_lines(group, kept.nonzero()[0].tolist(), indices))
 
 
 # Rows per lockstep group of ``run``; a session with more pairs is a group of
 # one.  Each phase of a group makes one kernel call on the distinct states
-# of its pairs, so a clean group pays a fixed cost of about 0.6 ms (some 540
-# calls) and each further 112-pair session about 40 us (45 calls).  At 16384
-# rows every benchmark workload but the 20,000-pair session is one group:
-# ``ideal_sessions`` (11,200 rows) takes 10.9 ms in the benchmark's reference
-# seconds instead of 13.2 as three 4096-row groups.  The group's per-pair
-# arrays are int8, which keeps its tracemalloc peak at 948 KiB (1,670 KiB
-# with int64 message bits and op codes) and a fresh process's peak RSS
-# 0.4-0.5 MB above that of 4096-row groups.
+# of its pairs and each draw site one numpy pass over the group's words, so
+# a clean group of 112-pair sessions pays a fixed cost of about 2 ms and each
+# further session about 25 us (in-process ``run()``, 2-core x86-64, numpy
+# 2.4).  At 16384 rows every benchmark workload but the 20,000-pair session
+# is one group: ``ideal_sessions`` (11,200 rows) runs in 4.4-6.4 ms instead
+# of 9.0-10.0 ms as three 4096-row groups.  The group's per-pair arrays are
+# int8, which keeps its tracemalloc peak at 955 KiB (1,670 KiB with int64
+# message bits and op codes).
 GROUP_ROWS = 16384
 
 
@@ -773,12 +1157,13 @@ def stats_text(rc: RunConfig, seed: int, stats: RunStats) -> str:
 
 
 def metrics_text(stats: RunStats) -> str:
-    """A run's wall time, minor faults, lockstep groups, phase seconds and abort reasons as JSON.
+    """A run's wall time, minor faults, lockstep groups, phase seconds, abort reasons and draws as JSON.
 
     None of it is in the stats file.
     """
     doc = {"wall_time": stats.wall_time, "minor_faults": stats.minor_faults, "groups": stats.groups,
-           "phase_seconds": stats.phase_seconds, "abort_reasons": stats.abort_reasons}
+           "phase_seconds": stats.phase_seconds, "abort_reasons": stats.abort_reasons,
+           "draws": stats.draws}
     return json.dumps(doc, indent=2) + "\n"
 
 

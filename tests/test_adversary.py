@@ -264,7 +264,7 @@ class TestBatchEqualsScalarCalls:
             offsets = signals.choice([0.0, tol, -tol, 0.01, -0.05, 0.06], size=n)
             photons = signals.integers(1, 4, size=n)
             batch, scalar = np.random.default_rng([40, n]), np.random.default_rng([40, n])
-            codes = screen(offsets, photons, cfg, batch.random)
+            codes = screen(offsets, photons, cfg, lambda rows: batch.random(len(rows)))
             verdicts = [apply_defenses(SignalMeta(int(count), float(offset)), cfg, scalar)
                         for offset, count in zip(offsets, photons)]
             assert codes.shape == (n,)

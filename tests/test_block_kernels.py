@@ -44,14 +44,23 @@ AXES_SETS = [
 
 
 class FixedUniforms:
-    """Generator stand-in whose ``random`` hands out preset uniforms in order."""
+    """Generator stand-in whose ``random`` hands out preset uniforms in order.
+
+    Its ``bit_generator.random_raw`` hands out the same uniforms as the 64-bit
+    words ``DrawSource`` turns into them, ``(word >> 11) * 2**-53``: exactly,
+    as every preset is a multiple of 2**-53.
+    """
 
     def __init__(self, values):
         self.values = list(values)
+        self.bit_generator = self
 
     def random(self, size):
         out = np.array([self.values.pop(0) for _ in range(int(np.prod(size)))])
         return out.reshape(size)
+
+    def random_raw(self, size):
+        return np.array([int(u * 2**53) << 11 for u in self.random(size)], dtype=np.uint64)
 
 
 @st.composite

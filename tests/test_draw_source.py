@@ -2,58 +2,308 @@
 
 The rule that session k draws only from its own generators, in the order
 and sizes of the session run alone, lives in that class alone.  A guard
-parses the package and fails on a generator draw anywhere else.  The other
-tests pin that its scalar draws for samples of one, its int8 message
-bits and its transits, filled column by column, give the numbers of the
-plain numpy calls.
+parses the package and fails on a generator draw anywhere else, a raw
+64-bit word or a look at a generator's state included.
+
+The source takes raw PCG64 words and shapes them into numpy's draws itself:
+uniforms, Lemire's bounded integers from 32-bit half-words (with the
+left-over half buffered as the generator would buffer it) and the check
+samples of ``choice``.  The tests here compare each of its primitives and
+sites with numpy's own calls on ``copy.deepcopy`` twin generators, numbers
+and final generator state alike; the state is read after the source hands
+its buffered half-words back, so all of it is compared.  A failure names
+the installed numpy.
 """
 
 from __future__ import annotations
 
 import ast
 import copy
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hyperqsdc
 from hyperqsdc import adversary as adv
+from hyperqsdc import harness
 from hyperqsdc.adversary import BasisPolicy, DefenseConfig, EveKind, EveStrategy, PnsKind
 from hyperqsdc.channel import ChannelParams
-from hyperqsdc.harness import CHUNK_ROWS, DrawSource
+from hyperqsdc.harness import (
+    CHUNK_ROWS,
+    DRAW_SITES,
+    DrawSource,
+    _pool,
+    _run_group,
+    metrics_text,
+    parse_run_config,
+    run,
+    session_generators,
+    stats_text,
+)
 
+from test_harness import config_with
+
+NUMPY = f"numpy {np.__version__}"
 SOURCES = sorted(Path(hyperqsdc.__file__).parent.glob("*.py"))
-DRAWS = {"random", "integers", "choice"}  # the Generator methods the package draws with
-# (module, top-level name) that may call them: the draw source, and the
-# one-pair and one-signal helpers that take a generator from their caller
+# the Generator methods the package draws with, and the bit generator's raw words
+DRAWS = {"random", "integers", "choice", "random_raw"}
+# (module, top-level name) that may draw: the draw source, and the one-pair
+# and one-signal helpers that take a generator from their caller
 ALLOWED = {("harness", "DrawSource"), ("hyperstate", "chbsa"), ("adversary", "craft_trojan"),
            ("adversary", "apply_defenses")}
 
 
-def draw_calls(path: Path) -> list:
-    """(module, enclosing top-level name or None, line) of each ``.random(``, ``.integers(``
-    or ``.choice(`` call in a module."""
+def draw_calls(source: str, module: str) -> list:
+    """(module, enclosing top-level name or None, line) of each draw in ``source``.
+
+    A draw is a call of one of ``DRAWS``, or any use of a generator's
+    ``bit_generator``: its state and its raw words are draws too.  The
+    ``numpy.random.bit_generator`` module is not a generator's.
+    """
     calls = []
-    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+    for top in ast.parse(source).body:
         for node in ast.walk(top):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in DRAWS):
-                calls.append((path.stem, getattr(top, "name", None), node.lineno))
+            if ((isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and node.func.attr in DRAWS)
+                    or (isinstance(node, ast.Attribute) and node.attr == "bit_generator"
+                        and getattr(node.value, "attr", None) != "random")):
+                calls.append((module, getattr(top, "name", None), node.lineno))
     return calls
 
 
 def test_only_the_draw_source_calls_a_generator():
-    calls = [call for path in SOURCES for call in draw_calls(path)]
+    calls = [call for path in SOURCES
+             for call in draw_calls(path.read_text(encoding="utf-8"), path.stem)]
     assert [call for call in calls if call[:2] not in ALLOWED] == []
-    # the guard sees the draws it allows: each site of the source draws
+    # the guard sees the draws it allows: the source's raw calls, its state
+    # reads and writes, and numpy's own choice for the samples it leaves to it
     assert len([call for call in calls if call[:2] == ("harness", "DrawSource")]) >= 10
 
 
-# ``DrawSource`` draws a sample of one as ``rng.integers(size)`` and its op as
-# ``rng.integers(16)``: numpy's ``choice`` runs Floyd's algorithm for a small
-# sample without replacement, which for one element makes that same bounded
-# draw, and a shuffle of one element draws nothing.
+def test_the_guard_sees_raw_words_and_state():
+    source = ("def f(rng):\n"
+              "    words = rng.bit_generator.random_raw(4)\n"
+              "    return rng.bit_generator.state\n"
+              "class G(np.random.bit_generator.ISeedSequence):\n"
+              "    def g(self, rng): return rng.random(2)\n")
+    assert sorted(draw_calls(source, "m")) == [("m", "G", 5), ("m", "f", 2), ("m", "f", 2),
+                                               ("m", "f", 3)]
+
+
+def generators(seed: int, buffered: list) -> list:
+    """One generator per entry; where the entry is true it holds a buffered uint32."""
+    rngs = [np.random.default_rng([seed, j]) for j in range(len(buffered))]
+    for rng, held in zip(rngs, buffered):
+        if held:
+            rng.integers(3)
+    return rngs
+
+
+def states(rngs: list) -> list:
+    return [rng.bit_generator.state for rng in rngs]
+
+
+def handed_back(source: DrawSource) -> list:
+    """The generator states of ``source``, its buffered half-words written back first."""
+    source.hand_back()
+    return states(source.rngs)
+
+
+def same(got, expected, what: str) -> None:
+    assert np.asarray(got).tolist() == np.asarray(expected).tolist(), (
+        f"{what}: DrawSource's draws differ from {NUMPY}'s own calls")
+
+
+def same_state(source: DrawSource, twins: list) -> None:
+    assert handed_back(source) == states(twins), (
+        f"the generator states DrawSource leaves differ from those of {NUMPY}'s own calls")
+
+
+# ---------------------------------------------------------------------------
+# the primitives, one at a time
+# ---------------------------------------------------------------------------
+
+# ranges with few rejections, and ranges near 2**31 where Lemire's method
+# rejects about half the 32-bit words; 1 draws nothing
+RANGES = (1, 2, 3, 16, 112, 2**31 - 1, 2**31, 2**31 + 1, 3 * 2**30 + 7, 2**32 - 5, 2**32)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.lists(st.booleans(), min_size=1, max_size=4),
+       st.data())
+def test_bounded_integers_then_uniforms_are_numpys(seed, buffered, data):
+    # each member's integers in [0, size) one scalar ``integers(size)`` at a
+    # time, then ``random(count)``: one raw call per member unless rejected
+    counts = data.draw(st.lists(st.integers(0, 6), min_size=len(buffered), max_size=len(buffered)))
+    sizes = data.draw(st.lists(st.sampled_from(RANGES), min_size=sum(counts), max_size=sum(counts)))
+    uniforms = data.draw(st.lists(st.integers(0, 5), min_size=len(buffered),
+                                  max_size=len(buffered)))
+    source = DrawSource(generators(seed, buffered))
+    twins = copy.deepcopy(source.rngs)
+    members = np.arange(len(buffered))[::-1]  # any member order
+    ints, u = source._bounded("message", members, np.array(counts),
+                              np.array(sizes, dtype=np.uint64), np.array(uniforms))
+    expected_ints, expected_u, at = [], [], 0
+    for j, count, n_u in zip(members, counts, uniforms):
+        expected_ints += [twins[j].integers(size) for size in sizes[at:at + count]]
+        expected_u += twins[j].random(n_u).tolist()
+        at += count
+    same(ints, expected_ints, "bounded integers")
+    assert u.tolist() == expected_u, f"uniforms differ from {NUMPY}'s random()"
+    same_state(source, twins)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.lists(st.booleans(), min_size=1, max_size=4),
+       st.sampled_from([2, 3, 16, 112, 2**31 + 1]), st.data())
+def test_one_range_for_all_is_numpys_sized_draw(seed, buffered, size, data):
+    counts = data.draw(st.lists(st.integers(0, 9), min_size=len(buffered), max_size=len(buffered)))
+    source = DrawSource(generators(seed, buffered))
+    twins = copy.deepcopy(source.rngs)
+    ints, _ = source._bounded("transit", np.arange(len(buffered)), np.array(counts), size)
+    expected = [twin.integers(size, size=count) for twin, count in zip(twins, counts)]
+    same(ints, np.concatenate(expected), "integers(size, size=count)")
+    same_state(source, twins)
+
+
+def test_word_counts_and_rejections_near_two_to_the_31():
+    # with 2**31 + 1 about half of all words are rejected: the member draws
+    # again, and counts the words it took
+    source = DrawSource(generators(5, [False, True]))
+    twins = copy.deepcopy(source.rngs)
+    ints, _ = source._bounded("first_check", np.arange(2), np.array([500, 501]), 2**31 + 1)
+    same(ints, np.concatenate([twins[0].integers(2**31 + 1, size=500),
+                               twins[1].integers(2**31 + 1, size=501)]), "integers near 2**31")
+    same_state(source, twins)
+    for j, rng in enumerate(generators(5, [False, True])):
+        rng.bit_generator.advance(int(source.words["first_check"][j]))
+        assert rng.bit_generator.state["state"] == twins[j].bit_generator.state["state"]
+    assert source.words["first_check"].sum() > (500 + 501) // 2 * 1.5  # about twice that
+
+
+def generator_drawing(word: int) -> np.random.Generator:
+    """A PCG64 generator whose next 64-bit word is ``word``.
+
+    PCG64 steps its 128-bit state, then outputs the xor of the new state's
+    halves rotated by its top 6 bits (O'Neill's XSL-RR).  A new state equal
+    to ``word`` has a zero high half and no rotation, so the generator
+    starts one step before it.
+    """
+    inc = 0x9E3779B97F4A7C15F39CC0605CEDC835  # any odd increment
+    before = (word - inc) * pow(harness._PCG_MULT, -1, 2**128) % 2**128
+    rng = np.random.default_rng(0)
+    rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": before, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+    return rng
+
+
+@pytest.mark.parametrize("size", [3, 5, 2**31 + 1, 3 * 2**30 + 7, 2**32 - 5])
+def test_lemire_keeps_a_value_at_its_threshold_and_rejects_one_below(size):
+    # v * size mod 2**32 equal to 2**32 mod size is kept, one less is rejected
+    threshold = 2**32 % size
+    kept, rejected = ((low * pow(size, -1, 2**32)) % 2**32 for low in (threshold, threshold - 1))
+    for word in (kept | rejected << 32, rejected | kept << 32, rejected | rejected << 32):
+        assert copy.deepcopy(generator_drawing(word)).bit_generator.random_raw() == word
+        source = DrawSource([generator_drawing(word)])
+        twin = copy.deepcopy(source.rngs[0])
+        ints, _ = source._bounded("message", np.arange(1), np.array([2]), size)
+        same(ints, twin.integers(size, size=2), f"integers({size}) at Lemire's threshold")
+        same_state(source, [twin])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.lists(st.booleans(), min_size=1, max_size=5),
+       st.data())
+def test_floyd_and_shuffle_are_numpys_choice(seed, buffered, data):
+    # k from 1 to 12 of n pairs, Floyd's k draws then a shuffle of k - 1
+    ks = data.draw(st.lists(st.integers(1, 12), min_size=len(buffered), max_size=len(buffered)))
+    sizes = [data.draw(st.integers(k, 60)) for k in ks]
+    starts = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+    source = DrawSource(generators(seed, buffered))
+    twins = copy.deepcopy(source.rngs)
+    members = list(range(len(ks)))
+    positions, bases, born = source.first_check(members, starts, ks)
+    expected, uniforms = [], []
+    for j, k in zip(members, ks):
+        expected += (twins[j].choice(sizes[j], size=k, replace=False) + starts[j]).tolist()
+        uniforms.append(twins[j].random(3 * k))
+    same(positions, expected, "choice(n, k, replace=False)")
+    same(bases, np.concatenate([u[: 2 * len(u) // 3] for u in uniforms]).reshape(-1, 2), "bases")
+    same(born, np.concatenate([u[2 * len(u) // 3 :] for u in uniforms]), "born uniforms")
+    same_state(source, twins)
+
+
+# numpy's choice leaves Floyd's algorithm for n > 10000 and k > n // 50; the
+# source leaves its own Floyd steps for numpy's choice above 64 samples
+BOUNDARIES = [(10_001, 200), (10_001, 201), (20_000, 400), (20_000, 401),
+              (100_004, 2000), (100_004, 2001), (1000, 64), (1000, 65)]
+
+
+@pytest.mark.parametrize("n, k", BOUNDARIES)
+@pytest.mark.parametrize("buffered", [False, True])
+def test_choice_regimes_meet_where_numpys_do(n, k, buffered):
+    source = DrawSource(generators(n + k, [buffered]))
+    twins = copy.deepcopy(source.rngs)
+    positions, ops = source.hidden_sample([0], [0, n], [k])
+    same(positions, twins[0].choice(n, size=k, replace=False), f"choice({n}, {k}, replace=False)")
+    same(ops, twins[0].integers(16, size=k), "hidden ops")
+    same_state(source, twins)
+    fresh = generators(n + k, [buffered])[0]
+    fresh.bit_generator.advance(int(source.words["hidden_sample"][0]))
+    assert fresh.bit_generator.state["state"] == twins[0].bit_generator.state["state"]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.lists(st.booleans(), min_size=3, max_size=3),
+       st.lists(st.tuples(st.sampled_from(["bell", "message", "hidden_sample"]),
+                          st.lists(st.integers(1, 30), min_size=3, max_size=3)),
+                min_size=1, max_size=6))
+def test_sites_in_any_order_carry_the_half_word(seed, buffered, steps):
+    # uniforms leave a buffered half-word alone; bounded draws take it first
+    source = DrawSource(generators(seed, buffered))
+    twins = copy.deepcopy(source.rngs)
+    for site, sizes in steps:
+        starts = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+        members = [2, 0, 1]
+        if site == "bell":
+            got = source.bell(members, starts)
+            expected = np.concatenate([twins[j].random(sizes[j]) for j in members])
+        elif site == "message":
+            got = np.concatenate(source.message(members, [sizes[j] for j in members]))
+            expected = np.concatenate([twins[j].integers(0, 2, size=sizes[j]) for j in members])
+        else:
+            ks = [max(1, sizes[j] // 3) for j in members]
+            got = np.concatenate(source.hidden_sample(members, starts, ks))
+            picks, ops = [], []
+            for j, k in zip(members, ks):
+                picks.append(twins[j].choice(sizes[j], size=k, replace=False) + starts[j])
+                ops.append(twins[j].integers(16, size=k))
+            expected = np.concatenate(picks + ops)
+        same(got, expected, site)
+    same_state(source, twins)
+
+
+def test_pcg_steps_measure_advance():
+    rng = np.random.default_rng(3)
+    for steps in (0, 1, 2, 7, 1000, 2**40 + 3, 2**127 + 5):
+        before = rng.bit_generator.state["state"]
+        rng.bit_generator.advance(steps)
+        after = rng.bit_generator.state["state"]
+        assert harness._pcg_steps(before["state"], after["state"], after["inc"]) == steps
+
+
+# ---------------------------------------------------------------------------
+# the sites against the sized calls of a session run alone
+# ---------------------------------------------------------------------------
+
+# ``DrawSource`` draws a sample of one as the one bounded draw in [0, size)
+# and its op as one in [0, 16): numpy's ``choice`` runs Floyd's algorithm for
+# a small sample without replacement, which for one element makes that same
+# bounded draw, and a shuffle of one element draws nothing.
 SIZES = (1, 2, 3, 15, 16, 112, 10_001, 20_000, 100_004)
 
 
@@ -76,8 +326,8 @@ def test_a_draw_of_one_is_the_draw_choice_makes():
 
 
 def test_message_bits_are_the_unsized_draw_narrowed_to_int8():
-    # ``message`` narrows ``integers(0, 2, size=bits)`` to int8 after the draw,
-    # so the bits and the generator state are that draw's
+    # ``message`` gives the bits of ``integers(0, 2, size=bits)`` as int8, and
+    # the generator state of that draw
     capacities = [0, 1, 4, 56, 400, 4001]
     for seed in range(20):
         rngs = [np.random.default_rng([seed, j]) for j in range(len(capacities))]
@@ -85,11 +335,12 @@ def test_message_bits_are_the_unsized_draw_narrowed_to_int8():
             rng.integers(3)
         twins = copy.deepcopy(rngs)
         members = list(range(len(capacities)))[::-1]
-        got = DrawSource(rngs).message(members, capacities[::-1])
+        source = DrawSource(rngs)
+        got = source.message(members, capacities[::-1])
         expected = [twins[j].integers(0, 2, size=bits) for j, bits in zip(members, capacities[::-1])]
         assert [bits.dtype for bits in got] == [np.dtype(np.int8)] * len(members)
         assert [bits.tolist() for bits in got] == [bits.tolist() for bits in expected]
-        assert [r.bit_generator.state for r in rngs] == [t.bit_generator.state for t in twins]
+        same_state(source, twins)
 
 
 def reference_draws(rngs, members, starts, ks) -> tuple:
@@ -125,7 +376,7 @@ def test_samples_of_one_and_three_draw_as_sized_calls(members, ks):
     expected = reference_draws(twins, members, starts, ks)
     for name, a, b in zip(("positions", "bases", "born", "hidden", "ops"), got, expected):
         assert a.dtype.kind == b.dtype.kind and np.array_equal(a, b), name
-    assert [r.bit_generator.state for r in rngs] == [t.bit_generator.state for t in twins]
+    same_state(source, twins)
 
 
 def reference_transit(rngs, members, starts, params, eve, defense) -> tuple:
@@ -157,7 +408,7 @@ def reference_transit(rngs, members, starts, params, eve, defense) -> tuple:
             screens = np.zeros(n, dtype=np.int8)
             if offsets is not None:
                 photons = np.full(n, adv.PROBED_PHOTONS)
-                screens = adv.screen(offsets, photons, defense, rng.random)
+                screens = adv.screen(offsets, photons, defense, lambda rows: rng.random(len(rows)))
             parts.append((delivered, x, u, screens, noise))
     delivered, x, u, screens, noise = (
         None if column[0] is None else np.concatenate(column) for column in zip(*parts))
@@ -189,7 +440,8 @@ def test_transit_fills_each_column_as_the_per_chunk_draws_do(case):
         rngs = [np.random.default_rng([9, j]) for j in range(len(sizes))]
         rngs[3].integers(3)  # leave a buffered uint32 in one generator
         twins = copy.deepcopy(rngs)
-        got = DrawSource(rngs).transit(members, starts, params, eve, defense)
+        source = DrawSource(rngs)
+        got = source.transit(members, starts, params, eve, defense)
         delivered, drawn_eve, screens, noise = reference_transit(
             twins, members, starts, params, eve, defense)
         for name, a, b in (("delivered", got.delivered, delivered),
@@ -199,4 +451,126 @@ def test_transit_fills_each_column_as_the_per_chunk_draws_do(case):
         if drawn_eve is not None:
             for a, b in zip(got.eve, drawn_eve):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert [r.bit_generator.state for r in rngs] == [t.bit_generator.state for t in twins]
+        same_state(source, twins)
+
+
+# ---------------------------------------------------------------------------
+# word counts and raw calls in a run
+# ---------------------------------------------------------------------------
+
+HOSTILE = dict(sessions="6", n_pairs="40", seed="11", loss_prob="0.1", pauli_p_pol="0.05",
+               pauli_p_spa="0.05", kind="intercept_resend", error_threshold="1.0",
+               sample_fraction_first="0.1", sample_fraction_second="0.1")
+
+
+def test_word_counts_advance_fresh_twins_to_each_generator(monkeypatch):
+    # every generator of a hostile group, Eve's included, is a fresh one
+    # advanced by the words the source counted for it
+    made = []
+
+    def recorded(*args):
+        made.append((args, session_generators(*args)))
+        return made[-1][1]
+
+    monkeypatch.setattr(harness, "session_generators", recorded)
+    rc = parse_run_config(config_with(**HOSTILE))
+    stats = harness.RunStats()
+    group = _run_group(rc, rc.seed, range(rc.sessions))
+    _pool(stats, None, rc, range(rc.sessions), group)
+    (protocol_args, _), *eve_made = made
+    assert protocol_args == (rc.seed, range(rc.sessions)) and len(eve_made) == 1
+    words = group.draws.words
+    assert all(words[site].sum() for site in DRAW_SITES)  # every site drew in this group
+    handed = handed_back(group.draws)
+    assert any(state["has_uint32"] for state in handed)
+    for k, state in enumerate(handed):
+        twin = session_generators(rc.seed, [k])[0].bit_generator
+        twin.advance(sum(int(words[site][k]) for site in DRAW_SITES if site != "eve_coins"))
+        expected = twin.state  # ``advance`` empties the buffer: the source's goes in
+        expected["has_uint32"], expected["uinteger"] = state["has_uint32"], state["uinteger"]
+        assert state == expected
+    (_, coined, _), eve_rngs = eve_made[0]
+    for k, rng in zip(coined, eve_rngs):
+        twin = session_generators(rc.seed, [k], 0xE7E)[0].bit_generator
+        twin.advance(int(words["eve_coins"][k]))
+        assert rng.bit_generator.state == twin.state
+    assert stats.draws == {site: int(words[site].sum()) for site in DRAW_SITES}
+
+
+def test_draw_counts_reach_the_metrics_not_the_stats_file():
+    rc = parse_run_config(config_with(**HOSTILE))
+    stats, _ = run(rc)
+    assert json.loads(metrics_text(stats))["draws"] == stats.draws
+    assert all(stats.draws.values())
+    text = stats_text(rc, rc.seed, stats)
+    stats.draws = dict.fromkeys(DRAW_SITES, 0)
+    assert stats_text(rc, rc.seed, stats) == text
+
+
+class SpyBits:
+    """A bit generator that counts its ``random_raw`` calls, sized and unsized."""
+
+    def __init__(self, bits):
+        self.bits, self.sized, self.unsized = bits, 0, 0
+
+    def random_raw(self, size=None):
+        if size is None:
+            self.unsized += 1
+        else:
+            self.sized += 1
+        return self.bits.random_raw(size)
+
+    @property
+    def state(self):
+        return self.bits.state
+
+    @state.setter
+    def state(self, value):
+        self.bits.state = value
+
+
+class SpyGenerator:
+    """A generator that counts the calls of its draw methods and lends out a ``SpyBits``."""
+
+    def __init__(self, rng):
+        self.rng, self.bit_generator, self.calls = rng, SpyBits(rng.bit_generator), 0
+
+    def __getattr__(self, name):
+        if name in ("random", "integers", "choice"):
+            self.calls += 1
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("sessions, n_pairs", [(500, 16), (100, 112)])
+def test_each_member_makes_one_raw_call_per_site(monkeypatch, sessions, n_pairs):
+    # the tiny_blocks and ideal_sessions runs: no Generator draw method is
+    # called, and a site takes one random_raw call per member, plus redraws
+    spies = []
+
+    def spied(*args):
+        spies.extend(SpyGenerator(rng) for rng in session_generators(*args))
+        return spies[-len(args[1]):]
+
+    per_site = {}
+
+    def counted(site):
+        method = getattr(DrawSource, site)
+
+        def wrapper(self, members, *args):
+            before = [spy.bit_generator.sized for spy in spies]
+            out = method(self, members, *args)
+            made = [spy.bit_generator.sized - b for spy, b in zip(spies, before)]
+            per_site[site] = max(per_site.get(site, 0), *made)
+            return out
+        return wrapper
+
+    monkeypatch.setattr(harness, "session_generators", spied)
+    for site in ("first_check", "message", "hidden_sample", "bell"):
+        monkeypatch.setattr(DrawSource, site, counted(site))
+    rc = parse_run_config(config_with(sessions=str(sessions), n_pairs=str(n_pairs)))
+    stats, _ = run(rc)
+    assert stats.accepted == sessions
+    assert [spy.calls for spy in spies] == [0] * sessions
+    assert per_site == dict.fromkeys(("first_check", "message", "hidden_sample", "bell"), 1)
+    unsized = sum(spy.bit_generator.unsized for spy in spies)
+    assert unsized <= 2  # rejection redraws: about 1e-6 per draw here

@@ -356,6 +356,7 @@ def abort_reason_alone(rc, seed: int, k: int):
     if group.failed[0, 0]:
         return "first_check_fail"
     [bits] = message_capacities(group, cfg)[1]
+    group.draws.hand_back()  # rng holds its buffered half-word again
     encode_group(group, [rng.integers(0, 2, size=bits)], cfg)  # the message run() draws
     eve = rc.eve if rc.eve_passes in ("both", "return") else None
     transmit_return_group(group, rc.channel, eve=eve)

@@ -8,15 +8,19 @@ imported.
 
 The second guard fails on a public module-level function or class that no
 module of the package, no demo and not the acceptance suite names: code
-that only the other tests keep alive.
+that only the other tests keep alive.  The last test keeps ``numpy.random``
+out of the import of the command-line module.
 """
 
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import hyperqsdc
+from test_harness import package_env
 
 SOURCES = sorted(Path(hyperqsdc.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parents[1]
@@ -98,3 +102,13 @@ def test_the_usage_guard_sees_every_form():
     assert public_definitions(source) == {"Kept", "unused"}
     assert names_used(source) >= {"chbsa", "np", "zeros", "hs", "draw", "Kept", "unused_too"}
     assert not names_used(source) & {"readout", "method", "_helper", "unused"}
+
+
+def test_importing_the_cli_leaves_numpy_random_unimported():
+    # numpy imports ``numpy.random`` only when asked for it; the seeding code
+    # builds its seed class on first use, so a fresh interpreter's setup
+    # does not pay for it
+    code = "import sys, hyperqsdc.cli; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=package_env(), capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == "False"
