@@ -11,13 +11,13 @@ import json
 import numpy as np
 
 from hyperqsdc import ChannelParams, ProtocolConfig, SourceParams
-from hyperqsdc.harness import DrawSource
+from hyperqsdc.draws import DrawSource
 from hyperqsdc.protocol import (
     decode_group,
     encode_group,
     first_check_group,
-    message_capacities,
     prepare_group,
+    random_messages,
     transcript_lines,
     transmit_forward_group,
     transmit_return_group,
@@ -30,7 +30,7 @@ channel = ChannelParams()  # quiet line, no loss
 group = prepare_group(cfg, SourceParams(1.0, 0.0), DrawSource([rng]))
 transmit_forward_group(group, channel)
 first_check_group(group, cfg)
-[bits] = group.draws.message(*message_capacities(group, cfg))
+[bits] = random_messages(group, cfg)
 message = "".join(str(b) for b in bits)
 encode_group(group, [bits], cfg)
 transmit_return_group(group, channel)

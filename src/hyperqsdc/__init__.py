@@ -13,7 +13,6 @@ from .adversary import (
     apply_defenses,
     craft_trojan,
 )
-from .channel import ChannelParams
 from .harness import (
     RunConfig,
     RunStats,
@@ -48,6 +47,7 @@ from .hyperstate import (
 )
 from .protocol import (
     BlockDepleted,
+    ChannelParams,
     ConfigError,
     MessageSizeError,
     PairFate,

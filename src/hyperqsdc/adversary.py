@@ -9,7 +9,7 @@ the correlation checks, screen the signals (``screen``).  Both act on
 arrays of signals; ``craft_trojan`` and ``apply_defenses`` take one.
 
 Strategies are stateless: the models take uniforms, or a callable that
-draws them (in a run, from its ``harness.DrawSource``), so records and
+draws them (in a run, from its ``draws.DrawSource``), so records and
 reproducibility belong to the caller.
 """
 

@@ -14,7 +14,8 @@ check), and only then decodes the message, 4 bits per pair.
 Phases move strictly forward; only the two checks may abort, and a
 session that runs out of pairs at a check ends there, aborted and marked
 depleted.  Sessions are single-owner mutable state, and every random draw
-comes from the group's ``harness.DrawSource``.
+comes from the group's ``draws.DrawSource``: each phase draws its own
+choices, in a fixed order, as calls of the source's primitives.
 
 Each phase is written once, for a ``SessionGroup`` of sessions that share
 one state table, keep their bookkeeping in arrays over the group and move
@@ -29,23 +30,27 @@ went through, with its keys in a fixed order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import channel as chn
 from .adversary import (
+    PROBED_PHOTONS,
     SCREEN_ALARMED,
     SCREEN_FILTERED,
     TROJAN_KINDS,
+    BasisPolicy,
     DefenseConfig,
     EveKind,
     EveStrategy,
+    draw_probes,
     resend,
+    screen,
 )
 from .hyperstate import (
     ALL_AXES,
@@ -136,6 +141,24 @@ class ProtocolConfig:
             )
 
 
+@dataclass(frozen=True)
+class ChannelParams:
+    """The lossy, noisy channel of the traveling photon A: loss_prob in [0, 1), and per DOF
+    the probability in [0, 1] of a Pauli X, Y or Z, each a third of it."""
+
+    loss_prob: float = 0.0
+    pauli_p_pol: float = 0.0
+    pauli_p_spa: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.loss_prob < 1.0:
+            raise ValueError(f"loss_prob must be in [0, 1), got {self.loss_prob}")
+        for name in ("pauli_p_pol", "pauli_p_spa"):
+            p = getattr(self, name)
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {p}")
+
+
 # Codes a group stores: a phase's index in tuple(Phase) per member, a fate's
 # index in tuple(PairFate) per pair, and why a depleted member stopped.
 _PHASES = tuple(Phase)
@@ -179,7 +202,7 @@ class SessionGroup:
     pairs at a check and ended there, aborted), ``counts[j, c]`` =
     (checked, pol errors, spa errors, mismatched samples) and ``failed[j, c]``
     of check c (0 first, 1 second; a check that never ran checked 0).
-    ``draws`` (a ``harness.DrawSource``) makes every random draw of the
+    ``draws`` (a ``draws.DrawSource``) makes every random draw of the
     members, and ``source`` is the pair source that filled the block.
 
     Each phase acts on the members that are in the phase it starts from.  It
@@ -310,10 +333,129 @@ _TRANSITS = {
     "return": (1, Phase.SA_IN_FLIGHT_2, Phase.SA_IN_FLIGHT_2, Phase.DECODING, PairFate.LOST_RETURN),
 }
 
+# The chunk of photons in which a session draws its transits: a session of
+# more pairs draws one chunk after another, in the order that fixes its
+# random numbers and so its output bytes.
+CHUNK_ROWS = 1024
+
+
+class TransitDraws(NamedTuple):
+    """Every random choice of one transit of n photons, drawn before any state work.
+
+    ``delivered`` is the (n,) loss mask.  The other fields cover the
+    delivered photons only: Eve's ``adversary.resend`` inputs (None unless
+    she intercepts and resends), each photon's screening verdict as its
+    index into ``adversary.SCREENS`` (0 where no probe rode along), and its
+    Paulis as one code 4 * pol + spa, each DOF's Pauli index 0 for none.
+    Every field but ``eve`` is an array also where nothing was drawn for
+    it: all delivered at no loss, all 0 without probes or without noise.
+    """
+
+    delivered: np.ndarray
+    eve: tuple | None
+    screens: np.ndarray
+    noise: np.ndarray
+
+
+def _per_member(rows: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """How many of the ascending ``rows`` fall in member i's range ``bounds[i]:bounds[i + 1]``."""
+    return np.diff(np.searchsorted(rows, bounds))
+
+
+def transit_draws(draws, members, starts, params: ChannelParams, eve: EveStrategy,
+                  defense: DefenseConfig) -> TransitDraws:
+    """A transit's choices from the ``DrawSource`` ``draws``; probes tuned to ``defense``.
+
+    A member draws its photons ``CHUNK_ROWS`` at a time, chunk after
+    chunk.  Where a chunk draws all its numbers in one call (Eve's choices
+    alone), one round draws every chunk; otherwise round r draws chunk r
+    of every member that has one, and the rounds' draws are put in member
+    order at the end.  A field that nothing draws into keeps its constant
+    (all delivered, no Pauli, no probe).
+    """
+    members, starts = np.asarray(members, dtype=np.intp), np.asarray(starts)
+    sizes = (starts[1:] - starts[:-1])[members]
+    slots = len(eve.dof_mask) if eve.kind is EveKind.INTERCEPT_RESEND else 0
+    # each chunk's member (its position in ``members``), index there and photons
+    chunks = -(-sizes // CHUNK_ROWS)
+    owner = np.repeat(np.arange(len(members)), chunks)
+    index = np.arange(len(owner)) - np.repeat(np.cumsum(chunks) - chunks, chunks)
+    n = np.minimum(sizes[owner] - CHUNK_ROWS * index, CHUNK_ROWS)
+    one_call = not (params.loss_prob or params.pauli_p_pol or params.pauli_p_spa
+                    or eve.kind in TROJAN_KINDS)
+    rounds = [] if one_call else [index == r for r in range(int(chunks.max(initial=0)))]
+    rounds = rounds or [slice(None)]
+    parts = [_transit_chunk(draws, members[owner[r]], n[r], params, eve, defense, slots)
+             for r in rounds]
+    delivered, kept, x, u, screens, noise = parts[0]
+    if len(parts) > 1:  # member order: a stable sort keeps each member's chunks in order
+        delivered, kept, x, u, screens, noise = map(np.concatenate, zip(*parts))
+        owner = np.concatenate([owner[r] for r in rounds])
+        sent = np.repeat(owner, np.concatenate([n[r] for r in rounds]))
+        sent = np.argsort(sent, kind="stable")
+        kept = np.argsort(np.repeat(owner, kept), kind="stable")
+        delivered, x, screens, noise = delivered[sent], x[kept], screens[kept], noise[kept]
+        u = u[kept] if slots else u
+    return TransitDraws(delivered, (x, u) if slots else None, screens, noise)
+
+
+def _transit_chunk(draws, units: np.ndarray, n: np.ndarray, params: ChannelParams,
+                   eve: EveStrategy, defense: DefenseConfig, slots: int) -> tuple:
+    """One chunk of ``n[i]`` photons of each ``units[i]``, drawn in the channel's order.
+
+    Loss, Eve's X-basis coins and uniforms, Trojan probes, per-DOF Pauli
+    noise (a hit, then which of X, Y and Z), then the receiver's screening.
+    Returns (delivered, photons delivered per unit, Eve's X mask, her
+    uniforms, screens, Pauli noise), the last four over the delivered photons.
+    """
+    site = "transit"
+    if params.loss_prob > 0.0:
+        delivered = draws.uniforms(site, units, n) >= params.loss_prob
+        n = _per_member(delivered.nonzero()[0], np.concatenate([[0], np.cumsum(n)]))
+    else:
+        delivered = np.ones(n.sum(), dtype=bool)
+    bounds = np.concatenate([[0], np.cumsum(n)])
+    probes = eve.kind in TROJAN_KINDS
+    zx = slots and eve.basis_policy is BasisPolicy.UNIFORM_ZX
+    blocks = {"x": n * slots} if zx else {}
+    if slots:
+        blocks["u"] = n
+    if params.pauli_p_pol > 0.0 and not probes:  # probes draw between these and the noise
+        blocks["pol"] = n
+    drawn = draws.blocks(site, units, blocks, coins=("x",))  # X where below 1/2
+    x = (drawn.pop("x").reshape(-1, slots) if zx
+         else np.full((bounds[-1], slots), eve.basis_policy is BasisPolicy.FIXED_X))
+    if probes:
+        offsets = draw_probes(
+            eve.kind, bounds[-1],
+            lambda shape: draws.uniforms(site, units, n * math.prod(shape[1:])).reshape(shape),
+            defense.filter_tolerance)
+    noise = np.zeros(bounds[-1], dtype=np.intp)
+    spa = params.pauli_p_spa > 0.0
+    u_spa = None
+    if params.pauli_p_pol > 0.0:
+        u_pol = drawn["pol"] if "pol" in drawn else draws.uniforms(site, units, n)
+        hit = (u_pol < params.pauli_p_pol).nonzero()[0]
+        # the Pauli kind of each pol hit, then the spa uniforms, in one call
+        kinds, u_spa = draws.integers(site, units, _per_member(hit, bounds), 3,
+                                      n if spa else None)
+        noise[hit] += 4 * (1 + kinds.astype(np.intp))
+    if spa:
+        if u_spa is None:
+            u_spa = draws.uniforms(site, units, n)
+        hit = (u_spa < params.pauli_p_spa).nonzero()[0]
+        kinds, _ = draws.integers(site, units, _per_member(hit, bounds), 3)
+        noise[hit] += 1 + kinds.astype(np.intp)
+    screens = np.zeros(bounds[-1], dtype=np.int8)
+    if probes:
+        screens = screen(offsets, np.full(bounds[-1], PROBED_PHOTONS), defense,
+                         lambda rows: draws.uniforms(site, units, _per_member(rows, bounds)))
+    return delivered, n, x, drawn.get("u", np.empty(0)), screens, noise
+
 
 def _transit(
     group: SessionGroup,
-    params: chn.ChannelParams,
+    params: ChannelParams,
     eve: EveStrategy,
     defense: DefenseConfig,
     direction: str,
@@ -325,6 +467,8 @@ def _transit(
     ``SessionGroup._update``; the screening verdicts are recorded as drawn.
     The loss, screening and noise passes are skipped where they cannot
     change anything: at loss or noise probability 0, and without probes.
+    A lost photon ends its pair's life; the parties discard the position
+    by classical announcement.
     """
     pass_index, before, _, arrival, lost_fate = _TRANSITS[direction]
     acting = group.in_phase(before)
@@ -335,7 +479,7 @@ def _transit(
     )
     if len(members) and not quiet:
         rows, starts = _candidates(group, acting)  # block rows of the photons sent
-        drawn = group.draws.transit(members.tolist(), starts, params, eve, defense)
+        drawn = transit_draws(group.draws, members, starts, params, eve, defense)
         if params.loss_prob:
             group.fates.reshape(-1)[rows[~drawn.delivered]] = FATES.index(lost_fate)
             rows = rows[drawn.delivered]
@@ -360,7 +504,7 @@ def _transit(
 
 def transmit_forward_group(
     group: SessionGroup,
-    params: chn.ChannelParams,
+    params: ChannelParams,
     eve: Optional[EveStrategy] = None,
     defense: Optional[DefenseConfig] = None,
 ) -> None:
@@ -370,7 +514,7 @@ def transmit_forward_group(
 
 def transmit_return_group(
     group: SessionGroup,
-    params: chn.ChannelParams,
+    params: ChannelParams,
     eve: Optional[EveStrategy] = None,
 ) -> None:
     """Send the encoded photons back from Alice to Bob (no receiver defenses)."""
@@ -396,12 +540,19 @@ def first_check_group(group: SessionGroup, cfg: ProtocolConfig) -> None:
     ks = np.minimum(_sample_count(cfg.sample_fraction_first, sizes), sizes - 2)
     if not len(ks):
         return
-    picks, bases, u = group.draws.first_check(members[ready].tolist(), starts, ks.tolist())
+    picks, _, u = group.draws.sample("first_check", members[ready], starts, ks, uniforms=3)
+    # a member's 3k uniforms are 2k basis uniforms, then k Born uniforms
+    if (ks == ks[0]).all():
+        u = u.reshape(len(ks), -1)
+        bases, born = u[:, : 2 * ks[0]], u[:, 2 * ks[0] :]
+    else:
+        basis = np.arange(len(u)) < np.repeat(3 * np.cumsum(ks) - ks, 3 * ks)
+        bases, born = u[basis], u[~basis]
     rows = np.sort(candidates[picks])
-    x = bases < 0.5
+    x = bases.reshape(-1, 2) < 0.5
     # one 16-outcome draw per sample reads (alice_pol, bob_pol, alice_spa, bob_spa)
-    outcomes, _ = measure_table(group.table, group.index[rows], ALL_AXES, u, x[:, [0, 0, 1, 1]],
-                                collapse=False)
+    outcomes, _ = measure_table(group.table, group.index[rows], ALL_AXES, born.ravel(),
+                                x[:, [0, 0, 1, 1]], collapse=False)
     _check(group, 0, rows, _CHECK_ERRORS[outcomes], cfg.error_threshold, Phase.ENCODING)
     group.fates.reshape(-1)[rows] = _CONSUMED
     group.first_reads.reshape(-1)[rows] = outcomes + 16 * x[:, 0] + 32 * x[:, 1]
@@ -428,6 +579,17 @@ def message_capacities(group: SessionGroup, cfg: ProtocolConfig) -> tuple[list, 
     """(members ready to encode, the bits each can carry beside its second-check sample)."""
     members, _, _, sizes, n_second = _encoding_plan(group, cfg)
     return members, (4 * (sizes - n_second)).tolist()
+
+
+def random_messages(group: SessionGroup, cfg: ProtocolConfig) -> list:
+    """A random message per member ready to encode, in member order: int8 bits, as many as
+    ``message_capacities`` gives it, the numbers of ``integers(0, 2, size=bits)``."""
+    members, capacities = message_capacities(group, cfg)
+    if not members:
+        return []
+    bits, _ = group.draws.integers("message", np.asarray(members), np.asarray(capacities), 2)
+    bits, ends = bits.astype(np.int8), np.cumsum(capacities).tolist()
+    return [bits[end - size:end] for end, size in zip(ends, capacities)]
 
 
 # weights that turn a row of four message bits into its chunk's value; int8,
@@ -461,7 +623,7 @@ def encode_group(group: SessionGroup, messages: list, cfg: ProtocolConfig) -> No
             f"message length must be exactly {capacities[wrong[0]]} bits for this block, "
             f"got {lengths[wrong[0]]}"
         )
-    picks, sample_ops = group.draws.hidden_sample(members, starts, n_second.tolist())
+    picks, sample_ops, _ = group.draws.sample("hidden_sample", members, starts, n_second, 16)
     second = np.sort(candidates[picks])
     is_second = group.second.reshape(-1)
     is_second[second] = True
@@ -496,7 +658,8 @@ def decode_group(group: SessionGroup, cfg: ProtocolConfig) -> None:
         return
     group.phases[members] = _PHASE[Phase.SECOND_CHECK]
     rows, starts = _candidates(group, acting)
-    labels = bell_labels_table(group.table, group.index[rows], group.draws.bell(members, starts))
+    u = group.draws.uniforms("bell", members, np.diff(starts)[members])  # one per pair in play
+    labels = bell_labels_table(group.table, group.index[rows], u)
     group.bell.reshape(-1)[rows] = labels
     in_sample = group.second.reshape(-1)[rows]
     sample_rows = rows[in_sample]

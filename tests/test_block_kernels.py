@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 import oracles
 from hyperqsdc import hyperstate as hs
 from hyperqsdc.adversary import DefenseConfig, EveKind, EveStrategy, resend
-from hyperqsdc.channel import ChannelParams
-from hyperqsdc.harness import DrawSource, parse_run_config, run
+from hyperqsdc.draws import DrawSource
+from hyperqsdc.harness import parse_run_config, run
 from hyperqsdc.hyperstate import (
     ALL_AXES,
     AXIS,
@@ -36,6 +36,7 @@ from hyperqsdc.hyperstate import (
     correlation_error_probs,
     outcome_probs,
 )
+from hyperqsdc.protocol import ChannelParams, transit_draws
 
 # every ascending set of tensor axes a kernel may measure
 AXES_SETS = [
@@ -174,7 +175,7 @@ class TestBlockEqualsRows:
         # one outcome uniform per row; a uniform below 1/2 picks X
         draws = [(0.75 - 0.5 * x[:, : len(dofs)]).ravel(), u]
         source = DrawSource([FixedUniforms(np.concatenate(draws))])
-        drawn = source.transit([0], [0, n], ChannelParams(), strategy, DefenseConfig()).eve
+        drawn = transit_draws(source, [0], [0, n], ChannelParams(), strategy, DefenseConfig()).eve
         table, index, codes = resend(states, strategy, *drawn, np.arange(n))
         for k in range(n):
             table_k, index_k, codes_k = resend(states[k : k + 1], strategy, x[k : k + 1, : len(dofs)],

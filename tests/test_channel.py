@@ -25,8 +25,7 @@ from hyperqsdc.adversary import (
     EveStrategy,
     resend,
 )
-from hyperqsdc.channel import ChannelParams
-from hyperqsdc.harness import DrawSource
+from hyperqsdc.draws import DrawSource
 from hyperqsdc.hyperstate import (
     AXIS,
     BELL_BASIS,
@@ -38,7 +37,14 @@ from hyperqsdc.hyperstate import (
     apply_local,
     measure_table,
 )
-from hyperqsdc.protocol import FATES, PairFate, SessionGroup, transmit_forward_group
+from hyperqsdc.protocol import (
+    FATES,
+    ChannelParams,
+    PairFate,
+    SessionGroup,
+    transit_draws,
+    transmit_forward_group,
+)
 
 IDEAL = BellIndex(Bell.PHI_PLUS, Bell.PHI_PLUS)
 NO_EVE = EveStrategy(EveKind.NONE)
@@ -56,7 +62,7 @@ def ideal_pairs(n):
 
 def draw_transit(n, params, eve, defense, rng):
     """The draws of one transit of n photons of one session, whose generator is ``rng``."""
-    return DrawSource([rng]).transit([0], [0, n], params, eve, defense)
+    return transit_draws(DrawSource([rng]), [0], [0, n], params, eve, defense)
 
 
 def transit(n, params, eve, rng, defense=NO_DEFENSE, states=None):

@@ -1,18 +1,22 @@
-"""Every random draw of a run comes from one object, ``harness.DrawSource``.
+"""Every random draw of a run comes from one object, ``draws.DrawSource``.
 
-The rule that session k draws only from its own generators, in the order
-and sizes of the session run alone, lives in that class alone.  A guard
-parses the package and fails on a generator draw anywhere else, a raw
-64-bit word or a look at a generator's state included.
+The rule that session k draws only from its own generators lives in that
+class alone.  A guard parses the package and fails on a generator draw
+anywhere else, a raw 64-bit word or a look at a generator's state
+included, and another on a ``numpy.random`` constructor outside ``draws``.
 
-The source takes raw PCG64 words and shapes them into numpy's draws itself:
-uniforms, Lemire's bounded integers from 32-bit half-words (with the
-left-over half buffered as the generator would buffer it) and the check
-samples of ``choice``.  The tests here compare each of its primitives and
-sites with numpy's own calls on ``copy.deepcopy`` twin generators, numbers
-and final generator state alike; the state is read after the source hands
-its buffered half-words back, so all of it is compared.  A failure names
-the installed numpy.
+The source takes raw PCG64 words and shapes them into numpy's draws itself,
+with four primitives: ``uniforms``, ``integers`` (Lemire's bounded integers
+from 32-bit half-words, the left-over half buffered as the generator would
+buffer it), ``sample`` (the check samples of ``choice``) and ``blocks``.
+Each phase writes its own recipe as calls of these: the transit in
+``protocol.transit_draws``, the first check, the message, the hidden
+sample and the Bell readout in their phase functions, Eve's coins in
+``harness._pool``.  The tests here compare each primitive and each recipe
+with numpy's own calls on ``copy.deepcopy`` twin generators, in the order
+and sizes of the session run alone, numbers and final generator state
+alike; the state is read after the source hands its buffered half-words
+back, so all of it is compared.  A failure names the installed numpy.
 """
 
 from __future__ import annotations
@@ -29,20 +33,26 @@ from hypothesis import strategies as st
 
 import hyperqsdc
 from hyperqsdc import adversary as adv
-from hyperqsdc import harness
+from hyperqsdc import draws, harness
 from hyperqsdc.adversary import BasisPolicy, DefenseConfig, EveKind, EveStrategy, PnsKind
-from hyperqsdc.channel import ChannelParams
-from hyperqsdc.harness import (
+from hyperqsdc.draws import DRAW_SITES, DrawSource, session_generators
+from hyperqsdc.harness import _pool, _run_group, metrics_text, parse_run_config, run, stats_text
+from hyperqsdc.hyperstate import SourceParams
+from hyperqsdc.protocol import (
     CHUNK_ROWS,
-    DRAW_SITES,
-    DrawSource,
-    _pool,
-    _run_group,
-    metrics_text,
-    parse_run_config,
-    run,
-    session_generators,
-    stats_text,
+    FATES,
+    ChannelParams,
+    PairFate,
+    Phase,
+    ProtocolConfig,
+    decode_group,
+    encode_group,
+    first_check_group,
+    prepare_group,
+    random_messages,
+    transit_draws,
+    transmit_forward_group,
+    transmit_return_group,
 )
 
 from test_harness import config_with
@@ -53,7 +63,7 @@ SOURCES = sorted(Path(hyperqsdc.__file__).parent.glob("*.py"))
 DRAWS = {"random", "integers", "choice", "random_raw"}
 # (module, top-level name) that may draw: the draw source, and the one-pair
 # and one-signal helpers that take a generator from their caller
-ALLOWED = {("harness", "DrawSource"), ("hyperstate", "chbsa"), ("adversary", "craft_trojan"),
+ALLOWED = {("draws", "DrawSource"), ("hyperstate", "chbsa"), ("adversary", "craft_trojan"),
            ("adversary", "apply_defenses")}
 
 
@@ -62,13 +72,17 @@ def draw_calls(source: str, module: str) -> list:
 
     A draw is a call of one of ``DRAWS``, or any use of a generator's
     ``bit_generator``: its state and its raw words are draws too.  The
-    ``numpy.random.bit_generator`` module is not a generator's.
+    ``numpy.random.bit_generator`` module is not a generator's, and a call
+    on ``draws`` or ``<group>.draws`` is one of a ``DrawSource``'s
+    primitives, whose ``integers`` shares its name with the generator's.
     """
     calls = []
     for top in ast.parse(source).body:
         for node in ast.walk(top):
             if ((isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                 and node.func.attr in DRAWS)
+                 and node.func.attr in DRAWS
+                 and "draws" not in (getattr(node.func.value, "id", None),
+                                     getattr(node.func.value, "attr", None)))
                     or (isinstance(node, ast.Attribute) and node.attr == "bit_generator"
                         and getattr(node.value, "attr", None) != "random")):
                 calls.append((module, getattr(top, "name", None), node.lineno))
@@ -81,7 +95,7 @@ def test_only_the_draw_source_calls_a_generator():
     assert [call for call in calls if call[:2] not in ALLOWED] == []
     # the guard sees the draws it allows: the source's raw calls, its state
     # reads and writes, and numpy's own choice for the samples it leaves to it
-    assert len([call for call in calls if call[:2] == ("harness", "DrawSource")]) >= 10
+    assert len([call for call in calls if call[:2] == ("draws", "DrawSource")]) >= 10
 
 
 def test_the_guard_sees_raw_words_and_state():
@@ -89,9 +103,41 @@ def test_the_guard_sees_raw_words_and_state():
               "    words = rng.bit_generator.random_raw(4)\n"
               "    return rng.bit_generator.state\n"
               "class G(np.random.bit_generator.ISeedSequence):\n"
-              "    def g(self, rng): return rng.random(2)\n")
+              "    def g(self, rng): return rng.random(2)\n"
+              "def h(draws, group):\n"
+              "    return draws.integers('bell', m, c, 2), group.draws.rngs[0].integers(2)\n")
     assert sorted(draw_calls(source, "m")) == [("m", "G", 5), ("m", "f", 2), ("m", "f", 2),
-                                               ("m", "f", 3)]
+                                               ("m", "f", 3), ("m", "h", 7)]
+
+
+def numpy_random_constructors(source: str, module: str) -> list:
+    """(module, line) of each ``np.random.<X>(...)`` call in ``source`` and each import from
+    ``numpy.random``: the ways to build a generator or a bit generator.
+
+    An annotation such as ``rng: np.random.Generator`` builds nothing.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if ((isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and getattr(node.func.value, "attr", None) == "random")
+                or (isinstance(node, ast.ImportFrom)
+                    and (node.module or "").startswith("numpy.random"))):
+            found.append((module, node.lineno))
+    return sorted(found)
+
+
+def test_only_the_draw_module_builds_generators():
+    found = [call for path in SOURCES
+             for call in numpy_random_constructors(path.read_text(encoding="utf-8"), path.stem)]
+    assert [call for call in found if call[0] != "draws"] == []
+    assert len(found) >= 2  # the guard sees the generators ``session_generators`` builds
+
+
+def test_the_constructor_guard_sees_calls_and_imports():
+    source = ("def f(rng: np.random.Generator, seed):\n"
+              "    return np.random.default_rng(seed), rng.random(2)\n"
+              "from numpy.random import PCG64\n")
+    assert numpy_random_constructors(source, "m") == [("m", 2), ("m", 3)]
 
 
 def generators(seed: int, buffered: list) -> list:
@@ -145,7 +191,7 @@ def test_bounded_integers_then_uniforms_are_numpys(seed, buffered, data):
     source = DrawSource(generators(seed, buffered))
     twins = copy.deepcopy(source.rngs)
     members = np.arange(len(buffered))[::-1]  # any member order
-    ints, u = source._bounded("message", members, np.array(counts),
+    ints, u = source.integers("message", members, np.array(counts),
                               np.array(sizes, dtype=np.uint64), np.array(uniforms))
     expected_ints, expected_u, at = [], [], 0
     for j, count, n_u in zip(members, counts, uniforms):
@@ -164,7 +210,7 @@ def test_one_range_for_all_is_numpys_sized_draw(seed, buffered, size, data):
     counts = data.draw(st.lists(st.integers(0, 9), min_size=len(buffered), max_size=len(buffered)))
     source = DrawSource(generators(seed, buffered))
     twins = copy.deepcopy(source.rngs)
-    ints, _ = source._bounded("transit", np.arange(len(buffered)), np.array(counts), size)
+    ints, _ = source.integers("transit", np.arange(len(buffered)), np.array(counts), size)
     expected = [twin.integers(size, size=count) for twin, count in zip(twins, counts)]
     same(ints, np.concatenate(expected), "integers(size, size=count)")
     same_state(source, twins)
@@ -175,7 +221,7 @@ def test_word_counts_and_rejections_near_two_to_the_31():
     # again, and counts the words it took
     source = DrawSource(generators(5, [False, True]))
     twins = copy.deepcopy(source.rngs)
-    ints, _ = source._bounded("first_check", np.arange(2), np.array([500, 501]), 2**31 + 1)
+    ints, _ = source.integers("first_check", np.arange(2), np.array([500, 501]), 2**31 + 1)
     same(ints, np.concatenate([twins[0].integers(2**31 + 1, size=500),
                                twins[1].integers(2**31 + 1, size=501)]), "integers near 2**31")
     same_state(source, twins)
@@ -194,7 +240,7 @@ def generator_drawing(word: int) -> np.random.Generator:
     starts one step before it.
     """
     inc = 0x9E3779B97F4A7C15F39CC0605CEDC835  # any odd increment
-    before = (word - inc) * pow(harness._PCG_MULT, -1, 2**128) % 2**128
+    before = (word - inc) * pow(draws._PCG_MULT, -1, 2**128) % 2**128
     rng = np.random.default_rng(0)
     rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": before, "inc": inc},
                                "has_uint32": 0, "uinteger": 0}
@@ -210,7 +256,7 @@ def test_lemire_keeps_a_value_at_its_threshold_and_rejects_one_below(size):
         assert copy.deepcopy(generator_drawing(word)).bit_generator.random_raw() == word
         source = DrawSource([generator_drawing(word)])
         twin = copy.deepcopy(source.rngs[0])
-        ints, _ = source._bounded("message", np.arange(1), np.array([2]), size)
+        ints, _ = source.integers("message", np.arange(1), np.array([2]), size)
         same(ints, twin.integers(size, size=2), f"integers({size}) at Lemire's threshold")
         same_state(source, [twin])
 
@@ -226,14 +272,13 @@ def test_floyd_and_shuffle_are_numpys_choice(seed, buffered, data):
     source = DrawSource(generators(seed, buffered))
     twins = copy.deepcopy(source.rngs)
     members = list(range(len(ks)))
-    positions, bases, born = source.first_check(members, starts, ks)
+    positions, _, u = source.sample("first_check", members, starts, ks, uniforms=3)
     expected, uniforms = [], []
     for j, k in zip(members, ks):
         expected += (twins[j].choice(sizes[j], size=k, replace=False) + starts[j]).tolist()
         uniforms.append(twins[j].random(3 * k))
     same(positions, expected, "choice(n, k, replace=False)")
-    same(bases, np.concatenate([u[: 2 * len(u) // 3] for u in uniforms]).reshape(-1, 2), "bases")
-    same(born, np.concatenate([u[2 * len(u) // 3 :] for u in uniforms]), "born uniforms")
+    same(u, np.concatenate(uniforms), "uniforms after the sample")
     same_state(source, twins)
 
 
@@ -248,7 +293,7 @@ BOUNDARIES = [(10_001, 200), (10_001, 201), (20_000, 400), (20_000, 401),
 def test_choice_regimes_meet_where_numpys_do(n, k, buffered):
     source = DrawSource(generators(n + k, [buffered]))
     twins = copy.deepcopy(source.rngs)
-    positions, ops = source.hidden_sample([0], [0, n], [k])
+    positions, ops, _ = source.sample("hidden_sample", [0], [0, n], [k], 16)
     same(positions, twins[0].choice(n, size=k, replace=False), f"choice({n}, {k}, replace=False)")
     same(ops, twins[0].integers(16, size=k), "hidden ops")
     same_state(source, twins)
@@ -270,14 +315,15 @@ def test_sites_in_any_order_carry_the_half_word(seed, buffered, steps):
         starts = np.concatenate([[0], np.cumsum(sizes)]).tolist()
         members = [2, 0, 1]
         if site == "bell":
-            got = source.bell(members, starts)
+            got = source.uniforms(site, members, [sizes[j] for j in members])
             expected = np.concatenate([twins[j].random(sizes[j]) for j in members])
         elif site == "message":
-            got = np.concatenate(source.message(members, [sizes[j] for j in members]))
+            counts = np.array([sizes[j] for j in members])
+            got, _ = source.integers(site, np.array(members), counts, 2)
             expected = np.concatenate([twins[j].integers(0, 2, size=sizes[j]) for j in members])
         else:
             ks = [max(1, sizes[j] // 3) for j in members]
-            got = np.concatenate(source.hidden_sample(members, starts, ks))
+            got = np.concatenate(source.sample(site, members, starts, ks, 16)[:2])
             picks, ops = [], []
             for j, k in zip(members, ks):
                 picks.append(twins[j].choice(sizes[j], size=k, replace=False) + starts[j])
@@ -293,7 +339,7 @@ def test_pcg_steps_measure_advance():
         before = rng.bit_generator.state["state"]
         rng.bit_generator.advance(steps)
         after = rng.bit_generator.state["state"]
-        assert harness._pcg_steps(before["state"], after["state"], after["inc"]) == steps
+        assert draws._pcg_steps(before["state"], after["state"], after["inc"]) == steps
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +371,9 @@ def test_a_draw_of_one_is_the_draw_choice_makes():
         f"broke the identity DrawSource's samples of one rest on (seed, size): {broken[:5]}")
 
 
-def test_message_bits_are_the_unsized_draw_narrowed_to_int8():
-    # ``message`` gives the bits of ``integers(0, 2, size=bits)`` as int8, and
-    # the generator state of that draw
+def test_message_bits_are_the_unsized_draw():
+    # the message site's bits are those of ``integers(0, 2, size=bits)``, and
+    # leave the generator state of that draw
     capacities = [0, 1, 4, 56, 400, 4001]
     for seed in range(20):
         rngs = [np.random.default_rng([seed, j]) for j in range(len(capacities))]
@@ -336,28 +382,24 @@ def test_message_bits_are_the_unsized_draw_narrowed_to_int8():
         twins = copy.deepcopy(rngs)
         members = list(range(len(capacities)))[::-1]
         source = DrawSource(rngs)
-        got = source.message(members, capacities[::-1])
+        got, _ = source.integers("message", np.array(members), np.array(capacities[::-1]), 2)
         expected = [twins[j].integers(0, 2, size=bits) for j, bits in zip(members, capacities[::-1])]
-        assert [bits.dtype for bits in got] == [np.dtype(np.int8)] * len(members)
-        assert [bits.tolist() for bits in got] == [bits.tolist() for bits in expected]
+        assert got.tolist() == np.concatenate(expected).tolist()
         same_state(source, twins)
 
 
 def reference_draws(rngs, members, starts, ks) -> tuple:
-    """``first_check`` then ``hidden_sample`` drawn member by member with sized calls."""
-    positions, bases, born, hidden, ops = [], [], [], [], []
+    """The first-check then the hidden sample draws, member by member with sized calls."""
+    positions, uniforms, hidden, ops = [], [], [], []
     for j, k in zip(members, ks):
         rng, size = rngs[j], starts[j + 1] - starts[j]
         positions.append(rng.choice(size, size=k, replace=False) + starts[j])
-        draws = rng.random(3 * k)
-        bases.append(draws[: 2 * k])
-        born.append(draws[2 * k :])
+        uniforms.append(rng.random(3 * k))
     for j, k in zip(members, ks):
         rng, size = rngs[j], starts[j + 1] - starts[j]
         hidden.append(rng.choice(size, size=k, replace=False) + starts[j])
         ops.append(rng.integers(16, size=k))
-    return (np.concatenate(positions), np.concatenate(bases).reshape(-1, 2), np.concatenate(born),
-            np.concatenate(hidden), np.concatenate(ops))
+    return tuple(map(np.concatenate, (positions, uniforms, hidden, ops)))
 
 
 @pytest.mark.parametrize("members, ks", [
@@ -372,9 +414,10 @@ def test_samples_of_one_and_three_draw_as_sized_calls(members, ks):
     rngs = [np.random.default_rng([7, j]) for j in range(4)]
     twins = copy.deepcopy(rngs)
     source = DrawSource(rngs)
-    got = (*source.first_check(members, starts, ks), *source.hidden_sample(members, starts, ks))
+    got = (*source.sample("first_check", members, starts, ks, uniforms=3)[::2],
+           *source.sample("hidden_sample", members, starts, ks, 16)[:2])
     expected = reference_draws(twins, members, starts, ks)
-    for name, a, b in zip(("positions", "bases", "born", "hidden", "ops"), got, expected):
+    for name, a, b in zip(("positions", "uniforms", "hidden", "ops"), got, expected):
         assert a.dtype.kind == b.dtype.kind and np.array_equal(a, b), name
     same_state(source, twins)
 
@@ -426,6 +469,8 @@ TRANSITS = {
     "lossy_multiphoton": (ChannelParams(loss_prob=0.1, pauli_p_pol=0.1),
                           EveStrategy(EveKind.TROJAN_MULTIPHOTON)),
     "lossy_only": (ChannelParams(loss_prob=0.5), EveStrategy()),
+    "lossy_noisy_invisible": (ChannelParams(loss_prob=0.1, pauli_p_pol=0.2, pauli_p_spa=0.1),
+                              EveStrategy(EveKind.TROJAN_INVISIBLE)),
 }
 
 
@@ -441,7 +486,7 @@ def test_transit_fills_each_column_as_the_per_chunk_draws_do(case):
         rngs[3].integers(3)  # leave a buffered uint32 in one generator
         twins = copy.deepcopy(rngs)
         source = DrawSource(rngs)
-        got = source.transit(members, starts, params, eve, defense)
+        got = transit_draws(source, members, starts, params, eve, defense)
         delivered, drawn_eve, screens, noise = reference_transit(
             twins, members, starts, params, eve, defense)
         for name, a, b in (("delivered", got.delivered, delivered),
@@ -454,6 +499,55 @@ def test_transit_fills_each_column_as_the_per_chunk_draws_do(case):
         same_state(source, twins)
 
 
+@pytest.mark.parametrize("short", [False, True])
+def test_phases_draw_in_the_order_of_the_session_run_alone(short):
+    # four sessions over a quiet line, with two of them short of pairs when
+    # ``short`` so that their samples differ in size: where each phase's draws
+    # land, and the generator states left, are those of each session's sized
+    # calls: choice and 2k basis then k Born uniforms, the message bits,
+    # choice and the hidden ops, one Bell uniform per pair returned
+    cfg = ProtocolConfig(n_pairs=40, sample_fraction_first=0.2, sample_fraction_second=0.1)
+    rngs = [np.random.default_rng([7, j]) for j in range(4)]
+    rngs[2].integers(3)  # leave a buffered uint32 in one generator
+    twins = copy.deepcopy(rngs)
+    group = prepare_group(cfg, SourceParams(1.0, 0.0), DrawSource(rngs))
+    lost = np.zeros(group.fates.shape, dtype=bool)
+    if short:
+        lost[1, ::3] = lost[3, 5:30] = True
+        group.fates[lost] = FATES.index(PairFate.LOST_FORWARD)
+    transmit_forward_group(group, ChannelParams())
+    first_check_group(group, cfg)
+    messages = random_messages(group, cfg)
+    encode_group(group, messages, cfg)
+    transmit_return_group(group, ChannelParams())
+    decode_group(group, cfg)
+    assert group.in_phase(Phase.ACCEPTED).all()
+    for j, twin in enumerate(twins):
+        rows = (~lost[j]).nonzero()[0]
+        k = group.counts[j, 0, 0]
+        checked = np.sort(rows[twin.choice(len(rows), size=k, replace=False)])
+        u = twin.random(3 * k)
+        x = (u[: 2 * k] < 0.5).reshape(-1, 2)
+        reads = group.first_reads[j, checked]
+        assert np.count_nonzero(group.first_reads[j] >= 0) == k
+        same(reads >> 4 & 1, x[:, 0], "pol bases")
+        same(reads >> 5 & 1, x[:, 1], "spa bases")
+        # a source pair reads one of four correlated outcomes, 0, 3, 12 or 15,
+        # each over a quarter of the Born uniform's range
+        same(reads & 15, np.array([0, 3, 12, 15])[(u[2 * k :] * 4).astype(int)], "born uniforms")
+        assert messages[j].dtype == np.int8
+        same(messages[j], twin.integers(0, 2, size=len(messages[j])), "message bits")
+        left = np.setdiff1d(rows, checked)
+        k = np.count_nonzero(group.second[j])
+        hidden = np.sort(left[twin.choice(len(left), size=k, replace=False)])
+        same(group.second[j].nonzero()[0], hidden, "hidden sample")
+        same(group.ops[j, hidden], twin.integers(16, size=k), "hidden ops")
+        twin.random(len(left))  # the Bell readout's uniforms
+    if short:
+        assert len(set(group.counts[:, 0, 0].tolist())) == 3
+    same_state(group.draws, twins)
+
+
 # ---------------------------------------------------------------------------
 # word counts and raw calls in a run
 # ---------------------------------------------------------------------------
@@ -464,37 +558,41 @@ HOSTILE = dict(sessions="6", n_pairs="40", seed="11", loss_prob="0.1", pauli_p_p
 
 
 def test_word_counts_advance_fresh_twins_to_each_generator(monkeypatch):
-    # every generator of a hostile group, Eve's included, is a fresh one
-    # advanced by the words the source counted for it
+    # every generator of a hostile group, and Eve's coin generators, is a
+    # fresh one advanced by the words its source counted for it
     made = []
+    seeded = DrawSource.seeded
 
     def recorded(*args):
-        made.append((args, session_generators(*args)))
+        made.append((args, seeded(*args)))
         return made[-1][1]
 
-    monkeypatch.setattr(harness, "session_generators", recorded)
+    monkeypatch.setattr(DrawSource, "seeded", recorded)
     rc = parse_run_config(config_with(**HOSTILE))
     stats = harness.RunStats()
     group = _run_group(rc, rc.seed, range(rc.sessions))
-    _pool(stats, None, rc, range(rc.sessions), group)
-    (protocol_args, _), *eve_made = made
-    assert protocol_args == (rc.seed, range(rc.sessions)) and len(eve_made) == 1
+    _pool(stats, None, rc, rc.seed, range(rc.sessions), group)
+    (protocol_args, source), *eve_made = made
+    assert protocol_args == (rc.seed, range(rc.sessions)) and source is group.draws
+    assert len(eve_made) == 1
     words = group.draws.words
-    assert all(words[site].sum() for site in DRAW_SITES)  # every site drew in this group
+    assert all(words[site].sum() for site in DRAW_SITES if site != "eve_coins")
     handed = handed_back(group.draws)
     assert any(state["has_uint32"] for state in handed)
     for k, state in enumerate(handed):
         twin = session_generators(rc.seed, [k])[0].bit_generator
-        twin.advance(sum(int(words[site][k]) for site in DRAW_SITES if site != "eve_coins"))
+        twin.advance(sum(int(words[site][k]) for site in DRAW_SITES))
         expected = twin.state  # ``advance`` empties the buffer: the source's goes in
         expected["has_uint32"], expected["uinteger"] = state["has_uint32"], state["uinteger"]
         assert state == expected
-    (_, coined, _), eve_rngs = eve_made[0]
-    for k, rng in zip(coined, eve_rngs):
+    (seed, coined, *tail), coins = eve_made[0]
+    assert seed == rc.seed and tail == [0xE7E] and coins.words["eve_coins"].all()
+    for i, k in enumerate(coined):
         twin = session_generators(rc.seed, [k], 0xE7E)[0].bit_generator
-        twin.advance(int(words["eve_coins"][k]))
-        assert rng.bit_generator.state == twin.state
-    assert stats.draws == {site: int(words[site].sum()) for site in DRAW_SITES}
+        twin.advance(int(coins.words["eve_coins"][i]))
+        assert coins.rngs[i].bit_generator.state == twin.state
+    assert stats.draws == {site: int(words[site].sum() + coins.words[site].sum())
+                           for site in DRAW_SITES}
 
 
 def test_draw_counts_reach_the_metrics_not_the_stats_file():
@@ -544,7 +642,8 @@ class SpyGenerator:
 @pytest.mark.parametrize("sessions, n_pairs", [(500, 16), (100, 112)])
 def test_each_member_makes_one_raw_call_per_site(monkeypatch, sessions, n_pairs):
     # the tiny_blocks and ideal_sessions runs: no Generator draw method is
-    # called, and a site takes one random_raw call per member, plus redraws
+    # called, and a site takes one random_raw call per member, plus redraws;
+    # the sized calls are counted per member under the site a primitive names
     spies = []
 
     def spied(*args):
@@ -552,25 +651,31 @@ def test_each_member_makes_one_raw_call_per_site(monkeypatch, sessions, n_pairs)
         return spies[-len(args[1]):]
 
     per_site = {}
+    inside = []  # the site of the primitive running; one that another calls counts there
 
-    def counted(site):
-        method = getattr(DrawSource, site)
+    def counted(name):
+        primitive = getattr(DrawSource, name)
 
-        def wrapper(self, members, *args):
+        def wrapper(self, site, *args, **kwargs):
+            if inside:
+                return primitive(self, site, *args, **kwargs)
             before = [spy.bit_generator.sized for spy in spies]
-            out = method(self, members, *args)
+            inside.append(site)
+            out = primitive(self, site, *args, **kwargs)
+            inside.pop()
             made = [spy.bit_generator.sized - b for spy, b in zip(spies, before)]
-            per_site[site] = max(per_site.get(site, 0), *made)
+            per_site[site] = [a + b for a, b in zip(per_site.get(site, [0] * len(made)), made)]
             return out
         return wrapper
 
-    monkeypatch.setattr(harness, "session_generators", spied)
-    for site in ("first_check", "message", "hidden_sample", "bell"):
-        monkeypatch.setattr(DrawSource, site, counted(site))
+    monkeypatch.setattr(draws, "session_generators", spied)
+    for name in ("uniforms", "integers", "sample", "blocks"):
+        monkeypatch.setattr(DrawSource, name, counted(name))
     rc = parse_run_config(config_with(sessions=str(sessions), n_pairs=str(n_pairs)))
     stats, _ = run(rc)
     assert stats.accepted == sessions
     assert [spy.calls for spy in spies] == [0] * sessions
-    assert per_site == dict.fromkeys(("first_check", "message", "hidden_sample", "bell"), 1)
+    assert per_site == {site: [1] * sessions
+                        for site in ("first_check", "message", "hidden_sample", "bell")}
     unsized = sum(spy.bit_generator.unsized for spy in spies)
     assert unsized <= 2  # rejection redraws: about 1e-6 per draw here

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import hyperqsdc
 from hyperqsdc.adversary import BasisPolicy, EveKind, PnsKind
 from hyperqsdc.cli import build_parser, main
+from hyperqsdc.draws import DrawSource, session_generators
 from hyperqsdc.harness import (
     ABORT_REASONS,
     EXAMPLE_CONFIG,
@@ -29,7 +30,6 @@ from hyperqsdc.harness import (
     PHASES,
     SWEEP_AXES,
     SWEEP_COLUMNS,
-    DrawSource,
     RunStats,
     _run_group,
     attack_sweep,
@@ -37,7 +37,6 @@ from hyperqsdc.harness import (
     run,
     run_one_session,
     scan_csv,
-    session_generators,
     source_fidelity_scan,
     stats_text,
     sweep_csv,

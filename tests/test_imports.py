@@ -6,7 +6,11 @@ parses the package and fails on a private name taken from a sibling, either
 by ``from .module import _name`` or as ``module._name`` through a module it
 imported.
 
-The second guard fails on a public module-level function or class that no
+The import guard keeps the draw module, which makes numbers from raw generator
+words, free of every other module of the package: it imports only numpy
+and the standard library.
+
+The usage guard fails on a public module-level function or class that no
 module of the package, no demo and not the acceptance suite names: code
 that only the other tests keep alive.  The last test keeps ``numpy.random``
 out of the import of the command-line module.
@@ -64,6 +68,42 @@ def test_the_guard_sees_both_forms():
               "from hyperqsdc.protocol import _PHASE\n"
               "x = chn._noisy, chn.ChannelParams, SCREENS.__len__\n")
     assert private_uses(source) == [("_ALARMED", 1), ("_PHASE", 3), ("_noisy", 4)]
+
+
+def imported_modules(source: str) -> set:
+    """Every module ``source`` imports, a module of the package as ``hyperqsdc.<name>``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level and node.module:  # ``from .protocol import ChannelParams``
+                found.add(f"hyperqsdc.{node.module}")
+            elif node.level or node.module == "hyperqsdc":  # ``from . import harness``
+                found.update(f"hyperqsdc.{alias.name}" for alias in node.names)
+            else:
+                found.add(node.module)
+    return found
+
+
+def test_the_draw_module_imports_only_numpy_and_the_standard_library():
+    # how numbers are made from raw words stays apart from what the phases draw
+    found = imported_modules((Path(hyperqsdc.__file__).parent / "draws.py").read_text("utf-8"))
+    assert {name for name in found if name.startswith("hyperqsdc")} == set()
+    assert {name.partition(".")[0] for name in found} <= {"numpy", *sys.stdlib_module_names}
+
+
+def test_the_import_guard_sees_every_form():
+    source = ("from .protocol import ChannelParams\n"
+              "from . import harness as h\n"
+              "from hyperqsdc.adversary import EveKind\n"
+              "import hyperqsdc.cli\n"
+              "from hyperqsdc import hyperstate\n"
+              "import numpy.random\n"
+              "from typing import Optional\n")
+    assert imported_modules(source) == {
+        "hyperqsdc.protocol", "hyperqsdc.harness", "hyperqsdc.adversary", "hyperqsdc.cli",
+        "hyperqsdc.hyperstate", "numpy.random", "typing"}
 
 
 def public_definitions(source: str) -> set:

@@ -17,10 +17,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hyperqsdc import adversary, channel, harness, hyperstate, protocol
+from hyperqsdc import adversary, harness, hyperstate, protocol
 from hyperqsdc.adversary import BasisPolicy, EveKind
 from hyperqsdc.harness import (
-    CHUNK_ROWS,
     GROUP_ROWS,
     RunStats,
     _pool,
@@ -32,6 +31,7 @@ from hyperqsdc.harness import (
 )
 from hyperqsdc.hyperstate import Dof
 from hyperqsdc.protocol import (
+    CHUNK_ROWS,
     DEPLETED_FORWARD,
     DEPLETED_RETURN,
     BlockDepleted,
@@ -440,7 +440,7 @@ def pooled_alone(rc, seed: int):
     stats = RunStats(adversary_present=rc.eve.kind is not EveKind.NONE)
     out = io.StringIO()
     for k in range(rc.sessions):
-        _pool(stats, out, rc, [k], _run_group(rc, seed, [k]))
+        _pool(stats, out, rc, seed, [k], _run_group(rc, seed, [k]))
     return stats, out.getvalue()
 
 
@@ -488,7 +488,7 @@ def kernel_rows(monkeypatch) -> list:
     """Count the rows handed to each kernel call: a list of (kernel name, rows) that fills as
     the package runs.  A name of ``KERNELS`` that no module defines fails."""
     calls = []
-    modules = (hyperstate, channel, adversary, protocol)
+    modules = (hyperstate, adversary, protocol)
     assert [name for name in KERNELS if not any(hasattr(m, name) for m in modules)] == []
     for module in modules:
         for name in KERNELS:

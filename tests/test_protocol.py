@@ -17,13 +17,13 @@ from hypothesis import strategies as st
 
 import oracles
 from hyperqsdc.adversary import DefenseConfig, EveKind, EveStrategy
-from hyperqsdc.channel import ChannelParams
-from hyperqsdc.harness import DrawSource
+from hyperqsdc.draws import DrawSource
 from hyperqsdc.harness import GROUP_ROWS, RunConfig, _run_group, run_one_session
 from hyperqsdc.hyperstate import EncodingOp, SourceParams
 from hyperqsdc.protocol import (
     DEPLETED_FORWARD,
     BlockDepleted,
+    ChannelParams,
     ConfigError,
     MessageSizeError,
     PairFate,
