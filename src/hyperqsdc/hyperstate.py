@@ -14,27 +14,24 @@ hyper-Bell basis matrix and the encoding unitaries all use it.
 
 A block of pairs is one ``(N, 16)`` complex array, row k holding pair k; it
 can be viewed as ``(N, 2, 2, 2, 2)`` with tensor axes (pol_a, pol_b, spa_a,
-spa_b).  Row-wise kernels do the state work: ``apply_local`` (a 2x2
-operator on one axis of every row) and ``outcome_probs`` (exact outcome
-probabilities).  A measurement takes three steps: the normalized CDF over
-the joint outcomes of some axes, ``draw`` (one inverse-CDF draw per pair),
-and the collapse onto the outcomes drawn.  Every local operator is an
-``apply_local`` call: dense coding (``encode``) and channel noise
-(``pauli``) share one kernel, which applies the single-DOF ops of a code
-4 * pol + spa to photon A's polarization axis, then to its spatial axis, and
-the Z-to-X basis change in front of a draw applies the Hadamard to the rows
-measured in X on each axis, leaving a row measured in Z untouched.  The
-hyper-Bell readout is a fixed sparse map, applied as column gathers of the
-(N, 16) block: each hyper-Bell amplitude is a four-term sum.
+spa_b).  Row-wise kernels do the state work.  A measurement takes three
+steps: the normalized CDF over the joint outcomes of some axes, ``draw``
+(one inverse-CDF draw per pair), and the collapse onto the outcomes drawn.
+The Z-to-X basis change in front of a draw is a Hadamard butterfly on the
+rows measured in X on each axis.  Dense coding (``encode``) and channel
+noise (``pauli``) name by a code 4 * pol + spa a single-DOF op for photon
+A's polarization axis and one for its spatial axis: a signed permutation of
+the amplitudes (phases 1, -1, i, -i), one gather per block.  The hyper-Bell
+readout is a fixed sparse map: each amplitude is a four-term sum.
 
 Pairs that share a state share a row: a state table is a (T, 16) array of
-distinct states plus one row index per pair.  The pairs' state operations
-go through three table functions: ``measure_table`` (per-axis Z/X
-measurement), ``bell_labels_table`` (the complete hyper-Bell analysis) and
-``map_table`` (with ``encode`` or ``pauli``).  Each gathers the distinct
-(row, discrete choice) combos of the pairs, makes one kernel call on them,
-then draws per pair.  Every kernel is row-wise, so a pair's outcome and
-state are bitwise those of its own row.
+states plus one row index per pair, and its owner keeps each value once.
+The pairs' state operations go through three table functions:
+``measure_table`` (per-axis Z/X measurement), ``bell_labels_table`` (the
+complete hyper-Bell analysis) and ``map_table`` (with ``encode`` or
+``pauli``).  Each gathers the distinct (row, discrete choice) combos of the
+pairs, makes one kernel call on them, then draws per pair.  Every kernel is
+row-wise, so a pair's outcome and state are bitwise those of its own row.
 
 States are rays, not vectors: two states that differ by a global phase are
 physically identical, and ``HyperState.equiv`` tests exactly that.  All
@@ -180,9 +177,6 @@ ALL_AXES = (0, 1, 2, 3)
 
 _SQ2 = 1.0 / math.sqrt(2)
 
-# The Z-to-X basis change of one axis, which is its own inverse.
-_HADAMARD = np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)
-
 # Four Bell states of one DOF as 4-vectors indexed by 2*bit_a + bit_b.
 _BELL_VEC = {
     Bell.PHI_PLUS: np.array([_SQ2, 0, 0, _SQ2], dtype=complex),
@@ -218,30 +212,19 @@ _BELL_WEIGHTS = np.repeat(np.take_along_axis(BELL_BASIS.real, _BELL_SUPPORT.T, a
 # ---------------------------------------------------------------------------
 
 
-def apply_local(states: np.ndarray, axis: int, ops: np.ndarray) -> np.ndarray:
-    """Apply a 2x2 operator to tensor ``axis`` of every row of an (N, 16) block.
-
-    ``ops`` is one (2, 2) matrix shared by all rows or an (N, 2, 2) stack
-    with one matrix per row.  Returns a new block.
-    """
-    n = len(states)
-    v = states.reshape(n, 1 << axis, 1, 2, 8 >> axis)
-    o = ops.reshape(-1, 1, 2, 2, 1)
-    # new[.., r, ..] = o[r, 0] * old[.., 0, ..] + o[r, 1] * old[.., 1, ..]
-    return (o[:, :, :, :1] * v[:, :, :, :1] + o[:, :, :, 1:] * v[:, :, :, 1:]).reshape(n, DIM)
-
-
 def _rotate(states: np.ndarray, axes: tuple, x) -> np.ndarray:
     # Z-to-X basis change of the rows measured in X on each of ``axes``, in
     # ascending order, which also undoes itself; a row measured in Z is left
     # as it is.  ``states`` itself when no row is measured in X, else a new
-    # block.
+    # block.  The Hadamard is a butterfly, bitwise its complex 2x2 product.
     if x is None or not x.any():
         return states
     states = states.copy()
     for m, axis in enumerate(axes):
         rows = x[:, m].nonzero()[0]
-        states[rows] = apply_local(states[rows], axis, _HADAMARD)
+        halves = states[rows].view(float).reshape(len(rows), 1 << axis, 2, 16 >> axis)
+        t0, t1 = _SQ2 * halves[:, :, :1], _SQ2 * halves[:, :, 1:]
+        states[rows] = np.concatenate([t0 + t1, t0 - t1], axis=2).view(complex).reshape(-1, DIM)
     return states
 
 
@@ -355,27 +338,41 @@ def _project(work: np.ndarray, probs: np.ndarray, axes: tuple, outcomes: np.ndar
     return _rotate(work, axes, x)
 
 
+def _monomial(ops: np.ndarray) -> tuple:
+    # code 4 * pol + spa, ops[pol] on photon A's pol axis and ops[spa] on its spa
+    # axis, takes amplitude k of a row to phase[code, k] * amplitude source[code, k]
+    lifted = np.array([np.kron(np.kron(ops[code >> 2], _I2), np.kron(ops[code & 3], _I2))
+                       for code in range(DIM)])
+    source = np.abs(lifted).argmax(axis=2)
+    return source, np.take_along_axis(lifted, source[..., None], axis=2)[..., 0]
+
+
+_ENCODE, _PAULI = _monomial(_DOF_OPS), _monomial(PAULIS)
+
+
 @np.errstate(invalid="ignore")
-def _per_dof(states: np.ndarray, codes: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    # ``ops[codes[k] >> 2]`` on photon A's polarization axis of row k, then
-    # ``ops[codes[k] & 3]`` on its spatial axis; a non-finite row passes
-    # without a warning, to fail where it is measured
+def _permute(states: np.ndarray, codes: np.ndarray, monomial: tuple) -> np.ndarray:
+    # row k gathered by the source columns of code ``codes[k]``, times its
+    # phases; a non-finite row passes without a warning, to fail where it is measured
     if len(codes) != len(states):
         raise ValueError(f"need one op code per row: {len(states)} rows, {len(codes)} codes")
     # a negative code would wrap around to the end of the table
     if len(codes) and (codes.min() < 0 or codes.max() >= DIM):
         raise IndexError(f"op codes must lie in [0, {DIM})")
-    return apply_local(apply_local(states, 0, ops[codes >> 2]), 2, ops[codes & 3])
+    source, phase = monomial
+    out = states.take(source[codes] + np.arange(0, DIM * len(codes), DIM)[:, None])
+    out *= phase[codes]
+    return out
 
 
 def encode(states: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Apply the dense-coding unitary of op code ``codes[k]`` (``EncodingOp``) to A of row k."""
-    return _per_dof(states, codes, _DOF_OPS)
+    return _permute(states, codes, _ENCODE)
 
 
 def pauli(states: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Apply the channel noise of code ``codes[k]`` = 4 * pol + spa (``PAULIS``) to A of row k."""
-    return _per_dof(states, codes, PAULIS)
+    return _permute(states, codes, _PAULI)
 
 
 @np.errstate(invalid="ignore")

@@ -169,13 +169,43 @@ DEPLETED_FORWARD = 1  # fewer than 3 pairs delivered for the first check
 DEPLETED_RETURN = 2  # the whole second-check sample lost on the way back
 
 
+# Fixed weights of the key that orders table rows before they are compared:
+# value-equal rows get equal keys, as +0.0 and -0.0 add alike.
+_KEY_WEIGHTS = np.sqrt(np.arange(2.0, 2 * DIM + 2))
+
+
+@np.errstate(invalid="ignore")  # a non-finite row may make a NaN key
+def _merge_equal_rows(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    # ``table`` with the rows equal on all 16 amplitudes (+0.0 == -0.0, and a
+    # NaN equals nothing) merged, ``index`` remapped in place if any were; one
+    # dot per row, as a matmul may sum a row in an order that depends on where
+    # the row falls in the block
+    keys = np.vecdot(table.view(float), _KEY_WEIGHTS)
+    np.copyto(keys, np.inf, where=np.isnan(keys))  # NaN keys tie with each other
+    order = keys.argsort(kind="stable")
+    tied = (keys[order[1:]] == keys[order[:-1]]).nonzero()[0] + 1  # ties with the one before
+    equal = (table.take(order[tied], axis=0) == table.take(order[tied - 1], axis=0)).all(axis=1)
+    if not equal.all():  # in the order of the values, equal rows are neighbours
+        order = np.lexsort((table.view(float) + 0.0).T[::-1])  # + 0.0 turns -0.0 into +0.0
+        tied = np.arange(1, len(table))
+        equal = (table[order[1:]] == table[order[:-1]]).all(axis=1)
+    if not equal.any():
+        return table
+    first = np.ones(len(table), dtype=bool)  # the first row of each run of equal neighbours
+    first[tied[equal]] = False
+    slot = np.empty_like(order)
+    slot[order] = first.cumsum() - 1
+    slot.take(index, out=index, mode="clip")
+    return table[order[first]]
+
+
 class SessionGroup:
     """Sessions that go through every phase together; create it with ``prepare_group``.
 
     Every member has ``n_pairs`` pairs, so each per-pair quantity is one
     ``(members, n_pairs)`` array: entry (j, k) is pair k of member j, at
     block row ``j * n_pairs + k``.  The pair states are a state table (see
-    ``hyperstate``): ``table`` holds each distinct state once, and
+    ``hyperstate``): ``table`` holds each state value once, and
     ``index[r]`` is the table row of block row r's state.  Every other
     per-pair array is int8 or bool, one byte a pair.
 
@@ -212,9 +242,9 @@ class SessionGroup:
     per pair: the draw against the pair's uniform, the bookkeeping and the
     pair's new table row.  Every state change, a transit's too, is one
     ``_update``: it builds the next table from the new states and the rows
-    some pair still refers to.  As the kernels are row-wise, a session's
-    draws, outcomes and transcript never depend on which sessions share its
-    group, and a session run alone is a group of one.
+    some pair still refers to, one row per value.  As the kernels are
+    row-wise, a session's draws, outcomes and transcript never depend on
+    which sessions share its group, and a session run alone is a group of one.
     ``harness`` reads every result straight from these arrays, and
     ``transcript_lines`` writes every transcript from them.
     """
@@ -239,16 +269,13 @@ class SessionGroup:
         self.failed = np.zeros((m, 2), dtype=bool)
 
     def _update(self, pairs: np.ndarray, rows: np.ndarray, index: np.ndarray) -> None:
-        # the block rows ``pairs`` move to ``rows[index]``; the table keeps
-        # the rows some pair still refers to, in one new array
+        # the block rows ``pairs`` move to ``rows[index]``; the table keeps one
+        # row of each value some pair refers to: no outcome hangs on a zero's sign
         old = len(self.table)
         self.index[pairs] = old + index
         used, self.index = distinct(self.index, old + len(rows))
-        kept = int(used.searchsorted(old))
-        table = np.empty((len(used), DIM), dtype=complex)
-        self.table.take(used[:kept], axis=0, out=table[:kept], mode="clip")
-        rows.take(used[kept:] - old, axis=0, out=table[kept:], mode="clip")
-        self.table = table
+        table = np.concatenate([self.table, rows]).take(used, axis=0)
+        self.table = _merge_equal_rows(table, self.index)
 
     def in_phase(self, phase: Phase) -> np.ndarray:
         """Mask of the members in ``phase``."""

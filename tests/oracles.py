@@ -32,6 +32,19 @@ H2 = np.array([[1, 1], [1, -1]], dtype=complex) * SQ2
 DOF_OP4 = {1: I2, 2: PZ, 3: PX, 4: PX @ PZ}
 
 
+def apply_2x2(states: np.ndarray, axis: int, ops: np.ndarray) -> np.ndarray:
+    """A 2x2 operator on tensor ``axis`` (0 pol_a, 1 pol_b, 2 spa_a, 3 spa_b) of every row of an
+    (N, 16) block: one (2, 2) matrix for all rows, or an (N, 2, 2) stack of one per row.
+
+    The generic complex product, term by term: new[.., r, ..] = ops[r, 0] *
+    old[.., 0, ..] + ops[r, 1] * old[.., 1, ..].
+    """
+    n = len(states)
+    v = states.reshape(n, 1 << axis, 1, 2, 8 >> axis)
+    o = ops.reshape(-1, 1, 2, 2, 1)
+    return (o[:, :, :, :1] * v[:, :, :, :1] + o[:, :, :, 1:] * v[:, :, :, 1:]).reshape(n, 16)
+
+
 def _on_a(m: np.ndarray) -> np.ndarray:
     return np.kron(m, I2)
 

@@ -31,7 +31,6 @@ from hyperqsdc.hyperstate import (
     Dof,
     HyperState,
     Photon,
-    apply_local,
     chbsa,
     correlation_error_probs,
     outcome_probs,
@@ -119,13 +118,13 @@ class TestBlockEqualsRows:
                                   for k in range(len(states))])
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
-    @given(blocks(), st.integers(min_value=0, max_value=3), st.booleans())
+    @given(blocks(), st.sampled_from(["encode", "pauli"]))
     @settings(max_examples=60, deadline=None)
-    def test_apply_local(self, block, axis, per_row):
-        states, x, _ = block
-        ops = hs.PAULIS[(2 * x[:, 0] + x[:, 1]).astype(np.intp)] if per_row else hs.PAULIS[2]
-        out = apply_local(states, axis, ops)
-        _assert_same_rows(out, [apply_local(states[k : k + 1], axis, ops[k] if per_row else ops)
+    def test_encode_and_pauli(self, block, kernel):
+        states, _, u = block
+        codes = (16 * u).astype(np.intp)
+        out = getattr(hs, kernel)(states, codes)
+        _assert_same_rows(out, [getattr(hs, kernel)(states[k : k + 1], codes[k : k + 1])
                                 for k in range(len(states))])
 
     @given(blocks())
@@ -208,9 +207,9 @@ def x_mask(kind: str, x: np.ndarray, axes: tuple) -> np.ndarray:
 
 
 def generic_basis_change(states: np.ndarray, axes: tuple, x: np.ndarray) -> np.ndarray:
-    """The basis change as one per-row ``apply_local`` per measured axis, in ascending order."""
+    """The basis change as one per-row generic 2x2 product per measured axis, in ascending order."""
     for m, axis in enumerate(axes):
-        states = apply_local(states, axis, TO_BASIS[x[:, m].astype(np.intp)])
+        states = oracles.apply_2x2(states, axis, TO_BASIS[x[:, m].astype(np.intp)])
     return states
 
 
@@ -452,6 +451,22 @@ class TestCallSize:
         assert np.array_equal(hs.bell_labels_table(table, index, u), bell_rows(table[index], u))
         states, new_index = hs.map_table(table, index, codes, 16, hs.encode)
         assert np.array_equal(states[new_index], hs.encode(table[index], codes))
+
+
+@pytest.mark.parametrize("kernel, ops", [
+    (hs.encode, [oracles.DOF_OP4[k] for k in (1, 2, 3, 4)]),
+    (hs.pauli, [oracles.I2, oracles.PX, oracles.PY, oracles.PZ]),
+], ids=["encode", "pauli"])
+def test_op_gather_equals_the_generic_products(kernel, ops):
+    # one gather times a phase of 1, -1, i or -i per amplitude is the pol op
+    # then the spa op as complex 2x2 products on photon A, for every code;
+    # array_equal, as the products may leave a zero of the other sign
+    states, _, _, _ = _large_block(10, 400)
+    codes = np.arange(len(states)) % 16
+    ops = np.stack(ops)
+    expected = oracles.apply_2x2(oracles.apply_2x2(states, 0, ops[codes >> 2]), 2, ops[codes & 3])
+    assert np.array_equal(kernel(states, codes), expected)
+    assert np.array_equal(kernel(states, codes.astype(np.int8)), expected)
 
 
 class TestScalarApiIsOneRow:

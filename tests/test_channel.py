@@ -34,7 +34,6 @@ from hyperqsdc.hyperstate import (
     BellIndex,
     Dof,
     Photon,
-    apply_local,
     measure_table,
 )
 from hyperqsdc.protocol import (
@@ -210,7 +209,7 @@ class TestNoiseOnHitRows:
             assert (codes == -1).all()
         for dof, p, which in zip((Dof.POL, Dof.SPA), (p_pol, p_spa), divmod(drawn.noise, 4)):
             if p > 0.0:
-                expected = apply_local(expected, AXIS[(Photon.A, dof)], PAULIS[which])
+                expected = oracles.apply_2x2(expected, AXIS[(Photon.A, dof)], PAULIS[which])
             else:
                 assert not which.any()
         assert np.array_equal(got, expected)

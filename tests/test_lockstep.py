@@ -12,7 +12,9 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -146,9 +148,10 @@ PINNED = {
         "bb333393bf56faa72be8c538b753ed0f9f557143990b7aff1a8f4a67d1319868",
         "0fe89fb6d8a69885cdc5bb5c43c011ef67d0d30bd0447af65fb9ca4b19d39bc1",
     ),
-    # one session whose Bell readout reads 1,743 distinct rows: more than
-    # CHUNK_ROWS in one kernel call; digests computed with the engine that
-    # split each kernel call into chunks of CHUNK_ROWS rows
+    # one session whose Bell readout read 1,743 table rows, more than
+    # CHUNK_ROWS in one kernel call, before the table merged value-equal rows
+    # (620 after); digests computed with the engine that split each kernel
+    # call into chunks of CHUNK_ROWS rows
     "nonideal_kernel_call_over_chunk_rows": (
         dict(sessions="1", n_pairs="3000", seed="17", r="0.7", phi="0.4", loss_prob="0.05",
              pauli_p_pol="0.05", pauli_p_spa="0.05", kind="intercept_resend", passes="both",
@@ -183,6 +186,16 @@ PINNED = {
              filter_tolerance="0.03", pns_enabled="true", pns_kind="beamsplitter5050"),
         "6eaf3e21a18a614e472853fe9d72de908c363c147e67f7c9d3a1f4e91b125f41",
         "b43f00687f473f1576f327e1fc207e483ca6070dbdc8ca109d75062a06854e2f",
+    ),
+    # one session whose collapse, after Eve's return-pass reading, reads
+    # 1,362 value-distinct rows in one kernel call: more than CHUNK_ROWS;
+    # digests computed with the engine whose table kept value-equal rows apart
+    "nonideal_merged_call_over_chunk_rows": (
+        dict(sessions="1", n_pairs="8000", seed="23", r="0.6", phi="1.1", loss_prob="0.05",
+             pauli_p_pol="0.1", pauli_p_spa="0.1", kind="intercept_resend", passes="both",
+             error_threshold="1.0"),
+        "8238c400dbb49abb1cd21b13e09e4ae111d3ff500b39e341b8b0e09b0fd39ef7",
+        "d0cfe49ebb9dd09f1a6554f4233a335440470b215648492b72f0bc7bd15b4d30",
     ),
     # master seeds of three and four 32-bit words: with the session index
     # (and Eve's coin tag) they fill and overflow SeedSequence's 4-word
@@ -480,13 +493,14 @@ def test_run_matches_sessions_run_alone(overrides, seed):
 # The row-wise kernels, under every name the package calls them by, and the
 # ones among them that do the work of a measurement: its Born side and its
 # collapse.
-KERNELS = ("_read", "_project", "_bell_cdf", "encode", "pauli", "apply_local")
+KERNELS = ("_read", "_project", "_bell_cdf", "encode", "pauli")
 MEASUREMENT = ("_read", "_project")
 
 
-def kernel_rows(monkeypatch) -> list:
+def kernel_rows(monkeypatch, arguments=None) -> list:
     """Count the rows handed to each kernel call: a list of (kernel name, rows) that fills as
-    the package runs.  A name of ``KERNELS`` that no module defines fails."""
+    the package runs.  A name of ``KERNELS`` that no module defines fails.  Each call's
+    arguments as handed, by name, go to the list ``arguments`` when one is given."""
     calls = []
     modules = (hyperstate, adversary, protocol)
     assert [name for name in KERNELS if not any(hasattr(m, name) for m in modules)] == []
@@ -500,6 +514,9 @@ def kernel_rows(monkeypatch) -> list:
                 # the rows read: every row of the block, the first argument
                 bound = inspect.signature(_kernel).bind(*args, **kwargs).arguments
                 calls.append((_name, len(next(iter(bound.values())))))
+                if arguments is not None:  # as handed: a kernel may write into its own copy
+                    arguments.append({key: value.copy() if isinstance(value, np.ndarray) else value
+                                      for key, value in bound.items()})
                 return _kernel(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
@@ -534,10 +551,133 @@ def test_big_check_measures_under_a_hundred_rows(monkeypatch):
 def test_a_pinned_session_hands_one_kernel_call_over_chunk_rows(monkeypatch):
     # the pinned digests cover a kernel call on more distinct rows than the
     # chunk in which a session draws its transits
-    rc = parse_run_config(config_with(**PINNED["nonideal_kernel_call_over_chunk_rows"][0]))
+    rc = parse_run_config(config_with(**PINNED["nonideal_merged_call_over_chunk_rows"][0]))
     calls = kernel_rows(monkeypatch)
     _run_group(rc, rc.seed, [0])
     assert max(rows for _, rows in calls) > CHUNK_ROWS, calls
+
+
+# ---------------------------------------------------------------------------
+# the state table holds each value once
+# ---------------------------------------------------------------------------
+
+V = np.array([0.5, 0.0, -0.5j, 0.0] * 4)  # exact zeros, whose sign the kernels may flip
+W = np.roll(V, 1)
+NAN, INF = V.copy(), V.copy()
+NAN[3], INF[[0, 5]] = np.nan, (np.inf, -np.inf)
+
+# rows handed to ``_update``: equal in value or not, with each pair's row
+UPDATES = {
+    "signed_zeros": ([V, -V, W, V * (1 + 0j), np.conj(V), V.conj().conj()], [0, 1, 2, 3, 4, 5, 3]),
+    "nan": ([NAN, NAN, V, NAN.copy(), V], [0, 1, 2, 3, 4, 0]),
+    "inf": ([INF, V, INF.copy(), -INF, V], [0, 1, 2, 3, 4, 2]),
+    "all_distinct": ([V, W, -V, -W], [3, 2, 1, 0]),
+}
+
+
+def bare_group(n_pairs: int) -> SessionGroup:
+    """A group of one member and ``n_pairs`` pairs, to hand states to ``_update`` directly."""
+    return SessionGroup(n_pairs, SimpleNamespace(rngs=[None]))
+
+
+def signed_zero_copy(rows: np.ndarray) -> np.ndarray:
+    """``rows`` with every +0.0 part turned into -0.0: equal in value, not in bytes."""
+    parts = rows.copy().view(float)
+    parts[parts == 0.0] = -0.0
+    return parts.view(complex)
+
+
+@pytest.mark.parametrize("one_key", [False, True], ids=["keyed", "one_key_group"])
+@pytest.mark.parametrize("name", UPDATES)
+def test_update_keeps_one_row_per_value(monkeypatch, name, one_key):
+    rows, index = UPDATES[name]
+    rows, index = np.array(rows), np.array(index)
+    rows[1::3] = signed_zero_copy(rows[1::3])
+    if one_key:  # every row in one key group: only the comparison tells rows apart
+        monkeypatch.setattr(protocol, "_KEY_WEIGHTS", np.zeros(32))
+    group = bare_group(len(index))
+    group.table[0] = V
+    group._update(np.arange(len(index)), rows, index)
+    # every pair keeps the value of its state ...
+    states = group.table[group.index]
+    assert np.array_equal(states, rows[index], equal_nan=True)
+    assert (np.isnan(states) == np.isnan(rows[index])).all()
+    # ... no two rows of the table are equal in value ...
+    table = group.table
+    equal = (table[:, None] == table[None]).all(axis=2)
+    assert (equal == np.diag(~np.isnan(table).any(axis=1))).all()
+    # ... and pairs share a row only where their rows were equal in value
+    same_row = group.index[:, None] == group.index[None]
+    assert (same_row == (rows[index][:, None] == rows[index][None]).all(axis=2)
+            | (index[:, None] == index[None])).all()
+
+
+def test_update_merges_a_new_row_into_an_equal_old_one():
+    group = bare_group(4)
+    group.table[0] = V
+    group._update(np.array([1, 2]), np.array([signed_zero_copy(V[None])[0], W]), np.array([0, 1]))
+    assert len(group.table) == 2
+    assert len(set(group.index[[0, 1, 3]].tolist())) == 1 and group.index[2] != group.index[0]
+    assert np.array_equal(group.table[group.index], np.array([V, V, W, V]))
+
+
+def test_update_merges_equal_rows_wherever_they_fall():
+    # a hostile_channel group's states, then a copy of each with its zeros
+    # negated, shifted by 0 to 7 rows: each copy gets its key wherever it falls
+    rc = parse_run_config(config_with(**dict(HOSTILE, sessions="30")))
+    table = _run_group(rc, rc.seed, range(rc.sessions)).table
+    rng = np.random.default_rng(27)
+    for shift in range(8):
+        copies = np.concatenate([table[rng.permutation(len(table))],
+                                 signed_zero_copy(table[shift:])])
+        group = bare_group(len(copies))
+        group._update(np.arange(len(copies)), copies, np.arange(len(copies)))
+        assert len(group.table) == len(table)
+        assert np.array_equal(group.table[group.index], copies)
+
+
+# Each kernel's discrete choice for every row it is handed, from the call's
+# arguments by name: a measurement's X mask (and the outcome it collapses
+# onto), an op code; None where the state alone decides.
+CHOICES = {
+    "_read": lambda a: a["x"],
+    "_project": lambda a: np.column_stack([a["outcomes"], a["x"]]),
+    "_bell_cdf": lambda a: None,
+    "encode": lambda a: a["codes"],
+    "pauli": lambda a: a["codes"],
+}
+
+
+def value_distinct(states: np.ndarray, choices) -> int:
+    """How many distinct (state, choice) the rows hold, states compared by value: adding 0.0
+    turns each -0.0 into +0.0, and no row here holds a NaN."""
+    assert not np.isnan(states).any()
+    keys = [row.tobytes() for row in states + 0.0]
+    if choices is not None:
+        keys = [key + np.asarray(choice, dtype=np.int64).tobytes()
+                for key, choice in zip(keys, choices)]
+    return len(set(keys))
+
+
+# rows of the Bell readout of the group below while its table kept
+# value-equal rows apart
+HOSTILE_BELL_ROWS_UNMERGED = 1663
+
+
+def test_hostile_group_hands_each_kernel_value_distinct_states_only(monkeypatch):
+    # a hostile_channel group: Eve reads and resends both DOFs on both passes
+    # and the noise hits between, so distinct combos of table rows and choices
+    # often lead to states of equal value, which the table keeps once
+    rc = parse_run_config(config_with(**dict(HOSTILE, sessions="30")))
+    arguments = []
+    calls = kernel_rows(monkeypatch, arguments)
+    _run_group(rc, rc.seed, range(rc.sessions))
+    assert {name for name, _ in calls} == set(KERNELS)
+    for (name, rows), bound in zip(calls, arguments):
+        states = next(iter(bound.values()))
+        assert rows <= value_distinct(states, CHOICES[name](bound)), name
+    [bell] = [rows for name, rows in calls if name == "_bell_cdf"]
+    assert bell <= 0.4 * HOSTILE_BELL_ROWS_UNMERGED
 
 
 def test_noisy_transits_hand_pauli_their_distinct_codes_only(monkeypatch):
