@@ -16,9 +16,10 @@ A block of pairs is one ``(N, 16)`` complex array, row k holding pair k; it
 can be viewed as ``(N, 2, 2, 2, 2)`` with tensor axes (pol_a, pol_b, spa_a,
 spa_b).  Row-wise kernels do the state work.  A measurement takes three
 steps: the normalized CDF over the joint outcomes of some axes, ``draw``
-(one inverse-CDF draw per pair), and the collapse onto the outcomes drawn.
-The Z-to-X basis change in front of a draw is a Hadamard butterfly on the
-rows measured in X on each axis.  Dense coding (``encode``) and channel
+(one inverse-CDF draw per pair), and the collapse onto the outcomes drawn:
+the drawn outcome's amplitudes, normalized, times its basis ket on each
+measured axis.  The Z-to-X basis change in front of a draw is a Hadamard
+butterfly on the rows measured in X on each axis.  Dense coding (``encode``) and channel
 noise (``pauli``) name by a code 4 * pol + spa a single-DOF op for photon
 A's polarization axis and one for its spatial axis: a signed permutation of
 the amplitudes (phases 1, -1, i, -i), one gather per block.  The hyper-Bell
@@ -191,13 +192,22 @@ BELL_BASIS = np.array(
     [np.kron(_BELL_VEC[Bell(p)], _BELL_VEC[Bell(s)]) for p in range(4) for s in range(4)]
 )
 
-# For each ascending set of measured axes: the joint outcome, big-endian over
-# those axes, that each amplitude index belongs to.
-_OUTCOME_OF_INDEX = {
-    axes: np.array([sum(((k >> (3 - a)) & 1) << (len(axes) - 1 - m) for m, a in enumerate(axes))
-                    for k in range(DIM)])
+# For each ascending set of measured axes: the amplitude indices of each
+# joint outcome, big-endian over those axes, ascending (one row of
+# 16 >> len(axes) per outcome), and each amplitude's place in its row.
+_OUTCOME_AMPS = {
+    axes: np.argsort([sum(((k >> (3 - a)) & 1) << (len(axes) - 1 - m) for m, a in enumerate(axes))
+                      for k in range(DIM)], kind="stable").reshape(1 << len(axes), -1)
     for axes in (tuple(a for a in ALL_AXES if mask >> (3 - a) & 1) for mask in range(1, DIM))
 }
+_PLACE = {axes: np.argsort(amps.ravel()) % amps.shape[1] for axes, amps in _OUTCOME_AMPS.items()}
+
+# The kets [x, b] of outcome b of one axis read in Z or X: (1, 0), (0, 1),
+# s(1, 1) and s(1, -1), s = 1/sqrt(2).  _KET_FACTORS[axis][x, b] holds the
+# entry of each amplitude's bit of ``axis``, twice: for its real and imaginary part.
+_KETS = np.array([[[1.0, 0.0], [0.0, 1.0]], [[_SQ2, _SQ2], [_SQ2, -_SQ2]]])
+_KET_FACTORS = [np.repeat(_KETS[..., np.arange(DIM) >> (3 - axis) & 1], 2, axis=2)
+                for axis in ALL_AXES]
 
 # Every hyper-Bell state has four nonzero amplitudes, so the amplitude of
 # label k in a state is the sum over m of the state's amplitude
@@ -214,9 +224,9 @@ _BELL_WEIGHTS = np.repeat(np.take_along_axis(BELL_BASIS.real, _BELL_SUPPORT.T, a
 
 def _rotate(states: np.ndarray, axes: tuple, x) -> np.ndarray:
     # Z-to-X basis change of the rows measured in X on each of ``axes``, in
-    # ascending order, which also undoes itself; a row measured in Z is left
-    # as it is.  ``states`` itself when no row is measured in X, else a new
-    # block.  The Hadamard is a butterfly, bitwise its complex 2x2 product.
+    # ascending order; a row measured in Z is left as it is.  ``states``
+    # itself when no row is measured in X, else a new block.  The Hadamard
+    # is a butterfly, bitwise its complex 2x2 product.
     if x is None or not x.any():
         return states
     states = states.copy()
@@ -328,14 +338,20 @@ def draw(cdf: np.ndarray, u, of: np.ndarray) -> np.ndarray:
 
 def _project(work: np.ndarray, probs: np.ndarray, axes: tuple, outcomes: np.ndarray,
              x) -> np.ndarray:
-    # The collapse: ``work``, the rows in their measurement bases (the X
-    # mask ``x``), projected in place onto each row's drawn outcome, divided
-    # by the square root of its unsnapped probability ``probs`` (positive,
-    # as the outcome was drawn) and turned back into the computational basis.
-    norm = np.sqrt(probs).astype(complex)  # complex, as the quotient below would cast it
-    np.copyto(work, 0.0, where=_OUTCOME_OF_INDEX[axes] != outcomes[:, None])
-    work /= norm[:, None]
-    return _rotate(work, axes, x)
+    # The collapse (Lueders rule) of ``work``, the rows in their measurement
+    # bases (the X mask ``x``), onto each row's drawn outcome, as a new block:
+    # the outcome's amplitudes over the root of its unsnapped probability
+    # ``probs`` (positive, as it was drawn), times its ket on each axis in
+    # ascending order; in value, the other amplitudes zeroed and the rest
+    # divided and turned back by ``_rotate``'s butterfly.
+    n = len(work)
+    kept = work.take(_OUTCOME_AMPS[axes][outcomes] + np.arange(0, DIM * n, DIM)[:, None])
+    kept /= np.sqrt(probs).astype(complex)[:, None]  # complex, as the quotient would cast it
+    states = kept.take(_PLACE[axes], axis=1)
+    parts = states.view(float)
+    for m, axis in enumerate(axes):
+        parts *= _KET_FACTORS[axis][x[:, m].astype(np.intp), outcomes >> (len(axes) - 1 - m) & 1]
+    return states
 
 
 def _monomial(ops: np.ndarray) -> tuple:

@@ -214,8 +214,8 @@ class SessionGroup:
     - ``ops``: the op code (``EncodingOp.code``) Alice applied, -1 where none.
     - ``eve[p]``: Eve's record codes of each photon on pass p (0 forward, 1
       return; see ``adversary.resend``), -1 where she did not measure.  A
-      pair's four codes are contiguous, so a transit writes them as one
-      4-byte word.
+      pair's four codes are contiguous: ``eve_words`` reads them as one
+      4-byte word, which is -1 where she did not take the photon.
     - ``screens[p]``: each photon's Trojan screening verdict on pass p (0
       forward, 1 return) as its index into ``adversary.SCREENS``, 0 for no probe.
     - ``first_reads``: per first-check sample, its outcome code over
@@ -276,6 +276,16 @@ class SessionGroup:
         used, self.index = distinct(self.index, old + len(rows))
         table = np.concatenate([self.table, rows]).take(used, axis=0)
         self.table = _merge_equal_rows(table, self.index)
+
+    @staticmethod
+    def eve_words(codes: np.ndarray) -> np.ndarray:
+        """Record codes laid out as ``eve``'s, (..., 2, 2) int8, viewed as one int32 word each."""
+        return codes.reshape(*codes.shape[:-2], 4).view(np.int32)[..., 0]
+
+    @staticmethod
+    def eve_codes(words: np.ndarray) -> np.ndarray:
+        """``eve_words`` undone: the (..., 2, 2) int8 record codes of int32 ``words``, a view."""
+        return words[..., None].view(np.int8).reshape(*words.shape, 2, 2)
 
     def in_phase(self, phase: Phase) -> np.ndarray:
         """Mask of the members in ``phase``."""
@@ -516,9 +526,7 @@ def _transit(
         if drawn.eve is not None:
             states, index, codes = resend(group.table, eve, *drawn.eve, group.index[rows])
             group._update(rows, states, index)
-            # each pair's four record codes as one 4-byte word
-            words = group.eve[pass_index].reshape(-1, 4).view(np.int32)
-            words[rows] = codes.reshape(-1, 4).view(np.int32)
+            group.eve_words(group.eve[pass_index]).reshape(-1)[rows] = group.eve_words(codes)
         if params.pauli_p_pol or params.pauli_p_spa:
             hit = drawn.noise.nonzero()[0]
             if len(hit):
@@ -741,6 +749,9 @@ def _runs(mask: np.ndarray, members, *columns) -> list[list[str]]:
     """Per member (row of the 2-D ``mask``) of ``members``, the JSON text of: the positions it
     sets, ascending, then its run of each of ``columns``, which hold one item per set entry of
     ``mask`` in row-major order (a str runs as a JSON string, a list of JSON texts as a list)."""
+    if not mask.any():
+        return [['""' if isinstance(column, str) else "[]"] * len(members)
+                for column in ((), *columns)]
     stops = list(accumulate(np.count_nonzero(mask, axis=1).tolist()))
     spans = [(stops[j - 1] if j else 0, stops[j]) for j in members]
     positions = _numbers(mask.shape[1]).take(mask.nonzero()[1]).tolist()
@@ -761,10 +772,10 @@ def _report(counts: list, failed: bool) -> str:
 def _transit_texts(group: SessionGroup, members, direction: str) -> list[str]:
     """Per member, its transit event in ``direction`` as text after ``"event": ``."""
     pass_index, _, in_flight, arrival, lost_fate = _TRANSITS[direction]
-    records = group.eve[pass_index]
+    words = group.eve_words(group.eve[pass_index])
     screens = group.screens[pass_index]
-    taken = (records >= 0).any(axis=(2, 3))  # Eve reads some DOF of every photon she takes
-    codes = records[taken] + 1
+    taken = words != -1  # Eve reads some DOF of every photon she takes
+    codes = group.eve_codes(words[taken]) + 1
     intercepted, pol_bases, spa_bases, pol_outcomes, spa_outcomes = _runs(
         taken, members, *_texts(b"-ZX", codes[:, :, 0].T), *_texts(b"-01", codes[:, :, 1].T)
     )

@@ -45,6 +45,25 @@ def apply_2x2(states: np.ndarray, axis: int, ops: np.ndarray) -> np.ndarray:
     return (o[:, :, :, :1] * v[:, :, :, :1] + o[:, :, :, 1:] * v[:, :, :, 1:]).reshape(n, 16)
 
 
+def project_rows(work: np.ndarray, probs: np.ndarray, axes: tuple, outcomes: np.ndarray,
+                 x: np.ndarray) -> np.ndarray:
+    """Reference collapse of the (N, 16) block ``work``, held in its measurement bases, onto
+    each row's joint outcome of the ascending tensor ``axes`` (big-endian over them).
+
+    ``probs`` holds each outcome's probability and ``x`` is the (N, len(axes)) bool mask of
+    the axes read in X.  The amplitudes of other outcomes are zeroed, the rest divided by
+    sqrt(p), then the Hadamard on each X axis, in ascending order, turns the rows back to
+    the computational basis through ``apply_2x2``.
+    """
+    k = np.arange(16)
+    outcome_of = sum(((k >> (3 - a)) & 1) << (len(axes) - 1 - m) for m, a in enumerate(axes))
+    out = np.where(outcome_of == outcomes[:, None], work, 0.0)
+    out = out / np.sqrt(probs).astype(complex)[:, None]
+    for m, axis in enumerate(axes):
+        out = apply_2x2(out, axis, np.where(x[:, m, None, None], H2, I2))
+    return out
+
+
 def _on_a(m: np.ndarray) -> np.ndarray:
     return np.kron(m, I2)
 

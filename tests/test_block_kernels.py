@@ -562,18 +562,50 @@ class TestProbabilitiesMatchOracles:
             expected = pol[BELL_NAMES[label.p]] * spa[BELL_NAMES[label.s]]
             assert abs(probs[k] - expected) <= 1e-12
 
-    @given(coded_pairs, st.sampled_from(["Z", "X"]), st.floats(min_value=0.0, max_value=0.999))
+    @given(st.sampled_from([(0,), (2,), (0, 2)]),
+           st.lists(st.tuples(coded_pairs, st.sampled_from("ZX"), st.sampled_from("ZX")),
+                    min_size=1, max_size=6))
     @settings(max_examples=80, deadline=None)
-    def test_collapse_matches_projection(self, pair, basis, u):
-        p_name, s_name, i, j = pair
-        state = oracles.apply_op_16(oracles.hyper_bell_16(p_name, s_name), i, j)
-        pol = _dof_factor(p_name, i)
-        bits, post = measure_rows(state[None], (AXIS[(Photon.A, Dof.POL)],), np.array([u]),
-                                  np.array([[basis == "X"]]))
-        p, collapsed_pol = oracles.project_qubit(pol, "a", basis, int(bits[0]))
-        assert p > 0.0
-        expected = np.kron(collapsed_pol, _dof_factor(s_name, j))
-        np.testing.assert_allclose(post[0], expected, rtol=0, atol=1e-12)
+    def test_collapse_matches_projection(self, axes, rows):
+        # photon A's pol (axis 0) and spa (axis 2) read jointly, as Eve reads them, and each
+        # alone; each row in its own Z/X pattern, once per outcome.  Each outcome of one
+        # photon of a Bell pair has probability 1/2, so a mid-bucket uniform draws it.
+        n_out = 1 << len(axes)
+        states, x, expected = [], [], []
+        for (p_name, s_name, i, j), pol_basis, spa_basis in rows:
+            factors = {0: (_dof_factor(p_name, i), pol_basis),
+                       2: (_dof_factor(s_name, j), spa_basis)}
+            for o in range(n_out):
+                bits = {a: o >> (len(axes) - 1 - m) & 1 for m, a in enumerate(axes)}
+                (p_pol, pol), (p_spa, spa) = (
+                    oracles.project_qubit(factor, "a", basis, bits[a]) if a in bits
+                    else (1.0, factor) for a, (factor, basis) in factors.items())
+                assert abs(p_pol * p_spa - 1 / n_out) <= 1e-12
+                states.append(oracles.apply_op_16(oracles.hyper_bell_16(p_name, s_name), i, j))
+                x.append([factors[a][1] == "X" for a in axes])
+                expected.append(np.kron(pol, spa))
+        u = (np.arange(len(states)) % n_out + 0.5) / n_out
+        bits, post = measure_rows(np.array(states), axes, u, np.array(x))
+        assert bits.tolist() == (np.arange(len(states)) % n_out).tolist()
+        np.testing.assert_allclose(post, np.array(expected), rtol=0, atol=1e-12)
+        # a call on no rows collapses none
+        bits, post = measure_rows(np.empty((0, 16), dtype=complex), axes, np.empty(0),
+                                  in_z(0, len(axes)))
+        assert bits.shape == (0,) and post.shape == (0, 16)
+
+    @given(blocks(), st.sampled_from(AXES_SETS))
+    @settings(max_examples=60, deadline=None)
+    def test_collapse_equals_the_reference_projector(self, block, axes):
+        # the ket product is the zeroed, divided and turned-back row by value; its input stays
+        states, x, u = block
+        x = x[:, : len(axes)]
+        work, raw, cdf = hs._read(states, axes, x)
+        outcomes = hs.draw(cdf, u, np.arange(len(states)))
+        probs = raw[np.arange(len(states)), outcomes]
+        before = work.copy()
+        got = hs._project(work, probs, axes, outcomes, x)
+        assert (got == oracles.project_rows(work, probs, axes, outcomes, x)).all()
+        assert work.tobytes() == before.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from hyperqsdc.protocol import (
     SessionGroup,
 )
 
+import oracles
 from test_harness import config_with, package_env
 from transcript_reference import parse_transcripts
 
@@ -514,7 +515,7 @@ def kernel_rows(monkeypatch, arguments=None) -> list:
                 # the rows read: every row of the block, the first argument
                 bound = inspect.signature(_kernel).bind(*args, **kwargs).arguments
                 calls.append((_name, len(next(iter(bound.values())))))
-                if arguments is not None:  # as handed: a kernel may write into its own copy
+                if arguments is not None:  # copies, as handed, for a later call to read
                     arguments.append({key: value.copy() if isinstance(value, np.ndarray) else value
                                       for key, value in bound.items()})
                 return _kernel(*args, **kwargs)
@@ -678,6 +679,20 @@ def test_hostile_group_hands_each_kernel_value_distinct_states_only(monkeypatch)
         assert rows <= value_distinct(states, CHOICES[name](bound)), name
     [bell] = [rows for name, rows in calls if name == "_bell_cdf"]
     assert bell <= 0.4 * HOSTILE_BELL_ROWS_UNMERGED
+
+
+def test_hostile_return_pass_collapse_equals_the_reference_projector(monkeypatch):
+    # Eve's joint read of both DOFs on the return pass of a hostile_channel
+    # group: every combo's ket product equals the zeroed, divided and
+    # turned-back row of ``oracles.project_rows`` by value
+    project = hyperstate._project
+    rc = parse_run_config(config_with(**dict(HOSTILE, sessions="30")))
+    arguments = []
+    calls = kernel_rows(monkeypatch, arguments)
+    _run_group(rc, rc.seed, range(rc.sessions))
+    forward, back = [bound for (name, _), bound in zip(calls, arguments) if name == "_project"]
+    assert back["axes"] == (0, 2) and back["x"].any() and not back["x"].all()
+    assert (project(**back) == oracles.project_rows(**back)).all()
 
 
 def test_noisy_transits_hand_pauli_their_distinct_codes_only(monkeypatch):
