@@ -101,11 +101,6 @@ class SignalMeta:
         if self.photon_count < 1:
             raise ValueError(f"photon_count must be >= 1, got {self.photon_count}")
 
-    @staticmethod
-    def legitimate() -> "SignalMeta":
-        """Meta of an unmolested signal: one on-band, on-time photon."""
-        return SignalMeta(1, 0.0, False)
-
 
 @dataclass(frozen=True)
 class DefenseConfig:

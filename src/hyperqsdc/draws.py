@@ -250,18 +250,21 @@ class DrawSource:
 
     - a uniform is ``(word >> 11) * 2**-53``;
     - a bounded integer takes 32-bit words: a word's low half, then its high
-      half.  The source keeps each member's left-over high half itself, as
-      PCG64's ``has_uint32`` and ``uinteger`` would, until ``hand_back``
-      writes it into the generator;
-    - an integer in [0, size) follows Lemire's method; a rejected 32-bit
-      word makes the member draw another, in a loop over the members that
-      rejected only;
+      half.  The source owns its generators' half-word buffers: it keeps
+      each member's left-over high half itself, as PCG64's ``has_uint32``
+      and ``uinteger`` would;
+    - an integer in [0, size) follows Lemire's method.  A member that
+      rejects a 32-bit word steps its generator back over the words of the
+      call, and numpy's ``Generator`` draws the whole call again;
     - a check sample of k of n pairs is ``choice(n, k, replace=False)``:
       Floyd's k draws in [0, n - k] ... [0, n - 1], then a shuffle of k - 1
       draws in [0, k - 1] ... [0, 1].  A sample of one is that one draw.
       For k above ``_STEPPED_SAMPLE``, which takes in every sample that
-      numpy's ``choice`` draws by shuffling the tail of a full range, the
-      member hands its half-word back and calls ``choice`` itself.
+      numpy's ``choice`` draws by shuffling the tail of a full range,
+      numpy's ``choice`` draws it.
+
+    Both fallbacks go through ``_by_numpy``, which writes the member's
+    half-word buffer into its generator, and reads it back after the draw.
 
     ``words[site][j]`` counts the 64-bit words member j took at each of
     ``DRAW_SITES``.  ``tests/test_draw_source.py`` compares every primitive
@@ -286,31 +289,34 @@ class DrawSource:
         source.buffered[:] = 0
         return source
 
-    def _state(self, j: int) -> dict:
-        # member j's generator state, with the source's half-word buffer written into it
-        bits = self.rngs[j].bit_generator
-        state = bits.state
-        if self.buffered[j] >= 0:
-            state["has_uint32"], state["uinteger"] = int(self.buffered[j]), int(self.uinteger[j])
-            bits.state = state
-        return state
-
     def _read_buffers(self, members: np.ndarray) -> None:
         # the buffers of the members the source has not read yet, from their generators
         for j in members[self.buffered[members] < 0]:
             state = self.rngs[j].bit_generator.state
             self.buffered[j], self.uinteger[j] = state["has_uint32"], state["uinteger"]
 
-    def hand_back(self) -> None:
-        """Write the half-word buffer the source keeps for each member into its generator.
+    def _by_numpy(self, site: str, j: int, draw, rewind: int = 0, buffer: tuple = ()):
+        """``draw(rng)`` on member j's own generator: numpy's ``Generator`` makes the draw.
 
-        The generators hold their buffers from then on, and the source reads
-        one back when it next needs it: a caller that draws from a member's
-        generator itself calls this first.
+        The generator first steps back ``rewind`` words, and takes the
+        half-word buffer ``buffer``, (has_uint32, uinteger), or else the one
+        the source keeps.  The source then reads the buffer back, and counts
+        the words the draw took beyond the ``rewind`` already counted.
         """
-        for j in (self.buffered >= 0).nonzero()[0]:
-            self._state(j)
-        self.buffered[:] = -1
+        bits = self.rngs[j].bit_generator
+        if rewind:  # ``advance`` empties the buffer, so only when it must
+            bits.advance(-rewind)
+        state = bits.state
+        has_uint32, uinteger = buffer or (self.buffered[j], self.uinteger[j])
+        if has_uint32 >= 0:  # -1: the generator holds a buffer the source has not read
+            state["has_uint32"], state["uinteger"] = int(has_uint32), int(uinteger)
+            bits.state = state
+        drawn = draw(self.rngs[j])
+        after = bits.state
+        self.buffered[j], self.uinteger[j] = after["has_uint32"], after["uinteger"]
+        self.words[site][j] += _pcg_steps(state["state"]["state"], after["state"]["state"],
+                                          after["state"]["inc"]) - rewind
+        return drawn
 
     def _raw(self, site: str, members: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """``counts[i]`` 64-bit words from the generator of ``members[i]``, joined.
@@ -393,66 +399,19 @@ class DrawSource:
             out = np.zeros(len(sizes), dtype=np.uint64)
             out[drawn], rejected = _lemire(values, sizes[drawn])
         if rejected is not None and rejected.any():
-            word_ends, u_ends, draw_ends = np.cumsum(paid), np.cumsum(n_uniform), np.cumsum(counts)
+            # numpy's Generator redraws the whole call of each member that rejected a value
+            u_ends, draw_ends = np.cumsum(n_uniform), np.cumsum(counts)
+            every_size = np.broadcast_to(sizes, len(out))
             for i in np.unique(firsts.searchsorted(rejected.nonzero()[0], side="right") - 1):
                 mine = slice(draw_ends[i] - counts[i], draw_ends[i])
                 theirs = slice(u_ends[i] - n_uniform[i], u_ends[i])
-                ints, u, self.buffered[members[i]], self.uinteger[members[i]] = self._redraw(
-                    site, members[i],
-                    [*words[word_ends[i] - paid[i]:word_ends[i]].tolist(),
-                     *(u_words[0][theirs].tolist() if u_words else ())],
-                    np.broadcast_to(sizes, len(out))[mine].tolist(), n_uniform[i],
-                    buffered[i], int(uinteger[i]))
-                out[mine] = ints
+                out[mine], u = self._by_numpy(
+                    site, members[i], lambda rng: (rng.integers(0, every_size[mine]),
+                                                   rng.bit_generator.random_raw(n_uniform[i])),
+                    int(paid[i] + n_uniform[i]), (int(buffered[i]), int(uinteger[i])))
                 if u_words:
                     u_words[0][theirs] = u
         return out, _uniforms(u_words[0]) if u_words else None
-
-    def _redraw(self, site: str, j: int, words: list, sizes: list, n_uniform: int,
-                buffered: bool, uinteger: int) -> tuple:
-        """Member j's draws at a site one at a time, after a rejection among them.
-
-        It takes ``words``, the ones ``integers`` drew for it, and then one
-        more from the generator whenever it runs out.  Returns (integers,
-        uniform words, buffered, uinteger) as ``integers`` makes them.
-        """
-        bits, at = self.rngs[j].bit_generator, 0
-
-        def word() -> int:
-            nonlocal at
-            if at == len(words):
-                words.append(bits.random_raw())
-                self.words[site][j] += 1
-            at += 1
-            return words[at - 1]
-
-        out = []
-        for size in sizes:
-            value = 0
-            if size > 1:
-                threshold = (1 << 32) % size
-                while True:
-                    if buffered:
-                        half, buffered = uinteger, False
-                    else:
-                        whole = word()
-                        half, uinteger, buffered = whole & _MASK32, whole >> 32, True
-                    value = half * size
-                    if value & _MASK32 >= threshold:
-                        break
-                value >>= 32
-            out.append(value)
-        return out, [word() for _ in range(n_uniform)], buffered, uinteger
-
-    def _choice(self, site: str, j: int, size: int, k: int) -> np.ndarray:
-        # numpy's own choice, with the source's half-word buffer handed over
-        # and taken back, and the words it took counted from the state it left
-        before = self._state(j)["state"]["state"]
-        sample = self.rngs[j].choice(size, size=k, replace=False)
-        after = self.rngs[j].bit_generator.state
-        self.buffered[j], self.uinteger[j] = after["has_uint32"], after["uinteger"]
-        self.words[site][j] += _pcg_steps(before, after["state"]["state"], after["state"]["inc"])
-        return sample
 
     def sample(self, site: str, members, starts, ks, size: Optional[int] = None,
                uniforms: int = 0) -> tuple:
@@ -465,7 +424,9 @@ class DrawSource:
         members, ks, starts = np.asarray(members), np.asarray(ks), np.asarray(starts)
         n = (starts[1:] - starts[:-1])[members]
         own = ks > _STEPPED_SAMPLE  # numpy's own choice draws these
-        chosen = [self._choice(site, members[i], n[i], ks[i]) for i in own.nonzero()[0]]
+        chosen = [self._by_numpy(site, members[i],
+                                 lambda rng: rng.choice(n[i], size=ks[i], replace=False))
+                  for i in own.nonzero()[0]]
         floyd = np.where(own, 0, ks)
         counts = floyd + np.maximum(floyd - 1, 0) + (0 if size is None else ks)
         owner = np.repeat(np.arange(len(members)), counts)

@@ -491,7 +491,9 @@ def _pool(stats: RunStats, transcripts: Optional[TextIO], rc: RunConfig, master_
             # Eve's coin flips for the bits she cannot read: (flip, phase) per DOF of each pair
             coins = DrawSource.seeded(master_seed, np.asarray(indices)[coined], 0xE7E)
             u = coins.uniforms("eve_coins", np.arange(len(coined)), 4 * counts[coined])
-            records = group.eve_codes(group.eve_words(group.eve)[:, encoded])
+            # the encoded pairs' record words by index, in the row-major order of a mask
+            records = group.eve_codes(group.eve_words(group.eve).reshape(2, -1)
+                                      .take(np.flatnonzero(encoded), axis=1))
             guesses = guess_encoding_ops(*records, u.reshape(-1, 2, 2))
             stats.eve_guesses += len(guesses)
             stats.eve_guesses_correct += int(np.count_nonzero(guesses == group.ops[encoded]))

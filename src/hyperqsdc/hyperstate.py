@@ -35,11 +35,10 @@ pairs, makes one kernel call on them, then draws per pair.  Every kernel is
 row-wise, so a pair's outcome and state are bitwise those of its own row.
 
 States are rays, not vectors: two states that differ by a global phase are
-physically identical, and ``HyperState.equiv`` tests exactly that.  All
-operations here are pure functions: a kernel returns new arrays and never
-writes its input.  Anything stochastic takes explicit uniforms, and only
-the one-pair readout ``chbsa`` takes a ``numpy.random.Generator``, so
-callers own reproducibility.
+physically identical.  All operations here are pure functions: a kernel
+returns new arrays and never writes its input.  Anything stochastic takes
+explicit uniforms, and only the one-pair readout ``chbsa`` takes a
+``numpy.random.Generator``, so callers own reproducibility.
 """
 
 from __future__ import annotations
@@ -520,10 +519,6 @@ class HyperState:
     def overlap(self, other: "HyperState") -> complex:
         """Inner product <self|other>."""
         return complex(np.vdot(self.amps, other.amps))
-
-    def equiv(self, other: "HyperState", atol: float = ATOL) -> bool:
-        """Ray equality: true when the states agree up to a global phase."""
-        return abs(abs(self.overlap(other)) - 1.0) <= atol
 
 
 # ---------------------------------------------------------------------------

@@ -251,6 +251,12 @@ def _bell_name_of(state4: np.ndarray) -> str:
 # 16-dimensional constructions from explicit kets
 # ---------------------------------------------------------------------------
 
+
+def same_ray(a: np.ndarray, b: np.ndarray, atol: float = 1e-12) -> bool:
+    """Whether two normalized states are one ray, equal up to a global phase: |<a|b>| = 1."""
+    return abs(abs(np.vdot(a, b)) - 1.0) <= atol
+
+
 _BELL_TERMS = {
     "phi+": (((0, 0), 1.0), ((1, 1), 1.0)),
     "phi-": (((0, 0), 1.0), ((1, 1), -1.0)),

@@ -283,7 +283,7 @@ class TestDefenses:
         rng = np.random.default_rng(31)
         cfg = DefenseConfig(filter_enabled=True, pns_enabled=True, pns_kind=PnsKind.IDEAL)
         for _ in range(100):
-            assert apply_defenses(SignalMeta.legitimate(), cfg, rng) is DefenseVerdict.CLEAN
+            assert apply_defenses(SignalMeta(), cfg, rng) is DefenseVerdict.CLEAN
 
     def test_filter_removes_offband_probe_always(self):
         rng = np.random.default_rng(32)

@@ -15,8 +15,8 @@ sample and the Bell readout in their phase functions, Eve's coins in
 ``harness._pool``.  The tests here compare each primitive and each recipe
 with numpy's own calls on ``copy.deepcopy`` twin generators, in the order
 and sizes of the session run alone, numbers and final generator state
-alike; the state is read after the source hands its buffered half-words
-back, so all of it is compared.  A failure names the installed numpy.
+alike; the state is read with the half-word buffer the source keeps, so
+all of it is compared.  A failure names the installed numpy.
 """
 
 from __future__ import annotations
@@ -153,10 +153,16 @@ def states(rngs: list) -> list:
     return [rng.bit_generator.state for rng in rngs]
 
 
-def handed_back(source: DrawSource) -> list:
-    """The generator states of ``source``, its buffered half-words written back first."""
-    source.hand_back()
-    return states(source.rngs)
+def source_states(source: DrawSource) -> list:
+    """The generator states of ``source``, each with the half-word buffer the source keeps.
+
+    A buffer the source has not read yet (-1) is still the generator's own.
+    """
+    found = states(source.rngs)
+    for state, buffered, uinteger in zip(found, source.buffered.tolist(), source.uinteger.tolist()):
+        if buffered >= 0:
+            state["has_uint32"], state["uinteger"] = buffered, uinteger
+    return found
 
 
 def same(got, expected, what: str) -> None:
@@ -165,7 +171,7 @@ def same(got, expected, what: str) -> None:
 
 
 def same_state(source: DrawSource, twins: list) -> None:
-    assert handed_back(source) == states(twins), (
+    assert source_states(source) == states(twins), (
         f"the generator states DrawSource leaves differ from those of {NUMPY}'s own calls")
 
 
@@ -259,6 +265,34 @@ def test_lemire_keeps_a_value_at_its_threshold_and_rejects_one_below(size):
         ints, _ = source.integers("message", np.arange(1), np.array([2]), size)
         same(ints, twin.integers(size, size=2), f"integers({size}) at Lemire's threshold")
         same_state(source, [twin])
+
+
+@pytest.mark.parametrize("size, uniforms", [(None, 3), (16, 0)])
+@pytest.mark.parametrize("buffered", [False, True])
+def test_a_rejected_floyd_draw_is_numpys_redraw(size, uniforms, buffered):
+    # choice(12, 4) draws first in [0, 9): a half-word Lemire's method rejects
+    # there, buffered or the low half of the next word, makes numpy draw
+    # again; the source has numpy's Generator redraw the member's whole call
+    rejected = (2**32 % 9 - 1) * pow(9, -1, 2**32) % 2**32
+    assert draws._lemire(np.array([rejected], dtype=np.uint32), 9)[1].all()
+    kept = 2**31 + 5
+    rng = generator_drawing((kept if buffered else rejected) | kept << 32)
+    if buffered:
+        state = rng.bit_generator.state
+        state["has_uint32"], state["uinteger"] = 1, rejected
+        rng.bit_generator.state = state
+    fresh = copy.deepcopy(rng)
+    source = DrawSource([rng])
+    twin = copy.deepcopy(rng)
+    positions, ops, u = source.sample("first_check", [0], [0, 12], [4], size, uniforms)
+    same(positions, twin.choice(12, size=4, replace=False), "choice(12, 4, replace=False)")
+    if size is None:
+        same(u, twin.random(3 * 4), "uniforms after the sample")
+    else:
+        same(ops, twin.integers(size, size=4), "ops after the sample")
+    same_state(source, [twin])
+    fresh.bit_generator.advance(int(source.words["first_check"][0]))
+    assert fresh.bit_generator.state["state"] == twin.bit_generator.state["state"]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -577,7 +611,7 @@ def test_word_counts_advance_fresh_twins_to_each_generator(monkeypatch):
     assert len(eve_made) == 1
     words = group.draws.words
     assert all(words[site].sum() for site in DRAW_SITES if site != "eve_coins")
-    handed = handed_back(group.draws)
+    handed = source_states(group.draws)
     assert any(state["has_uint32"] for state in handed)
     for k, state in enumerate(handed):
         twin = session_generators(rc.seed, [k])[0].bit_generator
@@ -642,8 +676,8 @@ class SpyGenerator:
 @pytest.mark.parametrize("sessions, n_pairs", [(500, 16), (100, 112)])
 def test_each_member_makes_one_raw_call_per_site(monkeypatch, sessions, n_pairs):
     # the tiny_blocks and ideal_sessions runs: no Generator draw method is
-    # called, and a site takes one random_raw call per member, plus redraws;
-    # the sized calls are counted per member under the site a primitive names
+    # called, and a site takes one random_raw call per member; the sized
+    # calls are counted per member under the site a primitive names
     spies = []
 
     def spied(*args):
@@ -677,5 +711,4 @@ def test_each_member_makes_one_raw_call_per_site(monkeypatch, sessions, n_pairs)
     assert [spy.calls for spy in spies] == [0] * sessions
     assert per_site == {site: [1] * sessions
                         for site in ("first_check", "message", "hidden_sample", "bell")}
-    unsized = sum(spy.bit_generator.unsized for spy in spies)
-    assert unsized <= 2  # rejection redraws: about 1e-6 per draw here
+    assert sum(spy.bit_generator.unsized for spy in spies) == 0

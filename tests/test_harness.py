@@ -49,8 +49,8 @@ from hyperqsdc.protocol import (
     decode_group,
     encode_group,
     first_check_group,
-    message_capacities,
     prepare_group,
+    random_messages,
     transmit_forward_group,
     transmit_return_group,
 )
@@ -344,9 +344,8 @@ class TestIdealRunStats:
 
 def abort_reason_alone(rc, seed: int, k: int):
     """Why session k of a run ends, driven phase by phase as a group of one; None if accepted."""
-    rng = np.random.default_rng([seed, k])
     cfg = rc.protocol
-    group = prepare_group(cfg, rc.source, DrawSource([rng]))
+    group = prepare_group(cfg, rc.source, DrawSource([np.random.default_rng([seed, k])]))
     eve = rc.eve if rc.eve_passes in ("both", "forward") else None
     transmit_forward_group(group, rc.channel, eve=eve, defense=rc.defense)
     first_check_group(group, cfg)
@@ -354,9 +353,7 @@ def abort_reason_alone(rc, seed: int, k: int):
         return "depleted_forward"
     if group.failed[0, 0]:
         return "first_check_fail"
-    [bits] = message_capacities(group, cfg)[1]
-    group.draws.hand_back()  # rng holds its buffered half-word again
-    encode_group(group, [rng.integers(0, 2, size=bits)], cfg)  # the message run() draws
+    encode_group(group, random_messages(group, cfg), cfg)
     eve = rc.eve if rc.eve_passes in ("both", "return") else None
     transmit_return_group(group, rc.channel, eve=eve)
     decode_group(group, cfg)

@@ -127,7 +127,7 @@ class TestEncoding:
         ideal = make_hyper_bell(BellIndex(Bell.PHI_PLUS, Bell.PHI_PLUS))
         for op in ALL_OPS:
             encoded = apply_encoding(ideal, op)
-            assert encoded.equiv(make_hyper_bell(bell_from_op(op)))
+            assert oracles.same_ray(encoded.amps, make_hyper_bell(bell_from_op(op)).amps)
 
     def test_known_op_image(self):
         # frozen: pol phase flip + spatial flip-and-phase land on (phi-, psi-)
@@ -251,7 +251,7 @@ class TestSource:
     def test_opposite_phase_gives_spatial_phase_flip(self):
         st16 = source_state(SourceParams(r=1.0, phi=math.pi))
         flipped = make_hyper_bell(BellIndex(Bell.PHI_PLUS, Bell.PHI_MINUS))
-        assert st16.equiv(flipped)
+        assert oracles.same_ray(st16.amps, flipped.amps)
 
     @pytest.mark.parametrize(
         "r,phi,expected",
@@ -298,13 +298,13 @@ class TestHyperState:
     def test_global_phase_equality(self):
         st16 = random_state(14)
         rotated = HyperState(st16.amps * np.exp(1j * 0.83))
-        assert st16.equiv(rotated)
-        assert rotated.equiv(st16)
+        assert oracles.same_ray(st16.amps, rotated.amps)
+        assert oracles.same_ray(rotated.amps, st16.amps)
 
     def test_distinct_states_not_equiv(self):
         a = make_hyper_bell(BellIndex(Bell.PHI_PLUS, Bell.PHI_PLUS))
         b = make_hyper_bell(BellIndex(Bell.PHI_PLUS, Bell.PSI_PLUS))
-        assert not a.equiv(b)
+        assert not oracles.same_ray(a.amps, b.amps)
 
     def test_amplitudes_read_only(self):
         st16 = random_state(16)

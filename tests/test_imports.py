@@ -10,9 +10,10 @@ The import guard keeps the draw module, which makes numbers from raw generator
 words, free of every other module of the package: it imports only numpy
 and the standard library.
 
-The usage guard fails on a public module-level function or class that no
-module of the package, no demo and not the acceptance suite names: code
-that only the other tests keep alive.  The last test keeps ``numpy.random``
+The usage guard fails on a public module-level function or class, or a
+public method or property of a module-level class, that no module of the
+package, no demo and not the acceptance suite names: code that only the
+other tests keep alive.  The last test keeps ``numpy.random``
 out of the import of the command-line module.
 """
 
@@ -107,9 +108,16 @@ def test_the_import_guard_sees_every_form():
 
 
 def public_definitions(source: str) -> set:
-    """The public functions and classes that ``source`` defines at module level."""
-    return {node.name for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not _private(node.name)}
+    """The public functions and classes that ``source`` defines at module level, and the
+    public methods and properties of its classes as ``Class.name``."""
+    found = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not _private(node.name):
+            found.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            found.update(f"{node.name}.{item.name}" for item in node.body
+                         if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
+    return found
 
 
 def names_used(source: str) -> set:
@@ -127,7 +135,8 @@ def names_used(source: str) -> set:
 
 def test_every_public_definition_is_used_outside_the_tests():
     used = set().union(*(names_used(path.read_text(encoding="utf-8")) for path in USERS))
-    unused = {path.stem: public_definitions(path.read_text(encoding="utf-8")) - used
+    unused = {path.stem: {name for name in public_definitions(path.read_text(encoding="utf-8"))
+                          if name.rpartition(".")[2] not in used}
               for path in SOURCES}
     assert {module: names for module, names in unused.items() if names} == {}
 
@@ -136,12 +145,20 @@ def test_the_usage_guard_sees_every_form():
     source = ("from .hyperstate import chbsa as readout\n"
               "import numpy as np\n"
               "class Kept:\n"
+              "    def __init__(self): self.held = 0\n"
               "    def method(self): return np.zeros(1), hs.draw\n"
+              "    @property\n"
+              "    def size(self): return self._inner()\n"
+              "    def _inner(self): return 1\n"
+              "class _Hidden:\n"
+              "    @staticmethod\n"
+              "    def made(): return _Hidden()\n"
               "def _helper(): return Kept\n"
               "def unused(): return unused_too\n")
-    assert public_definitions(source) == {"Kept", "unused"}
+    assert public_definitions(source) == {"Kept", "Kept.method", "Kept.size", "_Hidden.made",
+                                          "unused"}
     assert names_used(source) >= {"chbsa", "np", "zeros", "hs", "draw", "Kept", "unused_too"}
-    assert not names_used(source) & {"readout", "method", "_helper", "unused"}
+    assert not names_used(source) & {"readout", "method", "size", "made", "_helper", "unused"}
 
 
 def test_importing_the_cli_leaves_numpy_random_unimported():
