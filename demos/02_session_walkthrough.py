@@ -1,9 +1,10 @@
 """One full session, narrated from the transcript.
 
 A session run alone is a group of one: its generator, handed over once at
-``prepare_group`` in a ``DrawSource``, feeds every phase.  The phases only fill the group's
-arrays; ``transcript_lines`` writes the session's events from them as JSONL text, which
-the demo reads back one ``json.loads`` per line.
+``prepare_group`` in a ``DrawSource``, feeds every phase, the random message that
+``encode_group`` writes included.  The phases only fill the group's arrays: the message
+is read back from ``group.sent``, and ``transcript_lines`` writes the session's events as
+JSONL text, which the demo reads back one ``json.loads`` per line.
 """
 
 import json
@@ -17,7 +18,6 @@ from hyperqsdc.protocol import (
     encode_group,
     first_check_group,
     prepare_group,
-    random_messages,
     transcript_lines,
     transmit_forward_group,
     transmit_return_group,
@@ -30,12 +30,12 @@ channel = ChannelParams()  # quiet line, no loss
 group = prepare_group(cfg, SourceParams(1.0, 0.0), DrawSource([rng]))
 transmit_forward_group(group, channel)
 first_check_group(group, cfg)
-[bits] = random_messages(group, cfg)
-message = "".join(str(b) for b in bits)
-encode_group(group, [bits], cfg)
+encode_group(group, cfg)  # Alice draws a random message and writes it in
 transmit_return_group(group, channel)
 decode_group(group, cfg)
 
+sent = group.sent[0]
+message = "".join(f"{chunk:04b}" for chunk in sent[sent >= 0])
 transcript = [json.loads(line) for line in transcript_lines(group, [0], [0]).splitlines()]
 for event in transcript:
     del event["session"]  # every event is session 0's

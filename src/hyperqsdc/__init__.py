@@ -49,7 +49,6 @@ from .protocol import (
     BlockDepleted,
     ChannelParams,
     ConfigError,
-    MessageSizeError,
     PairFate,
     Phase,
     ProtocolConfig,

@@ -157,16 +157,20 @@ def draw_probes(kind: EveKind, n: int, uniform, filter_tolerance: float) -> np.n
     """Wavelength offsets of the probes Eve attaches to n legitimate photons.
 
     An invisible probe sits in (tol, 2*tol]: strictly outside the filter
-    window Eve assumes the receiver has, also when a uniform is 0.0.  Per
-    signal, it takes a magnitude uniform, then a sign uniform, from one
-    ``uniform((n, 2))`` call; the other probes sit on-band and draw nothing.
+    window Eve assumes the receiver has, also at the uniforms 0.0 and
+    1 - 2**-53, where ``2.0 - u`` rounds to 1.0; there the magnitude is the
+    next float above tol.  Per signal, it takes a magnitude uniform, then a
+    sign uniform, from one ``uniform((n, 2))`` call; the other probes sit
+    on-band and draw nothing.
     """
     if kind not in TROJAN_KINDS:
         raise ValueError(f"not a Trojan kind: {kind}")
     if kind is not EveKind.TROJAN_INVISIBLE:
         return np.zeros(n)
     u = uniform((n, 2))
-    return np.where(u[:, 1] < 0.5, 1.0, -1.0) * (filter_tolerance * (2.0 - u[:, 0]))
+    edge = np.nextafter(filter_tolerance, np.inf)
+    magnitude = np.maximum(filter_tolerance * (2.0 - u[:, 0]), edge)
+    return np.where(u[:, 1] < 0.5, 1.0, -1.0) * magnitude
 
 
 def screen(offsets: np.ndarray, photons: np.ndarray, config: DefenseConfig, uniform) -> np.ndarray:

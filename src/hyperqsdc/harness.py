@@ -67,7 +67,6 @@ from .protocol import (
     encode_group,
     first_check_group,
     prepare_group,
-    random_messages,
     transcript_lines,
     transmit_forward_group,
     transmit_return_group,
@@ -159,7 +158,6 @@ class RunStats:
     pns_alarms: int = 0
     eve_guesses: int = 0
     eve_guesses_correct: int = 0
-    adversary_present: bool = False
     wall_time: float = 0.0
     minor_faults: Optional[int] = None
     groups: int = 0
@@ -181,7 +179,7 @@ class RunStats:
 
     @property
     def eve_bell_guess_accuracy(self) -> Optional[float]:
-        if not self.adversary_present or self.eve_guesses == 0:
+        if self.eve_guesses == 0:
             return None
         return self.eve_guesses_correct / self.eve_guesses
 
@@ -423,7 +421,7 @@ def _run_group(rc: RunConfig, master_seed: int, indices,
     lap("forward_transit")
     first_check_group(group, rc.protocol)
     lap("first_check")
-    encode_group(group, random_messages(group, rc.protocol), rc.protocol)
+    encode_group(group, rc.protocol)
     lap("encode")
     transmit_return_group(group, rc.channel, eve=eve_ret)
     lap("return_transit")
@@ -530,7 +528,7 @@ def run(rc: RunConfig, master_seed: Optional[int] = None,
     so a run that fails partway leaves the lines of the groups before.
     """
     seed = rc.seed if master_seed is None else master_seed
-    stats = RunStats(adversary_present=rc.eve.kind is not EveKind.NONE)
+    stats = RunStats()
     faults = _minor_faults()
     started = time.perf_counter()
     lap = _Laps(stats.phase_seconds)

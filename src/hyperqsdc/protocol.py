@@ -4,7 +4,7 @@ One session moves a block of hyperentangled pairs through a fixed phase
 order.  Bob keeps photon B of every pair and sends the photon A sequence
 to Alice (first transit).  The parties burn a random sample of delivered
 pairs on a correlation check in randomly chosen Z/X bases (first check).
-If the error rate is acceptable, Alice writes her message into the
+If the error rate is acceptable, Alice writes a random message into the
 surviving pairs with the 16 local unitaries, hides a second random sample
 behind random unitaries, and returns the photon A sequence (second
 transit).  Bob reads every pair with the complete hyper-Bell analyzer,
@@ -15,7 +15,8 @@ Phases move strictly forward; only the two checks may abort, and a
 session that runs out of pairs at a check ends there, aborted and marked
 depleted.  Sessions are single-owner mutable state, and every random draw
 comes from the group's ``draws.DrawSource``: each phase draws its own
-choices, in a fixed order, as calls of the source's primitives.
+choices, Alice's message included, in a fixed order, as calls of the
+source's primitives.  So the session API is one call per protocol step.
 
 Each phase is written once, for a ``SessionGroup`` of sessions that share
 one state table, keep their bookkeeping in arrays over the group and move
@@ -98,10 +99,6 @@ class Verdict(Enum):
 
 class ConfigError(ValueError):
     """A protocol parameter violates its documented bound."""
-
-
-class MessageSizeError(ValueError):
-    """The message does not match the block's bit capacity."""
 
 
 class BlockDepleted(RuntimeError):
@@ -593,85 +590,48 @@ def first_check_group(group: SessionGroup, cfg: ProtocolConfig) -> None:
     group.first_reads.reshape(-1)[rows] = outcomes + 16 * x[:, 0] + 32 * x[:, 1]
 
 
-def _encoding_plan(group: SessionGroup, cfg: ProtocolConfig) -> tuple:
-    # the members ready to encode, their candidate rows and starts (see
-    # _candidates), and per member arrays of its eligible-pair count and
-    # second-sample size
-    acting = group.in_phase(Phase.ENCODING)
-    candidates, starts = _candidates(group, acting)
-    members = acting.nonzero()[0]
-    sizes = np.diff(starts)[members]
-    short = sizes[sizes < 2]
-    if len(short):
-        raise BlockDepleted(f"only {short[0]} pairs left; need 2 to sample and encode")
-    # counted on the pairs left plus the first sample, but never all of them
-    base = sizes + group.counts[members, 0, 0]
-    n_second = np.minimum(_sample_count(cfg.sample_fraction_second, base), sizes - 1)
-    return members.tolist(), candidates, starts, sizes, n_second
-
-
-def message_capacities(group: SessionGroup, cfg: ProtocolConfig) -> tuple[list, list]:
-    """(members ready to encode, the bits each can carry beside its second-check sample)."""
-    members, _, _, sizes, n_second = _encoding_plan(group, cfg)
-    return members, (4 * (sizes - n_second)).tolist()
-
-
-def random_messages(group: SessionGroup, cfg: ProtocolConfig) -> list:
-    """A random message per member ready to encode, in member order: int8 bits, as many as
-    ``message_capacities`` gives it, the numbers of ``integers(0, 2, size=bits)``."""
-    members, capacities = message_capacities(group, cfg)
-    if not members:
-        return []
-    bits, _ = group.draws.integers("message", np.asarray(members), np.asarray(capacities), 2)
-    bits, ends = bits.astype(np.int8), np.cumsum(capacities).tolist()
-    return [bits[end - size:end] for end, size in zip(ends, capacities)]
-
-
 # weights that turn a row of four message bits into its chunk's value; int8,
 # so that int8 bits make int8 chunks
 _CHUNK_WEIGHTS = np.array([8, 4, 2, 1], dtype=np.int8)
 
 
-def encode_group(group: SessionGroup, messages: list, cfg: ProtocolConfig) -> None:
-    """Alice writes each session's message and hides its second-check sample.
+def encode_group(group: SessionGroup, cfg: ProtocolConfig) -> None:
+    """Alice writes a random message into each session and hides its second-check sample.
 
-    ``messages`` holds one integer array of 0/1 bits per member ready to
-    encode, in member order (see ``message_capacities``).  Message pairs get
-    the op named by the next 4-bit chunk of the message; sample pairs get an
-    op drawn uniformly from all 16, recorded for the comparison after
-    readout.  Every message is checked before any session draws.
+    Each member ready to encode draws its message, ``integers(0, 2, size=bits)``
+    with 4 bits per pair left beside its second-check sample, then that
+    sample and per sample pair an op uniform over all 16, recorded for the
+    comparison after readout.  Message pairs get the op named by the next
+    4-bit chunk.  A member with fewer than 2 pairs left raises
+    ``BlockDepleted`` before any member draws.
     """
-    members, candidates, starts, sizes, n_second = _encoding_plan(group, cfg)
-    if len(messages) != len(members):
-        raise ValueError(f"{len(messages)} messages for {len(members)} sessions ready to encode")
-    if not members:
+    acting = group.in_phase(Phase.ENCODING)
+    members = acting.nonzero()[0]
+    sizes = np.count_nonzero(group.fates[members] == _ACTIVE, axis=1)
+    short = sizes[sizes < 2]
+    if len(short):
+        raise BlockDepleted(f"only {short[0]} pairs left; need 2 to sample and encode")
+    if not len(members):
         return
-    arrays = list(map(np.asarray, messages))
-    integral = all(a.ndim == 1 and a.dtype.kind in "biu" for a in arrays)
-    bits = np.concatenate(arrays) if integral else None
-    if bits is None or (bits >> 1).any():
-        raise ValueError("each message must be a 1-D integer or bool array of 0s and 1s")
-    lengths, capacities = np.array(list(map(len, messages))), 4 * (sizes - n_second)
-    wrong = (lengths != capacities).nonzero()[0]
-    if len(wrong):
-        raise MessageSizeError(
-            f"message length must be exactly {capacities[wrong[0]]} bits for this block, "
-            f"got {lengths[wrong[0]]}"
-        )
+    # counted on the pairs left plus the first sample, but never all of them
+    base = sizes + group.counts[members, 0, 0]
+    n_second = np.minimum(_sample_count(cfg.sample_fraction_second, base), sizes - 1)
+    # drawn before the candidate rows take their memory: chunk k of the messages, joined in
+    # member order, goes to message row k, and its value is the code of the op that carries it
+    chunks = (group.draws.integers("message", members, 4 * (sizes - n_second), 2)[0]
+              .astype(np.int8).reshape(-1, 4) @ _CHUNK_WEIGHTS)
+    candidates, starts = _candidates(group, acting)
     picks, sample_ops, _ = group.draws.sample("hidden_sample", members, starts, n_second, 16)
     second = np.sort(candidates[picks])
     is_second = group.second.reshape(-1)
     is_second[second] = True
     message_rows = candidates[~is_second[candidates]]
-    # chunk k of the messages, joined in member order, goes to message row k,
-    # and a chunk's value is the code of the op that carries it
-    chunks = bits.reshape(-1, 4) @ _CHUNK_WEIGHTS
     ops = group.ops.reshape(-1)
     ops[message_rows] = chunks
     ops[second] = sample_ops
     group.sent.reshape(-1)[message_rows] = chunks
     # ``ops`` and ``sent`` hold the messages now; free them before the kernel runs
-    del messages, arrays, bits, chunks, message_rows
+    del chunks, message_rows
     group._update(candidates, *map_table(
         group.table, group.index[candidates], ops[candidates], DIM, encode
     ))

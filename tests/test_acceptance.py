@@ -12,7 +12,6 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 from hyperqsdc.adversary import (
     DefenseConfig,
@@ -34,7 +33,6 @@ from hyperqsdc.hyperstate import (
     make_hyper_bell,
     op_from_bell,
     source_fidelity,
-    source_state,
     SourceParams,
 )
 

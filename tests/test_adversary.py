@@ -210,6 +210,16 @@ class TestTrojans:
         cfg = DefenseConfig(filter_enabled=True, filter_tolerance=tol)
         assert apply_defenses(meta, cfg, np.random.default_rng(0)) is DefenseVerdict.FILTERED_OUT
 
+    @pytest.mark.parametrize("tol", [0.02, 0.05, 0.4, 5e-324])
+    def test_invisible_clears_filter_edge_at_the_largest_uniform(self, tol):
+        # 2.0 - (1 - 2**-53) rounds to 1.0, which would put the probe on the edge
+        edge = np.array([[1 - 2**-53, 0.9]])
+        offsets = draw_probes(EveKind.TROJAN_INVISIBLE, 1, lambda shape: edge, tol)
+        assert -offsets[0] > tol  # the sign uniform 0.9 makes it negative
+        meta = SignalMeta(2, float(offsets[0]))
+        cfg = DefenseConfig(filter_enabled=True, filter_tolerance=tol)
+        assert apply_defenses(meta, cfg, np.random.default_rng(0)) is DefenseVerdict.FILTERED_OUT
+
     def test_invisible_draws_magnitude_then_sign_per_signal(self):
         tol = 0.02
         offsets = draw_probes(EveKind.TROJAN_INVISIBLE, 100, np.random.default_rng(41).random, tol)

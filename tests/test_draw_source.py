@@ -49,7 +49,6 @@ from hyperqsdc.protocol import (
     encode_group,
     first_check_group,
     prepare_group,
-    random_messages,
     transit_draws,
     transmit_forward_group,
     transmit_return_group,
@@ -551,8 +550,7 @@ def test_phases_draw_in_the_order_of_the_session_run_alone(short):
         group.fates[lost] = FATES.index(PairFate.LOST_FORWARD)
     transmit_forward_group(group, ChannelParams())
     first_check_group(group, cfg)
-    messages = random_messages(group, cfg)
-    encode_group(group, messages, cfg)
+    encode_group(group, cfg)
     transmit_return_group(group, ChannelParams())
     decode_group(group, cfg)
     assert group.in_phase(Phase.ACCEPTED).all()
@@ -569,8 +567,9 @@ def test_phases_draw_in_the_order_of_the_session_run_alone(short):
         # a source pair reads one of four correlated outcomes, 0, 3, 12 or 15,
         # each over a quarter of the Born uniform's range
         same(reads & 15, np.array([0, 3, 12, 15])[(u[2 * k :] * 4).astype(int)], "born uniforms")
-        assert messages[j].dtype == np.int8
-        same(messages[j], twin.integers(0, 2, size=len(messages[j])), "message bits")
+        chunks = group.sent[j][group.sent[j] >= 0]
+        bits = chunks[:, None] >> np.arange(3, -1, -1) & 1  # each chunk's bits, high bit first
+        same(bits.ravel(), twin.integers(0, 2, size=bits.size), "message bits")
         left = np.setdiff1d(rows, checked)
         k = np.count_nonzero(group.second[j])
         hidden = np.sort(left[twin.choice(len(left), size=k, replace=False)])

@@ -11,7 +11,6 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +49,6 @@ from hyperqsdc.protocol import (
     encode_group,
     first_check_group,
     prepare_group,
-    random_messages,
     transmit_forward_group,
     transmit_return_group,
 )
@@ -353,7 +351,7 @@ def abort_reason_alone(rc, seed: int, k: int):
         return "depleted_forward"
     if group.failed[0, 0]:
         return "first_check_fail"
-    encode_group(group, random_messages(group, cfg), cfg)
+    encode_group(group, cfg)
     eve = rc.eve if rc.eve_passes in ("both", "return") else None
     transmit_return_group(group, rc.channel, eve=eve)
     decode_group(group, cfg)

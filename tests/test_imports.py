@@ -13,8 +13,10 @@ and the standard library.
 The usage guard fails on a public module-level function or class, or a
 public method or property of a module-level class, that no module of the
 package, no demo and not the acceptance suite names: code that only the
-other tests keep alive.  The last test keeps ``numpy.random``
-out of the import of the command-line module.
+other tests keep alive.  The unread-import guard fails on a name that a
+module of the package other than ``__init__``, a demo or a test imports
+and never reads.  The last test keeps ``numpy.random`` out of the import
+of the command-line module.
 """
 
 from __future__ import annotations
@@ -159,6 +161,43 @@ def test_the_usage_guard_sees_every_form():
                                           "unused"}
     assert names_used(source) >= {"chbsa", "np", "zeros", "hs", "draw", "Kept", "unused_too"}
     assert not names_used(source) & {"readout", "method", "size", "made", "_helper", "unused"}
+
+
+def unread_imports(source: str) -> list:
+    """(name, line) of each name that ``source`` binds by an import and never reads."""
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(alias.asname or alias.name.partition(".")[0], node.lineno)
+                      for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(alias.asname or alias.name, node.lineno) for alias in node.names]
+    return sorted((use for use in bound if use[0] not in read), key=lambda use: use[1])
+
+
+def test_no_module_demo_or_test_imports_a_name_it_never_reads():
+    # ``__init__`` imports to re-export; everything else imports to read
+    files = [*(path for path in SOURCES if path.name != "__init__.py"),
+             *sorted((ROOT / "demos").glob("*.py")), *sorted((ROOT / "tests").glob("*.py"))]
+    found = {path.relative_to(ROOT).as_posix(): unread_imports(path.read_text(encoding="utf-8"))
+             for path in files}
+    assert {path: names for path, names in found.items() if names} == {}
+
+
+def test_the_unread_import_guard_sees_every_form():
+    source = ("from __future__ import annotations\n"
+              "import numpy as np\n"
+              "import os.path\n"
+              "import json, re\n"
+              "from .protocol import ChannelParams, Phase as P\n"
+              "from typing import Optional\n"
+              "def f(x: Optional[int]):\n"
+              "    Phase = ChannelParams = 1\n"
+              "    return np.zeros(1), json.dumps(P.ENCODING), os.sep\n")
+    assert unread_imports(source) == [("re", 4), ("ChannelParams", 5)]
 
 
 def test_importing_the_cli_leaves_numpy_random_unimported():

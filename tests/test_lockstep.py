@@ -451,7 +451,7 @@ def test_run_holds_one_group_at_a_time(monkeypatch):
 
 def pooled_alone(rc, seed: int):
     """What ``run`` gives when every session runs as a group of one."""
-    stats = RunStats(adversary_present=rc.eve.kind is not EveKind.NONE)
+    stats = RunStats()
     out = io.StringIO()
     for k in range(rc.sessions):
         _pool(stats, out, rc, seed, [k], _run_group(rc, seed, [k]))

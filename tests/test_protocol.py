@@ -25,7 +25,6 @@ from hyperqsdc.protocol import (
     BlockDepleted,
     ChannelParams,
     ConfigError,
-    MessageSizeError,
     PairFate,
     Phase,
     ProtocolConfig,
@@ -36,7 +35,6 @@ from hyperqsdc.protocol import (
     decode_group,
     encode_group,
     first_check_group,
-    message_capacities,
     prepare_group,
     transmit_forward_group,
     transmit_return_group,
@@ -47,25 +45,6 @@ from transcript_reference import CheckReport, parse_transcripts
 IDEAL_SOURCE = SourceParams(r=1.0, phi=0.0)
 CLEAN = ChannelParams()
 FATE_CODE = {fate: code for code, fate in enumerate(PairFate)}
-
-
-def random_bits(n: int, rng: np.random.Generator) -> str:
-    return "".join("1" if rng.random() < 0.5 else "0" for _ in range(n))
-
-
-def capacity(group: SessionGroup, cfg: ProtocolConfig) -> int:
-    """The message bits the lone member of ``group`` can carry."""
-    [bits] = message_capacities(group, cfg)[1]
-    return bits
-
-
-def bits_of(message: str) -> np.ndarray:
-    return np.frombuffer(message.encode(), dtype=np.uint8) - ord("0")
-
-
-def encode(group: SessionGroup, message: str, cfg: ProtocolConfig) -> None:
-    """``encode_group`` of a group of one, the message a string of 0s and 1s."""
-    encode_group(group, [bits_of(message)], cfg)
 
 
 def phase(group: SessionGroup) -> Phase:
@@ -90,6 +69,12 @@ def message_positions(group: SessionGroup) -> list:
     return positions(group.sent[0] >= 0)
 
 
+def sent_message(group: SessionGroup) -> str:
+    """The bits of the message the lone member encoded, chunk after chunk."""
+    sent = group.sent[0]
+    return _bits_text(sent[sent >= 0])
+
+
 def decoded_message(group: SessionGroup):
     """The bits read back from a passing block; None otherwise."""
     if phase(group) is not Phase.ACCEPTED:
@@ -106,7 +91,6 @@ def run_session(
     eve_forward=None,
     eve_return=None,
     defense=None,
-    message=None,
 ):
     """Drive one full session as a group of one; returns (group, sent, decoded, report2)."""
     group = prepare_group(cfg, source, DrawSource([rng]))
@@ -115,13 +99,11 @@ def run_session(
     group.raise_if_depleted(0)
     if report(group, 0).verdict is Verdict.FAIL:
         return group, None, None, None
-    if message is None:
-        message = random_bits(capacity(group, cfg), rng)
-    encode(group, message, cfg)
+    encode_group(group, cfg)
     transmit_return_group(group, params, eve=eve_return)
     decode_group(group, cfg)
     group.raise_if_depleted(0)
-    return group, message, decoded_message(group), report(group, 1)
+    return group, sent_message(group), decoded_message(group), report(group, 1)
 
 
 class TestConfig:
@@ -132,11 +114,16 @@ class TestConfig:
         group = prepare_group(cfg, IDEAL_SOURCE, DrawSource([rng]))
         transmit_forward_group(group, CLEAN)
         first_check_group(group, cfg)
-        encode(group, "0111" * (capacity(group, cfg) // 4), cfg)
+        encode_group(group, cfg)
         rows = message_positions(group)
-        assert rows and (group.ops[0, rows] == EncodingOp(2, 4).code).all()
+        chunks = group.sent[0, rows]
+        assert (group.ops[0, rows] == chunks).all()  # a chunk's value is its op's code
+        assert EncodingOp(2, 4).code == 0b0111
         [encoded] = [event for event in parse_transcripts(group)[0] if event["event"] == "encode"]
-        assert encoded["message_ops"] == ["24"] * len(rows)
+        assert encoded["message_positions"] == rows
+        carried = [op for op, chunk in zip(encoded["message_ops"], chunks) if chunk == 0b0111]
+        assert carried, "the message drawn at this seed holds chunk 0111"
+        assert carried == ["24"] * len(carried)
 
     @pytest.mark.parametrize(
         "kwargs,needle",
@@ -182,6 +169,7 @@ class TestIdealRoundTrip:
             rng = np.random.default_rng([1000, seed])
             group, sent, decoded, report2 = run_session(cfg, rng)
             assert phase(group) is Phase.ACCEPTED
+            assert np.array_equal(group.received, group.sent)  # every chunk, -1 off the message
             assert decoded == sent
             assert parse_transcripts(group)[0][-1]["message"] == sent
             assert report2.verdict is Verdict.PASS
@@ -203,11 +191,10 @@ class TestIdealRoundTrip:
         transmit_forward_group(group, CLEAN)
         first_check_group(group, cfg)
         assert len(first_samples(group)) == 6
-        assert capacity(group, cfg) == 400
-        message = random_bits(400, rng)
-        encode(group, message, cfg)
+        encode_group(group, cfg)
         assert len(positions(group.second[0])) == 6
         assert len(message_positions(group)) == 100
+        assert len(sent_message(group)) == 400
 
 
 class TestSampling:
@@ -241,10 +228,10 @@ class TestSampling:
         rng = np.random.default_rng(10)
         group, sent, decoded, _ = run_session(cfg, rng, params=ChannelParams(loss_prob=0.2))
         assert phase(group) is Phase.ACCEPTED
-        kept = positions(group.received[0] >= 0)
-        index = {pos: k for k, pos in enumerate(message_positions(group))}
-        expected = "".join(sent[4 * index[pos] : 4 * index[pos] + 4] for pos in kept)
-        assert decoded == expected
+        kept = group.received[0] >= 0
+        assert np.array_equal(group.received[0, kept], group.sent[0, kept])
+        assert decoded == _bits_text(group.sent[0, kept])
+        assert parse_transcripts(group)[0][-1]["message"] == decoded
 
 
 # the legal call from each phase; every other call finds no member in its phase
@@ -260,15 +247,14 @@ GROUP_ARRAYS = ("table", "index", "fates", "ops", "eve", "screens", "first_reads
                 "sent", "received", "bell", "phases", "depleted", "counts", "failed")
 
 
-def call_phase(name: str, group: SessionGroup, rng, cfg: ProtocolConfig) -> None:
-    """One phase function on ``group``, drawing a message from ``rng`` for each ready member."""
+def call_phase(name: str, group: SessionGroup, cfg: ProtocolConfig) -> None:
+    """One phase function on ``group``."""
     if name == "forward":
         transmit_forward_group(group, CLEAN)
     elif name == "check1":
         first_check_group(group, cfg)
     elif name == "encode":
-        messages = [bits_of(random_bits(bits, rng)) for bits in message_capacities(group, cfg)[1]]
-        encode_group(group, messages, cfg)
+        encode_group(group, cfg)
     elif name == "back":
         transmit_return_group(group, CLEAN)
     else:
@@ -288,7 +274,7 @@ class TestPhaseMachine:
         seen = [phase(group)]
         rendered = [len(parse_transcripts(group)[0])]
         for name in ("forward", "check1", "encode", "back", "decode"):
-            call_phase(name, group, rng, cfg)
+            call_phase(name, group, cfg)
             seen.append(phase(group))
             rendered.append(len(parse_transcripts(group)[0]))
         # a transcript read mid-session holds the events of the phases done so far
@@ -312,12 +298,12 @@ class TestPhaseMachine:
         for name in calls:
             before = phase(group)
             if LEGAL_NEXT.get(before) == name:
-                call_phase(name, group, rng, cfg)
+                call_phase(name, group, cfg)
                 after = order.index(before) + 1
                 assert phase(group) is (order[after] if after < len(order) else Phase.ACCEPTED)
             else:
                 unchanged = snapshot(group, rng)
-                call_phase(name, group, rng, cfg)
+                call_phase(name, group, cfg)
                 assert snapshot(group, rng) == unchanged
 
     def test_aborted_first_check_blocks_everything(self):
@@ -329,35 +315,9 @@ class TestPhaseMachine:
         first_check_group(group, cfg)
         assert report(group, 0).verdict is Verdict.FAIL
         assert phase(group) is Phase.ABORTED
-        assert message_capacities(group, cfg) == ([], [])
-        with pytest.raises(ValueError, match="ready to encode"):
-            encode(group, "0000", cfg)
-
-
-class TestMessageValidation:
-    def make_encoding_session(self):
-        cfg = ProtocolConfig(n_pairs=20)
-        rng = np.random.default_rng(14)
-        group = prepare_group(cfg, IDEAL_SOURCE, DrawSource([rng]))
-        transmit_forward_group(group, CLEAN)
-        first_check_group(group, cfg)
-        return cfg, group
-
-    def test_wrong_length_names_expected_capacity(self):
-        cfg, group = self.make_encoding_session()
-        expected = capacity(group, cfg)
-        with pytest.raises(MessageSizeError, match=str(expected)):
-            encode(group, "0" * (expected + 4), cfg)
-
-    @pytest.mark.parametrize("message", [
-        lambda bits: bits_of("01x0" * (bits // 4)),
-        lambda bits: np.tile([0.0, 1.0], bits // 2),
-        lambda bits: "01" * (bits // 2),
-    ], ids=["non_bit_value", "float_array", "str"])
-    def test_non_bits_rejected(self, message):
-        cfg, group = self.make_encoding_session()
-        with pytest.raises(ValueError, match="0s and 1s"):
-            encode_group(group, [message(capacity(group, cfg))], cfg)
+        unchanged = snapshot(group, rng)
+        encode_group(group, cfg)
+        assert snapshot(group, rng) == unchanged
 
 
 class TestSecondCheck:
@@ -471,3 +431,20 @@ class TestDepletion:
                        eve=EveStrategy(), eve_passes="both", defense=DefenseConfig())
         with pytest.raises(BlockDepleted, match="pairs delivered"):
             run_one_session(rc, rc.seed, 0)
+
+    def test_encode_needs_two_pairs_and_draws_nothing_without_them(self):
+        # member 1 has one pair left in ENCODING: the call stops before
+        # member 0, ready to encode, draws anything
+        cfg = ProtocolConfig(n_pairs=4)
+        rngs = [np.random.default_rng([21, j]) for j in range(2)]
+        group = prepare_group(cfg, IDEAL_SOURCE, DrawSource(rngs))
+        group.fates[1, 1:] = FATE_CODE[PairFate.CONSUMED_CHECK]
+        group.phases[:] = tuple(Phase).index(Phase.ENCODING)
+        states = [copy.deepcopy(rng.bit_generator.state) for rng in rngs]
+        words = {site: w.tolist() for site, w in group.draws.words.items()}
+        arrays = [getattr(group, name).tobytes() for name in GROUP_ARRAYS]
+        with pytest.raises(BlockDepleted, match="only 1 pairs left; need 2 to sample and encode"):
+            encode_group(group, cfg)
+        assert [rng.bit_generator.state for rng in rngs] == states
+        assert {site: w.tolist() for site, w in group.draws.words.items()} == words
+        assert [getattr(group, name).tobytes() for name in GROUP_ARRAYS] == arrays
