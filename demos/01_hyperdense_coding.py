@@ -9,37 +9,30 @@ rotations per degree of freedom, and the joint state lands on one of the
 
 import numpy as np
 
-from hyperqsdc import (
-    Bell,
-    BellIndex,
-    EncodingOp,
-    apply_encoding,
-    bell_from_op,
-    chbsa,
-    make_hyper_bell,
-    op_from_bell,
-)
+from hyperqsdc.hyperstate import BELL_BASIS, EncodingOp, bell_labels_table, encode
+
+# the Bell states of one degree of freedom, by their label 0..3
+BELL_NAMES = ("PHI_PLUS", "PHI_MINUS", "PSI_PLUS", "PSI_MINUS")
 
 rng = np.random.default_rng(1)
-ideal = make_hyper_bell(BellIndex(Bell.PHI_PLUS, Bell.PHI_PLUS))
-bits_of = {EncodingOp.from_code(code): f"{code:04b}" for code in range(16)}
 
+
+def send(codes: np.ndarray) -> np.ndarray:
+    """Bob's labels 4 * pol + spa for ideal pairs on which Alice applied op code codes[k]."""
+    pairs = encode(np.tile(BELL_BASIS[0], (len(codes), 1)), codes)   # Alice's photon only
+    return bell_labels_table(pairs, np.arange(len(codes)), rng.random(len(codes)))  # Bob's readout
+
+
+ops = [EncodingOp(i, j) for i in range(1, 5) for j in range(1, 5)]
+labels = send(np.array([op.code for op in ops]))
 print("op   bits   pol Bell   spa Bell")
-for i in range(1, 5):
-    for j in range(1, 5):
-        op = EncodingOp(i, j)
-        label = chbsa(apply_encoding(ideal, op), rng)
-        assert label == bell_from_op(op)
-        print(f"U_{i}{j}  {bits_of[op]}   {label.p.name:9}  {label.s.name}")
+for op, label in zip(ops, labels):
+    assert label == op.code  # the label read back is the op code
+    print(f"U_{op.i}{op.j}  {op.code:04b}   {BELL_NAMES[label >> 2]:9}  {BELL_NAMES[label & 3]}")
 
 message = "1011000111100100"
 print(f"\nsending {message!r} takes {len(message) // 4} pairs:")
-inverse = {bits: op for op, bits in bits_of.items()}
-decoded = []
-for k in range(0, len(message), 4):
-    chunk = message[k : k + 4]
-    travelling = apply_encoding(ideal, inverse[chunk])   # Alice's photon only
-    label = chbsa(travelling, rng)                       # Bob's joint readout
-    decoded.append(bits_of[op_from_bell(label)])
-print("decoded:", "".join(decoded))
-assert "".join(decoded) == message
+chunks = np.array([int(message[k : k + 4], 2) for k in range(0, len(message), 4)])
+decoded = "".join(f"{label:04b}" for label in send(chunks))
+print("decoded:", decoded)
+assert decoded == message

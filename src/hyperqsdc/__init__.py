@@ -9,9 +9,6 @@ from .adversary import (
     EveKind,
     EveStrategy,
     PnsKind,
-    SignalMeta,
-    apply_defenses,
-    craft_trojan,
 )
 from .harness import (
     RunConfig,
@@ -29,21 +26,12 @@ from .harness import (
 from .hyperstate import (
     BELL_BASIS,
     DIM,
-    Bell,
-    BellIndex,
     Dof,
     EncodingOp,
-    HyperState,
     Photon,
     SourceParams,
-    apply_encoding,
-    bell_from_op,
-    chbsa,
     correlation_error_probs,
-    make_hyper_bell,
-    op_from_bell,
     source_fidelity,
-    source_state,
 )
 from .protocol import (
     BlockDepleted,

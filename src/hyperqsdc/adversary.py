@@ -6,7 +6,7 @@ new photon prepared in her outcome state.  A Trojan-horse attack leaves
 the state alone: Eve adds a probe photon to each signal (``draw_probes``),
 and a wavelength filter and a photon-number splitter at the receiver, not
 the correlation checks, screen the signals (``screen``).  Both act on
-arrays of signals; ``craft_trojan`` and ``apply_defenses`` take one.
+arrays of signals.
 
 Strategies are stateless: the models take uniforms, or a callable that
 draws them (in a run, from its ``draws.DrawSource``), so records and
@@ -90,19 +90,6 @@ class EveStrategy:
 
 
 @dataclass(frozen=True)
-class SignalMeta:
-    """Classical metadata of one optical signal as seen by detectors."""
-
-    photon_count: int = 1
-    wavelength_offset: float = 0.0
-    delayed: bool = False
-
-    def __post_init__(self) -> None:
-        if self.photon_count < 1:
-            raise ValueError(f"photon_count must be >= 1, got {self.photon_count}")
-
-
-@dataclass(frozen=True)
 class DefenseConfig:
     """Receiver-side countermeasures applied before the encoder."""
 
@@ -112,8 +99,10 @@ class DefenseConfig:
     pns_kind: PnsKind = PnsKind.IDEAL
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.filter_tolerance) and self.filter_tolerance > 0.0):
-            raise ValueError(f"filter_tolerance must be finite and > 0, got {self.filter_tolerance}")
+        # a probe sits up to 2 * filter_tolerance off band, which must stay finite
+        if not (math.isfinite(2.0 * self.filter_tolerance) and self.filter_tolerance > 0.0):
+            raise ValueError(f"filter_tolerance must be > 0 with 2 * filter_tolerance finite, "
+                             f"got {self.filter_tolerance}")
 
 
 _DOFS = (Dof.POL, Dof.SPA)
@@ -191,25 +180,6 @@ def screen(offsets: np.ndarray, photons: np.ndarray, config: DefenseConfig, unif
             multi = multi[uniform(multi) < 1.0 - 2.0 ** (1 - photons[multi])]
         codes[multi] = SCREEN_ALARMED
     return codes
-
-
-def craft_trojan(
-    kind: EveKind,
-    rng: np.random.Generator,
-    filter_tolerance: float = DEFAULT_FILTER_TOLERANCE,
-) -> SignalMeta:
-    """Signal metadata after Eve attaches her probe to one legitimate photon."""
-    [offset] = draw_probes(kind, 1, rng.random, filter_tolerance)
-    return SignalMeta(PROBED_PHOTONS, float(offset), kind is EveKind.TROJAN_DELAY)
-
-
-def apply_defenses(
-    meta: SignalMeta, config: DefenseConfig, rng: np.random.Generator
-) -> DefenseVerdict:
-    """``screen`` of one signal; CLEAN means nothing tripped."""
-    offsets = np.array([meta.wavelength_offset])
-    photons = np.array([meta.photon_count])
-    return SCREENS[screen(offsets, photons, config, lambda rows: rng.random(len(rows)))[0]]
 
 
 def guess_encoding_ops(forward: np.ndarray, back: np.ndarray, u: np.ndarray) -> np.ndarray:

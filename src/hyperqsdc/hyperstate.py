@@ -37,8 +37,7 @@ row-wise, so a pair's outcome and state are bitwise those of its own row.
 States are rays, not vectors: two states that differ by a global phase are
 physically identical.  All operations here are pure functions: a kernel
 returns new arrays and never writes its input.  Anything stochastic takes
-explicit uniforms, and only the one-pair readout ``chbsa`` takes a
-``numpy.random.Generator``, so callers own reproducibility.
+explicit uniforms, so callers own reproducibility.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import Enum
 from functools import cached_property
 
 import numpy as np
@@ -69,31 +68,6 @@ class Dof(Enum):
 
     POL = "pol"
     SPA = "spa"
-
-
-class Bell(IntEnum):
-    """The four Bell states of one degree of freedom."""
-
-    PHI_PLUS = 0
-    PHI_MINUS = 1
-    PSI_PLUS = 2
-    PSI_MINUS = 3
-
-
-@dataclass(frozen=True)
-class BellIndex:
-    """Joint Bell label (polarization part, spatial part) of a pair state."""
-
-    p: Bell
-    s: Bell
-
-    def flat(self) -> int:
-        """Row of this label in the hyper-Bell basis matrix."""
-        return int(self.p) * 4 + int(self.s)
-
-    @staticmethod
-    def from_flat(k: int) -> "BellIndex":
-        return BellIndex(Bell(k // 4), Bell(k % 4))
 
 
 @dataclass(frozen=True)
@@ -139,7 +113,11 @@ class SourceParams:
 
     @cached_property
     def amplitudes(self) -> np.ndarray:
-        """The 16 amplitudes of ``source_state``, for filling a block; read-only."""
+        """The 16 amplitudes of the emitted pair, for filling a block; read-only.
+
+        The polarization part is always the balanced (|HH> + |VV>) form; the
+        spatial part carries amplitude r*exp(i*phi) on the second mode pair.
+        """
         # scaled so that the larger spatial amplitude is 1: the norm cannot
         # overflow for a huge r, and r <= 1 keeps the unscaled amplitudes
         big = max(1.0, self.r)
@@ -177,19 +155,19 @@ ALL_AXES = (0, 1, 2, 3)
 
 _SQ2 = 1.0 / math.sqrt(2)
 
-# Four Bell states of one DOF as 4-vectors indexed by 2*bit_a + bit_b.
-_BELL_VEC = {
-    Bell.PHI_PLUS: np.array([_SQ2, 0, 0, _SQ2], dtype=complex),
-    Bell.PHI_MINUS: np.array([_SQ2, 0, 0, -_SQ2], dtype=complex),
-    Bell.PSI_PLUS: np.array([0, _SQ2, _SQ2, 0], dtype=complex),
-    Bell.PSI_MINUS: np.array([0, _SQ2, -_SQ2, 0], dtype=complex),
-}
-
-# Row k = 4*p + s holds the hyper-Bell state |p>_pol (x) |s>_spa.  The kron of
-# the two 4-vectors lands exactly on the normative index order.
-BELL_BASIS = np.array(
-    [np.kron(_BELL_VEC[Bell(p)], _BELL_VEC[Bell(s)]) for p in range(4) for s in range(4)]
+# The four Bell states of one DOF, phi+, phi-, psi+ and psi-, as 4-vectors
+# indexed by 2*bit_a + bit_b.
+_BELL_VEC = (
+    np.array([_SQ2, 0, 0, _SQ2], dtype=complex),
+    np.array([_SQ2, 0, 0, -_SQ2], dtype=complex),
+    np.array([0, _SQ2, _SQ2, 0], dtype=complex),
+    np.array([0, _SQ2, -_SQ2, 0], dtype=complex),
 )
+
+# Row k = 4*p + s holds the hyper-Bell state |p>_pol (x) |s>_spa, whose flat
+# label k is also the op code that takes row 0 there.  The kron of the two
+# 4-vectors lands exactly on the normative index order.
+BELL_BASIS = np.array([np.kron(_BELL_VEC[p], _BELL_VEC[s]) for p in range(4) for s in range(4)])
 
 # For each ascending set of measured axes: the amplitude indices of each
 # joint outcome, big-endian over those axes, ascending (one row of
@@ -493,72 +471,9 @@ def bell_labels_table(table: np.ndarray, index: np.ndarray, u: np.ndarray) -> np
     return draw(_bell_cdf(table[rows]), u, row)
 
 
-# ---------------------------------------------------------------------------
-# state container
-# ---------------------------------------------------------------------------
-
-
-class HyperState:
-    """Normalized pure state of one photon pair (16 complex amplitudes)."""
-
-    __slots__ = ("amps",)
-
-    def __init__(self, amps, *, _trusted: bool = False):
-        if _trusted:
-            a = amps
-        else:
-            a = np.array(amps, dtype=complex)
-            if a.shape != (DIM,):
-                raise ValueError(f"expected {DIM} amplitudes, got shape {a.shape}")
-            # written so that a NaN or infinite norm fails the check too
-            if not abs(float(np.sum(np.abs(a) ** 2)) - 1.0) <= ATOL:
-                raise ValueError("amplitudes are not normalized")
-        a.setflags(write=False)
-        self.amps = a
-
-    def overlap(self, other: "HyperState") -> complex:
-        """Inner product <self|other>."""
-        return complex(np.vdot(self.amps, other.amps))
-
-
-# ---------------------------------------------------------------------------
-# single-pair operations: N=1 calls of the block kernels
-# ---------------------------------------------------------------------------
-
-
-def make_hyper_bell(idx: BellIndex) -> HyperState:
-    """The hyper-Bell state with the given polarization and spatial labels."""
-    return HyperState(BELL_BASIS[idx.flat()].copy(), _trusted=True)
-
-
-def apply_encoding(state: HyperState, op: EncodingOp) -> HyperState:
-    """Apply the local dense-coding unitary U_ij to photon A."""
-    return HyperState(encode(state.amps[None], np.array([op.code]))[0], _trusted=True)
-
-
-def chbsa(state: HyperState, rng: np.random.Generator) -> BellIndex:
-    """Complete hyper-Bell state analysis: one Born-rule draw over all 16 outcomes.
-
-    On an exact hyper-Bell state the outcome is deterministic; on anything
-    else it samples the squared overlaps.
-    """
-    [label] = bell_labels_table(state.amps[None], np.zeros(1, np.intp), rng.random(1))
-    return BellIndex.from_flat(int(label))
-
-
-def source_state(params: SourceParams) -> HyperState:
-    """Pair state emitted by a source with spatial imbalance r and phase phi.
-
-    The polarization part is always the balanced (|HH> + |VV>) form; the
-    spatial part carries amplitude r*exp(i*phi) on the second mode pair.
-    """
-    return HyperState(params.amplitudes, _trusted=True)
-
-
 def source_fidelity(params: SourceParams) -> float:
     """Overlap probability of the source output with the ideal hyper-Bell state."""
-    ideal = make_hyper_bell(BellIndex(Bell.PHI_PLUS, Bell.PHI_PLUS))
-    return float(abs(ideal.overlap(source_state(params))) ** 2)
+    return float(abs(complex(np.vdot(BELL_BASIS[0], params.amplitudes))) ** 2)
 
 
 def correlation_error_probs(states: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -572,17 +487,3 @@ def correlation_error_probs(states: np.ndarray, x: np.ndarray) -> np.ndarray:
     p_pol = probs[:, 0, 1].sum(axis=(1, 2)) + probs[:, 1, 0].sum(axis=(1, 2))
     p_spa = probs[:, :, :, 0, 1].sum(axis=(1, 2)) + probs[:, :, :, 1, 0].sum(axis=(1, 2))
     return np.stack([p_pol, p_spa], axis=1)
-
-
-def bell_from_op(op: EncodingOp) -> BellIndex:
-    """Hyper-Bell state reached by applying U_ij to the ideal pair.
-
-    Per DOF, identity, phase flip, bit flip and both take phi+ to phi+, phi-,
-    psi+ and psi- up to a global phase, so the label's flat index is the op code.
-    """
-    return BellIndex.from_flat(op.code)
-
-
-def op_from_bell(idx: BellIndex) -> EncodingOp:
-    """Inverse of ``bell_from_op``; this is Bob's decoding table."""
-    return EncodingOp.from_code(idx.flat())

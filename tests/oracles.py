@@ -9,6 +9,8 @@ probabilities are exact up to float rounding.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -311,7 +313,7 @@ def source_fidelity_formula(r: float, phi: float) -> float:
     return (a * a + b * b + 2.0 * a * b * np.cos(phi)) / (2.0 * (a * a + b * b))
 
 
-def source_state_16(r: float, phi: float) -> np.ndarray:
+def source_16(r: float, phi: float) -> np.ndarray:
     """Source output assembled directly from its four product kets."""
     amp = np.zeros(16, dtype=complex)
     w = r * np.exp(1j * phi)
@@ -319,3 +321,43 @@ def source_state_16(r: float, phi: float) -> np.ndarray:
         amp[8 * pa + 4 * pb + 0] = 1.0
         amp[8 * pa + 4 * pb + 3] = w
     return amp / np.linalg.norm(amp)
+
+
+# ---------------------------------------------------------------------------
+# Trojan probes and receiver screening, one signal at a time
+# ---------------------------------------------------------------------------
+
+
+def probe_offset(invisible: bool, tol: float, uniform) -> float:
+    """Wavelength offset of one probe, from the zero-argument uniform draw ``uniform``.
+
+    A probe sits on band and draws nothing, except an invisible one: its
+    magnitude is tol * (2 - u) from a first uniform, at least the next float
+    above tol, and a second uniform below 1/2 makes it positive.
+    """
+    if not invisible:
+        return 0.0
+    magnitude = max(tol * (2.0 - uniform()), math.nextafter(tol, math.inf))
+    return magnitude if uniform() < 0.5 else -magnitude
+
+
+def screen_signals(offsets, photons, filter_tol, pns, uniform) -> list[str]:
+    """Each signal's verdict, "clean", "filtered_out" or "pns_alarm", in signal order.
+
+    The filter (off when ``filter_tol`` is None) comes first: it removes a
+    signal more than ``filter_tol`` off band.  Then the photon-number check
+    (``pns`` None, "ideal" or "beamsplitter5050") reads each multi-photon
+    signal left: the ideal one always alarms, and the 50/50 splitter takes
+    one ``uniform()`` per such signal and alarms unless all n photons exit one
+    port, with probability 2**(1-n).
+    """
+    verdicts = []
+    for offset, count in zip(offsets, photons):
+        if filter_tol is not None and abs(offset) > filter_tol:
+            verdicts.append("filtered_out")
+        elif pns is not None and count >= 2 and (
+                pns == "ideal" or uniform() < 1.0 - 2.0 ** (1 - count)):
+            verdicts.append("pns_alarm")
+        else:
+            verdicts.append("clean")
+    return verdicts

@@ -14,26 +14,23 @@ from contextlib import contextmanager
 import numpy as np
 
 from hyperqsdc.adversary import (
+    DEFAULT_FILTER_TOLERANCE,
+    SCREEN_ALARMED,
+    SCREEN_FILTERED,
     DefenseConfig,
-    DefenseVerdict,
     EveKind,
     PnsKind,
-    SignalMeta,
-    apply_defenses,
-    craft_trojan,
+    draw_probes,
+    screen,
 )
 from hyperqsdc.harness import parse_run_config, run, stats_text
 from hyperqsdc.hyperstate import (
     BELL_BASIS,
-    Bell,
-    BellIndex,
     EncodingOp,
-    apply_encoding,
-    chbsa,
-    make_hyper_bell,
-    op_from_bell,
-    source_fidelity,
     SourceParams,
+    bell_labels_table,
+    encode,
+    source_fidelity,
 )
 
 from oracles import source_fidelity_formula
@@ -81,19 +78,15 @@ def test_criterion_1_bell_basis_exactness():
 
 def test_criterion_2_dense_coding_bijection():
     with criterion(2, "16 encodings map to 16 Bell labels, recovered with prob 1", 1.0):
-        ideal = make_hyper_bell(BellIndex(Bell.PHI_PLUS, Bell.PHI_PLUS))
+        ops = [EncodingOp(i, j) for i in range(1, 5) for j in range(1, 5)]
+        encoded = encode(np.tile(BELL_BASIS[0], (16, 1)), np.array([op.code for op in ops]))
+        probs = np.abs(encoded @ BELL_BASIS.conj().T) ** 2  # row k: each label's probability
         rng = np.random.default_rng(2)
-        seen = set()
-        for i in range(1, 5):
-            for j in range(1, 5):
-                op = EncodingOp(i, j)
-                encoded = apply_encoding(ideal, op)
-                probs = np.abs(BELL_BASIS.conj() @ encoded.amps) ** 2
-                label = chbsa(encoded, rng)
-                assert abs(probs[label.flat()] - 1.0) <= 1e-12  # recovery prob is 1
-                assert op_from_bell(label) == op
-                seen.add(label)
-        assert len(seen) == 16
+        labels = bell_labels_table(encoded, np.arange(16), rng.random(16))
+        for op, row, label in zip(ops, probs, labels.tolist()):
+            assert abs(row[label] - 1.0) <= 1e-12  # recovery prob is 1
+            assert EncodingOp.from_code(label) == op  # Bob's decoding table
+        assert len(set(labels.tolist())) == 16
 
 
 def test_criterion_3_ideal_end_to_end():
@@ -155,27 +148,21 @@ def test_criterion_6_channel_calibration():
 def test_criterion_7_trojan_defenses():
     with criterion(7, "trojan probes: splitter 1/2, ideal PNS 1, filter 1, silent checks", 30.0):
         rng = np.random.default_rng(7)
+
+        def draw(rows):  # one uniform per splitter reading
+            return rng.random(len(rows))
+
         splitter = DefenseConfig(pns_enabled=True, pns_kind=PnsKind.BEAMSPLITTER_5050)
-        two_photon = SignalMeta(photon_count=2)
-        alarms = sum(
-            apply_defenses(two_photon, splitter, rng) is DefenseVerdict.PNS_ALARM
-            for _ in range(100000)
-        )
+        alarms = np.count_nonzero(screen(np.zeros(100000), np.full(100000, 2), splitter, draw)
+                                  == SCREEN_ALARMED)
         assert math.isclose(alarms / 100000, 0.5, abs_tol=0.005)
 
         ideal = DefenseConfig(pns_enabled=True, pns_kind=PnsKind.IDEAL)
-        assert all(
-            apply_defenses(two_photon, ideal, rng) is DefenseVerdict.PNS_ALARM
-            for _ in range(10000)
-        )
+        assert (screen(np.zeros(10000), np.full(10000, 2), ideal, draw) == SCREEN_ALARMED).all()
 
         filtering = DefenseConfig(filter_enabled=True)
-        assert all(
-            apply_defenses(
-                craft_trojan(EveKind.TROJAN_INVISIBLE, rng), filtering, rng
-            ) is DefenseVerdict.FILTERED_OUT
-            for _ in range(10000)
-        )
+        probes = draw_probes(EveKind.TROJAN_INVISIBLE, 10000, rng.random, DEFAULT_FILTER_TOLERANCE)
+        assert (screen(probes, np.full(10000, 2), filtering, draw) == SCREEN_FILTERED).all()
 
         # with defenses off the probes ride along without touching the quantum state
         for kind in ("trojan_multiphoton", "trojan_invisible", "trojan_delay"):

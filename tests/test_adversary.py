@@ -8,6 +8,7 @@ with the exact branch enumerations in oracles.py.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,9 +24,6 @@ from hyperqsdc.adversary import (
     EveKind,
     EveStrategy,
     PnsKind,
-    SignalMeta,
-    apply_defenses,
-    craft_trojan,
     draw_probes,
     guess_encoding_ops,
     resend,
@@ -34,17 +32,12 @@ from hyperqsdc.adversary import (
 from hyperqsdc.hyperstate import (
     ALL_AXES,
     BELL_BASIS,
-    Bell,
-    BellIndex,
     Dof,
     EncodingOp,
-    bell_from_op,
     bell_labels_table,
     encode,
     measure_table,
 )
-
-IDEAL = BellIndex(Bell.PHI_PLUS, Bell.PHI_PLUS)
 
 # frozen oracle outputs
 IR_CHECK_ERROR = 0.25
@@ -90,7 +83,7 @@ def intercept(states, strategy, rng):
 
 def intercepted_ideal_pairs(n, strategy, rng):
     """n ideal pairs after one intercept-resend pass, and Eve's record codes."""
-    return intercept(np.tile(BELL_BASIS[IDEAL.flat()], (n, 1)), strategy, rng)
+    return intercept(np.tile(BELL_BASIS[0], (n, 1)), strategy, rng)
 
 
 class TestInterceptResend:
@@ -135,13 +128,12 @@ class TestInterceptResend:
         strategy = EveStrategy(EveKind.INTERCEPT_RESEND, frozenset({Dof.POL}))
         rng = np.random.default_rng(24)
         n = 20_000
-        op = EncodingOp(3, 2)
-        expected = bell_from_op(op)
-        encoded = encode(np.tile(BELL_BASIS[IDEAL.flat()], (n, 1)), np.full(n, op.code))
+        op = EncodingOp(3, 2)  # takes the ideal pair to the label of its code
+        encoded = encode(np.tile(BELL_BASIS[0], (n, 1)), np.full(n, op.code))
         states, _ = intercept(encoded, strategy, rng)
         labels = bell_labels_table(states, np.arange(n), rng.random(n))
-        assert (labels % 4 == expected.s).all()  # spatial DOF untouched
-        mismatch = np.count_nonzero(labels // 4 != expected.p)
+        assert (labels % 4 == op.code % 4).all()  # spatial DOF untouched
+        mismatch = np.count_nonzero(labels // 4 != op.code // 4)
         assert abs(mismatch / n - IR_BELL_MISMATCH) < 4.0 / math.sqrt(n)
 
     def test_record_covers_only_masked_dofs(self):
@@ -183,32 +175,34 @@ class TestGuessing:
         assert abs(correct / n - 1.0 / 16.0) < 4.0 / math.sqrt(n)
 
 
+def no_draws(shape):
+    raise AssertionError(f"drew {shape} uniforms")
+
+
+def verdicts(codes) -> list:
+    return [SCREENS[code] for code in codes]
+
+
 class TestTrojans:
     def test_multiphoton_meta(self):
-        meta = craft_trojan(EveKind.TROJAN_MULTIPHOTON, np.random.default_rng(28))
-        assert meta == SignalMeta(photon_count=2, wavelength_offset=0.0, delayed=False)
+        # an on-band probe draws nothing
+        offsets = draw_probes(EveKind.TROJAN_MULTIPHOTON, 3, no_draws, DEFAULT_FILTER_TOLERANCE)
+        assert offsets.tolist() == [0.0, 0.0, 0.0]
 
     def test_invisible_sits_outside_filter_window(self):
         rng = np.random.default_rng(29)
         tol = 0.02
-        signs = set()
-        for _ in range(500):
-            meta = craft_trojan(EveKind.TROJAN_INVISIBLE, rng, filter_tolerance=tol)
-            assert abs(meta.wavelength_offset) > tol
-            assert meta.photon_count == 2
-            signs.add(meta.wavelength_offset > 0)
-        assert signs == {True, False}
+        offsets = draw_probes(EveKind.TROJAN_INVISIBLE, 500, rng.random, tol)
+        assert (np.abs(offsets) > tol).all()
+        assert set((offsets > 0).tolist()) == {True, False}
 
     def test_invisible_clears_filter_edge_when_random_returns_zero(self):
-        class ZeroRandom:
-            def random(self, size=None):
-                return 0.0 if size is None else np.zeros(size)
-
         tol = 0.02
-        meta = craft_trojan(EveKind.TROJAN_INVISIBLE, ZeroRandom(), filter_tolerance=tol)
-        assert abs(meta.wavelength_offset) > tol
+        offsets = draw_probes(EveKind.TROJAN_INVISIBLE, 1, np.zeros, tol)
+        assert abs(offsets[0]) > tol
         cfg = DefenseConfig(filter_enabled=True, filter_tolerance=tol)
-        assert apply_defenses(meta, cfg, np.random.default_rng(0)) is DefenseVerdict.FILTERED_OUT
+        assert verdicts(screen(offsets, np.array([2]), cfg, no_draws)) == [
+            DefenseVerdict.FILTERED_OUT]
 
     @pytest.mark.parametrize("tol", [0.02, 0.05, 0.4, 5e-324])
     def test_invisible_clears_filter_edge_at_the_largest_uniform(self, tol):
@@ -216,9 +210,9 @@ class TestTrojans:
         edge = np.array([[1 - 2**-53, 0.9]])
         offsets = draw_probes(EveKind.TROJAN_INVISIBLE, 1, lambda shape: edge, tol)
         assert -offsets[0] > tol  # the sign uniform 0.9 makes it negative
-        meta = SignalMeta(2, float(offsets[0]))
         cfg = DefenseConfig(filter_enabled=True, filter_tolerance=tol)
-        assert apply_defenses(meta, cfg, np.random.default_rng(0)) is DefenseVerdict.FILTERED_OUT
+        assert verdicts(screen(offsets, np.array([2]), cfg, no_draws)) == [
+            DefenseVerdict.FILTERED_OUT]
 
     def test_invisible_draws_magnitude_then_sign_per_signal(self):
         tol = 0.02
@@ -229,22 +223,15 @@ class TestTrojans:
         assert offsets.tobytes() == expected.tobytes()
 
     def test_delay_meta(self):
-        meta = craft_trojan(EveKind.TROJAN_DELAY, np.random.default_rng(30))
-        assert meta.delayed and meta.photon_count == 2
-
-    def test_rejects_non_trojan_kind(self):
-        with pytest.raises(ValueError):
-            craft_trojan(EveKind.INTERCEPT_RESEND, np.random.default_rng(0))
-
-    def test_meta_requires_at_least_one_photon(self):
-        with pytest.raises(ValueError):
-            SignalMeta(photon_count=0)
+        # a delayed probe is on band too, and draws nothing
+        offsets = draw_probes(EveKind.TROJAN_DELAY, 3, no_draws, DEFAULT_FILTER_TOLERANCE)
+        assert offsets.tolist() == [0.0, 0.0, 0.0]
 
 
 class TestBatchEqualsScalarCalls:
     # the engine draws and screens a transit's probes as arrays; its bytes
-    # depend on these equalling one scalar call per signal, generator state
-    # included
+    # depend on these equalling the per-signal rules of oracles.py, one
+    # scalar draw at a time, generator state included
 
     @pytest.mark.parametrize("kind", sorted(TROJAN_KINDS, key=lambda kind: kind.value))
     @pytest.mark.parametrize("tol", [0.001, 0.03, DEFAULT_FILTER_TOLERANCE, 0.4])
@@ -252,9 +239,10 @@ class TestBatchEqualsScalarCalls:
         for n in range(51):
             batch, scalar = np.random.default_rng([38, n]), np.random.default_rng([38, n])
             offsets = draw_probes(kind, n, batch.random, tol)
-            metas = [craft_trojan(kind, scalar, tol) for _ in range(n)]
+            expected = [oracles.probe_offset(kind is EveKind.TROJAN_INVISIBLE, tol, scalar.random)
+                        for _ in range(n)]
             assert offsets.shape == (n,)
-            assert offsets.tobytes() == np.array([m.wavelength_offset for m in metas]).tobytes()
+            assert offsets.tobytes() == np.array(expected, dtype=float).tobytes()
             assert batch.bit_generator.state == scalar.bit_generator.state
 
     @pytest.mark.parametrize("kind", [EveKind.NONE, EveKind.INTERCEPT_RESEND])
@@ -275,10 +263,11 @@ class TestBatchEqualsScalarCalls:
             photons = signals.integers(1, 4, size=n)
             batch, scalar = np.random.default_rng([40, n]), np.random.default_rng([40, n])
             codes = screen(offsets, photons, cfg, lambda rows: batch.random(len(rows)))
-            verdicts = [apply_defenses(SignalMeta(int(count), float(offset)), cfg, scalar)
-                        for offset, count in zip(offsets, photons)]
+            expected = oracles.screen_signals(offsets.tolist(), photons.tolist(),
+                                              tol if filter_enabled else None,
+                                              pns_kind and pns_kind.value, scalar.random)
             assert codes.shape == (n,)
-            assert [SCREENS[code] for code in codes] == verdicts
+            assert [verdict.value for verdict in verdicts(codes)] == expected
             assert batch.bit_generator.state == scalar.bit_generator.state
             # the 50/50 splitter draws one uniform per unfiltered multi-photon signal
             passed = ~(filter_enabled & (np.abs(offsets) > tol))
@@ -290,55 +279,51 @@ class TestBatchEqualsScalarCalls:
 
 class TestDefenses:
     def test_legitimate_signal_never_trips(self):
-        rng = np.random.default_rng(31)
+        # one on-band photon per signal
         cfg = DefenseConfig(filter_enabled=True, pns_enabled=True, pns_kind=PnsKind.IDEAL)
-        for _ in range(100):
-            assert apply_defenses(SignalMeta(), cfg, rng) is DefenseVerdict.CLEAN
+        codes = screen(np.zeros(100), np.ones(100, dtype=int), cfg, no_draws)
+        assert set(verdicts(codes)) == {DefenseVerdict.CLEAN}
 
     def test_filter_removes_offband_probe_always(self):
         rng = np.random.default_rng(32)
         cfg = DefenseConfig(filter_enabled=True, filter_tolerance=DEFAULT_FILTER_TOLERANCE)
-        for _ in range(2000):
-            meta = craft_trojan(EveKind.TROJAN_INVISIBLE, rng)
-            assert apply_defenses(meta, cfg, rng) is DefenseVerdict.FILTERED_OUT
+        offsets = draw_probes(EveKind.TROJAN_INVISIBLE, 2000, rng.random, DEFAULT_FILTER_TOLERANCE)
+        codes = screen(offsets, np.full(2000, 2), cfg, no_draws)
+        assert set(verdicts(codes)) == {DefenseVerdict.FILTERED_OUT}
 
     def test_ideal_pns_always_alarms_on_two_photons(self):
-        rng = np.random.default_rng(33)
         cfg = DefenseConfig(pns_enabled=True, pns_kind=PnsKind.IDEAL)
-        for _ in range(2000):
-            meta = craft_trojan(EveKind.TROJAN_MULTIPHOTON, rng)
-            assert apply_defenses(meta, cfg, rng) is DefenseVerdict.PNS_ALARM
+        offsets = draw_probes(EveKind.TROJAN_MULTIPHOTON, 2000, no_draws, DEFAULT_FILTER_TOLERANCE)
+        codes = screen(offsets, np.full(2000, 2), cfg, no_draws)
+        assert set(verdicts(codes)) == {DefenseVerdict.PNS_ALARM}
 
     @pytest.mark.parametrize("count,expected", [(2, 0.5), (3, 0.75)])
     def test_beamsplitter_alarm_frequency(self, count, expected):
         # all n photons exit one port with probability 2**(1-n)
         rng = np.random.default_rng(34)
         cfg = DefenseConfig(pns_enabled=True, pns_kind=PnsKind.BEAMSPLITTER_5050)
-        meta = SignalMeta(photon_count=count)
         n = 40_000
-        alarms = sum(
-            apply_defenses(meta, cfg, rng) is DefenseVerdict.PNS_ALARM for _ in range(n)
-        )
+        codes = screen(np.zeros(n), np.full(n, count), cfg, lambda rows: rng.random(len(rows)))
+        alarms = verdicts(codes).count(DefenseVerdict.PNS_ALARM)
         assert abs(alarms / n - expected) < 4.0 / math.sqrt(n)
 
     def test_disabled_defenses_see_nothing(self):
         rng = np.random.default_rng(35)
         cfg = DefenseConfig()
         for kind in (EveKind.TROJAN_MULTIPHOTON, EveKind.TROJAN_INVISIBLE, EveKind.TROJAN_DELAY):
-            meta = craft_trojan(kind, rng)
-            assert apply_defenses(meta, cfg, rng) is DefenseVerdict.CLEAN
+            offsets = draw_probes(kind, 100, rng.random, DEFAULT_FILTER_TOLERANCE)
+            codes = screen(offsets, np.full(100, 2), cfg, no_draws)
+            assert set(verdicts(codes)) == {DefenseVerdict.CLEAN}
 
     def test_enabling_filter_never_lowers_caught_fraction(self):
+        # 3000 probes of the three kinds, in a random order
         rng = np.random.default_rng(36)
-        metas = [
-            craft_trojan(
-                (EveKind.TROJAN_MULTIPHOTON, EveKind.TROJAN_INVISIBLE, EveKind.TROJAN_DELAY)[
-                    int(rng.integers(3))
-                ],
-                rng,
-            )
-            for _ in range(3000)
-        ]
+        kinds = (EveKind.TROJAN_MULTIPHOTON, EveKind.TROJAN_INVISIBLE, EveKind.TROJAN_DELAY)
+        picks = rng.integers(3, size=3000)
+        offsets = np.zeros(3000)
+        for k, kind in enumerate(kinds):
+            offsets[picks == k] = draw_probes(kind, np.count_nonzero(picks == k), rng.random,
+                                              DEFAULT_FILTER_TOLERANCE)
         for pns_enabled in (False, True):
             caught = {}
             for filter_enabled in (False, True):
@@ -347,14 +332,14 @@ class TestDefenses:
                     pns_enabled=pns_enabled,
                     pns_kind=PnsKind.IDEAL,
                 )
-                caught[filter_enabled] = sum(
-                    apply_defenses(m, cfg, np.random.default_rng(37)) is not DefenseVerdict.CLEAN
-                    for m in metas
-                )
+                codes = screen(offsets, np.full(3000, 2), cfg, no_draws)
+                caught[filter_enabled] = len(codes) - verdicts(codes).count(DefenseVerdict.CLEAN)
             assert caught[True] >= caught[False]
+            assert caught[True] > 0
 
     def test_rejects_nonpositive_tolerance(self):
-        # an infinite tolerance would also reach the stats file as invalid JSON
-        for bad in (0.0, -0.05, math.inf, math.nan):
+        # an infinite tolerance would also reach the stats file as invalid JSON, and one
+        # above DBL_MAX / 2 would put an invisible probe's 2 * tolerance out of range
+        for bad in (0.0, -0.05, math.inf, math.nan, 1e308, sys.float_info.max):
             with pytest.raises(ValueError, match="filter_tolerance"):
                 DefenseConfig(filter_tolerance=bad)

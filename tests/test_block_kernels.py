@@ -1,10 +1,9 @@
 """Property tests of the whole-block state kernels.
 
 A block result must equal the same kernel called row by row (N=1) with the
-same uniforms, the few single-pair functions kept for the acceptance suite
-must be exactly such N=1 calls, and the exact outcome probabilities must
-match the independent constructions in oracles.py.  Degenerate rows (probabilities 0 or 1, totals a rounding
-error short of 1) must be drawn exactly.
+same uniforms, and the exact outcome probabilities must match the
+independent constructions in oracles.py.  Degenerate rows (probabilities 0
+or 1, totals a rounding error short of 1) must be drawn exactly.
 """
 
 from __future__ import annotations
@@ -22,16 +21,12 @@ import oracles
 from hyperqsdc import hyperstate as hs
 from hyperqsdc.adversary import DefenseConfig, EveKind, EveStrategy, resend
 from hyperqsdc.draws import DrawSource
-from hyperqsdc.harness import parse_run_config, run
 from hyperqsdc.hyperstate import (
     ALL_AXES,
     AXIS,
     BELL_BASIS,
-    BellIndex,
     Dof,
-    HyperState,
     Photon,
-    chbsa,
     correlation_error_probs,
     outcome_probs,
 )
@@ -44,23 +39,19 @@ AXES_SETS = [
 
 
 class FixedUniforms:
-    """Generator stand-in whose ``random`` hands out preset uniforms in order.
+    """Generator stand-in whose ``bit_generator.random_raw`` hands out preset uniforms in order.
 
-    Its ``bit_generator.random_raw`` hands out the same uniforms as the 64-bit
-    words ``DrawSource`` turns into them, ``(word >> 11) * 2**-53``: exactly,
-    as every preset is a multiple of 2**-53.
+    It hands them out as the 64-bit words ``DrawSource`` turns into them,
+    ``(word >> 11) * 2**-53``: exactly, as every preset is a multiple of 2**-53.
     """
 
     def __init__(self, values):
         self.values = list(values)
         self.bit_generator = self
 
-    def random(self, size):
-        out = np.array([self.values.pop(0) for _ in range(int(np.prod(size)))])
-        return out.reshape(size)
-
     def random_raw(self, size):
-        return np.array([int(u * 2**53) << 11 for u in self.random(size)], dtype=np.uint64)
+        return np.array([int(self.values.pop(0) * 2**53) << 11 for _ in range(size)],
+                        dtype=np.uint64)
 
 
 @st.composite
@@ -469,7 +460,7 @@ def test_op_gather_equals_the_generic_products(kernel, ops):
     assert np.array_equal(kernel(states, codes.astype(np.int8)), expected)
 
 
-class TestScalarApiIsOneRow:
+class TestJointDraw:
     @given(blocks(max_rows=1), st.sampled_from(list(Photon)))
     @settings(max_examples=40, deadline=None)
     def test_joint_draw_equals_one_dof_after_the_other(self, block, who):
@@ -487,13 +478,6 @@ class TestScalarApiIsOneRow:
             assert bit[0] == pol
             cond = outcome_probs(mid, axes[1:], x[:, 1:2])[0]
             np.testing.assert_allclose(joint[2 * pol : 2 * pol + 2], p_pol * cond, rtol=0, atol=1e-12)
-
-    @given(blocks(max_rows=1))
-    @settings(max_examples=40, deadline=None)
-    def test_chbsa(self, block):
-        states, _, u = block
-        got = chbsa(HyperState(states[0]), FixedUniforms(u))
-        assert got.flat() == bell_rows(states, u)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +542,7 @@ class TestProbabilitiesMatchOracles:
         pol = oracles.bell_outcome_probs(_dof_factor(p_name, i))
         spa = oracles.bell_outcome_probs(_dof_factor(s_name, j))
         for k in range(16):
-            label = BellIndex.from_flat(k)
-            expected = pol[BELL_NAMES[label.p]] * spa[BELL_NAMES[label.s]]
+            expected = pol[BELL_NAMES[k >> 2]] * spa[BELL_NAMES[k & 3]]
             assert abs(probs[k] - expected) <= 1e-12
 
     @given(st.sampled_from([(0,), (2,), (0, 2)]),
@@ -729,23 +712,3 @@ class TestOpCodes:
         # one code is not spread over the three rows
         with pytest.raises(ValueError, match="one op code per row"):
             kernel(np.tile(BELL_BASIS[0], (3, 1)), np.zeros(n_codes, dtype=np.intp))
-
-
-def test_run_builds_no_single_pair_states(monkeypatch):
-    """Every session runs on the block kernels, without one HyperState per pair."""
-    built = []
-    original = HyperState.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(1)
-        original(self, *args, **kwargs)
-
-    monkeypatch.setattr(HyperState, "__init__", counting)
-    rc = parse_run_config(
-        "[run]\nsessions = 4\n[protocol]\nerror_threshold = 1.0\n"
-        "[channel]\nloss_prob = 0.1\npauli_p_pol = 0.05\npauli_p_spa = 0.05\n"
-        "[adversary]\nkind = intercept_resend\n[defense]\nfilter_enabled = true\n"
-    )
-    stats, _ = run(rc, 3)
-    assert stats.accepted == 4
-    assert built == []

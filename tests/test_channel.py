@@ -30,8 +30,6 @@ from hyperqsdc.hyperstate import (
     AXIS,
     BELL_BASIS,
     PAULIS,
-    Bell,
-    BellIndex,
     Dof,
     Photon,
     measure_table,
@@ -45,7 +43,6 @@ from hyperqsdc.protocol import (
     transmit_forward_group,
 )
 
-IDEAL = BellIndex(Bell.PHI_PLUS, Bell.PHI_PLUS)
 NO_EVE = EveStrategy(EveKind.NONE)
 NO_DEFENSE = DefenseConfig()
 
@@ -56,7 +53,7 @@ def test_frozen_pauli_rates_match_oracle():
 
 
 def ideal_pairs(n):
-    return np.tile(BELL_BASIS[IDEAL.flat()], (n, 1))
+    return np.tile(BELL_BASIS[0], (n, 1))
 
 
 def draw_transit(n, params, eve, defense, rng):
@@ -75,7 +72,7 @@ def transit(n, params, eve, rng, defense=NO_DEFENSE, states=None):
     drawn = draw_transit(n, params, eve, defense, copy.deepcopy(rng))
     group = SessionGroup(n, DrawSource([rng]))
     if states is None:
-        group.table[0] = BELL_BASIS[IDEAL.flat()]
+        group.table[0] = BELL_BASIS[0]
     else:
         group.table, group.index = states.copy(), np.arange(n)
     transmit_forward_group(group, params, eve, defense)

@@ -60,10 +60,9 @@ NUMPY = f"numpy {np.__version__}"
 SOURCES = sorted(Path(hyperqsdc.__file__).parent.glob("*.py"))
 # the Generator methods the package draws with, and the bit generator's raw words
 DRAWS = {"random", "integers", "choice", "random_raw"}
-# (module, top-level name) that may draw: the draw source, and the one-pair
-# and one-signal helpers that take a generator from their caller
-ALLOWED = {("draws", "DrawSource"), ("hyperstate", "chbsa"), ("adversary", "craft_trojan"),
-           ("adversary", "apply_defenses")}
+# (module, top-level name) that may draw: the draw source alone, which owns
+# every generator; all other code takes uniforms or a draw callable from it
+ALLOWED = {("draws", "DrawSource")}
 
 
 def draw_calls(source: str, module: str) -> list:
@@ -152,7 +151,7 @@ def states(rngs: list) -> list:
     return [rng.bit_generator.state for rng in rngs]
 
 
-def source_states(source: DrawSource) -> list:
+def drawn_states(source: DrawSource) -> list:
     """The generator states of ``source``, each with the half-word buffer the source keeps.
 
     A buffer the source has not read yet (-1) is still the generator's own.
@@ -170,7 +169,7 @@ def same(got, expected, what: str) -> None:
 
 
 def same_state(source: DrawSource, twins: list) -> None:
-    assert source_states(source) == states(twins), (
+    assert drawn_states(source) == states(twins), (
         f"the generator states DrawSource leaves differ from those of {NUMPY}'s own calls")
 
 
@@ -610,7 +609,7 @@ def test_word_counts_advance_fresh_twins_to_each_generator(monkeypatch):
     assert len(eve_made) == 1
     words = group.draws.words
     assert all(words[site].sum() for site in DRAW_SITES if site != "eve_coins")
-    handed = source_states(group.draws)
+    handed = drawn_states(group.draws)
     assert any(state["has_uint32"] for state in handed)
     for k, state in enumerate(handed):
         twin = session_generators(rc.seed, [k])[0].bit_generator

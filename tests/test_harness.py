@@ -180,14 +180,17 @@ class TestConfigParsing:
             ("defense", "filter_enabled", "maybe", "filter_enabled"),
             # parses as an infinite float, which the stats file could not hold as JSON
             ("defense", "filter_tolerance", "1e400", "filter_tolerance"),
+            # finite, but twice it, the widest invisible probe offset, is not
+            ("defense", "filter_tolerance", "1e308", "filter_tolerance"),
             # [DEFAULT] keys would reach every section unchecked
             ("DEFAULT", "warp", "9", r"\[DEFAULT\] warp"),
             ("DEFAULT", "n_pairs", "40\n[protocol]", r"\[DEFAULT\] n_pairs"),
         ],
     )
     def test_bad_values_name_the_field(self, section, key, value, needle):
-        with pytest.raises(ConfigError, match=needle):
+        with pytest.raises(ConfigError, match=needle) as caught:
             parse_run_config(f"[{section}]\n{key} = {value}\n")
+        assert "\n" not in str(caught.value)  # the CLI prints it as one line
 
     def test_not_ini_rejected(self):
         with pytest.raises(ConfigError, match="INI"):

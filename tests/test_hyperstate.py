@@ -19,74 +19,65 @@ from hyperqsdc.hyperstate import (
     ATOL,
     AXIS,
     BELL_BASIS,
-    Bell,
-    BellIndex,
     Dof,
     EncodingOp,
-    HyperState,
     Photon,
     SourceParams,
-    apply_encoding,
-    bell_from_op,
     bell_labels_table,
-    chbsa,
     correlation_error_probs,
-    make_hyper_bell,
+    encode,
     measure_table,
-    op_from_bell,
     outcome_probs,
     source_fidelity,
-    source_state,
 )
 
 from test_block_kernels import in_z
 
-NAME_TO_BELL = {"phi+": Bell.PHI_PLUS, "phi-": Bell.PHI_MINUS,
-                "psi+": Bell.PSI_PLUS, "psi-": Bell.PSI_MINUS}
-
-ALL_BELL_INDICES = [BellIndex(Bell(p), Bell(s)) for p in range(4) for s in range(4)]
 ALL_OPS = [EncodingOp(i, j) for i in (1, 2, 3, 4) for j in (1, 2, 3, 4)]
 # X-basis choice (pol, spa) for both photons: ZZ, ZX, XZ, XX
 ALL_MEAS_BASES = [(pol, spa) for pol in (False, True) for spa in (False, True)]
-IDEAL = BellIndex(Bell.PHI_PLUS, Bell.PHI_PLUS)
+# a Bell label is its row 4 * pol + spa of BELL_BASIS, one DOF's labels phi+, phi-, psi+, psi-
+IDEAL = BELL_BASIS[0]
 A_AXES = (AXIS[(Photon.A, Dof.POL)], AXIS[(Photon.A, Dof.SPA)])
 B_AXES = (AXIS[(Photon.B, Dof.POL)], AXIS[(Photon.B, Dof.SPA)])
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 
-def random_state(seed: int) -> HyperState:
+def random_state(seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     vec = rng.normal(size=16) + 1j * rng.normal(size=16)
-    return HyperState(vec / np.linalg.norm(vec))
+    return vec / np.linalg.norm(vec)
 
 
-def tiled(state: HyperState, n: int) -> np.ndarray:
+def tiled(state: np.ndarray, n: int) -> np.ndarray:
     """A block of n copies of one pair state."""
-    return np.tile(state.amps, (n, 1))
+    return np.tile(state, (n, 1))
+
+
+def label(pol_name: str, spa_name: str) -> int:
+    """The flat Bell label 4 * pol + spa of two single-DOF Bell state names."""
+    return 4 * oracles.BELL4_ORDER.index(pol_name) + oracles.BELL4_ORDER.index(spa_name)
 
 
 class TestBellConstruction:
     def test_ideal_state_amplitudes(self):
         # |HH>(|a1b1>+|a2b2>) + |VV>(...) with weight 1/2 on four kets
-        st16 = make_hyper_bell(BellIndex(Bell.PHI_PLUS, Bell.PHI_PLUS))
         expected = np.zeros(16, dtype=complex)
         expected[[0, 3, 12, 15]] = 0.5
-        np.testing.assert_allclose(st16.amps, expected, atol=ATOL)
+        np.testing.assert_allclose(BELL_BASIS[label("phi+", "phi+")], expected, atol=ATOL)
 
     def test_pol_phase_flip_signs(self):
         # polarization phi- keeps the same four kets with signs +, +, -, -
-        st16 = make_hyper_bell(BellIndex(Bell.PHI_MINUS, Bell.PHI_PLUS))
         expected = np.zeros(16, dtype=complex)
         expected[[0, 3]] = 0.5
         expected[[12, 15]] = -0.5
-        np.testing.assert_allclose(st16.amps, expected, atol=ATOL)
+        np.testing.assert_allclose(BELL_BASIS[label("phi-", "phi+")], expected, atol=ATOL)
 
     @pytest.mark.parametrize("p_name", oracles.BELL4_ORDER)
     @pytest.mark.parametrize("s_name", oracles.BELL4_ORDER)
     def test_matches_ket_by_ket_construction(self, p_name, s_name):
-        idx = BellIndex(NAME_TO_BELL[p_name], NAME_TO_BELL[s_name])
         np.testing.assert_allclose(
-            make_hyper_bell(idx).amps, oracles.hyper_bell_16(p_name, s_name), atol=ATOL
+            BELL_BASIS[label(p_name, s_name)], oracles.hyper_bell_16(p_name, s_name), atol=ATOL
         )
 
     def test_gram_matrix_is_identity(self):
@@ -107,31 +98,35 @@ class TestBellConstruction:
 class TestEncoding:
     def test_identity_op_is_exact_identity(self):
         st16 = random_state(7)
-        np.testing.assert_array_equal(apply_encoding(st16, EncodingOp(1, 1)).amps, st16.amps)
+        np.testing.assert_array_equal(encode(st16[None], np.array([EncodingOp(1, 1).code]))[0],
+                                      st16)
 
     @pytest.mark.parametrize("op", ALL_OPS)
     def test_matches_ket_by_ket_action(self, op):
         st16 = random_state(op.i * 10 + op.j)
-        expected = oracles.apply_op_16(st16.amps, op.i, op.j)
-        np.testing.assert_allclose(apply_encoding(st16, op).amps, expected, atol=ATOL)
+        expected = oracles.apply_op_16(st16, op.i, op.j)
+        np.testing.assert_allclose(encode(st16[None], np.array([op.code]))[0], expected, atol=ATOL)
 
     def test_bijection_is_exhaustive(self):
-        images = {bell_from_op(op) for op in ALL_OPS}
-        assert len(images) == 16
+        # the op code, which is also the Bell label it takes the ideal pair to, names each op once
+        assert sorted(op.code for op in ALL_OPS) == list(range(16))
         for op in ALL_OPS:
-            assert op_from_bell(bell_from_op(op)) == op
-        for idx in ALL_BELL_INDICES:
-            assert bell_from_op(op_from_bell(idx)) == idx
+            assert EncodingOp.from_code(op.code) == op
+        for code in range(16):
+            assert EncodingOp.from_code(code).code == code
 
     def test_encoded_states_are_bell_states_up_to_phase(self):
-        ideal = make_hyper_bell(BellIndex(Bell.PHI_PLUS, Bell.PHI_PLUS))
-        for op in ALL_OPS:
-            encoded = apply_encoding(ideal, op)
-            assert oracles.same_ray(encoded.amps, make_hyper_bell(bell_from_op(op)).amps)
+        # op code k takes the ideal pair to the hyper-Bell state of label k
+        encoded = encode(tiled(IDEAL, 16), np.array([op.code for op in ALL_OPS]))
+        for op, state in zip(ALL_OPS, encoded):
+            assert oracles.same_ray(state, BELL_BASIS[op.code])
 
     def test_known_op_image(self):
         # frozen: pol phase flip + spatial flip-and-phase land on (phi-, psi-)
-        assert bell_from_op(EncodingOp(2, 4)) == BellIndex(Bell.PHI_MINUS, Bell.PSI_MINUS)
+        code = EncodingOp(2, 4).code
+        assert code == label("phi-", "psi-")
+        [state] = encode(IDEAL[None], np.array([code]))
+        assert oracles.same_ray(state, oracles.hyper_bell_16("phi-", "psi-"))
 
     @pytest.mark.parametrize("bad", [(0, 1), (5, 1), (1, 0), (1, 5)])
     def test_rejects_bad_indices(self, bad):
@@ -139,37 +134,36 @@ class TestEncoding:
             EncodingOp(*bad)
 
 
-class TestChbsa:
+class TestBellReadout:
     def test_deterministic_on_bell_states(self):
         rng = np.random.default_rng(3)
-        for idx in ALL_BELL_INDICES:
-            assert chbsa(make_hyper_bell(idx), rng) == idx
+        labels = bell_labels_table(BELL_BASIS, np.arange(16), rng.random(16))
+        assert labels.tolist() == list(range(16))
 
     def test_recovers_every_encoding_with_probability_one(self):
+        # 8 pairs per op, each read with its own uniform
         rng = np.random.default_rng(4)
-        ideal = make_hyper_bell(BellIndex(Bell.PHI_PLUS, Bell.PHI_PLUS))
-        for op in ALL_OPS:
-            encoded = apply_encoding(ideal, op)
-            for _ in range(8):
-                assert op_from_bell(chbsa(encoded, rng)) == op
+        codes = np.repeat([op.code for op in ALL_OPS], 8)
+        labels = bell_labels_table(encode(tiled(IDEAL, len(codes)), codes),
+                                   np.arange(len(codes)), rng.random(len(codes)))
+        assert labels.tolist() == codes.tolist()  # Bob decodes label k as op code k
 
     def test_born_statistics_on_superposition(self):
         # equal superposition of two hyper-Bell states: each at 1/2 +- 4/sqrt(N)
-        a = make_hyper_bell(BellIndex(Bell.PHI_PLUS, Bell.PHI_PLUS))
-        b = make_hyper_bell(BellIndex(Bell.PSI_PLUS, Bell.PHI_MINUS))
-        st16 = HyperState((a.amps + b.amps) / np.linalg.norm(a.amps + b.amps))
+        a, b = label("phi+", "phi+"), label("psi+", "phi-")
+        st16 = (BELL_BASIS[a] + BELL_BASIS[b]) / np.linalg.norm(BELL_BASIS[a] + BELL_BASIS[b])
         rng = np.random.default_rng(5)
         n = 20_000
         counts = np.bincount(bell_labels_table(tiled(st16, n), np.arange(n), rng.random(n)),
                              minlength=16)
         band = 4.0 / math.sqrt(n)
-        assert abs(counts[BellIndex(Bell.PHI_PLUS, Bell.PHI_PLUS).flat()] / n - 0.5) < band
-        assert abs(counts[BellIndex(Bell.PSI_PLUS, Bell.PHI_MINUS).flat()] / n - 0.5) < band
+        assert abs(counts[a] / n - 0.5) < band
+        assert abs(counts[b] / n - 0.5) < band
         assert np.count_nonzero(counts) == 2
 
     def test_born_statistics_on_random_state(self):
         st16 = random_state(11)
-        exact = np.abs(BELL_BASIS.conj() @ st16.amps) ** 2
+        exact = np.abs(BELL_BASIS.conj() @ st16) ** 2
         rng = np.random.default_rng(6)
         n = 20_000
         freq = np.bincount(bell_labels_table(tiled(st16, n), np.arange(n), rng.random(n)),
@@ -184,24 +178,24 @@ class TestMeasurement:
         rng = np.random.default_rng(8)
         n = 64
         x = np.tile(basis, (n, 1))
-        a_bits, (table, index) = measure_table(tiled(make_hyper_bell(IDEAL), n), np.arange(n),
+        a_bits, (table, index) = measure_table(tiled(IDEAL, n), np.arange(n),
                                                A_AXES, rng.random(n), x)
         b_bits, _ = measure_table(table, index, B_AXES, rng.random(n), x)
         np.testing.assert_array_equal(a_bits, b_bits)
 
     def test_spatial_phase_flip_anticorrelates_in_x(self):
-        st16 = make_hyper_bell(BellIndex(Bell.PHI_PLUS, Bell.PHI_MINUS))
-        [[p_pol, p_spa]] = correlation_error_probs(st16.amps[None], np.array([[True, True]]))
+        st16 = BELL_BASIS[label("phi+", "phi-")]
+        [[p_pol, p_spa]] = correlation_error_probs(st16[None], np.array([[True, True]]))
         assert abs(p_pol) <= ATOL
         assert abs(p_spa - 1.0) <= ATOL
-        [[p_pol, p_spa]] = correlation_error_probs(st16.amps[None], np.array([[False, False]]))
+        [[p_pol, p_spa]] = correlation_error_probs(st16[None], np.array([[False, False]]))
         assert abs(p_pol) <= ATOL
         assert abs(p_spa) <= ATOL
 
     def test_repeat_measurement_is_stable(self):
         rng = np.random.default_rng(9)
         n = 16
-        states = np.array([random_state(100 + seed).amps for seed in range(n)])
+        states = np.array([random_state(100 + seed) for seed in range(n)])
         for dof in (Dof.POL, Dof.SPA):
             for in_x in (False, True):
                 axes, x = (AXIS[(Photon.A, dof)],), np.full((n, 1), in_x)
@@ -217,13 +211,13 @@ class TestMeasurement:
                                 rng.random(n), np.ones((n, 1), dtype=bool), collapse=False)
         ones = np.count_nonzero(bits)
         # the X basis of spa_b: a Hadamard on the last tensor axis
-        work = np.einsum("ij,abcj->abci", HADAMARD, st16.amps.reshape(2, 2, 2, 2))
+        work = np.einsum("ij,abcj->abci", HADAMARD, st16.reshape(2, 2, 2, 2))
         exact = float(np.sum(np.abs(work[:, :, :, 1]) ** 2))
         assert abs(ones / n - exact) < 4.0 / math.sqrt(n)
 
     def test_collapse_keeps_partner_correlation(self):
         rng = np.random.default_rng(12)
-        st16 = make_hyper_bell(IDEAL).amps[None]
+        st16 = IDEAL[None]
         in_z = np.zeros((1, 1), dtype=bool)
         bit, (table, index) = measure_table(st16, np.arange(1), (AXIS[(Photon.A, Dof.POL)],),
                                             rng.random(1), in_z)
@@ -236,7 +230,7 @@ class TestHadamard:
     @pytest.mark.parametrize("dof", [Dof.POL, Dof.SPA])
     def test_involution(self, who, dof):
         # the Z-to-X basis change in front of a draw also undoes itself after the collapse
-        st16 = random_state(13).amps[None]
+        st16 = random_state(13)[None]
         axes, x = (AXIS[(who, dof)],), np.ones((1, 1), dtype=bool)
         back = hs._rotate(hs._rotate(st16, axes, x), axes, x)
         np.testing.assert_allclose(back, st16, atol=ATOL)
@@ -244,14 +238,12 @@ class TestHadamard:
 
 class TestSource:
     def test_ideal_params_reproduce_ideal_pair(self):
-        st16 = source_state(SourceParams(r=1.0, phi=0.0))
-        ideal = make_hyper_bell(BellIndex(Bell.PHI_PLUS, Bell.PHI_PLUS))
-        np.testing.assert_allclose(st16.amps, ideal.amps, atol=ATOL)
+        st16 = SourceParams(r=1.0, phi=0.0).amplitudes
+        np.testing.assert_allclose(st16, IDEAL, atol=ATOL)
 
     def test_opposite_phase_gives_spatial_phase_flip(self):
-        st16 = source_state(SourceParams(r=1.0, phi=math.pi))
-        flipped = make_hyper_bell(BellIndex(Bell.PHI_PLUS, Bell.PHI_MINUS))
-        assert oracles.same_ray(st16.amps, flipped.amps)
+        st16 = SourceParams(r=1.0, phi=math.pi).amplitudes
+        assert oracles.same_ray(st16, BELL_BASIS[label("phi+", "phi-")])
 
     @pytest.mark.parametrize(
         "r,phi,expected",
@@ -272,7 +264,7 @@ class TestSource:
     def test_state_matches_ket_construction(self):
         params = SourceParams(r=0.7, phi=1.1)
         np.testing.assert_allclose(
-            source_state(params).amps, oracles.source_state_16(0.7, 1.1), atol=ATOL
+            params.amplitudes, oracles.source_16(0.7, 1.1), atol=ATOL
         )
 
     def test_rejects_negative_r(self):
@@ -280,41 +272,27 @@ class TestSource:
             SourceParams(r=-0.1, phi=0.0)
 
 
-class TestHyperState:
-    @pytest.mark.parametrize(
-        "amps",
-        [np.ones(16), np.full(16, np.nan), np.full(16, np.inf),
-         np.where(np.arange(16) == 5, np.nan, BELL_BASIS[0])],
-        ids=["ones", "nan", "inf", "one_nan"],
-    )
-    def test_rejects_unnormalized(self, amps):
-        with pytest.raises(ValueError, match="not normalized"):
-            HyperState(amps)
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            HyperState(np.zeros(4, dtype=complex))
-
+class TestStateVectors:
     def test_global_phase_equality(self):
         st16 = random_state(14)
-        rotated = HyperState(st16.amps * np.exp(1j * 0.83))
-        assert oracles.same_ray(st16.amps, rotated.amps)
-        assert oracles.same_ray(rotated.amps, st16.amps)
+        rotated = st16 * np.exp(1j * 0.83)
+        assert oracles.same_ray(st16, rotated)
+        assert oracles.same_ray(rotated, st16)
 
     def test_distinct_states_not_equiv(self):
-        a = make_hyper_bell(BellIndex(Bell.PHI_PLUS, Bell.PHI_PLUS))
-        b = make_hyper_bell(BellIndex(Bell.PHI_PLUS, Bell.PSI_PLUS))
-        assert not oracles.same_ray(a.amps, b.amps)
+        assert not oracles.same_ray(BELL_BASIS[label("phi+", "phi+")],
+                                    BELL_BASIS[label("phi+", "psi+")])
 
     def test_amplitudes_read_only(self):
-        st16 = random_state(16)
+        # the source's amplitudes are computed once per SourceParams and shared by every block
+        st16 = SourceParams(r=0.7, phi=1.1).amplitudes
         with pytest.raises(ValueError):
-            st16.amps[0] = 1.0
+            st16[0] = 1.0
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_encoding_preserves_norm(self, seed):
         st16 = random_state(seed)
         for op in (EncodingOp(2, 3), EncodingOp(4, 4)):
-            out = apply_encoding(st16, op)
-            assert abs(np.linalg.norm(out.amps) - 1.0) <= 1e-12
+            [out] = encode(st16[None], np.array([op.code]))
+            assert abs(np.linalg.norm(out) - 1.0) <= 1e-12

@@ -144,7 +144,7 @@ def test_every_public_definition_is_used_outside_the_tests():
 
 
 def test_the_usage_guard_sees_every_form():
-    source = ("from .hyperstate import chbsa as readout\n"
+    source = ("from .hyperstate import bell_labels_table as readout\n"
               "import numpy as np\n"
               "class Kept:\n"
               "    def __init__(self): self.held = 0\n"
@@ -159,7 +159,8 @@ def test_the_usage_guard_sees_every_form():
               "def unused(): return unused_too\n")
     assert public_definitions(source) == {"Kept", "Kept.method", "Kept.size", "_Hidden.made",
                                           "unused"}
-    assert names_used(source) >= {"chbsa", "np", "zeros", "hs", "draw", "Kept", "unused_too"}
+    assert names_used(source) >= {"bell_labels_table", "np", "zeros", "hs", "draw", "Kept",
+                                  "unused_too"}
     assert not names_used(source) & {"readout", "method", "size", "made", "_helper", "unused"}
 
 

@@ -16,6 +16,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from numpy._core import _multiarray_umath
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -253,6 +254,39 @@ def test_output_bytes_are_pinned(monkeypatch, name):
         bare, none = run(rc)
         assert none is None
         assert sha256(stats_text(rc, rc.seed, bare)) == stats_digest
+
+
+# numpy's SIMD dispatch targets; a child process that turns them all off
+# runs numpy's baseline code paths, and its bytes must be the pinned ones
+CPU_DISPATCH = list(getattr(_multiarray_umath, "__cpu_dispatch__", []))
+NO_SIMD_CHILD = """
+import hashlib, io, json, sys
+from numpy._core._multiarray_umath import __cpu_features__
+from hyperqsdc.harness import parse_run_config, run, stats_text
+configs, disabled = json.load(sys.stdin)
+assert not any(__cpu_features__[name] for name in disabled), "a dispatch target stayed on"
+digests = []
+for text in configs:
+    rc = parse_run_config(text)
+    out = io.StringIO()
+    stats, _ = run(rc, None, out)
+    digests.append([hashlib.sha256(part.encode("utf-8")).hexdigest()
+                    for part in (stats_text(rc, rc.seed, stats), out.getvalue())])
+print(json.dumps(digests))
+"""
+
+
+@pytest.mark.skipif(not CPU_DISPATCH, reason="numpy reports no SIMD dispatch target to turn off")
+def test_pinned_bytes_hold_without_simd_dispatch():
+    # defenses, Trojan probes across chunks, and non-dyadic amplitudes in
+    # kernel calls over CHUNK_ROWS rows, where a vectorised loop's rounding would show
+    names = ["loss_noise_intercept_both_defenses", "trojan_invisible_noise_over_chunk_rows",
+             "nonideal_kernel_call_over_chunk_rows", "nonideal_merged_call_over_chunk_rows"]
+    request = [[config_with(**PINNED[name][0]) for name in names], CPU_DISPATCH]
+    child = subprocess.run([sys.executable, "-c", NO_SIMD_CHILD], input=json.dumps(request),
+                           capture_output=True, text=True, timeout=120, check=True,
+                           env={**package_env(), "NPY_DISABLE_CPU_FEATURES": " ".join(CPU_DISPATCH)})
+    assert json.loads(child.stdout) == [list(PINNED[name][1:]) for name in names]
 
 
 def test_pinned_configs_cover_the_group_edges():
