@@ -145,6 +145,13 @@ class TestInterceptResend:
         assert spa_basis in (0, 1)  # Z or X
         assert spa_outcome in (0, 1)
 
+    def test_rejects_unknown_dof_and_freezes_the_mask(self):
+        with pytest.raises(ValueError, match="unknown DOF"):
+            EveStrategy(EveKind.INTERCEPT_RESEND, frozenset({Dof.POL, "time"}))
+        strategy = EveStrategy(EveKind.INTERCEPT_RESEND, {Dof.SPA})
+        assert strategy.dof_mask == frozenset({Dof.SPA})
+        assert isinstance(strategy.dof_mask, frozenset)
+
     def test_rejects_wrong_kind_and_empty_mask(self):
         with pytest.raises(ValueError):
             EveStrategy(EveKind.INTERCEPT_RESEND, frozenset())

@@ -7,6 +7,7 @@ constructions in oracles.py before the implementation existed.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -271,8 +272,26 @@ class TestSource:
         with pytest.raises(ValueError):
             SourceParams(r=-0.1, phi=0.0)
 
+    @pytest.mark.parametrize("r,phi,field", [
+        (math.nan, 0.0, "ratio r"), (math.inf, 0.0, "ratio r"),
+        (1.0, math.nan, "phase phi"), (1.0, -math.inf, "phase phi"),
+    ], ids=["r_nan", "r_inf", "phi_nan", "phi_inf"])
+    def test_rejects_non_finite_parameters(self, r, phi, field):
+        with pytest.raises(ValueError, match=field):
+            SourceParams(r=r, phi=phi)
+
 
 class TestStateVectors:
+    @pytest.mark.parametrize("r", [0.0, 5e-324, 1e-200, 1e154, 1e308, sys.float_info.max])
+    def test_source_rows_are_finite_and_normalized(self, r):
+        # every pair a block starts from is a row of BELL_BASIS or a source's
+        # amplitudes, so these must hold for every accepted (r, phi); the scaled
+        # construction keeps the norm from overflowing or underflowing
+        for phi in (0.0, 1.1, -1e300):
+            st16 = SourceParams(r, phi).amplitudes
+            assert np.isfinite(st16).all()
+            assert abs(np.linalg.norm(st16) - 1.0) <= 1e-12
+
     def test_global_phase_equality(self):
         st16 = random_state(14)
         rotated = st16 * np.exp(1j * 0.83)
