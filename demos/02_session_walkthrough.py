@@ -1,6 +1,6 @@
 """One full session, narrated from the transcript.
 
-A session run alone is a group of one: its generator, handed over once at
+A session run alone is a group of one: its PCG64 bit generator, handed over once at
 ``prepare_group`` in a ``DrawSource``, feeds every phase, the random message that
 ``encode_group`` writes included.  The phases only fill the group's arrays: the message
 is read back from ``group.sent``, and ``transcript_lines`` writes the session's events as
@@ -23,11 +23,11 @@ from hyperqsdc.protocol import (
     transmit_return_group,
 )
 
-rng = np.random.default_rng(42)
+bits = np.random.PCG64(42)  # the bit generator of default_rng(42)
 cfg = ProtocolConfig(n_pairs=24, sample_fraction_first=0.2, sample_fraction_second=0.2)
 channel = ChannelParams()  # quiet line, no loss
 
-group = prepare_group(cfg, SourceParams(1.0, 0.0), DrawSource([rng]))
+group = prepare_group(cfg, SourceParams(1.0, 0.0), DrawSource([bits]))
 transmit_forward_group(group, channel)
 first_check_group(group, cfg)
 encode_group(group, cfg)  # Alice draws a random message and writes it in

@@ -3,12 +3,13 @@
 Session k of a run draws from ``numpy.random.default_rng([master_seed, k])``,
 and Eve's coins for it from ``default_rng([master_seed, k, 0xE7E])``, the
 documented counter-based stream split.  ``session_generators`` seeds a whole
-group's generators in one pass, and a ``DrawSource`` makes every draw of a
-lockstep group from them with four primitives: ``uniforms``, ``integers``,
-``sample`` and ``blocks``.  Each takes the name of its draw site, one of
-``DRAW_SITES``, under which it counts the words it takes.  What a phase
-draws, and in which order, is written in the phase (``protocol``, and
-``harness._pool`` for Eve's coins) as calls of these.
+group's generators in one pass, as bare PCG64 bit generators with the seed
+words ``default_rng`` would give them, and a ``DrawSource`` makes every draw
+of a lockstep group from their raw words with four primitives:
+``uniforms``, ``integers``, ``sample`` and ``blocks``.  Each takes the name
+of its draw site, one of ``DRAW_SITES``, under which it counts the words it
+takes.  What a phase draws, and in which order, is written in the phase
+(``protocol``, and ``harness._pool`` for Eve's coins) as calls of these.
 
 This module imports only numpy and the standard library.
 """
@@ -70,6 +71,8 @@ def _seed_words() -> type:
     """
 
     class SeedWords(np.random.bit_generator.ISeedSequence):
+        __slots__ = ("words",)
+
         def __init__(self, words: np.ndarray):
             self.words = words
 
@@ -82,13 +85,14 @@ def _seed_words() -> type:
 
 
 def session_generators(master_seed: int, indices, *tail: int) -> list:
-    """The generator ``np.random.default_rng([master_seed, k, *tail])`` for each k in ``indices``.
+    """The PCG64 bit generator of ``np.random.default_rng([master_seed, k, *tail])`` for each k.
 
     The SeedSequence hash runs once over arrays holding one entry per index,
     so each generator gets the same PCG64 seed words, and draws the same
-    numbers, as ``default_rng`` would give it.  An index is one 32-bit
-    word: one outside [0, 2**32) raises ValueError, and so does a negative
-    ``master_seed`` or ``tail`` value, as it does for ``default_rng``.
+    words, as that of ``default_rng``; each holds its words in a seed object
+    of its own.  An index is one 32-bit word: one outside [0, 2**32) raises
+    ValueError, and so does a negative ``master_seed`` or ``tail`` value, as
+    it does for ``default_rng``.
     """
     index = np.asarray(indices)
     if index.size and (index.dtype.kind not in "iu" or index.min() < 0 or index.max() > _MASK32):
@@ -120,7 +124,7 @@ def session_generators(master_seed: int, indices, *tail: int) -> list:
     state = state.astype(np.uint64)
     seeds = np.ascontiguousarray((state[0::2] | state[1::2] << np.uint64(32)).T)
     seed_words = _seed_words()
-    return [np.random.Generator(np.random.PCG64(seed_words(row))) for row in seeds]
+    return [np.random.PCG64(seed_words(row)) for row in seeds]
 
 
 # PCG64's 128-bit LCG multiplier (O'Neill 2014), with which numpy's PCG64 steps its state.
@@ -188,6 +192,13 @@ def _split(words: np.ndarray, counts: np.ndarray) -> list:
     return [words[block == b] for b in range(counts.shape[1])]
 
 
+def _joined(parts: list) -> np.ndarray:
+    """The arrays of 64-bit words ``parts`` end to end; a single part as it is."""
+    if len(parts) == 1:  # a member's own ``random_raw`` words
+        return parts[0]
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
+
+
 # The largest check sample ``DrawSource`` draws by ``_floyd_samples``, one
 # step at a time for the whole group; numpy's own ``choice`` draws a larger
 # one, whose steps run faster in its loop in C.  That covers every sample
@@ -230,23 +241,31 @@ def _floyd_samples(n: np.ndarray, k: np.ndarray, floyd: np.ndarray,
     return taken[~pad]
 
 
+# The words ``DrawSource.seeded`` reads from each fresh generator at once, for
+# its first draws: every draw of a clean session of up to about 20 pairs.
+_READ_AHEAD = 64
+
 # The draw sites: the keys of a source's word counts and of ``RunStats.draws``.
 DRAW_SITES = ("transit", "first_check", "message", "hidden_sample", "bell", "eve_coins")
 
 
 class DrawSource:
-    """Every random draw of a lockstep group, from each member's own generator.
+    """Every random draw of a lockstep group, from each member's own PCG64 bit generator.
 
-    Member j draws from ``rngs[j]``.  A primitive returns the draws of the
+    Member j draws from ``bits[j]``.  A primitive returns the draws of the
     members it is given joined in member order, and gives each member the
-    numbers, and leaves its generator in the state, of the numpy calls of
-    the session run alone.  Member j's pairs in play are positions
-    ``starts[j]:starts[j + 1]`` of the group's rows in play (see
-    ``protocol._candidates``).
+    numbers, and leaves its generator in the state, of the numpy
+    ``Generator`` calls of the session run alone.  Member j's pairs in play
+    are positions ``starts[j]:starts[j + 1]`` of the group's rows in play
+    (see ``protocol._candidates``).
 
-    A primitive takes each member's 64-bit words in one ``random_raw`` call
-    (``blocks`` in one per block), and shapes the joined words for the
-    whole group at once as numpy's ``Generator`` does with PCG64:
+    ``seeded`` reads the first ``_READ_AHEAD`` words of each fresh
+    generator at once, and a primitive hands those out first: a call whose
+    words all lie there is one gather for the whole group.  Beyond them, a
+    primitive takes each member's further 64-bit words in one
+    ``random_raw`` call (``blocks`` in one per block).  It shapes the joined
+    words for the whole group at once as numpy's ``Generator`` does with
+    PCG64:
 
     - a uniform is ``(word >> 11) * 2**-53``;
     - a bounded integer takes 32-bit words: a word's low half, then its high
@@ -266,44 +285,71 @@ class DrawSource:
     Both fallbacks go through ``_by_numpy``, which writes the member's
     half-word buffer into its generator, and reads it back after the draw.
 
+    The source owns its generators' state.  A generator of a ``seeded``
+    source may stand up to ``_READ_AHEAD`` words ahead of its stream, until
+    ``_unread`` steps it back over the words not handed out; its half-word
+    buffer is the one the source keeps.
+
     ``words[site][j]`` counts the 64-bit words member j took at each of
     ``DRAW_SITES``.  ``tests/test_draw_source.py`` compares every primitive
     and site with numpy's own calls on twin generators, numbers and state.
     """
 
-    def __init__(self, rngs: list):
-        self.rngs = rngs
+    def __init__(self, bits: list):
+        self.bits = bits
         # per member: whether a half-word is buffered (-1: not read from the
         # generator yet), and the last one buffered, PCG64's ``uinteger``
-        self.buffered = np.full(len(rngs), -1, dtype=np.int8)
-        self.uinteger = np.zeros(len(rngs), dtype=np.int64)
-        self.words = {site: np.zeros(len(rngs), dtype=np.int64) for site in DRAW_SITES}
+        self.buffered = np.full(len(bits), -1, dtype=np.int8)
+        self.uinteger = np.zeros(len(bits), dtype=np.int64)
+        # per member: the words read ahead, and how many of them are handed out
+        self.ahead = np.empty((len(bits), 0), dtype=np.uint64)
+        self.cursor = np.zeros(len(bits), dtype=np.int64)
+        self.words = {site: np.zeros(len(bits), dtype=np.int64) for site in DRAW_SITES}
 
     @classmethod
     def seeded(cls, master_seed: int, sessions, *tail: int) -> "DrawSource":
         """The source of generators ``default_rng([master_seed, k, *tail])``, k in ``sessions``.
 
-        The generators are fresh, so they buffer nothing.
+        The generators are fresh, so they buffer nothing; each reads its first
+        ``_READ_AHEAD`` words at once.
         """
         source = cls(session_generators(master_seed, sessions, *tail))
         source.buffered[:] = 0
+        # one array from the list, faster here than writing each member's row in place
+        source.ahead = np.array([bits.random_raw(_READ_AHEAD) for bits in source.bits],
+                                dtype=np.uint64).reshape(len(source.bits), _READ_AHEAD)
         return source
 
     def _read_buffers(self, members: np.ndarray) -> None:
         # the buffers of the members the source has not read yet, from their generators
         for j in members[self.buffered[members] < 0]:
-            state = self.rngs[j].bit_generator.state
+            state = self.bits[j].state
             self.buffered[j], self.uinteger[j] = state["has_uint32"], state["uinteger"]
+
+    def _unread(self, members: np.ndarray) -> None:
+        """Steps each member's generator back over the read-ahead words not handed out yet.
+
+        The member's read-ahead is spent then, and its generator stands where
+        its stream is.  ``advance`` empties the generator's half-word buffer,
+        which is the source's own for a ``seeded`` source.
+        """
+        width = self.ahead.shape[1]
+        for j in members[self.cursor[members] < width].tolist():
+            if self.cursor[j] < width:  # a member may come more than once
+                self.bits[j].advance(int(self.cursor[j]) - width)
+                self.cursor[j] = width
 
     def _by_numpy(self, site: str, j: int, draw, rewind: int = 0, buffer: tuple = ()):
         """``draw(rng)`` on member j's own generator: numpy's ``Generator`` makes the draw.
 
-        The generator first steps back ``rewind`` words, and takes the
-        half-word buffer ``buffer``, (has_uint32, uinteger), or else the one
-        the source keeps.  The source then reads the buffer back, and counts
-        the words the draw took beyond the ``rewind`` already counted.
+        The generator first steps back over its unread words and ``rewind``
+        more, and takes the half-word buffer ``buffer``, (has_uint32,
+        uinteger), or else the one the source keeps.  The source then reads
+        the buffer back, and counts the words the draw took beyond the
+        ``rewind`` already counted.
         """
-        bits = self.rngs[j].bit_generator
+        self._unread(np.array([j]))
+        bits = self.bits[j]
         if rewind:  # ``advance`` empties the buffer, so only when it must
             bits.advance(-rewind)
         state = bits.state
@@ -311,7 +357,7 @@ class DrawSource:
         if has_uint32 >= 0:  # -1: the generator holds a buffer the source has not read
             state["has_uint32"], state["uinteger"] = int(has_uint32), int(uinteger)
             bits.state = state
-        drawn = draw(self.rngs[j])
+        drawn = draw(np.random.Generator(bits))
         after = bits.state
         self.buffered[j], self.uinteger[j] = after["has_uint32"], after["uinteger"]
         self.words[site][j] += _pcg_steps(state["state"]["state"], after["state"]["state"],
@@ -321,14 +367,31 @@ class DrawSource:
     def _raw(self, site: str, members: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """``counts[i]`` 64-bit words from the generator of ``members[i]``, joined.
 
-        The members are distinct: each makes one call.
+        The read-ahead words go first.  The members are distinct: each makes
+        at most one ``random_raw`` call, for the words beyond its read-ahead.
         """
         self.words[site][members] += counts
-        parts = [self.rngs[j].bit_generator.random_raw(count)
-                 for j, count in zip(members.tolist(), counts.tolist()) if count]
-        if len(parts) == 1:
-            return parts[0]
-        return np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
+        if not self.ahead.size:  # nothing read ahead
+            return _joined([self.bits[j].random_raw(count)
+                            for j, count in zip(members.tolist(), counts.tolist()) if count])
+        at = self.cursor[members]
+        ahead = np.minimum(counts, self.ahead.shape[1] - at)
+        self.cursor[members] = at + ahead
+        beyond = counts - ahead
+        if not beyond.any():  # every word read ahead: one gather
+            columns = np.arange(ahead.sum()) + np.repeat(at + ahead - np.cumsum(ahead), ahead)
+            return self.ahead[np.repeat(members, ahead), columns]
+        parts = []
+        for j, first, n_ahead, n_beyond in zip(members.tolist(), at.tolist(), ahead.tolist(),
+                                               beyond.tolist()):
+            if n_ahead:
+                parts.append(self.ahead[j, first:first + n_ahead])
+            if n_beyond:
+                parts.append(self.bits[j].random_raw(n_beyond))
+        if (self.cursor == self.ahead.shape[1]).all():
+            # every member's read-ahead is spent: let the words go
+            self.ahead, self.cursor[:] = self.ahead[:, :0].copy(), 0
+        return _joined(parts)
 
     def uniforms(self, site: str, members, counts) -> np.ndarray:
         """``counts[i]`` uniforms in [0, 1) for ``members[i]``, joined: ``random(counts[i])``."""
@@ -338,18 +401,20 @@ class DrawSource:
         """Each member's uniforms, block by block: ``blocks[name][i]`` of them for ``members[i]``.
 
         A member draws each block in a call of its own, straight into that
-        block's array, so no word is held twice.  A block named in ``coins``
+        block's array, so no word is held twice; its generator first steps
+        back over its unread words.  A block named in ``coins``
         keeps only whether each uniform is below 1/2, which is whether its
         word is below 2**63.  A member may come more than once, once for
         each chunk of its photons.
         """
+        self._unread(members)
         counts = np.column_stack(list(blocks.values())) if blocks else np.empty((len(members), 0))
         np.add.at(self.words[site], members, counts.sum(axis=1, dtype=np.int64))
         drawn = [np.empty(total, dtype=bool if name in coins else np.uint64)
                  for name, total in zip(blocks, counts.sum(axis=0).tolist())]
         ends = np.cumsum(counts, axis=0).tolist()
         for j, row, row_ends in zip(members.tolist(), counts.tolist(), ends):
-            bits = self.rngs[j].bit_generator
+            bits = self.bits[j]
             for name, words, count, end in zip(blocks, drawn, row, row_ends):
                 part = bits.random_raw(count)
                 words[end - count:end] = part < 1 << 63 if name in coins else part
@@ -362,8 +427,8 @@ class DrawSource:
 
         Integer t of the joined draws lies in [0, sizes[t]), or in [0, sizes)
         when ``sizes`` is one integer of at least 2; a size of 1 gives 0 and
-        draws nothing.  One raw call per member takes the words this needs
-        when no value is rejected.  Returns (integers, uniforms or None),
+        draws nothing.  One ``_raw`` pass takes the words this needs when no
+        value is rejected.  Returns (integers, uniforms or None),
         each joined in member order.
         """
         one_size = np.ndim(sizes) == 0

@@ -505,13 +505,15 @@ def _pool(stats: RunStats, transcripts: Optional[TextIO], rc: RunConfig, master_
 # Rows per lockstep group of ``run``; a session with more pairs is a group of
 # one.  Each phase of a group makes one kernel call on the distinct states
 # of its pairs and each draw site one numpy pass over the group's words, so
-# a clean group of 112-pair sessions pays a fixed cost of about 2 ms and each
-# further session about 25 us (in-process ``run()``, 2-core x86-64, numpy
+# a clean group of 112-pair sessions pays a fixed cost of about 1.1 ms and
+# each further session about 20 us.  A further 16-pair session costs about
+# 6 us: the 64 words its generator reads at seeding hold all its draws
+# (in-process ``_run_group``, medians of 60 calls, 2-core x86-64, numpy
 # 2.4).  At 16384 rows every benchmark workload but the 20,000-pair session
 # is one group: ``ideal_sessions`` (11,200 rows) runs in 4.4-6.4 ms instead
 # of 9.0-10.0 ms as three 4096-row groups.  The group's per-pair arrays are
-# int8, which keeps its tracemalloc peak at 955 KiB (1,670 KiB with int64
-# message bits and op codes).
+# int8, which keeps its tracemalloc peak at 932 KiB (about 700 KiB more with
+# int64 message bits and op codes).
 GROUP_ROWS = 16384
 
 

@@ -313,16 +313,16 @@ def draw(cdf: np.ndarray, u, of: np.ndarray) -> np.ndarray:
     return pos
 
 
-def _project(work: np.ndarray, probs: np.ndarray, axes: tuple, outcomes: np.ndarray,
-             x) -> np.ndarray:
-    # The collapse (Lueders rule) of ``work``, the rows in their measurement
+def _project(work: np.ndarray, of: np.ndarray, probs: np.ndarray, axes: tuple,
+             outcomes: np.ndarray, x) -> np.ndarray:
+    # The collapse (Lueders rule) of ``work[of]``, rows in their measurement
     # bases (the X mask ``x``), onto each row's drawn outcome, as a new block:
     # the outcome's amplitudes over the root of its unsnapped probability
     # ``probs`` (positive, as it was drawn), times its ket on each axis in
     # ascending order; in value, the other amplitudes zeroed and the rest
-    # divided and turned back by ``_rotate``'s butterfly.
-    n = len(work)
-    kept = work.take(_OUTCOME_AMPS[axes][outcomes] + np.arange(0, DIM * n, DIM)[:, None])
+    # divided and turned back by ``_rotate``'s butterfly.  Only the outcome's
+    # amplitudes of each row are read from ``work``.
+    kept = work.take(_OUTCOME_AMPS[axes][outcomes] + np.multiply(of, DIM, dtype=np.intp)[:, None])
     kept /= np.sqrt(probs).astype(complex)[:, None]  # complex, as the quotient would cast it
     states = kept.take(_PLACE[axes], axis=1)
     parts = states.view(float)
@@ -457,7 +457,7 @@ def measure_table(table: np.ndarray, index: np.ndarray, axes: tuple, u: np.ndarr
     # one collapsed row per distinct (combo, outcome)
     kept, inverse = distinct(combo * n_out + outcomes, len(rows) * n_out)
     of, read = np.divmod(kept, n_out)
-    states = _project(turned[of], raw[of, read], axes, read, xs[of])
+    states = _project(turned, of, raw[of, read], axes, read, xs[of])
     return outcomes, (states, inverse)
 
 

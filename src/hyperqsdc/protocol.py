@@ -247,7 +247,7 @@ class SessionGroup:
     """
 
     def __init__(self, n_pairs: int, draws, source: Optional[SourceParams] = None):
-        m, n = len(draws.rngs), n_pairs
+        m, n = len(draws.bits), n_pairs
         self.n_pairs = n
         self.source = source
         self.bounds = np.arange(0, (m + 1) * n, n)  # each member's first block row, then the end

@@ -39,7 +39,7 @@ AXES_SETS = [
 
 
 class FixedUniforms:
-    """Generator stand-in whose ``bit_generator.random_raw`` hands out preset uniforms in order.
+    """Bit generator stand-in whose ``random_raw`` hands out preset uniforms in order.
 
     It hands them out as the 64-bit words ``DrawSource`` turns into them,
     ``(word >> 11) * 2**-53``: exactly, as every preset is a multiple of 2**-53.
@@ -47,7 +47,6 @@ class FixedUniforms:
 
     def __init__(self, values):
         self.values = list(values)
-        self.bit_generator = self
 
     def random_raw(self, size):
         return np.array([int(self.values.pop(0) * 2**53) << 11 for _ in range(size)],
@@ -579,15 +578,17 @@ class TestProbabilitiesMatchOracles:
     @given(blocks(), st.sampled_from(AXES_SETS))
     @settings(max_examples=60, deadline=None)
     def test_collapse_equals_the_reference_projector(self, block, axes):
-        # the ket product is the zeroed, divided and turned-back row by value; its input stays
+        # the ket product is the zeroed, divided and turned-back row by value; its input
+        # stays.  Each row is projected twice, the second time in reverse row order
         states, x, u = block
         x = x[:, : len(axes)]
         work, raw, cdf = hs._read(states, axes, x)
-        outcomes = hs.draw(cdf, u, np.arange(len(states)))
-        probs = raw[np.arange(len(states)), outcomes]
+        of = np.concatenate([np.arange(len(states)), np.arange(len(states))[::-1]])
+        outcomes = hs.draw(cdf, np.concatenate([u, u]), of)
+        probs = raw[of, outcomes]
         before = work.copy()
-        got = hs._project(work, probs, axes, outcomes, x)
-        assert (got == oracles.project_rows(work, probs, axes, outcomes, x)).all()
+        got = hs._project(work, of, probs, axes, outcomes, x[of])
+        assert (got == oracles.project_rows(work[of], probs, axes, outcomes, x[of])).all()
         assert work.tobytes() == before.tobytes()
 
 

@@ -58,7 +58,7 @@ def ideal_pairs(n):
 
 def draw_transit(n, params, eve, defense, rng):
     """The draws of one transit of n photons of one session, whose generator is ``rng``."""
-    return transit_draws(DrawSource([rng]), [0], [0, n], params, eve, defense)
+    return transit_draws(DrawSource([rng.bit_generator]), [0], [0, n], params, eve, defense)
 
 
 def transit(n, params, eve, rng, defense=NO_DEFENSE, states=None):
@@ -70,7 +70,7 @@ def transit(n, params, eve, rng, defense=NO_DEFENSE, states=None):
     measured nothing).
     """
     drawn = draw_transit(n, params, eve, defense, copy.deepcopy(rng))
-    group = SessionGroup(n, DrawSource([rng]))
+    group = SessionGroup(n, DrawSource([rng.bit_generator]))
     if states is None:
         group.table[0] = BELL_BASIS[0]
     else:
@@ -263,7 +263,7 @@ class TestEveRecordWords:
         table = random_table(rng, 6)
         index = rng.integers(len(table), size=n or 4)
         drawn = draw_transit(n, params, eve, NO_DEFENSE, copy.deepcopy(rng))
-        group = SessionGroup(n or 4, DrawSource([rng]))
+        group = SessionGroup(n or 4, DrawSource([rng.bit_generator]))
         group.table, group.index = table.copy(), index.copy()
         if not n:
             group.fates[:] = FATES.index(PairFate.CONSUMED_CHECK)

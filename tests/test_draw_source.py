@@ -5,7 +5,8 @@ class alone.  A guard parses the package and fails on a generator draw
 anywhere else, a raw 64-bit word or a look at a generator's state
 included, and another on a ``numpy.random`` constructor outside ``draws``.
 
-The source takes raw PCG64 words and shapes them into numpy's draws itself,
+The source holds bare PCG64 bit generators, takes their raw words and
+shapes them into numpy's draws itself,
 with four primitives: ``uniforms``, ``integers`` (Lemire's bounded integers
 from 32-bit half-words, the left-over half buffered as the generator would
 buffer it), ``sample`` (the check samples of ``choice``) and ``blocks``.
@@ -13,10 +14,12 @@ Each phase writes its own recipe as calls of these: the transit in
 ``protocol.transit_draws``, the first check, the message, the hidden
 sample and the Bell readout in their phase functions, Eve's coins in
 ``harness._pool``.  The tests here compare each primitive and each recipe
-with numpy's own calls on ``copy.deepcopy`` twin generators, in the order
-and sizes of the session run alone, numbers and final generator state
-alike; the state is read with the half-word buffer the source keeps, so
-all of it is compared.  A failure names the installed numpy.
+with numpy's own ``Generator`` calls on ``copy.deepcopy`` twins of the bit
+generators, in the order and sizes of the session run alone, numbers and
+final generator state alike; the state is read after the source steps
+each generator back over the words it read ahead, with the half-word
+buffer the source keeps, so all of it is compared.  A failure names the
+installed numpy.
 """
 
 from __future__ import annotations
@@ -28,14 +31,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hyperqsdc
 from hyperqsdc import adversary as adv
 from hyperqsdc import draws, harness
 from hyperqsdc.adversary import BasisPolicy, DefenseConfig, EveKind, EveStrategy, PnsKind
-from hyperqsdc.draws import DRAW_SITES, DrawSource, session_generators
+from hyperqsdc.draws import _READ_AHEAD, DRAW_SITES, DrawSource, session_generators
 from hyperqsdc.harness import _pool, _run_group, metrics_text, parse_run_config, run, stats_text
 from hyperqsdc.hyperstate import SourceParams
 from hyperqsdc.protocol import (
@@ -58,8 +61,9 @@ from test_harness import config_with
 
 NUMPY = f"numpy {np.__version__}"
 SOURCES = sorted(Path(hyperqsdc.__file__).parent.glob("*.py"))
-# the Generator methods the package draws with, and the bit generator's raw words
-DRAWS = {"random", "integers", "choice", "random_raw"}
+# the Generator methods the package draws with, and the bit generator's raw
+# words and steps
+DRAWS = {"random", "integers", "choice", "random_raw", "advance"}
 # (module, top-level name) that may draw: the draw source alone, which owns
 # every generator; all other code takes uniforms or a draw callable from it
 ALLOWED = {("draws", "DrawSource")}
@@ -69,10 +73,11 @@ def draw_calls(source: str, module: str) -> list:
     """(module, enclosing top-level name or None, line) of each draw in ``source``.
 
     A draw is a call of one of ``DRAWS``, or any use of a generator's
-    ``bit_generator``: its state and its raw words are draws too.  The
-    ``numpy.random.bit_generator`` module is not a generator's, and a call
-    on ``draws`` or ``<group>.draws`` is one of a ``DrawSource``'s
-    primitives, whose ``integers`` shares its name with the generator's.
+    ``bit_generator`` or of a bit generator's ``state``: the state and the
+    raw words are draws too.  The ``numpy.random.bit_generator`` module is
+    not a generator's, and a call on ``draws`` or ``<group>.draws`` is one
+    of a ``DrawSource``'s primitives, whose ``integers`` shares its name
+    with the generator's.
     """
     calls = []
     for top in ast.parse(source).body:
@@ -82,7 +87,8 @@ def draw_calls(source: str, module: str) -> list:
                  and "draws" not in (getattr(node.func.value, "id", None),
                                      getattr(node.func.value, "attr", None)))
                     or (isinstance(node, ast.Attribute) and node.attr == "bit_generator"
-                        and getattr(node.value, "attr", None) != "random")):
+                        and getattr(node.value, "attr", None) != "random")
+                    or (isinstance(node, ast.Attribute) and node.attr == "state")):
                 calls.append((module, getattr(top, "name", None), node.lineno))
     return calls
 
@@ -103,9 +109,13 @@ def test_the_guard_sees_raw_words_and_state():
               "class G(np.random.bit_generator.ISeedSequence):\n"
               "    def g(self, rng): return rng.random(2)\n"
               "def h(draws, group):\n"
-              "    return draws.integers('bell', m, c, 2), group.draws.rngs[0].integers(2)\n")
+              "    return draws.integers('bell', m, c, 2), group.draws.bits[0].integers(2)\n"
+              "def k(bits):\n"
+              "    bits.advance(-3)\n"
+              "    return bits.state\n")
     assert sorted(draw_calls(source, "m")) == [("m", "G", 5), ("m", "f", 2), ("m", "f", 2),
-                                               ("m", "f", 3), ("m", "h", 7)]
+                                               ("m", "f", 3), ("m", "f", 3), ("m", "h", 7),
+                                               ("m", "k", 9), ("m", "k", 10)]
 
 
 def numpy_random_constructors(source: str, module: str) -> list:
@@ -139,12 +149,17 @@ def test_the_constructor_guard_sees_calls_and_imports():
 
 
 def generators(seed: int, buffered: list) -> list:
-    """One generator per entry; where the entry is true it holds a buffered uint32."""
+    """One PCG64 per entry; where the entry is true it holds a buffered uint32."""
     rngs = [np.random.default_rng([seed, j]) for j in range(len(buffered))]
     for rng, held in zip(rngs, buffered):
         if held:
             rng.integers(3)
-    return rngs
+    return [rng.bit_generator for rng in rngs]
+
+
+def numpy_twins(bit_generators: list) -> list:
+    """numpy's own ``Generator`` on a deep copy of each bit generator."""
+    return [np.random.Generator(bits) for bits in copy.deepcopy(bit_generators)]
 
 
 def states(rngs: list) -> list:
@@ -154,9 +169,12 @@ def states(rngs: list) -> list:
 def drawn_states(source: DrawSource) -> list:
     """The generator states of ``source``, each with the half-word buffer the source keeps.
 
-    A buffer the source has not read yet (-1) is still the generator's own.
+    The source first steps each generator back over the words it read
+    ahead.  A buffer the source has not read yet (-1) is still the
+    generator's own.
     """
-    found = states(source.rngs)
+    source._unread(np.arange(len(source.bits)))
+    found = [bits.state for bits in source.bits]
     for state, buffered, uinteger in zip(found, source.buffered.tolist(), source.uinteger.tolist()):
         if buffered >= 0:
             state["has_uint32"], state["uinteger"] = buffered, uinteger
@@ -193,7 +211,7 @@ def test_bounded_integers_then_uniforms_are_numpys(seed, buffered, data):
     uniforms = data.draw(st.lists(st.integers(0, 5), min_size=len(buffered),
                                   max_size=len(buffered)))
     source = DrawSource(generators(seed, buffered))
-    twins = copy.deepcopy(source.rngs)
+    twins = numpy_twins(source.bits)
     members = np.arange(len(buffered))[::-1]  # any member order
     ints, u = source.integers("message", members, np.array(counts),
                               np.array(sizes, dtype=np.uint64), np.array(uniforms))
@@ -213,7 +231,7 @@ def test_bounded_integers_then_uniforms_are_numpys(seed, buffered, data):
 def test_one_range_for_all_is_numpys_sized_draw(seed, buffered, size, data):
     counts = data.draw(st.lists(st.integers(0, 9), min_size=len(buffered), max_size=len(buffered)))
     source = DrawSource(generators(seed, buffered))
-    twins = copy.deepcopy(source.rngs)
+    twins = numpy_twins(source.bits)
     ints, _ = source.integers("transit", np.arange(len(buffered)), np.array(counts), size)
     expected = [twin.integers(size, size=count) for twin, count in zip(twins, counts)]
     same(ints, np.concatenate(expected), "integers(size, size=count)")
@@ -224,19 +242,19 @@ def test_word_counts_and_rejections_near_two_to_the_31():
     # with 2**31 + 1 about half of all words are rejected: the member draws
     # again, and counts the words it took
     source = DrawSource(generators(5, [False, True]))
-    twins = copy.deepcopy(source.rngs)
+    twins = numpy_twins(source.bits)
     ints, _ = source.integers("first_check", np.arange(2), np.array([500, 501]), 2**31 + 1)
     same(ints, np.concatenate([twins[0].integers(2**31 + 1, size=500),
                                twins[1].integers(2**31 + 1, size=501)]), "integers near 2**31")
     same_state(source, twins)
-    for j, rng in enumerate(generators(5, [False, True])):
-        rng.bit_generator.advance(int(source.words["first_check"][j]))
-        assert rng.bit_generator.state["state"] == twins[j].bit_generator.state["state"]
+    for j, bits in enumerate(generators(5, [False, True])):
+        bits.advance(int(source.words["first_check"][j]))
+        assert bits.state["state"] == twins[j].bit_generator.state["state"]
     assert source.words["first_check"].sum() > (500 + 501) // 2 * 1.5  # about twice that
 
 
-def generator_drawing(word: int) -> np.random.Generator:
-    """A PCG64 generator whose next 64-bit word is ``word``.
+def generator_drawing(word: int) -> np.random.PCG64:
+    """A PCG64 whose next 64-bit word is ``word``.
 
     PCG64 steps its 128-bit state, then outputs the xor of the new state's
     halves rotated by its top 6 bits (O'Neill's XSL-RR).  A new state equal
@@ -245,10 +263,10 @@ def generator_drawing(word: int) -> np.random.Generator:
     """
     inc = 0x9E3779B97F4A7C15F39CC0605CEDC835  # any odd increment
     before = (word - inc) * pow(draws._PCG_MULT, -1, 2**128) % 2**128
-    rng = np.random.default_rng(0)
-    rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": before, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-    return rng
+    bits = np.random.PCG64(0)
+    bits.state = {"bit_generator": "PCG64", "state": {"state": before, "inc": inc},
+                  "has_uint32": 0, "uinteger": 0}
+    return bits
 
 
 @pytest.mark.parametrize("size", [3, 5, 2**31 + 1, 3 * 2**30 + 7, 2**32 - 5])
@@ -257,9 +275,9 @@ def test_lemire_keeps_a_value_at_its_threshold_and_rejects_one_below(size):
     threshold = 2**32 % size
     kept, rejected = ((low * pow(size, -1, 2**32)) % 2**32 for low in (threshold, threshold - 1))
     for word in (kept | rejected << 32, rejected | kept << 32, rejected | rejected << 32):
-        assert copy.deepcopy(generator_drawing(word)).bit_generator.random_raw() == word
+        assert copy.deepcopy(generator_drawing(word)).random_raw() == word
         source = DrawSource([generator_drawing(word)])
-        twin = copy.deepcopy(source.rngs[0])
+        twin, = numpy_twins(source.bits)
         ints, _ = source.integers("message", np.arange(1), np.array([2]), size)
         same(ints, twin.integers(size, size=2), f"integers({size}) at Lemire's threshold")
         same_state(source, [twin])
@@ -274,14 +292,14 @@ def test_a_rejected_floyd_draw_is_numpys_redraw(size, uniforms, buffered):
     rejected = (2**32 % 9 - 1) * pow(9, -1, 2**32) % 2**32
     assert draws._lemire(np.array([rejected], dtype=np.uint32), 9)[1].all()
     kept = 2**31 + 5
-    rng = generator_drawing((kept if buffered else rejected) | kept << 32)
+    bits = generator_drawing((kept if buffered else rejected) | kept << 32)
     if buffered:
-        state = rng.bit_generator.state
+        state = bits.state
         state["has_uint32"], state["uinteger"] = 1, rejected
-        rng.bit_generator.state = state
-    fresh = copy.deepcopy(rng)
-    source = DrawSource([rng])
-    twin = copy.deepcopy(rng)
+        bits.state = state
+    fresh = copy.deepcopy(bits)
+    source = DrawSource([bits])
+    twin, = numpy_twins(source.bits)
     positions, ops, u = source.sample("first_check", [0], [0, 12], [4], size, uniforms)
     same(positions, twin.choice(12, size=4, replace=False), "choice(12, 4, replace=False)")
     if size is None:
@@ -289,8 +307,8 @@ def test_a_rejected_floyd_draw_is_numpys_redraw(size, uniforms, buffered):
     else:
         same(ops, twin.integers(size, size=4), "ops after the sample")
     same_state(source, [twin])
-    fresh.bit_generator.advance(int(source.words["first_check"][0]))
-    assert fresh.bit_generator.state["state"] == twin.bit_generator.state["state"]
+    fresh.advance(int(source.words["first_check"][0]))
+    assert fresh.state["state"] == twin.bit_generator.state["state"]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -302,7 +320,7 @@ def test_floyd_and_shuffle_are_numpys_choice(seed, buffered, data):
     sizes = [data.draw(st.integers(k, 60)) for k in ks]
     starts = np.concatenate([[0], np.cumsum(sizes)]).tolist()
     source = DrawSource(generators(seed, buffered))
-    twins = copy.deepcopy(source.rngs)
+    twins = numpy_twins(source.bits)
     members = list(range(len(ks)))
     positions, _, u = source.sample("first_check", members, starts, ks, uniforms=3)
     expected, uniforms = [], []
@@ -324,14 +342,14 @@ BOUNDARIES = [(10_001, 200), (10_001, 201), (20_000, 400), (20_000, 401),
 @pytest.mark.parametrize("buffered", [False, True])
 def test_choice_regimes_meet_where_numpys_do(n, k, buffered):
     source = DrawSource(generators(n + k, [buffered]))
-    twins = copy.deepcopy(source.rngs)
+    twins = numpy_twins(source.bits)
     positions, ops, _ = source.sample("hidden_sample", [0], [0, n], [k], 16)
     same(positions, twins[0].choice(n, size=k, replace=False), f"choice({n}, {k}, replace=False)")
     same(ops, twins[0].integers(16, size=k), "hidden ops")
     same_state(source, twins)
     fresh = generators(n + k, [buffered])[0]
-    fresh.bit_generator.advance(int(source.words["hidden_sample"][0]))
-    assert fresh.bit_generator.state["state"] == twins[0].bit_generator.state["state"]
+    fresh.advance(int(source.words["hidden_sample"][0]))
+    assert fresh.state["state"] == twins[0].bit_generator.state["state"]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -342,7 +360,7 @@ def test_choice_regimes_meet_where_numpys_do(n, k, buffered):
 def test_sites_in_any_order_carry_the_half_word(seed, buffered, steps):
     # uniforms leave a buffered half-word alone; bounded draws take it first
     source = DrawSource(generators(seed, buffered))
-    twins = copy.deepcopy(source.rngs)
+    twins = numpy_twins(source.bits)
     for site, sizes in steps:
         starts = np.concatenate([[0], np.cumsum(sizes)]).tolist()
         members = [2, 0, 1]
@@ -363,6 +381,83 @@ def test_sites_in_any_order_carry_the_half_word(seed, buffered, steps):
             expected = np.concatenate(picks + ops)
         same(got, expected, site)
     same_state(source, twins)
+
+
+# a seeded source's read-ahead: per-member counts of a call on either side of
+# its end, and the primitives that hand out read-ahead words and those that
+# step the generator back over them first (``blocks``, numpy's own choice)
+STRADDLE = (0, 1, _READ_AHEAD - 1, _READ_AHEAD, _READ_AHEAD + 1)
+PRIMITIVES = ("uniforms", "integers", "sample", "blocks")
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(st.sampled_from(PRIMITIVES),
+                          st.lists(st.sampled_from(STRADDLE), min_size=3, max_size=3),
+                          st.permutations(range(3)), st.sampled_from([2, 3, 112, 2**31 + 1])),
+                min_size=1, max_size=5))
+# calls within the read-ahead after a first read, one to its very end, then
+# calls beyond it, of members with and without words read ahead
+@example(7, [("uniforms", [1, 1, 0], (2, 0, 1), 2), ("integers", [1, 0, 1], (0, 1, 2), 3),
+             ("sample", [1, 1, 1], (1, 2, 0), 2), ("uniforms", [63, 1, 1], (0, 1, 2), 2),
+             ("blocks", [64, 0, 1], (2, 1, 0), 2)])
+@example(8, [("uniforms", [63, 64, 1], (0, 1, 2), 2), ("uniforms", [1, 0, 63], (2, 1, 0), 2),
+             ("integers", [1, 1, 1], (0, 1, 2), 2**31 + 1)])
+def test_a_seeded_source_reads_ahead_as_numpys_twins_draw(seed, calls):
+    # counts[j] uniforms, counts[j] integers then as many uniforms, a sample
+    # of counts[j] pairs of counts[j] + 20 then its ops, or two blocks of
+    # counts[j] and 65 - counts[j] uniforms, member by member in ``order``
+    source = DrawSource.seeded(seed, range(3))
+    twins = numpy_twins(session_generators(seed, range(3)))
+    for primitive, counts, order, size in calls:
+        members = np.array([j for j in order if counts[j] or primitive != "sample"], dtype=int)
+        if not len(members):
+            continue
+        n = np.array(counts)[members]
+        mine = [twins[j] for j in members]
+        if primitive == "uniforms":
+            got = source.uniforms("bell", members, n)
+            expected = [twin.random(c) for twin, c in zip(mine, n)]
+        elif primitive == "integers":
+            got = np.concatenate(source.integers("message", members, n, size, n))
+            drawn = [(twin.integers(size, size=c), twin.random(c)) for twin, c in zip(mine, n)]
+            expected = [ints for ints, _ in drawn] + [u for _, u in drawn]
+        elif primitive == "sample":
+            starts = np.concatenate([[0], np.cumsum(np.array(counts) + 20)])
+            got = np.concatenate(source.sample("hidden_sample", members, starts, n, 16)[:2])
+            picks = [twin.choice(c + 20, size=c, replace=False) + starts[j]
+                     for twin, j, c in zip(mine, members, n)]
+            expected = picks + [twin.integers(16, size=c) for twin, c in zip(mine, n)]
+        else:
+            blocks = source.blocks("transit", members, {"u": n, "x": _READ_AHEAD + 1 - n},
+                                   coins=("x",))
+            got = np.concatenate([blocks["u"], blocks["x"]])
+            drawn = [(twin.random(c), twin.random(_READ_AHEAD + 1 - c) < 0.5)
+                     for twin, c in zip(mine, n)]
+            expected = [u for u, _ in drawn] + [x for _, x in drawn]
+        same(got, np.concatenate(expected), primitive)
+    same_state(source, twins)
+
+
+@pytest.mark.parametrize("read", [1, _READ_AHEAD - 1])
+def test_a_rejection_after_a_partial_read_steps_back_over_the_unread_words(read):
+    # near 2**31 about half the half-words are rejected: each member reads
+    # part of its read-ahead, then draws 40 integers from the rest, or from
+    # the rest and beyond, and numpy's Generator redraws the call
+    source = DrawSource.seeded(5, range(2))
+    twins = numpy_twins(session_generators(5, range(2)))
+    members = np.arange(2)
+    same(source.uniforms("bell", members, [read, read]),
+         np.concatenate([twin.random(read) for twin in twins]), "uniforms read ahead")
+    ints, _ = source.integers("message", members, np.array([40, 41]), 2**31 + 1)
+    same(ints, np.concatenate([twins[0].integers(2**31 + 1, size=40),
+                               twins[1].integers(2**31 + 1, size=41)]), "integers near 2**31")
+    assert (source.words["message"] > [20, 21]).all()  # both members rejected a value
+    assert (source.cursor == source.ahead.shape[1]).all()  # so no word is left read ahead
+    same_state(source, twins)
+    for j, bits in enumerate(session_generators(5, range(2))):
+        bits.advance(read + int(source.words["message"][j]))
+        assert bits.state["state"] == twins[j].bit_generator.state["state"]
 
 
 def test_pcg_steps_measure_advance():
@@ -413,7 +508,7 @@ def test_message_bits_are_the_unsized_draw():
             rng.integers(3)
         twins = copy.deepcopy(rngs)
         members = list(range(len(capacities)))[::-1]
-        source = DrawSource(rngs)
+        source = DrawSource([rng.bit_generator for rng in rngs])
         got, _ = source.integers("message", np.array(members), np.array(capacities[::-1]), 2)
         expected = [twins[j].integers(0, 2, size=bits) for j, bits in zip(members, capacities[::-1])]
         assert got.tolist() == np.concatenate(expected).tolist()
@@ -445,7 +540,7 @@ def test_samples_of_one_and_three_draw_as_sized_calls(members, ks):
     starts = [0, 15, 31, 36, 76]  # members of 15, 16, 5 and 40 pairs in play
     rngs = [np.random.default_rng([7, j]) for j in range(4)]
     twins = copy.deepcopy(rngs)
-    source = DrawSource(rngs)
+    source = DrawSource([rng.bit_generator for rng in rngs])
     got = (*source.sample("first_check", members, starts, ks, uniforms=3)[::2],
            *source.sample("hidden_sample", members, starts, ks, 16)[:2])
     expected = reference_draws(twins, members, starts, ks)
@@ -517,7 +612,7 @@ def test_transit_fills_each_column_as_the_per_chunk_draws_do(case):
         rngs = [np.random.default_rng([9, j]) for j in range(len(sizes))]
         rngs[3].integers(3)  # leave a buffered uint32 in one generator
         twins = copy.deepcopy(rngs)
-        source = DrawSource(rngs)
+        source = DrawSource([rng.bit_generator for rng in rngs])
         got = transit_draws(source, members, starts, params, eve, defense)
         delivered, drawn_eve, screens, noise = reference_transit(
             twins, members, starts, params, eve, defense)
@@ -542,7 +637,8 @@ def test_phases_draw_in_the_order_of_the_session_run_alone(short):
     rngs = [np.random.default_rng([7, j]) for j in range(4)]
     rngs[2].integers(3)  # leave a buffered uint32 in one generator
     twins = copy.deepcopy(rngs)
-    group = prepare_group(cfg, SourceParams(1.0, 0.0), DrawSource(rngs))
+    group = prepare_group(cfg, SourceParams(1.0, 0.0),
+                          DrawSource([rng.bit_generator for rng in rngs]))
     lost = np.zeros(group.fates.shape, dtype=bool)
     if short:
         lost[1, ::3] = lost[3, 5:30] = True
@@ -612,17 +708,17 @@ def test_word_counts_advance_fresh_twins_to_each_generator(monkeypatch):
     handed = drawn_states(group.draws)
     assert any(state["has_uint32"] for state in handed)
     for k, state in enumerate(handed):
-        twin = session_generators(rc.seed, [k])[0].bit_generator
+        twin = session_generators(rc.seed, [k])[0]
         twin.advance(sum(int(words[site][k]) for site in DRAW_SITES))
         expected = twin.state  # ``advance`` empties the buffer: the source's goes in
         expected["has_uint32"], expected["uinteger"] = state["has_uint32"], state["uinteger"]
         assert state == expected
     (seed, coined, *tail), coins = eve_made[0]
     assert seed == rc.seed and tail == [0xE7E] and coins.words["eve_coins"].all()
-    for i, k in enumerate(coined):
-        twin = session_generators(rc.seed, [k], 0xE7E)[0].bit_generator
+    for i, (k, state) in enumerate(zip(coined, drawn_states(coins))):
+        twin = session_generators(rc.seed, [k], 0xE7E)[0]
         twin.advance(int(coins.words["eve_coins"][i]))
-        assert coins.rngs[i].bit_generator.state == twin.state
+        assert state == twin.state
     assert stats.draws == {site: int(words[site].sum() + coins.words[site].sum())
                            for site in DRAW_SITES}
 
@@ -650,6 +746,9 @@ class SpyBits:
             self.sized += 1
         return self.bits.random_raw(size)
 
+    def advance(self, delta):
+        return self.bits.advance(delta)
+
     @property
     def state(self):
         return self.bits.state
@@ -659,30 +758,27 @@ class SpyBits:
         self.bits.state = value
 
 
-class SpyGenerator:
-    """A generator that counts the calls of its draw methods and lends out a ``SpyBits``."""
-
-    def __init__(self, rng):
-        self.rng, self.bit_generator, self.calls = rng, SpyBits(rng.bit_generator), 0
-
-    def __getattr__(self, name):
-        if name in ("random", "integers", "choice"):
-            self.calls += 1
-        return getattr(self.rng, name)
+# The sized raw calls each member of a clean run makes at each site.  A
+# 16-pair session takes 48 words in all, which the read-ahead holds; a
+# 112-pair one takes 24 at the first check, then 200 for its 400 message
+# bits and more after, so each later site reads beyond the read-ahead.
+RAW_CALLS = {(500, 16): dict.fromkeys(("first_check", "message", "hidden_sample", "bell"), 0),
+             (100, 112): {"first_check": 0, "message": 1, "hidden_sample": 1, "bell": 1}}
 
 
-@pytest.mark.parametrize("sessions, n_pairs", [(500, 16), (100, 112)])
+@pytest.mark.parametrize("sessions, n_pairs", RAW_CALLS)
 def test_each_member_makes_one_raw_call_per_site(monkeypatch, sessions, n_pairs):
-    # the tiny_blocks and ideal_sessions runs: no Generator draw method is
-    # called, and a site takes one random_raw call per member; the sized
-    # calls are counted per member under the site a primitive names
-    spies = []
+    # the tiny_blocks and ideal_sessions runs: numpy's Generator makes no
+    # draw; each member makes one random_raw call at seeding, and then one at
+    # each site whose words outrun the read-ahead.  The sized calls are
+    # counted per member under the site a primitive names
+    spies, built = [], []
 
     def spied(*args):
-        spies.extend(SpyGenerator(rng) for rng in session_generators(*args))
+        spies.extend(SpyBits(bits) for bits in session_generators(*args))
         return spies[-len(args[1]):]
 
-    per_site = {}
+    per_site, outran = {}, {}
     inside = []  # the site of the primitive running; one that another calls counts there
 
     def counted(name):
@@ -691,22 +787,29 @@ def test_each_member_makes_one_raw_call_per_site(monkeypatch, sessions, n_pairs)
         def wrapper(self, site, *args, **kwargs):
             if inside:
                 return primitive(self, site, *args, **kwargs)
-            before = [spy.bit_generator.sized for spy in spies]
+            before = [spy.sized for spy in spies]
+            taken = sum(self.words.values())
             inside.append(site)
             out = primitive(self, site, *args, **kwargs)
             inside.pop()
-            made = [spy.bit_generator.sized - b for spy, b in zip(spies, before)]
+            made = [spy.sized - b for spy, b in zip(spies, before)]
             per_site[site] = [a + b for a, b in zip(per_site.get(site, [0] * len(made)), made)]
+            after = sum(self.words.values())
+            outran[site] = ((after > _READ_AHEAD) & (after > taken)).astype(int).tolist()
             return out
         return wrapper
 
     monkeypatch.setattr(draws, "session_generators", spied)
+    monkeypatch.setattr(np.random, "Generator", lambda bits: built.append(bits))
     for name in ("uniforms", "integers", "sample", "blocks"):
         monkeypatch.setattr(DrawSource, name, counted(name))
     rc = parse_run_config(config_with(sessions=str(sessions), n_pairs=str(n_pairs)))
     stats, _ = run(rc)
-    assert stats.accepted == sessions
-    assert [spy.calls for spy in spies] == [0] * sessions
-    assert per_site == {site: [1] * sessions
-                        for site in ("first_check", "message", "hidden_sample", "bell")}
-    assert sum(spy.bit_generator.unsized for spy in spies) == 0
+    assert stats.accepted == sessions and built == []
+    assert per_site == {site: [calls] * sessions
+                        for site, calls in RAW_CALLS[sessions, n_pairs].items()}
+    assert per_site == outran
+    at_seeding = [spy.sized - sum(calls[j] for calls in per_site.values())
+                  for j, spy in enumerate(spies)]
+    assert at_seeding == [1] * sessions
+    assert sum(spy.unsized for spy in spies) == 0

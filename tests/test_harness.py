@@ -214,13 +214,15 @@ TAILS = ((), (0xE7E,))
 
 
 def assert_seeded_like_default_rng(seed: int, indices: list, tail: tuple) -> None:
-    rngs = session_generators(seed, indices, *tail)
-    assert len(rngs) == len(indices)
-    for k, rng in zip(indices, rngs):
+    generators = session_generators(seed, indices, *tail)
+    assert len(generators) == len(indices)
+    for k, bits in zip(indices, generators):
+        assert isinstance(bits, np.random.PCG64)
         reference = np.random.default_rng([seed, k, *tail])
         words = np.random.SeedSequence([seed, k, *tail]).generate_state(4, np.uint64)
-        assert np.array_equal(rng.bit_generator.seed_seq.generate_state(4, np.uint64), words)
-        assert rng.bit_generator.state == reference.bit_generator.state
+        assert np.array_equal(bits.seed_seq.generate_state(4, np.uint64), words)
+        assert bits.state == reference.bit_generator.state
+        rng = np.random.Generator(bits)
         assert np.array_equal(rng.random(3), reference.random(3))
         assert np.array_equal(rng.integers(16, size=4), reference.integers(16, size=4))
         assert np.array_equal(rng.choice(40, size=6, replace=False),
@@ -245,10 +247,21 @@ class TestSessionGenerators:
         assert_seeded_like_default_rng(seed, indices, tail)
 
     def test_seed_words_are_only_four_uint64(self):
-        seed_seq = session_generators(3, [1])[0].bit_generator.seed_seq
+        seed_seq = session_generators(3, [1])[0].seed_seq
         for n_words, dtype in ((4, np.uint32), (8, np.uint32), (2, np.uint64)):
             with pytest.raises(ValueError, match="4, uint64"):
                 seed_seq.generate_state(n_words, dtype)
+
+    def test_each_generator_keeps_its_own_seed_words(self):
+        # drawing from one generator, or seeding the next, leaves the words of
+        # every other one as they were
+        generators = session_generators(3, range(3))
+        for bits in generators:
+            bits.random_raw(5)
+        for k, bits in enumerate(generators):
+            expected = np.random.default_rng([3, k]).bit_generator.seed_seq.generate_state(
+                4, np.uint64)
+            assert np.array_equal(bits.seed_seq.generate_state(4, np.uint64), expected)
 
     @pytest.mark.parametrize("indices", [[2**32], [-1], [0, 2**64], np.array([2**33])],
                              ids=["2**32", "negative", "2**64", "int64_2**33"])
@@ -346,7 +359,7 @@ class TestIdealRunStats:
 def abort_reason_alone(rc, seed: int, k: int):
     """Why session k of a run ends, driven phase by phase as a group of one; None if accepted."""
     cfg = rc.protocol
-    group = prepare_group(cfg, rc.source, DrawSource([np.random.default_rng([seed, k])]))
+    group = prepare_group(cfg, rc.source, DrawSource([np.random.PCG64([seed, k])]))
     eve = rc.eve if rc.eve_passes in ("both", "forward") else None
     transmit_forward_group(group, rc.channel, eve=eve, defense=rc.defense)
     first_check_group(group, cfg)

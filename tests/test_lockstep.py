@@ -390,8 +390,8 @@ def test_streamed_run_memory_does_not_grow_with_sessions():
 
 
 # tracemalloc peak of one ideal_sessions group, 100 clean sessions of 112 pairs
-# (11,200 rows): 948 KiB with int8 message bits and op codes, 1,670 KiB with
-# int64 ones.  An int64 array of one entry per pair adds 77 KiB over int8.
+# (11,200 rows): 932 KiB with int8 message bits and op codes, about 700 KiB
+# more with int64 ones.  An int64 array of one entry per pair adds 77 KiB over int8.
 IDEAL_GROUP_PEAK = 1000 * 1024  # bytes
 
 
@@ -532,6 +532,14 @@ KERNELS = ("_read", "_project", "_bell_cdf", "encode", "pauli")
 MEASUREMENT = ("_read", "_project")
 
 
+def kernel_states(name: str, bound: dict) -> np.ndarray:
+    """The states a kernel call works on, one per row, from its arguments by name: the
+    first argument, or for ``_project`` the rows of ``work`` that ``of`` names."""
+    if name == "_project":
+        return bound["work"][bound["of"]]
+    return next(iter(bound.values()))
+
+
 def kernel_rows(monkeypatch, arguments=None) -> list:
     """Count the rows handed to each kernel call: a list of (kernel name, rows) that fills as
     the package runs.  A name of ``KERNELS`` that no module defines fails.  Each call's
@@ -546,9 +554,9 @@ def kernel_rows(monkeypatch, arguments=None) -> list:
                 continue
 
             def counted(*args, _kernel=kernel, _name=name, **kwargs):
-                # the rows read: every row of the block, the first argument
+                # the rows worked on: one per state of ``kernel_states``
                 bound = inspect.signature(_kernel).bind(*args, **kwargs).arguments
-                calls.append((_name, len(next(iter(bound.values())))))
+                calls.append((_name, len(kernel_states(_name, bound))))
                 if arguments is not None:  # copies, as handed, for a later call to read
                     arguments.append({key: value.copy() if isinstance(value, np.ndarray) else value
                                       for key, value in bound.items()})
@@ -612,7 +620,7 @@ UPDATES = {
 
 def bare_group(n_pairs: int) -> SessionGroup:
     """A group of one member and ``n_pairs`` pairs, to hand states to ``_update`` directly."""
-    return SessionGroup(n_pairs, SimpleNamespace(rngs=[None]))
+    return SessionGroup(n_pairs, SimpleNamespace(bits=[None]))
 
 
 def signed_zero_copy(rows: np.ndarray) -> np.ndarray:
@@ -709,7 +717,7 @@ def test_hostile_group_hands_each_kernel_value_distinct_states_only(monkeypatch)
     _run_group(rc, rc.seed, range(rc.sessions))
     assert {name for name, _ in calls} == set(KERNELS)
     for (name, rows), bound in zip(calls, arguments):
-        states = next(iter(bound.values()))
+        states = kernel_states(name, bound)
         assert rows <= value_distinct(states, CHOICES[name](bound)), name
     [bell] = [rows for name, rows in calls if name == "_bell_cdf"]
     assert bell <= 0.4 * HOSTILE_BELL_ROWS_UNMERGED
@@ -726,7 +734,9 @@ def test_hostile_return_pass_collapse_equals_the_reference_projector(monkeypatch
     _run_group(rc, rc.seed, range(rc.sessions))
     forward, back = [bound for (name, _), bound in zip(calls, arguments) if name == "_project"]
     assert back["axes"] == (0, 2) and back["x"].any() and not back["x"].all()
-    assert (project(**back) == oracles.project_rows(**back)).all()
+    reference = dict(back, work=kernel_states("_project", back))
+    del reference["of"]
+    assert (project(**back) == oracles.project_rows(**reference)).all()
 
 
 def test_noisy_transits_hand_pauli_their_distinct_codes_only(monkeypatch):

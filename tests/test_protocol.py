@@ -93,7 +93,7 @@ def run_session(
     defense=None,
 ):
     """Drive one full session as a group of one; returns (group, sent, decoded, report2)."""
-    group = prepare_group(cfg, source, DrawSource([rng]))
+    group = prepare_group(cfg, source, DrawSource([rng.bit_generator]))
     transmit_forward_group(group, params, eve=eve_forward, defense=defense)
     first_check_group(group, cfg)
     group.raise_if_depleted(0)
@@ -111,7 +111,7 @@ class TestConfig:
         # chunk 0111: high bits 01 -> i = 2, low bits 11 -> j = 4
         cfg = ProtocolConfig(n_pairs=40)
         rng = np.random.default_rng(1002)
-        group = prepare_group(cfg, IDEAL_SOURCE, DrawSource([rng]))
+        group = prepare_group(cfg, IDEAL_SOURCE, DrawSource([rng.bit_generator]))
         transmit_forward_group(group, CLEAN)
         first_check_group(group, cfg)
         encode_group(group, cfg)
@@ -187,7 +187,7 @@ class TestIdealRoundTrip:
     def test_capacity_accounting(self):
         cfg = ProtocolConfig(n_pairs=112, sample_fraction_first=0.05, sample_fraction_second=0.05)
         rng = np.random.default_rng(7)
-        group = prepare_group(cfg, IDEAL_SOURCE, DrawSource([rng]))
+        group = prepare_group(cfg, IDEAL_SOURCE, DrawSource([rng.bit_generator]))
         transmit_forward_group(group, CLEAN)
         first_check_group(group, cfg)
         assert len(first_samples(group)) == 6
@@ -270,7 +270,7 @@ class TestPhaseMachine:
     def test_full_walk_hits_every_phase_in_order(self):
         cfg = ProtocolConfig(n_pairs=16)
         rng = np.random.default_rng(11)
-        group = prepare_group(cfg, IDEAL_SOURCE, DrawSource([rng]))
+        group = prepare_group(cfg, IDEAL_SOURCE, DrawSource([rng.bit_generator]))
         seen = [phase(group)]
         rendered = [len(parse_transcripts(group)[0])]
         for name in ("forward", "check1", "encode", "back", "decode"):
@@ -293,7 +293,7 @@ class TestPhaseMachine:
     def test_out_of_phase_calls_change_nothing(self, calls):
         cfg = ProtocolConfig(n_pairs=12)
         rng = np.random.default_rng(12)
-        group = prepare_group(cfg, IDEAL_SOURCE, DrawSource([rng]))
+        group = prepare_group(cfg, IDEAL_SOURCE, DrawSource([rng.bit_generator]))
         order = list(LEGAL_NEXT)
         for name in calls:
             before = phase(group)
@@ -310,7 +310,7 @@ class TestPhaseMachine:
         cfg = ProtocolConfig(n_pairs=30, sample_fraction_first=0.4, error_threshold=0.0)
         rng = np.random.default_rng(13)
         eve = EveStrategy(kind=EveKind.INTERCEPT_RESEND)
-        group = prepare_group(cfg, IDEAL_SOURCE, DrawSource([rng]))
+        group = prepare_group(cfg, IDEAL_SOURCE, DrawSource([rng.bit_generator]))
         transmit_forward_group(group, CLEAN, eve=eve)
         first_check_group(group, cfg)
         assert report(group, 0).verdict is Verdict.FAIL
@@ -418,7 +418,7 @@ class TestDepletion:
     def test_too_few_delivered_pairs(self):
         cfg = ProtocolConfig(n_pairs=4)
         rng = np.random.default_rng(20)
-        group = prepare_group(cfg, IDEAL_SOURCE, DrawSource([rng]))
+        group = prepare_group(cfg, IDEAL_SOURCE, DrawSource([rng.bit_generator]))
         # a brutal channel loses nearly everything
         brutal = ChannelParams(loss_prob=0.99)
         transmit_forward_group(group, brutal)
@@ -437,7 +437,7 @@ class TestDepletion:
         # member 0, ready to encode, draws anything
         cfg = ProtocolConfig(n_pairs=4)
         rngs = [np.random.default_rng([21, j]) for j in range(2)]
-        group = prepare_group(cfg, IDEAL_SOURCE, DrawSource(rngs))
+        group = prepare_group(cfg, IDEAL_SOURCE, DrawSource([rng.bit_generator for rng in rngs]))
         group.fates[1, 1:] = FATE_CODE[PairFate.CONSUMED_CHECK]
         group.phases[:] = tuple(Phase).index(Phase.ENCODING)
         states = [copy.deepcopy(rng.bit_generator.state) for rng in rngs]
