@@ -371,9 +371,6 @@ class DrawSource:
         at most one ``random_raw`` call, for the words beyond its read-ahead.
         """
         self.words[site][members] += counts
-        if not self.ahead.size:  # nothing read ahead
-            return _joined([self.bits[j].random_raw(count)
-                            for j, count in zip(members.tolist(), counts.tolist()) if count])
         at = self.cursor[members]
         ahead = np.minimum(counts, self.ahead.shape[1] - at)
         self.cursor[members] = at + ahead
@@ -388,7 +385,7 @@ class DrawSource:
                 parts.append(self.ahead[j, first:first + n_ahead])
             if n_beyond:
                 parts.append(self.bits[j].random_raw(n_beyond))
-        if (self.cursor == self.ahead.shape[1]).all():
+        if self.ahead.size and (self.cursor == self.ahead.shape[1]).all():
             # every member's read-ahead is spent: let the words go
             self.ahead, self.cursor[:] = self.ahead[:, :0].copy(), 0
         return _joined(parts)
@@ -400,24 +397,30 @@ class DrawSource:
     def blocks(self, site: str, members: np.ndarray, blocks: dict, coins=()) -> dict:
         """Each member's uniforms, block by block: ``blocks[name][i]`` of them for ``members[i]``.
 
-        A member draws each block in a call of its own, straight into that
-        block's array, so no word is held twice; its generator first steps
-        back over its unread words.  A block named in ``coins``
-        keeps only whether each uniform is below 1/2, which is whether its
-        word is below 2**63.  A member may come more than once, once for
-        each chunk of its photons.
+        A member's words go straight into each block's array, so no word is
+        held twice: its read-ahead words first, then the rest of each block
+        in a call of its own.  A block named in ``coins`` keeps only whether
+        each uniform is below 1/2, which is whether its word is below 2**63.
+        A member may come more than once, once for each chunk of its photons.
         """
-        self._unread(members)
         counts = np.column_stack(list(blocks.values())) if blocks else np.empty((len(members), 0))
         np.add.at(self.words[site], members, counts.sum(axis=1, dtype=np.int64))
         drawn = [np.empty(total, dtype=bool if name in coins else np.uint64)
                  for name, total in zip(blocks, counts.sum(axis=0).tolist())]
         ends = np.cumsum(counts, axis=0).tolist()
+        width = self.ahead.shape[1]
         for j, row, row_ends in zip(members.tolist(), counts.tolist(), ends):
-            bits = self.bits[j]
+            bits, at = self.bits[j], int(self.cursor[j])
             for name, words, count, end in zip(blocks, drawn, row, row_ends):
-                part = bits.random_raw(count)
-                words[end - count:end] = part < 1 << 63 if name in coins else part
+                ahead = min(count, width - at)
+                parts = [self.ahead[j, at:at + ahead]] if ahead else []
+                if count > ahead:
+                    parts.append(bits.random_raw(count - ahead))
+                at, start = at + ahead, end - count
+                for part in parts:
+                    words[start:start + len(part)] = part < 1 << 63 if name in coins else part
+                    start += len(part)
+            self.cursor[j] = at
         return {name: words if name in coins else _uniforms(words)
                 for name, words in zip(blocks, drawn)}
 

@@ -51,7 +51,7 @@ from .adversary import (
     PnsKind,
     guess_encoding_ops,
 )
-from .draws import DRAW_SITES, DrawSource
+from .draws import DRAW_SITES, DrawSource, session_generators
 from .hyperstate import Dof, SourceParams, correlation_error_probs, source_fidelity
 from .protocol import (
     DEPLETED_FORWARD,
@@ -486,8 +486,9 @@ def _pool(stats: RunStats, transcripts: Optional[TextIO], rc: RunConfig, master_
         counts = np.count_nonzero(encoded, axis=1)
         coined = counts.nonzero()[0]
         if len(coined):
-            # Eve's coin flips for the bits she cannot read: (flip, phase) per DOF of each pair
-            coins = DrawSource.seeded(master_seed, np.asarray(indices)[coined], 0xE7E)
+            # Eve's coin flips for the bits she cannot read: (flip, phase) per DOF of each
+            # pair, in one call, so her generators read no words ahead
+            coins = DrawSource(session_generators(master_seed, np.asarray(indices)[coined], 0xE7E))
             u = coins.uniforms("eve_coins", np.arange(len(coined)), 4 * counts[coined])
             # the encoded pairs' record words by index, in the row-major order of a mask
             records = group.eve_codes(group.eve_words(group.eve).reshape(2, -1)

@@ -689,20 +689,19 @@ def test_word_counts_advance_fresh_twins_to_each_generator(monkeypatch):
     # every generator of a hostile group, and Eve's coin generators, is a
     # fresh one advanced by the words its source counted for it
     made = []
-    seeded = DrawSource.seeded
+    init = DrawSource.__init__
 
-    def recorded(*args):
-        made.append((args, seeded(*args)))
-        return made[-1][1]
+    def recorded(source, bits):
+        init(source, bits)
+        made.append(source)
 
-    monkeypatch.setattr(DrawSource, "seeded", recorded)
+    monkeypatch.setattr(DrawSource, "__init__", recorded)
     rc = parse_run_config(config_with(**HOSTILE))
     stats = harness.RunStats()
     group = _run_group(rc, rc.seed, range(rc.sessions))
     _pool(stats, None, rc, rc.seed, range(rc.sessions), group)
-    (protocol_args, source), *eve_made = made
-    assert protocol_args == (rc.seed, range(rc.sessions)) and source is group.draws
-    assert len(eve_made) == 1
+    source, coins = made
+    assert source is group.draws
     words = group.draws.words
     assert all(words[site].sum() for site in DRAW_SITES if site != "eve_coins")
     handed = drawn_states(group.draws)
@@ -713,8 +712,12 @@ def test_word_counts_advance_fresh_twins_to_each_generator(monkeypatch):
         expected = twin.state  # ``advance`` empties the buffer: the source's goes in
         expected["has_uint32"], expected["uinteger"] = state["has_uint32"], state["uinteger"]
         assert state == expected
-    (seed, coined, *tail), coins = eve_made[0]
-    assert seed == rc.seed and tail == [0xE7E] and coins.words["eve_coins"].all()
+    # each coin generator is session k's with the tail 0xE7E, for some k in order
+    assert coins.words["eve_coins"].all()
+    eve_seeds = [bits.seed_seq.words.tolist()
+                 for bits in session_generators(rc.seed, range(rc.sessions), 0xE7E)]
+    coined = [eve_seeds.index(bits.seed_seq.words.tolist()) for bits in coins.bits]
+    assert coined == sorted(set(coined))
     for i, (k, state) in enumerate(zip(coined, drawn_states(coins))):
         twin = session_generators(rc.seed, [k], 0xE7E)[0]
         twin.advance(int(coins.words["eve_coins"][i]))
@@ -734,10 +737,10 @@ def test_draw_counts_reach_the_metrics_not_the_stats_file():
 
 
 class SpyBits:
-    """A bit generator that counts its ``random_raw`` calls, sized and unsized."""
+    """A bit generator that counts its sized and unsized ``random_raw`` calls and its steps back."""
 
     def __init__(self, bits):
-        self.bits, self.sized, self.unsized = bits, 0, 0
+        self.bits, self.sized, self.unsized, self.advanced = bits, 0, 0, 0
 
     def random_raw(self, size=None):
         if size is None:
@@ -747,6 +750,7 @@ class SpyBits:
         return self.bits.random_raw(size)
 
     def advance(self, delta):
+        self.advanced += 1
         return self.bits.advance(delta)
 
     @property
@@ -813,3 +817,32 @@ def test_each_member_makes_one_raw_call_per_site(monkeypatch, sessions, n_pairs)
                   for j, spy in enumerate(spies)]
     assert at_seeding == [1] * sessions
     assert sum(spy.unsized for spy in spies) == 0
+
+
+@pytest.mark.parametrize("pauli_p_pol", ["0.0", "0.05"])
+def test_transit_blocks_take_the_words_read_ahead(monkeypatch, pauli_p_pol):
+    # a lossy channel draws each transit's loss uniforms, then its blocks:
+    # none with loss alone, the polarization noise uniforms with Pauli
+    # noise.  Both take the words read at seeding first, so no generator is
+    # stepped back over its read-ahead
+    spies = []
+
+    def spied(*args):
+        spies.extend(SpyBits(bits) for bits in session_generators(*args))
+        return spies[-len(args[1]):]
+
+    blocks_calls = []
+    blocks = DrawSource.blocks
+
+    def counted(self, site, members, drawn, **kwargs):
+        blocks_calls.append(drawn)
+        return blocks(self, site, members, drawn, **kwargs)
+
+    monkeypatch.setattr(draws, "session_generators", spied)
+    monkeypatch.setattr(DrawSource, "blocks", counted)
+    rc = parse_run_config(config_with(sessions="20", n_pairs="16", loss_prob="0.1",
+                                      pauli_p_pol=pauli_p_pol, error_threshold="1.0"))
+    stats, _ = run(rc)
+    assert stats.draws["transit"] and blocks_calls
+    assert any(blocks_calls) == (pauli_p_pol != "0.0")
+    assert [spy.advanced for spy in spies] == [0] * 20
