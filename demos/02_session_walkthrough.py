@@ -1,10 +1,11 @@
 """One full session, narrated from the transcript.
 
-A session run alone is a group of one: its PCG64 bit generator, handed over once at
-``prepare_group`` in a ``DrawSource``, feeds every phase, the random message that
+A session run alone is a group of one: its PCG64 bit generator, handed over once to
+``SessionGroup`` in a ``DrawSource``, feeds every phase, the random message that
 ``encode_group`` writes included.  The phases only fill the group's arrays: the message
-is read back from ``group.sent``, and ``transcript_lines`` writes the session's events as
-JSONL text, which the demo reads back one ``json.loads`` per line.
+sent is read from ``group.sent``, Bob's readout is in ``group.bell``, and
+``transcript_lines`` writes the session's events as JSONL text, which the demo reads back
+one ``json.loads`` per line.
 """
 
 import json
@@ -14,10 +15,10 @@ import numpy as np
 from hyperqsdc import ChannelParams, ProtocolConfig, SourceParams
 from hyperqsdc.draws import DrawSource
 from hyperqsdc.protocol import (
+    SessionGroup,
     decode_group,
     encode_group,
     first_check_group,
-    prepare_group,
     transcript_lines,
     transmit_forward_group,
     transmit_return_group,
@@ -27,7 +28,7 @@ bits = np.random.PCG64(42)  # the bit generator of default_rng(42)
 cfg = ProtocolConfig(n_pairs=24, sample_fraction_first=0.2, sample_fraction_second=0.2)
 channel = ChannelParams()  # quiet line, no loss
 
-group = prepare_group(cfg, SourceParams(1.0, 0.0), DrawSource([bits]))
+group = SessionGroup(cfg.n_pairs, SourceParams(1.0, 0.0), DrawSource([bits]))
 transmit_forward_group(group, channel)
 first_check_group(group, cfg)
 encode_group(group, cfg)  # Alice draws a random message and writes it in

@@ -27,6 +27,7 @@ print(f"\nthe skew hides in Z checks and shows in X: spa X-basis error {spa_x:.3
 NOISY = """
 [run]
 sessions = 100
+seed = 11
 [protocol]
 sample_fraction_first = 0.43
 error_threshold = 1.0
@@ -36,7 +37,7 @@ pauli_p_spa = {p}
 """
 print("\npauli p   check error (expect 2p/3)")
 for p in (0.03, 0.06, 0.12, 0.3):
-    stats, _ = run(parse_run_config(NOISY.format(p=p)), 11)
+    stats = run(parse_run_config(NOISY.format(p=p)))
     rates = stats.first_check.rates()
     print(f"{p:7.2f}   pol {rates['error_rate_pol']:.4f}  spa {rates['error_rate_spa']:.4f}"
           f"   ({2 * p / 3:.4f})")

@@ -11,6 +11,7 @@ from hyperqsdc.harness import parse_run_config, run
 SCENARIO = """
 [run]
 sessions = 30
+seed = 9
 [protocol]
 n_pairs = 64
 [adversary]
@@ -25,7 +26,7 @@ pns_kind = {pns_kind}
 
 def caught(kind, filt="false", pns="false", pns_kind="ideal"):
     rc = parse_run_config(SCENARIO.format(kind=kind, filt=filt, pns=pns, pns_kind=pns_kind))
-    stats, _ = run(rc, 9)
+    stats = run(rc)
     total = stats.trojan_signals
     assert stats.accepted == 30, "probes alone never trip the quantum checks"
     assert stats.first_check.n_mismatched == 0

@@ -62,8 +62,8 @@ def _cmd_simulate(args) -> int:
         rc = replace(rc, seed=args.seed)  # checked like the file's [run] seed
     path = args.out + ".transcripts.jsonl"
     with open(path, "w", encoding="utf-8") if args.transcripts else contextlib.nullcontext() as fh:
-        stats, _ = run(rc, transcripts=fh)
-    _write(args.out, stats_text(rc, rc.seed, stats))
+        stats = run(rc, transcripts=fh)
+    _write(args.out, stats_text(rc, stats))
     if args.metrics:
         _write(args.metrics, metrics_text(stats))
     print(
@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run sessions from a config file")
     sim.add_argument("--config", required=True, help="INI config file path")
-    sim.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
+    sim.add_argument("--seed", type=int, default=None, help="seed (overrides [run] seed)")
     sim.add_argument("--out", required=True, help="stats JSON output path")
     sim.add_argument(
         "--transcripts",

@@ -1,10 +1,11 @@
 """Run orchestration: config files, seeded session batches, sweeps, reports.
 
 A run executes N independent sessions.  Session k draws its protocol from
-``numpy.random.default_rng([master_seed, k])`` and Eve's coin flips from
-``default_rng([master_seed, k, 0xE7E])``, the documented counter-based
-stream split: sessions can be distributed or reordered without changing
-any outcome, and a (config, seed) pair pins the whole run byte for byte.
+``numpy.random.default_rng([seed, k])`` and Eve's coin flips from
+``default_rng([seed, k, 0xE7E])``, where ``seed`` is ``RunConfig.seed``, the
+run's only seed: a documented counter-based stream split, so sessions can
+be distributed or reordered without changing any outcome, and a config
+pins the whole run byte for byte.
 ``run`` moves consecutive sessions through the phases in lockstep groups
 (``protocol.SessionGroup``), which changes nothing either: a group's one
 ``draws.DrawSource`` draws for each session from its own generators only,
@@ -15,10 +16,11 @@ sessions as it goes, and ``run_one_session`` runs one session as a group of
 one.
 
 The config file is INI text with sections mirroring the component
-configs; see ``EXAMPLE_CONFIG``.  Stats serialize as a JSON document with
-a fixed key order and no timing information, so identical (config, seed)
-runs produce identical bytes.  Wall time and the seconds per protocol
-phase live only on the in-memory stats object (``metrics_text``).
+configs; ``_FIELDS`` lists every key with its default.  Stats serialize as
+a JSON document with a fixed key order and no timing information, so runs
+of identical configs produce identical bytes.  Wall time and the seconds
+per protocol phase live only on the in-memory stats object
+(``metrics_text``).
 """
 
 from __future__ import annotations
@@ -66,7 +68,6 @@ from .protocol import (
     decode_group,
     encode_group,
     first_check_group,
-    prepare_group,
     transcript_lines,
     transmit_forward_group,
     transmit_return_group,
@@ -217,7 +218,7 @@ def _to_bool(raw: str) -> bool:
 
 
 def _to_int(raw) -> int:
-    """An integer, also when spelled integrally ('112.0'); never truncates."""
+    """An integer, also when spelled integrally ('112.0'); never truncates or rounds."""
     if isinstance(raw, (int, str)):
         try:
             return int(raw)
@@ -225,6 +226,11 @@ def _to_int(raw) -> int:
             pass
     value = float(raw)
     if not value.is_integer():
+        raise ValueError(raw)
+    from fractions import Fraction  # imported here, off the path of integer literals
+
+    # a spelling the float rounds, as '9007199254740993.0' is, names another integer
+    if Fraction(raw) != value:
         raise ValueError(raw)
     return int(value)
 
@@ -270,11 +276,11 @@ class _Field(NamedTuple):
 
 
 # The one schema: INI sections and keys, defaults, where each value lands in
-# RunConfig and how the stats file echoes it.  Row order is the order of
-# EXAMPLE_CONFIG and of the config echo.
+# RunConfig and how the stats file echoes it.  Row order is the order of the
+# config echo.
 _FIELDS = (
-    _Field("run", "sessions", _to_int, "100", "sessions"),
     _Field("run", "seed", _to_int, "0", "seed"),
+    _Field("run", "sessions", _to_int, "100", "sessions"),
     _Field("source", "r", float, "1.0", "source.r"),
     _Field("source", "phi", float, "0.0", "source.phi"),
     _Field("protocol", "n_pairs", _to_int, "112", "protocol.n_pairs"),
@@ -305,16 +311,6 @@ _COMPONENTS = {
     "eve": EveStrategy,
     "defense": DefenseConfig,
 }
-
-
-def _example_config() -> str:
-    blocks: dict = {}
-    for f in _FIELDS:
-        blocks.setdefault(f.section, [f"[{f.section}]"]).append(f"{f.key} = {f.default}")
-    return "\n\n".join("\n".join(lines) for lines in blocks.values()) + "\n"
-
-
-EXAMPLE_CONFIG = _example_config()
 
 
 def _parse(f: _Field, raw, where: str):
@@ -372,16 +368,15 @@ def load_run_config(path: str) -> RunConfig:
         return parse_run_config(fh.read())
 
 
-def config_document(rc: RunConfig, seed: int) -> dict:
+def config_document(rc: RunConfig) -> dict:
     """Normalized config echo embedded in stats files (fixed key order).
 
-    ``[run]`` fields sit at the top level, led by the run's effective seed.
+    ``[run]`` fields sit at the top level, led by the seed.
     """
-    doc = {"seed": seed}
+    doc: dict = {}
     for f in _FIELDS:
-        if f.path != "seed":
-            target = doc if f.section == "run" else doc.setdefault(f.section, {})
-            target[f.key] = f.echo(functools.reduce(getattr, f.path.split("."), rc))
+        target = doc if f.section == "run" else doc.setdefault(f.section, {})
+        target[f.key] = f.echo(functools.reduce(getattr, f.path.split("."), rc))
     return doc
 
 
@@ -407,13 +402,12 @@ class _Laps:
         self.last = now
 
 
-def _run_group(rc: RunConfig, master_seed: int, indices,
-               lap: Callable = lambda phase: None) -> SessionGroup:
+def _run_group(rc: RunConfig, indices, lap: Callable = lambda phase: None) -> SessionGroup:
     """Run sessions ``indices`` of a run in lockstep (see ``protocol.SessionGroup``).
 
     Returns the finished group.  ``lap(phase)`` is called as each phase ends.
     """
-    group = prepare_group(rc.protocol, rc.source, DrawSource.seeded(master_seed, indices))
+    group = SessionGroup(rc.protocol.n_pairs, rc.source, DrawSource.seeded(rc.seed, indices))
     lap("prepare")
     eve_fwd = rc.eve if rc.eve_passes in ("both", "forward") else None
     eve_ret = rc.eve if rc.eve_passes in ("both", "return") else None
@@ -430,12 +424,12 @@ def _run_group(rc: RunConfig, master_seed: int, indices,
     return group
 
 
-def run_one_session(rc: RunConfig, master_seed: int, index: int) -> SessionGroup:
+def run_one_session(rc: RunConfig, index: int) -> SessionGroup:
     """Execute session ``index`` of a run alone; returns its finished group of one.
 
     Raises ``BlockDepleted`` for a session that ran out of pairs.
     """
-    group = _run_group(rc, master_seed, [index])
+    group = _run_group(rc, [index])
     group.raise_if_depleted(0)
     return group
 
@@ -444,8 +438,8 @@ def run_one_session(rc: RunConfig, master_seed: int, index: int) -> SessionGroup
 _POPCOUNT = np.array([bin(value).count("1") for value in range(16)])
 
 
-def _pool(stats: RunStats, transcripts: Optional[TextIO], rc: RunConfig, master_seed: int,
-          indices, group: SessionGroup) -> None:
+def _pool(stats: RunStats, transcripts: Optional[TextIO], rc: RunConfig, indices,
+          group: SessionGroup) -> None:
     """Add the finished sessions ``indices`` of a run, one ``_run_group`` group, to its stats.
 
     A depleted session adds to the session, abort and depletion counts only.
@@ -475,12 +469,13 @@ def _pool(stats: RunStats, transcripts: Optional[TextIO], rc: RunConfig, master_
     stats.trojan_filtered += screens[SCREEN_FILTERED]
     stats.pns_alarms += screens[SCREEN_ALARMED]
     if n_accepted:
-        received = group.received[accepted]
-        back = received >= 0
+        # an accepted session's message pairs read back are its bits delivered
+        sent, received = group.sent[accepted], group.bell[accepted]
+        message = sent >= 0
+        back = message & (received >= 0)
         stats.message_bits_delivered += 4 * int(np.count_nonzero(back))
-        stats.message_pairs_encoded += int(np.count_nonzero(group.sent[accepted] >= 0))
-        wrong = _POPCOUNT[(received ^ group.sent[accepted])[back]]
-        stats.message_bits_wrong += int(wrong.sum())
+        stats.message_pairs_encoded += int(np.count_nonzero(message))
+        stats.message_bits_wrong += int(_POPCOUNT[(received ^ sent)[back]].sum())
     if rc.eve.kind is EveKind.INTERCEPT_RESEND:
         encoded = (group.ops >= 0) & kept[:, None]
         counts = np.count_nonzero(encoded, axis=1)
@@ -488,7 +483,7 @@ def _pool(stats: RunStats, transcripts: Optional[TextIO], rc: RunConfig, master_
         if len(coined):
             # Eve's coin flips for the bits she cannot read: (flip, phase) per DOF of each
             # pair, in one call, so her generators read no words ahead
-            coins = DrawSource(session_generators(master_seed, np.asarray(indices)[coined], 0xE7E))
+            coins = DrawSource(session_generators(rc.seed, np.asarray(indices)[coined], 0xE7E))
             u = coins.uniforms("eve_coins", np.arange(len(coined)), 4 * counts[coined])
             # the encoded pairs' record words by index, in the row-major order of a mask
             records = group.eve_codes(group.eve_words(group.eve).reshape(2, -1)
@@ -518,9 +513,8 @@ def _pool(stats: RunStats, transcripts: Optional[TextIO], rc: RunConfig, master_
 GROUP_ROWS = 16384
 
 
-def run(rc: RunConfig, master_seed: Optional[int] = None,
-        transcripts: Optional[TextIO] = None) -> tuple[RunStats, Optional[TextIO]]:
-    """Run all sessions; returns (stats, ``transcripts``).
+def run(rc: RunConfig, transcripts: Optional[TextIO] = None) -> RunStats:
+    """Run all sessions of ``rc``, seeded with ``rc.seed``; returns the pooled stats.
 
     Consecutive sessions go through the phases in lockstep groups of at most
     ``GROUP_ROWS`` rows; a session larger than that is a group of one.  The
@@ -530,7 +524,6 @@ def run(rc: RunConfig, master_seed: Optional[int] = None,
     group's sessions are written to it as JSON lines as the group is pooled,
     so a run that fails partway leaves the lines of the groups before.
     """
-    seed = rc.seed if master_seed is None else master_seed
     stats = RunStats()
     faults = _minor_faults()
     started = time.perf_counter()
@@ -539,18 +532,18 @@ def run(rc: RunConfig, master_seed: Optional[int] = None,
     for first in range(0, rc.sessions, per_group):
         indices = range(first, min(first + per_group, rc.sessions))
         # the finished group is dropped here, before the next one is built
-        _pool(stats, transcripts, rc, seed, indices, _run_group(rc, seed, indices, lap))
+        _pool(stats, transcripts, rc, indices, _run_group(rc, indices, lap))
         lap("pooling")
         stats.groups += 1
     stats.wall_time = time.perf_counter() - started
     if faults is not None:
         stats.minor_faults = _minor_faults() - faults
-    return stats, transcripts
+    return stats
 
 
-def stats_text(rc: RunConfig, seed: int, stats: RunStats) -> str:
+def stats_text(rc: RunConfig, stats: RunStats) -> str:
     """The byte-stable stats document (config echo + pooled results)."""
-    doc = {"config": config_document(rc, seed), "results": stats.to_document()}
+    doc = {"config": config_document(rc), "results": stats.to_document()}
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -626,7 +619,7 @@ SWEEP_COLUMNS = ("axis", "value", *(column for column, _ in _SWEEP_CELLS))
 
 
 def attack_sweep(rc: RunConfig, axis: str, values: list) -> list[tuple]:
-    """One run per axis value (same master seed each); returns (value, stats) rows.
+    """One run per axis value (same seed each); returns (value, stats) rows.
 
     Values may be raw strings: the axis field's parser converts them, and each
     row carries its value as the stats file's config echo spells it.
@@ -640,8 +633,7 @@ def attack_sweep(rc: RunConfig, axis: str, values: list) -> list[tuple]:
         point = rc
         for f in fields:
             point = _with(point, f.path, value)
-        stats, _ = run(point)
-        rows.append((fields[0].echo(value), stats))
+        rows.append((fields[0].echo(value), run(point)))
     return rows
 
 

@@ -197,7 +197,7 @@ def _merge_equal_rows(table: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 
 class SessionGroup:
-    """Sessions that go through every phase together; create it with ``prepare_group``.
+    """Sessions that go through every phase together, one per generator of ``draws``.
 
     Every member has ``n_pairs`` pairs, so each per-pair quantity is one
     ``(members, n_pairs)`` array: entry (j, k) is pair k of member j, at
@@ -220,9 +220,10 @@ class SessionGroup:
       X-basis read of pol and 32 of spa; -1 elsewhere.
     - ``second``: the hidden second-check sample.
     - ``sent``: the 4-bit chunk value written to each message pair, -1 on
-      every other pair; ``received``: the value Bob read back from it, on
-      the pairs of accepted sessions only.
-    - ``bell``: the Bell label 4 * pol + spa read from each returned pair, -1 elsewhere.
+      every other pair.
+    - ``bell``: the Bell label 4 * pol + spa read from each returned pair,
+      -1 elsewhere.  On a message pair it is the chunk value Bob read back,
+      which an accepted session releases.
 
     Per member: ``phases`` (index into ``tuple(Phase)``), ``depleted`` (0, or
     ``DEPLETED_FORWARD`` or ``DEPLETED_RETURN`` for a session that ran out of
@@ -230,7 +231,8 @@ class SessionGroup:
     (checked, pol errors, spa errors, mismatched samples) and ``failed[j, c]``
     of check c (0 first, 1 second; a check that never ran checked 0).
     ``draws`` (a ``draws.DrawSource``) makes every random draw of the
-    members, and ``source`` is the pair source that filled the block.
+    members, and ``source`` is the pair source whose state fills every row
+    of the block.
 
     Each phase acts on the members that are in the phase it starts from.  It
     first takes its draws from ``draws``.  Then it maps each acting pair's
@@ -246,13 +248,13 @@ class SessionGroup:
     ``transcript_lines`` writes every transcript from them.
     """
 
-    def __init__(self, n_pairs: int, draws, source: Optional[SourceParams] = None):
+    def __init__(self, n_pairs: int, source: SourceParams, draws):
         m, n = len(draws.bits), n_pairs
         self.n_pairs = n
         self.source = source
         self.bounds = np.arange(0, (m + 1) * n, n)  # each member's first block row, then the end
         self.draws = draws
-        self.table = np.empty((1, DIM), dtype=complex)
+        self.table = np.array([source.amplitudes], dtype=complex)
         self.index = np.zeros(m * n, dtype=np.intp)
         self.fates = np.zeros((m, n), dtype=np.int8)
         self.ops = np.full((m, n), -1, dtype=np.int8)
@@ -260,7 +262,7 @@ class SessionGroup:
         self.screens = np.zeros((2, m, n), dtype=np.int8)
         self.first_reads = np.full((m, n), -1, dtype=np.int8)
         self.second = np.zeros((m, n), dtype=bool)
-        self.sent, self.received, self.bell = np.full((3, m, n), -1, dtype=np.int8)
+        self.sent, self.bell = np.full((2, m, n), -1, dtype=np.int8)
         self.phases, self.depleted = np.zeros((2, m), dtype=np.int8)  # all PREPARED, none depleted
         self.counts = np.zeros((m, 2, 4), dtype=np.intp)
         self.failed = np.zeros((m, 2), dtype=bool)
@@ -302,13 +304,6 @@ class SessionGroup:
             )
         if self.depleted[j] == DEPLETED_RETURN:
             raise BlockDepleted("no second-check samples survived the return transit")
-
-
-def prepare_group(cfg: ProtocolConfig, source: SourceParams, draws) -> SessionGroup:
-    """One session per generator of ``draws``; Bob's source fills every row of the shared block."""
-    group = SessionGroup(cfg.n_pairs, draws, source)
-    group.table[0] = source.amplitudes
-    return group
 
 
 def _candidates(group: SessionGroup, acting: Optional[np.ndarray] = None) -> tuple:
@@ -665,12 +660,6 @@ def decode_group(group: SessionGroup, cfg: ProtocolConfig) -> None:
     lost_sample = [j for j in members if not checked[j]]
     if lost_sample:
         group._deplete(lost_sample, DEPLETED_RETURN)
-    n = group.n_pairs
-    if any(checked[j] and not failed[j] for j in members):
-        # a passing block releases its message: each Bell label read back is
-        # the code of the op that made it, which is the chunk's value
-        kept = group.in_phase(Phase.ACCEPTED)[rows // n] & (group.sent.reshape(-1)[rows] >= 0)
-        group.received.reshape(-1)[rows[kept]] = labels[kept]
 
 
 # ---------------------------------------------------------------------------
@@ -804,8 +793,8 @@ def transcript_lines(group: SessionGroup, members, sessions) -> str:
             if phase is not Phase.SA_IN_FLIGHT_2:
                 lines += (lead, back[i])
         if read_samples[i] != "[]":
-            received = group.received[j]
-            text = f'"{_bits_text(received[received >= 0])}"' if phase is Phase.ACCEPTED else "null"
+            received = group.bell[j][message[j] & read[j]]
+            text = f'"{_bits_text(received)}"' if phase is Phase.ACCEPTED else "null"
             lines.append(
                 f'{lead}"second_check", "phase": "SecondCheck", "to_phase": "{phase.value}", '
                 f'"positions": {read_positions[i]}, "bell_pol": {bell_pol[i]}, '

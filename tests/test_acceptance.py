@@ -53,6 +53,7 @@ def criterion(number: int, title: str, budget_s: float):
 BASE_CONFIG = """
 [run]
 sessions = {sessions}
+seed = {seed}
 [protocol]
 n_pairs = {n_pairs}
 sample_fraction_first = {f1}
@@ -62,10 +63,11 @@ error_threshold = {threshold}
 """
 
 
-def make_config(sessions=100, n_pairs=112, f1=0.05, f2=0.05, threshold=0.05, extra=""):
+def make_config(seed, sessions=100, n_pairs=112, f1=0.05, f2=0.05, threshold=0.05, extra=""):
     return parse_run_config(
         BASE_CONFIG.format(
-            sessions=sessions, n_pairs=n_pairs, f1=f1, f2=f2, threshold=threshold, extra=extra
+            sessions=sessions, seed=seed, n_pairs=n_pairs, f1=f1, f2=f2, threshold=threshold,
+            extra=extra,
         )
     )
 
@@ -91,7 +93,7 @@ def test_criterion_2_dense_coding_bijection():
 
 def test_criterion_3_ideal_end_to_end():
     with criterion(3, "100 clean sessions deliver 400-bit messages at 2 bits/transit", 10.0):
-        stats, _ = run(make_config(sessions=100), 2026)
+        stats = run(make_config(2026, sessions=100))
         assert stats.accepted == 100 and stats.aborted == 0
         assert stats.message_bits_delivered == 100 * 400
         assert stats.message_bits_wrong == 0
@@ -104,17 +106,19 @@ _BIG = dict(sessions=1, n_pairs=100004, f1=0.99997, f2=0.00001, threshold=1.0)
 
 def test_criterion_4_intercept_resend_detection():
     with criterion(4, "intercept-resend hit rates: 7/16 both DOFs, 1/4 one DOF", 30.0):
-        both = make_config(**_BIG, extra="[adversary]\nkind = intercept_resend\npasses = forward\n")
-        stats, _ = run(both, 41)
+        both = make_config(41, **_BIG,
+                           extra="[adversary]\nkind = intercept_resend\npasses = forward\n")
+        stats = run(both)
         rates = stats.first_check.rates()
         assert rates["n_checked"] >= 100000
         assert math.isclose(rates["detection_rate"], 7 / 16, abs_tol=0.005)
 
         one = make_config(
+            43,
             **_BIG,
             extra="[adversary]\nkind = intercept_resend\ndofs = pol\npasses = forward\n",
         )
-        stats, _ = run(one, 43)
+        stats = run(one)
         rates = stats.first_check.rates()
         assert rates["n_checked"] >= 100000
         assert math.isclose(rates["error_rate_pol"], 1 / 4, abs_tol=0.005)
@@ -137,8 +141,8 @@ def test_criterion_5_source_model():
 
 def test_criterion_6_channel_calibration():
     with criterion(6, "pauli_p 0.06 per DOF shows up as 0.04 check error", 30.0):
-        rc = make_config(**_BIG, extra="[channel]\npauli_p_pol = 0.06\npauli_p_spa = 0.06\n")
-        stats, _ = run(rc, 61)
+        rc = make_config(61, **_BIG, extra="[channel]\npauli_p_pol = 0.06\npauli_p_spa = 0.06\n")
+        stats = run(rc)
         rates = stats.first_check.rates()
         assert rates["n_checked"] >= 100000
         assert math.isclose(rates["error_rate_pol"], 0.04, abs_tol=0.004)
@@ -166,8 +170,9 @@ def test_criterion_7_trojan_defenses():
 
         # with defenses off the probes ride along without touching the quantum state
         for kind in ("trojan_multiphoton", "trojan_invisible", "trojan_delay"):
-            rc = make_config(sessions=25, extra=f"[adversary]\nkind = {kind}\npasses = forward\n")
-            stats, _ = run(rc, 71)
+            rc = make_config(71, sessions=25,
+                             extra=f"[adversary]\nkind = {kind}\npasses = forward\n")
+            stats = run(rc)
             assert stats.trojan_signals == 25 * 112
             assert stats.accepted == 25
             first, second = stats.first_check, stats.second_check
@@ -180,6 +185,7 @@ def test_criterion_8_determinism(tmp_path):
     with criterion(8, "identical config and seed give byte-identical stats files", 10.0):
         # noisy lossy attacked run with defenses on, so every RNG path is live
         rc = make_config(
+            88,
             sessions=25,
             threshold=1.0,
             extra=(
@@ -190,9 +196,8 @@ def test_criterion_8_determinism(tmp_path):
         )
         paths = []
         for name in ("a.json", "b.json"):
-            stats, _ = run(rc, 88)
             path = tmp_path / name
-            path.write_text(stats_text(rc, 88, stats))
+            path.write_text(stats_text(rc, run(rc)))
             paths.append(path)
         first, second = (p.read_bytes() for p in paths)
         assert first == second

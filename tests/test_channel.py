@@ -32,6 +32,7 @@ from hyperqsdc.hyperstate import (
     PAULIS,
     Dof,
     Photon,
+    SourceParams,
     measure_table,
 )
 from hyperqsdc.protocol import (
@@ -70,7 +71,7 @@ def transit(n, params, eve, rng, defense=NO_DEFENSE, states=None):
     measured nothing).
     """
     drawn = draw_transit(n, params, eve, defense, copy.deepcopy(rng))
-    group = SessionGroup(n, DrawSource([rng.bit_generator]))
+    group = SessionGroup(n, SourceParams(1.0, 0.0), DrawSource([rng.bit_generator]))
     if states is None:
         group.table[0] = BELL_BASIS[0]
     else:
@@ -263,7 +264,7 @@ class TestEveRecordWords:
         table = random_table(rng, 6)
         index = rng.integers(len(table), size=n or 4)
         drawn = draw_transit(n, params, eve, NO_DEFENSE, copy.deepcopy(rng))
-        group = SessionGroup(n or 4, DrawSource([rng.bit_generator]))
+        group = SessionGroup(n or 4, SourceParams(1.0, 0.0), DrawSource([rng.bit_generator]))
         group.table, group.index = table.copy(), index.copy()
         if not n:
             group.fates[:] = FATES.index(PairFate.CONSUMED_CHECK)

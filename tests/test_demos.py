@@ -5,7 +5,7 @@ one, and whole runs end to end.  Demos 01, 02 and 05 assert their own
 headline results; 03 and 04 only print tables.  Each demo's stdout is
 pinned as a sha256 digest, so a change of draw order, of the generator a
 demo hands in (demo 02 draws its message from the generator it gave
-``prepare_group``), or of any printed number shows.
+``SessionGroup``), or of any printed number shows.
 """
 
 from __future__ import annotations

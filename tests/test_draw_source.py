@@ -48,10 +48,10 @@ from hyperqsdc.protocol import (
     PairFate,
     Phase,
     ProtocolConfig,
+    SessionGroup,
     decode_group,
     encode_group,
     first_check_group,
-    prepare_group,
     transit_draws,
     transmit_forward_group,
     transmit_return_group,
@@ -637,8 +637,8 @@ def test_phases_draw_in_the_order_of_the_session_run_alone(short):
     rngs = [np.random.default_rng([7, j]) for j in range(4)]
     rngs[2].integers(3)  # leave a buffered uint32 in one generator
     twins = copy.deepcopy(rngs)
-    group = prepare_group(cfg, SourceParams(1.0, 0.0),
-                          DrawSource([rng.bit_generator for rng in rngs]))
+    group = SessionGroup(cfg.n_pairs, SourceParams(1.0, 0.0),
+                         DrawSource([rng.bit_generator for rng in rngs]))
     lost = np.zeros(group.fates.shape, dtype=bool)
     if short:
         lost[1, ::3] = lost[3, 5:30] = True
@@ -698,8 +698,8 @@ def test_word_counts_advance_fresh_twins_to_each_generator(monkeypatch):
     monkeypatch.setattr(DrawSource, "__init__", recorded)
     rc = parse_run_config(config_with(**HOSTILE))
     stats = harness.RunStats()
-    group = _run_group(rc, rc.seed, range(rc.sessions))
-    _pool(stats, None, rc, rc.seed, range(rc.sessions), group)
+    group = _run_group(rc, range(rc.sessions))
+    _pool(stats, None, rc, range(rc.sessions), group)
     source, coins = made
     assert source is group.draws
     words = group.draws.words
@@ -728,12 +728,12 @@ def test_word_counts_advance_fresh_twins_to_each_generator(monkeypatch):
 
 def test_draw_counts_reach_the_metrics_not_the_stats_file():
     rc = parse_run_config(config_with(**HOSTILE))
-    stats, _ = run(rc)
+    stats = run(rc)
     assert json.loads(metrics_text(stats))["draws"] == stats.draws
     assert all(stats.draws.values())
-    text = stats_text(rc, rc.seed, stats)
+    text = stats_text(rc, stats)
     stats.draws = dict.fromkeys(DRAW_SITES, 0)
-    assert stats_text(rc, rc.seed, stats) == text
+    assert stats_text(rc, stats) == text
 
 
 class SpyBits:
@@ -808,7 +808,7 @@ def test_each_member_makes_one_raw_call_per_site(monkeypatch, sessions, n_pairs)
     for name in ("uniforms", "integers", "sample", "blocks"):
         monkeypatch.setattr(DrawSource, name, counted(name))
     rc = parse_run_config(config_with(sessions=str(sessions), n_pairs=str(n_pairs)))
-    stats, _ = run(rc)
+    stats = run(rc)
     assert stats.accepted == sessions and built == []
     assert per_site == {site: [calls] * sessions
                         for site, calls in RAW_CALLS[sessions, n_pairs].items()}
@@ -842,7 +842,7 @@ def test_transit_blocks_take_the_words_read_ahead(monkeypatch, pauli_p_pol):
     monkeypatch.setattr(DrawSource, "blocks", counted)
     rc = parse_run_config(config_with(sessions="20", n_pairs="16", loss_prob="0.1",
                                       pauli_p_pol=pauli_p_pol, error_threshold="1.0"))
-    stats, _ = run(rc)
+    stats = run(rc)
     assert stats.draws["transit"] and blocks_calls
     assert any(blocks_calls) == (pauli_p_pol != "0.0")
     assert [spy.advanced for spy in spies] == [0] * 20

@@ -23,8 +23,8 @@ from hyperqsdc.adversary import BasisPolicy, EveKind, PnsKind
 from hyperqsdc.cli import build_parser, main
 from hyperqsdc.draws import DrawSource, session_generators
 from hyperqsdc.harness import (
+    _FIELDS,
     ABORT_REASONS,
-    EXAMPLE_CONFIG,
     GROUP_ROWS,
     PHASES,
     SWEEP_AXES,
@@ -45,10 +45,10 @@ from hyperqsdc.protocol import (
     DEPLETED_FORWARD,
     DEPLETED_RETURN,
     ConfigError,
+    SessionGroup,
     decode_group,
     encode_group,
     first_check_group,
-    prepare_group,
     transmit_forward_group,
     transmit_return_group,
 )
@@ -57,19 +57,18 @@ from oracles import source_fidelity_formula
 
 
 def config_with(**overrides) -> str:
-    """EXAMPLE_CONFIG with `key = value` lines swapped in by key name."""
-    lines = []
-    for line in EXAMPLE_CONFIG.splitlines():
-        key = line.split("=")[0].strip()
-        if key in overrides:
-            line = f"{key} = {overrides.pop(key)}"
-        lines.append(line)
-    assert not overrides, f"keys not found in example config: {sorted(overrides)}"
-    return "\n".join(lines) + "\n"
+    """INI text that sets every config key, to its default or to its value in ``overrides``."""
+    sections: dict = {}
+    for f in _FIELDS:
+        sections.setdefault(f.section, []).append(f"{f.key} = {overrides.pop(f.key, f.default)}")
+    assert not overrides, f"unknown config keys: {sorted(overrides)}"
+    return "".join(f"[{section}]\n" + "".join(f"{line}\n" for line in lines)
+                   for section, lines in sections.items())
 
 
 # every INI key set away from its default
 FULL_CONFIG = dict(
+    seed="5",
     sessions="7",
     r="0.5",
     phi="0.25",
@@ -100,11 +99,9 @@ class TestConfigParsing:
         assert rc.eve.dof_mask == frozenset({Dof.POL, Dof.SPA})
         assert not rc.defense.filter_enabled and not rc.defense.pns_enabled
 
-    def test_example_config_parses_to_defaults(self):
-        assert parse_run_config(EXAMPLE_CONFIG) == parse_run_config("")
-
     def test_full_round_trip(self):
         rc = parse_run_config(config_with(**FULL_CONFIG))
+        assert rc.seed == 5
         assert rc.sessions == 7
         assert rc.source.r == 0.5 and rc.source.phi == 0.25
         assert rc.protocol.n_pairs == 40
@@ -121,7 +118,7 @@ class TestConfigParsing:
 
     def test_config_echo_is_pinned(self):
         rc = parse_run_config(config_with(**FULL_CONFIG))
-        echo = json.loads(stats_text(rc, 5, RunStats()))["config"]
+        echo = json.loads(stats_text(rc, RunStats()))["config"]
         expected = {
             "seed": 5,
             "sessions": 7,
@@ -169,6 +166,8 @@ class TestConfigParsing:
         [
             ("run", "sessions", "many", "sessions"),
             ("run", "seed", "-1", "seed"),
+            # a float's spelling of an integer it cannot hold: it rounds to 2**53
+            ("run", "seed", "9007199254740993.0", "seed"),
             ("source", "r", "one", "r"),
             ("channel", "loss_prob", "1.5", "loss"),
             ("protocol", "n_pairs", "112.7", "n_pairs"),
@@ -272,7 +271,7 @@ class TestSessionGenerators:
     def test_run_one_session_beyond_32_bits_raises(self):
         rc = parse_run_config(config_with(sessions="1", n_pairs="16"))
         with pytest.raises(ValueError, match="2\\*\\*32"):
-            run_one_session(rc, 0, 2**32)
+            run_one_session(rc, 2**32)
 
     @pytest.mark.parametrize("seed, tail", [(-1, ()), (-(2**40), ()), (3, (-1,)), (3, (0xE7E, -5))],
                              ids=["seed_-1", "seed_-2**40", "tail_-1", "second_tail_-5"])
@@ -284,47 +283,36 @@ class TestSessionGenerators:
             with pytest.raises(ValueError, match="non-negative"):
                 session_generators(seed, indices, *tail)
 
-    def test_run_with_a_negative_master_seed_raises(self):
-        rc = parse_run_config(config_with(sessions="2", n_pairs="16"))
-        with pytest.raises(ValueError, match="non-negative"):
-            run(rc, master_seed=-1)
-        with pytest.raises(ValueError, match="non-negative"):
-            run_one_session(rc, -5, 0)
-
 
 class TestDeterminism:
     def test_same_config_and_seed_byte_identical(self):
-        rc = parse_run_config(config_with(sessions="30", n_pairs="48"))
-        a, _ = run(rc, 42)
-        b, _ = run(rc, 42)
-        assert stats_text(rc, 42, a) == stats_text(rc, 42, b)
+        rc = parse_run_config(config_with(sessions="30", n_pairs="48", seed="42"))
+        assert stats_text(rc, run(rc)) == stats_text(rc, run(rc))
 
     def test_transcripts_reproduce_too(self):
-        rc = parse_run_config(config_with(sessions="5", n_pairs="32", loss_prob="0.1"))
+        rc = parse_run_config(config_with(sessions="5", n_pairs="32", loss_prob="0.1", seed="9"))
         ta, tb = io.StringIO(), io.StringIO()
-        run(rc, 9, ta)
-        run(rc, 9, tb)
+        run(rc, ta)
+        run(rc, tb)
         assert ta.getvalue() == tb.getvalue()
         assert {json.loads(line)["session"] for line in ta.getvalue().splitlines()} == set(range(5))
 
     def test_different_seed_differs(self):
-        rc = parse_run_config(config_with(sessions="5", kind="intercept_resend"))
-        a, _ = run(rc, 1)
-        b, _ = run(rc, 2)
-        assert stats_text(rc, 1, a) != stats_text(rc, 2, b)
+        one, two = (parse_run_config(config_with(sessions="5", kind="intercept_resend", seed=seed))
+                    for seed in ("1", "2"))
+        assert stats_text(one, run(one)) != stats_text(two, run(two))
 
     def test_wall_time_never_serialized(self):
         rc = parse_run_config(config_with(sessions="3", n_pairs="16"))
-        stats, _ = run(rc, 0)
+        stats = run(rc)
         assert stats.wall_time > 0
-        assert "wall_time" not in stats_text(rc, 0, stats)
+        assert "wall_time" not in stats_text(rc, stats)
 
 
 class TestIdealRunStats:
     def test_clean_run_is_perfect(self):
-        rc = parse_run_config(config_with(sessions="50"))
-        stats, _ = run(rc, 13)
-        doc = json.loads(stats_text(rc, 13, stats))["results"]
+        rc = parse_run_config(config_with(sessions="50", seed="13"))
+        doc = json.loads(stats_text(rc, run(rc)))["results"]
         assert doc["accepted"] == 50 and doc["aborted"] == 0
         assert doc["first_check"]["detection_rate"] == 0.0
         assert doc["second_check"]["detection_rate"] == 0.0
@@ -335,31 +323,31 @@ class TestIdealRunStats:
     def test_capacity_accounting(self):
         # 112 pairs at 5% sampling: 6 + 6 consumed, 100 message pairs, 400 bits
         rc = parse_run_config(config_with(sessions="4"))
-        stats, _ = run(rc, 0)
+        stats = run(rc)
         assert stats.first_check.n_checked == 4 * 6
         assert stats.second_check.n_checked == 4 * 6
         assert stats.message_bits_delivered == 4 * 400
         assert stats.message_pairs_encoded == 4 * 100
 
     def test_depleted_blocks_count_as_aborted(self):
-        rc = parse_run_config(config_with(sessions="6", n_pairs="4", loss_prob="0.95"))
-        stats, _ = run(rc, 2)
+        rc = parse_run_config(config_with(sessions="6", n_pairs="4", loss_prob="0.95", seed="2"))
+        stats = run(rc)
         assert stats.sessions == 6
         assert stats.depleted >= 1
         assert stats.aborted >= stats.depleted
 
     def test_return_loss_lowers_bits_per_transit(self):
-        rc = parse_run_config(config_with(sessions="30", loss_prob="0.15"))
-        stats, _ = run(rc, 8)
+        rc = parse_run_config(config_with(sessions="30", loss_prob="0.15", seed="8"))
+        stats = run(rc)
         assert stats.lost_forward > 0 and stats.lost_return > 0
         assert stats.bits_per_photon_transit < 2.0
         assert stats.message_bit_error_rate == 0.0
 
 
-def abort_reason_alone(rc, seed: int, k: int):
+def abort_reason_alone(rc, k: int):
     """Why session k of a run ends, driven phase by phase as a group of one; None if accepted."""
     cfg = rc.protocol
-    group = prepare_group(cfg, rc.source, DrawSource([np.random.PCG64([seed, k])]))
+    group = SessionGroup(cfg.n_pairs, rc.source, DrawSource([np.random.PCG64([rc.seed, k])]))
     eve = rc.eve if rc.eve_passes in ("both", "forward") else None
     transmit_forward_group(group, rc.channel, eve=eve, defense=rc.defense)
     first_check_group(group, cfg)
@@ -390,12 +378,12 @@ class TestAbortReasons:
         seen = dict.fromkeys(ABORT_REASONS, 0)
         for overrides in self.CONFIGS:
             rc = parse_run_config(config_with(**overrides))
-            stats, _ = run(rc)
+            stats = run(rc)
             reasons = stats.abort_reasons
             assert tuple(reasons) == ABORT_REASONS
             assert sum(reasons.values()) == stats.aborted
             assert reasons["depleted_forward"] + reasons["depleted_return"] == stats.depleted
-            alone = [abort_reason_alone(rc, rc.seed, k) for k in range(rc.sessions)]
+            alone = [abort_reason_alone(rc, k) for k in range(rc.sessions)]
             assert reasons == {reason: alone.count(reason) for reason in ABORT_REASONS}
             for reason, count in reasons.items():
                 seen[reason] += count
@@ -403,30 +391,31 @@ class TestAbortReasons:
 
     def test_reasons_stay_out_of_the_stats_file(self):
         rc = parse_run_config(config_with(**self.CONFIGS[0]))
-        stats, _ = run(rc)
-        text = stats_text(rc, rc.seed, stats)
+        stats = run(rc)
+        text = stats_text(rc, stats)
         assert not any(reason in text for reason in ABORT_REASONS)
         stats.abort_reasons = dict.fromkeys(ABORT_REASONS, 0)
-        assert stats_text(rc, rc.seed, stats) == text
+        assert stats_text(rc, stats) == text
 
 
 class TestAdversaryRuns:
     def test_both_pass_guess_accuracy(self):
         # lenient threshold keeps sessions alive; accuracy pools to ~9/64
         rc = parse_run_config(
-            config_with(sessions="400", kind="intercept_resend", error_threshold="1.0")
+            config_with(sessions="400", kind="intercept_resend", error_threshold="1.0", seed="21")
         )
-        stats, _ = run(rc, 21)
+        stats = run(rc)
         assert stats.eve_guesses >= 40000
         assert math.isclose(stats.eve_bell_guess_accuracy, 9 / 64, abs_tol=0.01)
 
     def test_return_only_interception(self):
         rc = parse_run_config(
             config_with(
-                sessions="200", kind="intercept_resend", passes="return", error_threshold="1.0"
+                sessions="200", kind="intercept_resend", passes="return", error_threshold="1.0",
+                seed="33",
             )
         )
-        stats, _ = run(rc, 33)
+        stats = run(rc)
         assert stats.first_check.rates()["detection_rate"] == 0.0
         assert math.isclose(stats.second_check.rates()["detection_rate"], 0.75, abs_tol=0.03)
         # Eve saw each pair once, so her op guesses are blind
@@ -437,9 +426,9 @@ class TestAdversaryRuns:
         # threshold is astronomically small when the hit rate is 7/16
         rc = parse_run_config(
             config_with(sessions="100", kind="intercept_resend", n_pairs="250",
-                        sample_fraction_first="0.8")
+                        sample_fraction_first="0.8", seed="5")
         )
-        stats, _ = run(rc, 5)
+        stats = run(rc)
         assert stats.first_check.n_checked == 100 * 200
         assert stats.aborted >= 99
 
@@ -449,13 +438,13 @@ class TestAdversaryRuns:
         sessions = 3000
         rc = parse_run_config(
             config_with(sessions=str(sessions), n_pairs="12", sample_fraction_first="0.84",
-                        error_threshold="0.0", kind="intercept_resend")
+                        error_threshold="0.0", kind="intercept_resend", seed="55")
         )
         # the sessions run in the lockstep groups that run() uses
         per_group = GROUP_ROWS // rc.protocol.n_pairs
         survived = 0
         for first in range(0, sessions, per_group):
-            group = _run_group(rc, 55, range(first, min(first + per_group, sessions)))
+            group = _run_group(rc, range(first, min(first + per_group, sessions)))
             assert not group.depleted.any()
             assert (group.counts[:, 0, 0] == 10).all()
             survived += np.count_nonzero(~group.failed[:, 0])
@@ -467,18 +456,18 @@ class TestAdversaryRuns:
         # comparison sees the same 1/2 per-DOF mismatch as a return attack
         rc = parse_run_config(
             config_with(sessions="200", kind="intercept_resend", passes="forward",
-                        error_threshold="1.0")
+                        error_threshold="1.0", seed="17")
         )
-        stats, _ = run(rc, 17)
+        stats = run(rc)
         assert math.isclose(stats.first_check.rates()["detection_rate"], 7 / 16, abs_tol=0.03)
         assert math.isclose(stats.second_check.rates()["detection_rate"], 3 / 4, abs_tol=0.03)
 
     def test_trojan_probes_filtered_without_aborts(self):
         rc = parse_run_config(
             config_with(sessions="20", kind="trojan_invisible", passes="forward",
-                        filter_enabled="true")
+                        filter_enabled="true", seed="4")
         )
-        stats, _ = run(rc, 4)
+        stats = run(rc)
         assert stats.trojan_signals == 20 * 112
         assert stats.trojan_filtered == stats.trojan_signals
         assert stats.accepted == 20
@@ -486,17 +475,17 @@ class TestAdversaryRuns:
 
     def test_multiphoton_pns_alarm_rates(self):
         base = config_with(sessions="20", kind="trojan_multiphoton", passes="forward",
-                           pns_enabled="true")
-        ideal, _ = run(parse_run_config(base), 6)
+                           pns_enabled="true", seed="6")
+        ideal = run(parse_run_config(base))
         assert ideal.pns_alarms == ideal.trojan_signals == 20 * 112
-        bs, _ = run(parse_run_config(base.replace("pns_kind = ideal",
-                                                  "pns_kind = beamsplitter5050")), 6)
+        bs = run(parse_run_config(base.replace("pns_kind = ideal", "pns_kind = beamsplitter5050")))
         # two-photon probes beat a 50/50 splitter half the time
         assert math.isclose(bs.pns_alarms / bs.trojan_signals, 0.5, abs_tol=0.03)
 
     def test_defenses_off_never_flag_anything(self):
-        rc = parse_run_config(config_with(sessions="10", kind="trojan_delay", passes="forward"))
-        stats, _ = run(rc, 1)
+        rc = parse_run_config(config_with(sessions="10", kind="trojan_delay", passes="forward",
+                                          seed="1"))
+        stats = run(rc)
         assert stats.trojan_signals == 10 * 112
         assert stats.trojan_filtered == 0 and stats.pns_alarms == 0
         assert stats.accepted == 10

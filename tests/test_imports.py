@@ -10,10 +10,10 @@ The import guard keeps the draw module, which makes numbers from raw generator
 words, free of every other module of the package: it imports only numpy
 and the standard library.
 
-The usage guard fails on a public module-level function or class, or a
-public method or property of a module-level class, that no module of the
-package, no demo and not the acceptance suite names: code that only the
-other tests keep alive.  The unread-import guard fails on a name that a
+The usage guard fails on a public module-level function, class or
+assigned name, or a public method or property of a module-level class,
+that no module of the package, no demo and not the acceptance suite
+names: code that only the other tests keep alive.  The unread-import guard fails on a name that a
 module of the package other than ``__init__``, a demo or a test imports
 and never reads.  The last test keeps ``numpy.random`` out of the import
 of the command-line module.
@@ -110,12 +110,16 @@ def test_the_import_guard_sees_every_form():
 
 
 def public_definitions(source: str) -> set:
-    """The public functions and classes that ``source`` defines at module level, and the
-    public methods and properties of its classes as ``Class.name``."""
+    """The public functions, classes and assigned names that ``source`` defines at module
+    level, and the public methods and properties of its classes as ``Class.name``."""
     found = set()
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not _private(node.name):
             found.add(node.name)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.update(name.id for target in targets for name in ast.walk(target)
+                         if isinstance(name, ast.Name) and not name.id.startswith("_"))
         if isinstance(node, ast.ClassDef):
             found.update(f"{node.name}.{item.name}" for item in node.body
                          if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
@@ -126,7 +130,7 @@ def names_used(source: str) -> set:
     """Every name ``source`` reads, as a ``Name`` or an ``Attribute``, or imports by ``from``."""
     names = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -156,12 +160,16 @@ def test_the_usage_guard_sees_every_form():
               "    @staticmethod\n"
               "    def made(): return _Hidden()\n"
               "def _helper(): return Kept\n"
-              "def unused(): return unused_too\n")
+              "def unused(): return unused_too, READ\n"
+              "READ, (UNREAD, _LOCAL) = 1, (2, 3)\n"
+              "TYPED: int = 4\n"
+              "__version__ = '0'\n")
     assert public_definitions(source) == {"Kept", "Kept.method", "Kept.size", "_Hidden.made",
-                                          "unused"}
+                                          "unused", "READ", "UNREAD", "TYPED"}
     assert names_used(source) >= {"bell_labels_table", "np", "zeros", "hs", "draw", "Kept",
-                                  "unused_too"}
-    assert not names_used(source) & {"readout", "method", "size", "made", "_helper", "unused"}
+                                  "unused_too", "READ"}
+    assert not names_used(source) & {"readout", "method", "size", "made", "_helper", "unused",
+                                     "UNREAD", "TYPED", "_LOCAL"}
 
 
 def unread_imports(source: str) -> list:

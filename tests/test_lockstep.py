@@ -32,7 +32,7 @@ from hyperqsdc.harness import (
     run_one_session,
     stats_text,
 )
-from hyperqsdc.hyperstate import Dof
+from hyperqsdc.hyperstate import Dof, SourceParams
 from hyperqsdc.protocol import (
     CHUNK_ROWS,
     DEPLETED_FORWARD,
@@ -222,10 +222,10 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def run_jsonl(rc, seed=None) -> tuple:
+def run_jsonl(rc) -> tuple:
     """``run`` with its transcripts streamed to text: (stats, the JSONL text)."""
     out = io.StringIO()
-    stats, _ = run(rc, seed, out)
+    stats = run(rc, out)
     return stats, out.getvalue()
 
 
@@ -249,11 +249,9 @@ def test_output_bytes_are_pinned(monkeypatch, name):
     for group_rows in (GROUP_ROWS, SMALL_GROUP_ROWS):
         monkeypatch.setattr(harness, "GROUP_ROWS", group_rows)
         stats, text = run_jsonl(rc)
-        assert sha256(stats_text(rc, rc.seed, stats)) == stats_digest
+        assert sha256(stats_text(rc, stats)) == stats_digest
         assert sha256(text) == transcript_digest
-        bare, none = run(rc)
-        assert none is None
-        assert sha256(stats_text(rc, rc.seed, bare)) == stats_digest
+        assert sha256(stats_text(rc, run(rc))) == stats_digest
 
 
 # numpy's SIMD dispatch targets; a child process that turns them all off
@@ -269,9 +267,9 @@ digests = []
 for text in configs:
     rc = parse_run_config(text)
     out = io.StringIO()
-    stats, _ = run(rc, None, out)
+    stats = run(rc, out)
     digests.append([hashlib.sha256(part.encode("utf-8")).hexdigest()
-                    for part in (stats_text(rc, rc.seed, stats), out.getvalue())])
+                    for part in (stats_text(rc, stats), out.getvalue())])
 print(json.dumps(digests))
 """
 
@@ -314,15 +312,15 @@ def test_pinned_configs_cover_the_group_edges():
     assert groups.sessions > per_group and groups.sessions % per_group
     clean = rcs["clean"]
     assert clean.sessions * clean.protocol.n_pairs > SMALL_GROUP_ROWS
-    stats, _ = run(groups)
+    stats = run(groups)
     assert 0 < stats.accepted < stats.sessions
-    stats, _ = run(rcs["depleting"])
+    stats = run(rcs["depleting"])
     assert 0 < stats.depleted < stats.sessions
-    stats, _ = run(rcs["first_check_aborts_at_zero_threshold"])
+    stats = run(rcs["first_check_aborts_at_zero_threshold"])
     assert 0 < stats.accepted < stats.sessions
-    stats, _ = run(rcs["trojan_invisible_filtered"])
+    stats = run(rcs["trojan_invisible_filtered"])
     assert stats.trojan_filtered == 320  # every forward probe of 10 sessions of 32 pairs
-    stats, _ = run(rcs["trojan_delay_both_defenses"])
+    stats = run(rcs["trojan_delay_both_defenses"])
     assert stats.pns_alarms == 320
 
 
@@ -334,7 +332,7 @@ def test_depleted_session_raises_alone_and_leaves_no_trace_in_its_group():
     assert len(depleted) == stats.depleted
     for k in depleted:
         with pytest.raises(BlockDepleted):
-            run_one_session(rc, rc.seed, k)
+            run_one_session(rc, k)
 
 
 # the hostile_channel benchmark scenario: loss, Pauli noise, two-pass
@@ -350,7 +348,7 @@ def test_session_renders_alone_as_in_the_run(overrides):
     # session 5 sits in the middle of the run's first group (of 9 and of 10 members)
     rc = parse_run_config(config_with(**overrides))
     _, text = run_jsonl(rc)
-    [alone] = parse_transcripts(run_one_session(rc, rc.seed, 5))
+    [alone] = parse_transcripts(run_one_session(rc, 5))
     assert alone == session_lines(text, 5)
     assert [e["event"] for e in alone] == ["prepare", "transit", "first_check", "encode",
                                            "transit", "second_check", "result"]
@@ -361,7 +359,7 @@ def test_depleted_member_renders_up_to_the_check_it_missed():
     # transit, one depleted at the second check stops after the return transit;
     # the run writes neither
     rc = parse_run_config(config_with(**PINNED["depleting"][0]))
-    group = _run_group(rc, rc.seed, range(rc.sessions))
+    group = _run_group(rc, range(rc.sessions))
     _, text = run_jsonl(rc)
     rendered = {DEPLETED_FORWARD: ["prepare", "transit"],
                 DEPLETED_RETURN: ["prepare", "transit", "first_check", "encode", "transit"]}
@@ -398,10 +396,10 @@ IDEAL_GROUP_PEAK = 1000 * 1024  # bytes
 def test_ideal_sessions_group_peak_memory():
     rc = parse_run_config(config_with(sessions="100", n_pairs="112"))
     assert rc.sessions * rc.protocol.n_pairs <= GROUP_ROWS  # run() makes it one group
-    _run_group(rc, rc.seed, range(2))  # first-call allocations stay out of the peak
+    _run_group(rc, range(2))  # first-call allocations stay out of the peak
     tracemalloc.start()
     try:
-        _run_group(rc, rc.seed, range(rc.sessions))
+        _run_group(rc, range(rc.sessions))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -446,7 +444,7 @@ def test_group_size_changes_no_byte(monkeypatch, name, group_rows):
     stats, text = run_jsonl(rc)
     monkeypatch.setattr(harness, "GROUP_ROWS", group_rows)
     regrouped, regrouped_text = run_jsonl(rc)
-    assert stats_text(rc, rc.seed, regrouped) == stats_text(rc, rc.seed, stats)
+    assert stats_text(rc, regrouped) == stats_text(rc, stats)
     assert regrouped_text == text
 
 
@@ -458,7 +456,7 @@ def test_group_size_changes_no_byte(monkeypatch, name, group_rows):
 def test_run_counts_its_groups(monkeypatch, group_rows, sessions, n_pairs):
     monkeypatch.setattr(harness, "GROUP_ROWS", group_rows)
     rc = parse_run_config(config_with(sessions=str(sessions), n_pairs=str(n_pairs)))
-    stats, _ = run(rc)
+    stats = run(rc)
     groups = math.ceil(sessions / max(1, group_rows // n_pairs))
     assert stats.groups == groups
     assert json.loads(harness.metrics_text(stats))["groups"] == groups
@@ -483,12 +481,12 @@ def test_run_holds_one_group_at_a_time(monkeypatch):
     assert len(built) == rc.sessions // 2
 
 
-def pooled_alone(rc, seed: int):
+def pooled_alone(rc):
     """What ``run`` gives when every session runs as a group of one."""
     stats = RunStats()
     out = io.StringIO()
     for k in range(rc.sessions):
-        _pool(stats, out, rc, seed, [k], _run_group(rc, seed, [k]))
+        _pool(stats, out, rc, [k], _run_group(rc, [k]))
     return stats, out.getvalue()
 
 
@@ -516,12 +514,12 @@ small_configs = st.fixed_dictionaries({
 @settings(max_examples=40, deadline=None)
 def test_run_matches_sessions_run_alone(overrides, seed):
     try:
-        rc = parse_run_config(config_with(**overrides))
+        rc = parse_run_config(config_with(**overrides, seed=str(seed)))
     except ConfigError:
         assume(False)  # sample fractions that leave no message pairs
-    stats, text = run_jsonl(rc, seed)
-    alone, alone_text = pooled_alone(rc, seed)
-    assert stats_text(rc, seed, stats) == stats_text(rc, seed, alone)
+    stats, text = run_jsonl(rc)
+    alone, alone_text = pooled_alone(rc)
+    assert stats_text(rc, stats) == stats_text(rc, alone)
     assert text == alone_text
 
 
@@ -572,7 +570,7 @@ def test_clean_group_hands_each_kernel_its_distinct_states_only(monkeypatch):
     rc = parse_run_config(config_with(sessions="9", n_pairs="112", sample_fraction_first="0.05",
                                       sample_fraction_second="0.05"))
     calls = kernel_rows(monkeypatch)
-    group = _run_group(rc, rc.seed, range(rc.sessions))
+    group = _run_group(rc, range(rc.sessions))
     assert group.in_phase(Phase.ACCEPTED).all()
     assert max(rows for _, rows in calls) <= 16, calls
     assert {name for name, _ in calls} >= {"_read", "encode", "_bell_cdf"}
@@ -586,7 +584,7 @@ def test_big_check_measures_under_a_hundred_rows(monkeypatch):
         sample_fraction_second="0.0001", kind="intercept_resend", passes="forward",
     ))
     calls = kernel_rows(monkeypatch)
-    group = _run_group(rc, rc.seed, [0])
+    group = _run_group(rc, [0])
     assert group.counts[0, 0, 0] > 19_000  # pairs checked
     assert 0 < sum(rows for name, rows in calls if name in MEASUREMENT) < 100, calls
 
@@ -596,7 +594,7 @@ def test_a_pinned_session_hands_one_kernel_call_over_chunk_rows(monkeypatch):
     # chunk in which a session draws its transits
     rc = parse_run_config(config_with(**PINNED["nonideal_merged_call_over_chunk_rows"][0]))
     calls = kernel_rows(monkeypatch)
-    _run_group(rc, rc.seed, [0])
+    _run_group(rc, [0])
     assert max(rows for _, rows in calls) > CHUNK_ROWS, calls
 
 
@@ -620,7 +618,7 @@ UPDATES = {
 
 def bare_group(n_pairs: int) -> SessionGroup:
     """A group of one member and ``n_pairs`` pairs, to hand states to ``_update`` directly."""
-    return SessionGroup(n_pairs, SimpleNamespace(bits=[None]))
+    return SessionGroup(n_pairs, SourceParams(1.0, 0.0), SimpleNamespace(bits=[None]))
 
 
 def signed_zero_copy(rows: np.ndarray) -> np.ndarray:
@@ -668,7 +666,7 @@ def test_update_merges_equal_rows_wherever_they_fall():
     # a hostile_channel group's states, then a copy of each with its zeros
     # negated, shifted by 0 to 7 rows: each copy gets its key wherever it falls
     rc = parse_run_config(config_with(**dict(HOSTILE, sessions="30")))
-    table = _run_group(rc, rc.seed, range(rc.sessions)).table
+    table = _run_group(rc, range(rc.sessions)).table
     rng = np.random.default_rng(27)
     for shift in range(8):
         copies = np.concatenate([table[rng.permutation(len(table))],
@@ -714,7 +712,7 @@ def test_hostile_group_hands_each_kernel_value_distinct_states_only(monkeypatch)
     rc = parse_run_config(config_with(**dict(HOSTILE, sessions="30")))
     arguments = []
     calls = kernel_rows(monkeypatch, arguments)
-    _run_group(rc, rc.seed, range(rc.sessions))
+    _run_group(rc, range(rc.sessions))
     assert {name for name, _ in calls} == set(KERNELS)
     for (name, rows), bound in zip(calls, arguments):
         states = kernel_states(name, bound)
@@ -731,7 +729,7 @@ def test_hostile_return_pass_collapse_equals_the_reference_projector(monkeypatch
     rc = parse_run_config(config_with(**dict(HOSTILE, sessions="30")))
     arguments = []
     calls = kernel_rows(monkeypatch, arguments)
-    _run_group(rc, rc.seed, range(rc.sessions))
+    _run_group(rc, range(rc.sessions))
     forward, back = [bound for (name, _), bound in zip(calls, arguments) if name == "_project"]
     assert back["axes"] == (0, 2) and back["x"].any() and not back["x"].all()
     reference = dict(back, work=kernel_states("_project", back))
@@ -746,7 +744,7 @@ def test_noisy_transits_hand_pauli_their_distinct_codes_only(monkeypatch):
     rc = parse_run_config(config_with(sessions="9", n_pairs="112", pauli_p_pol="0.1",
                                       pauli_p_spa="0.1", error_threshold="1.0"))
     calls = kernel_rows(monkeypatch)
-    _run_group(rc, rc.seed, range(rc.sessions))
+    _run_group(rc, range(rc.sessions))
     forward, back = [rows for name, rows in calls if name == "pauli"]
     [encoded] = [rows for name, rows in calls if name == "encode"]
     assert 0 < forward <= 15

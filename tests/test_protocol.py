@@ -35,7 +35,6 @@ from hyperqsdc.protocol import (
     decode_group,
     encode_group,
     first_check_group,
-    prepare_group,
     transmit_forward_group,
     transmit_return_group,
 )
@@ -79,8 +78,8 @@ def decoded_message(group: SessionGroup):
     """The bits read back from a passing block; None otherwise."""
     if phase(group) is not Phase.ACCEPTED:
         return None
-    received = group.received[0]
-    return _bits_text(received[received >= 0])
+    bell, message = group.bell[0], group.sent[0] >= 0
+    return _bits_text(bell[message & (bell >= 0)])
 
 
 def run_session(
@@ -93,7 +92,7 @@ def run_session(
     defense=None,
 ):
     """Drive one full session as a group of one; returns (group, sent, decoded, report2)."""
-    group = prepare_group(cfg, source, DrawSource([rng.bit_generator]))
+    group = SessionGroup(cfg.n_pairs, source, DrawSource([rng.bit_generator]))
     transmit_forward_group(group, params, eve=eve_forward, defense=defense)
     first_check_group(group, cfg)
     group.raise_if_depleted(0)
@@ -111,7 +110,7 @@ class TestConfig:
         # chunk 0111: high bits 01 -> i = 2, low bits 11 -> j = 4
         cfg = ProtocolConfig(n_pairs=40)
         rng = np.random.default_rng(1002)
-        group = prepare_group(cfg, IDEAL_SOURCE, DrawSource([rng.bit_generator]))
+        group = SessionGroup(cfg.n_pairs, IDEAL_SOURCE, DrawSource([rng.bit_generator]))
         transmit_forward_group(group, CLEAN)
         first_check_group(group, cfg)
         encode_group(group, cfg)
@@ -142,7 +141,7 @@ class TestConfig:
 
 def judged(n_checked: int, n_pol: int, n_spa: int, threshold: float) -> CheckReport:
     """The first-check report of one session whose samples carry these errors."""
-    group = SessionGroup(n_checked, DrawSource([None]))
+    group = SessionGroup(n_checked, IDEAL_SOURCE, DrawSource([None]))
     errors = np.zeros(n_checked, dtype=np.intp)
     errors[:n_pol] += 1  # pol errors on the first samples
     errors[n_checked - n_spa :] += 2  # spa errors on the last ones
@@ -169,7 +168,8 @@ class TestIdealRoundTrip:
             rng = np.random.default_rng([1000, seed])
             group, sent, decoded, report2 = run_session(cfg, rng)
             assert phase(group) is Phase.ACCEPTED
-            assert np.array_equal(group.received, group.sent)  # every chunk, -1 off the message
+            message = group.sent >= 0
+            assert np.array_equal(group.bell[message], group.sent[message])  # every chunk
             assert decoded == sent
             assert parse_transcripts(group)[0][-1]["message"] == sent
             assert report2.verdict is Verdict.PASS
@@ -187,7 +187,7 @@ class TestIdealRoundTrip:
     def test_capacity_accounting(self):
         cfg = ProtocolConfig(n_pairs=112, sample_fraction_first=0.05, sample_fraction_second=0.05)
         rng = np.random.default_rng(7)
-        group = prepare_group(cfg, IDEAL_SOURCE, DrawSource([rng.bit_generator]))
+        group = SessionGroup(cfg.n_pairs, IDEAL_SOURCE, DrawSource([rng.bit_generator]))
         transmit_forward_group(group, CLEAN)
         first_check_group(group, cfg)
         assert len(first_samples(group)) == 6
@@ -228,8 +228,8 @@ class TestSampling:
         rng = np.random.default_rng(10)
         group, sent, decoded, _ = run_session(cfg, rng, params=ChannelParams(loss_prob=0.2))
         assert phase(group) is Phase.ACCEPTED
-        kept = group.received[0] >= 0
-        assert np.array_equal(group.received[0, kept], group.sent[0, kept])
+        kept = (group.sent[0] >= 0) & (group.bell[0] >= 0)
+        assert np.array_equal(group.bell[0, kept], group.sent[0, kept])
         assert decoded == _bits_text(group.sent[0, kept])
         assert parse_transcripts(group)[0][-1]["message"] == decoded
 
@@ -244,7 +244,7 @@ LEGAL_NEXT = {
 }
 
 GROUP_ARRAYS = ("table", "index", "fates", "ops", "eve", "screens", "first_reads", "second",
-                "sent", "received", "bell", "phases", "depleted", "counts", "failed")
+                "sent", "bell", "phases", "depleted", "counts", "failed")
 
 
 def call_phase(name: str, group: SessionGroup, cfg: ProtocolConfig) -> None:
@@ -270,7 +270,7 @@ class TestPhaseMachine:
     def test_full_walk_hits_every_phase_in_order(self):
         cfg = ProtocolConfig(n_pairs=16)
         rng = np.random.default_rng(11)
-        group = prepare_group(cfg, IDEAL_SOURCE, DrawSource([rng.bit_generator]))
+        group = SessionGroup(cfg.n_pairs, IDEAL_SOURCE, DrawSource([rng.bit_generator]))
         seen = [phase(group)]
         rendered = [len(parse_transcripts(group)[0])]
         for name in ("forward", "check1", "encode", "back", "decode"):
@@ -293,7 +293,7 @@ class TestPhaseMachine:
     def test_out_of_phase_calls_change_nothing(self, calls):
         cfg = ProtocolConfig(n_pairs=12)
         rng = np.random.default_rng(12)
-        group = prepare_group(cfg, IDEAL_SOURCE, DrawSource([rng.bit_generator]))
+        group = SessionGroup(cfg.n_pairs, IDEAL_SOURCE, DrawSource([rng.bit_generator]))
         order = list(LEGAL_NEXT)
         for name in calls:
             before = phase(group)
@@ -310,7 +310,7 @@ class TestPhaseMachine:
         cfg = ProtocolConfig(n_pairs=30, sample_fraction_first=0.4, error_threshold=0.0)
         rng = np.random.default_rng(13)
         eve = EveStrategy(kind=EveKind.INTERCEPT_RESEND)
-        group = prepare_group(cfg, IDEAL_SOURCE, DrawSource([rng.bit_generator]))
+        group = SessionGroup(cfg.n_pairs, IDEAL_SOURCE, DrawSource([rng.bit_generator]))
         transmit_forward_group(group, CLEAN, eve=eve)
         first_check_group(group, cfg)
         assert report(group, 0).verdict is Verdict.FAIL
@@ -338,7 +338,7 @@ class TestSecondCheck:
         misses = 0
         for first in range(0, rc.sessions, per_group):
             indices = range(first, min(first + per_group, rc.sessions))
-            group = _run_group(rc, rc.seed, indices)
+            group = _run_group(rc, indices)
             assert not group.depleted.any()
             assert not group.failed[:, 0].any(), "first check must pass: forward pass is clean"
             assert (group.counts[:, 1, 0] == 50).all()  # every second check read 50 samples
@@ -418,7 +418,7 @@ class TestDepletion:
     def test_too_few_delivered_pairs(self):
         cfg = ProtocolConfig(n_pairs=4)
         rng = np.random.default_rng(20)
-        group = prepare_group(cfg, IDEAL_SOURCE, DrawSource([rng.bit_generator]))
+        group = SessionGroup(cfg.n_pairs, IDEAL_SOURCE, DrawSource([rng.bit_generator]))
         # a brutal channel loses nearly everything
         brutal = ChannelParams(loss_prob=0.99)
         transmit_forward_group(group, brutal)
@@ -430,14 +430,14 @@ class TestDepletion:
         rc = RunConfig(sessions=1, seed=20, source=IDEAL_SOURCE, protocol=cfg, channel=brutal,
                        eve=EveStrategy(), eve_passes="both", defense=DefenseConfig())
         with pytest.raises(BlockDepleted, match="pairs delivered"):
-            run_one_session(rc, rc.seed, 0)
+            run_one_session(rc, 0)
 
     def test_encode_needs_two_pairs_and_draws_nothing_without_them(self):
         # member 1 has one pair left in ENCODING: the call stops before
         # member 0, ready to encode, draws anything
         cfg = ProtocolConfig(n_pairs=4)
         rngs = [np.random.default_rng([21, j]) for j in range(2)]
-        group = prepare_group(cfg, IDEAL_SOURCE, DrawSource([rng.bit_generator for rng in rngs]))
+        group = SessionGroup(cfg.n_pairs, IDEAL_SOURCE, DrawSource([rng.bit_generator for rng in rngs]))
         group.fates[1, 1:] = FATE_CODE[PairFate.CONSUMED_CHECK]
         group.phases[:] = tuple(Phase).index(Phase.ENCODING)
         states = [copy.deepcopy(rng.bit_generator.state) for rng in rngs]

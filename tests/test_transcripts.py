@@ -15,7 +15,6 @@ from hyperqsdc.protocol import (
     DEPLETED_FORWARD,
     DEPLETED_RETURN,
     Phase,
-    prepare_group,
     transcript_lines,
 )
 
@@ -41,13 +40,13 @@ def rendered_group(overrides: dict):
     sessions = [3 * j + 1000 for j in range(rc.sessions)]  # any indices, not the member's
     groups = []
 
-    def prepare(*args):
-        groups.append(prepare_group(*args))
+    def build(*args):
+        groups.append(protocol.SessionGroup(*args))
         return groups[0]
 
-    with mock.patch.object(harness, "prepare_group", prepare):
+    with mock.patch.object(harness, "SessionGroup", build):
         # mid-session, a member has rendered only the events of the phases it went through
-        group = _run_group(rc, rc.seed, range(rc.sessions),
+        group = _run_group(rc, range(rc.sessions),
                            lambda _: check_group(groups[0], sessions))
     assert transcript_lines(group, [], sessions) == ""
     return group
@@ -134,5 +133,5 @@ def test_position_texts_of_one_block_size_are_kept():
     # a process that renders sessions of two sizes keeps the texts of the last one only
     for n_pairs in ("24", "40"):
         rc = parse_run_config(config_with(sessions="2", n_pairs=n_pairs))
-        transcript_lines(_run_group(rc, rc.seed, range(2)), range(2), range(2))
+        transcript_lines(_run_group(rc, range(2)), range(2), range(2))
         assert protocol._numbers.cache_info().currsize == 1

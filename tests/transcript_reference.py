@@ -155,8 +155,10 @@ def render_events(group: SessionGroup) -> list[list[dict]]:
                 positions=read_positions[j], bell_pol=bell_pol[j], bell_spa=bell_spa[j],
                 sample_positions=read_samples[j], expected_ops=expected_ops[j], **report,
             ))
-            received = group.received[j]
-            text = _bits_text(received[received >= 0]) if phase is Phase.ACCEPTED else None
+            # the message read back: the Bell labels of the message pairs that returned
+            bell = group.bell[j]
+            received = bell[(group.sent[j] >= 0) & (bell >= 0)]
+            text = _bits_text(received) if phase is Phase.ACCEPTED else None
             events.append(dict(event="result", phase=phase.value, message=text))
         transcripts.append(events)
     return transcripts
