@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -282,6 +283,16 @@ class TestSessionGenerators:
         for indices in ([], [0], [0, 7]):
             with pytest.raises(ValueError, match="non-negative"):
                 session_generators(seed, indices, *tail)
+
+    def test_run_with_a_negative_master_seed_raises(self):
+        # run and run_one_session read the seed from rc only; replace runs RunConfig's guard
+        rc = parse_run_config(config_with(sessions="2", n_pairs="16"))
+        with pytest.raises(ValueError, match="non-negative"):
+            run(dataclasses.replace(rc, seed=-1))
+        with pytest.raises(ValueError, match="non-negative"):
+            run_one_session(dataclasses.replace(rc, seed=-5), 0)
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            run_one_session(rc, -1)
 
 
 class TestDeterminism:
