@@ -77,7 +77,8 @@ def _seed_words() -> type:
             self.words = words
 
         def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or np.dtype(dtype) != np.uint64:
+            # PCG64 asks for np.uint64 itself, so the dtype object is built only for others
+            if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
                 raise ValueError(f"precomputed seed words are (4, uint64), not ({n_words}, {dtype})")
             return self.words
 
@@ -207,6 +208,27 @@ def _joined(parts: list) -> np.ndarray:
 _STEPPED_SAMPLE = 64
 
 
+def _floyd(taken: np.ndarray, fallback: np.ndarray, partner: np.ndarray) -> np.ndarray:
+    """Floyd's steps, then the shuffle's, on samples laid out one per row, in place.
+
+    Column t of ``taken`` holds each row's Floyd draw t, and ``fallback``
+    the value the step takes instead when an earlier column holds the
+    draw.  Shuffle step s swaps the last column but s with the column
+    ``partner[:, s]`` names.
+    """
+    width = taken.shape[1]
+    for c in range(1, width):
+        seen = (taken[:, :c] == taken[:, c, None]).any(axis=1)
+        taken[seen, c] = fallback[seen, c]
+    rows = np.arange(len(taken))
+    for s, column in enumerate(range(width - 1, 0, -1)):
+        other = partner[:, s]
+        held = taken[rows, other]
+        taken[rows, other] = taken[:, column]
+        taken[:, column] = held
+    return taken
+
+
 def _floyd_samples(n: np.ndarray, k: np.ndarray, floyd: np.ndarray,
                    swaps: np.ndarray) -> np.ndarray:
     """The samples ``choice(n[i], k[i], replace=False)`` makes from its bounded draws, joined.
@@ -217,28 +239,17 @@ def _floyd_samples(n: np.ndarray, k: np.ndarray, floyd: np.ndarray,
     earlier step took that value, and n - k + t then; the shuffle swaps
     entry k - 1 - s with the entry draw s names.  Each member's sample sits
     right-aligned in a row as wide as the largest, so that a step works on
-    one column for every member at once; -1 pads the rows on the left.
+    one column for every member at once; -1 pads the rows on the left, and
+    a member whose sample is done swaps a column with itself.
     """
-    width = int(k.max())
+    width = int(k.max(initial=0))
     pad = np.arange(width) < (width - k)[:, None]
     taken = np.full(pad.shape, -1, dtype=np.int64)
     taken[~pad] = floyd
     fallback = np.where(pad, -1, (n - width)[:, None] + np.arange(width))  # n - k + t
-    for c in range(1, width):
-        seen = (taken[:, :c] == taken[:, c, None]).any(axis=1)
-        taken[seen, c] = fallback[seen, c]
-    # shuffle step s swaps column width - 1 - s; a member whose sample is done
-    # swaps that column with itself
-    columns = np.arange(width - 1, 0, -1)
-    partner = np.repeat(columns[None, :], len(k), axis=0)
+    partner = np.repeat(np.arange(width - 1, 0, -1)[None, :], len(k), axis=0)
     partner[np.arange(width - 1) < (k - 1)[:, None]] = np.repeat(width - k, k - 1) + swaps
-    rows = np.arange(len(k))
-    for s, column in enumerate(columns.tolist()):
-        other = partner[:, s]
-        held = taken[rows, other]
-        taken[rows, other] = taken[:, column]
-        taken[:, column] = held
-    return taken[~pad]
+    return _floyd(taken, fallback, partner)[~pad]
 
 
 # The words ``DrawSource.seeded`` reads from each fresh generator at once, for
@@ -263,9 +274,22 @@ class DrawSource:
     generator at once, and a primitive hands those out first: a call whose
     words all lie there is one gather for the whole group.  Beyond them, a
     primitive takes each member's further 64-bit words in one
-    ``random_raw`` call (``blocks`` in one per block).  It shapes the joined
-    words for the whole group at once as numpy's ``Generator`` does with
-    PCG64:
+    ``random_raw`` call (``blocks`` in one per block).
+
+    A call of ``uniforms``, ``integers`` or ``sample`` is even when its
+    members draw alike: the same count, the same read-ahead cursor, and for
+    ``integers`` the same uniform count and buffered half-word, for
+    ``sample`` the same k of at most ``_STEPPED_SAMPLE``.  An even call
+    takes its words as a (members, count) matrix, one member to a row, and
+    takes its values as columns: the buffered halves as a first column, a
+    sample's Floyd, shuffle and trailing draws as a row's runs of columns.
+    Every call of a clean lockstep group is even; loss, noise, Eve and
+    depleted members make members differ, and such a call takes its words
+    joined end to end and cuts them apart by each member's counts.  The
+    layout changes no number: either way each member gets numpy's.
+
+    The source shapes the words of the whole group at once as numpy's
+    ``Generator`` does with PCG64:
 
     - a uniform is ``(word >> 11) * 2**-53``;
     - a bounded integer takes 32-bit words: a word's low half, then its high
@@ -364,35 +388,60 @@ class DrawSource:
                                           after["state"]["inc"]) - rewind
         return drawn
 
-    def _raw(self, site: str, members: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    def _even(self, members: np.ndarray, *alike: np.ndarray) -> bool:
+        """Whether the members draw alike: each of ``alike`` and the read-ahead cursor is one
+        value for all of them.  A call without members is not even."""
+        return len(members) > 0 and all(
+            (values == values[0]).all() for values in (*alike, self.cursor[members]))
+
+    def _raw(self, site: str, members: np.ndarray, counts) -> np.ndarray:
         """``counts[i]`` 64-bit words from the generator of ``members[i]``, joined.
 
         The read-ahead words go first.  The members are distinct: each makes
         at most one ``random_raw`` call, for the words beyond its read-ahead.
+        A single ``counts`` is an even call's, whose members stand at the
+        same read-ahead cursor (``_even``): its words come as a (members,
+        counts) matrix, one member's words to a row.
         """
         self.words[site][members] += counts
-        at = self.cursor[members]
-        ahead = np.minimum(counts, self.ahead.shape[1] - at)
-        self.cursor[members] = at + ahead
-        beyond = counts - ahead
-        if not beyond.any():  # every word read ahead: one gather
-            columns = np.arange(ahead.sum()) + np.repeat(at + ahead - np.cumsum(ahead), ahead)
-            return self.ahead[np.repeat(members, ahead), columns]
-        parts = []
-        for j, first, n_ahead, n_beyond in zip(members.tolist(), at.tolist(), ahead.tolist(),
-                                               beyond.tolist()):
-            if n_ahead:
-                parts.append(self.ahead[j, first:first + n_ahead])
-            if n_beyond:
-                parts.append(self.bits[j].random_raw(n_beyond))
-        if self.ahead.size and (self.cursor == self.ahead.shape[1]).all():
+        width = self.ahead.shape[1]
+        if np.ndim(counts) == 0:
+            counts, first = int(counts), int(self.cursor[members[0]])
+            ahead = min(counts, width - first)
+            self.cursor[members] = first + ahead
+            if ahead == counts:
+                return self.ahead[members, first:first + counts]
+            words = np.empty((len(members), counts), dtype=np.uint64)
+            words[:, :ahead] = self.ahead[members, first:first + ahead]
+            for row, j in zip(words, members.tolist()):
+                row[ahead:] = self.bits[j].random_raw(counts - ahead)
+        else:
+            at = self.cursor[members]
+            ahead = np.minimum(counts, width - at)
+            self.cursor[members] = at + ahead
+            beyond = counts - ahead
+            if not beyond.any():  # every word read ahead: one gather
+                columns = np.arange(ahead.sum()) + np.repeat(at + ahead - np.cumsum(ahead), ahead)
+                return self.ahead[np.repeat(members, ahead), columns]
+            parts = []
+            for j, first, n_ahead, n_beyond in zip(members.tolist(), at.tolist(), ahead.tolist(),
+                                                   beyond.tolist()):
+                if n_ahead:
+                    parts.append(self.ahead[j, first:first + n_ahead])
+                if n_beyond:
+                    parts.append(self.bits[j].random_raw(n_beyond))
+            words = _joined(parts)
+        if self.ahead.size and (self.cursor == width).all():
             # every member's read-ahead is spent: let the words go
             self.ahead, self.cursor[:] = self.ahead[:, :0].copy(), 0
-        return _joined(parts)
+        return words
 
     def uniforms(self, site: str, members, counts) -> np.ndarray:
         """``counts[i]`` uniforms in [0, 1) for ``members[i]``, joined: ``random(counts[i])``."""
-        return _uniforms(self._raw(site, np.asarray(members), np.asarray(counts)))
+        members, counts = np.asarray(members), np.asarray(counts)
+        if self._even(members, counts):
+            return _uniforms(self._raw(site, members, int(counts[0]))).ravel()
+        return _uniforms(self._raw(site, members, counts))
 
     def blocks(self, site: str, members: np.ndarray, blocks: dict, coins=()) -> dict:
         """Each member's uniforms, block by block: ``blocks[name][i]`` of them for ``members[i]``.
@@ -430,21 +479,32 @@ class DrawSource:
 
         Integer t of the joined draws lies in [0, sizes[t]), or in [0, sizes)
         when ``sizes`` is one integer of at least 2; a size of 1 gives 0 and
-        draws nothing.  One ``_raw`` pass takes the words this needs when no
-        value is rejected.  Returns (integers, uniforms or None),
-        each joined in member order.
+        draws nothing.  Where every member draws ``counts[0]`` integers,
+        ``sizes`` may also come as a (members, counts[0]) matrix.  One
+        ``_raw`` pass takes the words this needs when no value is rejected.
+        Returns (integers, uniforms or None), each joined in member order.
         """
         one_size = np.ndim(sizes) == 0
         drawn = None if one_size else sizes > 1
-        need = counts if one_size else np.bincount(
-            np.repeat(np.arange(len(members)), counts)[drawn], minlength=len(members))
+        if one_size:
+            need = counts
+        elif drawn.ndim == 2:
+            need = np.count_nonzero(drawn, axis=1)
+        else:
+            need = np.bincount(np.repeat(np.arange(len(members)), counts)[drawn],
+                               minlength=len(members))
         self._read_buffers(members[need > 0])
         known, uinteger = self.buffered[members], self.uinteger[members]
+        n_uniform = np.zeros_like(need) if uniforms is None else uniforms
+        if self._even(members, counts, need, n_uniform, known):
+            return self._even_integers(site, members, sizes, int(need[0]), uniforms,
+                                       bool(known[0] == 1), uinteger)
+        if drawn is not None:
+            sizes, drawn = sizes.ravel(), drawn.ravel()
         buffered = known == 1
         held = buffered & (need > 0)  # the buffered half-word is the member's first value
         paid = (need - held + 1) // 2  # words of the bounded draws
         spare = 2 * paid + held > need  # the high half of the last one is left over
-        n_uniform = np.zeros_like(paid) if uniforms is None else uniforms
         words, *u_words = _split(self._raw(site, members, paid + n_uniform),
                                  np.column_stack([paid] if uniforms is None else [paid, n_uniform]))
         halves = words.astype("<u8", copy=False).view("<u4")  # low half, then high half
@@ -467,19 +527,72 @@ class DrawSource:
             out = np.zeros(len(sizes), dtype=np.uint64)
             out[drawn], rejected = _lemire(values, sizes[drawn])
         if rejected is not None and rejected.any():
-            # numpy's Generator redraws the whole call of each member that rejected a value
             u_ends, draw_ends = np.cumsum(n_uniform), np.cumsum(counts)
             every_size = np.broadcast_to(sizes, len(out))
             for i in np.unique(firsts.searchsorted(rejected.nonzero()[0], side="right") - 1):
                 mine = slice(draw_ends[i] - counts[i], draw_ends[i])
-                theirs = slice(u_ends[i] - n_uniform[i], u_ends[i])
-                out[mine], u = self._by_numpy(
-                    site, members[i], lambda rng: (rng.integers(0, every_size[mine]),
-                                                   rng.bit_generator.random_raw(n_uniform[i])),
-                    int(paid[i] + n_uniform[i]), (int(buffered[i]), int(uinteger[i])))
+                out[mine], u = self._redraw(site, members[i], every_size[mine], n_uniform[i],
+                                            int(paid[i]), (int(buffered[i]), int(uinteger[i])))
                 if u_words:
-                    u_words[0][theirs] = u
+                    u_words[0][u_ends[i] - n_uniform[i]:u_ends[i]] = u
         return out, _uniforms(u_words[0]) if u_words else None
+
+    def _even_integers(self, site: str, members: np.ndarray, sizes, need: int,
+                       uniforms: Optional[np.ndarray], buffered: bool,
+                       uinteger: np.ndarray) -> tuple:
+        """``integers`` for members that draw alike, one member's draws to a row.
+
+        Each member draws ``need`` half-word values, then as many uniforms as
+        every entry of ``uniforms`` says.  Its words form a row: those of its
+        values, then those of its uniforms.  Its values are its ``uinteger``
+        as a first column when ``buffered``, then the halves of its words in
+        order; the high half of its last word is left over when ``need``
+        leaves it out.
+        """
+        n_uniform = 0 if uniforms is None else int(uniforms[0])
+        held = buffered and need > 0
+        paid = (need - held + 1) // 2
+        words = self._raw(site, members, paid + n_uniform).astype("<u8", copy=False)
+        halves = words[:, :paid].view("<u4")  # low half, then high half
+        values = halves[:, :need - held]
+        if held:
+            values = np.concatenate([uinteger[:, None].astype(np.uint32), values], axis=1)
+        if need:
+            self.buffered[members] = 2 * paid + held > need
+        if paid:  # PCG64 keeps the high half of its last word as ``uinteger``, also once used
+            self.uinteger[members] = halves[:, -1]
+        if np.ndim(sizes) == 0:
+            out, rejected = _lemire(values, sizes)
+        else:
+            sizes = sizes.reshape(len(members), -1)
+            drawn = sizes > 1
+            if drawn.all():
+                out, rejected = _lemire(values, sizes)
+            else:
+                out = np.zeros(sizes.shape, dtype=np.uint64)
+                out[drawn], rejected = _lemire(values.ravel(), sizes[drawn])
+                rejected = rejected.reshape(len(members), need)
+        u_words = words[:, paid:]
+        if rejected is not None and rejected.any():
+            every_size = np.broadcast_to(sizes, out.shape)
+            for i in rejected.any(axis=1).nonzero()[0].tolist():
+                out[i], u_words[i] = self._redraw(site, members[i], every_size[i], n_uniform,
+                                                  paid, (int(buffered), int(uinteger[i])))
+        return out.ravel(), None if uniforms is None else _uniforms(u_words).ravel()
+
+    def _redraw(self, site: str, j: int, sizes: np.ndarray, n_uniform: int, paid: int,
+                buffer: tuple) -> tuple:
+        """numpy's ``Generator`` draws again the ``integers`` call of member j, which rejected
+        a value: its integers in [0, sizes), then the raw words of its ``n_uniform``
+        uniforms.
+
+        The generator steps back over the ``paid + n_uniform`` words the call
+        took and starts from ``buffer``, the half-word buffer the call began
+        with.
+        """
+        return self._by_numpy(site, j, lambda rng: (rng.integers(0, sizes),
+                                                    rng.bit_generator.random_raw(n_uniform)),
+                              paid + int(n_uniform), buffer)
 
     def sample(self, site: str, members, starts, ks, size: Optional[int] = None,
                uniforms: int = 0) -> tuple:
@@ -491,6 +604,8 @@ class DrawSource:
         """
         members, ks, starts = np.asarray(members), np.asarray(ks), np.asarray(starts)
         n = (starts[1:] - starts[:-1])[members]
+        if len(ks) and 0 < ks[0] <= _STEPPED_SAMPLE and (ks == ks[0]).all():
+            return self._even_sample(site, members, starts, n, int(ks[0]), size, uniforms)
         own = ks > _STEPPED_SAMPLE  # numpy's own choice draws these
         chosen = [self._by_numpy(site, members[i],
                                  lambda rng: rng.choice(n[i], size=ks[i], replace=False))
@@ -516,3 +631,23 @@ class DrawSource:
                 picks[by_numpy] = np.concatenate(chosen)
         picks += np.repeat(starts[members], ks)
         return picks, ints[t >= 2 * f - 1], u
+
+    def _even_sample(self, site: str, members: np.ndarray, starts: np.ndarray, n: np.ndarray,
+                     k: int, size: Optional[int], uniforms: int) -> tuple:
+        """``sample`` for members that each draw a sample of the same k, one member's draws
+        to a row: Floyd's k draws, the shuffle's k - 1, then the k integers after the
+        sample, if any.  A sample of one is its one draw.
+        """
+        m = len(members)
+        sizes = np.empty((m, 2 * k - 1 + (0 if size is None else k)), dtype=np.uint64)
+        sizes[:, :k] = (n - k + 1)[:, None] + np.arange(k)  # Floyd's draw t in [0, n - k + t]
+        sizes[:, k:2 * k - 1] = np.arange(k, 1, -1)  # the shuffle's draw s in [0, k - 1 - s]
+        sizes[:, 2 * k - 1:] = size or 1
+        ints, u = self.integers(site, members, np.full(m, sizes.shape[1]), sizes,
+                                np.full(m, uniforms * k) if uniforms else None)
+        ints = ints.astype(np.int64).reshape(sizes.shape)
+        picks = ints[:, :k]
+        if k > 1:
+            picks = _floyd(picks, (n - k)[:, None] + np.arange(k), ints[:, k:2 * k - 1])
+        picks = picks + starts[members, None]
+        return picks.ravel(), ints[:, 2 * k - 1:].ravel(), u

@@ -500,16 +500,18 @@ def _pool(stats: RunStats, transcripts: Optional[TextIO], rc: RunConfig, indices
 
 # Rows per lockstep group of ``run``; a session with more pairs is a group of
 # one.  Each phase of a group makes one kernel call on the distinct states
-# of its pairs and each draw site one numpy pass over the group's words, so
-# a clean group of 112-pair sessions pays a fixed cost of about 1.1 ms and
-# each further session about 20 us.  A further 16-pair session costs about
-# 6 us: the 64 words its generator reads at seeding hold all its draws
-# (in-process ``_run_group``, medians of 60 calls, 2-core x86-64, numpy
+# of its pairs and each draw site one numpy pass over the group's words,
+# which a clean group takes as one (sessions, words) matrix, so a clean
+# group of 112-pair sessions pays a fixed cost of about 0.8 ms and each
+# further session about 15 us.  A further 16-pair session costs about 4 us:
+# the 64 words its generator reads at seeding hold all its draws
+# (in-process ``_run_group``, medians of 150 calls, 2-core x86-64, numpy
 # 2.4).  At 16384 rows every benchmark workload but the 20,000-pair session
-# is one group: ``ideal_sessions`` (11,200 rows) runs in 4.4-6.4 ms instead
-# of 9.0-10.0 ms as three 4096-row groups.  The group's per-pair arrays are
-# int8, which keeps its tracemalloc peak at 932 KiB (about 700 KiB more with
-# int64 message bits and op codes).
+# is one group: ``ideal_sessions`` (11,200 rows) runs in 2.7-2.9 ms instead
+# of 4.7-4.9 ms as three 4096-row groups (quartiles of 150 runs).  The
+# group's per-pair arrays are int8, which keeps its tracemalloc peak at
+# 922 KiB, in the Bell readout (about 700 KiB more with int64 message bits
+# and op codes).
 GROUP_ROWS = 16384
 
 

@@ -314,7 +314,7 @@ def _candidates(group: SessionGroup, acting: Optional[np.ndarray] = None) -> tup
     """
     active = group.fates == _ACTIVE
     rows = (active if acting is None else active & acting[:, None]).ravel().nonzero()[0]
-    return rows, rows.searchsorted(group.bounds).tolist()
+    return rows, rows.searchsorted(group.bounds)
 
 
 # (no error, pol only, spa only, both) -> (checked, pol errors, spa errors, mismatched)
@@ -643,8 +643,8 @@ def decode_group(group: SessionGroup, cfg: ProtocolConfig) -> None:
     whose whole second-check sample was lost is marked ``DEPLETED_RETURN``.
     """
     acting = group.in_phase(Phase.DECODING)
-    members = acting.nonzero()[0].tolist()
-    if not members:
+    members = acting.nonzero()[0]
+    if not len(members):
         return
     group.phases[members] = _PHASE[Phase.SECOND_CHECK]
     rows, starts = _candidates(group, acting)
@@ -657,7 +657,7 @@ def decode_group(group: SessionGroup, cfg: ProtocolConfig) -> None:
     expected = group.ops.reshape(-1)[sample_rows]  # an op code is the flat label it encodes
     checked, failed = _check(group, 1, sample_rows, _LABEL_ERRORS[got ^ expected],
                              cfg.error_threshold, Phase.ACCEPTED)
-    lost_sample = [j for j in members if not checked[j]]
+    lost_sample = [j for j in members.tolist() if not checked[j]]
     if lost_sample:
         group._deplete(lost_sample, DEPLETED_RETURN)
 

@@ -460,6 +460,108 @@ def test_a_rejection_after_a_partial_read_steps_back_over_the_unread_words(read)
         assert bits.state["state"] == twins[j].bit_generator.state["state"]
 
 
+# Calls whose members draw alike take their words as a (members, count) matrix;
+# calls whose members differ, even by one word, take the joined layout.  Each
+# call draws for four members, or for those ``LAYOUTS`` names: five
+# uniforms, five bounded integers with and without six uniforms after them,
+# and samples of one and of six pairs of 30 with and without ops, each
+# member's count raised by the count ``LAYOUTS`` adds for it.
+EVEN_CALLS = ("uniforms", "integers", "integers_uniforms",
+              "sample_1", "ops_sample_1", "sample_6", "ops_sample_6")
+# layout -> (members, count added per member, words read ahead before per member)
+LAYOUTS = {
+    "even": ([0, 1, 2, 3], [0, 0, 0, 0], [0, 0, 0, 0]),
+    "one_member": ([2], [0], [0, 0, 0, 0]),
+    "no_members": ([], [], [0, 0, 0, 0]),
+    "count_differs": ([3, 1, 0, 2], [0, 0, 1, 0], [0, 0, 0, 0]),
+    "cursor_differs": ([0, 1, 2, 3], [0, 0, 0, 0], [0, 1, 0, 0]),
+}
+# (seeded, words handed out before the call, layout): an unseeded source reads
+# nothing ahead, so its members never differ in their cursor
+SOURCE_LAYOUTS = [(seeded, read, layout)
+                  for seeded, read in ((False, 0), (True, 3), (True, _READ_AHEAD - 2))
+                  for layout in LAYOUTS if seeded or layout != "cursor_differs"]
+
+
+def twin_call(source, twins, call: str, members: list, extra: list) -> tuple:
+    """``call`` on ``source`` for ``members``, with ``extra[i]`` more draws for members[i],
+    and the same draws made by numpy's own calls on ``twins``, each joined."""
+    members = np.array(members, dtype=np.intp)
+    counts = np.array(extra, dtype=np.intp) + (int(call[-1]) if call[-1].isdigit() else 5)
+    mine = [twins[j] for j in members]
+    if call == "uniforms":
+        return ([source.uniforms("bell", members, counts)],
+                [[twin.random(c) for twin, c in zip(mine, counts)]])
+    if call.startswith("integers"):
+        n_u = counts + 1 if call == "integers_uniforms" else None
+        ints, u = source.integers("message", members, counts, 112, n_u)
+        expected = [twin.integers(112, size=c) for twin, c in zip(mine, counts)]
+        if n_u is None:
+            assert u is None
+            return [ints], [expected]
+        return [ints, u], [expected, [twin.random(c) for twin, c in zip(mine, n_u)]]
+    size = 16 if call.startswith("ops") else None
+    uniforms = 0 if size else 3
+    starts = np.arange(0, 31 * len(twins), 30)
+    picks, ops, u = source.sample("hidden_sample", members, starts, counts, size, uniforms)
+    expected = [[twin.choice(30, size=k, replace=False) + starts[j]
+                 for twin, j, k in zip(mine, members, counts)], [], []]
+    for twin, k in zip(mine, counts):
+        expected[1].append(twin.integers(16, size=k) if size else np.empty(0, dtype=int))
+        expected[2].append(twin.random(uniforms * k))
+    got = [picks, np.empty(0, dtype=int) if ops is None else ops,
+           np.empty(0) if u is None else u]
+    return got, expected
+
+
+@pytest.mark.parametrize("seeded, read, layout", SOURCE_LAYOUTS)
+@pytest.mark.parametrize("held", [False, True])
+@pytest.mark.parametrize("call", EVEN_CALLS)
+def test_even_and_joined_layouts_are_numpys(monkeypatch, call, held, seeded, read, layout):
+    members, extra, before = LAYOUTS[layout]
+    if seeded:
+        source = DrawSource.seeded(17, range(4))
+        twins = numpy_twins(session_generators(17, range(4)))
+        if held:  # an odd count of bounded integers leaves a half-word buffered
+            source.integers("message", np.arange(4), np.ones(4, dtype=int), 3)
+            for twin in twins:
+                twin.integers(3, size=1)
+    else:
+        source = DrawSource(generators(17, [held] * 4))
+        twins = numpy_twins(source.bits)
+    reads = [read + b for b in before]
+    same(source.uniforms("bell", np.arange(4), reads),
+         np.concatenate([twin.random(r) for twin, r in zip(twins, reads)]), "words read before")
+    layouts = []
+    raw = DrawSource._raw
+
+    def recorded(self, site, members, counts):
+        layouts.append("even" if np.ndim(counts) == 0 else "joined")
+        return raw(self, site, members, counts)
+
+    monkeypatch.setattr(DrawSource, "_raw", recorded)
+    got, expected = twin_call(source, twins, call, members, extra)
+    assert layouts == ["even" if layout in ("even", "one_member") else "joined"]
+    for part, parts in zip(got, expected):
+        same(part, np.concatenate(parts) if parts else [], f"{call}, {layout}")
+    same_state(source, twins)
+
+
+@pytest.mark.parametrize("held", [False, True])
+def test_an_even_call_redraws_only_the_members_that_rejected(held):
+    # 3 * 2**30 + 7 rejects about a quarter of the half-words: here one member
+    # of four rejects one of its three, and numpy's Generator redraws its call
+    size = 3 * 2**30 + 7
+    source = DrawSource(generators(0, [held] * 4))
+    twins = numpy_twins(source.bits)
+    ints, u = source.integers("message", np.arange(4), np.full(4, 3), size, np.full(4, 2))
+    same(ints, np.concatenate([twin.integers(size, size=3) for twin in twins]), "integers")
+    same(u, np.concatenate([twin.random(2) for twin in twins]), "uniforms after them")
+    paid = (3 - held + 1) // 2 + 2
+    assert source.words["message"].tolist().count(paid) == 3
+    same_state(source, twins)
+
+
 def test_pcg_steps_measure_advance():
     rng = np.random.default_rng(3)
     for steps in (0, 1, 2, 7, 1000, 2**40 + 3, 2**127 + 5):
@@ -817,6 +919,51 @@ def test_each_member_makes_one_raw_call_per_site(monkeypatch, sessions, n_pairs)
                   for j, spy in enumerate(spies)]
     assert at_seeding == [1] * sessions
     assert sum(spy.unsized for spy in spies) == 0
+
+
+# A clean group's members draw alike at every site, so each call takes its
+# words as a (members, count) matrix: no ``_split`` of joined words and no
+# ``_floyd_samples`` over padded rows.  Loss leaves a lossy group's members
+# with different numbers of pairs, and a large enough sample fraction then
+# different sample sizes, so its calls take the joined layout.
+LAYOUT_RUNS = {
+    "clean_500x16": (dict(sessions="500", n_pairs="16"), "even"),
+    "lossy_30x112": (dict(sessions="30", n_pairs="112", loss_prob="0.1", error_threshold="1.0",
+                          sample_fraction_first="0.25", sample_fraction_second="0.25"), "joined"),
+}
+
+
+@pytest.mark.parametrize("case", LAYOUT_RUNS)
+def test_a_clean_group_draws_in_the_matrix_layout(monkeypatch, case):
+    config, layout = LAYOUT_RUNS[case]
+    called = dict.fromkeys(("_split", "_floyd_samples"), 0)
+
+    def counted(name):
+        helper = getattr(draws, name)
+
+        def wrapper(*args):
+            called[name] += 1
+            return helper(*args)
+        return wrapper
+
+    for name in called:
+        monkeypatch.setattr(draws, name, counted(name))
+    layouts = {}
+    raw = DrawSource._raw
+
+    def recorded(self, site, members, counts):
+        layouts.setdefault(site, set()).add("even" if np.ndim(counts) == 0 else "joined")
+        return raw(self, site, members, counts)
+
+    monkeypatch.setattr(DrawSource, "_raw", recorded)
+    stats = run(parse_run_config(config_with(**config)))
+    assert stats.accepted == int(config["sessions"])
+    sites = ("first_check", "message", "hidden_sample", "bell")
+    assert {site: layouts[site] for site in sites} == dict.fromkeys(sites, {layout})
+    if layout == "even":
+        assert called == {"_split": 0, "_floyd_samples": 0}
+    else:
+        assert all(called.values()), called
 
 
 @pytest.mark.parametrize("pauli_p_pol", ["0.0", "0.05"])

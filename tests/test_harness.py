@@ -248,9 +248,12 @@ class TestSessionGenerators:
 
     def test_seed_words_are_only_four_uint64(self):
         seed_seq = session_generators(3, [1])[0].seed_seq
-        for n_words, dtype in ((4, np.uint32), (8, np.uint32), (2, np.uint64)):
+        for n_words, dtype in ((4, np.uint32), (8, np.uint32), (2, np.uint64), (4, np.int64),
+                               (4, "uint32")):
             with pytest.raises(ValueError, match="4, uint64"):
                 seed_seq.generate_state(n_words, dtype)
+        for dtype in (np.uint64, "uint64", np.dtype("<u8")):  # any spelling of uint64
+            assert seed_seq.generate_state(4, dtype) is seed_seq.words
 
     def test_each_generator_keeps_its_own_seed_words(self):
         # drawing from one generator, or seeding the next, leaves the words of

@@ -388,8 +388,9 @@ def test_streamed_run_memory_does_not_grow_with_sessions():
 
 
 # tracemalloc peak of one ideal_sessions group, 100 clean sessions of 112 pairs
-# (11,200 rows): 932 KiB with int8 message bits and op codes, about 700 KiB
-# more with int64 ones.  An int64 array of one entry per pair adds 77 KiB over int8.
+# (11,200 rows): 922 KiB, in the Bell readout, with int8 message bits and op
+# codes, about 700 KiB more with int64 ones; the encode phase peaks at 814 KiB.
+# An int64 array of one entry per pair adds 77 KiB over int8.
 IDEAL_GROUP_PEAK = 1000 * 1024  # bytes
 
 
